@@ -11,7 +11,6 @@ repair step.  The `nsdpcq` command line exposes all of it.
 
 from .errors import (
     InfeasiblePointError,
-    JacobiConvergenceError,
     NsdpcqError,
     NumericalFailure,
     ProblemFormatError,
@@ -75,7 +74,6 @@ __all__ = [
     "CqStatus",
     "CqVerdict",
     "InfeasiblePointError",
-    "JacobiConvergenceError",
     "KernelBasis",
     "MatrixPoly",
     "NsdpProblem",

@@ -29,14 +29,6 @@ class NumericalFailure(NsdpcqError):
     """An internal numeric routine failed to converge or went singular."""
 
 
-class JacobiConvergenceError(NumericalFailure):
-    """Eigensolver did not reach the off-diagonal target within its sweep cap."""
-
-    def __init__(self, message, off_residual):
-        super().__init__(message)
-        self.off_residual = float(off_residual)
-
-
 class NotPsdError(NumericalFailure):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 

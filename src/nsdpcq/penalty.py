@@ -47,7 +47,9 @@ from .symmat import (
 ARMIJO_C = 1e-4
 LBFGS_MEMORY = 10
 INNER_TOL_CAP = 1e-5         # floor of the per-level tolerance schedule
-VALUE_NOISE = 1e-14          # float resolution of the penalty value, relative
+# relative float resolution of the penalty value, applied to the sizes of
+# its terms (see _penalty_parts), not to the value itself
+VALUE_NOISE = 1e-14
 TAU_CLUSTER = 1e-6
 # 26 halvings from 1e-2 end 3e-10 from the limit, close enough for the
 # rank of G at the limit to be read off the final iterate directly
@@ -161,11 +163,20 @@ class SequenceProbeResult:
 
 def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
                    x: np.ndarray, need_grad: bool, spec=None):
-    """Value of phi and, when asked, its gradient and the multiplier.
+    """Value of phi and, when asked, its gradient, the multiplier and
+    the value's noise floor.
 
     The constraint spectrum is the expensive piece; a caller that
     already holds eigh(G(x)) passes it back in so a line-search trial is
     not decomposed twice.  The spectrum used is always returned.
+
+    The noise floor bounds the rounding error of phi near x: VALUE_NOISE
+    times the sizes of its terms, which can cancel, plus the eigenvalue
+    roundoff (of order eps * max|lambda|) that the penalty term
+    amplifies by rho * sum(neg).  It must not be clamped to an absolute
+    size: near a feasible anchor with f = 0, phi is of order 1e-9 and
+    resolves to about 1e-22, and an absolute floor there would switch
+    the Armijo test off.
     """
     fx = P.objective_value(x)
     dx = x - anchor
@@ -173,10 +184,11 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
         spec = eigh(P.constraint_value(x))
     neg = np.clip(-spec.values, 0.0, None)      # eigenvalues of proj(-G)
     hvals = P.equality_values(x)
-    val = fx + 0.5 * float(dx @ dx) \
-        + 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
+    reg = 0.5 * float(dx @ dx)
+    pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
+    val = fx + reg + pen
     if not need_grad:
-        return val, None, None, spec
+        return val, None, None, spec, None
     act = neg > 0.0
     if np.any(act):
         V = spec.vectors[:, act]
@@ -187,25 +199,35 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
     grad = P.objective_gradient(x) + dx - P.adjoint(x, Y.a)
     if hvals.shape[0]:
         grad = grad + rho * (P.equality_gradients(x).T @ hvals)
-    return val, grad, Y, spec
+    lam_abs = max(abs(float(spec.values[0])), abs(float(spec.values[-1])))
+    noise = VALUE_NOISE * (abs(fx) + reg + pen
+                           + rho * lam_abs * float(np.sum(neg)))
+    return val, grad, Y, spec, noise
 
 
 def penalty_value(P: NsdpProblem, anchor, rho: float, x) -> float:
-    val, _, _, _ = _penalty_parts(P, np.asarray(anchor, float), rho,
-                                  np.asarray(x, float), need_grad=False)
+    val, _, _, _, _ = _penalty_parts(P, np.asarray(anchor, float), rho,
+                                     np.asarray(x, float), need_grad=False)
     return val
 
 
 def penalty_gradient(P: NsdpProblem, anchor, rho: float, x) -> np.ndarray:
-    _, grad, _, _ = _penalty_parts(P, np.asarray(anchor, float), rho,
-                                   np.asarray(x, float), need_grad=True)
+    _, grad, _, _, _ = _penalty_parts(P, np.asarray(anchor, float), rho,
+                                      np.asarray(x, float), need_grad=True)
     return grad
+
+
+def penalty_noise_floor(P: NsdpProblem, anchor, rho: float, x) -> float:
+    """Float resolution of the penalty value at x, used by the line search."""
+    _, _, _, _, noise = _penalty_parts(P, np.asarray(anchor, float), rho,
+                                       np.asarray(x, float), need_grad=True)
+    return noise
 
 
 def multiplier_estimate(P: NsdpProblem, rho: float, x) -> SymMat:
     """Y = rho * proj_psd(-G(x)), the running multiplier estimate."""
-    _, _, Y, _ = _penalty_parts(P, np.zeros(P.n), rho, np.asarray(x, float),
-                                need_grad=True)
+    _, _, Y, _, _ = _penalty_parts(P, np.zeros(P.n), rho,
+                                   np.asarray(x, float), need_grad=True)
     return Y
 
 
@@ -241,13 +263,16 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     At very stiff levels the Armijo decrease drops below the float
     resolution of phi; such steps are accepted on strict gradient
     decrease, since the value comparison is pure rounding noise there.
+    That resolution is the noise floor of the accepted point, computed
+    once per iteration.
     Returns the best point flagged not-converged when the iteration
     budget runs out.
     """
     anchor = cfg.anchor
     tol = inner_tolerance(cfg, rho)
     x = np.asarray(x_start, dtype=float).copy()
-    val, grad, _, _ = _penalty_parts(P, anchor, rho, x, need_grad=True)
+    val, grad, _, _, noise = _penalty_parts(P, anchor, rho, x,
+                                            need_grad=True)
     mem: List[Tuple[np.ndarray, np.ndarray, float]] = []
     for it in range(cfg.inner_max_iters):
         gnorm = float(np.linalg.norm(grad))
@@ -261,11 +286,10 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
         t = 1.0
         xn = None
         grad_n = None
-        noise = VALUE_NOISE * max(1.0, abs(val))
         for _ in range(60):
             cand = x + t * d
-            fc, _, _, spec_c = _penalty_parts(P, anchor, rho, cand,
-                                              need_grad=False)
+            fc, _, _, spec_c, _ = _penalty_parts(P, anchor, rho, cand,
+                                                 need_grad=False)
             if abs(t * gd) > noise:
                 if fc <= val + ARMIJO_C * t * gd:
                     xn, val_n, spec_n = cand, fc, spec_c
@@ -275,10 +299,11 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
                 # resolution of phi (stiff levels push it under eps times
                 # the value), so the value test carries no information;
                 # accept on strict gradient decrease instead
-                _, gc, _, _ = _penalty_parts(P, anchor, rho, cand,
-                                             need_grad=True, spec=spec_c)
+                _, gc, _, _, noise_c = _penalty_parts(
+                    P, anchor, rho, cand, need_grad=True, spec=spec_c)
                 if float(np.linalg.norm(gc)) < gnorm:
-                    xn, val_n, spec_n, grad_n = cand, fc, spec_c, gc
+                    xn, val_n, spec_n = cand, fc, spec_c
+                    grad_n, noise_n = gc, noise_c
                     break
             t *= 0.5
         if xn is None:
@@ -290,8 +315,8 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
                 continue
             return InnerResult(x, gnorm, False, it)
         if grad_n is None:
-            _, grad_n, _, _ = _penalty_parts(P, anchor, rho, xn,
-                                             need_grad=True, spec=spec_n)
+            _, grad_n, _, _, noise_n = _penalty_parts(
+                P, anchor, rho, xn, need_grad=True, spec=spec_n)
         s = xn - x
         yv = grad_n - grad
         sy = float(s @ yv)
@@ -299,7 +324,7 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
             mem.append((s, yv, 1.0 / sy))
             if len(mem) > LBFGS_MEMORY:
                 mem.pop(0)
-        x, val, grad = xn, val_n, grad_n
+        x, val, grad, noise = xn, val_n, grad_n, noise_n
     gnorm = float(np.linalg.norm(grad))
     return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters)
 
@@ -325,8 +350,8 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
     for k in range(cfg.outer_iters):
         res = inner_minimize(P, cfg, rho, x)
         x = res.x
-        _, grad, Y, spec = _penalty_parts(P, cfg.anchor, rho, x,
-                                          need_grad=True)
+        _, grad, Y, spec, _ = _penalty_parts(P, cfg.anchor, rho, x,
+                                             need_grad=True)
         iterates.append(PenaltyIterate(
             k=k, rho=rho, x=x.copy(), multiplier=Y,
             eigenvalues=spec.values.copy(),

@@ -39,6 +39,7 @@ from nsdpcq.penalty import (
     make_path_trace,
     multiplier_estimate,
     penalty_gradient,
+    penalty_noise_floor,
     penalty_value,
     probe_weak_ndg,
     probe_weak_robinson,
@@ -62,6 +63,36 @@ def facial_origin_problem():
 def diag2_problem():
     G = MatrixPoly.diagonal([xv(2, 0), xv(2, 1)])
     return NsdpProblem(2, xv(2, 0) + xv(2, 1), G, name="diag2")
+
+
+# A random instance with G(0) = 0 (rank 0), the first draw of the
+# ``shifted_problem`` construction at n = 4, m = 3.  Near the anchor phi
+# is of order 1e-9, and a line search whose value noise floor does not
+# scale down with phi stalls at rho = 1e10.
+RANK0_PROBLEM = {
+    "name": "degenerate00_n4_m3_k3", "n": 4, "m": 3,
+    "objective": [{"c": 1.0, "e": [1, 0, 0, 0]}],
+    "constraint": [
+        {"i": 0, "j": 0, "poly": [{"c": -0.6734731116783189,
+                                   "e": [0, 0, 0, 1]}]},
+        {"i": 0, "j": 1, "poly": [{"c": 1.523289847933569,
+                                   "e": [1, 0, 0, 0]}]},
+        {"i": 0, "j": 2, "poly": [{"c": -0.056325849804638325,
+                                   "e": [0, 0, 1, 0]},
+                                  {"c": 1.4751406174506718,
+                                   "e": [0, 1, 0, 0]}]},
+        {"i": 1, "j": 1, "poly": [{"c": 1.1679728131087033,
+                                   "e": [0, 2, 0, 0]},
+                                  {"c": 0.7799175266708605,
+                                   "e": [1, 0, 0, 1]}]},
+        {"i": 1, "j": 2, "poly": [{"c": -0.7763100440354325,
+                                   "e": [0, 0, 0, 2]},
+                                  {"c": 0.9865155026328277,
+                                   "e": [0, 0, 1, 0]}]},
+        {"i": 2, "j": 2, "poly": [{"c": 0.11036679944811631,
+                                   "e": [1, 0, 0, 0]}]},
+    ],
+}
 
 
 class TestConfig:
@@ -109,6 +140,29 @@ class TestInnerMinimize:
         assert res.grad_norm <= inner_tolerance(cfg, 10.0)
         assert penalty_value(P, cfg.anchor, 10.0, res.x) \
             < penalty_value(P, cfg.anchor, 10.0, np.zeros(2))
+
+    def test_noise_floor_scales_with_the_data(self):
+        # f = 0, G = diag(x1, x2), anchor at the point: phi is the penalty
+        # term alone, (rho/2) delta^2 at x = (1, -delta), and the floor is
+        # VALUE_NOISE * (phi + rho * max|lambda| * sum(neg)) in closed form
+        P = NsdpProblem(2, Poly.zero(2),
+                        MatrixPoly.diagonal([xv(2, 0), xv(2, 1)]),
+                        name="diag2_f0")
+        floors = []
+        for rho, delta in [(1.0, 1e-6), (1.0, 1e-4), (1e4, 1e-4)]:
+            x = np.array([1.0, -delta])
+            phi = penalty_value(P, x, rho, x)
+            floor = penalty_noise_floor(P, x, rho, x)
+            assert phi == pytest.approx(0.5 * rho * delta ** 2, rel=1e-12)
+            # max|lambda| = 1 and sum(neg) = delta
+            want = 1e-14 * (phi + rho * 1.0 * delta)
+            assert floor == pytest.approx(want, rel=1e-12)
+            floors.append(floor)
+        # |phi| << 1 gives a floor far below an absolute 1e-14 ...
+        assert floors[0] <= 1e-19
+        # ... which grows with rho * sum(neg)
+        assert floors[0] < floors[1] < floors[2]
+        assert floors[2] == pytest.approx(1e4 * floors[1], rel=1e-3)
 
     def test_budget_exhaustion_is_flagged(self):
         P = diag3_problem()
@@ -193,6 +247,14 @@ class TestRunPenalty:
                 pos = proj_psd(G)
                 comp = float(np.sum(rec.multiplier.a * pos.a))
                 assert abs(comp) <= 1e-8 * (1.0 + rec.multiplier_norm)
+
+    def test_rank_zero_anchor_converges_at_every_level(self):
+        P = NsdpProblem.from_json(RANK0_PROBLEM)
+        trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                             outer_iters=13))
+        assert trace.iterates[-1].rho == pytest.approx(1e12)
+        assert all(rec.inner_converged for rec in trace.iterates)
+        assert trace.notes == []
 
     def test_facial_divergence_flag(self):
         P = facial_problem()

@@ -1,13 +1,15 @@
 """Tests for the symmetric-matrix core.
 
-The Jacobi eigensolver is checked against closed-form small cases and
-against numpy.linalg.eigh (an independent LAPACK route) on random inputs.
+The eigensolver wraps LAPACK, so on random inputs its oracle is a
+residual check (orthonormal vectors that reconstruct the matrix), plus
+closed-form small cases and the ordering and sign conventions the
+wrapper adds.
 """
 import numpy as np
 import pytest
 
 from nsdpcq import symmat
-from nsdpcq.errors import NotPsdError
+from nsdpcq.errors import NotPsdError, NumericalFailure
 from nsdpcq.symmat import (
     SymMat,
     eigh,
@@ -81,6 +83,39 @@ def test_eigh_matches_lapack_oracle_many_seeds():
     assert failures == 0
 
 
+def test_eigh_order_and_sign_conventions():
+    # random matrices, half of them with a repeated eigenvalue: values
+    # exactly non-increasing, each vector's largest-magnitude entry
+    # positive, both outputs read-only
+    for seed in range(200):
+        rng = np.random.default_rng(30_000 + seed)
+        m = int(rng.integers(1, 9))
+        if seed % 2:
+            lam = rng.standard_normal(m)
+            lam[: m // 2] = lam[0]
+            q = random_rotation(m, rng)
+            M = SymMat.from_symmetric((q * lam) @ q.T)
+        else:
+            g = rng.standard_normal((m, m))
+            M = SymMat.from_symmetric(g + g.T)
+        spec = eigh(M)
+        assert np.all(np.diff(spec.values) <= 0.0)
+        for j in range(m):
+            col = spec.vectors[:, j]
+            assert col[int(np.argmax(np.abs(col)))] > 0.0
+        assert not spec.values.flags.writeable
+        assert not spec.vectors.flags.writeable
+
+
+def test_eigh_lapack_failure_is_numerical_failure(monkeypatch):
+    def boom(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(symmat.np.linalg, "eigh", boom)
+    with pytest.raises(NumericalFailure) as info:
+        eigh(SymMat.diag([1.0, 2.0]))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_eigh_deterministic():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((6, 6))
@@ -139,6 +174,22 @@ def test_kernel_basis_picks_zero_cluster():
     # columns orthonormal and in span{e2, e3}
     assert np.allclose(kb.cols.T @ kb.cols, np.eye(2), atol=1e-12)
     assert np.allclose(kb.cols[0, :], 0.0, atol=1e-12)
+
+
+def test_kernel_basis_repeated_zero_eigenvalue_off_axis():
+    # Q diag(3, 1, 0, 0) Q^T with a generic rotation Q: the kernel is the
+    # span of the last two columns of Q, not of any coordinate axes
+    rng = np.random.default_rng(5)
+    q = random_rotation(4, rng)
+    M = SymMat.from_symmetric((q * np.array([3.0, 1.0, 0.0, 0.0])) @ q.T)
+    assert np.max(np.abs(M.a - np.diag(np.diag(M.a)))) > 0.1
+    kb = kernel_basis(M, 1e-8)
+    assert kb.rank == 2
+    assert kb.nullity == 2
+    assert np.allclose(kb.cols.T @ kb.cols, np.eye(2), atol=1e-12)
+    true_kernel = q[:, 2:]
+    assert np.allclose(kb.cols @ kb.cols.T, true_kernel @ true_kernel.T,
+                       atol=1e-10)
 
 
 def test_kernel_basis_rejects_indefinite():
