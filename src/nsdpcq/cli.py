@@ -23,7 +23,7 @@ from .errors import (
     ProblemFormatError,
 )
 from .model import NsdpProblem, parse_problem_text
-from .penalty import PenaltyConfig, run_penalty
+from .penalty import PenaltyConfig, inner_stop, run_penalty
 from .report import (
     AnalysisOptions,
     analyze_problem,
@@ -76,7 +76,7 @@ def _options(args) -> AnalysisOptions:
     return AnalysisOptions(
         tol_rank=args.tol_rank, samples=args.samples, bases=args.bases,
         traces=args.traces, rotations=args.rotations, seed=args.seed,
-        jobs=args.jobs, timestamp=not args.no_timestamp)
+        timestamp=not args.no_timestamp)
 
 
 def cmd_analyze(args) -> int:
@@ -100,11 +100,12 @@ def cmd_solve(args) -> int:
     print(f"penalty run on {P.name}, anchor "
           f"({', '.join(f'{v:g}' for v in anchor)})")
     print(f"  {'k':>3s} {'rho':>10s} {'||Y||_F':>12s} "
-          f"{'residual':>12s}  inner")
+          f"{'residual':>12s} {'iters':>5s}  inner")
     for rec in trace.iterates:
-        flag = "ok" if rec.inner_converged else "budget"
+        flag = inner_stop(rec.inner_converged, rec.inner_iterations, cfg)
         print(f"  {rec.k:>3d} {rec.rho:>10.1e} {rec.multiplier_norm:>12.4e} "
-              f"{rec.stationarity_residual:>12.4e}  {flag}")
+              f"{rec.stationarity_residual:>12.4e} {rec.inner_iterations:>5d}"
+              f"  {flag}")
     for note in trace.notes:
         print(f"  ! {note}")
     if args.trace:
@@ -196,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rotations", type=int, default=100,
                         help="cluster rotations per probed sequence")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel fan-out for independent checkers")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit timestamp and timing from reports, "
                              "for byte-stable output")

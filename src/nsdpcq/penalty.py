@@ -15,6 +15,11 @@ quantifier is approximated by a finite family of traces, and the verdict
 semantics say so: a passing probe reports HoldsSampled, never a
 certificate, while Fails is only produced from a trace with no remaining
 basis freedom.
+
+Each level is solved to a gradient tolerance that grows with rho up to a
+cap, but never below the gradient's own rounding error at the level's
+warm start, eps * rho * max|lambda(G)| * ||DG||_F: at rho >= 1e11 that
+error exceeds the cap, and a level asked for less cannot converge.
 """
 from __future__ import annotations
 
@@ -46,7 +51,7 @@ from .symmat import (
 
 ARMIJO_C = 1e-4
 LBFGS_MEMORY = 10
-INNER_TOL_CAP = 1e-5         # floor of the per-level tolerance schedule
+INNER_TOL_CAP = 1e-5         # upper cap of the per-level tolerance schedule
 # relative float resolution of the penalty value, applied to the sizes of
 # its terms (see _penalty_parts), not to the value itself
 VALUE_NOISE = 1e-14
@@ -94,6 +99,7 @@ class PenaltyIterate:
     stationarity_residual: float
     multiplier_norm: float
     inner_converged: bool = True
+    inner_iterations: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -224,6 +230,22 @@ def penalty_noise_floor(P: NsdpProblem, anchor, rho: float, x) -> float:
     return noise
 
 
+def gradient_noise_floor(P: NsdpProblem, rho: float, x, spec=None) -> float:
+    """Float resolution of the penalty gradient at x.
+
+    Y = rho * proj(-G) carries the eigenvalues' absolute roundoff, about
+    eps * max|lambda(G)|, amplified by rho, and DG* maps it into the
+    gradient with gain at most ||DG||_F, the Frobenius norm of the stack
+    of partials.  A caller that holds eigh(G(x)) passes it in.
+    """
+    x = np.asarray(x, dtype=float)
+    if spec is None:
+        spec = eigh(P.constraint_value(x))
+    lam_abs = max(abs(float(spec.values[0])), abs(float(spec.values[-1])))
+    return (float(np.finfo(float).eps) * rho * lam_abs
+            * float(np.linalg.norm(P.constraint_partials(x))))
+
+
 def multiplier_estimate(P: NsdpProblem, rho: float, x) -> SymMat:
     """Y = rho * proj_psd(-G(x)), the running multiplier estimate."""
     _, _, Y, _, _ = _penalty_parts(P, np.zeros(P.n), rho,
@@ -250,8 +272,17 @@ def _two_loop(g: np.ndarray, mem: List[Tuple[np.ndarray, np.ndarray, float]]):
 
 
 def inner_tolerance(cfg: PenaltyConfig, rho: float) -> float:
-    """Gradient threshold at level rho: scales with rho, capped below."""
+    """Gradient threshold at level rho: scales with rho, capped above."""
     return min(cfg.inner_tol * (1.0 + rho), INNER_TOL_CAP)
+
+
+def inner_stop(converged: bool, iterations: int, cfg: PenaltyConfig) -> str:
+    """How an inner solve ended: "ok", "budget" when it spent
+    cfg.inner_max_iters, "stalled" when the line search found no step
+    before that."""
+    if converged:
+        return "ok"
+    return "budget" if iterations >= cfg.inner_max_iters else "stalled"
 
 
 def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
@@ -265,14 +296,21 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     decrease, since the value comparison is pure rounding noise there.
     That resolution is the noise floor of the accepted point, computed
     once per iteration.
+    The gradient threshold is inner_tolerance(cfg, rho), raised to the
+    gradient's own float resolution at the warm start
+    (gradient_noise_floor, once per level): at rho >= 1e11 the rounding
+    error of rho * proj(-G) alone exceeds the capped schedule, and a
+    level asked for less than that can only spend its budget.
     Returns the best point flagged not-converged when the iteration
-    budget runs out.
+    budget runs out or the line search finds no step; iterations tells
+    the two apart.
     """
     anchor = cfg.anchor
-    tol = inner_tolerance(cfg, rho)
     x = np.asarray(x_start, dtype=float).copy()
-    val, grad, _, _, noise = _penalty_parts(P, anchor, rho, x,
-                                            need_grad=True)
+    val, grad, _, spec, noise = _penalty_parts(P, anchor, rho, x,
+                                               need_grad=True)
+    tol = max(inner_tolerance(cfg, rho),
+              gradient_noise_floor(P, rho, x, spec))
     mem: List[Tuple[np.ndarray, np.ndarray, float]] = []
     for it in range(cfg.inner_max_iters):
         gnorm = float(np.linalg.norm(grad))
@@ -358,9 +396,15 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
             eigenvectors=spec.vectors.copy(),
             stationarity_residual=float(np.linalg.norm(grad)),
             multiplier_norm=float(np.sqrt(frobenius(Y.a, Y.a))),
-            inner_converged=res.converged))
+            inner_converged=res.converged,
+            inner_iterations=res.iterations))
         if not res.converged:
-            notes.append(f"inner solve at rho={rho:.1e} stopped at gradient "
+            if inner_stop(res.converged, res.iterations, cfg) == "budget":
+                how = f"spent its {res.iterations}-iteration budget"
+            else:
+                how = (f"stalled after {res.iterations} iterations "
+                       "(line search found no step)")
+            notes.append(f"inner solve at rho={rho:.1e} {how} at gradient "
                          f"norm {res.grad_norm:.2e}")
         rho *= cfg.rho_mult
     divergent = False

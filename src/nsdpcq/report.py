@@ -13,9 +13,8 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class AnalysisOptions:
     traces: int = 8
     rotations: int = 100
     seed: int = 0
-    jobs: int = 1
     timestamp: bool = True
 
 
@@ -111,14 +109,6 @@ class AnalysisReport:
         for note in self.notes:
             lines.append(f"  ! {note}")
         return "\n".join(lines)
-
-
-def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map, fanned out over threads when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 def lattice_warnings(verdicts: Dict[str, CqVerdict]) -> List[str]:
@@ -179,7 +169,7 @@ def analyze_problem(P: NsdpProblem, point,
                                     seed=opts.seed, tol_rank=opts.tol_rank)
         return name, v, time.perf_counter() - start
 
-    results = parallel_map(run, CHECKER_ORDER, opts.jobs)
+    results = [run(name) for name in CHECKER_ORDER]
     verdicts = {name: v for name, v, _ in results}
     timing = {name: round(dt, 6) for name, _, dt in results}
     timing["traces"] = round(trace_time, 6)

@@ -34,6 +34,12 @@ def frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.asarray(a) * np.asarray(b)))
 
 
+def _checked_square(arr: np.ndarray) -> np.ndarray:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise ValueError("SymMat needs a square array of dimension >= 1")
+    return arr
+
+
 class SymMat:
     """Immutable dense symmetric matrix.
 
@@ -45,9 +51,7 @@ class SymMat:
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError("SymMat needs a square array of dimension >= 1")
+        arr = _checked_square(np.array(entries, dtype=float))
         if not np.all(np.isfinite(arr)):
             raise ValueError("SymMat entries must be finite")
         # row-wise mirror: for the small m used here this is several
@@ -59,9 +63,21 @@ class SymMat:
 
     @classmethod
     def from_symmetric(cls, arr) -> "SymMat":
-        """Build from a numerically near-symmetric array by averaging."""
-        arr = np.asarray(arr, dtype=float)
-        return cls((arr + arr.T) / 2.0)
+        """Build from a numerically near-symmetric array by averaging.
+
+        Float addition commutes, so the average is exactly symmetric and
+        is frozen as it is, with no second copy or mirror.  The finiteness
+        check runs on the average, where +inf and -inf across the diagonal
+        have become NaN.
+        """
+        arr = _checked_square(np.asarray(arr, dtype=float))
+        sym = (arr + arr.T) / 2.0
+        if not np.all(np.isfinite(sym)):
+            raise ValueError("SymMat entries must be finite")
+        sym.setflags(write=False)
+        out = cls.__new__(cls)
+        out.a = sym
+        return out
 
     @classmethod
     def diag(cls, values) -> "SymMat":

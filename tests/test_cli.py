@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, determinism, file round trips."""
+import functools
 import json
 
 import numpy as np
@@ -60,16 +61,6 @@ class TestAnalyze:
         assert set(obj["verdicts"].keys()) == {
             "nondegeneracy", "robinson", "sparse_ndg", "forsgren",
             "weak_ndg_probe", "weak_robinson_probe"}
-
-    def test_parallel_fanout_matches_serial(self, tmp_path, capsys):
-        serial = tmp_path / "serial.json"
-        fanned = tmp_path / "fanned.json"
-        assert cli.main(["analyze", "corpus:block2", "--json", str(serial),
-                         "--no-timestamp"]) == 0
-        assert cli.main(["analyze", "corpus:block2", "--json", str(fanned),
-                         "--no-timestamp", "--jobs", "4"]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == fanned.read_bytes()
 
     def test_timestamped_report_has_timing(self, tmp_path, capsys):
         p = tmp_path / "r.json"
@@ -138,6 +129,30 @@ class TestSolve:
     def test_divergence_note(self, capsys):
         assert cli.main(["solve", "corpus:facial", "--anchor", "0,0"]) == 0
         assert "divergence" in capsys.readouterr().out
+
+    def test_stalled_level_is_not_labelled_budget(self, capsys):
+        # no float gradient meets a 1e-300 tolerance: the level stops when
+        # the line search finds no step, well before the iteration budget
+        assert cli.main(["solve", "corpus:scalar2", "--outer", "1",
+                         "--inner-tol", "1e-300"]) == 0
+        out = capsys.readouterr().out
+        row = [ln for ln in out.splitlines() if ln.endswith("stalled")]
+        assert len(row) == 1
+        iters = int(row[0].split()[-2])
+        assert 0 < iters < 400
+        assert "budget" not in out
+        assert f"stalled after {iters} iterations" in out
+
+    def test_spent_budget_is_labelled_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PenaltyConfig", functools.partial(
+            cli.PenaltyConfig, inner_max_iters=1))
+        assert cli.main(["solve", "corpus:diag3", "--anchor", "0,0,0",
+                         "--rho0", "10", "--outer", "2"]) == 0
+        out = capsys.readouterr().out
+        rows = [ln for ln in out.splitlines() if ln.endswith("budget")]
+        assert len(rows) == 2
+        assert all(ln.split()[-2] == "1" for ln in rows)
+        assert "spent its 1-iteration budget" in out
 
     def test_infeasible_anchor_exit_three(self, capsys):
         assert cli.main(["solve", "corpus:diag3",

@@ -34,7 +34,9 @@ from nsdpcq.penalty import (
     PenaltyConfig,
     default_trace_family,
     extract_eigbasis_sequence,
+    gradient_noise_floor,
     inner_minimize,
+    inner_stop,
     inner_tolerance,
     make_path_trace,
     multiplier_estimate,
@@ -91,6 +93,49 @@ RANK0_PROBLEM = {
                                    "e": [0, 0, 1, 0]}]},
         {"i": 2, "j": 2, "poly": [{"c": 0.11036679944811631,
                                    "e": [1, 0, 0, 0]}]},
+    ],
+}
+
+
+# The first rung of the benchmark ladder, (n, m, nullity) = (6, 4, 2).
+# At rho >= 1e11 the rounding error of the gradient exceeds the capped
+# tolerance schedule; without a floor at that error the 1e11 and 1e12
+# levels spend thousands of line-search evaluations and end unconverged.
+LADDER_PROBLEM = {
+    "name": "ladder_n6_m4_k2", "n": 6, "m": 4,
+    "objective": [{"c": 1.0, "e": [1, 0, 0, 0, 0, 0]}],
+    "constraint": [
+        {"i": 0, "j": 0, "poly": [
+            {"c": 0.6519811769520883, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": 0.3032969872406851, "e": [1, 0, 0, 0, 0, 0]}]},
+        {"i": 0, "j": 1, "poly": [
+            {"c": -0.23082718481159248, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -0.5678497716419045, "e": [0, 0, 0, 0, 1, 0]}]},
+        {"i": 0, "j": 2, "poly": [
+            {"c": 0.36593277534623575, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -1.6347398711267278, "e": [0, 0, 0, 0, 1, 0]}]},
+        {"i": 0, "j": 3, "poly": [
+            {"c": -0.7230416880158826, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": 3.0373555713667533, "e": [0, 1, 0, 0, 0, 0]}]},
+        {"i": 1, "j": 1, "poly": [
+            {"c": 0.1273157816502305, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -0.1286408000612264, "e": [0, 0, 0, 0, 1, 0]},
+            {"c": -0.21809964313540206, "e": [0, 0, 0, 1, 0, 0]}]},
+        {"i": 1, "j": 2, "poly": [
+            {"c": 0.08026161135516523, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -1.1252810859487876, "e": [0, 0, 1, 0, 0, 0]}]},
+        {"i": 1, "j": 3, "poly": [
+            {"c": 0.394076742955696, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": 1.7072648272438213, "e": [1, 0, 0, 0, 0, 1]}]},
+        {"i": 2, "j": 2, "poly": [
+            {"c": 1.1709298109554265, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": 1.048772565797411, "e": [0, 0, 0, 1, 0, 0]}]},
+        {"i": 2, "j": 3, "poly": [
+            {"c": 0.22966054079912188, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -2.0343424408577815, "e": [1, 0, 0, 0, 0, 0]}]},
+        {"i": 3, "j": 3, "poly": [
+            {"c": 1.2200884926687954, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -0.6322168815768311, "e": [0, 1, 0, 0, 0, 0]}]},
     ],
 }
 
@@ -169,6 +214,25 @@ class TestInnerMinimize:
         cfg = PenaltyConfig(anchor=np.zeros(3), inner_max_iters=1)
         res = inner_minimize(P, cfg, 100.0, np.array([1.0, 1.0, 1.0]))
         assert not res.converged
+        assert inner_stop(res.converged, res.iterations, cfg) == "budget"
+
+    def test_gradient_floor_closed_form(self):
+        # G = diag(x1, x2): the partials are diag(1, 0) and diag(0, 1), so
+        # ||DG||_F = sqrt(2) and the floor is eps * rho * max|lambda| * sqrt(2)
+        P = diag2_problem()
+        eps = np.finfo(float).eps
+        x = np.array([0.5, -3.0])
+        floors = []
+        for rho in (1.0, 1e6, 1e11):
+            floor = gradient_noise_floor(P, rho, x)
+            assert floor == pytest.approx(eps * rho * 3.0 * np.sqrt(2.0),
+                                          rel=1e-12)
+            floors.append(floor)
+        assert floors[1] == pytest.approx(1e6 * floors[0], rel=1e-12)
+        assert floors[2] == pytest.approx(1e11 * floors[0], rel=1e-12)
+        # the spectrum a caller already holds gives the same floor
+        spec = eigh(P.constraint_value(x))
+        assert gradient_noise_floor(P, 1e11, x, spec) == floors[2]
 
 
 class TestPenaltyGradient:
@@ -255,6 +319,37 @@ class TestRunPenalty:
         assert trace.iterates[-1].rho == pytest.approx(1e12)
         assert all(rec.inner_converged for rec in trace.iterates)
         assert trace.notes == []
+
+    def test_stiff_levels_converge_on_ladder_instance(self):
+        P = NsdpProblem.from_json(LADDER_PROBLEM)
+        trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                             outer_iters=13))
+        assert trace.iterates[-1].rho == pytest.approx(1e12)
+        assert all(rec.inner_converged for rec in trace.iterates)
+        assert trace.notes == []
+
+    def test_unconverged_levels_say_how_they_stopped(self):
+        P = diag3_problem()
+        budget = run_penalty(P, PenaltyConfig(anchor=np.zeros(3), rho0=10.0,
+                                              outer_iters=2,
+                                              inner_max_iters=1))
+        assert [rec.inner_iterations for rec in budget.iterates] == [1, 1]
+        assert not any(rec.inner_converged for rec in budget.iterates)
+        assert budget.notes == [
+            f"inner solve at rho={rec.rho:.1e} spent its 1-iteration budget "
+            f"at gradient norm {rec.stationarity_residual:.2e}"
+            for rec in budget.iterates]
+        P = scalar2_problem()
+        stalled = run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                               outer_iters=1,
+                                               inner_tol=1e-300))
+        rec = stalled.iterates[0]
+        assert not rec.inner_converged
+        assert 0 < rec.inner_iterations < 400
+        assert stalled.notes == [
+            f"inner solve at rho=1.0e+00 stalled after "
+            f"{rec.inner_iterations} iterations (line search found no step) "
+            f"at gradient norm {rec.stationarity_residual:.2e}"]
 
     def test_facial_divergence_flag(self):
         P = facial_problem()

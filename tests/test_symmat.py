@@ -40,6 +40,26 @@ def test_symmat_is_readonly():
         m.a[0, 0] = 5.0
 
 
+def test_from_symmetric_is_exact_finite_and_readonly():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((5, 5))
+    m = SymMat.from_symmetric(g)
+    assert np.array_equal(m.a, m.a.T)
+    assert np.array_equal(m.a, (g + g.T) / 2.0)
+    with pytest.raises(ValueError):
+        m.a[0, 1] = 1.0
+    # the input is not aliased and stays writable
+    g[0, 1] = 7.0
+    assert m.a[0, 1] != 7.0
+    # +inf and -inf across the diagonal average to NaN
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        SymMat.from_symmetric([[0.0, np.inf], [-np.inf, 0.0]])
+    with pytest.raises(ValueError):
+        SymMat.from_symmetric([[np.nan, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        SymMat.from_symmetric([1.0, 2.0])
+
+
 def test_eigh_offdiagonal_2x2():
     # [[0,1],[1,0]] has eigenpairs (1, (1,1)/sqrt2) and (-1, (1,-1)/sqrt2)
     spec = eigh(SymMat([[0.0, 1.0], [1.0, 0.0]]))
