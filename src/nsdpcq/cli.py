@@ -74,7 +74,7 @@ def _point_arg(args, P: NsdpProblem, default, what: str = "point"
 
 def _options(args) -> AnalysisOptions:
     return AnalysisOptions(
-        tol_rank=args.tol_rank, samples=args.samples, bases=args.bases,
+        tol_rank=args.tol_rank, bases=args.bases,
         traces=args.traces, rotations=args.rotations, seed=args.seed,
         timestamp=not args.no_timestamp)
 
@@ -188,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-rank", type=float, default=TAU_RANK,
                         help="relative eigenvalue threshold for rank "
                              "decisions (default 1e-8)")
-    common.add_argument("--samples", type=int, default=200,
-                        help="sample budget for the Robinson search")
     common.add_argument("--bases", type=int, default=50,
                         help="kernel bases tried by the sparse search")
     common.add_argument("--traces", type=int, default=8,

@@ -39,14 +39,17 @@ from .symmat import (
     SymMat,
     eigh,
     kernel_basis,
-    random_rotation,
     rotate_basis,
 )
 
 TAU_RANK = symmat.TAU_RANK
 LI_TOL = 1e-8
 PRIMAL_MARGIN = 1e-6
-DUAL_FAIL_TOL = 1e-7
+DUAL_CERT_TOL = 1e-12    # relative residual of a certifying dual multiplier
+SADDLE_ITERS = 1000      # iteration budget of the saddle-point solve
+POLISH_EVERY = 25        # iterations between low-rank polishes of the dual
+POLISH_STEPS = 60        # Gauss-Newton steps per polish rank
+POLISH_STALL = 0.9       # a polish step must cut the residual by this factor
 
 
 class CqStatus(str, Enum):
@@ -379,29 +382,6 @@ def _null_projector(Heq: np.ndarray, n: int) -> np.ndarray:
     return np.eye(n) - Heq.T @ np.linalg.pinv(Heq.T)
 
 
-def _sym_basis(k: int) -> List[np.ndarray]:
-    """Orthonormal (Frobenius) basis of k x k symmetric matrices."""
-    out = []
-    rt = 1.0 / np.sqrt(2.0)
-    for i in range(k):
-        for j in range(i, k):
-            B = np.zeros((k, k))
-            if i == j:
-                B[i, i] = 1.0
-            else:
-                B[i, j] = rt
-                B[j, i] = rt
-            out.append(B)
-    return out
-
-
-def _project_spectraplex(S: np.ndarray) -> np.ndarray:
-    """Projection onto {S PSD, tr S = 1} (eigenvalues onto the simplex)."""
-    spec = eigh(SymMat.from_symmetric(S))
-    lam = _project_simplex(spec.values)
-    return (spec.vectors * lam) @ spec.vectors.T
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
@@ -412,63 +392,149 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def _primal_direction_search(Wc: np.ndarray, Qn: np.ndarray,
-                             restarts: int, iters: int,
-                             rng: np.random.Generator,
-                             stop_at: Optional[float] = None
-                             ) -> Tuple[np.ndarray, float]:
-    """Maximize lambda_min(sum_l d_l Wc[l]) over the unit ball, d in range(Qn).
+@dataclass(frozen=True)
+class SaddleResult:
+    """Outcome of :func:`cone_saddle`.
 
-    Projected subgradient ascent with step 1 / sqrt(t); the subgradient at
-    d is the vector of Rayleigh quotients of the minimal eigenvector.
-    A best value reaching ``stop_at`` ends the search early; any strictly
-    positive value already certifies, so callers pass a comfortable
-    positive threshold to skip the remaining ascent.
+    ``route`` names the certificate that ended the solve: "primal" when
+    lambda_min(sum_l d_l Wc[l]) = ``primal`` exceeds PRIMAL_MARGIN for
+    the unit direction ``d``, "dual" when the unit-trace PSD matrix ``S``
+    has ||A vec S|| = ``dual`` within the certificate tolerance, and None
+    when the budget ran out or the bounds met between the two thresholds.
+    ``primal`` and ``dual`` are the best bounds seen, so
+    primal <= optimal value <= dual.  ``rank`` is the rank of the
+    polished face a dual certificate came from (None when a gradient
+    iterate certified by itself).
     """
-    n = Wc.shape[0]
-    best_d = np.zeros(n)
-    best_val = -np.inf
 
-    def value_and_grad(d):
-        psi = np.tensordot(d, Wc, axes=1)
-        spec = eigh(SymMat.from_symmetric(psi))
-        u = spec.vectors[:, -1]
-        g = np.einsum("lab,a,b->l", Wc, u, u)
-        return float(spec.values[-1]), g
+    route: Optional[str]
+    d: np.ndarray
+    primal: float
+    S: np.ndarray
+    dual: float
+    rank: Optional[int]
+    iterations: int
 
-    for s in range(restarts):
-        if stop_at is not None and best_val >= stop_at:
-            break
-        if s == 0:
-            d = Qn @ np.ones(n)
+    def describe(self) -> str:
+        if self.route == "primal":
+            how = "decided by the primal readout"
+        elif self.route == "dual" and self.rank is not None:
+            how = f"decided by the dual polished at rank {self.rank}"
+        elif self.route == "dual":
+            how = "decided by a dual iterate"
         else:
-            d = Qn @ rng.standard_normal(n)
-        nrm = float(np.linalg.norm(d))
-        d = d / nrm if nrm > 1e-12 else d
-        val, _ = value_and_grad(d) if np.linalg.norm(d) > 0 else (-np.inf, None)
-        if val > best_val:
-            best_val, best_d = val, d.copy()
-        for t in range(1, iters + 1):
-            if stop_at is not None and best_val >= stop_at:
-                break
-            val, g = value_and_grad(d)
-            if val > best_val:
-                best_val, best_d = val, d.copy()
-            g = Qn @ g
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-14:
-                break
-            d = d + (1.0 / np.sqrt(t)) * g / gn
-            nrm = float(np.linalg.norm(d))
-            if nrm > 1.0:
-                d = d / nrm
-    return best_d, best_val
+            how = "no certificate"
+        return (f"{how} at iteration {self.iterations}, primal bound "
+                f"{self.primal:.6e}, dual bound {self.dual:.6e}")
 
 
-def _realize_primal(P: NsdpProblem, x, d: np.ndarray,
-                    Gval: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
+def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
+    """Solve max_{|d| <= 1, d in range Qn} lambda_min(sum_l d_l Wc[l]).
+
+    With A = Qn Wc flattened to n x k^2, Sion's minimax theorem gives the
+    dual min ||A vec S|| over the spectraplex {S psd, tr S = 1}.  Each
+    iteration takes one accelerated projected-gradient step on
+    1/2 ||A vec S||^2 and reads a primal direction d = A vec S / ||A vec S||
+    off the iterate, so both bounds tighten together; every POLISH_EVERY
+    iterations the best iterate is polished on a low-rank face.  The solve
+    stops at the first certificate: primal value above PRIMAL_MARGIN, or
+    dual residual at most DUAL_CERT_TOL * (1 + max|A|).
+    """
+    n, k = Wc.shape[0], Wc.shape[1]
+    A = np.tensordot(Qn, Wc, axes=1).reshape(n, k * k)
+    tol = DUAL_CERT_TOL * (1.0 + float(np.max(np.abs(A), initial=0.0)))
+    lip = float(np.linalg.norm(A, 2)) ** 2
+    S = np.eye(k) / k
+    best = {"d": np.zeros(n), "primal": -np.inf, "S": S,
+            "dual": float(np.linalg.norm(A @ S.ravel()))}
+
+    def done(route, iterations, rank=None):
+        return SaddleResult(route=route, rank=rank, iterations=iterations,
+                            **best)
+
+    if best["dual"] <= tol:
+        return done("dual", 0)
+    Y, t = S, 1.0
+    for it in range(1, SADDLE_ITERS + 1):
+        step = Y - (A.T @ (A @ Y.ravel())).reshape(k, k) / lip
+        spec = eigh(SymMat.from_symmetric(step))
+        S_new = (spec.vectors * _project_simplex(spec.values)) @ spec.vectors.T
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        Y = S_new + ((t - 1.0) / t_new) * (S_new - S)
+        S, t = S_new, t_new
+        g = A @ S.ravel()
+        val = float(np.linalg.norm(g))
+        if val < best["dual"]:
+            best.update(S=S, dual=val)
+            if val <= tol:
+                return done("dual", it)
+        d = g / val
+        lam = float(eigh(SymMat.from_symmetric(
+            np.tensordot(d, Wc, axes=1))).values[-1])
+        if lam > best["primal"]:
+            best.update(d=d, primal=lam)
+            if lam > PRIMAL_MARGIN:
+                return done("primal", it)
+        if best["dual"] - best["primal"] <= tol:
+            break   # the bounds have met on a value inside the margin band
+        if it % POLISH_EVERY == 0:
+            polished = _polish_face(A, best["S"], tol)
+            if polished is not None:
+                best.update(S=polished[0], dual=polished[1])
+                return done("dual", it, rank=polished[2])
+    return done(None, it)
+
+
+def _polish_face(A: np.ndarray, S: np.ndarray, tol: float
+                 ) -> Optional[Tuple[np.ndarray, float, int]]:
+    """Look for a dual certificate S = R R^T / |R|^2 near S, rank by rank.
+
+    Gauss-Newton on the residual (A vec(R R^T), |R|^2 - 1), started from
+    the top r eigenpairs of S, with steps halved until the residual
+    falls.  Near a regular zero-residual solution this converges
+    quadratically, and linearly near a singular one, where the gradient
+    iterates only creep towards the face.  A rank is abandoned once a
+    step cuts the residual by less than POLISH_STALL.  Returns
+    (S, residual, rank) for the first rank whose residual reaches tol.
+    """
+    n = A.shape[0]
+    k = S.shape[0]
+    Wq = A.reshape(n, k, k)
+
+    def normalized(R):
+        R = R / np.linalg.norm(R)
+        return R, float(np.linalg.norm(A @ (R @ R.T).ravel()))
+
+    spec = eigh(SymMat.from_symmetric(S))
+    top = float(spec.values[0])
+    for r in range(1, k + 1):
+        R, val = normalized(spec.vectors[:, :r] * np.sqrt(
+            np.maximum(spec.values[:r], 1e-3 * top)))
+        for _ in range(POLISH_STEPS):
+            if val <= tol:
+                return R @ R.T, val, r
+            F = np.append(A @ (R @ R.T).ravel(), 0.0)
+            J = 2.0 * np.vstack([
+                np.einsum("lab,br->lar", Wq, R).reshape(n, k * r),
+                R.reshape(1, k * r)])
+            step = np.linalg.lstsq(J, F, rcond=None)[0].reshape(k, r)
+            t = 1.0
+            while t >= 1e-4:
+                R_new, val_new = normalized(R - t * step)
+                if val_new < val:
+                    break
+                t *= 0.5
+            if val_new > POLISH_STALL * val:
+                break
+            R, val = R_new, val_new
+        if val <= tol:
+            return R @ R.T, val, r
+    return None
+
+
+def _realize_primal(W: np.ndarray, d: np.ndarray, Gval: np.ndarray
+                    ) -> Optional[Tuple[np.ndarray, float]]:
     """Scale d until G(x) + DG(x)[d] is positive definite, if possible."""
-    W = P.constraint_partials(x)
     DGd = np.tensordot(d, W, axes=1)
     scale = 1.0 + float(np.max(np.abs(Gval)))
     t = 1.0
@@ -481,21 +547,35 @@ def _realize_primal(P: NsdpProblem, x, d: np.ndarray,
     return None
 
 
-def check_robinson(P: NsdpProblem, x, samples: int = 200, seed: int = 0,
+def check_robinson(P: NsdpProblem, x, seed: int = 0,
                    tol_rank: float = TAU_RANK) -> CqVerdict:
-    """Robinson's CQ, decided through three routes.
+    """Robinson's CQ, decided by one convex saddle-point solve.
 
-    (a) search for a primal interior direction d (certifies Holds),
-    (b) minimize ||DG(x)*[E S E^T]|| over unit-trace PSD S, orthogonally to
-        the equality-gradient span; a vanishing minimum is a dual witness
-        and certifies Fails (this subsumes what sampled bases could refute,
-        and Haar-sampled positive-independence tests still run afterwards
-        as a cross-check when the minimum is ambiguous),
-    (c) otherwise Undetermined, or HoldsSampled when the dual minimum is
-        comfortably positive but no primal certificate was realized.
+    Robinson's condition asks for a direction d, orthogonal to the
+    equality gradients, with lambda_min(E^T DG(x)[d] E) > 0.  By Sion's
+    minimax theorem
 
-    Structurally diagonal constraints and kernels of dimension <= 1 are
-    decided exactly instead of searched.
+        max_{|d| <= 1, d in range Qn} lambda_min(sum_l d_l Wc_l)
+            = min_{S psd, tr S = 1} ||Qn DG(x)*[E S E^T]||,
+
+    with Wc_l = E^T D_l G(x) E and Qn the projector onto the complement
+    of the equality-gradient span.  :func:`cone_saddle` works both sides
+    at once and stops at the first of two certificates:
+
+    * primal: a readout direction with compressed margin above
+      PRIMAL_MARGIN, scaled until G(x) + DG(x)[t d] is positive definite,
+      certifies Holds (witness: the direction and its lambda_min);
+    * dual: a unit-trace S >= 0 annihilating the projected adjoint up to
+      a relative 1e-12 certifies Fails (witness: the kernel basis rotated
+      to the eigenvectors of S, their weights ``alpha``, the multiplier
+      Y = E S E^T and its residual, plus the equality coefficients that
+      absorb DG(x)*[Y] when there are equality constraints).
+
+    Without either certificate (the budget ran out, or the bounds met
+    between the two thresholds) the verdict is Undetermined and the log
+    carries both bounds.  Structurally diagonal constraints and kernels
+    of dimension <= 1 are decided exactly before the solve.
+    ``seed`` is recorded in the provenance of a rotated witness basis.
     """
     x = np.asarray(x, dtype=float)
     fd = feasibility_data(P, x, tol_rank)
@@ -529,10 +609,10 @@ def check_robinson(P: NsdpProblem, x, samples: int = 200, seed: int = 0,
             witness={"basis": E.cols, "alpha": pli.alpha,
                      "free_coeffs": pli.free_coeffs}, log=log)
 
+    Qn = _null_projector(Heq, P.n)
     if k == 1:
         # the kernel basis is unique up to sign and v_11 is sign-invariant
         v = fam.vecs[(0, 0)]
-        Qn = _null_projector(Heq, P.n)
         resid = float(np.linalg.norm(Qn @ v))
         if resid <= LI_TOL * (1.0 + float(np.linalg.norm(v))):
             Y = np.outer(E.cols[:, 0], E.cols[:, 0])
@@ -542,19 +622,14 @@ def check_robinson(P: NsdpProblem, x, samples: int = 200, seed: int = 0,
                 witness={"basis": E.cols, "alpha": np.array([1.0]),
                          "multiplier": Y}, log=log)
         log.append(f"one-dimensional kernel, margin {resid:.3e}")
-        # fall through to the primal search for an explicit direction
+        # fall through to the solve for an explicit direction
 
     W = P.constraint_partials(x)
     Wc = np.einsum("lab,ai,bj->lij", W, E.cols, E.cols)
-    Qn = _null_projector(Heq, P.n)
-    rng = np.random.default_rng(seed)
-
-    stop = 1e-2 * (1.0 + float(np.max(np.abs(Wc))))
-    d, margin = _primal_direction_search(Wc, Qn, restarts=5, iters=200,
-                                         rng=rng, stop_at=stop)
-    log.append(f"primal search margin {margin:.3e}")
-    if margin > PRIMAL_MARGIN:
-        realized = _realize_primal(P, x, d, P.constraint_value(x).a)
+    res = cone_saddle(Wc, Qn)
+    log.append(f"saddle solve: {res.describe()}")
+    if res.route == "primal":
+        realized = _realize_primal(W, res.d, P.constraint_value(x).a)
         if realized is not None:
             d_full, lam = realized
             log.append(f"interior direction realized, lambda_min {lam:.3e}")
@@ -562,105 +637,29 @@ def check_robinson(P: NsdpProblem, x, samples: int = 200, seed: int = 0,
                              reason="interior direction found",
                              witness={"direction": d_full,
                                       "lambda_min": lam,
-                                      "compressed_margin": margin},
+                                      "compressed_margin": res.primal},
                              log=log)
         log.append("compressed margin positive but realization scan failed")
-
-    # dual route: min ||Qn DG*[E S E^T]|| over the unit-trace PSD cone slice
-    basis_mats = _sym_basis(k)
-    cols = []
-    for B in basis_mats:
-        Y = E.cols @ B @ E.cols.T
-        cols.append(Qn @ P.adjoint(x, Y))
-    Mop = np.column_stack(cols) if cols else np.zeros((P.n, 0))
-    op_scale = float(np.max(np.abs(Mop), initial=0.0))
-    val, S = _spectraplex_min(Mop, basis_mats, k, iters=800)
-    log.append(f"dual spectraplex minimum {val:.3e} (scale {op_scale:.3e})")
-    if val <= DUAL_FAIL_TOL * (1.0 + op_scale):
-        spec = eigh(SymMat.from_symmetric(S))
-        C = spec.vectors
+    elif res.route == "dual":
+        spec = eigh(SymMat.from_symmetric(res.S))
         alpha = np.clip(spec.values, 0.0, None)
-        total = float(np.sum(alpha))
-        alpha = alpha / total if total > 0 else alpha
-        Eprime = rotate_basis(E, C, seed=seed)
-        Y = E.cols @ S @ E.cols.T
+        alpha = alpha / float(np.sum(alpha))
+        Y = E.cols @ res.S @ E.cols.T
+        witness = {"basis": rotate_basis(E, spec.vectors, seed=seed).cols,
+                   "alpha": alpha, "multiplier": Y, "residual": res.dual}
+        if Heq.shape[0]:
+            witness["free_coeffs"] = -np.linalg.lstsq(
+                Heq.T, P.adjoint(x, Y), rcond=None)[0]
         return CqVerdict(
             CqStatus.FAILS,
             reason="nonzero complementary PSD multiplier annihilates the adjoint",
-            witness={"basis": Eprime.cols, "alpha": alpha, "multiplier": Y,
-                     "residual": val},
-            log=log)
-
-    # Haar-sampled positive-independence refutation pass
-    for s in range(samples):
-        C = random_rotation(k, rng)
-        Es = rotate_basis(E, C, seed=seed)
-        fam_s = EntryGradientFamily.build(P, x, Es)
-        pli = pli_test(fam_s.diagonal_vectors(), free_vectors=free_rows)
-        if not pli.pos_independent:
-            log.append(f"sampled basis {s} positively dependent")
-            return CqVerdict(
-                CqStatus.FAILS,
-                reason="sampled kernel basis with positively dependent diagonal family",
-                witness={"basis": Es.cols, "alpha": pli.alpha,
-                         "free_coeffs": pli.free_coeffs}, log=log)
-
-    if val > PRIMAL_MARGIN * (1.0 + op_scale):
-        return CqVerdict(
-            CqStatus.HOLDS_SAMPLED, samples=samples,
-            reason="dual minimum positive and sampling found no refutation, "
-                   "but no primal certificate was realized",
-            log=log)
+            witness=witness, log=log)
     return CqVerdict(
         CqStatus.UNDETERMINED,
-        reason=f"primal margin {margin:.2e} below threshold and dual minimum "
-               f"{val:.2e} inside the ambiguous band",
+        reason=f"no certificate: the best compressed margin lies between "
+               f"the primal bound {res.primal:.2e} and the dual bound "
+               f"{res.dual:.2e}",
         log=log)
-
-
-def _spectraplex_min(Mop: np.ndarray, basis_mats: List[np.ndarray],
-                     k: int, iters: int = 800) -> Tuple[float, np.ndarray]:
-    """min ||Mop s|| over svec coordinates of the unit-trace PSD cone slice.
-
-    Accelerated projected gradient; the problem is convex (a quadratic
-    over the spectraplex), so the attained value is reliable.
-    """
-    d = Mop.shape[1]
-    if d == 0:
-        return 0.0, np.zeros((k, k))
-    H = Mop.T @ Mop
-    L = float(np.linalg.norm(H, 2)) if d else 1.0
-    if L <= 0.0:
-        S = np.eye(k) / k
-        return 0.0, S
-
-    def to_mat(s):
-        S = np.zeros((k, k))
-        for a, B in enumerate(basis_mats):
-            S += s[a] * B
-        return S
-
-    def to_vec(S):
-        return np.array([float(np.sum(S * B)) for B in basis_mats])
-
-    s = to_vec(np.eye(k) / k)
-    y = s.copy()
-    t_acc = 1.0
-    best_val = np.inf
-    best_s = s.copy()
-    for _ in range(iters):
-        grad = H @ y
-        s_new = to_vec(_project_spectraplex(to_mat(y - grad / L)))
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-        y = s_new + ((t_acc - 1.0) / t_new) * (s_new - s)
-        s, t_acc = s_new, t_new
-        val = float(np.linalg.norm(Mop @ s))
-        if val < best_val:
-            best_val = val
-            best_s = s.copy()
-        if best_val < 1e-14:
-            break
-    return best_val, to_mat(best_s)
 
 
 # ---------------------------------------------------------------------------
@@ -738,39 +737,22 @@ def find_multiplier(P: NsdpProblem, x, tol_rank: float = TAU_RANK,
             mu = np.linalg.lstsq(Heq.T, g0, rcond=None)[0]
             return kkt_residual(P, x, SymMat.zero(P.m), mu)
         return kkt_residual(P, x, SymMat.zero(P.m))
-    basis_mats = _sym_basis(k)
-    cols = [P.adjoint(x, E.cols @ B @ E.cols.T) for B in basis_mats]
-    for i in range(ne):
-        cols.append(Heq[i])
-    A = np.column_stack(cols) if cols else np.zeros((P.n, 0))
-    z, *_ = np.linalg.lstsq(A, g0, rcond=None)
-    s = z[:len(basis_mats)]
-    mu = z[len(basis_mats):]
-
-    def build(svec):
-        S = np.zeros((k, k))
-        for a, B in enumerate(basis_mats):
-            S += svec[a] * B
-        return S
-
-    S = _project_psd_mat(build(s))
-    # polish: projected gradient on || A_s svec(S) + Heq^T mu - g0 ||^2
-    As = A[:, :len(basis_mats)]
-    Ah = A[:, len(basis_mats):]
-    lip = float(np.linalg.norm(As.T @ As, 2)) if len(basis_mats) else 1.0
-    lip = max(lip, 1e-12)
+    # A_s vec(S) = DG(x)*[E S E^T], in matrix form over the kernel block
+    Wc = np.einsum("lab,ai,bj->lij", P.constraint_partials(x), E.cols, E.cols)
+    As = Wc.reshape(P.n, k * k)
+    Ah = Heq.T
+    z, *_ = np.linalg.lstsq(np.hstack([As, Ah]), g0, rcond=None)
+    mu = z[k * k:]
+    S = _project_psd_mat(z[:k * k].reshape(k, k))
+    # polish: projected gradient on || A_s vec(S) + Heq^T mu - g0 ||^2
+    lip = max(float(np.linalg.norm(As, 2)) ** 2, 1e-12)
     for _ in range(iters):
         if ne:
-            mu, *_ = np.linalg.lstsq(Ah, g0 - As @ _svec(S, basis_mats), rcond=None)
-        resid = As @ _svec(S, basis_mats) + (Ah @ mu if ne else 0.0) - g0
-        grad_s = As.T @ resid
-        S = _project_psd_mat(build(_svec(S, basis_mats) - grad_s / lip))
+            mu, *_ = np.linalg.lstsq(Ah, g0 - As @ S.ravel(), rcond=None)
+        resid = As @ S.ravel() + (Ah @ mu if ne else 0.0) - g0
+        S = _project_psd_mat(S - (As.T @ resid).reshape(k, k) / lip)
     Y = SymMat.from_symmetric(E.cols @ S @ E.cols.T)
     return kkt_residual(P, x, Y, mu if ne else None)
-
-
-def _svec(S: np.ndarray, basis_mats: List[np.ndarray]) -> np.ndarray:
-    return np.array([float(np.sum(S * B)) for B in basis_mats])
 
 
 def _project_psd_mat(S: np.ndarray) -> np.ndarray:

@@ -53,7 +53,6 @@ IMPLICATIONS = (
 @dataclass(frozen=True)
 class AnalysisOptions:
     tol_rank: float = TAU_RANK
-    samples: int = 200
     bases: int = 50
     traces: int = 8
     rotations: int = 100
@@ -154,13 +153,12 @@ def analyze_problem(P: NsdpProblem, point,
         if name == "nondegeneracy":
             v = check_nondegeneracy(P, x, tol_rank=opts.tol_rank)
         elif name == "robinson":
-            v = check_robinson(P, x, samples=opts.samples, seed=opts.seed,
-                               tol_rank=opts.tol_rank)
+            v = check_robinson(P, x, seed=opts.seed, tol_rank=opts.tol_rank)
         elif name == "sparse_ndg":
             v = check_sparse_ndg(P, x, bases=opts.bases, seed=opts.seed,
                                  tol_rank=opts.tol_rank)
         elif name == "forsgren":
-            v = check_forsgren(P, x, tol_rank=opts.tol_rank, seed=opts.seed)
+            v = check_forsgren(P, x, tol_rank=opts.tol_rank)
         elif name == "weak_ndg_probe":
             _, v = probe_weak_ndg(P, x, traces, rotations=opts.rotations,
                                   seed=opts.seed, tol_rank=opts.tol_rank)

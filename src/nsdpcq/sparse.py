@@ -36,9 +36,8 @@ import numpy as np
 from .cqcheck import (
     CqStatus,
     CqVerdict,
-    PRIMAL_MARGIN,
-    _primal_direction_search,
     check_robinson,
+    cone_saddle,
     feasibility_data,
     li_test,
     pli_test,
@@ -525,8 +524,7 @@ def check_sparse_ndg(P: NsdpProblem, x, bases: int = 50, seed: int = 0,
             _attach_sparse_robinson(P, x, ctx, cols, verdict)
         return verdict
 
-    rob = check_robinson(P, x, samples=min(bases, 50), seed=seed,
-                         tol_rank=tol_rank)
+    rob = check_robinson(P, x, seed=seed, tol_rank=tol_rank)
     if rob.status == CqStatus.FAILS:
         log.append("Robinson refutation: " + (rob.reason or ""))
         return CqVerdict(
@@ -693,7 +691,7 @@ def _block_basis_search(ctx: _SearchContext, E0: KernelBasis,
 
 
 def check_forsgren(P: NsdpProblem, x, U: Optional[np.ndarray] = None,
-                   tol_rank: float = TAU_RANK, seed: int = 0) -> CqVerdict:
+                   tol_rank: float = TAU_RANK) -> CqVerdict:
     """Forsgren's condition for a given diagonalizing matrix U.
 
     U must be orthogonal with U^T G(x) U diagonal within 1e-8; by default
@@ -707,9 +705,10 @@ def check_forsgren(P: NsdpProblem, x, U: Optional[np.ndarray] = None,
     * first condition: the pairing M -> sum_{i<=j} M_ij v_ij must be
       injective on that subspace (rank test, certified either way),
     * second condition: a positive definite element of the subspace is
-      searched by eigenvalue maximization; a found element certifies
-      Holds, a diagonal entry vanishing identically on the subspace
-      certifies Fails, and an inconclusive search returns Undetermined.
+      sought by the saddle-point solve of :func:`cone_saddle` over an
+      orthonormal basis of it; a primal readout with lambda_min > 0
+      certifies Holds, a diagonal entry vanishing identically on the
+      subspace certifies Fails, and otherwise the verdict is Undetermined.
 
     Equality-constraint gradients join the injectivity test as rows that
     must stay independent from the family image.
@@ -803,14 +802,10 @@ def check_forsgren(P: NsdpProblem, x, U: Optional[np.ndarray] = None,
             log=log)
 
     stack = np.array(basis_T)
-    rng = np.random.default_rng(seed)
-    stop = 1e-2 * (1.0 + float(np.max(np.abs(stack))))
-    c, margin = _primal_direction_search(stack, np.eye(dim_T),
-                                         restarts=5, iters=200, rng=rng,
-                                         stop_at=stop)
-    log.append(f"positive definite search margin {margin:.3e}")
-    if margin > PRIMAL_MARGIN:
-        M = np.tensordot(c, stack, axes=1)
+    res = cone_saddle(stack, np.eye(dim_T))
+    log.append(f"positive definite element: {res.describe()}")
+    if res.route == "primal":
+        M = np.tensordot(res.d, stack, axes=1)
         lam_min = float(eigh(SymMat.from_symmetric(M)).values[-1])
         if lam_min > 0.0:
             return CqVerdict(
@@ -821,8 +816,9 @@ def check_forsgren(P: NsdpProblem, x, U: Optional[np.ndarray] = None,
                 log=log)
     return CqVerdict(
         CqStatus.UNDETERMINED,
-        reason=f"injectivity holds but the positive definite search was "
-               f"inconclusive (margin {margin:.2e})",
+        reason=f"injectivity holds but no positive definite element was "
+               f"certified (primal bound {res.primal:.2e}, dual bound "
+               f"{res.dual:.2e})",
         log=log)
 
 

@@ -397,7 +397,7 @@ class TestPropertySuites:
             traces.append(make_path_trace(P, x, np.ones(n)))
             _, wn = probe_weak_ndg(P, x, traces, rotations=30, seed=case)
             sp = check_sparse_ndg(P, x, bases=20, seed=case)
-            rb = check_robinson(P, x, samples=60, seed=case)
+            rb = check_robinson(P, x, seed=case)
             if wn.holds != licq:
                 mismatches.append((case, "weak", licq, wn.status.value))
             if sp.holds != licq:
@@ -484,7 +484,7 @@ class TestPropertySuites:
             _, wn = probe_weak_ndg(P, x, traces, rotations=20, seed=case)
             verdicts = {
                 "nondegeneracy": check_nondegeneracy(P, x),
-                "robinson": check_robinson(P, x, samples=40, seed=case),
+                "robinson": check_robinson(P, x, seed=case),
                 "sparse_ndg": check_sparse_ndg(P, x, bases=10, seed=case),
                 "forsgren": check_forsgren(P, x),
                 "weak_ndg_probe": wn,
@@ -566,7 +566,7 @@ class TestMultiplierBoundedness:
             tried += 1
             P, Ystar = bounded_instance(rng)
             x0 = np.zeros(P.n)
-            rb = check_robinson(P, x0, samples=40, seed=tried)
+            rb = check_robinson(P, x0, seed=tried)
             if rb.status is not HC:
                 continue
             cert = kkt_residual(P, x0, SymMat.from_symmetric(Ystar))

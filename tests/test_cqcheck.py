@@ -6,6 +6,8 @@ dual multipliers, gradient families) and are frozen here as oracles.
 Witnesses returned with a Fails verdict are always replugged into the
 violated condition and must reproduce it within 1e-7.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,9 @@ from nsdpcq.cqcheck import (
 from nsdpcq.errors import InfeasiblePointError
 from nsdpcq.lp import phase_one
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
+from nsdpcq.report import analyze_problem, lattice_warnings
 from nsdpcq.symmat import eigh, SymMat, random_rotation, rotate_basis
+from test_acceptance import shifted_problem
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -101,6 +105,67 @@ def rand_problem(rng, n, m, density=0.6):
     G = MatrixPoly(m, n, entries)
     f = Poly.var(n, 0)
     return NsdpProblem(n, f, G)
+
+
+# A random instance with G(0) = 0 (rank 0), the first draw of the
+# ``shifted_problem`` construction at n = 4, m = 3.  Robinson's condition
+# fails there through a rank-one multiplier, but the residual of a
+# first-order dual decays slowly (4.1e-4 after 800 steps), so a dual
+# stopped early reads a spurious positive minimum.
+# The penalty tests use it too: near the anchor phi is of order 1e-9,
+# and a line search whose value noise floor does not scale down with phi
+# stalls at rho = 1e10.
+RANK0_PROBLEM = {
+    "name": "degenerate00_n4_m3_k3", "n": 4, "m": 3,
+    "objective": [{"c": 1.0, "e": [1, 0, 0, 0]}],
+    "constraint": [
+        {"i": 0, "j": 0, "poly": [{"c": -0.6734731116783189,
+                                   "e": [0, 0, 0, 1]}]},
+        {"i": 0, "j": 1, "poly": [{"c": 1.523289847933569,
+                                   "e": [1, 0, 0, 0]}]},
+        {"i": 0, "j": 2, "poly": [{"c": -0.056325849804638325,
+                                   "e": [0, 0, 1, 0]},
+                                  {"c": 1.4751406174506718,
+                                   "e": [0, 1, 0, 0]}]},
+        {"i": 1, "j": 1, "poly": [{"c": 1.1679728131087033,
+                                   "e": [0, 2, 0, 0]},
+                                  {"c": 0.7799175266708605,
+                                   "e": [1, 0, 0, 1]}]},
+        {"i": 1, "j": 2, "poly": [{"c": -0.7763100440354325,
+                                   "e": [0, 0, 0, 2]},
+                                  {"c": 0.9865155026328277,
+                                   "e": [0, 0, 1, 0]}]},
+        {"i": 2, "j": 2, "poly": [{"c": 0.11036679944811631,
+                                   "e": [1, 0, 0, 0]}]},
+    ],
+}
+
+
+# A second rank-0 draw, (n, m) = (3, 3), with the same trap: a rank-one
+# multiplier annihilates the adjoint, while the first-order dual residual
+# is still 1.0e-4 after 800 steps.
+DEGENERATE08_PROBLEM = {
+    "name": "degenerate08_n3_m3_k3", "n": 3, "m": 3,
+    "objective": [{"c": 1.0, "e": [1, 0, 0]}],
+    "constraint": [
+        {"i": 0, "j": 0, "poly": [{"c": -0.8859949512550727,
+                                   "e": [1, 0, 1]}]},
+        {"i": 0, "j": 1, "poly": [{"c": 0.6548445925959636,
+                                   "e": [1, 0, 0]}]},
+        {"i": 0, "j": 2, "poly": [{"c": 0.5189344801726669,
+                                   "e": [0, 1, 0]},
+                                  {"c": -0.060839663129918536,
+                                   "e": [1, 0, 1]}]},
+        {"i": 1, "j": 1, "poly": [{"c": -0.2191854507050445,
+                                   "e": [0, 0, 1]},
+                                  {"c": 0.3144167802697512,
+                                   "e": [0, 1, 0]}]},
+        {"i": 1, "j": 2, "poly": [{"c": 0.3804014588254866,
+                                   "e": [1, 0, 0]}]},
+        {"i": 2, "j": 2, "poly": [{"c": 0.3933676821398368,
+                                   "e": [1, 0, 0]}]},
+    ],
+}
 
 
 def replay_cone_witness(P, x, witness, tol=1e-7):
@@ -469,6 +534,56 @@ class TestRobinson:
             check_robinson(interior_problem(), np.array([2.0, 0.0]))
         assert exc.value.eigenvalues is not None
         assert min(exc.value.eigenvalues) < -0.5
+
+    def test_dual_witness_absorbs_equality_gradients(self):
+        # G(0) = 0 with h = x1 + x3: the multiplier diag(1, 1) / 2 maps to
+        # (1, 0, 1) / 2 under the adjoint, which lies in the span of grad h
+        G = MatrixPoly(2, 3, {(0, 0): xv(3, 0), (0, 1): xv(3, 1),
+                              (1, 1): xv(3, 2)})
+        P = NsdpProblem(3, xv(3, 0), G, equalities=[xv(3, 0) + xv(3, 2)])
+        x = np.zeros(3)
+        v = check_robinson(P, x)
+        assert v.status == CqStatus.FAILS
+        replay_cone_witness(P, x, v.witness)
+
+    @pytest.mark.parametrize("spec", [RANK0_PROBLEM, DEGENERATE08_PROBLEM],
+                             ids=["degenerate00", "degenerate08"])
+    def test_rank_zero_trap_fails_with_replayable_witness(self, spec):
+        P = NsdpProblem.from_json(spec)
+        x = np.zeros(P.n)
+        v = check_robinson(P, x)
+        assert v.status == CqStatus.FAILS
+        replay_cone_witness(P, x, v.witness)
+
+    def test_rank_zero_trap_leaves_the_lattice_intact(self):
+        P = NsdpProblem.from_json(RANK0_PROBLEM)
+        report = analyze_problem(P, np.zeros(P.n))
+        assert lattice_warnings(report.verdicts) == []
+
+    def test_saddle_solve_certifies_random_instances(self):
+        # every verdict on kernels of dimension >= 2 is certified, its
+        # witness replays, and the logged bounds obey weak duality
+        rng = np.random.default_rng(31)
+        bounds = re.compile(r"primal bound (\S+), dual bound (\S+)")
+        for case in range(40):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(2, 6))
+            P = shifted_problem(rng, n, m, int(rng.integers(2, m + 1)))
+            x = np.zeros(n)
+            v = check_robinson(P, x, seed=case)
+            assert v.status in (CqStatus.HOLDS_CERTIFIED, CqStatus.FAILS), \
+                (case, v.log)
+            if v.status == CqStatus.FAILS:
+                replay_cone_witness(P, x, v.witness)
+            else:
+                d = np.asarray(v.witness["direction"])
+                shifted = P.constraint_value(x).a + np.tensordot(
+                    d, P.constraint_partials(x), axes=1)
+                assert eigh(SymMat.from_symmetric(shifted)).values[-1] > 0.0
+            found = [bounds.search(line) for line in v.log]
+            primal, dual = (float(b) for b in
+                            next(f for f in found if f).groups())
+            assert primal <= dual + 1e-12, (case, v.log)
 
 
 # ---------------------------------------------------------------------------

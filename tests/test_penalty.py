@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from test_cqcheck import (
+    RANK0_PROBLEM,
     RT2,
     block2_problem,
     diag3_problem,
@@ -65,36 +66,6 @@ def facial_origin_problem():
 def diag2_problem():
     G = MatrixPoly.diagonal([xv(2, 0), xv(2, 1)])
     return NsdpProblem(2, xv(2, 0) + xv(2, 1), G, name="diag2")
-
-
-# A random instance with G(0) = 0 (rank 0), the first draw of the
-# ``shifted_problem`` construction at n = 4, m = 3.  Near the anchor phi
-# is of order 1e-9, and a line search whose value noise floor does not
-# scale down with phi stalls at rho = 1e10.
-RANK0_PROBLEM = {
-    "name": "degenerate00_n4_m3_k3", "n": 4, "m": 3,
-    "objective": [{"c": 1.0, "e": [1, 0, 0, 0]}],
-    "constraint": [
-        {"i": 0, "j": 0, "poly": [{"c": -0.6734731116783189,
-                                   "e": [0, 0, 0, 1]}]},
-        {"i": 0, "j": 1, "poly": [{"c": 1.523289847933569,
-                                   "e": [1, 0, 0, 0]}]},
-        {"i": 0, "j": 2, "poly": [{"c": -0.056325849804638325,
-                                   "e": [0, 0, 1, 0]},
-                                  {"c": 1.4751406174506718,
-                                   "e": [0, 1, 0, 0]}]},
-        {"i": 1, "j": 1, "poly": [{"c": 1.1679728131087033,
-                                   "e": [0, 2, 0, 0]},
-                                  {"c": 0.7799175266708605,
-                                   "e": [1, 0, 0, 1]}]},
-        {"i": 1, "j": 2, "poly": [{"c": -0.7763100440354325,
-                                   "e": [0, 0, 0, 2]},
-                                  {"c": 0.9865155026328277,
-                                   "e": [0, 0, 1, 0]}]},
-        {"i": 2, "j": 2, "poly": [{"c": 0.11036679944811631,
-                                   "e": [1, 0, 0, 0]}]},
-    ],
-}
 
 
 # The first rung of the benchmark ladder, (n, m, nullity) = (6, 4, 2).
