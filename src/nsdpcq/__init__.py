@@ -35,6 +35,7 @@ from .model import (
 from .cqcheck import (
     CqStatus,
     CqVerdict,
+    PointData,
     check_nondegeneracy,
     check_robinson,
     entry_gradient,
@@ -81,6 +82,7 @@ __all__ = [
     "NumericalFailure",
     "PenaltyConfig",
     "PenaltyTrace",
+    "PointData",
     "Poly",
     "ProblemFormatError",
     "Provenance",

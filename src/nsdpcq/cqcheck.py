@@ -17,15 +17,17 @@ positive-linear independence of such families:
 * with equality constraints, gradients of the h_i join every family
   (free-signed in the positive-independence tests).
 
-Verdicts distinguish certified outcomes from sampled evidence, and a
-Fails always carries a witness that reproduces the violation when
-plugged back into the defining condition.
+Every checker reads the :class:`PointData` that :func:`feasibility_data`
+builds once per point: G(x), its spectrum, E, the partials and their
+compression onto E.  Verdicts distinguish certified outcomes from
+sampled evidence, and a Fails always carries a witness that reproduces
+the violation when plugged back into the defining condition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,17 +37,15 @@ from .lp import phase_one
 from .model import NsdpProblem, structurally_diagonal
 from .symmat import (
     KernelBasis,
-    Provenance,
+    Spectral,
     SymMat,
     eigh,
-    kernel_basis,
-    rotate_basis,
+    spectral_kernel,
 )
 
 TAU_RANK = symmat.TAU_RANK
 LI_TOL = 1e-8
-PRIMAL_MARGIN = 1e-6
-DUAL_CERT_TOL = 1e-12    # relative residual of a certifying dual multiplier
+DUAL_CERT_TOL = 1e-12    # relative size of a certifying bound of the saddle solve
 SADDLE_ITERS = 1000      # iteration budget of the saddle-point solve
 POLISH_EVERY = 25        # iterations between low-rank polishes of the dual
 POLISH_STEPS = 60        # Gauss-Newton steps per polish rank
@@ -105,20 +105,40 @@ def _jsonify(obj):
 
 
 @dataclass(frozen=True)
-class FeasibilityData:
-    eigenvalues: np.ndarray
+class PointData:
+    """Everything the checkers read at one feasible point x of P.
+
+    G = G(x) with its one eigendecomposition ``spec``, the kernel basis E
+    of G(x) at threshold tol_rank, the constraint partials W[l] = D_l G(x)
+    (shape (n, m, m)), their compression Wc[l] = E^T W[l] E (shape
+    (n, k, k), so Wc[:, i, j] is the gradient v_ij) and the equality
+    gradients Heq, one row per equality.  Built by
+    :func:`feasibility_data`; every array is read-only.
+    """
+
+    P: NsdpProblem
+    x: np.ndarray
+    tol_rank: float
+    G: SymMat
+    spec: Spectral
     rank: int
     kernel: KernelBasis
-    tau_kernel: float
+    W: np.ndarray
+    Wc: np.ndarray
+    Heq: np.ndarray
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.spec.values
 
 
-def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> FeasibilityData:
-    """Spectral data of G(x) with a feasibility gate.
+def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData:
+    """Point data of P at x, behind a feasibility gate.
 
     Raises :class:`InfeasiblePointError` when G(x) has an eigenvalue
     below -tau, with tau = tol_rank * (1 + max eigenvalue magnitude).
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     G = P.constraint_value(x)
     spec = eigh(G)
     tau = tol_rank * (1.0 + G.norm_inf())
@@ -130,64 +150,22 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> Feasibili
             eigenvalues=spec.values.tolist(),
         )
     try:
-        kb = kernel_basis(G, tol_rank)
+        kb = spectral_kernel(spec, tol_rank)
     except NotPsdError as exc:
         # gate and kernel threshold use slightly different scales; a point
         # in the sliver between them is still infeasible for our purposes
         raise InfeasiblePointError(str(exc), eigenvalues=spec.values.tolist())
-    return FeasibilityData(eigenvalues=spec.values, rank=kb.rank,
-                           kernel=kb, tau_kernel=tau)
+    W = P.constraint_partials(x)
+    Wc = np.einsum("lab,ai,bj->lij", W, kb.cols, kb.cols)
+    Heq = P.equality_gradients(x)
+    for arr in (x, W, Wc, Heq):
+        arr.setflags(write=False)
+    return PointData(P=P, x=x, tol_rank=tol_rank, G=G, spec=spec,
+                     rank=kb.rank, kernel=kb, W=W, Wc=Wc, Heq=Heq)
 
 
 # ---------------------------------------------------------------------------
-# the gradient family of kernel-compressed entries
-
-
-class EntryGradientFamily:
-    """Gradients v_ij of the entries of E^T G(.) E at a point.
-
-    Built in one pass from the stacked constraint partials; vectors are
-    indexed by kernel column pairs (i, j) with i <= j.
-    """
-
-    def __init__(self, point: np.ndarray, basis: KernelBasis,
-                 vecs: Dict[Tuple[int, int], np.ndarray]):
-        self.point = point
-        self.basis = basis
-        self.vecs = vecs
-
-    @classmethod
-    def build(cls, P: NsdpProblem, x, basis: KernelBasis) -> "EntryGradientFamily":
-        x = np.asarray(x, dtype=float)
-        W = P.constraint_partials(x)          # (n, m, m)
-        E = basis.cols
-        comp = np.einsum("lab,ai,bj->lij", W, E, E)
-        k = E.shape[1]
-        vecs = {}
-        for i in range(k):
-            for j in range(i, k):
-                v = comp[:, i, j].copy()
-                v.setflags(write=False)
-                vecs[(i, j)] = v
-        return cls(point=x, basis=basis, vecs=vecs)
-
-    @property
-    def nullity(self) -> int:
-        return self.basis.cols.shape[1]
-
-    def diagonal_vectors(self) -> List[np.ndarray]:
-        return [self.vecs[(i, i)] for i in range(self.nullity)]
-
-    def upper_vectors(self) -> List[np.ndarray]:
-        k = self.nullity
-        return [self.vecs[(i, j)] for i in range(k) for j in range(i, k)]
-
-    def upper_pairs(self) -> List[Tuple[int, int]]:
-        k = self.nullity
-        return [(i, j) for i in range(k) for j in range(i, k)]
-
-    def subset(self, pairs: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
-        return [self.vecs[(min(i, j), max(i, j))] for (i, j) in pairs]
+# entry gradients
 
 
 def entry_gradient(P: NsdpProblem, x, u: np.ndarray,
@@ -311,7 +289,7 @@ def pli_test(vectors: Sequence[np.ndarray], tol: float = LI_TOL,
 # nondegeneracy
 
 
-def check_nondegeneracy(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> CqVerdict:
+def check_nondegeneracy(pd: PointData) -> CqVerdict:
     """Linear independence of the full family {v_ij, i <= j} for one basis.
 
     One deterministic basis suffices: independence of the family for some
@@ -319,31 +297,30 @@ def check_nondegeneracy(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> CqVerd
     v'_ij = sum C_ki C_lj v_kl, so the verdict is certified either way.
     Equality-constraint gradients are appended to the family.
     """
-    fd = feasibility_data(P, x, tol_rank)
-    E = fd.kernel
+    E = pd.kernel
     k = E.nullity
-    Heq = P.equality_gradients(x)
-    log = [f"rank {fd.rank}, kernel dimension {k}"]
-    if k == 0 and Heq.shape[0] == 0:
+    n = pd.P.n
+    log = [f"rank {pd.rank}, kernel dimension {k}"]
+    if k == 0 and pd.Heq.shape[0] == 0:
         return CqVerdict(CqStatus.HOLDS_CERTIFIED,
                          reason="interior point, empty gradient family",
                          log=log)
-    fam = EntryGradientFamily.build(P, x, E)
-    vectors = fam.upper_vectors() + [Heq[i] for i in range(Heq.shape[0])]
-    pairs = fam.upper_pairs()
+    iu, ju = np.triu_indices(k)
+    vectors = list(pd.Wc[:, iu, ju].T) + list(pd.Heq)
+    pairs = list(zip(iu.tolist(), ju.tolist()))
     need = len(vectors)
-    if need > P.n:
+    if need > n:
         # dimension bound: more vectors than ambient dimension; run the
         # independence test on a small prefix anyway to produce a witness
-        sub = vectors[:P.n + 1]
+        sub = vectors[:n + 1]
         li = li_test(sub)
-        log.append(f"dimension bound: family size {need} exceeds n = {P.n}")
+        log.append(f"dimension bound: family size {need} exceeds n = {n}")
         coeffs = np.zeros(need)
         if li.coeffs is not None:
             coeffs[:li.coeffs.shape[0]] = li.coeffs
         return CqVerdict(
             CqStatus.FAILS,
-            reason=f"family of {need} gradients cannot be independent in R^{P.n}",
+            reason=f"family of {need} gradients cannot be independent in R^{n}",
             witness=_family_witness(E, pairs, vectors, coeffs),
             log=log,
         )
@@ -397,10 +374,10 @@ class SaddleResult:
     """Outcome of :func:`cone_saddle`.
 
     ``route`` names the certificate that ended the solve: "primal" when
-    lambda_min(sum_l d_l Wc[l]) = ``primal`` exceeds PRIMAL_MARGIN for
-    the unit direction ``d``, "dual" when the unit-trace PSD matrix ``S``
-    has ||A vec S|| = ``dual`` within the certificate tolerance, and None
-    when the budget ran out or the bounds met between the two thresholds.
+    lambda_min(sum_l d_l Wc[l]) = ``primal`` exceeds the certificate
+    tolerance for the unit direction ``d``, "dual" when the unit-trace
+    PSD matrix ``S`` has ||A vec S|| = ``dual`` within it, and None when
+    the budget ran out or the bounds met within it of zero.
     ``primal`` and ``dual`` are the best bounds seen, so
     primal <= optimal value <= dual.  ``rank`` is the rank of the
     polished face a dual certificate came from (None when a gradient
@@ -437,8 +414,10 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
     1/2 ||A vec S||^2 and reads a primal direction d = A vec S / ||A vec S||
     off the iterate, so both bounds tighten together; every POLISH_EVERY
     iterations the best iterate is polished on a low-rank face.  The solve
-    stops at the first certificate: primal value above PRIMAL_MARGIN, or
-    dual residual at most DUAL_CERT_TOL * (1 + max|A|).
+    stops at the first certificate, both measured against the one
+    tolerance tol = DUAL_CERT_TOL * (1 + max|A|): primal value above tol,
+    or dual residual at most tol.  Both sides scale with A, so the
+    verdict does not change when G is multiplied by a positive constant.
     """
     n, k = Wc.shape[0], Wc.shape[1]
     A = np.tensordot(Qn, Wc, axes=1).reshape(n, k * k)
@@ -473,10 +452,10 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
             np.tensordot(d, Wc, axes=1))).values[-1])
         if lam > best["primal"]:
             best.update(d=d, primal=lam)
-            if lam > PRIMAL_MARGIN:
+            if lam > tol:
                 return done("primal", it)
         if best["dual"] - best["primal"] <= tol:
-            break   # the bounds have met on a value inside the margin band
+            break   # the bounds have met on a value too close to zero to certify
         if it % POLISH_EVERY == 0:
             polished = _polish_face(A, best["S"], tol)
             if polished is not None:
@@ -547,8 +526,7 @@ def _realize_primal(W: np.ndarray, d: np.ndarray, Gval: np.ndarray
     return None
 
 
-def check_robinson(P: NsdpProblem, x, seed: int = 0,
-                   tol_rank: float = TAU_RANK) -> CqVerdict:
+def check_robinson(pd: PointData) -> CqVerdict:
     """Robinson's CQ, decided by one convex saddle-point solve.
 
     Robinson's condition asks for a direction d, orthogonal to the
@@ -560,29 +538,26 @@ def check_robinson(P: NsdpProblem, x, seed: int = 0,
 
     with Wc_l = E^T D_l G(x) E and Qn the projector onto the complement
     of the equality-gradient span.  :func:`cone_saddle` works both sides
-    at once and stops at the first of two certificates:
+    at once and stops at the first of two certificates, each measured
+    against DUAL_CERT_TOL * (1 + max|Qn Wc|):
 
-    * primal: a readout direction with compressed margin above
-      PRIMAL_MARGIN, scaled until G(x) + DG(x)[t d] is positive definite,
+    * primal: a readout direction with compressed margin above that
+      tolerance, scaled until G(x) + DG(x)[t d] is positive definite,
       certifies Holds (witness: the direction and its lambda_min);
     * dual: a unit-trace S >= 0 annihilating the projected adjoint up to
-      a relative 1e-12 certifies Fails (witness: the kernel basis rotated
+      that tolerance certifies Fails (witness: the kernel basis rotated
       to the eigenvectors of S, their weights ``alpha``, the multiplier
       Y = E S E^T and its residual, plus the equality coefficients that
       absorb DG(x)*[Y] when there are equality constraints).
 
     Without either certificate (the budget ran out, or the bounds met
-    between the two thresholds) the verdict is Undetermined and the log
-    carries both bounds.  Structurally diagonal constraints and kernels
-    of dimension <= 1 are decided exactly before the solve.
-    ``seed`` is recorded in the provenance of a rotated witness basis.
+    too close to zero) the verdict is Undetermined and the log carries
+    both bounds.  Structurally diagonal constraints and kernels of
+    dimension <= 1 are decided exactly before the solve.
     """
-    x = np.asarray(x, dtype=float)
-    fd = feasibility_data(P, x, tol_rank)
-    E = fd.kernel
+    P, E, Heq, Wc = pd.P, pd.kernel, pd.Heq, pd.Wc
     k = E.nullity
-    Heq = P.equality_gradients(x)
-    log = [f"rank {fd.rank}, kernel dimension {k}"]
+    log = [f"rank {pd.rank}, kernel dimension {k}"]
     if Heq.shape[0]:
         li = li_test(Heq)
         if not li.independent:
@@ -593,12 +568,10 @@ def check_robinson(P: NsdpProblem, x, seed: int = 0,
         return CqVerdict(CqStatus.HOLDS_CERTIFIED,
                          reason="interior point", log=log)
 
-    fam = EntryGradientFamily.build(P, x, E)
-    free_rows = [Heq[i] for i in range(Heq.shape[0])]
-
     if structurally_diagonal(P):
         # active diagonal gradients, positively independent iff MFCQ holds
-        pli = pli_test(fam.diagonal_vectors(), free_vectors=free_rows)
+        pli = pli_test(np.diagonal(Wc, axis1=1, axis2=2).T,
+                       free_vectors=list(Heq))
         if pli.pos_independent:
             log.append("structurally diagonal, active gradients positively independent")
             return CqVerdict(CqStatus.HOLDS_CERTIFIED,
@@ -612,7 +585,7 @@ def check_robinson(P: NsdpProblem, x, seed: int = 0,
     Qn = _null_projector(Heq, P.n)
     if k == 1:
         # the kernel basis is unique up to sign and v_11 is sign-invariant
-        v = fam.vecs[(0, 0)]
+        v = Wc[:, 0, 0]
         resid = float(np.linalg.norm(Qn @ v))
         if resid <= LI_TOL * (1.0 + float(np.linalg.norm(v))):
             Y = np.outer(E.cols[:, 0], E.cols[:, 0])
@@ -624,12 +597,10 @@ def check_robinson(P: NsdpProblem, x, seed: int = 0,
         log.append(f"one-dimensional kernel, margin {resid:.3e}")
         # fall through to the solve for an explicit direction
 
-    W = P.constraint_partials(x)
-    Wc = np.einsum("lab,ai,bj->lij", W, E.cols, E.cols)
     res = cone_saddle(Wc, Qn)
     log.append(f"saddle solve: {res.describe()}")
     if res.route == "primal":
-        realized = _realize_primal(W, res.d, P.constraint_value(x).a)
+        realized = _realize_primal(pd.W, res.d, pd.G.a)
         if realized is not None:
             d_full, lam = realized
             log.append(f"interior direction realized, lambda_min {lam:.3e}")
@@ -645,11 +616,11 @@ def check_robinson(P: NsdpProblem, x, seed: int = 0,
         alpha = np.clip(spec.values, 0.0, None)
         alpha = alpha / float(np.sum(alpha))
         Y = E.cols @ res.S @ E.cols.T
-        witness = {"basis": rotate_basis(E, spec.vectors, seed=seed).cols,
+        witness = {"basis": E.cols @ spec.vectors,
                    "alpha": alpha, "multiplier": Y, "residual": res.dual}
         if Heq.shape[0]:
             witness["free_coeffs"] = -np.linalg.lstsq(
-                Heq.T, P.adjoint(x, Y), rcond=None)[0]
+                Heq.T, P.adjoint(pd.x, Y), rcond=None)[0]
         return CqVerdict(
             CqStatus.FAILS,
             reason="nonzero complementary PSD multiplier annihilates the adjoint",
@@ -717,19 +688,15 @@ def kkt_residual(P: NsdpProblem, x, Y, mu=None) -> KktCertificate:
     )
 
 
-def find_multiplier(P: NsdpProblem, x, tol_rank: float = TAU_RANK,
-                    iters: int = 400) -> KktCertificate:
-    """Best-effort KKT multiplier at x.
+def find_multiplier(pd: PointData, iters: int = 400) -> KktCertificate:
+    """Best-effort KKT multiplier at the point.
 
     Complementarity is built in by parametrizing Y = E S E^T over the
     kernel basis; S is then fit by least squares and pushed onto the PSD
     cone by projected gradient on the stationarity residual.
     """
-    x = np.asarray(x, dtype=float)
-    fd = feasibility_data(P, x, tol_rank)
-    E = fd.kernel
+    P, x, E, Heq = pd.P, pd.x, pd.kernel, pd.Heq
     k = E.nullity
-    Heq = P.equality_gradients(x)
     ne = Heq.shape[0]
     g0 = P.objective_gradient(x)
     if k == 0:
@@ -738,8 +705,7 @@ def find_multiplier(P: NsdpProblem, x, tol_rank: float = TAU_RANK,
             return kkt_residual(P, x, SymMat.zero(P.m), mu)
         return kkt_residual(P, x, SymMat.zero(P.m))
     # A_s vec(S) = DG(x)*[E S E^T], in matrix form over the kernel block
-    Wc = np.einsum("lab,ai,bj->lij", P.constraint_partials(x), E.cols, E.cols)
-    As = Wc.reshape(P.n, k * k)
+    As = pd.Wc.reshape(P.n, k * k)
     Ah = Heq.T
     z, *_ = np.linalg.lstsq(np.hstack([As, Ah]), g0, rcond=None)
     mu = z[k * k:]

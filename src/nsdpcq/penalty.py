@@ -32,7 +32,7 @@ import numpy as np
 from .cqcheck import (
     CqStatus,
     CqVerdict,
-    entry_gradient,
+    PointData,
     feasibility_data,
     li_test,
     pli_test,
@@ -700,29 +700,19 @@ def _cluster_search(objective: Callable[[np.ndarray], Tuple[float, bool]],
     return best_C, best, log, False, objective(E @ best_C)[1]
 
 
-def _diag_family(P: NsdpProblem, x_bar: np.ndarray, cols: np.ndarray):
-    return [entry_gradient(P, x_bar, cols[:, i])
-            for i in range(cols.shape[1])]
-
-
-def _probe_traces(P: NsdpProblem, x_bar: np.ndarray,
-                  traces: Sequence[PenaltyTrace], rotations: int, seed: int,
-                  tol_rank: float, positive: bool):
+def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
+                  rotations: int, seed: int, positive: bool):
     """Shared trace loop for both weak probes.
 
     positive selects the test: positive linear independence with equality
     gradients free (weak Robinson) versus plain linear independence with
     equality gradients appended (weak nondegeneracy).
     """
-    fd = feasibility_data(P, x_bar, tol_rank)
-    K = fd.kernel.cols
-    rank = fd.rank
-    Heq = P.equality_gradients(x_bar)
-    eq_rows = [Heq[i] for i in range(Heq.shape[0])]
-    W = P.constraint_partials(x_bar)
+    x_bar, K, rank, tol_rank = pd.x, pd.kernel.cols, pd.rank, pd.tol_rank
+    eq_rows = list(pd.Heq)
 
     def objective(cols: np.ndarray) -> Tuple[float, bool]:
-        vmat = np.einsum("lab,ai,bi->il", W, cols, cols)
+        vmat = np.einsum("lab,ai,bi->il", pd.W, cols, cols)
         fam = [vmat[i] for i in range(vmat.shape[0])]
         if positive:
             res = pli_test(fam, free_vectors=eq_rows)
@@ -765,9 +755,21 @@ def _probe_traces(P: NsdpProblem, x_bar: np.ndarray,
     return results, certified_fail
 
 
-def probe_weak_ndg(P: NsdpProblem, x_bar, traces: Sequence[PenaltyTrace],
-                   rotations: int = 100, seed: int = 0,
-                   tol_rank: float = TAU_RANK
+def _trivial_kernel_verdict(pd: PointData) -> CqVerdict:
+    """Both weak conditions at a point with Ker G(x) = {0}: only the
+    equality gradients are left, and they must be independent."""
+    if pd.Heq.shape[0] == 0:
+        return CqVerdict(CqStatus.HOLDS_CERTIFIED, reason="trivial kernel")
+    res = li_test(list(pd.Heq))
+    status = CqStatus.HOLDS_CERTIFIED if res.independent else CqStatus.FAILS
+    return CqVerdict(status,
+                     reason="trivial kernel, equality gradients decide the "
+                            "condition",
+                     witness={"sigma_min": res.sigma_min})
+
+
+def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
+                   rotations: int = 100, seed: int = 0
                    ) -> Tuple[List[SequenceProbeResult], CqVerdict]:
     """Weak nondegeneracy probed along a family of sequences.
 
@@ -777,32 +779,19 @@ def probe_weak_ndg(P: NsdpProblem, x_bar, traces: Sequence[PenaltyTrace],
     failing trace with no cluster freedom is a genuine witness and gives
     Fails; the kernel-dimension bound fails the condition outright.
     """
-    x_bar = np.asarray(x_bar, dtype=float)
-    fd = feasibility_data(P, x_bar, tol_rank)
-    k = fd.kernel.nullity
-    ne = len(P.equalities)
+    k = pd.kernel.nullity
+    ne = pd.Heq.shape[0]
     if k == 0:
-        if ne == 0:
-            return [], CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                                 reason="trivial kernel")
-        Heq = P.equality_gradients(x_bar)
-        res = li_test([Heq[i] for i in range(ne)])
-        status = CqStatus.HOLDS_CERTIFIED if res.independent else \
-            CqStatus.FAILS
-        return [], CqVerdict(status,
-                             reason="trivial kernel, equality gradients "
-                                    "decide the condition",
-                             witness={"sigma_min": res.sigma_min})
-    if P.n < k + ne:
+        return [], _trivial_kernel_verdict(pd)
+    if pd.P.n < k + ne:
         return [], CqVerdict(
             CqStatus.FAILS,
             reason=f"any admissible basis needs {k + ne} independent "
-                   f"gradients but the space has dimension {P.n}")
+                   f"gradients but the space has dimension {pd.P.n}")
     if not traces:
         return [], CqVerdict(CqStatus.UNDETERMINED,
                              reason="no admissible traces supplied")
-    results, bad = _probe_traces(P, x_bar, traces, rotations, seed,
-                                 tol_rank, positive=False)
+    results, bad = _probe_traces(pd, traces, rotations, seed, positive=False)
     if bad is not None:
         return results, CqVerdict(
             CqStatus.FAILS,
@@ -822,40 +811,21 @@ def probe_weak_ndg(P: NsdpProblem, x_bar, traces: Sequence[PenaltyTrace],
                "which neither certifies nor refutes the condition")
 
 
-def probe_weak_robinson(P: NsdpProblem, x_bar,
-                        traces: Sequence[PenaltyTrace],
-                        rotations: int = 100, seed: int = 0,
-                        tol_rank: float = TAU_RANK,
-                        use_shortcuts: bool = True) -> CqVerdict:
+def probe_weak_robinson(pd: PointData, traces: Sequence[PenaltyTrace],
+                        rotations: int = 100, seed: int = 0) -> CqVerdict:
     """Weak Robinson condition probed along sequences.
 
     Same machinery as the nondegeneracy probe with positive linear
     independence in place of linear independence.  For structurally
     diagonal constraints the condition is equivalent to positive
     independence of the active diagonal gradients, so it is decided
-    exactly (disable with use_shortcuts=False to force the sampled path).
+    exactly.
     """
-    x_bar = np.asarray(x_bar, dtype=float)
-    fd = feasibility_data(P, x_bar, tol_rank)
-    k = fd.kernel.nullity
-    ne = len(P.equalities)
-    if k == 0:
-        if ne == 0:
-            return CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                             reason="trivial kernel")
-        Heq = P.equality_gradients(x_bar)
-        res = li_test([Heq[i] for i in range(ne)])
-        status = CqStatus.HOLDS_CERTIFIED if res.independent else \
-            CqStatus.FAILS
-        return CqVerdict(status,
-                         reason="trivial kernel, equality gradients decide "
-                                "the condition",
-                         witness={"sigma_min": res.sigma_min})
-    if use_shortcuts and structurally_diagonal(P):
-        Heq = P.equality_gradients(x_bar)
-        fam = _diag_family(P, x_bar, fd.kernel.cols)
-        res = pli_test(fam, free_vectors=[Heq[i]
-                                          for i in range(Heq.shape[0])])
+    if pd.kernel.nullity == 0:
+        return _trivial_kernel_verdict(pd)
+    if structurally_diagonal(pd.P):
+        res = pli_test(np.diagonal(pd.Wc, axis1=1, axis2=2).T,
+                       free_vectors=list(pd.Heq))
         if res.pos_independent:
             return CqVerdict(
                 CqStatus.HOLDS_CERTIFIED,
@@ -870,8 +840,7 @@ def probe_weak_robinson(P: NsdpProblem, x_bar,
     if not traces:
         return CqVerdict(CqStatus.UNDETERMINED,
                          reason="no admissible traces supplied")
-    results, bad = _probe_traces(P, x_bar, traces, rotations, seed,
-                                 tol_rank, positive=True)
+    results, bad = _probe_traces(pd, traces, rotations, seed, positive=True)
     if bad is not None:
         return CqVerdict(
             CqStatus.FAILS,

@@ -140,9 +140,9 @@ def separation_notes(verdicts: Dict[str, CqVerdict]) -> List[str]:
 def analyze_problem(P: NsdpProblem, point,
                     opts: AnalysisOptions = AnalysisOptions()
                     ) -> AnalysisReport:
-    """Run every checker at the point with a shared seed."""
+    """Run every checker on one shared point data, with a shared seed."""
     x = np.asarray(point, dtype=float)
-    fd = feasibility_data(P, x, opts.tol_rank)
+    pd = feasibility_data(P, x, opts.tol_rank)
     cfg = PenaltyConfig(anchor=x, seed=opts.seed)
     t0 = time.perf_counter()
     traces = default_trace_family(P, cfg, opts.traces)
@@ -151,20 +151,19 @@ def analyze_problem(P: NsdpProblem, point,
     def run(name: str):
         start = time.perf_counter()
         if name == "nondegeneracy":
-            v = check_nondegeneracy(P, x, tol_rank=opts.tol_rank)
+            v = check_nondegeneracy(pd)
         elif name == "robinson":
-            v = check_robinson(P, x, seed=opts.seed, tol_rank=opts.tol_rank)
+            v = check_robinson(pd)
         elif name == "sparse_ndg":
-            v = check_sparse_ndg(P, x, bases=opts.bases, seed=opts.seed,
-                                 tol_rank=opts.tol_rank)
+            v = check_sparse_ndg(pd, bases=opts.bases, seed=opts.seed)
         elif name == "forsgren":
-            v = check_forsgren(P, x, tol_rank=opts.tol_rank)
+            v = check_forsgren(pd)
         elif name == "weak_ndg_probe":
-            _, v = probe_weak_ndg(P, x, traces, rotations=opts.rotations,
-                                  seed=opts.seed, tol_rank=opts.tol_rank)
+            _, v = probe_weak_ndg(pd, traces, rotations=opts.rotations,
+                                  seed=opts.seed)
         else:
-            v = probe_weak_robinson(P, x, traces, rotations=opts.rotations,
-                                    seed=opts.seed, tol_rank=opts.tol_rank)
+            v = probe_weak_robinson(pd, traces, rotations=opts.rotations,
+                                    seed=opts.seed)
         return name, v, time.perf_counter() - start
 
     results = [run(name) for name in CHECKER_ORDER]
@@ -177,8 +176,8 @@ def analyze_problem(P: NsdpProblem, point,
     return AnalysisReport(
         problem=P.name,
         point=[float(v) for v in x],
-        rank=fd.rank,
-        eigenvalues=[float(v) for v in fd.eigenvalues],
+        rank=pd.rank,
+        eigenvalues=[float(v) for v in pd.eigenvalues],
         verdicts=verdicts,
         seed=opts.seed,
         timing=timing if opts.timestamp else None,

@@ -36,11 +36,11 @@ import numpy as np
 from .cqcheck import (
     CqStatus,
     CqVerdict,
+    PointData,
     check_robinson,
     cone_saddle,
     feasibility_data,
     li_test,
-    pli_test,
 )
 from .errors import NumericalFailure
 from .model import (
@@ -195,7 +195,7 @@ def hat_map(P: NsdpProblem, x, E: KernelBasis) -> ReducedMap:
                       entries=entries, basis=E, _evaluator=evaluator)
 
 
-def tilde_map(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> ReducedMap:
+def tilde_map(pd: PointData) -> ReducedMap:
     """Schur-complement reduction of G over the range of G(x).
 
     With r = rank G(x) = 0 the map degenerates to G itself and the exact
@@ -204,9 +204,7 @@ def tilde_map(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> ReducedMap:
     flagged nonzero are certain while entries flagged zero are presumed
     structural.
     """
-    x = np.asarray(x, dtype=float)
-    fd = feasibility_data(P, x, tol_rank)
-    r = fd.rank
+    P, x, r = pd.P, pd.x, pd.rank
     m = P.m
     if r == 0:
         entries = dict(P.constraint.entries)
@@ -216,9 +214,8 @@ def tilde_map(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> ReducedMap:
                           entries=entries, transform=np.eye(m),
                           _evaluator=lambda xq: P.constraint_value(xq))
 
-    spec = eigh(P.constraint_value(x))
-    Pbar = spec.vectors[:, :r]
-    U = np.column_stack([Pbar, fd.kernel.cols])
+    Pbar = pd.spec.vectors[:, :r]
+    U = np.column_stack([Pbar, pd.kernel.cols])
 
     def evaluate_raw(xq: np.ndarray) -> np.ndarray:
         Gq = P.constraint_value(xq).a
@@ -264,19 +261,16 @@ def tilde_map(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> ReducedMap:
 
 
 class _SearchContext:
-    """Precomputed stacks for scoring candidate kernel bases.
+    """Scoring of candidate kernel bases at one point.
 
     The compressed monomial stack E^T A_t E carries the exact polynomial
     coefficients of every entry of the compressed map, so patterns are
     decided on coefficients, not on sampled values, during the search.
     """
 
-    def __init__(self, P: NsdpProblem, x: np.ndarray):
-        self.P = P
-        self.x = x
-        self.W = P.constraint_partials(x)           # (n, m, m)
-        self.A = P._c().A                           # (T, m, m) monomial stack
-        self.Heq = P.equality_gradients(x)
+    def __init__(self, pd: PointData):
+        self.pd = pd
+        self.A = pd.P._c().A                        # (T, m, m) monomial stack
 
     def compressed_stack(self, cols: np.ndarray) -> np.ndarray:
         if self.A.shape[0] == 0:
@@ -295,10 +289,8 @@ class _SearchContext:
         return pairs
 
     def family(self, cols: np.ndarray, pairs: Sequence[Tuple[int, int]]):
-        comp = np.einsum("lab,ai,bj->lij", self.W, cols, cols)
-        vecs = [comp[:, i, j] for (i, j) in sorted(pairs)]
-        vecs += [self.Heq[i] for i in range(self.Heq.shape[0])]
-        return vecs
+        comp = np.einsum("lab,ai,bj->lij", self.pd.W, cols, cols)
+        return [comp[:, i, j] for (i, j) in sorted(pairs)] + list(self.pd.Heq)
 
     def score(self, cols: np.ndarray):
         """(diagonal hits, family sigma_min, success flag, pattern)."""
@@ -416,9 +408,8 @@ def _holds_verdict(E_cols, provenance: str, pairs, li, log) -> CqVerdict:
     )
 
 
-def check_sparse_ndg(P: NsdpProblem, x, bases: int = 50, seed: int = 0,
-                     tol_rank: float = TAU_RANK,
-                     sparse_robinson: bool = False) -> CqVerdict:
+def check_sparse_ndg(pd: PointData, bases: int = 50,
+                     seed: int = 0) -> CqVerdict:
     """Existential search for a basis certifying sparse nondegeneracy.
 
     Candidate order: the deterministic eigenbasis, block-aligned
@@ -430,27 +421,22 @@ def check_sparse_ndg(P: NsdpProblem, x, bases: int = 50, seed: int = 0,
     directly), the kernel-dimension bound, or a certified Robinson
     failure; anything else is Undetermined.
     """
-    x = np.asarray(x, dtype=float)
-    fd = feasibility_data(P, x, tol_rank)
-    E0 = fd.kernel
+    P, x = pd.P, pd.x
+    E0 = pd.kernel
     k = E0.nullity
-    log = [f"rank {fd.rank}, kernel dimension {k}"]
+    log = [f"rank {pd.rank}, kernel dimension {k}"]
     if k == 0:
         return CqVerdict(CqStatus.HOLDS_CERTIFIED,
                          reason="trivial kernel", log=log)
-    ctx = _SearchContext(P, x)
-
+    # the diagonal gradients v_ii plus the equality gradients
+    diag_vecs = list(np.diagonal(pd.Wc, axis1=1, axis2=2).T) + list(pd.Heq)
     if structurally_diagonal(P):
-        verdict = _diagonal_sparse_verdict(P, x, ctx, E0, log)
-        if sparse_robinson:
-            _attach_sparse_robinson(P, x, ctx, E0.cols, verdict)
-        return verdict
+        return _diagonal_sparse_verdict(pd.kernel, diag_vecs, log)
 
-    family_size = k + ctx.Heq.shape[0]
+    family_size = len(diag_vecs)
     if P.n < family_size:
-        diag_vecs = ctx.family(E0.cols, [(i, i) for i in range(k)])
         li = li_test(diag_vecs[:P.n + 1])
-        coeffs = np.zeros(len(diag_vecs))
+        coeffs = np.zeros(family_size)
         coeffs[:li.coeffs.shape[0]] = li.coeffs
         log.append(f"dimension bound: {family_size} required vectors in R^{P.n}")
         return CqVerdict(
@@ -463,7 +449,7 @@ def check_sparse_ndg(P: NsdpProblem, x, bases: int = 50, seed: int = 0,
 
     for i in range(P.m):
         if structural_zero(P.constraint.entry(i, i)):
-            row = P.constraint_value(x).a[:, i]
+            row = pd.G.a[:, i]
             log.append(f"diagonal entry ({i}, {i}) identically zero, "
                        f"row norm {float(np.linalg.norm(row)):.1e}")
             Y = np.zeros((P.m, P.m))
@@ -478,6 +464,7 @@ def check_sparse_ndg(P: NsdpProblem, x, bases: int = 50, seed: int = 0,
                          "adjoint_norm": float(np.linalg.norm(P.adjoint(x, Y)))},
                 log=log)
 
+    ctx = _SearchContext(pd)
     # stage 1: deterministic basis
     score0, success, pairs0, li0 = ctx.score(E0.cols)
     log.append(f"fixed basis: hits {score0[0]}/{k}, sigma_min {score0[1]:.3e}")
@@ -519,12 +506,9 @@ def check_sparse_ndg(P: NsdpProblem, x, bases: int = 50, seed: int = 0,
     cols, score, success, prs, li = _givens_refine(ctx, seedE, _all_pairs(k))
     log.append(f"refinement: hits {score[0]}/{k}, sigma_min {score[1]:.3e}")
     if success:
-        verdict = _holds_verdict(cols, best[2] + "+refined", prs, li, log)
-        if sparse_robinson:
-            _attach_sparse_robinson(P, x, ctx, cols, verdict)
-        return verdict
+        return _holds_verdict(cols, best[2] + "+refined", prs, li, log)
 
-    rob = check_robinson(P, x, seed=seed, tol_rank=tol_rank)
+    rob = check_robinson(pd)
     if rob.status == CqStatus.FAILS:
         log.append("Robinson refutation: " + (rob.reason or ""))
         return CqVerdict(
@@ -540,17 +524,15 @@ def check_sparse_ndg(P: NsdpProblem, x, bases: int = 50, seed: int = 0,
         log=log)
 
 
-def _diagonal_sparse_verdict(P: NsdpProblem, x, ctx: _SearchContext,
-                             E0: KernelBasis, log: List[str]) -> CqVerdict:
+def _diagonal_sparse_verdict(E0: KernelBasis, vecs: List[np.ndarray],
+                             log: List[str]) -> CqVerdict:
     """Exact reduction for structurally diagonal constraints.
 
     Sparse nondegeneracy then coincides with independence of the active
     diagonal gradients (plus equality gradients), which is decided by one
     exact rank test; both outcomes are certified.
     """
-    k = E0.nullity
-    diag_pairs = [(i, i) for i in range(k)]
-    vecs = ctx.family(E0.cols, diag_pairs)
+    diag_pairs = [(i, i) for i in range(E0.nullity)]
     li = li_test(vecs)
     log.append("structurally diagonal constraint, deciding via active "
                "gradient independence")
@@ -564,39 +546,8 @@ def _diagonal_sparse_verdict(P: NsdpProblem, x, ctx: _SearchContext,
         log=log)
 
 
-def _attach_sparse_robinson(P: NsdpProblem, x, ctx: _SearchContext,
-                            cols: np.ndarray, verdict: CqVerdict) -> None:
-    """Experimental positive-part variant, logged onto the main verdict.
-
-    Only evaluated when the witness pattern is purely diagonal: a PSD
-    matrix supported on a diagonal pattern is a nonnegative combination of
-    diagonal rank-one terms, so the condition reduces to positive
-    independence of the corresponding diagonal family.
-    """
-    Bs = ctx.compressed_stack(cols)
-    pairs = ctx.pattern_pairs(Bs)
-    if any(i != j for (i, j) in pairs):
-        verdict.log.append("sparse-Robinson (experimental): skipped, "
-                           "pattern not diagonal for the witness basis")
-        return
-    k = cols.shape[1]
-    comp = np.einsum("lab,ai,bj->lij", ctx.W, cols, cols)
-    vecs = [comp[:, i, i] for i in range(k) if (i, i) in pairs]
-    free = [ctx.Heq[i] for i in range(ctx.Heq.shape[0])]
-    res = pli_test(vecs, free_vectors=free)
-    if res.pos_independent:
-        verdict.log.append(
-            f"sparse-Robinson (experimental): holds for the witness basis "
-            f"(margin {res.margin:.3e})")
-    else:
-        verdict.log.append(
-            "sparse-Robinson (experimental): positively dependent diagonal "
-            "family for the witness basis")
-
-
-def check_sparse_ndg_multifold(P: NsdpProblem, x, bases: int = 50,
-                               seed: int = 0,
-                               tol_rank: float = TAU_RANK) -> CqVerdict:
+def check_sparse_ndg_multifold(pd: PointData, bases: int = 50,
+                               seed: int = 0) -> CqVerdict:
     """Sparse nondegeneracy through the multifold block decomposition.
 
     Each diagonal block is searched for its own basis (diagonal pattern
@@ -605,42 +556,37 @@ def check_sparse_ndg_multifold(P: NsdpProblem, x, bases: int = 50,
     be independent.  Equivalent to the assembled check by the block
     invariance of the condition; kept separate as a cross-check.
     """
-    x = np.asarray(x, dtype=float)
+    P, x = pd.P, pd.x
     partition = block_partition(P)
     if len(partition) == 1:
-        return check_sparse_ndg(P, x, bases=bases, seed=seed,
-                                tol_rank=tol_rank)
-    fd = feasibility_data(P, x, tol_rank)
-    if fd.kernel.nullity == 0:
+        return check_sparse_ndg(pd, bases=bases, seed=seed)
+    if pd.kernel.nullity == 0:
         return CqVerdict(CqStatus.HOLDS_CERTIFIED, reason="trivial kernel")
 
     union_vecs = []
     basis_blocks = []
     log = [f"multifold over {len(partition)} blocks"]
     all_hit = True
-    rng_seed = seed
     for bi, comp in enumerate(partition):
         sub = component_subproblem(P, comp, f"#block{bi}")
-        sfd = feasibility_data(sub, x, tol_rank)
-        kb = sfd.kernel.nullity
+        spd = feasibility_data(sub, x, pd.tol_rank)
+        kb = spd.kernel.nullity
         if kb == 0:
             log.append(f"block {bi}: trivial kernel")
             continue
-        sctx = _SearchContext(sub, x)
-        sverdict = _block_basis_search(sctx, sfd.kernel, bases, rng_seed)
-        cols, score, prs = sverdict
+        cols, score, prs = _block_basis_search(_SearchContext(spd),
+                                               spd.kernel, bases, seed)
         hits = score[0]
         log.append(f"block {bi}: hits {hits}/{kb}, sigma_min {score[1]:.3e}")
         if hits < kb:
             all_hit = False
-        comp_grads = np.einsum("lab,ai,bj->lij", sctx.W, cols, cols)
+        comp_grads = np.einsum("lab,ai,bj->lij", spd.W, cols, cols)
         union_vecs += [comp_grads[:, i, j] for (i, j) in sorted(prs)]
         lifted = np.zeros((P.m, kb))
         for a, g in enumerate(comp):
             lifted[g, :] = cols[a, :]
         basis_blocks.append(lifted)
-    Heq = P.equality_gradients(x)
-    union_vecs += [Heq[i] for i in range(Heq.shape[0])]
+    union_vecs += list(pd.Heq)
     li = li_test(union_vecs)
     if all_hit and li.independent:
         return CqVerdict(
@@ -649,8 +595,7 @@ def check_sparse_ndg_multifold(P: NsdpProblem, x, bases: int = 50,
             witness={"blocks": [b for b in basis_blocks],
                      "sigma_min": li.sigma_min},
             log=log)
-    assembled = check_sparse_ndg(P, x, bases=bases, seed=seed,
-                                 tol_rank=tol_rank)
+    assembled = check_sparse_ndg(pd, bases=bases, seed=seed)
     if assembled.status in (CqStatus.FAILS, CqStatus.HOLDS_CERTIFIED):
         assembled.log = log + ["falling back to the assembled check"] \
             + assembled.log
@@ -690,8 +635,7 @@ def _block_basis_search(ctx: _SearchContext, E0: KernelBasis,
 # Forsgren's condition
 
 
-def check_forsgren(P: NsdpProblem, x, U: Optional[np.ndarray] = None,
-                   tol_rank: float = TAU_RANK) -> CqVerdict:
+def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     """Forsgren's condition for a given diagonalizing matrix U.
 
     U must be orthogonal with U^T G(x) U diagonal within 1e-8; by default
@@ -713,14 +657,10 @@ def check_forsgren(P: NsdpProblem, x, U: Optional[np.ndarray] = None,
     Equality-constraint gradients join the injectivity test as rows that
     must stay independent from the family image.
     """
-    x = np.asarray(x, dtype=float)
-    fd = feasibility_data(P, x, tol_rank)
-    G = P.constraint_value(x)
-    m = P.m
+    G = pd.G
+    m = pd.P.m
     scale = 1.0 + G.norm_inf()
-    if U is None:
-        U = eigh(G).vectors
-    U = np.asarray(U, dtype=float)
+    U = pd.spec.vectors if U is None else np.asarray(U, dtype=float)
     if U.shape != (m, m):
         raise ValueError(f"U must be {m} x {m}, got {U.shape}")
     if float(np.max(np.abs(U.T @ U - np.eye(m)))) > 1e-8:
@@ -732,20 +672,20 @@ def check_forsgren(P: NsdpProblem, x, U: Optional[np.ndarray] = None,
             f"U does not diagonalize G(x) within 1e-8 (off-diagonal {off:.3e})")
 
     diag = np.diag(D)
-    thr = tol_rank * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
+    thr = pd.tol_rank * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
     kernel_idx = [i for i in range(m) if abs(diag[i]) <= thr]
     k = len(kernel_idx)
     log = [f"rank {m - k}, kernel dimension {k} (per supplied U)"]
-    if k != fd.kernel.nullity:
+    if k != pd.kernel.nullity:
         raise ValueError(
             f"U separates a kernel of dimension {k}, spectral data says "
-            f"{fd.kernel.nullity}")
+            f"{pd.kernel.nullity}")
     if k == 0:
         return CqVerdict(CqStatus.HOLDS_CERTIFIED,
                          reason="trivial kernel", log=log)
     E = U[:, kernel_idx]
 
-    tilde = tilde_map(P, x, tol_rank)
+    tilde = tilde_map(pd)
     pat = tilde.pattern
     log.append(f"Schur map pattern: {pat.cardinality()} entries "
                f"({pat.source})")
@@ -765,14 +705,12 @@ def check_forsgren(P: NsdpProblem, x, U: Optional[np.ndarray] = None,
     dim_T = len(basis_T)
     log.append(f"compressed pattern subspace dimension {dim_T}")
 
-    W = P.constraint_partials(x)
-    Wc = np.einsum("lab,ai,bj->lij", W, E, E)
+    Wc = np.einsum("lab,ai,bj->lij", pd.W, E, E)
     iu = np.triu_indices(k)
     Wu = Wc[:, iu[0], iu[1]]
 
     images = [Wu @ Tq[iu] for Tq in basis_T]
-    Heq = P.equality_gradients(x)
-    li = li_test(images + [Heq[i] for i in range(Heq.shape[0])])
+    li = li_test(images + list(pd.Heq))
     if not li.independent:
         coeffs = li.coeffs[:dim_T]
         M = np.zeros((k, k))
@@ -967,9 +905,8 @@ def facial_reduce(P: NsdpProblem, x, tol_rank: float = TAU_RANK,
 # pattern cardinality invariance
 
 
-def sparse_card_invariance(P: NsdpProblem, x, trials: int = 50,
-                           seed: int = 0,
-                           tol_rank: float = TAU_RANK) -> dict:
+def sparse_card_invariance(pd: PointData, trials: int = 50,
+                           seed: int = 0) -> dict:
     """Sample kernel bases and compare pattern cardinalities.
 
     Among sampled bases whose pattern-restricted family is independent,
@@ -977,14 +914,12 @@ def sparse_card_invariance(P: NsdpProblem, x, trials: int = 50,
     report points at a numerics problem (threshold too loose for the
     sampled rotations), not at the mathematics.
     """
-    x = np.asarray(x, dtype=float)
-    fd = feasibility_data(P, x, tol_rank)
-    E0 = fd.kernel
+    E0 = pd.kernel
     k = E0.nullity
     if k == 0:
         return {"passing": 0, "cardinalities": [], "consistent": True,
                 "violations": []}
-    ctx = _SearchContext(P, x)
+    ctx = _SearchContext(pd)
     rng = np.random.default_rng(seed)
     records = []
     for t in range(trials + 1):

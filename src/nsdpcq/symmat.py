@@ -212,7 +212,12 @@ def kernel_basis(M, tol: float = TAU_RANK,
     Raises :class:`NotPsdError` when M has an eigenvalue below the negative
     tolerance.
     """
-    spec = eigh(M)
+    return spectral_kernel(eigh(M), tol, provenance)
+
+
+def spectral_kernel(spec: Spectral, tol: float = TAU_RANK,
+                    provenance: Provenance = FIXED) -> KernelBasis:
+    """:func:`kernel_basis` of the matrix whose eigendecomposition is spec."""
     m = spec.values.shape[0]
     lam1 = abs(float(spec.values[0])) if m else 0.0
     thr = tol * max(1.0, lam1)

@@ -13,7 +13,6 @@ import numpy as np
 from nsdpcq.corpus import entries, get_entry
 from nsdpcq.cqcheck import (
     CqStatus,
-    EntryGradientFamily,
     check_nondegeneracy,
     check_robinson,
     entry_gradient,
@@ -90,6 +89,15 @@ def shifted_problem(rng, n, m, deficiency):
     return NsdpProblem(n, Poly.var(n, 0), MatrixPoly(m, n, entries_))
 
 
+def upper_family(pd, cols=None):
+    """Gradients v_ij, i <= j, one per row in row-major order, for the
+    kernel basis cols (the point data's own basis by default)."""
+    Wc = pd.Wc if cols is None else np.einsum("lab,ai,bj->lij", pd.W,
+                                              cols, cols)
+    iu, ju = np.triu_indices(Wc.shape[1])
+    return Wc[:, iu, ju].T
+
+
 def rand_problem(rng, n, m, density=0.6):
     entries_ = {}
     for i in range(m):
@@ -133,7 +141,8 @@ class TestCorpusReproduction:
         cfg = PenaltyConfig(anchor=np.array(ent.point))
         traces = default_trace_family(ent.problem, cfg)
         ids = [t.trace_id for t in traces]
-        _, verdict = probe_weak_ndg(ent.problem, ent.point, traces)
+        _, verdict = probe_weak_ndg(feasibility_data(ent.problem, ent.point),
+                                    traces)
         ok = (len(traces) >= 8
               and all(f"axis{i}" in ids for i in range(6))
               and verdict.status is HS)
@@ -157,7 +166,7 @@ class TestCorpusReproduction:
 
     def test_facial_zero_diagonal_refutes_sparse(self):
         ent = get_entry("facial")
-        v = check_sparse_ndg(ent.problem, ent.point)
+        v = check_sparse_ndg(feasibility_data(ent.problem, ent.point))
         ok = (v.status is F and v.witness is not None
               and "diagonal" in v.reason)
         report("facial sparse nondegeneracy fails on the zero diagonal", ok,
@@ -176,7 +185,7 @@ class TestCorpusReproduction:
         ent = get_entry("facial")
         fr = facial_reduce(ent.problem, ent.point)
         red = fr.reduced_problem
-        cert = find_multiplier(red, np.zeros(2))
+        cert = find_multiplier(feasibility_data(red, np.zeros(2)))
         ok = (red.m < ent.problem.m and len(red.equalities) >= 1
               and cert.stationarity_residual <= 1e-8)
         report("facial reduced problem has a KKT point at the origin", ok,
@@ -185,11 +194,12 @@ class TestCorpusReproduction:
 
     def test_scalar2_certified_verdicts(self):
         ent = get_entry("scalar2")
-        sp = check_sparse_ndg(ent.problem, ent.point)
-        rb = check_robinson(ent.problem, ent.point)
+        sp = check_sparse_ndg(feasibility_data(ent.problem, ent.point))
+        rb = check_robinson(feasibility_data(ent.problem, ent.point))
         cfg = PenaltyConfig(anchor=np.array(ent.point))
         traces = default_trace_family(ent.problem, cfg)
-        results, wn = probe_weak_ndg(ent.problem, ent.point, traces)
+        results, wn = probe_weak_ndg(feasibility_data(ent.problem, ent.point),
+                                     traces)
         ok = (sp.status is F and rb.status is HC
               and wn.status is F and results == []
               and "dimension" in wn.reason)
@@ -204,7 +214,8 @@ class TestCorpusReproduction:
         ent = get_entry("offdiag")
         cfg = PenaltyConfig(anchor=np.zeros(2))
         traces = default_trace_family(ent.problem, cfg)
-        results, verdict = probe_weak_ndg(ent.problem, ent.point, traces)
+        results, verdict = probe_weak_ndg(
+            feasibility_data(ent.problem, ent.point), traces)
         target = np.array([[1.0, -1.0], [1.0, 1.0]])
         pinned = 0
         gap = 0.0
@@ -236,20 +247,21 @@ class TestCorpusReproduction:
             terms = {e: c for c, e in rm.entry(i, j).terms}
             for e in set(terms) | set(coeffs):
                 gap = max(gap, abs(terms.get(e, 0.0) - coeffs.get(e, 0.0)))
-        sp = check_sparse_ndg(P, ent.point)
+        sp = check_sparse_ndg(feasibility_data(P, ent.point))
         ok = gap <= 1e-10 and sp.status is HC
         report("offdiag rotated constraint is diag(x1 - x2, x1 + x2)", ok,
                f"coefficient gap {gap:.2e}, sparse {sp.status.value}")
 
     def test_offdiag_identity_diagonalizer_fails(self):
         ent = get_entry("offdiag")
-        v = check_forsgren(ent.problem, ent.point, U=np.eye(2))
+        v = check_forsgren(feasibility_data(ent.problem, ent.point),
+                           U=np.eye(2))
         report("offdiag fails for the identity diagonalizer",
                v.status is F, v.reason[:60])
 
     def test_offdiag_dependent_diagonal_witness(self):
         ent = get_entry("offdiag")
-        v = check_nondegeneracy(ent.problem, ent.point)
+        v = check_nondegeneracy(feasibility_data(ent.problem, ent.point))
         ok = v.status is F and v.witness is not None
         if ok:
             pairs = [tuple(p) for p in v.witness["pairs"]]
@@ -339,17 +351,16 @@ class TestPropertySuites:
             d = int(rng.integers(1, min(3, m) + 1))
             P = shifted_problem(rng, n, m, d)
             x = np.zeros(n)
-            E = feasibility_data(P, x).kernel
+            pd = feasibility_data(P, x)
+            E = pd.kernel
             if E.nullity == 0:
                 continue
-            base = li_test(
-                EntryGradientFamily.build(P, x, E).upper_vectors()).independent
+            base = li_test(upper_family(pd)).independent
             checked += 1
             for r in range(20):
                 C = random_rotation(E.nullity, rng)
                 Er = rotate_basis(E, C, seed=r)
-                got = li_test(EntryGradientFamily.build(
-                    P, x, Er).upper_vectors()).independent
+                got = li_test(upper_family(pd, Er.cols)).independent
                 flips += got != base
         ok = flips == 0 and checked == 100
         report("independence verdict invariant under 20 basis rotations",
@@ -395,9 +406,10 @@ class TestPropertySuites:
             traces = [make_path_trace(P, x, rng.standard_normal(n))
                       for _ in range(2)]
             traces.append(make_path_trace(P, x, np.ones(n)))
-            _, wn = probe_weak_ndg(P, x, traces, rotations=30, seed=case)
-            sp = check_sparse_ndg(P, x, bases=20, seed=case)
-            rb = check_robinson(P, x, seed=case)
+            _, wn = probe_weak_ndg(feasibility_data(P, x), traces,
+                                   rotations=30, seed=case)
+            sp = check_sparse_ndg(feasibility_data(P, x), bases=20, seed=case)
+            rb = check_robinson(feasibility_data(P, x))
             if wn.holds != licq:
                 mismatches.append((case, "weak", licq, wn.status.value))
             if sp.holds != licq:
@@ -444,8 +456,9 @@ class TestPropertySuites:
             P = NsdpProblem(n, Poly.var(n, 0),
                             MatrixPoly(m1 + m2, n, entries_))
             x = np.zeros(n)
-            a = check_sparse_ndg(P, x, bases=25, seed=case)
-            b = check_sparse_ndg_multifold(P, x, bases=25, seed=case)
+            a = check_sparse_ndg(feasibility_data(P, x), bases=25, seed=case)
+            b = check_sparse_ndg_multifold(feasibility_data(P, x), bases=25,
+                                           seed=case)
             if a.status != b.status:
                 mismatches.append((case, a.status.value, b.status.value))
         report("two-block verdicts identical assembled or per block",
@@ -481,15 +494,17 @@ class TestPropertySuites:
             x = np.zeros(n)
             traces = [make_path_trace(P, x, rng.standard_normal(n))
                       for _ in range(2)]
-            _, wn = probe_weak_ndg(P, x, traces, rotations=20, seed=case)
+            _, wn = probe_weak_ndg(feasibility_data(P, x), traces,
+                                   rotations=20, seed=case)
             verdicts = {
-                "nondegeneracy": check_nondegeneracy(P, x),
-                "robinson": check_robinson(P, x, seed=case),
-                "sparse_ndg": check_sparse_ndg(P, x, bases=10, seed=case),
-                "forsgren": check_forsgren(P, x),
+                "nondegeneracy": check_nondegeneracy(feasibility_data(P, x)),
+                "robinson": check_robinson(feasibility_data(P, x)),
+                "sparse_ndg": check_sparse_ndg(feasibility_data(P, x),
+                                               bases=10, seed=case),
+                "forsgren": check_forsgren(feasibility_data(P, x)),
                 "weak_ndg_probe": wn,
                 "weak_robinson_probe": probe_weak_robinson(
-                    P, x, traces, rotations=20, seed=case),
+                    feasibility_data(P, x), traces, rotations=20, seed=case),
             }
             if lattice_warnings(verdicts):
                 bad.append(case)
@@ -505,7 +520,8 @@ class TestPropertySuites:
             m = int(rng.integers(2, 5))
             d = int(rng.integers(1, min(3, m) + 1))
             P = shifted_problem(rng, n, m, d)
-            res = sparse_card_invariance(P, np.zeros(n), trials=6, seed=seed)
+            res = sparse_card_invariance(feasibility_data(P, np.zeros(n)),
+                                         trials=6, seed=seed)
             if res["passing"] >= 2:
                 exercised += 1
                 violations += not res["consistent"]
@@ -566,7 +582,7 @@ class TestMultiplierBoundedness:
             tried += 1
             P, Ystar = bounded_instance(rng)
             x0 = np.zeros(P.n)
-            rb = check_robinson(P, x0, seed=tried)
+            rb = check_robinson(feasibility_data(P, x0))
             if rb.status is not HC:
                 continue
             cert = kkt_residual(P, x0, SymMat.from_symmetric(Ystar))

@@ -11,9 +11,10 @@ import re
 import numpy as np
 import pytest
 
+import nsdpcq
+from nsdpcq.corpus import entries as corpus_entries
 from nsdpcq.cqcheck import (
     CqStatus,
-    EntryGradientFamily,
     check_nondegeneracy,
     check_robinson,
     entry_gradient,
@@ -28,7 +29,7 @@ from nsdpcq.lp import phase_one
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.report import analyze_problem, lattice_warnings
 from nsdpcq.symmat import eigh, SymMat, random_rotation, rotate_basis
-from test_acceptance import shifted_problem
+from test_acceptance import shifted_problem, upper_family
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -251,12 +252,12 @@ class TestEntryGradients:
         C = np.array([[1.0, 0.0, 0.0],
                       [0.0, -RT2, RT2],
                       [0.0, RT2, RT2]])
-        E = rotate_basis(fd.kernel, C)
-        fam = EntryGradientFamily.build(P, x, E)
+        E = rotate_basis(fd.kernel, C).cols
+        Wc = np.einsum("lab,ai,bj->lij", fd.W, E, E)
         expect = np.array([0.0, 0.5, 0.5])
-        assert np.allclose(fam.vecs[(1, 1)], expect, atol=1e-10)
-        assert np.allclose(fam.vecs[(2, 2)], expect, atol=1e-10)
-        li = li_test([fam.vecs[(1, 1)], fam.vecs[(2, 2)]])
+        assert np.allclose(Wc[:, 1, 1], expect, atol=1e-10)
+        assert np.allclose(Wc[:, 2, 2], expect, atol=1e-10)
+        li = li_test([Wc[:, 1, 1], Wc[:, 2, 2]])
         assert not li.independent
 
     def test_entrywise_vs_adjoint(self):
@@ -280,11 +281,10 @@ class TestEntryGradients:
         P = fullmat_problem()
         x = np.zeros(3)
         fd = feasibility_data(P, x)
-        fam = EntryGradientFamily.build(P, x, fd.kernel)
         E = fd.kernel.cols
-        for (i, j) in fam.upper_pairs():
+        for (i, j) in zip(*np.triu_indices(E.shape[1])):
             direct = entry_gradient(P, x, E[:, i], E[:, j])
-            assert np.allclose(fam.vecs[(i, j)], direct, atol=1e-12)
+            assert np.allclose(fd.Wc[:, i, j], direct, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ class TestPliTest:
 
 class TestNondegeneracy:
     def test_diag3_fails_by_dimension(self):
-        v = check_nondegeneracy(diag3_problem(), np.zeros(3))
+        v = check_nondegeneracy(feasibility_data(diag3_problem(), np.zeros(3)))
         assert v.status == CqStatus.FAILS
         assert "cannot be independent" in v.reason
         W = np.asarray(v.witness["vectors"])
@@ -386,16 +386,19 @@ class TestNondegeneracy:
         assert np.linalg.norm(c @ W) <= 1e-7
 
     def test_scalar2_fails_by_dimension(self):
-        v = check_nondegeneracy(scalar2_problem(), np.zeros(1))
+        v = check_nondegeneracy(
+            feasibility_data(scalar2_problem(), np.zeros(1)))
         assert v.status == CqStatus.FAILS
 
     def test_fullmat_holds(self):
-        v = check_nondegeneracy(fullmat_problem(), np.zeros(3))
+        v = check_nondegeneracy(
+            feasibility_data(fullmat_problem(), np.zeros(3)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.witness["sigma_min"] > 0.9
 
     def test_facial_fails_with_null_combination(self):
-        v = check_nondegeneracy(facial_problem(), np.zeros(2))
+        v = check_nondegeneracy(
+            feasibility_data(facial_problem(), np.zeros(2)))
         assert v.status == CqStatus.FAILS
         W = np.asarray(v.witness["vectors"])
         c = np.asarray(v.witness["coeffs"])
@@ -403,14 +406,16 @@ class TestNondegeneracy:
 
     def test_offdiag_fails(self):
         # v_11 = v_22 = (1, 0) for the axis basis, a strict dependence
-        v = check_nondegeneracy(offdiag_problem(), np.zeros(2))
+        v = check_nondegeneracy(
+            feasibility_data(offdiag_problem(), np.zeros(2)))
         assert v.status == CqStatus.FAILS
         W = np.asarray(v.witness["vectors"])
         c = np.asarray(v.witness["coeffs"])
         assert np.linalg.norm(c @ W) <= 1e-7
 
     def test_interior_holds(self):
-        v = check_nondegeneracy(interior_problem(), np.zeros(2))
+        v = check_nondegeneracy(
+            feasibility_data(interior_problem(), np.zeros(2)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert "interior" in v.reason
 
@@ -418,13 +423,13 @@ class TestNondegeneracy:
         one = Poly.const(2, 1.0)
         G = MatrixPoly.diagonal([xv(2, 0), one + xv(2, 1)])
         P = NsdpProblem(2, xv(2, 0), G)
-        v = check_nondegeneracy(P, np.zeros(2))
+        v = check_nondegeneracy(feasibility_data(P, np.zeros(2)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_equality_gradients_join_family(self):
         P = NsdpProblem(2, xv(2, 0), interior_problem().constraint,
                         equalities=[xv(2, 0), xv(2, 0, 2.0)])
-        v = check_nondegeneracy(P, np.zeros(2))
+        v = check_nondegeneracy(feasibility_data(P, np.zeros(2)))
         assert v.status == CqStatus.FAILS
 
     def test_independence_invariant_under_basis_rotation(self):
@@ -432,13 +437,11 @@ class TestNondegeneracy:
         for P, x in ((fullmat_problem(), np.zeros(3)),
                      (offdiag_problem(), np.zeros(2))):
             fd = feasibility_data(P, x)
-            base = li_test(EntryGradientFamily.build(P, x, fd.kernel)
-                           .upper_vectors()).independent
+            base = li_test(upper_family(fd)).independent
             for _ in range(20):
                 C = random_rotation(fd.kernel.nullity, rng)
-                fam = EntryGradientFamily.build(P, x,
-                                                rotate_basis(fd.kernel, C))
-                assert li_test(fam.upper_vectors()).independent == base
+                cols = rotate_basis(fd.kernel, C).cols
+                assert li_test(upper_family(fd, cols)).independent == base
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +450,18 @@ class TestNondegeneracy:
 
 class TestRobinson:
     def test_diag3_holds_via_mfcq(self):
-        v = check_robinson(diag3_problem(), np.zeros(3))
+        v = check_robinson(feasibility_data(diag3_problem(), np.zeros(3)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert "MFCQ" in v.reason
 
     def test_scalar2_holds(self):
-        v = check_robinson(scalar2_problem(), np.zeros(1))
+        v = check_robinson(feasibility_data(scalar2_problem(), np.zeros(1)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_facial_fails_with_dual_witness(self):
         P = facial_problem()
         x = np.zeros(2)
-        v = check_robinson(P, x)
+        v = check_robinson(feasibility_data(P, x))
         assert v.status == CqStatus.FAILS
         Y = np.asarray(v.witness["multiplier"])
         # the annihilating multiplier is (up to scale) e2 e2^T
@@ -471,23 +474,38 @@ class TestRobinson:
     def test_offdiag_holds_with_direction(self):
         P = offdiag_problem()
         x = np.zeros(2)
-        v = check_robinson(P, x)
+        v = check_robinson(feasibility_data(P, x))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         d = np.asarray(v.witness["direction"])
         W = P.constraint_partials(x)
         shifted = P.constraint_value(x).a + np.tensordot(d, W, axes=1)
         assert float(eigh(SymMat.from_symmetric(shifted)).values[-1]) > 0.0
 
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-7])
+    def test_offdiag_holds_at_every_scale(self, s):
+        # G -> s G leaves Robinson's condition unchanged; the compressed
+        # optimum of s [[x1, x2], [x2, x1]] is exactly s, at d = e1
+        G = MatrixPoly(2, 2, {(0, 0): xv(2, 0, s), (0, 1): xv(2, 1, s),
+                              (1, 1): xv(2, 0, s)})
+        P = NsdpProblem(2, xv(2, 0), G, name="offdiag_scaled")
+        x = np.zeros(2)
+        v = check_robinson(feasibility_data(P, x))
+        assert v.status == CqStatus.HOLDS_CERTIFIED, v.log
+        d = np.asarray(v.witness["direction"])
+        shifted = P.constraint_value(x).a + np.tensordot(
+            d, P.constraint_partials(x), axes=1)
+        assert float(eigh(SymMat.from_symmetric(shifted)).values[-1]) > 0.0
+
     def test_interior_holds(self):
-        v = check_robinson(interior_problem(), np.zeros(2))
+        v = check_robinson(feasibility_data(interior_problem(), np.zeros(2)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_fullmat_holds(self):
-        v = check_robinson(fullmat_problem(), np.zeros(3))
+        v = check_robinson(feasibility_data(fullmat_problem(), np.zeros(3)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_block2_holds(self):
-        v = check_robinson(block2_problem(), np.zeros(3))
+        v = check_robinson(feasibility_data(block2_problem(), np.zeros(3)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_equality_compatible_direction(self):
@@ -495,7 +513,7 @@ class TestRobinson:
         P = NsdpProblem(3, diag3_problem().objective,
                         diag3_problem().constraint,
                         equalities=[xv(3, 0) - xv(3, 1)])
-        v = check_robinson(P, np.zeros(3))
+        v = check_robinson(feasibility_data(P, np.zeros(3)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_equality_blocks_every_direction(self):
@@ -504,14 +522,14 @@ class TestRobinson:
                         diag3_problem().constraint,
                         equalities=[xv(3, 0) + xv(3, 1) + xv(3, 2)])
         x = np.zeros(3)
-        v = check_robinson(P, x)
+        v = check_robinson(feasibility_data(P, x))
         assert v.status == CqStatus.FAILS
         replay_cone_witness(P, x, v.witness)
 
     def test_dependent_equality_gradients(self):
         P = NsdpProblem(2, xv(2, 0), interior_problem().constraint,
                         equalities=[xv(2, 0), xv(2, 0, 2.0)])
-        v = check_robinson(P, np.zeros(2))
+        v = check_robinson(feasibility_data(P, np.zeros(2)))
         assert v.status == CqStatus.FAILS
         assert "equality" in v.reason
 
@@ -520,18 +538,19 @@ class TestRobinson:
         G = MatrixPoly(2, 2, {(0, 0): xv(2, 0), (0, 1): xv(2, 1),
                               (1, 1): one + xv(2, 0)})
         P = NsdpProblem(2, xv(2, 0), G)
-        v = check_robinson(P, np.zeros(2))
+        v = check_robinson(feasibility_data(P, np.zeros(2)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_one_dim_kernel_killed_by_equality(self):
         G = MatrixPoly(1, 1, {(0, 0): xv(1, 0)})
         P = NsdpProblem(1, xv(1, 0), G, equalities=[xv(1, 0)])
-        v = check_robinson(P, np.zeros(1))
+        v = check_robinson(feasibility_data(P, np.zeros(1)))
         assert v.status == CqStatus.FAILS
 
     def test_infeasible_point_rejected(self):
         with pytest.raises(InfeasiblePointError) as exc:
-            check_robinson(interior_problem(), np.array([2.0, 0.0]))
+            check_robinson(
+                feasibility_data(interior_problem(), np.array([2.0, 0.0])))
         assert exc.value.eigenvalues is not None
         assert min(exc.value.eigenvalues) < -0.5
 
@@ -542,7 +561,7 @@ class TestRobinson:
                               (1, 1): xv(3, 2)})
         P = NsdpProblem(3, xv(3, 0), G, equalities=[xv(3, 0) + xv(3, 2)])
         x = np.zeros(3)
-        v = check_robinson(P, x)
+        v = check_robinson(feasibility_data(P, x))
         assert v.status == CqStatus.FAILS
         replay_cone_witness(P, x, v.witness)
 
@@ -551,7 +570,7 @@ class TestRobinson:
     def test_rank_zero_trap_fails_with_replayable_witness(self, spec):
         P = NsdpProblem.from_json(spec)
         x = np.zeros(P.n)
-        v = check_robinson(P, x)
+        v = check_robinson(feasibility_data(P, x))
         assert v.status == CqStatus.FAILS
         replay_cone_witness(P, x, v.witness)
 
@@ -570,7 +589,7 @@ class TestRobinson:
             m = int(rng.integers(2, 6))
             P = shifted_problem(rng, n, m, int(rng.integers(2, m + 1)))
             x = np.zeros(n)
-            v = check_robinson(P, x, seed=case)
+            v = check_robinson(feasibility_data(P, x))
             assert v.status in (CqStatus.HOLDS_CERTIFIED, CqStatus.FAILS), \
                 (case, v.log)
             if v.status == CqStatus.FAILS:
@@ -609,6 +628,30 @@ class TestFeasibility:
     def test_clearly_infeasible(self):
         with pytest.raises(InfeasiblePointError):
             feasibility_data(scalar2_problem(), np.array([-1.0]))
+
+    def test_point_data_is_read_only(self):
+        x = np.zeros(3)
+        fd = feasibility_data(fullmat_problem(), x)
+        for arr in (fd.x, fd.W, fd.Wc, fd.Heq):
+            assert not arr.flags.writeable
+        assert x.flags.writeable
+
+    def test_analysis_builds_point_data_once(self, monkeypatch):
+        # one build is shared by the six checkers and one is the feasibility
+        # gate of run_penalty; the modules bind the function by name
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return feasibility_data(*args, **kwargs)
+
+        for mod in (nsdpcq.cqcheck, nsdpcq.sparse, nsdpcq.penalty,
+                    nsdpcq.report):
+            monkeypatch.setattr(mod, "feasibility_data", counted)
+        for ent in corpus_entries():
+            calls.clear()
+            analyze_problem(ent.problem, np.array(ent.point))
+            assert len(calls) == 2, (ent.id, calls)
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +709,14 @@ class TestKkt:
         assert cert.is_valid(tol=1e-8)
 
     def test_find_multiplier_diag3(self):
-        cert = find_multiplier(diag3_problem(), np.zeros(3))
+        cert = find_multiplier(feasibility_data(diag3_problem(), np.zeros(3)))
         assert cert.stationarity_residual <= 1e-8
         assert cert.psd_defect <= 1e-10
         assert np.allclose(cert.multiplier.a, np.eye(3), atol=1e-7)
 
     def test_find_multiplier_fullmat(self):
-        cert = find_multiplier(fullmat_problem(), np.zeros(3))
+        cert = find_multiplier(
+            feasibility_data(fullmat_problem(), np.zeros(3)))
         assert cert.stationarity_residual <= 1e-8
         assert np.allclose(cert.multiplier.a, np.eye(2), atol=1e-7)
 
@@ -680,12 +724,13 @@ class TestKkt:
         # f = x2, G = [x1], h = x1 - x2: stationarity needs Y = [1], mu = -1
         G = MatrixPoly(1, 2, {(0, 0): xv(2, 0)})
         P = NsdpProblem(2, xv(2, 1), G, equalities=[xv(2, 0) - xv(2, 1)])
-        cert = find_multiplier(P, np.zeros(2))
+        cert = find_multiplier(feasibility_data(P, np.zeros(2)))
         assert cert.stationarity_residual <= 1e-8
         assert cert.multiplier.a[0, 0] == pytest.approx(1.0, abs=1e-7)
         assert cert.equality_multipliers[0] == pytest.approx(-1.0, abs=1e-7)
 
     def test_find_multiplier_interior_stationary(self):
-        cert = find_multiplier(interior_problem(), np.zeros(2))
+        cert = find_multiplier(
+            feasibility_data(interior_problem(), np.zeros(2)))
         assert cert.stationarity_residual <= 1e-12
         assert cert.is_valid(tol=1e-10)

@@ -28,11 +28,12 @@ from test_cqcheck import (
     xv,
 )
 
-from nsdpcq.cqcheck import CqStatus, entry_gradient, li_test
+from nsdpcq.cqcheck import CqStatus, entry_gradient, feasibility_data, li_test
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.penalty import (
     PenaltyConfig,
+    _probe_traces,
     default_trace_family,
     extract_eigbasis_sequence,
     gradient_noise_floor,
@@ -438,7 +439,8 @@ class TestWeakNdgProbe:
     def test_diag3_holds_sampled(self):
         P = diag3_problem()
         traces = family_for(P, [0.0] * 3)
-        results, verdict = probe_weak_ndg(P, [0.0] * 3, traces)
+        results, verdict = probe_weak_ndg(feasibility_data(P, [0.0] * 3),
+                                          traces)
         assert verdict.status == CqStatus.HOLDS_SAMPLED
         assert verdict.samples == 8
         G0 = P.constraint_value([0.0] * 3)
@@ -453,7 +455,8 @@ class TestWeakNdgProbe:
     def test_facial_fails_with_exhausted_search(self):
         P = facial_problem()
         traces = family_for(P, [1.0, 0.0])
-        results, verdict = probe_weak_ndg(P, [1.0, 0.0], traces)
+        results, verdict = probe_weak_ndg(feasibility_data(P, [1.0, 0.0]),
+                                          traces)
         assert verdict.status == CqStatus.FAILS
         assert verdict.witness["trace"] in {r.trace_id for r in results}
         failing = next(r for r in results if not r.passed)
@@ -461,7 +464,8 @@ class TestWeakNdgProbe:
 
     def test_scalar2_dimension_bound(self):
         P = scalar2_problem()
-        results, verdict = probe_weak_ndg(P, [0.0], family_for(P, [0.0]))
+        results, verdict = probe_weak_ndg(feasibility_data(P, [0.0]),
+                                          family_for(P, [0.0]))
         assert results == []
         assert verdict.status == CqStatus.FAILS
         assert "dimension" in verdict.reason
@@ -469,7 +473,8 @@ class TestWeakNdgProbe:
     def test_offdiag_needs_rotated_limit(self):
         P = offdiag_problem()
         traces = family_for(P, [0.0, 0.0])
-        results, verdict = probe_weak_ndg(P, [0.0, 0.0], traces)
+        results, verdict = probe_weak_ndg(feasibility_data(P, [0.0, 0.0]),
+                                          traces)
         assert verdict.status == CqStatus.HOLDS_SAMPLED
         # every limit basis carries an independent diagonal family; the
         # generic rays converge with the mixing eigenvectors, which have
@@ -491,7 +496,8 @@ class TestWeakNdgProbe:
         # cluster rotation finds the mixing basis
         P = offdiag_problem()
         trace = make_path_trace(P, [0.0, 0.0], [1.0, 0.0], trace_id="deg")
-        results, verdict = probe_weak_ndg(P, [0.0, 0.0], [trace])
+        results, verdict = probe_weak_ndg(feasibility_data(P, [0.0, 0.0]),
+                                          [trace])
         assert verdict.status == CqStatus.HOLDS_SAMPLED
         assert results[0].passed
         assert not results[0].exhaustive
@@ -500,12 +506,13 @@ class TestWeakNdgProbe:
     def test_block_and_full_problems_hold(self):
         for P, anchor in [(fullmat_problem(), [0.0] * 3),
                           (block2_problem(), [0.0] * 3)]:
-            _, verdict = probe_weak_ndg(P, anchor, family_for(P, anchor))
+            _, verdict = probe_weak_ndg(feasibility_data(P, anchor),
+                                        family_for(P, anchor))
             assert verdict.status == CqStatus.HOLDS_SAMPLED
 
     def test_interior_trivial(self):
         P = interior_problem()
-        results, verdict = probe_weak_ndg(P, [0.0, 0.0], [])
+        results, verdict = probe_weak_ndg(feasibility_data(P, [0.0, 0.0]), [])
         assert results == []
         assert verdict.status == CqStatus.HOLDS_CERTIFIED
 
@@ -513,32 +520,34 @@ class TestWeakNdgProbe:
         P = offdiag_problem()
         trace = make_path_trace(P, [0.5, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError):
-            probe_weak_ndg(P, [0.0, 0.0], [trace])
+            probe_weak_ndg(feasibility_data(P, [0.0, 0.0]), [trace])
 
 
 class TestWeakRobinsonProbe:
     def test_diag3_certified_by_diagonal_structure(self):
         P = diag3_problem()
         traces = family_for(P, [0.0] * 3)
-        verdict = probe_weak_robinson(P, [0.0] * 3, traces)
+        pd = feasibility_data(P, [0.0] * 3)
+        verdict = probe_weak_robinson(pd, traces)
         assert verdict.status == CqStatus.HOLDS_CERTIFIED
-        sampled = probe_weak_robinson(P, [0.0] * 3, traces,
-                                      use_shortcuts=False)
-        assert sampled.status == CqStatus.HOLDS_SAMPLED
+        # the sequence route, which the diagonal shortcut skips, agrees
+        results, _ = _probe_traces(pd, traces, 100, 0, positive=True)
+        assert len(results) == 8 and all(r.passed for r in results)
 
     def test_scalar2_positive_independence(self):
         # both active gradients equal 1, so no convex combination
         # vanishes even though they are linearly dependent
         P = scalar2_problem()
-        verdict = probe_weak_robinson(P, [0.0], family_for(P, [0.0]))
+        pd = feasibility_data(P, [0.0])
+        traces = family_for(P, [0.0])
+        verdict = probe_weak_robinson(pd, traces)
         assert verdict.status == CqStatus.HOLDS_CERTIFIED
-        sampled = probe_weak_robinson(P, [0.0], family_for(P, [0.0]),
-                                      use_shortcuts=False)
-        assert sampled.status == CqStatus.HOLDS_SAMPLED
+        results, _ = _probe_traces(pd, traces, 100, 0, positive=True)
+        assert len(results) == 8 and all(r.passed for r in results)
 
     def test_facial_fails(self):
         P = facial_problem()
-        verdict = probe_weak_robinson(P, [1.0, 0.0],
+        verdict = probe_weak_robinson(feasibility_data(P, [1.0, 0.0]),
                                       family_for(P, [1.0, 0.0]))
         assert verdict.status == CqStatus.FAILS
 
@@ -547,9 +556,8 @@ class TestWeakRobinsonProbe:
                           (fullmat_problem(), [0.0] * 3),
                           (block2_problem(), [0.0] * 3)]:
             traces = family_for(P, anchor)
-            _, ndg = probe_weak_ndg(P, anchor, traces)
-            rob = probe_weak_robinson(P, anchor, traces,
-                                      use_shortcuts=False)
+            _, ndg = probe_weak_ndg(feasibility_data(P, anchor), traces)
+            rob = probe_weak_robinson(feasibility_data(P, anchor), traces)
             assert ndg.holds
             assert rob.holds
 
@@ -566,5 +574,6 @@ class TestWeakRobinsonProbe:
             grads = [entry_gradient(P, anchor, np.eye(P.m)[:, i])
                      for i in active]
             licq = li_test(grads).independent
-            _, verdict = probe_weak_ndg(P, anchor, family_for(P, anchor))
+            _, verdict = probe_weak_ndg(feasibility_data(P, anchor),
+                                        family_for(P, anchor))
             assert verdict.holds == licq, P.name

@@ -157,20 +157,20 @@ class TestHatMap:
 class TestTildeMap:
     def test_partially_active_diagonal_pattern(self):
         P = diag2_problem()
-        tm = tilde_map(P, [1.0, 0.0])
+        tm = tilde_map(feasibility_data(P, [1.0, 0.0]))
         assert tm.pattern.source == "sampled"
         assert tm.pattern.sorted_pairs() == [(1, 1)]
 
     def test_vanishes_at_anchor(self):
         for P, x in [(diag2_problem(), [1.0, 0.0]),
                      (facial_problem(), [1.0, 0.0])]:
-            tm = tilde_map(P, x)
+            tm = tilde_map(feasibility_data(P, x))
             val = tm.evaluate(x)
             assert np.max(np.abs(val.a)) < 1e-8
 
     def test_zero_rank_reduces_to_constraint(self):
         P = offdiag_problem()
-        tm = tilde_map(P, [0.0, 0.0])
+        tm = tilde_map(feasibility_data(P, [0.0, 0.0]))
         assert tm.pattern.source == "exact"
         assert tm.pattern.sorted_pairs() == [(0, 0), (0, 1), (1, 1)]
         x = np.array([0.2, -0.5])
@@ -185,7 +185,7 @@ class TestTildeMap:
         for P, x in [(diag2_problem(), [1.0, 0.0]),
                      (facial_problem(), [1.0, 0.0])]:
             x = np.asarray(x, dtype=float)
-            tm = tilde_map(P, x)
+            tm = tilde_map(feasibility_data(P, x))
             agree = 0
             for _ in range(100):
                 g = rng.standard_normal(P.n)
@@ -216,20 +216,20 @@ def replay_sparse_witness(P, x, witness):
 class TestSparseNdg:
     def test_diag3_holds(self):
         P = diag3_problem()
-        v = check_sparse_ndg(P, [0.0, 0.0, 0.0])
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.witness["pattern"] == [(0, 0), (1, 1), (2, 2)]
         replay_sparse_witness(P, [0.0, 0.0, 0.0], v.witness)
 
     def test_fullmat_holds_full_pattern(self):
         P = fullmat_problem()
-        v = check_sparse_ndg(P, [0.0, 0.0, 0.0])
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.witness["cardinality"] == 3
         replay_sparse_witness(P, [0.0, 0.0, 0.0], v.witness)
 
     def test_interior_trivial(self):
-        v = check_sparse_ndg(interior_problem(), [0.0, 0.0])
+        v = check_sparse_ndg(feasibility_data(interior_problem(), [0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.witness is None
 
@@ -237,7 +237,7 @@ class TestSparseNdg:
         # nondegeneracy fails here, but the rotated basis shrinks the
         # pattern to two diagonal entries with independent gradients
         P = offdiag_problem()
-        v = check_sparse_ndg(P, [0.0, 0.0], bases=20, seed=0)
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]), bases=20, seed=0)
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.witness["pattern"] == [(0, 0), (1, 1)]
         replay_sparse_witness(P, [0.0, 0.0], v.witness)
@@ -247,7 +247,8 @@ class TestSparseNdg:
 
     def test_block2_holds_block_aligned(self):
         P = block2_problem()
-        v = check_sparse_ndg(P, [0.0, 0.0, 0.0], bases=20, seed=0)
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0, 0.0]), bases=20,
+                             seed=0)
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.witness["provenance"] == "block-aligned"
         assert v.witness["pattern"] == [(0, 0), (1, 1), (2, 2)]
@@ -255,7 +256,7 @@ class TestSparseNdg:
 
     def test_scalar2_fails_diagonal_route(self):
         P = scalar2_problem()
-        v = check_sparse_ndg(P, [0.0])
+        v = check_sparse_ndg(feasibility_data(P, [0.0]))
         assert v.status == CqStatus.FAILS
         assert "diagonal" in v.reason
         c = np.asarray(v.witness["coeffs"])
@@ -264,7 +265,7 @@ class TestSparseNdg:
 
     def test_facial_fails_null_diagonal_route(self):
         P = facial_problem()
-        v = check_sparse_ndg(P, [1.0, 0.0])
+        v = check_sparse_ndg(feasibility_data(P, [1.0, 0.0]))
         assert v.status == CqStatus.FAILS
         Y = np.asarray(v.witness["multiplier"])
         # the witness multiplier annihilates the adjoint identically and
@@ -278,7 +279,7 @@ class TestSparseNdg:
         G = MatrixPoly(2, 1, {(0, 0): xv(1, 0), (0, 1): xv(1, 0),
                               (1, 1): xv(1, 0)})
         P = NsdpProblem(n=1, objective=xv(1, 0), constraint=G, name="thin")
-        v = check_sparse_ndg(P, [0.0])
+        v = check_sparse_ndg(feasibility_data(P, [0.0]))
         assert v.status == CqStatus.FAILS
         assert "dimension" in v.reason
         c = np.asarray(v.witness["coeffs"])
@@ -292,7 +293,7 @@ class TestSparseNdg:
         G = MatrixPoly(2, 2, {(0, 0): xv(2, 0), (0, 1): xv(2, 1),
                               (1, 1): Poly(2, [(1.0, (2, 0))])})
         P = NsdpProblem(n=2, objective=xv(2, 0), constraint=G, name="quadcorner")
-        v = check_sparse_ndg(P, [0.0, 0.0], bases=20, seed=0)
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]), bases=20, seed=0)
         assert v.status == CqStatus.FAILS
         assert "Robinson" in v.reason
         assert v.witness is not None
@@ -304,39 +305,26 @@ class TestSparseNdg:
         G = MatrixPoly(2, 2, {(0, 0): xv(2, 0), (0, 1): xv(2, 1),
                               (1, 1): xv(2, 0, 2.0)})
         P = NsdpProblem(n=2, objective=xv(2, 0), constraint=G, name="stuck")
-        v = check_sparse_ndg(P, [0.0, 0.0], bases=20, seed=0)
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]), bases=20, seed=0)
         assert v.status == CqStatus.UNDETERMINED
 
     def test_infeasible_point_raises(self):
         with pytest.raises(InfeasiblePointError):
-            check_sparse_ndg(diag3_problem(), [-1.0, 0.0, 0.0])
-
-    def test_experimental_flag_logs_only(self):
-        P = diag3_problem()
-        base = check_sparse_ndg(P, [0.0, 0.0, 0.0])
-        flagged = check_sparse_ndg(P, [0.0, 0.0, 0.0], sparse_robinson=True)
-        assert flagged.status == base.status
-        assert any("experimental" in line for line in flagged.log)
-        assert not any("experimental" in line for line in base.log)
-
-    def test_experimental_flag_on_rotated_witness(self):
-        v = check_sparse_ndg(offdiag_problem(), [0.0, 0.0], bases=20,
-                             sparse_robinson=True)
-        assert v.status == CqStatus.HOLDS_CERTIFIED
-        assert any("experimental" in line and "holds" in line
-                   for line in v.log)
+            check_sparse_ndg(
+                feasibility_data(diag3_problem(), [-1.0, 0.0, 0.0]))
 
 
 class TestMultifold:
     def test_block2_union_family(self):
         P = block2_problem()
-        v = check_sparse_ndg_multifold(P, [0.0, 0.0, 0.0], bases=20)
+        v = check_sparse_ndg_multifold(feasibility_data(P, [0.0, 0.0, 0.0]),
+                                       bases=20)
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert "union" in v.reason
 
     def test_single_block_delegates(self):
-        v = check_sparse_ndg_multifold(offdiag_problem(), [0.0, 0.0],
-                                       bases=20)
+        v = check_sparse_ndg_multifold(
+            feasibility_data(offdiag_problem(), [0.0, 0.0]), bases=20)
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_agrees_with_assembled_on_random_block_diagonals(self):
@@ -357,15 +345,16 @@ class TestMultifold:
             P = NsdpProblem(n=n, objective=Poly.zero(n), constraint=G,
                             name=f"bd{trial}")
             x = np.zeros(n)
-            a = check_sparse_ndg(P, x, bases=10, seed=trial)
-            b = check_sparse_ndg_multifold(P, x, bases=10, seed=trial)
+            a = check_sparse_ndg(feasibility_data(P, x), bases=10, seed=trial)
+            b = check_sparse_ndg_multifold(feasibility_data(P, x), bases=10,
+                                           seed=trial)
             assert a.status == b.status, (trial, a.reason, b.reason)
 
 
 class TestForsgren:
     def test_facial_fails_injectivity(self):
         P = facial_problem()
-        v = check_forsgren(P, [1.0, 0.0])
+        v = check_forsgren(feasibility_data(P, [1.0, 0.0]))
         assert v.status == CqStatus.FAILS
         assert "injective" in v.reason
         assert v.witness["image_norm"] < 1e-10
@@ -376,7 +365,7 @@ class TestForsgren:
         # for U = I the pattern subspace is all of S^2 and the condition
         # collapses to nondegeneracy; the witness is (E11 - E22)/sqrt(2)
         P = offdiag_problem()
-        v = check_forsgren(P, [0.0, 0.0], U=np.eye(2))
+        v = check_forsgren(feasibility_data(P, [0.0, 0.0]), U=np.eye(2))
         assert v.status == CqStatus.FAILS
         M = np.abs(np.asarray(v.witness["matrix"]))
         want = np.array([[RT2, 0.0], [0.0, RT2]])
@@ -384,12 +373,13 @@ class TestForsgren:
         assert v.witness["image_norm"] < 1e-7
 
     def test_diag3_holds(self):
-        v = check_forsgren(diag3_problem(), [0.0, 0.0, 0.0])
+        v = check_forsgren(feasibility_data(diag3_problem(), [0.0, 0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.witness["lambda_min"] > 0.0
 
     def test_fullmat_holds(self):
-        v = check_forsgren(fullmat_problem(), [0.0, 0.0, 0.0])
+        v = check_forsgren(
+            feasibility_data(fullmat_problem(), [0.0, 0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         # the search stops at the first comfortably positive element, so
         # only strict positivity of the witness is guaranteed
@@ -399,15 +389,16 @@ class TestForsgren:
         assert lam.min() == pytest.approx(v.witness["lambda_min"], abs=1e-10)
 
     def test_scalar2_fails(self):
-        v = check_forsgren(scalar2_problem(), [0.0])
+        v = check_forsgren(feasibility_data(scalar2_problem(), [0.0]))
         assert v.status == CqStatus.FAILS
 
     def test_block2_fails(self):
-        v = check_forsgren(block2_problem(), [0.0, 0.0, 0.0], U=np.eye(3))
+        v = check_forsgren(feasibility_data(block2_problem(), [0.0, 0.0, 0.0]),
+                           U=np.eye(3))
         assert v.status == CqStatus.FAILS
 
     def test_interior_trivial(self):
-        v = check_forsgren(interior_problem(), [0.0, 0.0])
+        v = check_forsgren(feasibility_data(interior_problem(), [0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.reason == "trivial kernel"
 
@@ -417,7 +408,7 @@ class TestForsgren:
         # holds but no positive definite element can exist
         G = MatrixPoly(3, 2, {(0, 0): xv(2, 0), (1, 2): xv(2, 1)})
         P = NsdpProblem(n=2, objective=xv(2, 0), constraint=G, name="offker")
-        v = check_forsgren(P, [1.0, 0.0])
+        v = check_forsgren(feasibility_data(P, [1.0, 0.0]))
         assert v.status == CqStatus.FAILS
         assert "positive definite" in v.reason
         assert v.witness["vanishing_diagonal"] == [0, 1]
@@ -425,13 +416,13 @@ class TestForsgren:
     def test_supplied_diagonalizer_is_validated(self):
         P = diag2_problem()
         with pytest.raises(ValueError):
-            check_forsgren(P, [1.0, 0.0], U=np.eye(3))
+            check_forsgren(feasibility_data(P, [1.0, 0.0]), U=np.eye(3))
         with pytest.raises(ValueError):
-            check_forsgren(P, [1.0, 0.0], U=2.0 * np.eye(2))
+            check_forsgren(feasibility_data(P, [1.0, 0.0]), U=2.0 * np.eye(2))
         c, s = np.cos(0.5), np.sin(0.5)
         R = np.array([[c, -s], [s, c]])
         with pytest.raises(ValueError):
-            check_forsgren(P, [1.0, 0.0], U=R)
+            check_forsgren(feasibility_data(P, [1.0, 0.0]), U=R)
 
     def test_rotation_of_degenerate_block_accepted(self):
         # rotating within the kernel block still diagonalizes G(x), and
@@ -439,7 +430,7 @@ class TestForsgren:
         P = offdiag_problem()
         c, s = np.cos(0.3), np.sin(0.3)
         R = np.array([[c, -s], [s, c]])
-        v = check_forsgren(P, [0.0, 0.0], U=R)
+        v = check_forsgren(feasibility_data(P, [0.0, 0.0]), U=R)
         assert v.status == CqStatus.FAILS
 
 
@@ -464,7 +455,7 @@ class TestFacialReduce:
     def test_facial_reduced_kkt(self):
         # the reduced problem has an exact KKT point at the anchor
         fr = facial_reduce(facial_problem(), [1.0, 0.0])
-        cert = find_multiplier(fr.reduced_problem, [1.0, 0.0])
+        cert = find_multiplier(feasibility_data(fr.reduced_problem, [1.0, 0.0]))
         assert cert.stationarity_residual <= 1e-8
         assert abs(cert.equality_multipliers[0] - 1.0) < 1e-8
 
@@ -527,20 +518,21 @@ class TestFacialReduce:
 
 class TestCardInvariance:
     def test_fullmat_consistent(self):
-        rep = sparse_card_invariance(fullmat_problem(), [0.0, 0.0, 0.0],
-                                     trials=30)
+        rep = sparse_card_invariance(
+            feasibility_data(fullmat_problem(), [0.0, 0.0, 0.0]), trials=30)
         assert rep["consistent"]
         assert rep["cardinalities"] == [3]
         assert rep["passing"] >= 25
 
     def test_diag3_consistent(self):
-        rep = sparse_card_invariance(diag3_problem(), [0.0, 0.0, 0.0],
-                                     trials=30)
+        rep = sparse_card_invariance(
+            feasibility_data(diag3_problem(), [0.0, 0.0, 0.0]), trials=30)
         assert rep["consistent"]
         assert 3 in rep["cardinalities"]
 
     def test_trivial_kernel(self):
-        rep = sparse_card_invariance(interior_problem(), [0.0, 0.0])
+        rep = sparse_card_invariance(
+            feasibility_data(interior_problem(), [0.0, 0.0]))
         assert rep["passing"] == 0
         assert rep["consistent"]
 
@@ -552,6 +544,6 @@ class TestCardInvariance:
             P = NsdpProblem(n=n, objective=Poly.zero(n),
                             constraint=MatrixPoly(2, n, entries),
                             name=f"ci{trial}")
-            rep = sparse_card_invariance(P, np.zeros(n), trials=20,
-                                         seed=trial)
+            rep = sparse_card_invariance(feasibility_data(P, np.zeros(n)),
+                                         trials=20, seed=trial)
             assert rep["consistent"], rep
