@@ -115,7 +115,7 @@ def entries() -> List[CorpusEntry]:
             point=(0.0, 0.0),
             expected={"nondegeneracy": _F, "robinson": _HC,
                       "sparse_ndg": _HC, "forsgren": _F,
-                      "weak_ndg_probe": _HS, "weak_robinson_probe": _HS},
+                      "weak_ndg_probe": _HS, "weak_robinson_probe": _HC},
             source="x1 on the diagonal, x2 off it; fixed-basis checks "
                    "fail, the mixing eigenbasis diagonalizes the "
                    "constraint to x1 -+ x2"),
@@ -133,7 +133,7 @@ def entries() -> List[CorpusEntry]:
             point=(0.0, 0.0, 0.0),
             expected={"nondegeneracy": _HC, "robinson": _HC,
                       "sparse_ndg": _HC, "forsgren": _HC,
-                      "weak_ndg_probe": _HS, "weak_robinson_probe": _HS},
+                      "weak_ndg_probe": _HC, "weak_robinson_probe": _HC},
             source="dense upper triangle with one variable per entry, "
                    "the regular case"),
         CorpusEntry(
@@ -142,7 +142,7 @@ def entries() -> List[CorpusEntry]:
             point=(0.0, 0.0, 0.0),
             expected={"nondegeneracy": _F, "robinson": _HC,
                       "sparse_ndg": _HC, "forsgren": _F,
-                      "weak_ndg_probe": _HS, "weak_robinson_probe": _HS},
+                      "weak_ndg_probe": _HS, "weak_robinson_probe": _HC},
             source="two diagonal blocks sharing a variable; per-block "
                    "bases assemble a certificate the full-basis test "
                    "cannot"),

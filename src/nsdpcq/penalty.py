@@ -14,7 +14,11 @@ diagonal gradient family is (positively) independent.  The universal
 quantifier is approximated by a finite family of traces, and the verdict
 semantics say so: a passing probe reports HoldsSampled, never a
 certificate, while Fails is only produced from a trace with no remaining
-basis freedom.
+basis freedom.  The routes that need no sequence (weak_ndg_exact,
+weak_robinson_exact) are split out so that an analysis can try them, and
+a certified upstream condition, before it builds any trace: report.py
+certifies a probe whose nondegeneracy or Robinson counterpart is
+certified and calls default_trace_family only for a probe left open.
 
 Each level is solved to a gradient tolerance that grows with rho up to a
 cap, but never below the gradient's own rounding error at the level's
@@ -768,6 +772,45 @@ def _trivial_kernel_verdict(pd: PointData) -> CqVerdict:
                      witness={"sigma_min": res.sigma_min})
 
 
+def weak_ndg_exact(pd: PointData) -> Optional[CqVerdict]:
+    """Weak nondegeneracy where no sequence is needed: a trivial kernel,
+    or more gradients than the space has dimensions.  None otherwise."""
+    k = pd.kernel.nullity
+    ne = pd.Heq.shape[0]
+    if k == 0:
+        return _trivial_kernel_verdict(pd)
+    if pd.P.n < k + ne:
+        return CqVerdict(
+            CqStatus.FAILS,
+            reason=f"any admissible basis needs {k + ne} independent "
+                   f"gradients but the space has dimension {pd.P.n}")
+    return None
+
+
+def weak_robinson_exact(pd: PointData) -> Optional[CqVerdict]:
+    """Weak Robinson where no sequence is needed: a trivial kernel, or a
+    structurally diagonal constraint, where the condition is equivalent
+    to positive independence of the active diagonal gradients.  None
+    otherwise."""
+    if pd.kernel.nullity == 0:
+        return _trivial_kernel_verdict(pd)
+    if not structurally_diagonal(pd.P):
+        return None
+    res = pli_test(np.diagonal(pd.Wc, axis1=1, axis2=2).T,
+                   free_vectors=list(pd.Heq))
+    if res.pos_independent:
+        return CqVerdict(
+            CqStatus.HOLDS_CERTIFIED,
+            reason="diagonal constraint, active gradients positively "
+                   "independent",
+            witness={"margin": res.margin})
+    return CqVerdict(
+        CqStatus.FAILS,
+        reason="diagonal constraint, active gradients positively "
+               "dependent",
+        witness={"alpha": res.alpha, "free_coeffs": res.free_coeffs})
+
+
 def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
                    rotations: int = 100, seed: int = 0
                    ) -> Tuple[List[SequenceProbeResult], CqVerdict]:
@@ -779,15 +822,9 @@ def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
     failing trace with no cluster freedom is a genuine witness and gives
     Fails; the kernel-dimension bound fails the condition outright.
     """
-    k = pd.kernel.nullity
-    ne = pd.Heq.shape[0]
-    if k == 0:
-        return [], _trivial_kernel_verdict(pd)
-    if pd.P.n < k + ne:
-        return [], CqVerdict(
-            CqStatus.FAILS,
-            reason=f"any admissible basis needs {k + ne} independent "
-                   f"gradients but the space has dimension {pd.P.n}")
+    exact = weak_ndg_exact(pd)
+    if exact is not None:
+        return [], exact
     if not traces:
         return [], CqVerdict(CqStatus.UNDETERMINED,
                              reason="no admissible traces supplied")
@@ -821,22 +858,9 @@ def probe_weak_robinson(pd: PointData, traces: Sequence[PenaltyTrace],
     independence of the active diagonal gradients, so it is decided
     exactly.
     """
-    if pd.kernel.nullity == 0:
-        return _trivial_kernel_verdict(pd)
-    if structurally_diagonal(pd.P):
-        res = pli_test(np.diagonal(pd.Wc, axis1=1, axis2=2).T,
-                       free_vectors=list(pd.Heq))
-        if res.pos_independent:
-            return CqVerdict(
-                CqStatus.HOLDS_CERTIFIED,
-                reason="diagonal constraint, active gradients positively "
-                       "independent",
-                witness={"margin": res.margin})
-        return CqVerdict(
-            CqStatus.FAILS,
-            reason="diagonal constraint, active gradients positively "
-                   "dependent",
-            witness={"alpha": res.alpha, "free_coeffs": res.free_coeffs})
+    exact = weak_robinson_exact(pd)
+    if exact is not None:
+        return exact
     if not traces:
         return CqVerdict(CqStatus.UNDETERMINED,
                          reason="no admissible traces supplied")

@@ -1,7 +1,20 @@
 """Analysis reports: run every checker at a point and merge the verdicts.
 
 The report carries one verdict per condition plus the witnesses, the
-spectral data of G at the point, and per-checker timing.  Two self-audit
+spectral data of G at the point, and per-checker timing.
+
+Nondegeneracy and Robinson are decided first.  Each weak probe then
+tries its exact routes (trivial kernel, dimension bound, diagonal
+constraint); where none applies, a certified upstream condition decides
+it: nondegeneracy holds iff the diagonal gradient family is independent
+for every kernel basis, weak nondegeneracy asks it only for the bases
+that arise as sequence limits, and Robinson relates to weak Robinson in
+the same way with positive independence.  Such an implied verdict is
+HoldsCertified and its witness names the upstream checker and carries
+that checker's witness, so it replays from the report alone.  Only
+certified holds propagate, and only along these two edges.  The
+sequence family is built once, and only when a probe is still open
+after that.  Two self-audit
 passes run on the merged verdicts: the implication structure between the
 conditions (a holds-verdict upstream of a failure downstream indicates a
 numerics problem) and the open relation between the Robinson condition
@@ -19,6 +32,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .cqcheck import (
+    CqStatus,
     CqVerdict,
     check_nondegeneracy,
     check_robinson,
@@ -30,6 +44,8 @@ from .penalty import (
     default_trace_family,
     probe_weak_ndg,
     probe_weak_robinson,
+    weak_ndg_exact,
+    weak_robinson_exact,
 )
 from .sparse import check_forsgren, check_sparse_ndg
 from .symmat import TAU_RANK
@@ -137,39 +153,68 @@ def separation_notes(verdicts: Dict[str, CqVerdict]) -> List[str]:
     return out
 
 
+def implied_verdict(upstream: str, v: CqVerdict) -> Optional[CqVerdict]:
+    """HoldsCertified for the weak form of a certified upstream condition,
+    None when the upstream verdict certifies nothing."""
+    if v.status is not CqStatus.HOLDS_CERTIFIED:
+        return None
+    return CqVerdict(CqStatus.HOLDS_CERTIFIED,
+                     reason=f"implied by {upstream}: {v.reason}",
+                     witness={"implied_by": upstream, "upstream": v.witness})
+
+
 def analyze_problem(P: NsdpProblem, point,
                     opts: AnalysisOptions = AnalysisOptions()
                     ) -> AnalysisReport:
-    """Run every checker on one shared point data, with a shared seed."""
+    """Run every checker on one shared point data, with a shared seed.
+
+    The checkers run in CHECKER_ORDER, so nondegeneracy and Robinson are
+    decided before the probes.  A probe left open by its exact routes is
+    HoldsCertified when its upstream condition is certified; otherwise
+    it runs on the trace family, which is built on first use and at most
+    once.  ``timing["traces"]`` is that build's time, 0.0 without one,
+    and no checker's timing includes it.
+    """
     x = np.asarray(point, dtype=float)
     pd = feasibility_data(P, x, opts.tol_rank)
-    cfg = PenaltyConfig(anchor=x, seed=opts.seed)
-    t0 = time.perf_counter()
-    traces = default_trace_family(P, cfg, opts.traces)
-    trace_time = time.perf_counter() - t0
+    verdicts: Dict[str, CqVerdict] = {}
+    timing = {"traces": 0.0}
+    family = []
 
-    def run(name: str):
-        start = time.perf_counter()
+    def traces():
+        if not family:
+            t0 = time.perf_counter()
+            family.append(default_trace_family(
+                P, PenaltyConfig(anchor=x, seed=opts.seed), opts.traces))
+            timing["traces"] = time.perf_counter() - t0
+        return family[0]
+
+    def run(name: str) -> CqVerdict:
         if name == "nondegeneracy":
-            v = check_nondegeneracy(pd)
-        elif name == "robinson":
-            v = check_robinson(pd)
-        elif name == "sparse_ndg":
-            v = check_sparse_ndg(pd, bases=opts.bases, seed=opts.seed)
-        elif name == "forsgren":
-            v = check_forsgren(pd)
-        elif name == "weak_ndg_probe":
-            _, v = probe_weak_ndg(pd, traces, rotations=opts.rotations,
-                                  seed=opts.seed)
-        else:
-            v = probe_weak_robinson(pd, traces, rotations=opts.rotations,
-                                    seed=opts.seed)
-        return name, v, time.perf_counter() - start
+            return check_nondegeneracy(pd)
+        if name == "robinson":
+            return check_robinson(pd)
+        if name == "sparse_ndg":
+            return check_sparse_ndg(pd, bases=opts.bases, seed=opts.seed)
+        if name == "forsgren":
+            return check_forsgren(pd)
+        if name == "weak_ndg_probe":
+            return (weak_ndg_exact(pd)
+                    or implied_verdict("nondegeneracy",
+                                       verdicts["nondegeneracy"])
+                    or probe_weak_ndg(pd, traces(), rotations=opts.rotations,
+                                      seed=opts.seed)[1])
+        return (weak_robinson_exact(pd)
+                or implied_verdict("robinson", verdicts["robinson"])
+                or probe_weak_robinson(pd, traces(), rotations=opts.rotations,
+                                       seed=opts.seed))
 
-    results = [run(name) for name in CHECKER_ORDER]
-    verdicts = {name: v for name, v, _ in results}
-    timing = {name: round(dt, 6) for name, _, dt in results}
-    timing["traces"] = round(trace_time, 6)
+    for name in CHECKER_ORDER:
+        start, built = time.perf_counter(), timing["traces"]
+        verdicts[name] = run(name)
+        timing[name] = round(time.perf_counter() - start
+                             - (timing["traces"] - built), 6)
+    timing["traces"] = round(timing.pop("traces"), 6)
     notes = lattice_warnings(verdicts) + separation_notes(verdicts)
     stamp = _dt.datetime.now(_dt.timezone.utc).isoformat() \
         if opts.timestamp else None

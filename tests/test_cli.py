@@ -26,6 +26,10 @@ class TestCorpusCommands:
         assert "diag3: ok" in out
         assert "1/1 entries match" in out
 
+    def test_run_every_entry(self, capsys):
+        assert cli.main(["corpus", "run", "--no-timestamp"]) == 0
+        assert "7/7 entries match" in capsys.readouterr().out
+
     def test_run_unknown_entry(self, capsys):
         assert cli.main(["corpus", "run", "--only", "nope"]) == 2
 
@@ -71,6 +75,15 @@ class TestAnalyze:
         assert "timestamp" in obj
         assert set(obj["timing"].keys()) >= {"nondegeneracy", "robinson",
                                              "traces"}
+
+    def test_certified_upstream_implies_both_probes(self, capsys):
+        assert cli.main(["analyze", "corpus:fullmat", "--no-timestamp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for probe, upstream in (("weak_ndg_probe", "nondegeneracy"),
+                                ("weak_robinson_probe", "robinson")):
+            line = next(ln for ln in lines if ln.split()[0] == probe)
+            assert "HoldsCertified" in line
+            assert f"(implied by {upstream}: " in line
 
     def test_malformed_file_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ dual multipliers, gradient families) and are frozen here as oracles.
 Witnesses returned with a Fails verdict are always replugged into the
 violated condition and must reproduce it within 1e-7.
 """
+import json
 import re
 
 import numpy as np
@@ -27,7 +28,13 @@ from nsdpcq.cqcheck import (
 from nsdpcq.errors import InfeasiblePointError
 from nsdpcq.lp import phase_one
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
-from nsdpcq.report import analyze_problem, lattice_warnings
+from nsdpcq.penalty import (
+    PenaltyConfig,
+    default_trace_family,
+    probe_weak_ndg,
+    probe_weak_robinson,
+)
+from nsdpcq.report import analyze_problem, lattice_warnings, report_json_text
 from nsdpcq.symmat import eigh, SymMat, random_rotation, rotate_basis
 from test_acceptance import shifted_problem, upper_family
 
@@ -165,6 +172,50 @@ DEGENERATE08_PROBLEM = {
                                    "e": [1, 0, 0]}]},
         {"i": 2, "j": 2, "poly": [{"c": 0.3933676821398368,
                                    "e": [1, 0, 0]}]},
+    ],
+}
+
+
+# The first rung of the benchmark ladder, (n, m, nullity) = (6, 4, 2).
+# Nondegeneracy and Robinson both hold at the origin.  At rho >= 1e11
+# the rounding error of the gradient exceeds the capped tolerance
+# schedule; without a floor at that error the 1e11 and 1e12 levels spend
+# thousands of line-search evaluations and end unconverged.
+LADDER_PROBLEM = {
+    "name": "ladder_n6_m4_k2", "n": 6, "m": 4,
+    "objective": [{"c": 1.0, "e": [1, 0, 0, 0, 0, 0]}],
+    "constraint": [
+        {"i": 0, "j": 0, "poly": [
+            {"c": 0.6519811769520883, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": 0.3032969872406851, "e": [1, 0, 0, 0, 0, 0]}]},
+        {"i": 0, "j": 1, "poly": [
+            {"c": -0.23082718481159248, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -0.5678497716419045, "e": [0, 0, 0, 0, 1, 0]}]},
+        {"i": 0, "j": 2, "poly": [
+            {"c": 0.36593277534623575, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -1.6347398711267278, "e": [0, 0, 0, 0, 1, 0]}]},
+        {"i": 0, "j": 3, "poly": [
+            {"c": -0.7230416880158826, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": 3.0373555713667533, "e": [0, 1, 0, 0, 0, 0]}]},
+        {"i": 1, "j": 1, "poly": [
+            {"c": 0.1273157816502305, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -0.1286408000612264, "e": [0, 0, 0, 0, 1, 0]},
+            {"c": -0.21809964313540206, "e": [0, 0, 0, 1, 0, 0]}]},
+        {"i": 1, "j": 2, "poly": [
+            {"c": 0.08026161135516523, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -1.1252810859487876, "e": [0, 0, 1, 0, 0, 0]}]},
+        {"i": 1, "j": 3, "poly": [
+            {"c": 0.394076742955696, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": 1.7072648272438213, "e": [1, 0, 0, 0, 0, 1]}]},
+        {"i": 2, "j": 2, "poly": [
+            {"c": 1.1709298109554265, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": 1.048772565797411, "e": [0, 0, 0, 1, 0, 0]}]},
+        {"i": 2, "j": 3, "poly": [
+            {"c": 0.22966054079912188, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -2.0343424408577815, "e": [1, 0, 0, 0, 0, 0]}]},
+        {"i": 3, "j": 3, "poly": [
+            {"c": 1.2200884926687954, "e": [0, 0, 0, 0, 0, 0]},
+            {"c": -0.6322168815768311, "e": [0, 1, 0, 0, 0, 0]}]},
     ],
 }
 
@@ -637,8 +688,10 @@ class TestFeasibility:
         assert x.flags.writeable
 
     def test_analysis_builds_point_data_once(self, monkeypatch):
-        # one build is shared by the six checkers and one is the feasibility
-        # gate of run_penalty; the modules bind the function by name
+        # one build is shared by the six checkers; a second one, the
+        # feasibility gate of run_penalty, happens only on entries whose
+        # probes need the trace family; the modules bind the function by name
+        untraced = {"interior", "scalar2", "fullmat"}
         calls = []
 
         def counted(*args, **kwargs):
@@ -651,7 +704,114 @@ class TestFeasibility:
         for ent in corpus_entries():
             calls.clear()
             analyze_problem(ent.problem, np.array(ent.point))
-            assert len(calls) == 2, (ent.id, calls)
+            assert len(calls) == (1 if ent.id in untraced else 2), \
+                (ent.id, calls)
+
+
+# ---------------------------------------------------------------------------
+# analysis routes: implied probe verdicts and the lazily built trace family
+
+
+PROBE_UPSTREAM = (("weak_ndg_probe", "nondegeneracy"),
+                  ("weak_robinson_probe", "robinson"))
+ROBINSON_PROBLEMS = {"fullmat": fullmat_problem, "offdiag": offdiag_problem,
+                     "block2": block2_problem,
+                     "ladder": lambda: NsdpProblem.from_json(LADDER_PROBLEM)}
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def implied_probes(rep):
+    return [probe for probe, _ in PROBE_UPSTREAM
+            if (rep.verdicts[probe].witness or {}).get("implied_by")]
+
+
+class TestImpliedProbes:
+    @pytest.mark.parametrize("name", ["fullmat", "ladder"])
+    def test_certified_upstream_builds_no_trace(self, monkeypatch, name):
+        P = ROBINSON_PROBLEMS[name]()
+        penalty_runs = count_calls(monkeypatch, nsdpcq.penalty,
+                                   "run_penalty")
+        paths = count_calls(monkeypatch, nsdpcq.penalty, "make_path_trace")
+        rep = analyze_problem(P, np.zeros(P.n))
+        assert penalty_runs == [] and paths == []
+        assert rep.timing["traces"] == 0.0
+        for probe, upstream in PROBE_UPSTREAM:
+            up, v = rep.verdicts[upstream], rep.verdicts[probe]
+            assert up.status is CqStatus.HOLDS_CERTIFIED
+            assert v.status is CqStatus.HOLDS_CERTIFIED
+            assert v.reason == f"implied by {upstream}: {up.reason}"
+            assert v.witness == {"implied_by": upstream,
+                                 "upstream": up.witness}
+
+    def test_family_built_once_for_open_probes(self, monkeypatch):
+        builds = count_calls(monkeypatch, nsdpcq.report,
+                             "default_trace_family")
+        # diag3: nondegeneracy fails, so weak nondegeneracy needs traces;
+        # weak Robinson keeps its exact diagonal route
+        rep = analyze_problem(diag3_problem(), np.zeros(3))
+        assert len(builds) == 1
+        assert rep.verdicts["weak_ndg_probe"].status is \
+            CqStatus.HOLDS_SAMPLED
+        assert rep.verdicts["weak_robinson_probe"].reason.startswith(
+            "diagonal constraint")
+        assert rep.timing["traces"] > 0.0
+        # facial: both upstream conditions fail and both probes share one
+        builds.clear()
+        rep = analyze_problem(facial_problem(), np.zeros(2))
+        assert len(builds) == 1
+        assert implied_probes(rep) == []
+
+    @pytest.mark.parametrize("name", sorted(ROBINSON_PROBLEMS))
+    def test_implied_weak_robinson_replays(self, name):
+        # lambda_min(G(x) + DG(x)[d]) > 0 for the upstream direction d,
+        # read from the JSON report alone
+        P = ROBINSON_PROBLEMS[name]()
+        x = np.zeros(P.n)
+        obj = json.loads(report_json_text(analyze_problem(P, x)))
+        v = obj["verdicts"]["weak_robinson_probe"]
+        assert v["status"] == "HoldsCertified"
+        assert v["witness"]["implied_by"] == "robinson"
+        assert v["witness"]["upstream"] == obj["witnesses"]["robinson"]
+        d = np.asarray(v["witness"]["upstream"]["direction"])
+        shifted = P.constraint_value(x).a + np.tensordot(
+            d, P.constraint_partials(x), axes=1)
+        assert eigh(SymMat.from_symmetric(shifted)).values[-1] > 0.0
+
+    def test_implied_verdicts_never_fail_on_traces(self):
+        # every probe the analysis decides by implication, called directly
+        # on the trace family, must not fail
+        rng = np.random.default_rng(44)
+        implied = 0
+        for case in range(40):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(2, 5))
+            P = shifted_problem(rng, n, m, int(rng.integers(1, min(3, m) + 1)))
+            x = np.zeros(n)
+            rep = analyze_problem(P, x)
+            probes = implied_probes(rep)
+            if not probes:
+                continue
+            implied += len(probes)
+            pd = feasibility_data(P, x)
+            traces = default_trace_family(P, PenaltyConfig(anchor=x))
+            direct = {"weak_ndg_probe": probe_weak_ndg(pd, traces)[1],
+                      "weak_robinson_probe": probe_weak_robinson(pd, traces)}
+            for probe in probes:
+                assert direct[probe].status is not CqStatus.FAILS, \
+                    (case, probe, direct[probe].reason)
+        assert implied >= 40
 
 
 # ---------------------------------------------------------------------------

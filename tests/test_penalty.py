@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from test_cqcheck import (
+    LADDER_PROBLEM,
     RANK0_PROBLEM,
     RT2,
     block2_problem,
@@ -67,49 +68,6 @@ def facial_origin_problem():
 def diag2_problem():
     G = MatrixPoly.diagonal([xv(2, 0), xv(2, 1)])
     return NsdpProblem(2, xv(2, 0) + xv(2, 1), G, name="diag2")
-
-
-# The first rung of the benchmark ladder, (n, m, nullity) = (6, 4, 2).
-# At rho >= 1e11 the rounding error of the gradient exceeds the capped
-# tolerance schedule; without a floor at that error the 1e11 and 1e12
-# levels spend thousands of line-search evaluations and end unconverged.
-LADDER_PROBLEM = {
-    "name": "ladder_n6_m4_k2", "n": 6, "m": 4,
-    "objective": [{"c": 1.0, "e": [1, 0, 0, 0, 0, 0]}],
-    "constraint": [
-        {"i": 0, "j": 0, "poly": [
-            {"c": 0.6519811769520883, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": 0.3032969872406851, "e": [1, 0, 0, 0, 0, 0]}]},
-        {"i": 0, "j": 1, "poly": [
-            {"c": -0.23082718481159248, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": -0.5678497716419045, "e": [0, 0, 0, 0, 1, 0]}]},
-        {"i": 0, "j": 2, "poly": [
-            {"c": 0.36593277534623575, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": -1.6347398711267278, "e": [0, 0, 0, 0, 1, 0]}]},
-        {"i": 0, "j": 3, "poly": [
-            {"c": -0.7230416880158826, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": 3.0373555713667533, "e": [0, 1, 0, 0, 0, 0]}]},
-        {"i": 1, "j": 1, "poly": [
-            {"c": 0.1273157816502305, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": -0.1286408000612264, "e": [0, 0, 0, 0, 1, 0]},
-            {"c": -0.21809964313540206, "e": [0, 0, 0, 1, 0, 0]}]},
-        {"i": 1, "j": 2, "poly": [
-            {"c": 0.08026161135516523, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": -1.1252810859487876, "e": [0, 0, 1, 0, 0, 0]}]},
-        {"i": 1, "j": 3, "poly": [
-            {"c": 0.394076742955696, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": 1.7072648272438213, "e": [1, 0, 0, 0, 0, 1]}]},
-        {"i": 2, "j": 2, "poly": [
-            {"c": 1.1709298109554265, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": 1.048772565797411, "e": [0, 0, 0, 1, 0, 0]}]},
-        {"i": 2, "j": 3, "poly": [
-            {"c": 0.22966054079912188, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": -2.0343424408577815, "e": [1, 0, 0, 0, 0, 0]}]},
-        {"i": 3, "j": 3, "poly": [
-            {"c": 1.2200884926687954, "e": [0, 0, 0, 0, 0, 0]},
-            {"c": -0.6322168815768311, "e": [0, 1, 0, 0, 0, 0]}]},
-    ],
-}
 
 
 class TestConfig:
