@@ -74,8 +74,8 @@ def _point_arg(args, P: NsdpProblem, default, what: str = "point"
 
 def _options(args) -> AnalysisOptions:
     return AnalysisOptions(
-        tol_rank=args.tol_rank, bases=args.bases,
-        traces=args.traces, rotations=args.rotations, seed=args.seed,
+        tol_rank=args.tol_rank, traces=args.traces,
+        rotations=args.rotations, seed=args.seed,
         timestamp=not args.no_timestamp)
 
 
@@ -188,13 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-rank", type=float, default=TAU_RANK,
                         help="relative eigenvalue threshold for rank "
                              "decisions (default 1e-8)")
-    common.add_argument("--bases", type=int, default=50,
-                        help="kernel bases tried by the sparse search")
     common.add_argument("--traces", type=int, default=8,
                         help="sequences per weak-condition probe")
     common.add_argument("--rotations", type=int, default=100,
                         help="cluster rotations per probed sequence")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed of the weak probes (random trace "
+                             "directions and cluster rotations); every "
+                             "other checker is deterministic")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit timestamp and timing from reports, "
                              "for byte-stable output")

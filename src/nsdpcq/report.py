@@ -69,7 +69,6 @@ IMPLICATIONS = (
 @dataclass(frozen=True)
 class AnalysisOptions:
     tol_rank: float = TAU_RANK
-    bases: int = 50
     traces: int = 8
     rotations: int = 100
     seed: int = 0
@@ -195,7 +194,7 @@ def analyze_problem(P: NsdpProblem, point,
         if name == "robinson":
             return check_robinson(pd)
         if name == "sparse_ndg":
-            return check_sparse_ndg(pd, bases=opts.bases, seed=opts.seed)
+            return check_sparse_ndg(pd)
         if name == "forsgren":
             return check_forsgren(pd)
         if name == "weak_ndg_probe":

@@ -13,9 +13,11 @@ A sparsity pattern of such a map is the set of entries that are not
 identically zero near the point; it defines the subspace of symmetric
 matrices supported on the pattern.  The checks:
 
-* sparse nondegeneracy: an existential search for a kernel basis whose
-  pattern-restricted gradient family is independent while every diagonal
-  entry of the compressed map stays structurally nonzero,
+* sparse nondegeneracy: a kernel basis whose pattern-restricted
+  gradient family is independent while every diagonal entry of the
+  compressed map stays structurally nonzero; one deterministic search
+  tries the fixed kernel basis, then the basis that jointly
+  diagonalizes the compressed coefficient stack by Jacobi sweeps,
 * Forsgren's condition (per diagonalizing matrix U): injectivity of the
   gradient pairing on the pattern subspace of Gtil compressed to the
   kernel, plus existence of a positive definite element there,
@@ -55,7 +57,6 @@ from .model import (
 from .symmat import (
     TAU_RANK,
     KernelBasis,
-    Provenance,
     SymMat,
     eigh,
     orthonormal_completion,
@@ -66,7 +67,9 @@ PATTERN_COEF_TOL = 1e-12     # coefficient threshold for congruence patterns
 TILDE_SAMPLES = 32
 TILDE_RADIUS = 1e-3
 TILDE_TOL = 1e-9
-GIVENS_STEPS = 50
+TILDE_SEED = 20              # generator seed of the Schur-map pattern samples
+JACOBI_SWEEPS = 50           # cap on the joint diagonalization's sweeps
+JACOBI_ANGLE_TOL = 1e-13     # a sweep turning no pair by more has converged
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +111,14 @@ class SparsityPattern:
 
     def cardinality(self) -> int:
         return len(self.index_set)
+
+    def provenance(self) -> dict:
+        """How membership was decided, for the witnesses resting on it."""
+        if self.source != "sampled":
+            return {"pattern_source": self.source}
+        return {"pattern_source": self.source,
+                "sample_points": self.sample_points,
+                "sample_tol": self.sample_tol}
 
 
 @dataclass
@@ -227,7 +238,7 @@ def tilde_map(pd: PointData) -> ReducedMap:
         half = np.linalg.solve(B, Pbar.T @ Gq)
         return Gq - (Gq @ Pbar) @ half
 
-    rng = np.random.default_rng(20)
+    rng = np.random.default_rng(TILDE_SEED)
     hits: Set[Tuple[int, int]] = set()
     used = 0
     for _ in range(TILDE_SAMPLES):
@@ -293,14 +304,12 @@ class _SearchContext:
         return [comp[:, i, j] for (i, j) in sorted(pairs)] + list(self.pd.Heq)
 
     def score(self, cols: np.ndarray):
-        """(diagonal hits, family sigma_min, success flag, pattern)."""
+        """(diagonal hits, success flag, pattern, family li_test)."""
         k = cols.shape[1]
-        Bs = self.compressed_stack(cols)
-        pairs = self.pattern_pairs(Bs)
+        pairs = self.pattern_pairs(self.compressed_stack(cols))
         hits = sum(1 for i in range(k) if (i, i) in pairs)
         li = li_test(self.family(cols, pairs))
-        success = hits == k and li.independent
-        return (hits, li.sigma_min), success, pairs, li
+        return hits, hits == k and li.independent, pairs, li
 
 
 def _cs_angle(Bs: np.ndarray, p: int, q: int) -> float:
@@ -325,72 +334,55 @@ def _cs_angle(Bs: np.ndarray, p: int, q: int) -> float:
     return 0.5 * np.arctan2(y / nrm, x / nrm)
 
 
-_PROBE_ANGLES = (np.pi / 4, -np.pi / 4, np.pi / 8, -np.pi / 8)
+def _joint_diagonalize(Bs: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Cyclic Jacobi sweeps jointly diagonalizing a symmetric stack.
 
-
-def _givens_refine(ctx: _SearchContext, E: KernelBasis,
-                   pairs: Sequence[Tuple[int, int]],
-                   steps: int = GIVENS_STEPS):
-    """Coordinate descent over Givens rotations of the basis columns.
-
-    At each step the closed-form angle and a few fixed probes are tried on
-    one column pair; a rotation is kept only when the lexicographic score
-    (diagonal pattern hits, then family sigma_min) strictly improves.
-    Returns the best basis found and its score data.
+    Every column pair is rotated by its closed-form angle (Cardoso &
+    Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).  Sweeps stop
+    when none turns a pair by more than JACOBI_ANGLE_TOL, or after
+    JACOBI_SWEEPS.  Returns the accumulated rotation C, so that C^T B_t C
+    is the diagonalized stack, and the number of sweeps run; a commuting
+    stack comes out diagonal to rounding level.
     """
-    k = E.nullity
+    Bs = np.array(Bs, dtype=float)
+    k = Bs.shape[1]
     C = np.eye(k)
-    best_cols = E.cols
-    best_score, success, best_pairs, best_li = ctx.score(best_cols)
-    if success or not pairs:
-        return best_cols, best_score, success, best_pairs, best_li
-    for step in range(steps):
-        p, q = pairs[step % len(pairs)]
-        Bs = ctx.compressed_stack(E.cols @ C)
-        theta = _cs_angle(Bs, p, q)
-        improved = False
-        for ang in (theta,) + _PROBE_ANGLES:
-            if abs(ang) < 1e-14:
-                continue
-            c, s = np.cos(ang), np.sin(ang)
-            Cn = C.copy()
-            cp = Cn[:, p].copy()
-            cq = Cn[:, q].copy()
-            Cn[:, p] = c * cp + s * cq
-            Cn[:, q] = -s * cp + c * cq
-            cols = E.cols @ Cn
-            score, succ, prs, li = ctx.score(cols)
-            if score > best_score:
-                C = Cn
-                best_cols, best_score = cols, score
-                success, best_pairs, best_li = succ, prs, li
-                improved = True
-                break
-        if success:
+    for sweeps in range(1, JACOBI_SWEEPS + 1):
+        turned = 0.0
+        for p in range(k):
+            for q in range(p + 1, k):
+                theta = _cs_angle(Bs, p, q)
+                turned = max(turned, abs(theta))
+                c, s = np.cos(theta), np.sin(theta)
+                R = np.array([[c, -s], [s, c]])
+                pq = [p, q]
+                C[:, pq] = C[:, pq] @ R
+                Bs[:, :, pq] = Bs[:, :, pq] @ R
+                Bs[:, pq, :] = R.T @ Bs[:, pq, :]
+        if turned <= JACOBI_ANGLE_TOL:
             break
-        if not improved and len(pairs) == 1:
-            break
-    return best_cols, best_score, success, best_pairs, best_li
+    return C, sweeps
 
 
-def _column_blocks(E: KernelBasis, partition: List[List[int]]) -> List[List[int]]:
-    """Group kernel columns by the constraint block carrying their support."""
-    owner = {}
-    for b, comp in enumerate(partition):
-        for i in comp:
-            owner[i] = b
-    groups: Dict[int, List[int]] = {}
-    for j in range(E.nullity):
-        col = E.cols[:, j]
-        rows = np.nonzero(np.abs(col) > 1e-10)[0]
-        blocks = {owner[int(r)] for r in rows}
-        b = min(blocks) if len(blocks) == 1 else -1
-        groups.setdefault(b, []).append(j)
-    return [sorted(v) for _, v in sorted(groups.items())]
+def _basis_search(ctx: _SearchContext, E0: KernelBasis, log: List[str]):
+    """Score the fixed kernel basis, else its joint diagonalization.
 
-
-def _all_pairs(k: int) -> List[Tuple[int, int]]:
-    return [(p, q) for p in range(k) for q in range(p + 1, k)]
+    The fixed basis is kept when it succeeds.  Otherwise the compressed
+    stack E0^T A_t E0 is jointly diagonalized and that one basis is
+    scored.  Returns (basis, provenance, hits, success, pairs, li) of
+    the basis scored last.
+    """
+    k = E0.nullity
+    hits, success, pairs, li = ctx.score(E0.cols)
+    log.append(f"fixed basis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
+    if success:
+        return E0.cols, E0.provenance.describe(), hits, success, pairs, li
+    C, sweeps = _joint_diagonalize(ctx.compressed_stack(E0.cols))
+    cols = E0.cols @ C
+    hits, success, pairs, li = ctx.score(cols)
+    log.append(f"joint diagonalization ({sweeps} sweeps): hits "
+               f"{hits}/{k}, sigma_min {li.sigma_min:.3e}")
+    return cols, "jacobi", hits, success, pairs, li
 
 
 def _holds_verdict(E_cols, provenance: str, pairs, li, log) -> CqVerdict:
@@ -408,18 +400,19 @@ def _holds_verdict(E_cols, provenance: str, pairs, li, log) -> CqVerdict:
     )
 
 
-def check_sparse_ndg(pd: PointData, bases: int = 50,
-                     seed: int = 0) -> CqVerdict:
-    """Existential search for a basis certifying sparse nondegeneracy.
+def check_sparse_ndg(pd: PointData) -> CqVerdict:
+    """Deterministic search for a basis certifying sparse nondegeneracy.
 
-    Candidate order: the deterministic eigenbasis, block-aligned
-    refinements when the constraint decomposes, Haar-rotated samples, and
-    finally Givens coordinate descent seeded by the best candidate so far.
-    A found witness certifies Holds.  Fails is certified through exact
-    routes only: the structurally diagonal reduction, an identically zero
-    diagonal entry of the constraint (which refutes Robinson's condition
-    directly), the kernel-dimension bound, or a certified Robinson
-    failure; anything else is Undetermined.
+    Two candidates are scored: the fixed kernel basis, and, when it
+    fails, the basis that jointly diagonalizes the compressed coefficient
+    stack E^T A_t E by cyclic Jacobi sweeps.  The second is exact for any
+    commuting stack, as for a diagonal constraint under an orthogonal
+    congruence G -> Q^T G Q.  A found witness certifies Holds.  Fails is
+    certified through exact routes only: the structurally diagonal
+    reduction, an identically zero diagonal entry of the constraint
+    (which refutes Robinson's condition directly), the kernel-dimension
+    bound, or a certified Robinson failure; anything else is
+    Undetermined.
     """
     P, x = pd.P, pd.x
     E0 = pd.kernel
@@ -464,49 +457,10 @@ def check_sparse_ndg(pd: PointData, bases: int = 50,
                          "adjoint_norm": float(np.linalg.norm(P.adjoint(x, Y)))},
                 log=log)
 
-    ctx = _SearchContext(pd)
-    # stage 1: deterministic basis
-    score0, success, pairs0, li0 = ctx.score(E0.cols)
-    log.append(f"fixed basis: hits {score0[0]}/{k}, sigma_min {score0[1]:.3e}")
+    cols, provenance, _, success, pairs, li = _basis_search(
+        _SearchContext(pd), E0, log)
     if success:
-        return _holds_verdict(E0.cols, E0.provenance.describe(), pairs0, li0, log)
-    best = (score0, E0.cols, "fixed")
-
-    # stage 2: block-aligned refinement
-    partition = block_partition(P)
-    if len(partition) > 1:
-        groups = _column_blocks(E0, partition)
-        pair_list = [pr for g in groups for pr in
-                     [(g[a], g[b]) for a in range(len(g))
-                      for b in range(a + 1, len(g))]]
-        cols, score, success, prs, li = _givens_refine(ctx, E0, pair_list)
-        log.append(f"block-aligned refinement: hits {score[0]}/{k}, "
-                   f"sigma_min {score[1]:.3e}")
-        if success:
-            return _holds_verdict(cols, "block-aligned", prs, li, log)
-        if score > best[0]:
-            best = (score, cols, "block-aligned")
-
-    # stage 3: Haar samples
-    rng = np.random.default_rng(seed)
-    for s in range(bases):
-        C = random_rotation(k, rng)
-        cols = E0.cols @ C
-        score, success, prs, li = ctx.score(cols)
-        if success:
-            log.append(f"Haar sample {s} succeeded")
-            return _holds_verdict(cols, f"sampled(seed={seed},draw={s})",
-                                  prs, li, log)
-        if score > best[0]:
-            best = (score, cols, f"sampled(seed={seed},draw={s})")
-
-    # stage 4: Givens coordinate descent from the best candidate
-    seedE = KernelBasis(cols=best[1], rank=E0.rank,
-                        provenance=Provenance("sampled", seed=seed))
-    cols, score, success, prs, li = _givens_refine(ctx, seedE, _all_pairs(k))
-    log.append(f"refinement: hits {score[0]}/{k}, sigma_min {score[1]:.3e}")
-    if success:
-        return _holds_verdict(cols, best[2] + "+refined", prs, li, log)
+        return _holds_verdict(cols, provenance, pairs, li, log)
 
     rob = check_robinson(pd)
     if rob.status == CqStatus.FAILS:
@@ -519,8 +473,9 @@ def check_sparse_ndg(pd: PointData, bases: int = 50,
 
     return CqVerdict(
         CqStatus.UNDETERMINED,
-        reason=f"basis search exhausted ({bases} samples plus refinement) "
-               "without a witness, and no refutation certificate applies",
+        reason="neither the fixed kernel basis nor its joint "
+               "diagonalization gives a witness, and no refutation "
+               "certificate applies",
         log=log)
 
 
@@ -546,20 +501,20 @@ def _diagonal_sparse_verdict(E0: KernelBasis, vecs: List[np.ndarray],
         log=log)
 
 
-def check_sparse_ndg_multifold(pd: PointData, bases: int = 50,
-                               seed: int = 0) -> CqVerdict:
+def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
     """Sparse nondegeneracy through the multifold block decomposition.
 
-    Each diagonal block is searched for its own basis (diagonal pattern
-    hits first, conditioning second); the union of the per-block
-    pattern-restricted families, together with equality gradients, must
-    be independent.  Equivalent to the assembled check by the block
-    invariance of the condition; kept separate as a cross-check.
+    Each diagonal block runs the search of :func:`check_sparse_ndg` (its
+    fixed kernel basis, else that basis jointly diagonalized) for its
+    own basis; the union of the per-block pattern-restricted families,
+    together with equality gradients, must be independent.  Equivalent
+    to the assembled check by the block invariance of the condition;
+    kept separate as a cross-check.
     """
     P, x = pd.P, pd.x
     partition = block_partition(P)
     if len(partition) == 1:
-        return check_sparse_ndg(pd, bases=bases, seed=seed)
+        return check_sparse_ndg(pd)
     if pd.kernel.nullity == 0:
         return CqVerdict(CqStatus.HOLDS_CERTIFIED, reason="trivial kernel")
 
@@ -574,10 +529,10 @@ def check_sparse_ndg_multifold(pd: PointData, bases: int = 50,
         if kb == 0:
             log.append(f"block {bi}: trivial kernel")
             continue
-        cols, score, prs = _block_basis_search(_SearchContext(spd),
-                                               spd.kernel, bases, seed)
-        hits = score[0]
-        log.append(f"block {bi}: hits {hits}/{kb}, sigma_min {score[1]:.3e}")
+        block_log: List[str] = []
+        cols, _, hits, _, prs, _ = _basis_search(_SearchContext(spd),
+                                                 spd.kernel, block_log)
+        log += [f"block {bi}: {line}" for line in block_log]
         if hits < kb:
             all_hit = False
         comp_grads = np.einsum("lab,ai,bj->lij", spd.W, cols, cols)
@@ -595,7 +550,7 @@ def check_sparse_ndg_multifold(pd: PointData, bases: int = 50,
             witness={"blocks": [b for b in basis_blocks],
                      "sigma_min": li.sigma_min},
             log=log)
-    assembled = check_sparse_ndg(pd, bases=bases, seed=seed)
+    assembled = check_sparse_ndg(pd)
     if assembled.status in (CqStatus.FAILS, CqStatus.HOLDS_CERTIFIED):
         assembled.log = log + ["falling back to the assembled check"] \
             + assembled.log
@@ -604,31 +559,6 @@ def check_sparse_ndg_multifold(pd: PointData, bases: int = 50,
         CqStatus.UNDETERMINED,
         reason="multifold search found no witness and no certificate applies",
         log=log)
-
-
-def _block_basis_search(ctx: _SearchContext, E0: KernelBasis,
-                        bases: int, seed: int):
-    """Best basis for one block: fixed, Haar draws, then refinement."""
-    k = E0.nullity
-    score0, success, pairs0, _ = ctx.score(E0.cols)
-    if success:
-        return E0.cols, score0, pairs0
-    best = (score0, E0.cols, pairs0)
-    rng = np.random.default_rng(seed)
-    for _ in range(max(bases // 5, 5)):
-        C = random_rotation(k, rng)
-        cols = E0.cols @ C
-        score, success, prs, _ = ctx.score(cols)
-        if success:
-            return cols, score, prs
-        if score > best[0]:
-            best = (score, cols, prs)
-    seedE = KernelBasis(cols=best[1], rank=E0.rank,
-                        provenance=Provenance("sampled", seed=seed))
-    cols, score, success, prs, _ = _givens_refine(ctx, seedE, _all_pairs(k))
-    if success or score > best[0]:
-        return cols, score, prs
-    return best[1], best[0], best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +585,10 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
       subspace certifies Fails, and otherwise the verdict is Undetermined.
 
     Equality-constraint gradients join the injectivity test as rows that
-    must stay independent from the family image.
+    must stay independent from the family image.  Every verdict reached
+    after the Schur-map pattern carries its provenance in the witness
+    (``pattern_source``, plus ``sample_points`` and ``sample_tol`` when
+    the pattern was sampled), so a verdict resting on sampling says so.
     """
     G = pd.G
     m = pd.P.m
@@ -723,7 +656,7 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
             CqStatus.FAILS,
             reason="pattern-restricted gradient pairing is not injective",
             witness={"matrix": M, "image_norm": float(np.linalg.norm(Wu @ M[iu])),
-                     "subspace_dim": dim_T},
+                     "subspace_dim": dim_T, **pat.provenance()},
             log=log)
     log.append("injectivity holds on the pattern subspace")
 
@@ -736,7 +669,8 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
             CqStatus.FAILS,
             reason="a diagonal entry vanishes identically on the pattern "
                    "subspace, so it contains no positive definite element",
-            witness={"vanishing_diagonal": missing, "subspace_dim": dim_T},
+            witness={"vanishing_diagonal": missing, "subspace_dim": dim_T,
+                     **pat.provenance()},
             log=log)
 
     stack = np.array(basis_T)
@@ -750,7 +684,7 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
                 CqStatus.HOLDS_CERTIFIED,
                 reason="pairing injective and positive definite element found",
                 witness={"matrix": M, "lambda_min": lam_min,
-                         "subspace_dim": dim_T},
+                         "subspace_dim": dim_T, **pat.provenance()},
                 log=log)
     return CqVerdict(
         CqStatus.UNDETERMINED,

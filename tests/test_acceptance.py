@@ -41,6 +41,7 @@ from nsdpcq.sparse import (
     facial_reduce,
     hat_map,
     sparse_card_invariance,
+    _congruence_entries,
 )
 from nsdpcq.symmat import (
     SymMat,
@@ -408,12 +409,20 @@ class TestPropertySuites:
             traces.append(make_path_trace(P, x, np.ones(n)))
             _, wn = probe_weak_ndg(feasibility_data(P, x), traces,
                                    rotations=30, seed=case)
-            sp = check_sparse_ndg(feasibility_data(P, x), bases=20, seed=case)
+            sp = check_sparse_ndg(feasibility_data(P, x))
             rb = check_robinson(feasibility_data(P, x))
+            # sparse nondegeneracy is invariant under G -> Q^T G Q, so on
+            # the rotated constraint it must still certify LICQ
+            Q = random_rotation(m, np.random.default_rng([99, case]))
+            R = NsdpProblem(n, P.objective, MatrixPoly(
+                m, n, _congruence_entries(P.constraint, Q)))
+            sr = check_sparse_ndg(feasibility_data(R, x))
             if wn.holds != licq:
                 mismatches.append((case, "weak", licq, wn.status.value))
             if sp.holds != licq:
                 mismatches.append((case, "sparse", licq, sp.status.value))
+            if not (sr.status is HC if licq else not sr.holds):
+                mismatches.append((case, "rotated", licq, sr.status.value))
             if rb.holds != mfcq:
                 mismatches.append((case, "robinson", mfcq, rb.status.value))
         report("diagonal problems agree with the classical gradient tests",
@@ -456,9 +465,8 @@ class TestPropertySuites:
             P = NsdpProblem(n, Poly.var(n, 0),
                             MatrixPoly(m1 + m2, n, entries_))
             x = np.zeros(n)
-            a = check_sparse_ndg(feasibility_data(P, x), bases=25, seed=case)
-            b = check_sparse_ndg_multifold(feasibility_data(P, x), bases=25,
-                                           seed=case)
+            a = check_sparse_ndg(feasibility_data(P, x))
+            b = check_sparse_ndg_multifold(feasibility_data(P, x))
             if a.status != b.status:
                 mismatches.append((case, a.status.value, b.status.value))
         report("two-block verdicts identical assembled or per block",
@@ -499,8 +507,7 @@ class TestPropertySuites:
             verdicts = {
                 "nondegeneracy": check_nondegeneracy(feasibility_data(P, x)),
                 "robinson": check_robinson(feasibility_data(P, x)),
-                "sparse_ndg": check_sparse_ndg(feasibility_data(P, x),
-                                               bases=10, seed=case),
+                "sparse_ndg": check_sparse_ndg(feasibility_data(P, x)),
                 "forsgren": check_forsgren(feasibility_data(P, x)),
                 "weak_ndg_probe": wn,
                 "weak_robinson_probe": probe_weak_robinson(

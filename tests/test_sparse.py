@@ -18,7 +18,12 @@ from nsdpcq.cqcheck import (
 )
 from nsdpcq.errors import InfeasiblePointError
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly, structural_zero
+from nsdpcq.corpus import entries
+from nsdpcq.report import AnalysisOptions, analyze_problem
 from nsdpcq.sparse import (
+    PATTERN_COEF_TOL,
+    TILDE_SAMPLES,
+    TILDE_TOL,
     FacialReduction,
     SparsityPattern,
     check_forsgren,
@@ -28,6 +33,7 @@ from nsdpcq.sparse import (
     hat_map,
     sparse_card_invariance,
     tilde_map,
+    _congruence_entries,
 )
 from nsdpcq.symmat import KernelBasis, SymMat, eigh, random_rotation, rotate_basis
 
@@ -200,12 +206,21 @@ class TestTildeMap:
 
 
 def replay_sparse_witness(P, x, witness):
-    """Rebuild the certified family from a Holds witness and re-test it."""
+    """Rebuild the certified family from a Holds witness and re-test it.
+
+    The pattern is re-derived from the polynomial coefficients of
+    E^T G(.) E, so a witness claiming fewer entries than its basis has
+    does not replay; every diagonal entry must be in it.
+    """
     x = np.asarray(x, dtype=float)
     E = np.asarray(witness["basis"])
-    assert np.max(np.abs(E.T @ E - np.eye(E.shape[1]))) < 1e-10
-    vecs = [entry_gradient(P, x, E[:, i], E[:, j])
-            for (i, j) in witness["pattern"]]
+    k = E.shape[1]
+    assert np.max(np.abs(E.T @ E - np.eye(k))) < 1e-10
+    pattern = sorted(_congruence_entries(P.constraint, E, PATTERN_COEF_TOL))
+    assert [tuple(pr) for pr in witness["pattern"]] == pattern
+    assert witness["cardinality"] == len(pattern)
+    assert all((i, i) in pattern for i in range(k))
+    vecs = [entry_gradient(P, x, E[:, i], E[:, j]) for (i, j) in pattern]
     Heq = P.equality_gradients(x)
     vecs += [Heq[i] for i in range(Heq.shape[0])]
     res = li_test(vecs)
@@ -237,7 +252,7 @@ class TestSparseNdg:
         # nondegeneracy fails here, but the rotated basis shrinks the
         # pattern to two diagonal entries with independent gradients
         P = offdiag_problem()
-        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]), bases=20, seed=0)
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert v.witness["pattern"] == [(0, 0), (1, 1)]
         replay_sparse_witness(P, [0.0, 0.0], v.witness)
@@ -245,12 +260,11 @@ class TestSparseNdg:
         E = np.abs(np.asarray(v.witness["basis"]))
         assert np.max(np.abs(E - RT2)) < 1e-8
 
-    def test_block2_holds_block_aligned(self):
+    def test_block2_holds_joint_diagonalized(self):
         P = block2_problem()
-        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0, 0.0]), bases=20,
-                             seed=0)
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
-        assert v.witness["provenance"] == "block-aligned"
+        assert v.witness["provenance"] == "jacobi"
         assert v.witness["pattern"] == [(0, 0), (1, 1), (2, 2)]
         replay_sparse_witness(P, [0.0, 0.0, 0.0], v.witness)
 
@@ -293,7 +307,7 @@ class TestSparseNdg:
         G = MatrixPoly(2, 2, {(0, 0): xv(2, 0), (0, 1): xv(2, 1),
                               (1, 1): Poly(2, [(1.0, (2, 0))])})
         P = NsdpProblem(n=2, objective=xv(2, 0), constraint=G, name="quadcorner")
-        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]), bases=20, seed=0)
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]))
         assert v.status == CqStatus.FAILS
         assert "Robinson" in v.reason
         assert v.witness is not None
@@ -305,7 +319,7 @@ class TestSparseNdg:
         G = MatrixPoly(2, 2, {(0, 0): xv(2, 0), (0, 1): xv(2, 1),
                               (1, 1): xv(2, 0, 2.0)})
         P = NsdpProblem(n=2, objective=xv(2, 0), constraint=G, name="stuck")
-        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]), bases=20, seed=0)
+        v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]))
         assert v.status == CqStatus.UNDETERMINED
 
     def test_infeasible_point_raises(self):
@@ -313,18 +327,39 @@ class TestSparseNdg:
             check_sparse_ndg(
                 feasibility_data(diag3_problem(), [-1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_diag3_holds(self, seed):
+        # Q^T diag(x1, x2, x3) Q has a commuting coefficient stack, which
+        # the joint diagonalization turns back into the diagonal pattern
+        P = diag3_problem()
+        Q = random_rotation(3, np.random.default_rng(seed))
+        R = NsdpProblem(3, P.objective,
+                        MatrixPoly(3, 3, _congruence_entries(P.constraint, Q)),
+                        name="diag3-rotated")
+        v = check_sparse_ndg(feasibility_data(R, [0.0, 0.0, 0.0]))
+        assert v.status == CqStatus.HOLDS_CERTIFIED
+        assert v.witness["pattern"] == [(0, 0), (1, 1), (2, 2)]
+        replay_sparse_witness(R, [0.0, 0.0, 0.0], v.witness)
+
+    def test_corpus_verdicts_independent_of_seed(self):
+        # the search takes no seed, so the analysis seed cannot reach it
+        for ent in entries():
+            a, b = (analyze_problem(ent.problem, ent.point,
+                                    AnalysisOptions(seed=seed, timestamp=False))
+                    .verdicts["sparse_ndg"].to_json() for seed in (0, 1))
+            assert a == b, ent.id
+
 
 class TestMultifold:
     def test_block2_union_family(self):
         P = block2_problem()
-        v = check_sparse_ndg_multifold(feasibility_data(P, [0.0, 0.0, 0.0]),
-                                       bases=20)
+        v = check_sparse_ndg_multifold(feasibility_data(P, [0.0, 0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
         assert "union" in v.reason
 
     def test_single_block_delegates(self):
         v = check_sparse_ndg_multifold(
-            feasibility_data(offdiag_problem(), [0.0, 0.0]), bases=20)
+            feasibility_data(offdiag_problem(), [0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
 
     def test_agrees_with_assembled_on_random_block_diagonals(self):
@@ -345,9 +380,8 @@ class TestMultifold:
             P = NsdpProblem(n=n, objective=Poly.zero(n), constraint=G,
                             name=f"bd{trial}")
             x = np.zeros(n)
-            a = check_sparse_ndg(feasibility_data(P, x), bases=10, seed=trial)
-            b = check_sparse_ndg_multifold(feasibility_data(P, x), bases=10,
-                                           seed=trial)
+            a = check_sparse_ndg(feasibility_data(P, x))
+            b = check_sparse_ndg_multifold(feasibility_data(P, x))
             assert a.status == b.status, (trial, a.reason, b.reason)
 
 
@@ -360,6 +394,21 @@ class TestForsgren:
         assert v.witness["image_norm"] < 1e-10
         M = np.asarray(v.witness["matrix"])
         assert abs(abs(M[0, 0]) - 1.0) < 1e-10
+
+    def test_sampled_pattern_named_in_witness(self):
+        # rank 1 at (1, 0): the Schur map is rational, its pattern is
+        # sampled, and the failure resting on it says so
+        v = check_forsgren(feasibility_data(facial_problem(), [1.0, 0.0]))
+        assert v.status == CqStatus.FAILS
+        assert v.witness["pattern_source"] == "sampled"
+        assert 0 < v.witness["sample_points"] <= TILDE_SAMPLES
+        assert v.witness["sample_tol"] == TILDE_TOL
+
+    def test_exact_pattern_named_in_witness(self):
+        v = check_forsgren(feasibility_data(fullmat_problem(), [0.0, 0.0, 0.0]))
+        assert v.status == CqStatus.HOLDS_CERTIFIED
+        assert v.witness["pattern_source"] == "exact"
+        assert "sample_points" not in v.witness
 
     def test_offdiag_identity_diagonalizer_fails(self):
         # for U = I the pattern subspace is all of S^2 and the condition
