@@ -3,13 +3,15 @@
 Commands: analyze (all checkers at a point), solve (penalty method with
 a multiplier table), reduce (facial reduction to a smaller constraint),
 corpus (list or re-verify the built-in examples).  Problems come from
-JSON files or from `corpus:NAME`.  Exit codes: 0 success, 1 corpus
-mismatch, 2 malformed problem file, 3 infeasible point, 4 numerical
-failure.
+JSON files or from `corpus:NAME`.  Each subcommand takes only the
+flags it reads.  Exit codes: 0 success, 1 corpus mismatch, 2 malformed
+problem file or argument (a numeric flag out of range included), 3
+infeasible point, 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Tuple
 
@@ -72,10 +74,29 @@ def _point_arg(args, P: NsdpProblem, default, what: str = "point"
     return _parse_vector(raw, P.n, what)
 
 
+# valid ranges of the numeric flags, keyed by argparse dest; NaN fails
+# every comparison and so every check
+_RANGES = {
+    "tol_rank": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+    "traces": (lambda v: v >= 1, "at least 1"),
+    "outer": (lambda v: v >= 1, "at least 1"),
+    "rho0": (lambda v: 0.0 < v < math.inf, "positive and finite"),
+    "rho_mult": (lambda v: 1.0 < v < math.inf, "finite and above 1"),
+    "inner_tol": (lambda v: v > 0.0, "positive"),
+}
+
+
+def _check_ranges(args) -> None:
+    for dest, (ok, want) in _RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise ProblemFormatError(
+                f"--{dest.replace('_', '-')} must be {want}, got {value}")
+
+
 def _options(args) -> AnalysisOptions:
     return AnalysisOptions(
-        tol_rank=args.tol_rank, traces=args.traces,
-        rotations=args.rotations, seed=args.seed,
+        tol_rank=args.tol_rank, traces=args.traces, seed=args.seed,
         timestamp=not args.no_timestamp)
 
 
@@ -95,7 +116,7 @@ def cmd_solve(args) -> int:
     anchor = _point_arg(args, P, default_point, "anchor")
     cfg = PenaltyConfig(anchor=anchor, rho0=args.rho0,
                         rho_mult=args.rho_mult, outer_iters=args.outer,
-                        inner_tol=args.inner_tol, seed=args.seed)
+                        inner_tol=args.inner_tol)
     trace = run_penalty(P, cfg)
     print(f"penalty run on {P.name}, anchor "
           f"({', '.join(f'{v:g}' for v in anchor)})")
@@ -141,13 +162,15 @@ def report_problem_json(P: NsdpProblem) -> str:
     return json.dumps(P.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-def cmd_corpus(args) -> int:
-    if args.action == "list":
-        for e in corpus_entries():
-            print(f"{e.id:<9s} m={e.problem.m} n={e.problem.n} "
-                  f"point=({', '.join(f'{v:g}' for v in e.point)})")
-            print(f"          {e.source}")
-        return 0
+def cmd_corpus_list(args) -> int:
+    for e in corpus_entries():
+        print(f"{e.id:<9s} m={e.problem.m} n={e.problem.n} "
+              f"point=({', '.join(f'{v:g}' for v in e.point)})")
+        print(f"          {e.source}")
+    return 0
+
+
+def cmd_corpus_run(args) -> int:
     selected = corpus_entries()
     if args.only:
         selected = [e for e in selected if e.id == args.only]
@@ -184,31 +207,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "semidefinite programs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=TAU_RANK,
-                        help="relative eigenvalue threshold for rank "
-                             "decisions (default 1e-8)")
-    common.add_argument("--traces", type=int, default=8,
-                        help="sequences per weak-condition probe")
-    common.add_argument("--rotations", type=int, default=100,
-                        help="cluster rotations per probed sequence")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed of the weak probes (random trace "
-                             "directions and cluster rotations); every "
-                             "other checker is deterministic")
-    common.add_argument("--no-timestamp", action="store_true",
-                        help="omit timestamp and timing from reports, "
-                             "for byte-stable output")
+    rank = argparse.ArgumentParser(add_help=False)
+    rank.add_argument("--tol-rank", type=float, default=TAU_RANK,
+                      help="relative eigenvalue threshold for rank "
+                           "decisions, strictly between 0 and 1 "
+                           "(default 1e-8)")
+    analysis = argparse.ArgumentParser(add_help=False, parents=[rank])
+    analysis.add_argument("--traces", type=int, default=8,
+                          help="sequences per weak-condition probe")
+    analysis.add_argument("--seed", type=int, default=0,
+                          help="seed of the weak probes' random trace "
+                               "directions and of the one cluster "
+                               "rotation the nondegeneracy probe draws "
+                               "per sequence; every other checker is "
+                               "deterministic")
+    analysis.add_argument("--no-timestamp", action="store_true",
+                          help="omit timestamp and timing from reports, "
+                               "for byte-stable output")
 
-    pa = sub.add_parser("analyze", parents=[common],
+    pa = sub.add_parser("analyze", parents=[analysis],
                         help="run every checker at a feasible point")
     pa.add_argument("problem", help="problem file or corpus:NAME")
     pa.add_argument("--point", help="comma-separated coordinates")
     pa.add_argument("--json", help="write the report JSON here")
     pa.set_defaults(func=cmd_analyze)
 
-    ps = sub.add_parser("solve", parents=[common],
-                        help="run the external penalty method")
+    ps = sub.add_parser("solve", help="run the external penalty method")
     ps.add_argument("problem", help="problem file or corpus:NAME")
     ps.add_argument("--anchor", help="comma-separated anchor point")
     ps.add_argument("--rho0", type=float, default=1.0)
@@ -218,18 +242,22 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--trace", help="write JSON-lines trace here")
     ps.set_defaults(func=cmd_solve)
 
-    pr = sub.add_parser("reduce", parents=[common],
+    pr = sub.add_parser("reduce", parents=[rank],
                         help="facially reduce the constraint at a point")
     pr.add_argument("problem", help="problem file or corpus:NAME")
     pr.add_argument("--point", help="comma-separated coordinates")
     pr.add_argument("--output", help="write the reduced problem here")
     pr.set_defaults(func=cmd_reduce)
 
-    pc = sub.add_parser("corpus", parents=[common],
+    pc = sub.add_parser("corpus",
                         help="list or re-verify the built-in examples")
-    pc.add_argument("action", choices=["list", "run"])
-    pc.add_argument("--only", help="restrict run to one entry")
-    pc.set_defaults(func=cmd_corpus)
+    actions = pc.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", help="list the built-in examples"
+                       ).set_defaults(func=cmd_corpus_list)
+    run = actions.add_parser("run", parents=[analysis],
+                             help="re-verify every pinned verdict")
+    run.add_argument("--only", help="restrict run to one entry")
+    run.set_defaults(func=cmd_corpus_run)
     return parser
 
 
@@ -237,6 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,8 +136,13 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
     """Point data of P at x, behind a feasibility gate.
 
     Raises :class:`InfeasiblePointError` when G(x) has an eigenvalue
-    below -tau, with tau = tol_rank * (1 + max eigenvalue magnitude).
+    below -tau, with tau = tol_rank * (1 + max eigenvalue magnitude),
+    and ValueError unless 0 < tol_rank < 1: a threshold outside that
+    range misreads the rank of G(x) or the feasibility of x.
     """
+    if not 0.0 < tol_rank < 1.0:
+        raise ValueError(f"tol_rank must lie strictly between 0 and 1, "
+                         f"got {tol_rank}")
     x = np.array(x, dtype=float)
     G = P.constraint_value(x)
     spec = eigh(G)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: bad problem data is a usage error
-(exit 2), an infeasible base point is a data error (exit 3), and
-anything that dies inside the numerics is an internal failure (exit 4).
+The CLI maps these onto exit codes: bad problem data or a bad argument
+is a usage error (exit 2), an infeasible base point is a data error
+(exit 3), and anything that dies inside the numerics is an internal
+failure (exit 4).
 """
 
 
@@ -11,7 +12,8 @@ class NsdpcqError(Exception):
 
 
 class ProblemFormatError(NsdpcqError):
-    """Problem file or in-memory problem data violates the schema."""
+    """Problem file, in-memory problem data or a command-line argument
+    violates its schema or range."""
 
 
 class InfeasiblePointError(NsdpcqError):

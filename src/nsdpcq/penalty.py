@@ -10,15 +10,20 @@ Y^k = rho_k proj_psd(-G(x^k)).  The trace of (x^k, Y^k) with the spectral
 data of G(x^k) is the raw material for the weak-nondegeneracy and
 weak-Robinson probes: both conditions quantify over sequences x^k -> x_bar
 and ask for kernel bases, assembled from eigenvectors of G(x^k), whose
-diagonal gradient family is (positively) independent.  The universal
-quantifier is approximated by a finite family of traces, and the verdict
-semantics say so: a passing probe reports HoldsSampled, never a
-certificate, while Fails is only produced from a trace with no remaining
-basis freedom.  The routes that need no sequence (weak_ndg_exact,
-weak_robinson_exact) are split out so that an analysis can try them, and
-a certified upstream condition, before it builds any trace: report.py
-certifies a probe whose nondegeneracy or Robinson counterpart is
-certified and calls default_trace_family only for a probe left open.
+diagonal gradient family is (positively) independent.  A sequence allows
+its limit basis rotated within its persistent eigenvalue clusters.  Weak
+Robinson decides each sequence exactly, by one positive-independence
+test of the cluster sums of the diagonal family; weak nondegeneracy
+scores the limit basis and, with cluster freedom left, one Haar rotation
+within the clusters.  The universal quantifier over sequences is
+approximated by a finite family of traces, and the verdict semantics say
+so: a passing probe reports HoldsSampled, never a certificate, while
+Fails comes from one sequence the test decided.  The routes that need no
+sequence (weak_ndg_exact, weak_robinson_exact) are split out so that an
+analysis can try them, and a certified upstream condition, before it
+builds any trace: report.py certifies a probe whose nondegeneracy or
+Robinson counterpart is certified and calls default_trace_family only
+for a probe left open.
 
 Each level is solved to a gradient tolerance that grows with rho up to a
 cap, but never below the gradient's own rounding error at the level's
@@ -29,13 +34,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cqcheck import (
     CqStatus,
     CqVerdict,
+    PliResult,
     PointData,
     feasibility_data,
     li_test,
@@ -75,7 +81,6 @@ class PenaltyConfig:
     outer_iters: int = 12
     inner_tol: float = 1e-8
     inner_max_iters: int = 400
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "anchor",
@@ -153,18 +158,22 @@ class SequenceProbeResult:
     """Per-trace evidence for one weak condition.
 
     limit_basis is the kernel basis obtained from the eigenvector
-    sequence, snapped onto Ker G(x_bar) and possibly rotated within
-    eigenvalue clusters by the search; exhaustive means every cluster of
-    the tail iterate was simple, so no basis freedom remained and a
-    failing test refutes the condition for this sequence.
+    sequence, snapped onto Ker G(x_bar), and clusters are the persistent
+    eigenvalue clusters that leave it rotation freedom.  sigma_min is the
+    test's score: the smallest singular value of the nondegeneracy
+    family, or the phase-one margin of the cluster sums.  exhaustive
+    means the test decided the sequence, so a failing one refutes the
+    condition; cone holds the weak-Robinson test with its multipliers.
     """
 
     trace_id: str
     limit_basis: KernelBasis
+    clusters: List[List[int]]
     sigma_min: float
     passed: bool
     exhaustive: bool
-    rotation_search_log: List[str] = field(default_factory=list)
+    cone: Optional[PliResult] = None
+    log: List[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +464,11 @@ def make_path_trace(P: NsdpProblem, x_bar, direction,
 
 
 def default_trace_family(P: NsdpProblem, cfg: PenaltyConfig,
-                         count: int = 8) -> List[PenaltyTrace]:
+                         count: int = 8, seed: int = 0) -> List[PenaltyTrace]:
     """One penalty trace plus axis and random-direction paths to x_bar.
+
+    seed draws the random directions, which are used once the axis
+    paths are spent.
 
     The penalty trace is dropped when its final iterate stays further
     than 1e-6 from the anchor; on degenerate problems the outer loop
@@ -479,7 +491,7 @@ def default_trace_family(P: NsdpProblem, cfg: PenaltyConfig,
         if len(traces) >= count:
             break
         traces.append(make_path_trace(P, x_bar, d, trace_id=f"axis{idx}"))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     ray = 0
     while len(traces) < count:
         g = rng.standard_normal(P.n)
@@ -622,107 +634,36 @@ def _block_rotation(clusters: List[List[int]], k: int,
     return C
 
 
-def _givens(k: int, p: int, q: int, theta: float) -> np.ndarray:
-    C = np.eye(k)
-    c, s = np.cos(theta), np.sin(theta)
-    C[p, p] = c
-    C[q, q] = c
-    C[p, q] = -s
-    C[q, p] = s
-    return C
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                iters: int = 18) -> Tuple[float, float]:
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    t = 0.5 * (a + b)
-    return t, f(t)
-
-
-def _cluster_search(objective: Callable[[np.ndarray], Tuple[float, bool]],
-                    E: np.ndarray, clusters: List[List[int]],
-                    rotations: int, rng: np.random.Generator):
-    """Maximize the family objective over cluster-respecting rotations.
-
-    objective maps a candidate basis to (score, passed); the search stops
-    as soon as a passing basis is found, since one passing basis settles
-    the per-trace question.  Budget split: roughly 60 percent random
-    block rotations, the rest Givens coordinate-descent steps refined by
-    golden-section search on the angle.  Returns rotation, score, log,
-    the exhaustiveness flag, and whether the best basis passed.
-    """
-    k = E.shape[1]
-    best_C = np.eye(k)
-    best, ok = objective(E)
-    log = [f"identity rotation score {best:.3e}"]
-    free = [cl for cl in clusters if len(cl) > 1]
-    if not free:
-        return best_C, best, log, True, ok
-    if ok:
-        return best_C, best, log, False, True
-    n_rand = int(round(0.6 * rotations))
-    for draw in range(n_rand):
-        C = _block_rotation(clusters, k, rng)
-        sc, ok = objective(E @ C)
-        if sc > best:
-            best, best_C = sc, C
-        if ok:
-            log.append(f"random block rotation {draw} passes, "
-                       f"score {sc:.3e}")
-            return C, sc, log, False, True
-    log.append(f"best of {n_rand} random block rotations {best:.3e}")
-    pairs = [(cl[a], cl[b]) for cl in free
-             for a in range(len(cl)) for b in range(a + 1, len(cl))]
-    n_giv = max(rotations - n_rand, 0)
-    for step in range(n_giv):
-        p, q = pairs[step % len(pairs)]
-
-        def along(theta: float) -> float:
-            return objective(E @ best_C @ _givens(k, p, q, theta))[0]
-
-        theta, sc = _golden_max(along, -np.pi / 4.0, np.pi / 4.0)
-        if sc > best:
-            best = sc
-            best_C = best_C @ _givens(k, p, q, theta)
-            if objective(E @ best_C)[1]:
-                log.append(f"Givens step {step} passes, score {sc:.3e}")
-                return best_C, best, log, False, True
-    log.append(f"after {n_giv} Givens steps {best:.3e}")
-    return best_C, best, log, False, objective(E @ best_C)[1]
-
-
 def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
-                  rotations: int, seed: int, positive: bool):
+                  seed: int, positive: bool):
     """Shared trace loop for both weak probes.
 
-    positive selects the test: positive linear independence with equality
-    gradients free (weak Robinson) versus plain linear independence with
-    equality gradients appended (weak nondegeneracy).
+    A trace gives a limit basis E and its persistent clusters; the bases
+    the sequence allows are E C with C orthogonal within each cluster.
+    positive selects the test.
+
+    Weak Robinson tests the cluster sums w_c = sum_{i in c} v_ii(E) for
+    positive independence, equality gradients free, and so decides
+    every E C at once.  A rotation within the clusters keeps the trace
+    of each cluster block of E^T DG[d] E, which is w_c^T d.  By
+    Gordan-Motzkin a family is positively independent iff some d
+    orthogonal to the equality gradients is positive on every member.
+    Such a d for the family at any E C is positive on every w_c, the
+    sum of a block's diagonal.  Conversely, a d positive on every w_c
+    gives each block a positive trace, and Schur-Horn rotates the block
+    to a constant, hence positive, diagonal.
+
+    Weak nondegeneracy tests linear independence of the diagonal family
+    plus the equality gradients at E and, when that fails with cluster
+    freedom left, at one Haar draw E C from default_rng([seed, t_idx]).
+    Its Gram determinant is a polynomial in C, nonzero for almost every
+    rotation or for none, but a failing draw still refutes nothing.
     """
     x_bar, K, rank, tol_rank = pd.x, pd.kernel.cols, pd.rank, pd.tol_rank
     eq_rows = list(pd.Heq)
 
-    def objective(cols: np.ndarray) -> Tuple[float, bool]:
-        vmat = np.einsum("lab,ai,bi->il", pd.W, cols, cols)
-        fam = [vmat[i] for i in range(vmat.shape[0])]
-        if positive:
-            res = pli_test(fam, free_vectors=eq_rows)
-            return res.margin, res.pos_independent
-        res = li_test(fam + eq_rows)
-        return res.sigma_min, res.independent
+    def diagonal(cols: np.ndarray) -> np.ndarray:
+        return np.einsum("lab,ai,bi->il", pd.W, cols, cols)
 
     results: List[SequenceProbeResult] = []
     certified_fail: Optional[SequenceProbeResult] = None
@@ -740,19 +681,29 @@ def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
             log.append("sequence limit defective, kernel basis substituted")
         clusters = _persistent_clusters(_usable_records(trace, rank,
                                                         tol_rank), rank)
-        rng = np.random.default_rng([seed, t_idx])
-        C, score, slog, exhaustive, ok = _cluster_search(
-            objective, E, clusters, rotations, rng)
-        log += slog
-        cols = E @ C
+        free = any(len(cl) > 1 for cl in clusters)
+        cone = None
+        if positive:
+            vmat = diagonal(E)
+            cone = pli_test([vmat[cl].sum(axis=0) for cl in clusters],
+                            free_vectors=eq_rows)
+            score, ok, exhaustive = cone.margin, cone.pos_independent, True
+        else:
+            li = li_test(list(diagonal(E)) + eq_rows)
+            if not li.independent and free:
+                E = E @ _block_rotation(
+                    clusters, E.shape[1],
+                    np.random.default_rng([seed, t_idx]))
+                li = li_test(list(diagonal(E)) + eq_rows)
+            score, ok, exhaustive = li.sigma_min, li.independent, not free
         res = SequenceProbeResult(
             trace_id=trace.trace_id,
             limit_basis=KernelBasis(
-                cols=cols, rank=rank,
+                cols=E, rank=rank,
                 provenance=Provenance("sequence_limit",
                                       trace_id=trace.trace_id)),
-            sigma_min=score, passed=ok, exhaustive=exhaustive,
-            rotation_search_log=log)
+            clusters=clusters, sigma_min=score, passed=ok,
+            exhaustive=exhaustive, cone=cone, log=log)
         results.append(res)
         if not ok and exhaustive and certified_fail is None:
             certified_fail = res
@@ -812,13 +763,15 @@ def weak_robinson_exact(pd: PointData) -> Optional[CqVerdict]:
 
 
 def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
-                   rotations: int = 100, seed: int = 0
+                   seed: int = 0
                    ) -> Tuple[List[SequenceProbeResult], CqVerdict]:
     """Weak nondegeneracy probed along a family of sequences.
 
     Every trace must admit a kernel basis, assembled from its eigenvector
     tail and rotated within eigenvalue clusters, whose diagonal gradient
-    family is independent.  All traces passing gives HoldsSampled; a
+    family is independent.  Each trace scores its limit basis and, when
+    that fails with cluster freedom left, one Haar rotation within the
+    clusters drawn from seed.  All traces passing gives HoldsSampled; a
     failing trace with no cluster freedom is a genuine witness and gives
     Fails; the kernel-dimension bound fails the condition outright.
     """
@@ -828,7 +781,7 @@ def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
     if not traces:
         return [], CqVerdict(CqStatus.UNDETERMINED,
                              reason="no admissible traces supplied")
-    results, bad = _probe_traces(pd, traces, rotations, seed, positive=False)
+    results, bad = _probe_traces(pd, traces, seed, positive=False)
     if bad is not None:
         return results, CqVerdict(
             CqStatus.FAILS,
@@ -837,7 +790,7 @@ def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
             witness={"trace": bad.trace_id,
                      "basis": bad.limit_basis.cols,
                      "sigma_min": bad.sigma_min})
-    if all(r.passed for r in results) and results:
+    if all(r.passed for r in results):
         return results, CqVerdict(CqStatus.HOLDS_SAMPLED,
                                   samples=len(results),
                                   reason="all sampled sequences admit an "
@@ -848,15 +801,18 @@ def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
                "which neither certifies nor refutes the condition")
 
 
-def probe_weak_robinson(pd: PointData, traces: Sequence[PenaltyTrace],
-                        rotations: int = 100, seed: int = 0) -> CqVerdict:
+def probe_weak_robinson(pd: PointData,
+                        traces: Sequence[PenaltyTrace]) -> CqVerdict:
     """Weak Robinson condition probed along sequences.
 
-    Same machinery as the nondegeneracy probe with positive linear
-    independence in place of linear independence.  For structurally
-    diagonal constraints the condition is equivalent to positive
-    independence of the active diagonal gradients, so it is decided
-    exactly.
+    Each trace is decided exactly by one positive-independence test of
+    its cluster sums (see _probe_traces): a trace that fails refutes the
+    condition whatever rotation freedom its clusters leave, and its
+    witness carries the limit basis, the clusters and the cone
+    multipliers, so it replays from the report.  All traces passing
+    gives HoldsSampled.  For structurally diagonal constraints the
+    condition is equivalent to positive independence of the active
+    diagonal gradients, so it is decided without sequences.
     """
     exact = weak_robinson_exact(pd)
     if exact is not None:
@@ -864,19 +820,18 @@ def probe_weak_robinson(pd: PointData, traces: Sequence[PenaltyTrace],
     if not traces:
         return CqVerdict(CqStatus.UNDETERMINED,
                          reason="no admissible traces supplied")
-    results, bad = _probe_traces(pd, traces, rotations, seed, positive=True)
+    results, bad = _probe_traces(pd, traces, 0, positive=True)
     if bad is not None:
         return CqVerdict(
             CqStatus.FAILS,
-            reason=f"trace {bad.trace_id} leaves no basis freedom and its "
-                   "diagonal family is positively dependent",
+            reason=f"trace {bad.trace_id}: the cluster sums of its diagonal "
+                   "family are positively dependent, so no basis the "
+                   "sequence allows is positively independent",
             witness={"trace": bad.trace_id,
-                     "basis": bad.limit_basis.cols})
-    if all(r.passed for r in results) and results:
-        return CqVerdict(CqStatus.HOLDS_SAMPLED, samples=len(results),
-                         reason="all sampled sequences admit a positively "
-                                "independent diagonal family")
-    return CqVerdict(
-        CqStatus.UNDETERMINED,
-        reason="some sequence failed the test with rotation freedom left, "
-               "which neither certifies nor refutes the condition")
+                     "basis": bad.limit_basis.cols,
+                     "clusters": bad.clusters,
+                     "alpha": bad.cone.alpha,
+                     "free_coeffs": bad.cone.free_coeffs})
+    return CqVerdict(CqStatus.HOLDS_SAMPLED, samples=len(results),
+                     reason="all sampled sequences admit a positively "
+                            "independent diagonal family")

@@ -70,7 +70,6 @@ IMPLICATIONS = (
 class AnalysisOptions:
     tol_rank: float = TAU_RANK
     traces: int = 8
-    rotations: int = 100
     seed: int = 0
     timestamp: bool = True
 
@@ -184,7 +183,7 @@ def analyze_problem(P: NsdpProblem, point,
         if not family:
             t0 = time.perf_counter()
             family.append(default_trace_family(
-                P, PenaltyConfig(anchor=x, seed=opts.seed), opts.traces))
+                P, PenaltyConfig(anchor=x), opts.traces, opts.seed))
             timing["traces"] = time.perf_counter() - t0
         return family[0]
 
@@ -201,12 +200,10 @@ def analyze_problem(P: NsdpProblem, point,
             return (weak_ndg_exact(pd)
                     or implied_verdict("nondegeneracy",
                                        verdicts["nondegeneracy"])
-                    or probe_weak_ndg(pd, traces(), rotations=opts.rotations,
-                                      seed=opts.seed)[1])
+                    or probe_weak_ndg(pd, traces(), seed=opts.seed)[1])
         return (weak_robinson_exact(pd)
                 or implied_verdict("robinson", verdicts["robinson"])
-                or probe_weak_robinson(pd, traces(), rotations=opts.rotations,
-                                       seed=opts.seed))
+                or probe_weak_robinson(pd, traces()))
 
     for name in CHECKER_ORDER:
         start, built = time.perf_counter(), timing["traces"]

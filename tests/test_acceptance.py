@@ -25,6 +25,8 @@ from nsdpcq.cqcheck import (
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.penalty import (
     PenaltyConfig,
+    _block_rotation,
+    _probe_traces,
     default_trace_family,
     make_path_trace,
     penalty_gradient,
@@ -408,7 +410,7 @@ class TestPropertySuites:
                       for _ in range(2)]
             traces.append(make_path_trace(P, x, np.ones(n)))
             _, wn = probe_weak_ndg(feasibility_data(P, x), traces,
-                                   rotations=30, seed=case)
+                                   seed=case)
             sp = check_sparse_ndg(feasibility_data(P, x))
             rb = check_robinson(feasibility_data(P, x))
             # sparse nondegeneracy is invariant under G -> Q^T G Q, so on
@@ -503,7 +505,7 @@ class TestPropertySuites:
             traces = [make_path_trace(P, x, rng.standard_normal(n))
                       for _ in range(2)]
             _, wn = probe_weak_ndg(feasibility_data(P, x), traces,
-                                   rotations=20, seed=case)
+                                   seed=case)
             verdicts = {
                 "nondegeneracy": check_nondegeneracy(feasibility_data(P, x)),
                 "robinson": check_robinson(feasibility_data(P, x)),
@@ -511,12 +513,102 @@ class TestPropertySuites:
                 "forsgren": check_forsgren(feasibility_data(P, x)),
                 "weak_ndg_probe": wn,
                 "weak_robinson_probe": probe_weak_robinson(
-                    feasibility_data(P, x), traces, rotations=20, seed=case),
+                    feasibility_data(P, x), traces),
             }
             if lattice_warnings(verdicts):
                 bad.append(case)
         report("implication lattice holds on 500 random instances",
                not bad, f"{len(bad)} violations")
+
+    def test_weak_robinson_lp_agrees_with_rotation_search(self):
+        # the cluster-sum LP decides a sequence over every rotation its
+        # clusters allow; the random rotations and Givens steps the
+        # probe used before it are kept here as a one-sided oracle:
+        # whatever family they find positively independent, and whatever
+        # sequence passes the linear test, the LP must pass as well
+        def family_test(pd, cols):
+            vmat = np.einsum("lab,ai,bi->il", pd.W, cols, cols)
+            res = pli_test(list(vmat), free_vectors=list(pd.Heq))
+            return res.margin, res.pos_independent
+
+        def givens(k, p, q, theta):
+            C = np.eye(k)
+            C[p, p] = C[q, q] = np.cos(theta)
+            C[p, q], C[q, p] = -np.sin(theta), np.sin(theta)
+            return C
+
+        def golden_max(f, a, b, iters=18):
+            phi = (np.sqrt(5.0) - 1.0) / 2.0
+            c, d = b - phi * (b - a), a + phi * (b - a)
+            fc, fd = f(c), f(d)
+            for _ in range(iters):
+                if fc >= fd:
+                    b, d, fd = d, c, fc
+                    c = b - phi * (b - a)
+                    fc = f(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + phi * (b - a)
+                    fd = f(d)
+            t = 0.5 * (a + b)
+            return t, f(t)
+
+        def rotation_search(pd, E, clusters, rng, n_rand=60, n_giv=40):
+            k = E.shape[1]
+            best, ok = family_test(pd, E)
+            free = [cl for cl in clusters if len(cl) > 1]
+            if ok or not free:
+                return ok
+            best_C = np.eye(k)
+            for _ in range(n_rand):
+                C = _block_rotation(clusters, k, rng)
+                sc, ok = family_test(pd, E @ C)
+                if ok:
+                    return True
+                if sc > best:
+                    best, best_C = sc, C
+            pairs = [(cl[a], cl[b]) for cl in free
+                     for a in range(len(cl)) for b in range(a + 1, len(cl))]
+            for step in range(n_giv):
+                p, q = pairs[step % len(pairs)]
+                theta, sc = golden_max(
+                    lambda t: family_test(
+                        pd, E @ best_C @ givens(k, p, q, t))[0],
+                    -np.pi / 4.0, np.pi / 4.0)
+                if sc > best:
+                    best, best_C = sc, best_C @ givens(k, p, q, theta)
+                    if family_test(pd, E @ best_C)[1]:
+                        return True
+            return False
+
+        rng = np.random.default_rng(0)
+        bad = []
+        free_pass = free_fail = 0
+        for case in range(40):
+            n = int(rng.integers(2, 4))
+            m = int(rng.integers(3, 6))
+            P = shifted_problem(rng, n, m, m)
+            x = np.zeros(n)
+            pd = feasibility_data(P, x)
+            traces = [make_path_trace(P, x, d, trace_id=f"path{j}")
+                      for j, d in enumerate(np.vstack(
+                          [np.eye(n), -np.eye(n),
+                           rng.standard_normal((2, n))]))]
+            lp, _ = _probe_traces(pd, traces, case, positive=True)
+            li, _ = _probe_traces(pd, traces, case, positive=False)
+            for res, lin in zip(lp, li):
+                oracle = rotation_search(pd, res.limit_basis.cols,
+                                         res.clusters,
+                                         np.random.default_rng([case, 1]))
+                if (oracle or lin.passed) and not res.passed:
+                    bad.append((case, res.trace_id))
+                if any(len(cl) > 1 for cl in res.clusters):
+                    free_pass += res.passed
+                    free_fail += not res.passed
+        ok = not bad and free_pass >= 1 and free_fail >= 1
+        report("weak Robinson LP passes wherever a rotation search does",
+               ok, f"{len(bad)} misses; sequences with cluster freedom: "
+                   f"{free_pass} pass, {free_fail} fail")
 
     def test_pattern_cardinality_invariant(self):
         violations = 0

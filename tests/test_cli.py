@@ -115,6 +115,53 @@ class TestAnalyze:
         assert "forced failure" in capsys.readouterr().err
 
 
+class TestArgumentRanges:
+    @pytest.mark.parametrize("argv, flag", [
+        # NaN read G(0) = 0 as rank 3 and certified all six conditions
+        (["analyze", "corpus:diag3", "--tol-rank", "nan"], "--tol-rank"),
+        # 2 read G(0) = I as rank 0 and failed Robinson
+        (["analyze", "corpus:interior", "--tol-rank", "2"], "--tol-rank"),
+        # -1 called the point infeasible
+        (["analyze", "corpus:diag3", "--tol-rank", "-1"], "--tol-rank"),
+        (["reduce", "corpus:facial", "--tol-rank", "nan"], "--tol-rank"),
+        (["corpus", "run", "--only", "diag3", "--tol-rank", "0"],
+         "--tol-rank"),
+        (["analyze", "corpus:diag3", "--traces", "0"], "--traces"),
+        (["solve", "corpus:diag3", "--outer", "0"], "--outer"),
+        (["solve", "corpus:diag3", "--rho0", "0"], "--rho0"),
+        (["solve", "corpus:diag3", "--rho-mult", "1"], "--rho-mult"),
+    ])
+    def test_out_of_range_exit_two(self, argv, flag, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {flag} must be")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "corpus:diag3", "--seed", "1"],
+        ["solve", "corpus:diag3", "--traces", "4"],
+        ["reduce", "corpus:facial", "--seed", "1"],
+        ["reduce", "corpus:facial", "--no-timestamp"],
+        ["corpus", "list", "--seed", "1"],
+        ["corpus", "list", "--tol-rank", "1e-6"],
+        ["analyze", "corpus:diag3", "--rotations", "5"],
+    ])
+    def test_flags_a_command_ignores_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_library_rejects_tol_rank_out_of_range(self):
+        from nsdpcq.cqcheck import feasibility_data
+        P = corpus_entries()[0].problem
+        for tol in (float("nan"), float("inf"), 0.0, 1.0, -1.0, 2.0):
+            with pytest.raises(ValueError):
+                feasibility_data(P, np.zeros(P.n), tol)
+
+
 class TestSolve:
     def test_table_and_trace_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

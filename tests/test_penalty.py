@@ -29,7 +29,13 @@ from test_cqcheck import (
     xv,
 )
 
-from nsdpcq.cqcheck import CqStatus, entry_gradient, feasibility_data, li_test
+from nsdpcq.cqcheck import (
+    LI_TOL,
+    CqStatus,
+    entry_gradient,
+    feasibility_data,
+    li_test,
+)
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.penalty import (
@@ -50,7 +56,31 @@ from nsdpcq.penalty import (
     probe_weak_robinson,
     run_penalty,
 )
+from nsdpcq.report import AnalysisOptions, analyze_problem
 from nsdpcq.symmat import eigh, proj_psd
+
+
+# draw 185 of a shifted_problem survey (numpy default_rng(7), n and m in
+# 2..5, nullity in 2..m): every checker fails at 0, and the weak-Robinson
+# failure rests on a sequence whose limit basis has a two-dimensional
+# eigenvalue cluster
+CLUSTERED_FAIL_PROBLEM = """{"name": "draw185", "n": 2, "m": 4,
+ "objective": [{"c": 1.0, "e": [1, 0]}],
+ "constraint": [
+  {"i": 0, "j": 0, "poly": [{"c": -1.3908352634460606, "e": [1, 0]}]},
+  {"i": 0, "j": 1, "poly": [{"c": 0.972155821841972, "e": [1, 0]},
+                            {"c": -0.9322704852666608, "e": [1, 1]}]},
+  {"i": 0, "j": 2, "poly": [{"c": -0.44013306313688755, "e": [1, 0]}]},
+  {"i": 0, "j": 3, "poly": [{"c": 1.6511220687323573, "e": [1, 0]},
+                            {"c": 0.40812669258528117, "e": [1, 1]}]},
+  {"i": 1, "j": 1, "poly": [{"c": 0.21159745023956933, "e": [0, 1]},
+                            {"c": 1.4351574527392146, "e": [1, 0]}]},
+  {"i": 1, "j": 2, "poly": [{"c": 0.1638203901327093, "e": [0, 1]},
+                            {"c": -1.1977826633442643, "e": [1, 0]}]},
+  {"i": 1, "j": 3, "poly": [{"c": -0.8981539569773913, "e": [1, 0]}]},
+  {"i": 2, "j": 2, "poly": [{"c": 0.3246699003364652, "e": [0, 2]}]},
+  {"i": 2, "j": 3, "poly": [{"c": -0.4385468737763723, "e": [1, 0]}]},
+  {"i": 3, "j": 3, "poly": [{"c": 1.3811472638447277, "e": [1, 1]}]}]}"""
 
 
 def line_problem():
@@ -489,7 +519,7 @@ class TestWeakRobinsonProbe:
         verdict = probe_weak_robinson(pd, traces)
         assert verdict.status == CqStatus.HOLDS_CERTIFIED
         # the sequence route, which the diagonal shortcut skips, agrees
-        results, _ = _probe_traces(pd, traces, 100, 0, positive=True)
+        results, _ = _probe_traces(pd, traces, 0, positive=True)
         assert len(results) == 8 and all(r.passed for r in results)
 
     def test_scalar2_positive_independence(self):
@@ -500,7 +530,7 @@ class TestWeakRobinsonProbe:
         traces = family_for(P, [0.0])
         verdict = probe_weak_robinson(pd, traces)
         assert verdict.status == CqStatus.HOLDS_CERTIFIED
-        results, _ = _probe_traces(pd, traces, 100, 0, positive=True)
+        results, _ = _probe_traces(pd, traces, 0, positive=True)
         assert len(results) == 8 and all(r.passed for r in results)
 
     def test_facial_fails(self):
@@ -508,6 +538,36 @@ class TestWeakRobinsonProbe:
         verdict = probe_weak_robinson(feasibility_data(P, [1.0, 0.0]),
                                       family_for(P, [1.0, 0.0]))
         assert verdict.status == CqStatus.FAILS
+
+    def test_clustered_sequence_fails_and_replays(self):
+        # G(0) = 0 with n = 2, m = 4: along the failing sequence two
+        # eigenvalues stay together, so its limit basis keeps a rotation
+        # freedom that no sampled search can exhaust; the cluster sums
+        # decide the sequence anyway
+        P = NsdpProblem.from_json(json.loads(CLUSTERED_FAIL_PROBLEM))
+        report = analyze_problem(P, np.zeros(2),
+                                 AnalysisOptions(timestamp=False))
+        assert report.verdicts["weak_robinson_probe"].status \
+            == CqStatus.FAILS
+        obj = json.loads(json.dumps(report.to_json()))
+        w = obj["witnesses"]["weak_robinson_probe"]
+        assert any(len(cl) > 1 for cl in w["clusters"])
+        x = np.asarray(obj["point"])
+        E = np.asarray(w["basis"])
+        vmat = np.einsum("lab,ai,bi->il", P.constraint_partials(x), E, E)
+        sums = np.array([vmat[cl].sum(axis=0) for cl in w["clusters"]])
+        alpha = np.asarray(w["alpha"])
+        beta = np.asarray(w["free_coeffs"])
+        assert sorted(i for cl in w["clusters"] for i in cl) \
+            == list(range(E.shape[1]))
+        assert np.allclose(E.T @ E, np.eye(E.shape[1]), atol=1e-10)
+        assert np.all(alpha >= 0.0)
+        assert abs(float(alpha.sum()) - 1.0) <= 1e-12
+        resid = alpha @ sums
+        if beta.size:
+            resid = resid + beta @ P.equality_gradients(x)
+        assert float(np.linalg.norm(resid)) <= LI_TOL * max(
+            1.0, float(np.max(np.abs(sums))))
 
     def test_independence_implies_positive_independence(self):
         for P, anchor in [(offdiag_problem(), [0.0, 0.0]),
