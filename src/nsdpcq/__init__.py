@@ -38,7 +38,6 @@ from .cqcheck import (
     PointData,
     check_nondegeneracy,
     check_robinson,
-    entry_gradient,
     feasibility_data,
     find_multiplier,
     kkt_residual,
@@ -98,7 +97,6 @@ __all__ = [
     "corpus_entry",
     "default_trace_family",
     "eigh",
-    "entry_gradient",
     "facial_reduce",
     "feasibility_data",
     "find_multiplier",

@@ -6,12 +6,14 @@ corpus (list or re-verify the built-in examples).  Problems come from
 JSON files or from `corpus:NAME`.  Each subcommand takes only the
 flags it reads.  Exit codes: 0 success, 1 corpus mismatch, 2 malformed
 problem file or argument (a numeric flag out of range included), 3
-infeasible point, 4 numerical failure.
+infeasible point, 4 numerical failure, 141 (128 + SIGPIPE) stdout
+closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -266,7 +268,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_ranges(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: exit as a SIGPIPE kill would,
+        # with stdout on devnull so the flush at shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

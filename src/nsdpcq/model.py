@@ -14,6 +14,16 @@ like terms merged, coefficients below 1e-14 dropped) so that structural
 zero tests are exact term-list checks.  The tiny-coefficient drop exists
 because facial-reduction output re-enters the model as polynomials whose
 coefficients carry numeric congruence noise.
+
+Numbers come from one compiled evaluator, `Compiled`: the map
+x -> sum_t mon_t(x) C_t over the distinct monomials of a family of
+polynomials, with its value, Jacobian and adjoint each one matrix
+product against the coefficient stack C.  An `NsdpProblem` compiles f,
+G and h into three of them when it is built, and its seven evaluation
+methods read only those.  `NsdpProblem.constraint_stack` exposes G's
+stack read-only as (T, m, m) matrices A_t, whose congruences give the
+exact coefficients of a compressed constraint.  `Poly.eval` and
+`Poly.grad` stay as the term-by-term reference.
 """
 from __future__ import annotations
 
@@ -87,9 +97,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e) for _, e in self.terms), default=0)
-
     def eval(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         total = 0.0
@@ -116,9 +123,6 @@ class Poly:
     def truncated(self, tol: float) -> "Poly":
         """Copy with coefficients at or below tol dropped."""
         return Poly(self.n, [(c, e) for c, e in self.terms if abs(c) > tol])
-
-    def max_coef(self) -> float:
-        return max((abs(c) for c, _ in self.terms), default=0.0)
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -272,17 +276,6 @@ class MatrixPoly:
             i, j = j, i
         return self.entries.get((i, j), Poly.zero(self.n))
 
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for (i, j), p in self.entries.items():
-            v = p.eval(x)
-            out[i, j] = v
-            out[j, i] = v
-        return out
-
-    def max_degree(self) -> int:
-        return max((p.degree() for p in self.entries.values()), default=0)
-
     def __eq__(self, other):
         return isinstance(other, MatrixPoly) and self.dim == other.dim \
             and self.n == other.n and self.entries == other.entries
@@ -291,81 +284,88 @@ class MatrixPoly:
         return hash((self.dim, self.n, tuple(sorted(self.entries.items()))))
 
 
-class _CompiledConstraint:
-    """Monomial-stacked form of G for fast numeric evaluation.
+class Compiled:
+    """Numeric form of polynomials stacked in one array shape.
 
-    G(x) = sum_t mon_t(x) * A_t with constant symmetric A_t; partial
-    derivatives and the adjoint DG(x)*[M] reuse the same stacks.
+    The map is x -> sum_t mon_t(x) * C_t over the T distinct monomials of
+    all entries, with C of shape (T, prod(shape)).  One power table
+    x^0 .. x^maxdeg gives the monomial values mons, and every (monomial,
+    variable) pair with a positive exponent is one entry of the
+    derivative stack D (n, T), so the value is mons @ C, the partials
+    are D @ C and the adjoint against M is D @ (C @ M).  numpy's power
+    gives 0.0 ** 0 = 1, so a zero coordinate needs no special case.
+
+    entries pairs each polynomial with the flat positions it fills: one
+    for an objective or an equality, two for an off-diagonal matrix
+    entry and its mirror.
     """
 
-    def __init__(self, G: MatrixPoly):
-        mono_index: Dict[Exponents, int] = {}
-        for p in G.entries.values():
-            for _, e in p.terms:
-                mono_index.setdefault(e, len(mono_index))
-        T = len(mono_index)
-        n, m = G.n, G.dim
-        E = np.zeros((T, n), dtype=np.int64)
-        for e, t in mono_index.items():
-            E[t, :] = e
-        A = np.zeros((T, m, m))
-        for (i, j), p in G.entries.items():
-            for c, e in p.terms:
-                t = mono_index[e]
-                A[t, i, j] += c
-                if i != j:
-                    A[t, j, i] += c
-        self.E = E
-        self.A = A
-        self.n = n
-        self.m = m
-        # derivative stacks per variable: indices of contributing monomials,
-        # multiplier (the exponent) and reduced exponent rows
-        self.dmask = []
-        for l in range(n):
-            rows = np.nonzero(E[:, l] > 0)[0]
-            Ered = E[rows].copy()
-            Ered[:, l] -= 1
-            self.dmask.append((rows, E[rows, l].astype(float), Ered))
+    __slots__ = ("n", "shape", "C", "_exps", "_idx", "_didx", "_dmult", "_dpos")
 
-    def _mons(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
-        if E.shape[0] == 0:
+    def __init__(self, n: int, shape: Tuple[int, ...],
+                 entries: Iterable[Tuple[Sequence[int], Poly]]):
+        index: Dict[Exponents, int] = {}
+        cells = []
+        for pos, p in entries:
+            for c, e in p.terms:
+                t = index.setdefault(e, len(index))
+                cells.extend((t, q, c) for q in pos)
+        T = len(index)
+        E = np.array(list(index), dtype=np.int64).reshape(T, n)
+        C = np.zeros((T, int(np.prod(shape, dtype=np.int64))))
+        for t, q, c in cells:
+            C[t, q] = c
+        C.setflags(write=False)
+        # d mon_t / d x_l = E[t, l] * x^(E[t] - unit_l) for each positive
+        # exponent; _idx and _didx index the flattened (maxdeg + 1, n)
+        # power table, _dpos the flattened D
+        t_of, l_of = np.nonzero(E)
+        Ered = E[t_of]
+        Ered[np.arange(t_of.size), l_of] -= 1
+        cols = np.arange(n)
+        self.n = n
+        self.shape = tuple(shape)
+        self.C = C
+        self._exps = np.arange(int(E.max(initial=0)) + 1, dtype=float)[:, None]
+        self._idx = E * n + cols
+        self._didx = Ered * n + cols
+        self._dmult = E[t_of, l_of].astype(float)
+        self._dpos = l_of * T + t_of
+
+    @classmethod
+    def matrix(cls, G: MatrixPoly) -> "Compiled":
+        """G as a (dim, dim) map; an off-diagonal entry fills its mirror."""
+        m = G.dim
+        return cls(G.n, (m, m), (({i * m + j, j * m + i}, p)
+                                 for (i, j), p in G.entries.items()))
+
+    def _monomials(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        if not idx.shape[0]:            # the zero map, e.g. no equalities
             return np.zeros(0)
-        return np.prod(np.power(x[None, :], E), axis=1)
+        return np.multiply.reduce(np.power(x, self._exps).take(idx), axis=1)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        if self.A.shape[0] == 0:
-            return np.zeros((self.m, self.m))
-        mons = self._mons(x, self.E)
-        return np.tensordot(mons, self.A, axes=1)
+        return (self._monomials(x, self._idx) @ self.C).reshape(self.shape)
 
-    def partials(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.m, self.m))
-        for l in range(self.n):
-            rows, mult, Ered = self.dmask[l]
-            if rows.size == 0:
-                continue
-            mons = mult * self._mons(x, Ered)
-            out[l] = np.tensordot(mons, self.A[rows], axes=1)
-        return out
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """D @ C, shape (n, prod(shape))."""
+        return self._derivatives(x) @ self.C
 
     def adjoint(self, x: np.ndarray, M: np.ndarray) -> np.ndarray:
-        dots = np.tensordot(self.A, M, axes=2) if self.A.shape[0] else np.zeros(0)
-        out = np.zeros(self.n)
-        for l in range(self.n):
-            rows, mult, Ered = self.dmask[l]
-            if rows.size == 0:
-                continue
-            mons = mult * self._mons(x, Ered)
-            out[l] = float(np.dot(mons, dots[rows]))
-        return out
+        """D @ (C @ M): the gradient of x -> <value(x), M>."""
+        return self._derivatives(x) @ (self.C @ M.ravel())
+
+    def _derivatives(self, x: np.ndarray) -> np.ndarray:
+        D = np.zeros((self.n, self.C.shape[0]))
+        D.flat[self._dpos] = self._dmult * self._monomials(x, self._didx)
+        return D
 
 
 class NsdpProblem:
     """A nonlinear SDP instance: objective, PSD constraint, equalities."""
 
     __slots__ = ("name", "n", "m", "objective", "constraint", "equalities",
-                 "_compiled", "_obj_grad", "_eq_grads")
+                 "_f", "_G", "_h")
 
     def __init__(self, n: int, objective: Poly, constraint: MatrixPoly,
                  equalities: Sequence[Poly] = (), name: str = "unnamed"):
@@ -374,62 +374,58 @@ class NsdpProblem:
         for h in equalities:
             if h.n != n:
                 raise ProblemFormatError("equality arity mismatch")
-        if objective.degree() > MAX_DEGREE or constraint.max_degree() > MAX_DEGREE:
-            raise ProblemFormatError(f"degree exceeds cap {MAX_DEGREE}")
+        equalities = tuple(equalities)
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", constraint.dim)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraint", constraint)
-        object.__setattr__(self, "equalities", tuple(equalities))
-        object.__setattr__(self, "_compiled", None)
-        object.__setattr__(self, "_obj_grad", None)
-        object.__setattr__(self, "_eq_grads", None)
+        object.__setattr__(self, "equalities", equalities)
+        object.__setattr__(self, "_f", Compiled(n, (), [((0,), objective)]))
+        object.__setattr__(self, "_G", Compiled.matrix(constraint))
+        object.__setattr__(self, "_h", Compiled(
+            n, (len(equalities),), (((k,), h) for k, h in enumerate(equalities))))
 
     def __setattr__(self, *_):
         raise AttributeError("NsdpProblem is immutable")
 
-    def _c(self) -> _CompiledConstraint:
-        if self._compiled is None:
-            object.__setattr__(self, "_compiled", _CompiledConstraint(self.constraint))
-        return self._compiled
+    def constraint_stack(self) -> np.ndarray:
+        """Read-only coefficient stack of G, shape (T, m, m).
+
+        G(x) = sum_t mon_t(x) * A_t over the distinct monomials of the
+        constraint entries, in first-appearance order; each A_t is
+        symmetric and exact, so a congruence B^T A_t B gives the exact
+        coefficients of the compressed map's entries.
+        """
+        return self._G.C.reshape(-1, self.m, self.m)
 
     # ---- numeric evaluation ------------------------------------------
 
     def constraint_value(self, x) -> SymMat:
-        x = np.asarray(x, dtype=float)
-        return SymMat.from_symmetric(self._c().value(x))
+        return SymMat.from_symmetric(self._G.value(np.asarray(x, dtype=float)))
 
     def constraint_partials(self, x) -> np.ndarray:
         """Stacked partial derivative matrices, shape (n, m, m)."""
-        return self._c().partials(np.asarray(x, dtype=float))
+        return self._G.jacobian(np.asarray(x, dtype=float)).reshape(
+            self.n, self.m, self.m)
 
     def adjoint(self, x, M) -> np.ndarray:
         """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>)."""
         M = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
-        return self._c().adjoint(np.asarray(x, dtype=float), M)
+        return self._G.adjoint(np.asarray(x, dtype=float), M)
 
     def objective_value(self, x) -> float:
-        return self.objective.eval(np.asarray(x, dtype=float))
+        return float(self._f.value(np.asarray(x, dtype=float)))
 
     def objective_gradient(self, x) -> np.ndarray:
-        if self._obj_grad is None:
-            object.__setattr__(self, "_obj_grad", self.objective.grad())
-        x = np.asarray(x, dtype=float)
-        return np.array([p.eval(x) for p in self._obj_grad])
+        return self._f.jacobian(np.asarray(x, dtype=float)).ravel()
 
     def equality_values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([h.eval(x) for h in self.equalities])
+        return self._h.value(np.asarray(x, dtype=float))
 
     def equality_gradients(self, x) -> np.ndarray:
         """Rows are the gradients of the h_i, shape (k, n)."""
-        if self._eq_grads is None:
-            object.__setattr__(self, "_eq_grads",
-                               tuple(h.grad() for h in self.equalities))
-        x = np.asarray(x, dtype=float)
-        return np.array([[p.eval(x) for p in g] for g in self._eq_grads]) \
-            if self._eq_grads else np.zeros((0, self.n))
+        return self._h.jacobian(np.asarray(x, dtype=float)).T
 
     # ---- wire format --------------------------------------------------
 

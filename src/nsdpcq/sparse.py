@@ -46,6 +46,7 @@ from .cqcheck import (
 )
 from .errors import NumericalFailure
 from .model import (
+    Compiled,
     MatrixPoly,
     NsdpProblem,
     Poly,
@@ -197,13 +198,11 @@ def hat_map(P: NsdpProblem, x, E: KernelBasis) -> ReducedMap:
     if k == 0:
         return ReducedMap(kind="hat", dim=0, n=P.n, pattern=pattern,
                           entries={}, basis=E)
-    mp = MatrixPoly(k, P.n, entries)
-
-    def evaluator(xq):
-        return SymMat.from_symmetric(mp.eval(xq))
-
+    compiled = Compiled.matrix(MatrixPoly(k, P.n, entries))
     return ReducedMap(kind="hat", dim=k, n=P.n, pattern=pattern,
-                      entries=entries, basis=E, _evaluator=evaluator)
+                      entries=entries, basis=E,
+                      _evaluator=lambda xq: SymMat.from_symmetric(
+                          compiled.value(xq)))
 
 
 def tilde_map(pd: PointData) -> ReducedMap:
@@ -281,7 +280,7 @@ class _SearchContext:
 
     def __init__(self, pd: PointData):
         self.pd = pd
-        self.A = pd.P._c().A                        # (T, m, m) monomial stack
+        self.A = pd.P.constraint_stack()
 
     def compressed_stack(self, cols: np.ndarray) -> np.ndarray:
         if self.A.shape[0] == 0:

@@ -15,7 +15,6 @@ from nsdpcq.cqcheck import (
     CqStatus,
     check_nondegeneracy,
     check_robinson,
-    entry_gradient,
     feasibility_data,
     find_multiplier,
     kkt_residual,
@@ -53,6 +52,8 @@ from nsdpcq.symmat import (
     random_rotation,
     rotate_basis,
 )
+
+from oracles import entry_gradient
 
 HC = CqStatus.HOLDS_CERTIFIED
 HS = CqStatus.HOLDS_SAMPLED

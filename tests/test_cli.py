@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, determinism, file round trips."""
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,3 +260,24 @@ class TestRoundTrip:
             x = np.asarray(e.point, dtype=float)
             assert np.allclose(again.constraint_value(x).a,
                                e.problem.constraint_value(x).a)
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_141_quietly(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nsdpcq.cli", "analyze",
+                 "corpus:diag3", "--no-timestamp"],
+                stdout=w, stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(w)
+        assert proc.returncode == 141
+        assert proc.stderr == b""

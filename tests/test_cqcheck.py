@@ -18,7 +18,6 @@ from nsdpcq.cqcheck import (
     CqStatus,
     check_nondegeneracy,
     check_robinson,
-    entry_gradient,
     feasibility_data,
     find_multiplier,
     kkt_residual,
@@ -36,6 +35,7 @@ from nsdpcq.penalty import (
 )
 from nsdpcq.report import analyze_problem, lattice_warnings, report_json_text
 from nsdpcq.symmat import eigh, SymMat, random_rotation, rotate_basis
+from oracles import entry_gradient
 from test_acceptance import shifted_problem, upper_family
 
 RT2 = 1.0 / np.sqrt(2.0)

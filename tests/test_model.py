@@ -6,6 +6,7 @@ import pytest
 
 from nsdpcq.errors import ProblemFormatError
 from nsdpcq.model import (
+    MAX_DEGREE,
     MatrixPoly,
     NsdpProblem,
     Poly,
@@ -88,8 +89,68 @@ def test_adjoint_closed_form():
     assert np.allclose(out, [3.0, 8.0])
 
 
-def test_adjoint_matches_finite_differences():
+def random_problem(rng, n, m, k, name):
+    """Objective, constraint entries and k equalities of degree up to
+    MAX_DEGREE, one to three terms each."""
+    def poly():
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            deg = int(rng.integers(0, MAX_DEGREE + 1))
+            e = tuple(int(v) for v in rng.multinomial(deg, np.ones(n) / n))
+            terms.append((float(rng.standard_normal()), e))
+        return Poly(n, terms)
+
+    entries = {(i, j): poly() for i in range(m) for j in range(i, m)
+               if rng.random() < 0.6}
+    return NsdpProblem(n=n, objective=poly(),
+                       constraint=MatrixPoly(m, n, entries),
+                       equalities=[poly() for _ in range(k)], name=name)
+
+
+def edge_problems():
+    """(problem, x) pairs random draws rarely hit: no equalities, a
+    constant objective, x2 in no monomial, and zero coordinates."""
+    n = 3
+    x1, x3 = Poly.var(n, 0), Poly.var(n, 2)
+    G = MatrixPoly(2, n, {(0, 0): x1 * x1 * x3 + Poly.const(n, 1.0),
+                          (0, 1): x3 * 2.0, (1, 1): x1})
+    yield (NsdpProblem(n=n, objective=Poly.const(n, 2.5), constraint=G,
+                       name="const"), np.array([0.4, 0.7, -1.3]))
+    yield (NsdpProblem(n=n, objective=x1 * x3, constraint=G,
+                       equalities=[x1 * x1 - x3, Poly.const(n, 1.0)],
+                       name="zeros"), np.array([0.0, 0.0, 0.0]))
+    yield (NsdpProblem(n=n, objective=x3 * x3, constraint=G,
+                       equalities=[x1 * x3 * x3], name="axis"),
+           np.array([0.0, 0.5, -0.8]))
+
+
+def evaluation_cases():
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        n = int(rng.integers(1, 5))
+        P = random_problem(rng, n, int(rng.integers(1, 4)),
+                           int(rng.integers(0, 3)), f"rand{case}")
+        x = rng.uniform(-1.0, 1.0, n)
+        x[rng.random(n) < 0.3] = 0.0
+        yield P, x
+    yield from edge_problems()
+
+
+def assert_adjoint_matches_fd(P, x, M):
     # <D_l G(x), M> vs central difference of l -> <G(x + h e_l), M>
+    got = P.adjoint(x, M)
+    h = 1e-6
+    for l in range(P.n):
+        xp, xm = x.copy(), x.copy()
+        xp[l] += h
+        xm[l] -= h
+        fd = (np.sum(P.constraint_value(xp).a * M)
+              - np.sum(P.constraint_value(xm).a * M)) / (2.0 * h)
+        denom = 1.0 + abs(fd)
+        assert abs(got[l] - fd) / denom <= 1e-5
+
+
+def test_adjoint_matches_finite_differences():
     rng = np.random.default_rng(0)
     for case in range(60):
         n = int(rng.integers(1, 5))
@@ -110,16 +171,83 @@ def test_adjoint_matches_finite_differences():
         x = rng.standard_normal(n)
         Msym = rng.standard_normal((m, m))
         Msym = (Msym + Msym.T) / 2.0
-        got = P.adjoint(x, Msym)
-        h = 1e-6
-        for l in range(n):
+        assert_adjoint_matches_fd(P, x, Msym)
+    for P, x in evaluation_cases():
+        M = np.arange(P.m * P.m, dtype=float).reshape(P.m, P.m)
+        assert_adjoint_matches_fd(P, x, (M + M.T) / P.m ** 2)
+
+
+def reference_evaluation(P, x):
+    """f, grad f, h, Dh, G and its partials term by term from Poly.eval
+    and Poly.grad."""
+    n, m = P.n, P.m
+    G = np.zeros((m, m))
+    DG = np.zeros((n, m, m))
+    for (i, j), p in P.constraint.entries.items():
+        G[i, j] = G[j, i] = p.eval(x)
+        for l, q in enumerate(p.grad()):
+            DG[l, i, j] = DG[l, j, i] = q.eval(x)
+    return {
+        "f": P.objective.eval(x),
+        "df": np.array([q.eval(x) for q in P.objective.grad()]),
+        "h": np.array([h.eval(x) for h in P.equalities]),
+        "dh": np.array([[q.eval(x) for q in h.grad()]
+                        for h in P.equalities]).reshape(-1, n),
+        "G": G,
+        "DG": DG,
+    }
+
+
+def compiled_evaluation(P, x):
+    return {
+        "f": P.objective_value(x),
+        "df": P.objective_gradient(x),
+        "h": P.equality_values(x),
+        "dh": P.equality_gradients(x),
+        "G": P.constraint_value(x).a,
+        "DG": P.constraint_partials(x),
+    }
+
+
+def test_compiled_evaluation_matches_reference():
+    for P, x in evaluation_cases():
+        got = compiled_evaluation(P, x)
+        want = reference_evaluation(P, x)
+        assert isinstance(got["f"], float)
+        for key, val in want.items():
+            assert np.shape(got[key]) == np.shape(val), (P.name, key)
+            assert np.allclose(got[key], val, rtol=1e-12, atol=1e-12), \
+                (P.name, key)
+        M = np.arange(P.m * P.m, dtype=float).reshape(P.m, P.m)
+        M = M + M.T
+        assert np.allclose(P.adjoint(x, M),
+                           np.einsum("lab,ab->l", want["DG"], M),
+                           rtol=1e-12, atol=1e-10), P.name
+
+
+def test_compiled_gradients_match_finite_differences():
+    h = 1e-6
+    for P, x in evaluation_cases():
+        got = compiled_evaluation(P, x)
+        for l in range(P.n):
             xp, xm = x.copy(), x.copy()
             xp[l] += h
             xm[l] -= h
-            fd = (np.sum(P.constraint_value(xp).a * Msym)
-                  - np.sum(P.constraint_value(xm).a * Msym)) / (2.0 * h)
-            denom = 1.0 + abs(fd)
-            assert abs(got[l] - fd) / denom <= 1e-5
+            hi, lo = compiled_evaluation(P, xp), compiled_evaluation(P, xm)
+            for value, deriv in (("f", got["df"][l]), ("h", got["dh"][:, l]),
+                                 ("G", got["DG"][l])):
+                fd = (np.asarray(hi[value]) - np.asarray(lo[value])) / (2.0 * h)
+                assert np.all(np.abs(deriv - fd) <= 1e-5 * (1.0 + np.abs(fd))), \
+                    (P.name, value, l)
+
+
+def test_constraint_stack_is_read_only():
+    P = hinge_problem()
+    A = P.constraint_stack()
+    assert A.shape == (2, 2, 2) and not A.flags.writeable
+    # monomials in first-appearance order: x1 from (0, 0), x2 from (0, 1)
+    assert np.array_equal(A[0], [[1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(A[1], [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_adjoint_linearity():

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import entry_gradient
 from test_cqcheck import (
     LADDER_PROBLEM,
     RANK0_PROBLEM,
@@ -32,7 +33,6 @@ from test_cqcheck import (
 from nsdpcq.cqcheck import (
     LI_TOL,
     CqStatus,
-    entry_gradient,
     feasibility_data,
     li_test,
 )

@@ -11,7 +11,6 @@ import pytest
 
 from nsdpcq.cqcheck import (
     CqStatus,
-    entry_gradient,
     feasibility_data,
     find_multiplier,
     li_test,
@@ -37,6 +36,7 @@ from nsdpcq.sparse import (
 )
 from nsdpcq.symmat import KernelBasis, SymMat, eigh, random_rotation, rotate_basis
 
+from oracles import entry_gradient
 from test_cqcheck import (
     RT2,
     block2_problem,
