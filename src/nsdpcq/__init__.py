@@ -47,10 +47,8 @@ from .cqcheck import (
 from .sparse import (
     check_forsgren,
     check_sparse_ndg,
-    check_sparse_ndg_multifold,
     facial_reduce,
     hat_map,
-    sparse_card_invariance,
     tilde_map,
 )
 from .penalty import (
@@ -92,7 +90,6 @@ __all__ = [
     "check_nondegeneracy",
     "check_robinson",
     "check_sparse_ndg",
-    "check_sparse_ndg_multifold",
     "corpus_entries",
     "corpus_entry",
     "default_trace_family",
@@ -112,7 +109,6 @@ __all__ = [
     "probe_weak_robinson",
     "proj_psd",
     "run_penalty",
-    "sparse_card_invariance",
     "structurally_diagonal",
     "tilde_map",
     "__version__",

@@ -273,56 +273,112 @@ def pli_test(vectors: Sequence[np.ndarray], tol: float = LI_TOL,
 
 
 # ---------------------------------------------------------------------------
-# nondegeneracy
+# routes every condition shares
 
 
-def check_nondegeneracy(pd: PointData) -> CqVerdict:
-    """Linear independence of the full family {v_ij, i <= j} for one basis.
+# the six conditions, in the order an analysis decides them: each weak
+# probe after the condition that can imply it
+CONDITIONS = ("nondegeneracy", "robinson", "sparse_ndg", "forsgren",
+              "weak_ndg_probe", "weak_robinson_probe")
 
-    One deterministic basis suffices: independence of the family for some
-    orthonormal kernel basis is invariant under the orthogonal change
-    v'_ij = sum C_ki C_lj v_kl, so the verdict is certified either way.
-    Equality-constraint gradients are appended to the family.
+
+def exact_verdict(pd: PointData, condition: str) -> Optional[CqVerdict]:
+    """The routes that decide a condition without any search.
+
+    In this order, with k the kernel dimension and ne the number of
+    equality constraints:
+
+    1. dependent equality gradients: every condition fails; the witness
+       is a unit null combination ``equality_coeffs`` of them and their
+       ``sigma_min``;
+    2. trivial kernel: with the equality gradients independent, every
+       condition holds;
+    3. dimension bound: nondegeneracy needs k(k+1)/2 + ne independent
+       vectors in R^n, sparse and weak nondegeneracy need k + ne (the
+       diagonal gradients plus the equality gradients), and a larger
+       family fails; the witness is the family with a unit null
+       combination ``coeffs``;
+    4. structurally diagonal constraint: sparse nondegeneracy reduces to
+       LICQ, linear independence of the active diagonal gradients
+       together with the equality gradients, and Robinson and weak
+       Robinson reduce to MFCQ, their positive independence with the
+       equality gradients free.  Weak nondegeneracy reduces to LICQ as
+       well but is still left to its sequence probe here (ROADMAP
+       item 4).
+
+    ``condition`` is one of CONDITIONS.  Returns None when no route
+    decides it; the checker then runs its own routes.
     """
-    E = pd.kernel
+    if condition not in CONDITIONS:
+        raise ValueError(f"unknown condition {condition!r}")
+    E, Heq, n = pd.kernel, pd.Heq, pd.P.n
     k = E.nullity
-    n = pd.P.n
     log = [f"rank {pd.rank}, kernel dimension {k}"]
-    if k == 0 and pd.Heq.shape[0] == 0:
+    eq = li_test(Heq) if Heq.shape[0] else None
+    if eq is not None and not eq.independent:
+        return CqVerdict(CqStatus.FAILS,
+                         reason="equality-constraint gradients dependent",
+                         witness={"equality_coeffs": eq.coeffs,
+                                  "sigma_min": eq.sigma_min}, log=log)
+    if k == 0:
         return CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                         reason="interior point, empty gradient family",
-                         log=log)
-    iu, ju = np.triu_indices(k)
-    vectors = list(pd.Wc[:, iu, ju].T) + list(pd.Heq)
-    pairs = list(zip(iu.tolist(), ju.tolist()))
-    need = len(vectors)
-    if need > n:
-        # dimension bound: more vectors than ambient dimension; run the
-        # independence test on a small prefix anyway to produce a witness
-        sub = vectors[:n + 1]
-        li = li_test(sub)
-        log.append(f"dimension bound: family size {need} exceeds n = {n}")
-        coeffs = np.zeros(need)
-        if li.coeffs is not None:
-            coeffs[:li.coeffs.shape[0]] = li.coeffs
+                         reason="trivial kernel, interior point",
+                         witness=None if eq is None
+                         else {"sigma_min": eq.sigma_min}, log=log)
+
+    full = condition == "nondegeneracy"
+    independence = full or condition in ("sparse_ndg", "weak_ndg_probe")
+    size = (k * (k + 1) // 2 if full else k) + Heq.shape[0]
+    if independence and size > n:
+        # n + 1 of the vectors are already dependent, and their null
+        # combination, padded with zeros, is the witness
+        pairs, vectors = _gradient_family(pd, full)
+        coeffs = np.zeros(size)
+        coeffs[:n + 1] = li_test(vectors[:n + 1]).coeffs
+        log.append(f"dimension bound: family size {size} exceeds n = {n}")
         return CqVerdict(
             CqStatus.FAILS,
-            reason=f"family of {need} gradients cannot be independent in R^{n}",
-            witness=_family_witness(E, pairs, vectors, coeffs),
-            log=log,
-        )
-    li = li_test(vectors)
-    if li.independent:
-        log.append(f"family of {need} independent, sigma_min {li.sigma_min:.3e}")
+            reason=f"dimension bound: a family of {size} gradients cannot "
+                   f"be independent in R^{n}",
+            witness=_family_witness(E, pairs, vectors, coeffs), log=log)
+
+    if condition in ("nondegeneracy", "forsgren", "weak_ndg_probe") \
+            or not structurally_diagonal(pd.P):
+        return None
+    if condition == "sparse_ndg":
+        pairs, vectors = _gradient_family(pd, full=False)
+        li = li_test(vectors)
+        if li.independent:
+            log.append("structurally diagonal, LICQ holds")
+            return CqVerdict(
+                CqStatus.HOLDS_CERTIFIED,
+                reason="diagonal constraint, LICQ holds",
+                witness={"basis": E.cols, "provenance": "diagonal",
+                         "pattern": pairs, "cardinality": k,
+                         "sigma_min": li.sigma_min}, log=log)
+        return CqVerdict(CqStatus.FAILS,
+                         reason="diagonal constraint, LICQ fails",
+                         witness=_family_witness(E, pairs, vectors, li.coeffs),
+                         log=log)
+    pli = pli_test(np.diagonal(pd.Wc, axis1=1, axis2=2).T,
+                   free_vectors=list(Heq))
+    if pli.pos_independent:
+        log.append("structurally diagonal, MFCQ holds")
         return CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                         reason="gradient family independent for a fixed basis",
-                         witness={"sigma_min": li.sigma_min}, log=log)
-    return CqVerdict(
-        CqStatus.FAILS,
-        reason="gradient family dependent",
-        witness=_family_witness(E, pairs, vectors, li.coeffs),
-        log=log,
-    )
+                         reason="diagonal constraint, MFCQ holds",
+                         witness={"margin": pli.margin}, log=log)
+    return CqVerdict(CqStatus.FAILS, reason="diagonal constraint, MFCQ fails",
+                     witness={"basis": E.cols, "alpha": pli.alpha,
+                              "free_coeffs": pli.free_coeffs}, log=log)
+
+
+def _gradient_family(pd: PointData, full: bool):
+    """Kernel pairs (i, j) with their gradients v_ij, over the upper
+    triangle when full, else the diagonal, then the equality gradients."""
+    k = pd.kernel.nullity
+    iu, ju = np.triu_indices(k) if full else (np.arange(k), np.arange(k))
+    pairs = list(zip(iu.tolist(), ju.tolist()))
+    return pairs, list(pd.Wc[:, iu, ju].T) + list(pd.Heq)
 
 
 def _family_witness(E: KernelBasis, pairs, vectors, coeffs) -> dict:
@@ -333,6 +389,40 @@ def _family_witness(E: KernelBasis, pairs, vectors, coeffs) -> dict:
         "vectors": np.array(vectors) if len(vectors) else np.zeros((0,)),
         "coeffs": np.asarray(coeffs, dtype=float),
     }
+
+
+# ---------------------------------------------------------------------------
+# nondegeneracy
+
+
+def check_nondegeneracy(pd: PointData) -> CqVerdict:
+    """Linear independence of the full family {v_ij, i <= j} for one basis.
+
+    One deterministic basis suffices: independence of the family for some
+    orthonormal kernel basis is invariant under the orthogonal change
+    v'_ij = sum C_ki C_lj v_kl, so the verdict is certified either way.
+    Equality-constraint gradients are appended to the family.  The
+    shared routes of :func:`exact_verdict` are tried first.
+    """
+    exact = exact_verdict(pd, "nondegeneracy")
+    if exact is not None:
+        return exact
+    E = pd.kernel
+    log = [f"rank {pd.rank}, kernel dimension {E.nullity}"]
+    pairs, vectors = _gradient_family(pd, full=True)
+    li = li_test(vectors)
+    if li.independent:
+        log.append(f"family of {len(vectors)} independent, "
+                   f"sigma_min {li.sigma_min:.3e}")
+        return CqVerdict(CqStatus.HOLDS_CERTIFIED,
+                         reason="gradient family independent for a fixed basis",
+                         witness={"sigma_min": li.sigma_min}, log=log)
+    return CqVerdict(
+        CqStatus.FAILS,
+        reason="gradient family dependent",
+        witness=_family_witness(E, pairs, vectors, li.coeffs),
+        log=log,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,36 +629,16 @@ def check_robinson(pd: PointData) -> CqVerdict:
 
     Without either certificate (the budget ran out, or the bounds met
     too close to zero) the verdict is Undetermined and the log carries
-    both bounds.  Structurally diagonal constraints and kernels of
-    dimension <= 1 are decided exactly before the solve.
+    both bounds.  The shared routes of :func:`exact_verdict` (dependent
+    equality gradients, trivial kernel, diagonal constraint) and a
+    one-dimensional kernel are decided exactly before the solve.
     """
+    exact = exact_verdict(pd, "robinson")
+    if exact is not None:
+        return exact
     P, E, Heq, Wc = pd.P, pd.kernel, pd.Heq, pd.Wc
     k = E.nullity
     log = [f"rank {pd.rank}, kernel dimension {k}"]
-    if Heq.shape[0]:
-        li = li_test(Heq)
-        if not li.independent:
-            return CqVerdict(CqStatus.FAILS,
-                             reason="equality-constraint gradients dependent",
-                             witness={"equality_coeffs": li.coeffs}, log=log)
-    if k == 0:
-        return CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                         reason="interior point", log=log)
-
-    if structurally_diagonal(P):
-        # active diagonal gradients, positively independent iff MFCQ holds
-        pli = pli_test(np.diagonal(Wc, axis1=1, axis2=2).T,
-                       free_vectors=list(Heq))
-        if pli.pos_independent:
-            log.append("structurally diagonal, active gradients positively independent")
-            return CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                             reason="diagonal constraint, MFCQ holds",
-                             witness={"margin": pli.margin}, log=log)
-        return CqVerdict(
-            CqStatus.FAILS, reason="diagonal constraint, MFCQ fails",
-            witness={"basis": E.cols, "alpha": pli.alpha,
-                     "free_coeffs": pli.free_coeffs}, log=log)
-
     Qn = _null_projector(Heq, P.n)
     if k == 1:
         # the kernel basis is unique up to sign and v_11 is sign-invariant

@@ -518,66 +518,6 @@ def parse_problem_text(text: str) -> NsdpProblem:
     return NsdpProblem.from_json(obj)
 
 
-def detect_blocks(P: NsdpProblem):
-    """Finest partition of the constraint indices into decoupled blocks.
-
-    Two indices are coupled when some off-diagonal entry joining them is
-    not a structural zero; connected components of that graph give the
-    finest block partition (after an implicit symmetric permutation).
-    Returns the string "dense" when everything is one component, otherwise
-    a list of sorted 0-based index lists.  A fully diagonal constraint
-    comes back as all-singleton blocks.
-    """
-    m = P.m
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j) in P.constraint.entries:
-        if i != j:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: Dict[int, List[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    comps = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    if len(comps) == 1:
-        return "dense"
-    return comps
-
-
-def block_partition(P: NsdpProblem) -> List[List[int]]:
-    """Like detect_blocks but always a list (single block when dense)."""
-    comps = detect_blocks(P)
-    return [list(range(P.m))] if comps == "dense" else comps
-
-
 def structurally_diagonal(P: NsdpProblem) -> bool:
     """True when every off-diagonal constraint entry is a structural zero."""
     return all(i == j for (i, j) in P.constraint.entries)
-
-
-def component_subproblem(P: NsdpProblem, comp: Sequence[int],
-                         name_suffix: str = "") -> NsdpProblem:
-    """Restriction of the PSD constraint to a block of indices.
-
-    Keeps the full variable space; objective and equalities are dropped
-    since block machinery only needs the constraint map.
-    """
-    comp = list(comp)
-    pos = {g: k for k, g in enumerate(comp)}
-    entries = {}
-    for (i, j), p in P.constraint.entries.items():
-        if i in pos and j in pos:
-            entries[(pos[i], pos[j])] = p
-        elif (i in pos) != (j in pos):
-            raise ProblemFormatError(
-                f"entry ({i}, {j}) couples indices across the requested block")
-    sub = MatrixPoly(len(comp), P.n, entries)
-    return NsdpProblem(n=P.n, objective=Poly.zero(P.n), constraint=sub,
-                       name=P.name + name_suffix)

@@ -18,12 +18,12 @@ scores the limit basis and, with cluster freedom left, one Haar rotation
 within the clusters.  The universal quantifier over sequences is
 approximated by a finite family of traces, and the verdict semantics say
 so: a passing probe reports HoldsSampled, never a certificate, while
-Fails comes from one sequence the test decided.  The routes that need no
-sequence (weak_ndg_exact, weak_robinson_exact) are split out so that an
-analysis can try them, and a certified upstream condition, before it
-builds any trace: report.py certifies a probe whose nondegeneracy or
-Robinson counterpart is certified and calls default_trace_family only
-for a probe left open.
+Fails comes from one sequence the test decided.  Both probes first try
+the routes that need no sequence, cqcheck.exact_verdict; an analysis
+tries those, and a certified upstream condition, before it builds any
+trace: report.py certifies a probe whose nondegeneracy or Robinson
+counterpart is certified and calls default_trace_family only for a
+probe left open.
 
 Each level is solved to a gradient tolerance that grows with rho up to a
 cap, but never below the gradient's own rounding error at the level's
@@ -43,12 +43,13 @@ from .cqcheck import (
     CqVerdict,
     PliResult,
     PointData,
+    exact_verdict,
     feasibility_data,
     li_test,
     pli_test,
 )
 from .errors import NumericalFailure
-from .model import NsdpProblem, structurally_diagonal
+from .model import NsdpProblem
 from .symmat import (
     TAU_RANK,
     KernelBasis,
@@ -511,15 +512,15 @@ def default_trace_family(P: NsdpProblem, cfg: PenaltyConfig,
 def extract_eigbasis_sequence(trace: PenaltyTrace,
                               rank: Optional[int] = None,
                               tol_rank: float = TAU_RANK) -> List[np.ndarray]:
-    """Aligned kernel eigenvector blocks E^k along the trace tail.
+    """Kernel eigenvector blocks E^k along the trace tail.
 
     E^k collects the eigenvectors of the m - r smallest eigenvalues of
-    G(x^k); columns are matched greedily to the previous iterate by
-    largest absolute inner product and sign-aligned, repairing the
-    arbitrary order and signs of independent eigensolves.  An iterate is
-    usable when the r-th eigenvalue stays above twice the kernel
-    threshold, so the range/kernel split is unambiguous.  When rank is
-    not given it is read off the eigenvalues of the final iterate.
+    G(x^k), in the record's own non-increasing eigenvalue order, so the
+    column positions are the ones the eigenvalue clusters of
+    _persistent_clusters count.  An iterate is usable when the r-th
+    eigenvalue stays above twice the kernel threshold, so the
+    range/kernel split is unambiguous.  When rank is not given it is
+    read off the eigenvalues of the final iterate.
     """
     if not trace.iterates:
         raise NumericalFailure("empty trace")
@@ -530,23 +531,14 @@ def extract_eigbasis_sequence(trace: PenaltyTrace,
         rank = int(np.sum(np.abs(vals) > thr))
     if m - rank == 0:
         return []
-    usable = _usable_records(trace, rank, tol_rank)
-    if len(usable) < 3:
-        raise NumericalFailure(
-            f"only {len(usable)} usable iterates in the trace tail, need 3")
-    out: List[np.ndarray] = []
-    prev: Optional[np.ndarray] = None
-    for rec in usable:
-        E = rec.eigenvectors[:, rank:].copy()
-        if prev is not None:
-            E = _align_columns(prev, E)
-        out.append(E)
-        prev = E
-    return out
+    return [rec.eigenvectors[:, rank:].copy()
+            for rec in _usable_records(trace, rank, tol_rank)]
 
 
 def _usable_records(trace: PenaltyTrace, rank: int,
                     tol_rank: float) -> List[PenaltyIterate]:
+    """The iterates whose range/kernel split at rank is unambiguous;
+    NumericalFailure when fewer than 3 are left."""
     out = []
     for rec in trace.iterates:
         vals = rec.eigenvalues
@@ -554,25 +546,9 @@ def _usable_records(trace: PenaltyTrace, rank: int,
         if rank > 0 and vals[rank - 1] <= 2.0 * tol_rank * scale:
             continue
         out.append(rec)
-    return out
-
-
-def _align_columns(prev: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Greedy column matching maximizing |dot|, then sign alignment."""
-    k = prev.shape[1]
-    M = np.abs(prev.T @ E)
-    used = np.zeros(k, dtype=bool)
-    order = np.empty(k, dtype=int)
-    for j in range(k):
-        row = M[j].copy()
-        row[used] = -1.0
-        pick = int(np.argmax(row))
-        order[j] = pick
-        used[pick] = True
-    out = E[:, order]
-    for j in range(k):
-        if float(prev[:, j] @ out[:, j]) < 0.0:
-            out[:, j] = -out[:, j]
+    if len(out) < 3:
+        raise NumericalFailure(
+            f"only {len(out)} usable iterates in the trace tail, need 3")
     return out
 
 
@@ -673,14 +649,13 @@ def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
             raise ValueError(
                 f"trace {trace.trace_id} converges {dist:.2e} away from the "
                 "queried point")
-        seq = extract_eigbasis_sequence(trace, rank=rank, tol_rank=tol_rank)
-        E = _snap_to_kernel(seq[-1], K)
+        usable = _usable_records(trace, rank, tol_rank)
+        E = _snap_to_kernel(usable[-1].eigenvectors[:, rank:], K)
         log = []
         if E is None:
             E = K.copy()
             log.append("sequence limit defective, kernel basis substituted")
-        clusters = _persistent_clusters(_usable_records(trace, rank,
-                                                        tol_rank), rank)
+        clusters = _persistent_clusters(usable, rank)
         free = any(len(cl) > 1 for cl in clusters)
         cone = None
         if positive:
@@ -710,58 +685,6 @@ def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
     return results, certified_fail
 
 
-def _trivial_kernel_verdict(pd: PointData) -> CqVerdict:
-    """Both weak conditions at a point with Ker G(x) = {0}: only the
-    equality gradients are left, and they must be independent."""
-    if pd.Heq.shape[0] == 0:
-        return CqVerdict(CqStatus.HOLDS_CERTIFIED, reason="trivial kernel")
-    res = li_test(list(pd.Heq))
-    status = CqStatus.HOLDS_CERTIFIED if res.independent else CqStatus.FAILS
-    return CqVerdict(status,
-                     reason="trivial kernel, equality gradients decide the "
-                            "condition",
-                     witness={"sigma_min": res.sigma_min})
-
-
-def weak_ndg_exact(pd: PointData) -> Optional[CqVerdict]:
-    """Weak nondegeneracy where no sequence is needed: a trivial kernel,
-    or more gradients than the space has dimensions.  None otherwise."""
-    k = pd.kernel.nullity
-    ne = pd.Heq.shape[0]
-    if k == 0:
-        return _trivial_kernel_verdict(pd)
-    if pd.P.n < k + ne:
-        return CqVerdict(
-            CqStatus.FAILS,
-            reason=f"any admissible basis needs {k + ne} independent "
-                   f"gradients but the space has dimension {pd.P.n}")
-    return None
-
-
-def weak_robinson_exact(pd: PointData) -> Optional[CqVerdict]:
-    """Weak Robinson where no sequence is needed: a trivial kernel, or a
-    structurally diagonal constraint, where the condition is equivalent
-    to positive independence of the active diagonal gradients.  None
-    otherwise."""
-    if pd.kernel.nullity == 0:
-        return _trivial_kernel_verdict(pd)
-    if not structurally_diagonal(pd.P):
-        return None
-    res = pli_test(np.diagonal(pd.Wc, axis1=1, axis2=2).T,
-                   free_vectors=list(pd.Heq))
-    if res.pos_independent:
-        return CqVerdict(
-            CqStatus.HOLDS_CERTIFIED,
-            reason="diagonal constraint, active gradients positively "
-                   "independent",
-            witness={"margin": res.margin})
-    return CqVerdict(
-        CqStatus.FAILS,
-        reason="diagonal constraint, active gradients positively "
-               "dependent",
-        witness={"alpha": res.alpha, "free_coeffs": res.free_coeffs})
-
-
 def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
                    seed: int = 0
                    ) -> Tuple[List[SequenceProbeResult], CqVerdict]:
@@ -773,9 +696,10 @@ def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
     that fails with cluster freedom left, one Haar rotation within the
     clusters drawn from seed.  All traces passing gives HoldsSampled; a
     failing trace with no cluster freedom is a genuine witness and gives
-    Fails; the kernel-dimension bound fails the condition outright.
+    Fails.  The shared routes of :func:`exact_verdict` come first: among
+    them the dimension bound.
     """
-    exact = weak_ndg_exact(pd)
+    exact = exact_verdict(pd, "weak_ndg_probe")
     if exact is not None:
         return [], exact
     if not traces:
@@ -810,11 +734,11 @@ def probe_weak_robinson(pd: PointData,
     condition whatever rotation freedom its clusters leave, and its
     witness carries the limit basis, the clusters and the cone
     multipliers, so it replays from the report.  All traces passing
-    gives HoldsSampled.  For structurally diagonal constraints the
-    condition is equivalent to positive independence of the active
-    diagonal gradients, so it is decided without sequences.
+    gives HoldsSampled.  The shared routes of :func:`exact_verdict` come
+    first: among them the diagonal reduction to MFCQ, positive
+    independence of the active diagonal gradients.
     """
-    exact = weak_robinson_exact(pd)
+    exact = exact_verdict(pd, "weak_robinson_probe")
     if exact is not None:
         return exact
     if not traces:

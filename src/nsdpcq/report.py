@@ -1,10 +1,12 @@
 """Analysis reports: run every checker at a point and merge the verdicts.
 
 The report carries one verdict per condition plus the witnesses, the
-spectral data of G at the point, and per-checker timing.
+spectral data of G at the point, per-checker timing and the notes of the
+two self-audit passes below; its JSON form always has ``notes``.
 
 Nondegeneracy and Robinson are decided first.  Each weak probe then
-tries its exact routes (trivial kernel, dimension bound, diagonal
+tries the exact routes every condition shares (cqcheck.exact_verdict:
+dependent equality gradients, trivial kernel, dimension bound, diagonal
 constraint); where none applies, a certified upstream condition decides
 it: nondegeneracy holds iff the diagonal gradient family is independent
 for every kernel basis, weak nondegeneracy asks it only for the bases
@@ -14,12 +16,11 @@ HoldsCertified and its witness names the upstream checker and carries
 that checker's witness, so it replays from the report alone.  Only
 certified holds propagate, and only along these two edges.  The
 sequence family is built once, and only when a probe is still open
-after that.  Two self-audit
-passes run on the merged verdicts: the implication structure between the
-conditions (a holds-verdict upstream of a failure downstream indicates a
-numerics problem) and the open relation between the Robinson condition
-and its sequence-based variant, where any observed separation is worth
-reporting loudly.
+after that.  Two self-audit passes run on the merged verdicts: the
+implication structure between the conditions (a holds-verdict upstream
+of a failure downstream indicates a numerics problem) and the open
+relation between the Robinson condition and its sequence-based variant,
+where any observed separation is worth reporting loudly.
 """
 from __future__ import annotations
 
@@ -32,10 +33,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .cqcheck import (
+    CONDITIONS,
     CqStatus,
     CqVerdict,
     check_nondegeneracy,
     check_robinson,
+    exact_verdict,
     feasibility_data,
 )
 from .model import NsdpProblem
@@ -44,14 +47,9 @@ from .penalty import (
     default_trace_family,
     probe_weak_ndg,
     probe_weak_robinson,
-    weak_ndg_exact,
-    weak_robinson_exact,
 )
 from .sparse import check_forsgren, check_sparse_ndg
 from .symmat import TAU_RANK
-
-CHECKER_ORDER = ("nondegeneracy", "robinson", "sparse_ndg", "forsgren",
-                 "weak_ndg_probe", "weak_robinson_probe")
 
 # one-way implications between the conditions; a holds-verdict on the
 # left with a failure on the right cannot happen for exact arithmetic
@@ -104,6 +102,7 @@ class AnalysisReport:
             "witnesses": self.witnesses(),
             "seed": self.seed,
             "timing": self.timing,
+            "notes": list(self.notes),
         }
         if self.timestamp is not None:
             obj["timestamp"] = self.timestamp
@@ -114,7 +113,7 @@ class AnalysisReport:
                  f"({', '.join(f'{v:g}' for v in self.point)})"]
         ev = ", ".join(f"{v:.6g}" for v in self.eigenvalues)
         lines.append(f"  eigenvalues of G: [{ev}]  rank {self.rank}")
-        for name in CHECKER_ORDER:
+        for name in CONDITIONS:
             v = self.verdicts[name]
             extra = f"  ({v.reason})" if v.reason else ""
             tag = f" over {v.samples} samples" if v.samples else ""
@@ -166,11 +165,11 @@ def analyze_problem(P: NsdpProblem, point,
                     ) -> AnalysisReport:
     """Run every checker on one shared point data, with a shared seed.
 
-    The checkers run in CHECKER_ORDER, so nondegeneracy and Robinson are
-    decided before the probes.  A probe left open by its exact routes is
-    HoldsCertified when its upstream condition is certified; otherwise
-    it runs on the trace family, which is built on first use and at most
-    once.  ``timing["traces"]`` is that build's time, 0.0 without one,
+    The checkers run in CONDITIONS order, so nondegeneracy and Robinson are
+    decided before the probes.  A probe left open by the shared exact
+    routes is HoldsCertified when its upstream condition is certified;
+    otherwise it runs on the trace family, which is built on first use
+    and at most once.  ``timing["traces"]`` is that build's time, 0.0 without one,
     and no checker's timing includes it.
     """
     x = np.asarray(point, dtype=float)
@@ -197,15 +196,15 @@ def analyze_problem(P: NsdpProblem, point,
         if name == "forsgren":
             return check_forsgren(pd)
         if name == "weak_ndg_probe":
-            return (weak_ndg_exact(pd)
+            return (exact_verdict(pd, name)
                     or implied_verdict("nondegeneracy",
                                        verdicts["nondegeneracy"])
                     or probe_weak_ndg(pd, traces(), seed=opts.seed)[1])
-        return (weak_robinson_exact(pd)
+        return (exact_verdict(pd, name)
                 or implied_verdict("robinson", verdicts["robinson"])
                 or probe_weak_robinson(pd, traces()))
 
-    for name in CHECKER_ORDER:
+    for name in CONDITIONS:
         start, built = time.perf_counter(), timing["traces"]
         verdicts[name] = run(name)
         timing[name] = round(time.perf_counter() - start

@@ -41,6 +41,7 @@ from .cqcheck import (
     PointData,
     check_robinson,
     cone_saddle,
+    exact_verdict,
     feasibility_data,
     li_test,
 )
@@ -50,10 +51,7 @@ from .model import (
     MatrixPoly,
     NsdpProblem,
     Poly,
-    block_partition,
-    component_subproblem,
     structural_zero,
-    structurally_diagonal,
 )
 from .symmat import (
     TAU_RANK,
@@ -61,7 +59,6 @@ from .symmat import (
     SymMat,
     eigh,
     orthonormal_completion,
-    random_rotation,
 )
 
 PATTERN_COEF_TOL = 1e-12     # coefficient threshold for congruence patterns
@@ -407,38 +404,19 @@ def check_sparse_ndg(pd: PointData) -> CqVerdict:
     stack E^T A_t E by cyclic Jacobi sweeps.  The second is exact for any
     commuting stack, as for a diagonal constraint under an orthogonal
     congruence G -> Q^T G Q.  A found witness certifies Holds.  Fails is
-    certified through exact routes only: the structurally diagonal
-    reduction, an identically zero diagonal entry of the constraint
-    (which refutes Robinson's condition directly), the kernel-dimension
-    bound, or a certified Robinson failure; anything else is
+    certified through exact routes only: the shared routes of
+    :func:`exact_verdict` (dependent equality gradients, the dimension
+    bound, the diagonal reduction to LICQ), an identically zero
+    diagonal entry of the constraint (which refutes Robinson's condition
+    directly), or a certified Robinson failure; anything else is
     Undetermined.
     """
+    exact = exact_verdict(pd, "sparse_ndg")
+    if exact is not None:
+        return exact
     P, x = pd.P, pd.x
     E0 = pd.kernel
-    k = E0.nullity
-    log = [f"rank {pd.rank}, kernel dimension {k}"]
-    if k == 0:
-        return CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                         reason="trivial kernel", log=log)
-    # the diagonal gradients v_ii plus the equality gradients
-    diag_vecs = list(np.diagonal(pd.Wc, axis1=1, axis2=2).T) + list(pd.Heq)
-    if structurally_diagonal(P):
-        return _diagonal_sparse_verdict(pd.kernel, diag_vecs, log)
-
-    family_size = len(diag_vecs)
-    if P.n < family_size:
-        li = li_test(diag_vecs[:P.n + 1])
-        coeffs = np.zeros(family_size)
-        coeffs[:li.coeffs.shape[0]] = li.coeffs
-        log.append(f"dimension bound: {family_size} required vectors in R^{P.n}")
-        return CqVerdict(
-            CqStatus.FAILS,
-            reason=f"every admissible basis needs {family_size} independent "
-                   f"gradients but the space has dimension {P.n}",
-            witness={"basis": E0.cols, "coeffs": coeffs,
-                     "vectors": np.array(diag_vecs)},
-            log=log)
-
+    log = [f"rank {pd.rank}, kernel dimension {E0.nullity}"]
     for i in range(P.m):
         if structural_zero(P.constraint.entry(i, i)):
             row = pd.G.a[:, i]
@@ -478,88 +456,6 @@ def check_sparse_ndg(pd: PointData) -> CqVerdict:
         log=log)
 
 
-def _diagonal_sparse_verdict(E0: KernelBasis, vecs: List[np.ndarray],
-                             log: List[str]) -> CqVerdict:
-    """Exact reduction for structurally diagonal constraints.
-
-    Sparse nondegeneracy then coincides with independence of the active
-    diagonal gradients (plus equality gradients), which is decided by one
-    exact rank test; both outcomes are certified.
-    """
-    diag_pairs = [(i, i) for i in range(E0.nullity)]
-    li = li_test(vecs)
-    log.append("structurally diagonal constraint, deciding via active "
-               "gradient independence")
-    if li.independent:
-        return _holds_verdict(E0.cols, "diagonal", diag_pairs, li, log)
-    return CqVerdict(
-        CqStatus.FAILS,
-        reason="diagonal constraint with dependent active gradients",
-        witness={"basis": E0.cols, "coeffs": li.coeffs,
-                 "vectors": np.array(vecs)},
-        log=log)
-
-
-def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
-    """Sparse nondegeneracy through the multifold block decomposition.
-
-    Each diagonal block runs the search of :func:`check_sparse_ndg` (its
-    fixed kernel basis, else that basis jointly diagonalized) for its
-    own basis; the union of the per-block pattern-restricted families,
-    together with equality gradients, must be independent.  Equivalent
-    to the assembled check by the block invariance of the condition;
-    kept separate as a cross-check.
-    """
-    P, x = pd.P, pd.x
-    partition = block_partition(P)
-    if len(partition) == 1:
-        return check_sparse_ndg(pd)
-    if pd.kernel.nullity == 0:
-        return CqVerdict(CqStatus.HOLDS_CERTIFIED, reason="trivial kernel")
-
-    union_vecs = []
-    basis_blocks = []
-    log = [f"multifold over {len(partition)} blocks"]
-    all_hit = True
-    for bi, comp in enumerate(partition):
-        sub = component_subproblem(P, comp, f"#block{bi}")
-        spd = feasibility_data(sub, x, pd.tol_rank)
-        kb = spd.kernel.nullity
-        if kb == 0:
-            log.append(f"block {bi}: trivial kernel")
-            continue
-        block_log: List[str] = []
-        cols, _, hits, _, prs, _ = _basis_search(_SearchContext(spd),
-                                                 spd.kernel, block_log)
-        log += [f"block {bi}: {line}" for line in block_log]
-        if hits < kb:
-            all_hit = False
-        comp_grads = np.einsum("lab,ai,bj->lij", spd.W, cols, cols)
-        union_vecs += [comp_grads[:, i, j] for (i, j) in sorted(prs)]
-        lifted = np.zeros((P.m, kb))
-        for a, g in enumerate(comp):
-            lifted[g, :] = cols[a, :]
-        basis_blocks.append(lifted)
-    union_vecs += list(pd.Heq)
-    li = li_test(union_vecs)
-    if all_hit and li.independent:
-        return CqVerdict(
-            CqStatus.HOLDS_CERTIFIED,
-            reason="per-block bases with independent union family",
-            witness={"blocks": [b for b in basis_blocks],
-                     "sigma_min": li.sigma_min},
-            log=log)
-    assembled = check_sparse_ndg(pd)
-    if assembled.status in (CqStatus.FAILS, CqStatus.HOLDS_CERTIFIED):
-        assembled.log = log + ["falling back to the assembled check"] \
-            + assembled.log
-        return assembled
-    return CqVerdict(
-        CqStatus.UNDETERMINED,
-        reason="multifold search found no witness and no certificate applies",
-        log=log)
-
-
 # ---------------------------------------------------------------------------
 # Forsgren's condition
 
@@ -584,7 +480,9 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
       subspace certifies Fails, and otherwise the verdict is Undetermined.
 
     Equality-constraint gradients join the injectivity test as rows that
-    must stay independent from the family image.  Every verdict reached
+    must stay independent from the family image.  Once U is validated,
+    the shared routes of :func:`exact_verdict` (dependent equality
+    gradients, trivial kernel) come first.  Every verdict reached
     after the Schur-map pattern carries its provenance in the witness
     (``pattern_source``, plus ``sample_points`` and ``sample_tol`` when
     the pattern was sampled), so a verdict resting on sampling says so.
@@ -612,9 +510,9 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
         raise ValueError(
             f"U separates a kernel of dimension {k}, spectral data says "
             f"{pd.kernel.nullity}")
-    if k == 0:
-        return CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                         reason="trivial kernel", log=log)
+    exact = exact_verdict(pd, "forsgren")
+    if exact is not None:
+        return exact
     E = U[:, kernel_idx]
 
     tilde = tilde_map(pd)
@@ -832,43 +730,3 @@ def facial_reduce(P: NsdpProblem, x, tol_rank: float = TAU_RANK,
         original=P, reduced_problem=cur, V1=V1_total, V2=V2,
         rounds=rounds, J_rounds=tuple(J_rounds),
         added_equalities=tuple(new_eqs))
-
-
-# ---------------------------------------------------------------------------
-# pattern cardinality invariance
-
-
-def sparse_card_invariance(pd: PointData, trials: int = 50,
-                           seed: int = 0) -> dict:
-    """Sample kernel bases and compare pattern cardinalities.
-
-    Among sampled bases whose pattern-restricted family is independent,
-    the pattern cardinality is a basis invariant; a violation in the
-    report points at a numerics problem (threshold too loose for the
-    sampled rotations), not at the mathematics.
-    """
-    E0 = pd.kernel
-    k = E0.nullity
-    if k == 0:
-        return {"passing": 0, "cardinalities": [], "consistent": True,
-                "violations": []}
-    ctx = _SearchContext(pd)
-    rng = np.random.default_rng(seed)
-    records = []
-    for t in range(trials + 1):
-        cols = E0.cols if t == 0 else E0.cols @ random_rotation(k, rng)
-        Bs = ctx.compressed_stack(cols)
-        pairs = ctx.pattern_pairs(Bs)
-        li = li_test(ctx.family(cols, pairs))
-        if li.independent:
-            records.append((t, len(pairs)))
-    cards = sorted({c for _, c in records})
-    violations = []
-    if len(cards) > 1:
-        violations = [{"trial": t, "cardinality": c} for t, c in records]
-    return {
-        "passing": len(records),
-        "cardinalities": cards,
-        "consistent": len(cards) <= 1,
-        "violations": violations,
-    }

@@ -1,5 +1,27 @@
-"""Reference formulas the tests check the library against."""
+"""Reference formulas and cross-check oracles the tests check the library
+against.
+
+Besides the adjoint formula for single entry gradients, this holds the
+block machinery (block detection, per-block subproblems), the multifold
+sparse-nondegeneracy check built on it, and the pattern-cardinality
+invariance survey.  Only tests call them; they recompute what the
+library decides by an independent route.
+"""
+from typing import Dict, List, Sequence
+
 import numpy as np
+
+from nsdpcq.cqcheck import (
+    CqStatus,
+    CqVerdict,
+    PointData,
+    feasibility_data,
+    li_test,
+)
+from nsdpcq.errors import ProblemFormatError
+from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
+from nsdpcq.sparse import _basis_search, _SearchContext, check_sparse_ndg
+from nsdpcq.symmat import random_rotation
 
 
 def entry_gradient(P, x, u, w=None):
@@ -13,3 +35,159 @@ def entry_gradient(P, x, u, w=None):
     w = u if w is None else np.asarray(w, dtype=float)
     M = (np.outer(u, w) + np.outer(w, u)) / 2.0
     return P.adjoint(x, M)
+
+
+def detect_blocks(P: NsdpProblem):
+    """Finest partition of the constraint indices into decoupled blocks.
+
+    Two indices are coupled when some off-diagonal entry joining them is
+    not a structural zero; connected components of that graph give the
+    finest block partition (after an implicit symmetric permutation).
+    Returns the string "dense" when everything is one component, otherwise
+    a list of sorted 0-based index lists.  A fully diagonal constraint
+    comes back as all-singleton blocks.
+    """
+    m = P.m
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (i, j) in P.constraint.entries:
+        if i != j:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups: Dict[int, List[int]] = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    comps = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    if len(comps) == 1:
+        return "dense"
+    return comps
+
+
+def block_partition(P: NsdpProblem) -> List[List[int]]:
+    """Like detect_blocks but always a list (single block when dense)."""
+    comps = detect_blocks(P)
+    return [list(range(P.m))] if comps == "dense" else comps
+
+
+def component_subproblem(P: NsdpProblem, comp: Sequence[int],
+                         name_suffix: str = "") -> NsdpProblem:
+    """Restriction of the PSD constraint to a block of indices.
+
+    Keeps the full variable space; objective and equalities are dropped
+    since block machinery only needs the constraint map.
+    """
+    comp = list(comp)
+    pos = {g: k for k, g in enumerate(comp)}
+    entries = {}
+    for (i, j), p in P.constraint.entries.items():
+        if i in pos and j in pos:
+            entries[(pos[i], pos[j])] = p
+        elif (i in pos) != (j in pos):
+            raise ProblemFormatError(
+                f"entry ({i}, {j}) couples indices across the requested block")
+    sub = MatrixPoly(len(comp), P.n, entries)
+    return NsdpProblem(n=P.n, objective=Poly.zero(P.n), constraint=sub,
+                       name=P.name + name_suffix)
+
+
+def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
+    """Sparse nondegeneracy through the multifold block decomposition.
+
+    Each diagonal block runs the search of :func:`check_sparse_ndg` (its
+    fixed kernel basis, else that basis jointly diagonalized) for its
+    own basis; the union of the per-block pattern-restricted families,
+    together with equality gradients, must be independent.  Equivalent
+    to the assembled check by the block invariance of the condition;
+    kept separate as a cross-check.
+    """
+    P, x = pd.P, pd.x
+    partition = block_partition(P)
+    if len(partition) == 1:
+        return check_sparse_ndg(pd)
+    if pd.kernel.nullity == 0:
+        return CqVerdict(CqStatus.HOLDS_CERTIFIED, reason="trivial kernel")
+
+    union_vecs = []
+    basis_blocks = []
+    log = [f"multifold over {len(partition)} blocks"]
+    all_hit = True
+    for bi, comp in enumerate(partition):
+        sub = component_subproblem(P, comp, f"#block{bi}")
+        spd = feasibility_data(sub, x, pd.tol_rank)
+        kb = spd.kernel.nullity
+        if kb == 0:
+            log.append(f"block {bi}: trivial kernel")
+            continue
+        block_log: List[str] = []
+        cols, _, hits, _, prs, _ = _basis_search(_SearchContext(spd),
+                                                 spd.kernel, block_log)
+        log += [f"block {bi}: {line}" for line in block_log]
+        if hits < kb:
+            all_hit = False
+        comp_grads = np.einsum("lab,ai,bj->lij", spd.W, cols, cols)
+        union_vecs += [comp_grads[:, i, j] for (i, j) in sorted(prs)]
+        lifted = np.zeros((P.m, kb))
+        for a, g in enumerate(comp):
+            lifted[g, :] = cols[a, :]
+        basis_blocks.append(lifted)
+    union_vecs += list(pd.Heq)
+    li = li_test(union_vecs)
+    if all_hit and li.independent:
+        return CqVerdict(
+            CqStatus.HOLDS_CERTIFIED,
+            reason="per-block bases with independent union family",
+            witness={"blocks": [b for b in basis_blocks],
+                     "sigma_min": li.sigma_min},
+            log=log)
+    assembled = check_sparse_ndg(pd)
+    if assembled.status in (CqStatus.FAILS, CqStatus.HOLDS_CERTIFIED):
+        assembled.log = log + ["falling back to the assembled check"] \
+            + assembled.log
+        return assembled
+    return CqVerdict(
+        CqStatus.UNDETERMINED,
+        reason="multifold search found no witness and no certificate applies",
+        log=log)
+
+
+def sparse_card_invariance(pd: PointData, trials: int = 50,
+                           seed: int = 0) -> dict:
+    """Sample kernel bases and compare pattern cardinalities.
+
+    Among sampled bases whose pattern-restricted family is independent,
+    the pattern cardinality is a basis invariant; a violation in the
+    report points at a numerics problem (threshold too loose for the
+    sampled rotations), not at the mathematics.
+    """
+    E0 = pd.kernel
+    k = E0.nullity
+    if k == 0:
+        return {"passing": 0, "cardinalities": [], "consistent": True,
+                "violations": []}
+    ctx = _SearchContext(pd)
+    rng = np.random.default_rng(seed)
+    records = []
+    for t in range(trials + 1):
+        cols = E0.cols if t == 0 else E0.cols @ random_rotation(k, rng)
+        Bs = ctx.compressed_stack(cols)
+        pairs = ctx.pattern_pairs(Bs)
+        li = li_test(ctx.family(cols, pairs))
+        if li.independent:
+            records.append((t, len(pairs)))
+    cards = sorted({c for _, c in records})
+    violations = []
+    if len(cards) > 1:
+        violations = [{"trial": t, "cardinality": c} for t, c in records]
+    return {
+        "passing": len(records),
+        "cardinalities": cards,
+        "consistent": len(cards) <= 1,
+        "violations": violations,
+    }

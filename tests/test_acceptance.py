@@ -38,10 +38,8 @@ from nsdpcq.report import analyze_problem, lattice_warnings
 from nsdpcq.sparse import (
     check_forsgren,
     check_sparse_ndg,
-    check_sparse_ndg_multifold,
     facial_reduce,
     hat_map,
-    sparse_card_invariance,
     _congruence_entries,
 )
 from nsdpcq.symmat import (
@@ -53,7 +51,11 @@ from nsdpcq.symmat import (
     rotate_basis,
 )
 
-from oracles import entry_gradient
+from oracles import (
+    check_sparse_ndg_multifold,
+    entry_gradient,
+    sparse_card_invariance,
+)
 
 HC = CqStatus.HOLDS_CERTIFIED
 HS = CqStatus.HOLDS_SAMPLED

@@ -62,8 +62,10 @@ class TestAnalyze:
         assert blobs[0] == blobs[1]
         obj = json.loads(blobs[0])
         assert set(obj.keys()) == {"problem", "point", "rank", "eigenvalues",
-                                   "verdicts", "witnesses", "seed", "timing"}
+                                   "verdicts", "witnesses", "seed", "timing",
+                                   "notes"}
         assert obj["timing"] is None
+        assert obj["notes"] == []
         assert obj["rank"] == 0
         assert set(obj["verdicts"].keys()) == {
             "nondegeneracy", "robinson", "sparse_ndg", "forsgren",

@@ -15,9 +15,12 @@ import pytest
 import nsdpcq
 from nsdpcq.corpus import entries as corpus_entries
 from nsdpcq.cqcheck import (
+    CONDITIONS,
     CqStatus,
+    CqVerdict,
     check_nondegeneracy,
     check_robinson,
+    exact_verdict,
     feasibility_data,
     find_multiplier,
     kkt_residual,
@@ -34,6 +37,7 @@ from nsdpcq.penalty import (
     probe_weak_robinson,
 )
 from nsdpcq.report import analyze_problem, lattice_warnings, report_json_text
+from nsdpcq.sparse import check_sparse_ndg
 from nsdpcq.symmat import eigh, SymMat, random_rotation, rotate_basis
 from oracles import entry_gradient
 from test_acceptance import shifted_problem, upper_family
@@ -812,6 +816,126 @@ class TestImpliedProbes:
                 assert direct[probe].status is not CqStatus.FAILS, \
                     (case, probe, direct[probe].reason)
         assert implied >= 40
+
+
+# ---------------------------------------------------------------------------
+# routes every condition shares
+
+
+def equality_dependent_problems():
+    """Three constraints at x = 0 with the dependent equalities h1 = x1,
+    h2 = 2 x1: a trivial kernel, a diagonal constraint and a dense one."""
+    one = lambda n: Poly.const(n, 1.0)
+    eqs = lambda n: (xv(n, 0), xv(n, 0, 2.0))
+    return [
+        NsdpProblem(2, xv(2, 1), MatrixPoly.diagonal(
+            [one(2), one(2) + xv(2, 1)]), eqs(2), name="eqdep_interior"),
+        NsdpProblem(2, xv(2, 1), MatrixPoly.diagonal(
+            [xv(2, 1), one(2) + xv(2, 0)]), eqs(2), name="eqdep_diagonal"),
+        NsdpProblem(3, xv(3, 1), MatrixPoly(2, 3, {
+            (0, 0): xv(3, 1), (0, 1): xv(3, 2), (1, 1): one(3)}),
+            eqs(3), name="eqdep_dense"),
+    ]
+
+
+def replay_family_witness(P, x, w):
+    """A Fails witness of a gradient family: rebuild every vector from the
+    basis and its pair, or from the equality gradients after the pairs,
+    and check that the unit combination annihilates the family."""
+    E = np.asarray(w["basis"])
+    V = np.asarray(w["vectors"])
+    c = np.asarray(w["coeffs"])
+    pairs = [tuple(p) for p in w["pairs"]]
+    rebuilt = [entry_gradient(P, x, E[:, i], E[:, j]) for i, j in pairs]
+    rebuilt += list(P.equality_gradients(x))
+    assert np.allclose(V, np.array(rebuilt), atol=1e-12)
+    assert abs(float(np.linalg.norm(c)) - 1.0) < 1e-12
+    assert float(np.linalg.norm(c @ V)) < 1e-7
+
+
+class TestExactRoutes:
+    @pytest.mark.parametrize("idx", range(3))
+    def test_dependent_equalities_fail_everywhere(self, idx):
+        P = equality_dependent_problems()[idx]
+        x = np.zeros(P.n)
+        rep = analyze_problem(P, x)
+        assert {name: v.status for name, v in rep.verdicts.items()} == \
+            {name: CqStatus.FAILS for name in CONDITIONS}
+        assert rep.notes == []
+        Heq = P.equality_gradients(x)
+        for name, v in rep.verdicts.items():
+            assert v.reason == "equality-constraint gradients dependent"
+            c = np.asarray(v.witness["equality_coeffs"])
+            assert abs(float(np.linalg.norm(c)) - 1.0) < 1e-12
+            assert float(np.linalg.norm(c @ Heq)) < 1e-12, name
+            assert v.witness["sigma_min"] < 1e-7
+
+    def test_dimension_bound_witnesses_replay(self):
+        # diag(x1, x1) with h = x2: 2 + 1 diagonal and 3 + 1 full
+        # gradients in R^2
+        P = NsdpProblem(2, xv(2, 0), MatrixPoly.diagonal(
+            [xv(2, 0), xv(2, 0)]), (xv(2, 1),), name="thin_eq")
+        x = np.zeros(2)
+        pd = feasibility_data(P, x)
+        verdicts = {"nondegeneracy": check_nondegeneracy(pd),
+                    "sparse_ndg": check_sparse_ndg(pd),
+                    "weak_ndg_probe": probe_weak_ndg(pd, [])[1]}
+        for name, size in (("nondegeneracy", 4), ("sparse_ndg", 3),
+                           ("weak_ndg_probe", 3)):
+            v = verdicts[name]
+            assert v.status is CqStatus.FAILS
+            assert v.reason == (f"dimension bound: a family of {size} "
+                                f"gradients cannot be independent in R^2")
+            assert len(v.witness["vectors"]) == size
+            assert v.witness["provenance"] == pd.kernel.provenance.describe()
+            replay_family_witness(P, x, v.witness)
+
+    def test_diagonal_licq_refutes_sparse_ndg(self):
+        # diag(x1, x1) in R^2: two equal diagonal gradients, inside the
+        # dimension bound, so the reduction to LICQ refutes sparse_ndg
+        P = NsdpProblem(2, xv(2, 0), MatrixPoly.diagonal(
+            [xv(2, 0), xv(2, 0)]), name="twin")
+        x = np.zeros(2)
+        pd = feasibility_data(P, x)
+        v = check_sparse_ndg(pd)
+        assert v.status is CqStatus.FAILS
+        assert v.reason == "diagonal constraint, LICQ fails"
+        assert v.witness["pairs"] == [(0, 0), (1, 1)]
+        replay_family_witness(P, x, v.witness)
+        assert exact_verdict(pd, "weak_ndg_probe") is None
+
+    def test_diagonal_route_covers_three_conditions(self):
+        # weak nondegeneracy reduces to LICQ too, but stays with its
+        # sequence probe
+        pd = feasibility_data(diag3_problem(), np.zeros(3))
+        decided = {name: exact_verdict(pd, name) for name in CONDITIONS}
+        assert decided["nondegeneracy"].reason.startswith("dimension bound")
+        assert decided["forsgren"] is None
+        assert decided["weak_ndg_probe"] is None
+        assert decided["sparse_ndg"].status is CqStatus.HOLDS_CERTIFIED
+        assert decided["sparse_ndg"].witness["provenance"] == "diagonal"
+        for name in ("robinson", "weak_robinson_probe"):
+            assert decided[name].reason == "diagonal constraint, MFCQ holds"
+
+    def test_unknown_condition_rejected(self):
+        pd = feasibility_data(diag3_problem(), np.zeros(3))
+        with pytest.raises(ValueError):
+            exact_verdict(pd, "licq")
+
+
+class TestReportNotes:
+    def test_json_report_carries_notes(self, monkeypatch):
+        # a planted sparse_ndg failure under a certified nondegeneracy is
+        # a lattice violation, and the JSON report must record it
+        planted = CqVerdict(CqStatus.FAILS, reason="planted")
+        monkeypatch.setattr(nsdpcq.report, "check_sparse_ndg",
+                            lambda pd: planted)
+        rep = analyze_problem(fullmat_problem(), np.zeros(3))
+        obj = json.loads(report_json_text(rep))
+        assert obj["notes"] == rep.notes
+        assert obj["notes"] == [
+            "nondegeneracy holds but sparse_ndg fails; the implication "
+            "between them is violated, check the tolerances"]
 
 
 # ---------------------------------------------------------------------------

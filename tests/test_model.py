@@ -10,12 +10,12 @@ from nsdpcq.model import (
     MatrixPoly,
     NsdpProblem,
     Poly,
-    component_subproblem,
-    detect_blocks,
     parse_problem_text,
     structural_zero,
     structurally_diagonal,
 )
+
+from oracles import component_subproblem, detect_blocks
 
 
 def p_of(n, *terms):

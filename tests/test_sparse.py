@@ -27,16 +27,18 @@ from nsdpcq.sparse import (
     SparsityPattern,
     check_forsgren,
     check_sparse_ndg,
-    check_sparse_ndg_multifold,
     facial_reduce,
     hat_map,
-    sparse_card_invariance,
     tilde_map,
     _congruence_entries,
 )
 from nsdpcq.symmat import KernelBasis, SymMat, eigh, random_rotation, rotate_basis
 
-from oracles import entry_gradient
+from oracles import (
+    check_sparse_ndg_multifold,
+    entry_gradient,
+    sparse_card_invariance,
+)
 from test_cqcheck import (
     RT2,
     block2_problem,
@@ -269,10 +271,13 @@ class TestSparseNdg:
         replay_sparse_witness(P, [0.0, 0.0, 0.0], v.witness)
 
     def test_scalar2_fails_diagonal_route(self):
+        # two diagonal gradients in R^1: the dimension bound decides it
+        # before the diagonal reduction is reached
         P = scalar2_problem()
         v = check_sparse_ndg(feasibility_data(P, [0.0]))
         assert v.status == CqStatus.FAILS
-        assert "diagonal" in v.reason
+        assert v.reason == ("dimension bound: a family of 2 gradients "
+                            "cannot be independent in R^1")
         c = np.asarray(v.witness["coeffs"])
         V = np.asarray(v.witness["vectors"])
         assert np.linalg.norm(c @ V) < 1e-7
@@ -449,7 +454,7 @@ class TestForsgren:
     def test_interior_trivial(self):
         v = check_forsgren(feasibility_data(interior_problem(), [0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
-        assert v.reason == "trivial kernel"
+        assert v.reason == "trivial kernel, interior point"
 
     def test_structural_refutation_of_definiteness(self):
         # the Schur map keeps only an off-diagonal entry on the kernel, so
