@@ -55,10 +55,13 @@ def _load_problem(spec: str) -> Tuple[NsdpProblem, Optional[Tuple[float, ...]]]:
 
 
 def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
+    """n comma-separated finite numbers; an empty token is an error."""
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ProblemFormatError(f"cannot parse {what} {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ProblemFormatError(f"{what} {text!r} has a non-finite entry")
     if len(vals) != n:
         raise ProblemFormatError(
             f"{what} has {len(vals)} entries, problem has {n} variables")

@@ -22,8 +22,10 @@ product against the coefficient stack C.  An `NsdpProblem` compiles f,
 G and h into three of them when it is built, and its seven evaluation
 methods read only those.  `NsdpProblem.constraint_stack` exposes G's
 stack read-only as (T, m, m) matrices A_t, whose congruences give the
-exact coefficients of a compressed constraint.  `Poly.eval` and
-`Poly.grad` stay as the term-by-term reference.
+exact coefficients of a compressed constraint, and
+`NsdpProblem.constraint_exponents` the monomial x^e_t each A_t
+multiplies.  `Poly.eval` and `Poly.grad` stay as the term-by-term
+reference.
 """
 from __future__ import annotations
 
@@ -119,10 +121,6 @@ class Poly:
 
     def grad(self) -> Tuple["Poly", ...]:
         return tuple(self.partial(i) for i in range(self.n))
-
-    def truncated(self, tol: float) -> "Poly":
-        """Copy with coefficients at or below tol dropped."""
-        return Poly(self.n, [(c, e) for c, e in self.terms if abs(c) > tol])
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -294,13 +292,15 @@ class Compiled:
     derivative stack D (n, T), so the value is mons @ C, the partials
     are D @ C and the adjoint against M is D @ (C @ M).  numpy's power
     gives 0.0 ** 0 = 1, so a zero coordinate needs no special case.
+    exponents holds the monomials' exponent rows, shape (T, n).
 
     entries pairs each polynomial with the flat positions it fills: one
     for an objective or an equality, two for an off-diagonal matrix
     entry and its mirror.
     """
 
-    __slots__ = ("n", "shape", "C", "_exps", "_idx", "_didx", "_dmult", "_dpos")
+    __slots__ = ("n", "shape", "C", "exponents", "_exps", "_idx", "_didx",
+                 "_dmult", "_dpos")
 
     def __init__(self, n: int, shape: Tuple[int, ...],
                  entries: Iterable[Tuple[Sequence[int], Poly]]):
@@ -316,6 +316,7 @@ class Compiled:
         for t, q, c in cells:
             C[t, q] = c
         C.setflags(write=False)
+        E.setflags(write=False)
         # d mon_t / d x_l = E[t, l] * x^(E[t] - unit_l) for each positive
         # exponent; _idx and _didx index the flattened (maxdeg + 1, n)
         # power table, _dpos the flattened D
@@ -326,6 +327,7 @@ class Compiled:
         self.n = n
         self.shape = tuple(shape)
         self.C = C
+        self.exponents = E
         self._exps = np.arange(int(E.max(initial=0)) + 1, dtype=float)[:, None]
         self._idx = E * n + cols
         self._didx = Ered * n + cols
@@ -398,6 +400,11 @@ class NsdpProblem:
         coefficients of the compressed map's entries.
         """
         return self._G.C.reshape(-1, self.m, self.m)
+
+    def constraint_exponents(self) -> np.ndarray:
+        """Read-only exponent rows of G's monomials, shape (T, n): A_t of
+        :meth:`constraint_stack` multiplies x^e_t."""
+        return self._G.exponents
 
     # ---- numeric evaluation ------------------------------------------
 

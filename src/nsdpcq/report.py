@@ -4,7 +4,8 @@ The report carries one verdict per condition plus the witnesses, the
 spectral data of G at the point, per-checker timing and the notes of the
 two self-audit passes below; its JSON form always has ``notes``.
 
-Nondegeneracy and Robinson are decided first.  Each weak probe then
+Nondegeneracy and Robinson are decided first; sparse nondegeneracy
+reuses the Robinson verdict for its refutation route.  Each weak probe then
 tries the exact routes every condition shares (cqcheck.exact_verdict:
 dependent equality gradients, trivial kernel, dimension bound, diagonal
 constraint); where none applies, a certified upstream condition decides
@@ -192,7 +193,7 @@ def analyze_problem(P: NsdpProblem, point,
         if name == "robinson":
             return check_robinson(pd)
         if name == "sparse_ndg":
-            return check_sparse_ndg(pd)
+            return check_sparse_ndg(pd, verdicts["robinson"])
         if name == "forsgren":
             return check_forsgren(pd)
         if name == "weak_ndg_probe":

@@ -9,9 +9,14 @@ everything here:
   P^T G(x) over the range basis P, which is rational and therefore only
   evaluated numerically with a sampled sparsity pattern.
 
-A sparsity pattern of such a map is the set of entries that are not
-identically zero near the point; it defines the subspace of symmetric
-matrices supported on the pattern.  The checks:
+Every congruence L^T G(x) R is read one way: as the stack L^T A_t R over
+G's coefficient stack (``NsdpProblem.constraint_stack``), whose entries
+are the exact coefficients of the monomials of
+``NsdpProblem.constraint_exponents``.  A sparsity pattern of a reduced
+map is the set of upper-triangle entries that are not identically zero
+near the point (for Ghat, a coefficient above PATTERN_COEF_TOL); it
+defines the subspace of symmetric matrices supported on the pattern.
+``hat_map`` and ``tilde_map`` return these patterns.  The checks:
 
 * sparse nondegeneracy: a kernel basis whose pattern-restricted
   gradient family is independent while every diagonal entry of the
@@ -23,7 +28,8 @@ matrices supported on the pattern.  The checks:
   kernel, plus existence of a positive definite element there,
 * facial reduction: when some compressed diagonal entry is identically
   zero, the constraint is locally an equality plus a smaller semidefinite
-  block, and the rewrite is performed explicitly.
+  block, and the rewrite is performed explicitly, its rows V2^T G and
+  its block V1^T G V1 read off the same stack.
 
 A Fails verdict is only produced with a certificate; failed searches
 return Undetermined.
@@ -31,7 +37,7 @@ return Undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,13 +52,7 @@ from .cqcheck import (
     li_test,
 )
 from .errors import NumericalFailure
-from .model import (
-    Compiled,
-    MatrixPoly,
-    NsdpProblem,
-    Poly,
-    structural_zero,
-)
+from .model import MatrixPoly, NsdpProblem, Poly, structural_zero
 from .symmat import (
     TAU_RANK,
     KernelBasis,
@@ -71,7 +71,7 @@ JACOBI_ANGLE_TOL = 1e-13     # a sweep turning no pair by more has converged
 
 
 # ---------------------------------------------------------------------------
-# sparsity patterns and reduced maps
+# sparsity patterns, coefficient stacks and reduced maps
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,6 @@ class SparsityPattern:
     def missing_diagonal(self) -> List[int]:
         return [i for i in range(self.dim) if (i, i) not in self.index_set]
 
-    def diagonal_complete(self) -> bool:
-        return not self.missing_diagonal()
-
     def sorted_pairs(self) -> List[Tuple[int, int]]:
         return sorted(self.index_set)
 
@@ -119,62 +116,33 @@ class SparsityPattern:
                 "sample_tol": self.sample_tol}
 
 
-@dataclass
-class ReducedMap:
-    """A reduced constraint map with its sparsity pattern.
+def _stack(P: NsdpProblem, L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Coefficient stack of L^T G(x) R, shape (T, L cols, R cols).
 
-    kind "hat" holds the kernel compression (dim m - r, entries exact
-    polynomials); kind "tilde" holds the Schur-complement map (dim m,
-    numeric evaluator, entries only present in the r = 0 degenerate case
-    where the map coincides with G itself).
+    Entry (t, i, j) is the exact coefficient of the monomial
+    x^e_t, e_t row t of ``P.constraint_exponents()``, in entry (i, j).
     """
-
-    kind: str
-    dim: int
-    n: int                                   # number of variables
-    pattern: SparsityPattern
-    entries: Optional[Dict[Tuple[int, int], Poly]]
-    basis: Optional[KernelBasis] = None      # hat: the E used
-    transform: Optional[np.ndarray] = None   # tilde: U = [P, E]
-    _evaluator: Optional[Callable] = None
-
-    def evaluate(self, x):
-        """Value of the reduced map; SymMat, or a 0 x 0 array when empty."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 0:
-            return np.zeros((0, 0))
-        return self._evaluator(x)
-
-    def entry(self, i: int, j: int) -> Poly:
-        if self.entries is None:
-            raise ValueError("entries are only available for exact maps")
-        if i > j:
-            i, j = j, i
-        return self.entries.get((i, j), Poly.zero(self.n))
+    return np.einsum("tab,ai,bj->tij", P.constraint_stack(), L, R)
 
 
-def _congruence_entries(G: MatrixPoly, B: np.ndarray,
-                        tol: float = PATTERN_COEF_TOL) -> Dict[Tuple[int, int], Poly]:
-    """Entries of B^T G(x) B as polynomials, coefficients <= tol dropped."""
-    w = B.shape[1]
-    out: Dict[Tuple[int, int], Poly] = {}
-    for i in range(w):
-        for j in range(i, w):
-            acc = Poly.zero(G.n)
-            for (a, b), p in G.entries.items():
-                c = B[a, i] * B[b, j]
-                if a != b:
-                    c += B[b, i] * B[a, j]
-                if c != 0.0:
-                    acc = acc + p.scale(c)
-            acc = acc.truncated(tol)
-            if not structural_zero(acc):
-                out[(i, j)] = acc
-    return out
+def _pattern_pairs(Bs: np.ndarray) -> Set[Tuple[int, int]]:
+    """Upper-triangle pairs of a square stack with a coefficient above
+    PATTERN_COEF_TOL."""
+    mx = np.max(np.abs(Bs), axis=0, initial=0.0)
+    rows, cols = np.nonzero(np.triu(mx > PATTERN_COEF_TOL))
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
-def hat_map(P: NsdpProblem, x, E: KernelBasis) -> ReducedMap:
-    """Kernel compression E^T G(.) E with its exact polynomial pattern.
+def _entry_poly(P: NsdpProblem, Bs: np.ndarray, i: int, j: int) -> Poly:
+    """Entry (i, j) of a stack as a polynomial, coefficients at or below
+    PATTERN_COEF_TOL dropped."""
+    return Poly(P.n, [(c, e) for c, e in zip(Bs[:, i, j],
+                                             P.constraint_exponents())
+                      if abs(c) > PATTERN_COEF_TOL])
+
+
+def hat_map(P: NsdpProblem, x, E: KernelBasis) -> SparsityPattern:
+    """Exact pattern of the kernel compression E^T G(.) E.
 
     The gradient of entry (i, j) at the anchor equals the family vector
     v_ij for the same basis, which is what ties the pattern to the
@@ -188,22 +156,28 @@ def hat_map(P: NsdpProblem, x, E: KernelBasis) -> ReducedMap:
     if resid > 1e-6 * (1.0 + Gx.norm_inf()):
         raise ValueError(
             f"basis does not span the kernel at this point (residual {resid:.3e})")
-    k = E.nullity
-    entries = _congruence_entries(P.constraint, E.cols)
-    pattern = SparsityPattern(dim=k, index_set=frozenset(entries.keys()),
-                              source="exact")
-    if k == 0:
-        return ReducedMap(kind="hat", dim=0, n=P.n, pattern=pattern,
-                          entries={}, basis=E)
-    compiled = Compiled.matrix(MatrixPoly(k, P.n, entries))
-    return ReducedMap(kind="hat", dim=k, n=P.n, pattern=pattern,
-                      entries=entries, basis=E,
-                      _evaluator=lambda xq: SymMat.from_symmetric(
-                          compiled.value(xq)))
+    return SparsityPattern(
+        dim=E.nullity, source="exact",
+        index_set=frozenset(_pattern_pairs(_stack(P, E.cols, E.cols))))
 
 
-def tilde_map(pd: PointData) -> ReducedMap:
-    """Schur-complement reduction of G over the range of G(x).
+def _schur_value(pd: PointData, x: np.ndarray) -> np.ndarray:
+    """Gtil(x) = G(x) - G(x) P (P^T G(x) P)^{-1} P^T G(x), P the range
+    basis of G at pd's point (rank >= 1); NumericalFailure when the
+    range block P^T G(x) P is singular."""
+    Pbar = pd.spec.vectors[:, :pd.rank]
+    Gq = pd.P.constraint_value(x).a
+    B = Pbar.T @ Gq @ Pbar
+    bspec = eigh(SymMat.from_symmetric(B))
+    lam1 = abs(float(bspec.values[0]))
+    if float(bspec.values[-1]) <= 1e-12 * max(1.0, lam1):
+        raise NumericalFailure("range block singular at sample point")
+    half = np.linalg.solve(B, Pbar.T @ Gq)
+    return Gq - (Gq @ Pbar) @ half
+
+
+def tilde_map(pd: PointData) -> SparsityPattern:
+    """Pattern of the Schur-complement reduction of G over the range of G(x).
 
     With r = rank G(x) = 0 the map degenerates to G itself and the exact
     polynomial pattern is returned.  Otherwise the map is rational; its
@@ -211,28 +185,11 @@ def tilde_map(pd: PointData) -> ReducedMap:
     flagged nonzero are certain while entries flagged zero are presumed
     structural.
     """
-    P, x, r = pd.P, pd.x, pd.rank
+    P, x = pd.P, pd.x
     m = P.m
-    if r == 0:
-        entries = dict(P.constraint.entries)
-        pattern = SparsityPattern(dim=m, index_set=frozenset(entries.keys()),
-                                  source="exact")
-        return ReducedMap(kind="tilde", dim=m, n=P.n, pattern=pattern,
-                          entries=entries, transform=np.eye(m),
-                          _evaluator=lambda xq: P.constraint_value(xq))
-
-    Pbar = pd.spec.vectors[:, :r]
-    U = np.column_stack([Pbar, pd.kernel.cols])
-
-    def evaluate_raw(xq: np.ndarray) -> np.ndarray:
-        Gq = P.constraint_value(xq).a
-        B = Pbar.T @ Gq @ Pbar
-        bspec = eigh(SymMat.from_symmetric(B))
-        lam1 = abs(float(bspec.values[0]))
-        if float(bspec.values[-1]) <= 1e-12 * max(1.0, lam1):
-            raise NumericalFailure("range block singular at sample point")
-        half = np.linalg.solve(B, Pbar.T @ Gq)
-        return Gq - (Gq @ Pbar) @ half
+    if pd.rank == 0:
+        return SparsityPattern(dim=m, index_set=frozenset(P.constraint.entries),
+                               source="exact")
 
     rng = np.random.default_rng(TILDE_SEED)
     hits: Set[Tuple[int, int]] = set()
@@ -244,7 +201,7 @@ def tilde_map(pd: PointData) -> ReducedMap:
             continue
         xs = x + TILDE_RADIUS * g / nrm
         try:
-            Gt = evaluate_raw(xs)
+            Gt = _schur_value(pd, xs)
         except NumericalFailure:
             continue
         used += 1
@@ -255,57 +212,27 @@ def tilde_map(pd: PointData) -> ReducedMap:
     if used == 0:
         raise NumericalFailure(
             "range block of the Schur map singular at every sample point")
-    pattern = SparsityPattern(dim=m, index_set=frozenset(hits),
-                              source="sampled", sample_points=used,
-                              sample_tol=TILDE_TOL)
-    return ReducedMap(kind="tilde", dim=m, n=P.n, pattern=pattern,
-                      entries=None, transform=U,
-                      _evaluator=lambda xq: SymMat.from_symmetric(evaluate_raw(xq)))
+    return SparsityPattern(dim=m, index_set=frozenset(hits),
+                           source="sampled", sample_points=used,
+                           sample_tol=TILDE_TOL)
 
 
 # ---------------------------------------------------------------------------
 # sparse nondegeneracy: candidate scoring and basis search
 
 
-class _SearchContext:
-    """Scoring of candidate kernel bases at one point.
+def _score(pd: PointData, cols: np.ndarray):
+    """(diagonal hits, success flag, pattern, family li_test) of a basis.
 
-    The compressed monomial stack E^T A_t E carries the exact polynomial
-    coefficients of every entry of the compressed map, so patterns are
-    decided on coefficients, not on sampled values, during the search.
+    The pattern is read off the compressed stack cols^T A_t cols, so it
+    is decided on exact coefficients, not on sampled values.
     """
-
-    def __init__(self, pd: PointData):
-        self.pd = pd
-        self.A = pd.P.constraint_stack()
-
-    def compressed_stack(self, cols: np.ndarray) -> np.ndarray:
-        if self.A.shape[0] == 0:
-            return np.zeros((0, cols.shape[1], cols.shape[1]))
-        return np.einsum("tab,ai,bj->tij", self.A, cols, cols)
-
-    def pattern_pairs(self, Bs: np.ndarray) -> Set[Tuple[int, int]]:
-        k = Bs.shape[1]
-        pairs = set()
-        if Bs.shape[0]:
-            mx = np.max(np.abs(Bs), axis=0)
-            for i in range(k):
-                for j in range(i, k):
-                    if mx[i, j] > PATTERN_COEF_TOL:
-                        pairs.add((i, j))
-        return pairs
-
-    def family(self, cols: np.ndarray, pairs: Sequence[Tuple[int, int]]):
-        comp = np.einsum("lab,ai,bj->lij", self.pd.W, cols, cols)
-        return [comp[:, i, j] for (i, j) in sorted(pairs)] + list(self.pd.Heq)
-
-    def score(self, cols: np.ndarray):
-        """(diagonal hits, success flag, pattern, family li_test)."""
-        k = cols.shape[1]
-        pairs = self.pattern_pairs(self.compressed_stack(cols))
-        hits = sum(1 for i in range(k) if (i, i) in pairs)
-        li = li_test(self.family(cols, pairs))
-        return hits, hits == k and li.independent, pairs, li
+    k = cols.shape[1]
+    pairs = _pattern_pairs(_stack(pd.P, cols, cols))
+    hits = sum(1 for i in range(k) if (i, i) in pairs)
+    comp = np.einsum("lab,ai,bj->lij", pd.W, cols, cols)
+    li = li_test([comp[:, i, j] for (i, j) in sorted(pairs)] + list(pd.Heq))
+    return hits, hits == k and li.independent, pairs, li
 
 
 def _cs_angle(Bs: np.ndarray, p: int, q: int) -> float:
@@ -360,7 +287,7 @@ def _joint_diagonalize(Bs: np.ndarray) -> Tuple[np.ndarray, int]:
     return C, sweeps
 
 
-def _basis_search(ctx: _SearchContext, E0: KernelBasis, log: List[str]):
+def _basis_search(pd: PointData, E0: KernelBasis, log: List[str]):
     """Score the fixed kernel basis, else its joint diagonalization.
 
     The fixed basis is kept when it succeeds.  Otherwise the compressed
@@ -369,13 +296,13 @@ def _basis_search(ctx: _SearchContext, E0: KernelBasis, log: List[str]):
     the basis scored last.
     """
     k = E0.nullity
-    hits, success, pairs, li = ctx.score(E0.cols)
+    hits, success, pairs, li = _score(pd, E0.cols)
     log.append(f"fixed basis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
     if success:
         return E0.cols, E0.provenance.describe(), hits, success, pairs, li
-    C, sweeps = _joint_diagonalize(ctx.compressed_stack(E0.cols))
+    C, sweeps = _joint_diagonalize(_stack(pd.P, E0.cols, E0.cols))
     cols = E0.cols @ C
-    hits, success, pairs, li = ctx.score(cols)
+    hits, success, pairs, li = _score(pd, cols)
     log.append(f"joint diagonalization ({sweeps} sweeps): hits "
                f"{hits}/{k}, sigma_min {li.sigma_min:.3e}")
     return cols, "jacobi", hits, success, pairs, li
@@ -396,7 +323,8 @@ def _holds_verdict(E_cols, provenance: str, pairs, li, log) -> CqVerdict:
     )
 
 
-def check_sparse_ndg(pd: PointData) -> CqVerdict:
+def check_sparse_ndg(pd: PointData,
+                     robinson: Optional[CqVerdict] = None) -> CqVerdict:
     """Deterministic search for a basis certifying sparse nondegeneracy.
 
     Two candidates are scored: the fixed kernel basis, and, when it
@@ -409,7 +337,8 @@ def check_sparse_ndg(pd: PointData) -> CqVerdict:
     bound, the diagonal reduction to LICQ), an identically zero
     diagonal entry of the constraint (which refutes Robinson's condition
     directly), or a certified Robinson failure; anything else is
-    Undetermined.
+    Undetermined.  robinson is Robinson's verdict on the same point data
+    when the caller has it; without it :func:`check_robinson` runs.
     """
     exact = exact_verdict(pd, "sparse_ndg")
     if exact is not None:
@@ -434,12 +363,11 @@ def check_sparse_ndg(pd: PointData) -> CqVerdict:
                          "adjoint_norm": float(np.linalg.norm(P.adjoint(x, Y)))},
                 log=log)
 
-    cols, provenance, _, success, pairs, li = _basis_search(
-        _SearchContext(pd), E0, log)
+    cols, provenance, _, success, pairs, li = _basis_search(pd, E0, log)
     if success:
         return _holds_verdict(cols, provenance, pairs, li, log)
 
-    rob = check_robinson(pd)
+    rob = check_robinson(pd) if robinson is None else robinson
     if rob.status == CqStatus.FAILS:
         log.append("Robinson refutation: " + (rob.reason or ""))
         return CqVerdict(
@@ -515,8 +443,7 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
         return exact
     E = U[:, kernel_idx]
 
-    tilde = tilde_map(pd)
-    pat = tilde.pattern
+    pat = tilde_map(pd)
     log.append(f"Schur map pattern: {pat.cardinality()} entries "
                f"({pat.source})")
 
@@ -649,70 +576,56 @@ def _poly_signature(p: Poly):
     return tuple((round(c, 12), e) for c, e in q.terms)
 
 
-def facial_reduce(P: NsdpProblem, x, tol_rank: float = TAU_RANK,
-                  max_rounds: Optional[int] = None) -> FacialReduction:
+def facial_reduce(P: NsdpProblem, x,
+                  tol_rank: float = TAU_RANK) -> FacialReduction:
     """Rewrite the constraint so every compressed diagonal entry is active.
 
     Rounds repeat while some diagonal entry of the kernel-compressed map
     is identically zero: those kernel directions span a face of the cone,
     the corresponding rows become equality constraints, and the
-    semidefinite block shrinks.  Emitted equality polynomials are
-    deduplicated up to sign and coefficient noise below the pattern
-    threshold is dropped.
+    semidefinite block shrinks.  Both the rows V2^T G and the reduced
+    block V1^T G V1 are read off G's coefficient stack, coefficients at
+    or below the pattern threshold dropped; emitted equality polynomials
+    are deduplicated up to sign.  Every round removes a direction, so
+    there are at most m rounds.
     """
     x = np.asarray(x, dtype=float)
-    max_rounds = P.m if max_rounds is None else max_rounds
     cur = P
     V1_total = np.eye(P.m)
     V2_cols: List[np.ndarray] = []
     new_eqs: List[Poly] = []
     seen = {_poly_signature(h) for h in P.equalities}
     J_rounds: List[Tuple[int, ...]] = []
-    rounds = 0
 
-    for _ in range(max_rounds):
-        fd = feasibility_data(cur, x, tol_rank)
-        E = fd.kernel
-        k = E.nullity
-        if k == 0:
+    for _ in range(P.m):
+        E = feasibility_data(cur, x, tol_rank).kernel
+        if E.nullity == 0:
             break
-        hat = hat_map(cur, x, E)
-        J = [i for i in range(k) if not hat.pattern.has(i, i)]
+        J = hat_map(cur, x, E).missing_diagonal()
         if not J:
             break
-        rounds += 1
         J_rounds.append(tuple(J))
         V2r = E.cols[:, J]
         V1r = orthonormal_completion(V2r)
         for q in range(V2r.shape[1]):
             V2_cols.append(V1_total @ V2r[:, q])
+        V1_total = V1_total @ V1r
         # equality rows: entries of V2^T G(x), deduplicated up to sign
-        mcur = cur.m
+        rows = _stack(cur, V2r, np.eye(cur.m))
         for q in range(V2r.shape[1]):
-            for j in range(mcur):
-                acc = Poly.zero(P.n)
-                for a in range(mcur):
-                    c = float(V2r[a, q])
-                    if c != 0.0:
-                        p = cur.constraint.entry(a, j)
-                        if not p.is_zero():
-                            acc = acc + p.scale(c)
-                acc = acc.truncated(PATTERN_COEF_TOL)
-                if acc.is_zero():
-                    continue
-                sig = _poly_signature(acc)
-                if sig in seen:
+            for j in range(cur.m):
+                h = _entry_poly(cur, rows, q, j)
+                sig = _poly_signature(h)
+                if h.is_zero() or sig in seen:
                     continue
                 seen.add(sig)
-                new_eqs.append(acc)
-        red_entries = _congruence_entries(cur.constraint, V1r)
+                new_eqs.append(h)
+        # a full collapse leaves a 1 x 1 zero block as a placeholder
         mred = V1r.shape[1]
-        if mred == 0:
-            red = MatrixPoly(1, P.n, {})
-            V1_total = np.zeros((P.m, 0))
-        else:
-            red = MatrixPoly(mred, P.n, red_entries)
-            V1_total = V1_total @ V1r
+        Bs = _stack(cur, V1r, V1r)
+        red = MatrixPoly(max(mred, 1), P.n, {
+            (i, j): _entry_poly(cur, Bs, i, j)
+            for i in range(mred) for j in range(i, mred)})
         cur = NsdpProblem(
             n=P.n, objective=P.objective, constraint=red,
             equalities=tuple(P.equalities) + tuple(new_eqs),
@@ -720,13 +633,8 @@ def facial_reduce(P: NsdpProblem, x, tol_rank: float = TAU_RANK,
         if mred == 0:
             break
 
-    if rounds == 0:
-        return FacialReduction(
-            original=P, reduced_problem=P, V1=np.eye(P.m),
-            V2=np.zeros((P.m, 0)), rounds=0, J_rounds=(),
-            added_equalities=())
     V2 = np.column_stack(V2_cols) if V2_cols else np.zeros((P.m, 0))
     return FacialReduction(
         original=P, reduced_problem=cur, V1=V1_total, V2=V2,
-        rounds=rounds, J_rounds=tuple(J_rounds),
+        rounds=len(J_rounds), J_rounds=tuple(J_rounds),
         added_equalities=tuple(new_eqs))

@@ -1,7 +1,8 @@
 """Reference formulas and cross-check oracles the tests check the library
 against.
 
-Besides the adjoint formula for single entry gradients, this holds the
+Besides the adjoint formula for single entry gradients and the
+congruence B^T G B as polynomials (to rotate a constraint), this holds the
 block machinery (block detection, per-block subproblems), the multifold
 sparse-nondegeneracy check built on it, and the pattern-cardinality
 invariance survey.  Only tests call them; they recompute what the
@@ -20,7 +21,13 @@ from nsdpcq.cqcheck import (
 )
 from nsdpcq.errors import ProblemFormatError
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
-from nsdpcq.sparse import _basis_search, _SearchContext, check_sparse_ndg
+from nsdpcq.sparse import (
+    _basis_search,
+    _entry_poly,
+    _score,
+    _stack,
+    check_sparse_ndg,
+)
 from nsdpcq.symmat import random_rotation
 
 
@@ -35,6 +42,15 @@ def entry_gradient(P, x, u, w=None):
     w = u if w is None else np.asarray(w, dtype=float)
     M = (np.outer(u, w) + np.outer(w, u)) / 2.0
     return P.adjoint(x, M)
+
+
+def congruence_entries(P: NsdpProblem, B: np.ndarray) -> Dict:
+    """Upper entries of B^T G(x) B as polynomials, read off G's
+    coefficient stack; a zero entry comes back as the zero polynomial."""
+    Bs = _stack(P, B, B)
+    w = B.shape[1]
+    return {(i, j): _entry_poly(P, Bs, i, j)
+            for i in range(w) for j in range(i, w)}
 
 
 def detect_blocks(P: NsdpProblem):
@@ -126,8 +142,7 @@ def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
             log.append(f"block {bi}: trivial kernel")
             continue
         block_log: List[str] = []
-        cols, _, hits, _, prs, _ = _basis_search(_SearchContext(spd),
-                                                 spd.kernel, block_log)
+        cols, _, hits, _, prs, _ = _basis_search(spd, spd.kernel, block_log)
         log += [f"block {bi}: {line}" for line in block_log]
         if hits < kb:
             all_hit = False
@@ -171,14 +186,11 @@ def sparse_card_invariance(pd: PointData, trials: int = 50,
     if k == 0:
         return {"passing": 0, "cardinalities": [], "consistent": True,
                 "violations": []}
-    ctx = _SearchContext(pd)
     rng = np.random.default_rng(seed)
     records = []
     for t in range(trials + 1):
         cols = E0.cols if t == 0 else E0.cols @ random_rotation(k, rng)
-        Bs = ctx.compressed_stack(cols)
-        pairs = ctx.pattern_pairs(Bs)
-        li = li_test(ctx.family(cols, pairs))
+        _, _, pairs, li = _score(pd, cols)
         if li.independent:
             records.append((t, len(pairs)))
     cards = sorted({c for _, c in records})

@@ -39,8 +39,6 @@ from nsdpcq.sparse import (
     check_forsgren,
     check_sparse_ndg,
     facial_reduce,
-    hat_map,
-    _congruence_entries,
 )
 from nsdpcq.symmat import (
     SymMat,
@@ -53,6 +51,7 @@ from nsdpcq.symmat import (
 
 from oracles import (
     check_sparse_ndg_multifold,
+    congruence_entries,
     entry_gradient,
     sparse_card_invariance,
 )
@@ -244,13 +243,13 @@ class TestCorpusReproduction:
         P = ent.problem
         E0 = kernel_basis(P.constraint_value(np.zeros(2)))
         C = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-        rm = hat_map(P, np.zeros(2), rotate_basis(E0, C, seed=0))
+        rm = congruence_entries(P, rotate_basis(E0, C, seed=0).cols)
         want = {(0, 0): {(1, 0): 1.0, (0, 1): -1.0},
                 (1, 1): {(1, 0): 1.0, (0, 1): 1.0},
                 (0, 1): {}}
         gap = 0.0
         for (i, j), coeffs in want.items():
-            terms = {e: c for c, e in rm.entry(i, j).terms}
+            terms = {e: c for c, e in rm[(i, j)].terms}
             for e in set(terms) | set(coeffs):
                 gap = max(gap, abs(terms.get(e, 0.0) - coeffs.get(e, 0.0)))
         sp = check_sparse_ndg(feasibility_data(P, ent.point))
@@ -420,7 +419,7 @@ class TestPropertySuites:
             # the rotated constraint it must still certify LICQ
             Q = random_rotation(m, np.random.default_rng([99, case]))
             R = NsdpProblem(n, P.objective, MatrixPoly(
-                m, n, _congruence_entries(P.constraint, Q)))
+                m, n, congruence_entries(P, Q)))
             sr = check_sparse_ndg(feasibility_data(R, x))
             if wn.holds != licq:
                 mismatches.append((case, "weak", licq, wn.status.value))

@@ -144,6 +144,21 @@ class TestArgumentRanges:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {flag} must be")
 
+    @pytest.mark.parametrize("argv, flag", [
+        # nan reached SymMat and exited 1 with a traceback
+        (["analyze", "corpus:diag3", "--point", "nan,0,0"], "point"),
+        (["solve", "corpus:diag3", "--anchor", "inf,0,0"], "anchor"),
+        # the empty token was dropped, so this read as (1, 0)
+        (["reduce", "corpus:facial", "--point", "1,,0"], "point"),
+    ])
+    def test_bad_coordinates_exit_two(self, argv, flag, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and flag in lines[0]
+
     @pytest.mark.parametrize("argv", [
         ["solve", "corpus:diag3", "--seed", "1"],
         ["solve", "corpus:diag3", "--traces", "4"],

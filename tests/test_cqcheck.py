@@ -929,7 +929,7 @@ class TestReportNotes:
         # a lattice violation, and the JSON report must record it
         planted = CqVerdict(CqStatus.FAILS, reason="planted")
         monkeypatch.setattr(nsdpcq.report, "check_sparse_ndg",
-                            lambda pd: planted)
+                            lambda pd, robinson: planted)
         rep = analyze_problem(fullmat_problem(), np.zeros(3))
         obj = json.loads(report_json_text(rep))
         assert obj["notes"] == rep.notes

@@ -30,16 +30,20 @@ from nsdpcq.sparse import (
     facial_reduce,
     hat_map,
     tilde_map,
-    _congruence_entries,
+    _entry_poly,
+    _schur_value,
+    _stack,
 )
 from nsdpcq.symmat import KernelBasis, SymMat, eigh, random_rotation, rotate_basis
 
 from oracles import (
     check_sparse_ndg_multifold,
+    congruence_entries,
     entry_gradient,
     sparse_card_invariance,
 )
 from test_cqcheck import (
+    RANK0_PROBLEM,
     RT2,
     block2_problem,
     diag3_problem,
@@ -62,6 +66,24 @@ def lifted_kernel(P, x):
     return feasibility_data(P, np.asarray(x, dtype=float)).kernel
 
 
+def hat_entry(P, E, i, j):
+    """Entry (i, j) of E^T G(.) E as a polynomial off the stack."""
+    return _entry_poly(P, _stack(P, E.cols, E.cols), i, j)
+
+
+def coefficient_matrices(P):
+    """{exponent: A_e} built term by term from the constraint's entries,
+    so that G(x) = sum_e x^e A_e without the compiled stack."""
+    out = {}
+    for (a, b), p in P.constraint.entries.items():
+        for c, e in p.terms:
+            A = out.setdefault(e, np.zeros((P.m, P.m)))
+            A[a, b] += c
+            if a != b:
+                A[b, a] += c
+    return out
+
+
 class TestSparsityPattern:
     def test_membership_swaps_indices(self):
         p = SparsityPattern(dim=3, index_set=frozenset({(0, 1), (2, 2)}),
@@ -69,7 +91,6 @@ class TestSparsityPattern:
         assert p.has(1, 0) and p.has(0, 1)
         assert not p.has(0, 0)
         assert p.missing_diagonal() == [0, 1]
-        assert not p.diagonal_complete()
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -88,16 +109,17 @@ class TestHatMap:
         E = lifted_kernel(P, [0.0, 0.0])
         hat = hat_map(P, [0.0, 0.0], E)
         assert hat.dim == 2
-        assert hat.pattern.sorted_pairs() == [(0, 0), (0, 1)]
-        assert hat.pattern.missing_diagonal() == [1]
+        assert hat.source == "exact"
+        assert hat.sorted_pairs() == [(0, 0), (0, 1)]
+        assert hat.missing_diagonal() == [1]
 
     def test_facial_active_point_pattern_empty(self):
         P = facial_problem()
         E = lifted_kernel(P, [1.0, 0.0])
         hat = hat_map(P, [1.0, 0.0], E)
         assert hat.dim == 1
-        assert hat.pattern.cardinality() == 0
-        assert structural_zero(hat.entry(0, 0))
+        assert hat.cardinality() == 0
+        assert structural_zero(hat_entry(P, E, 0, 0))
 
     def test_offdiag_rotated_basis_diagonalizes(self):
         # the 45 degree basis cancels the off-diagonal entry below the
@@ -107,10 +129,11 @@ class TestHatMap:
         C = np.array([[RT2, -RT2], [RT2, RT2]])
         Er = rotate_basis(E, C)
         hat = hat_map(P, [0.0, 0.0], Er)
-        assert hat.pattern.sorted_pairs() == [(0, 0), (1, 1)]
-        p00 = hat.entry(0, 0)
+        assert hat.sorted_pairs() == [(0, 0), (1, 1)]
+        assert structural_zero(hat_entry(P, Er, 0, 1))
+        p00 = hat_entry(P, Er, 0, 0)
         assert abs(p00.eval(np.array([0.3, 0.4])) - (0.3 + 0.4)) < 1e-12
-        p11 = hat.entry(1, 1)
+        p11 = hat_entry(P, Er, 1, 1)
         assert abs(p11.eval(np.array([0.3, 0.4])) - (0.3 - 0.4)) < 1e-12
 
     def test_congruence_matches_numeric_evaluation(self):
@@ -118,11 +141,35 @@ class TestHatMap:
         P = fullmat_problem()
         E = lifted_kernel(P, [0.0, 0.0, 0.0])
         C = random_rotation(2, rng)
-        hat = hat_map(P, [0.0, 0.0, 0.0], rotate_basis(E, C, seed=3))
+        Er = rotate_basis(E, C, seed=3)
+        polys = [[hat_entry(P, Er, i, j) for j in range(2)] for i in range(2)]
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=3)
             direct = (E.cols @ C).T @ P.constraint_value(x).a @ (E.cols @ C)
-            assert np.max(np.abs(hat.evaluate(x).a - direct)) < 1e-10
+            got = np.array([[p.eval(x) for p in row] for row in polys])
+            assert np.max(np.abs(got - direct)) < 1e-10
+
+    def test_stack_entries_match_term_by_term_congruence(self):
+        # random rectangular congruences L^T G R: every stack entry is the
+        # polynomial sum_e (L^T A_e R)_ij x^e, and evaluates to L^T G(x) R
+        rng = np.random.default_rng(5)
+        for P in (fullmat_problem(), block2_problem(), offdiag_problem()):
+            A = coefficient_matrices(P)
+            for _ in range(5):
+                L = rng.standard_normal((P.m, int(rng.integers(1, P.m + 1))))
+                R = rng.standard_normal((P.m, int(rng.integers(1, P.m + 1))))
+                Bs = _stack(P, L, R)
+                x = rng.uniform(-1.0, 1.0, size=P.n)
+                for i in range(L.shape[1]):
+                    for j in range(R.shape[1]):
+                        p = _entry_poly(P, Bs, i, j)
+                        terms = {e: c for c, e in p.terms}
+                        for e, Ae in A.items():
+                            assert abs(terms.get(e, 0.0)
+                                       - (L.T @ Ae @ R)[i, j]) < 2e-12
+                        assert set(terms) <= set(A)
+                        want = (L.T @ P.constraint_value(x).a @ R)[i, j]
+                        assert abs(p.eval(x) - want) < 1e-10
 
     def test_gradient_identity(self):
         # gradients of the compressed entries at the anchor coincide with
@@ -148,10 +195,10 @@ class TestHatMap:
             if k == 0:
                 continue
             Er = rotate_basis(E, random_rotation(k, rng), seed=trial)
-            hat = hat_map(P, x, Er)
             for i in range(k):
                 for j in range(i, k):
-                    got = np.array([g.eval(x) for g in hat.entry(i, j).grad()])
+                    got = np.array([g.eval(x) for g in
+                                    hat_entry(P, Er, i, j).grad()])
                     want = entry_gradient(P, x, Er.cols[:, i], Er.cols[:, j])
                     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -166,23 +213,20 @@ class TestTildeMap:
     def test_partially_active_diagonal_pattern(self):
         P = diag2_problem()
         tm = tilde_map(feasibility_data(P, [1.0, 0.0]))
-        assert tm.pattern.source == "sampled"
-        assert tm.pattern.sorted_pairs() == [(1, 1)]
+        assert tm.source == "sampled"
+        assert tm.sorted_pairs() == [(1, 1)]
 
     def test_vanishes_at_anchor(self):
         for P, x in [(diag2_problem(), [1.0, 0.0]),
                      (facial_problem(), [1.0, 0.0])]:
-            tm = tilde_map(feasibility_data(P, x))
-            val = tm.evaluate(x)
-            assert np.max(np.abs(val.a)) < 1e-8
+            val = _schur_value(feasibility_data(P, x), np.asarray(x))
+            assert np.max(np.abs(val)) < 1e-8
 
     def test_zero_rank_reduces_to_constraint(self):
         P = offdiag_problem()
         tm = tilde_map(feasibility_data(P, [0.0, 0.0]))
-        assert tm.pattern.source == "exact"
-        assert tm.pattern.sorted_pairs() == [(0, 0), (0, 1), (1, 1)]
-        x = np.array([0.2, -0.5])
-        assert np.max(np.abs(tm.evaluate(x).a - P.constraint_value(x).a)) == 0.0
+        assert tm.source == "exact"
+        assert tm.sorted_pairs() == [(0, 0), (0, 1), (1, 1)]
 
     def test_feasibility_equivalence_near_anchor(self):
         # with the range block positive definite, G(x) is positive
@@ -193,7 +237,7 @@ class TestTildeMap:
         for P, x in [(diag2_problem(), [1.0, 0.0]),
                      (facial_problem(), [1.0, 0.0])]:
             x = np.asarray(x, dtype=float)
-            tm = tilde_map(feasibility_data(P, x))
+            pd = feasibility_data(P, x)
             agree = 0
             for _ in range(100):
                 g = rng.standard_normal(P.n)
@@ -201,7 +245,8 @@ class TestTildeMap:
                 lam_g = float(eigh(P.constraint_value(xs)).values[-1])
                 if abs(lam_g) < 1e-9:
                     continue       # too close to the boundary to classify
-                lam_t = float(eigh(tm.evaluate(xs)).values[-1])
+                lam_t = float(eigh(SymMat.from_symmetric(
+                    _schur_value(pd, xs))).values[-1])
                 assert (lam_g > 0) == (lam_t > -1e-12), (P.name, xs)
                 agree += 1
             assert agree >= 85
@@ -211,14 +256,18 @@ def replay_sparse_witness(P, x, witness):
     """Rebuild the certified family from a Holds witness and re-test it.
 
     The pattern is re-derived from the polynomial coefficients of
-    E^T G(.) E, so a witness claiming fewer entries than its basis has
-    does not replay; every diagonal entry must be in it.
+    E^T G(.) E, built term by term from the constraint's entries, so a
+    witness claiming fewer entries than its basis has does not replay;
+    every diagonal entry must be in it.
     """
     x = np.asarray(x, dtype=float)
     E = np.asarray(witness["basis"])
     k = E.shape[1]
     assert np.max(np.abs(E.T @ E - np.eye(k))) < 1e-10
-    pattern = sorted(_congruence_entries(P.constraint, E, PATTERN_COEF_TOL))
+    mx = np.max([np.abs(E.T @ A @ E) for A in coefficient_matrices(P).values()],
+                axis=0)
+    pattern = [(i, j) for i in range(k) for j in range(i, k)
+               if mx[i, j] > PATTERN_COEF_TOL]
     assert [tuple(pr) for pr in witness["pattern"]] == pattern
     assert witness["cardinality"] == len(pattern)
     assert all((i, i) in pattern for i in range(k))
@@ -317,6 +366,29 @@ class TestSparseNdg:
         assert "Robinson" in v.reason
         assert v.witness is not None
 
+    def test_analysis_reuses_robinson_verdict(self, monkeypatch):
+        # degenerate00 takes the Robinson fallback of sparse_ndg; the
+        # analysis hands it the verdict it already has, so Robinson's
+        # saddle solve runs once
+        import nsdpcq.report
+        import nsdpcq.sparse
+        calls = []
+        for mod in (nsdpcq.report, nsdpcq.sparse):
+            def counted(pd, _inner=mod.check_robinson):
+                calls.append(pd)
+                return _inner(pd)
+            monkeypatch.setattr(mod, "check_robinson", counted)
+        P = NsdpProblem.from_json(RANK0_PROBLEM)
+        rep = analyze_problem(P, np.zeros(P.n),
+                              AnalysisOptions(timestamp=False))
+        assert rep.verdicts["sparse_ndg"].status == CqStatus.FAILS
+        assert "Robinson" in rep.verdicts["sparse_ndg"].reason
+        assert len(calls) == 1
+        # a standalone call still decides Robinson itself
+        alone = check_sparse_ndg(feasibility_data(P, np.zeros(P.n)))
+        assert len(calls) == 2
+        assert alone.to_json() == rep.verdicts["sparse_ndg"].to_json()
+
     def test_undetermined_when_no_route_applies(self):
         # sparse nondegeneracy genuinely fails (every basis has a full
         # pattern, three entries against two variables) while Robinson
@@ -339,7 +411,7 @@ class TestSparseNdg:
         P = diag3_problem()
         Q = random_rotation(3, np.random.default_rng(seed))
         R = NsdpProblem(3, P.objective,
-                        MatrixPoly(3, 3, _congruence_entries(P.constraint, Q)),
+                        MatrixPoly(3, 3, congruence_entries(P, Q)),
                         name="diag3-rotated")
         v = check_sparse_ndg(feasibility_data(R, [0.0, 0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
@@ -568,6 +640,76 @@ class TestFacialReduce:
             assert np.max(np.abs(fr.V1.T @ Gx.a @ fr.V1 - Rx.a)) < 1e-12
             checked += 1
         assert checked == 100
+
+    @staticmethod
+    def dead_rows_problem(rng, trial):
+        """Random sparse problem feasible at 0 with identically zero rows.
+
+        The indices Z carry no diagonal entry and no entry inside Z x Z,
+        so every basis of the kernel span(e_Z) at 0 compresses G to the
+        zero map; the live indices carry a positive definite constant
+        block plus random monomials of degree 1 or 2, and so does every
+        live-dead entry, which makes the equality rows nonzero.  Odd
+        trials rotate the problem, G -> Q^T G Q, so that the kernel and
+        the blocks V1, V2 are dense.
+        """
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        dead = set(rng.permutation(m)[:int(rng.integers(1, m))].tolist())
+        live = [i for i in range(m) if i not in dead]
+        B = rng.standard_normal((len(live), len(live)))
+        D = np.zeros((m, m))
+        D[np.ix_(live, live)] = B @ B.T + 0.5 * np.eye(len(live))
+        entries = {}
+        for i in range(m):
+            for j in range(i, m):
+                if i in dead and j in dead:
+                    continue
+                terms = [(float(D[i, j]), (0,) * n)]
+                if rng.random() < 0.7:
+                    for _ in range(int(rng.integers(1, 3))):
+                        e = rng.multinomial(int(rng.integers(1, 3)),
+                                            np.ones(n) / n)
+                        terms.append((float(rng.standard_normal()),
+                                      tuple(int(v) for v in e)))
+                entries[(i, j)] = Poly(n, terms)
+        P = NsdpProblem(n=n, objective=xv(n, 0),
+                        constraint=MatrixPoly(m, n, entries),
+                        name=f"dead{trial}")
+        if trial % 2:
+            Q = random_rotation(m, rng)
+            P = NsdpProblem(n=n, objective=P.objective,
+                            constraint=MatrixPoly(m, n, congruence_entries(P, Q)),
+                            name=f"dead{trial}-rotated")
+        return P
+
+    def test_congruence_identities_on_random_dead_rows(self):
+        # the reduced block is V1^T G V1 and each emitted equality is
+        # +- an entry of V2^T G, checked at random points away from the
+        # anchor, with [V1 V2] orthonormal
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            P = self.dead_rows_problem(rng, trial)
+            x0 = np.zeros(P.n)
+            fr = facial_reduce(P, x0)
+            assert fr.rounds == 1, P.name
+            V = np.column_stack([fr.V1, fr.V2])
+            assert np.max(np.abs(V.T @ V - np.eye(P.m))) < 1e-12
+            red = fr.reduced_problem
+            assert red.m == max(fr.V1.shape[1], 1)
+            assert abs(red.equality_values(x0)).max(initial=0.0) < 1e-12
+            for _ in range(5):
+                x = rng.uniform(-1.0, 1.0, size=P.n)
+                Gx = P.constraint_value(x).a
+                scale = 1.0 + np.max(np.abs(Gx))
+                if fr.V1.shape[1]:
+                    want = fr.V1.T @ Gx @ fr.V1
+                    got = red.constraint_value(x).a
+                    assert np.max(np.abs(got - want)) < 1e-10 * scale
+                rows = (fr.V2.T @ Gx).ravel()
+                for h in fr.added_equalities:
+                    v = h.eval(x)
+                    gap = min(np.min(np.abs(rows - v)), np.min(np.abs(rows + v)))
+                    assert gap < 1e-10 * scale, (P.name, v)
 
 
 class TestCardInvariance:
