@@ -16,12 +16,9 @@ from .errors import (
     ProblemFormatError,
 )
 from .symmat import (
-    KernelBasis,
-    Provenance,
     Spectral,
     SymMat,
     eigh,
-    kernel_basis,
     numerical_rank,
     proj_psd,
 )
@@ -72,7 +69,6 @@ __all__ = [
     "CqStatus",
     "CqVerdict",
     "InfeasiblePointError",
-    "KernelBasis",
     "MatrixPoly",
     "NsdpProblem",
     "NsdpcqError",
@@ -82,7 +78,6 @@ __all__ = [
     "PointData",
     "Poly",
     "ProblemFormatError",
-    "Provenance",
     "Spectral",
     "SymMat",
     "analyze_problem",
@@ -98,7 +93,6 @@ __all__ = [
     "feasibility_data",
     "find_multiplier",
     "hat_map",
-    "kernel_basis",
     "kkt_residual",
     "li_test",
     "make_path_trace",

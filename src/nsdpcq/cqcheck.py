@@ -18,10 +18,12 @@ positive-linear independence of such families:
   (free-signed in the positive-independence tests).
 
 Every checker reads the :class:`PointData` that :func:`feasibility_data`
-builds once per point: G(x), its spectrum, E, the partials and their
-compression onto E.  Verdicts distinguish certified outcomes from
-sampled evidence, and a Fails always carries a witness that reproduces
-the violation when plugged back into the defining condition.
+builds once per point: G(x), its spectrum, E (a read-only m x k array),
+the partials and their compression onto E.  Every compression onto a
+basis, E or any other, goes through :func:`compress`.  Verdicts
+distinguish certified outcomes from sampled evidence, and a Fails always
+carries a witness that reproduces the violation when plugged back into
+the defining condition.
 """
 from __future__ import annotations
 
@@ -35,13 +37,7 @@ from . import symmat
 from .errors import InfeasiblePointError, NotPsdError
 from .lp import phase_one
 from .model import NsdpProblem, structurally_diagonal
-from .symmat import (
-    KernelBasis,
-    Spectral,
-    SymMat,
-    eigh,
-    spectral_kernel,
-)
+from .symmat import Spectral, SymMat, eigh, spectral_kernel
 
 TAU_RANK = symmat.TAU_RANK
 LI_TOL = 1e-8
@@ -109,8 +105,9 @@ class PointData:
     """Everything the checkers read at one feasible point x of P.
 
     G = G(x) with its one eigendecomposition ``spec``, the kernel basis E
-    of G(x) at threshold tol_rank, the constraint partials W[l] = D_l G(x)
-    (shape (n, m, m)), their compression Wc[l] = E^T W[l] E (shape
+    of G(x) at threshold tol_rank (an m x k array with orthonormal
+    columns, so rank = m - k), the constraint partials W[l] = D_l G(x)
+    (shape (n, m, m)), their compression Wc = compress(W, E) (shape
     (n, k, k), so Wc[:, i, j] is the gradient v_ij) and the equality
     gradients Heq, one row per equality.  Built by
     :func:`feasibility_data`; every array is read-only.
@@ -121,8 +118,7 @@ class PointData:
     tol_rank: float
     G: SymMat
     spec: Spectral
-    rank: int
-    kernel: KernelBasis
+    E: np.ndarray
     W: np.ndarray
     Wc: np.ndarray
     Heq: np.ndarray
@@ -131,19 +127,27 @@ class PointData:
     def eigenvalues(self) -> np.ndarray:
         return self.spec.values
 
+    @property
+    def rank(self) -> int:
+        return self.P.m - self.E.shape[1]
+
 
 def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData:
     """Point data of P at x, behind a feasibility gate.
 
     Raises :class:`InfeasiblePointError` when G(x) has an eigenvalue
     below -tau, with tau = tol_rank * (1 + max eigenvalue magnitude),
-    and ValueError unless 0 < tol_rank < 1: a threshold outside that
-    range misreads the rank of G(x) or the feasibility of x.
+    and ValueError unless x is a vector of length P.n and
+    0 < tol_rank < 1: a threshold outside that range misreads the rank
+    of G(x) or the feasibility of x.
     """
     if not 0.0 < tol_rank < 1.0:
         raise ValueError(f"tol_rank must lie strictly between 0 and 1, "
                          f"got {tol_rank}")
     x = np.array(x, dtype=float)
+    if x.shape != (P.n,):
+        raise ValueError(f"point must have length {P.n}, one entry per "
+                         f"variable, got shape {x.shape}")
     G = P.constraint_value(x)
     spec = eigh(G)
     tau = tol_rank * (1.0 + G.norm_inf())
@@ -155,18 +159,25 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
             eigenvalues=spec.values.tolist(),
         )
     try:
-        kb = spectral_kernel(spec, tol_rank)
+        E = spectral_kernel(spec, tol_rank)
     except NotPsdError as exc:
         # gate and kernel threshold use slightly different scales; a point
         # in the sliver between them is still infeasible for our purposes
         raise InfeasiblePointError(str(exc), eigenvalues=spec.values.tolist())
     W = P.constraint_partials(x)
-    Wc = np.einsum("lab,ai,bj->lij", W, kb.cols, kb.cols)
+    Wc = compress(W, E)
     Heq = P.equality_gradients(x)
     for arr in (x, W, Wc, Heq):
         arr.setflags(write=False)
-    return PointData(P=P, x=x, tol_rank=tol_rank, G=G, spec=spec,
-                     rank=kb.rank, kernel=kb, W=W, Wc=Wc, Heq=Heq)
+    return PointData(P=P, x=x, tol_rank=tol_rank, G=G, spec=spec, E=E,
+                     W=W, Wc=Wc, Heq=Heq)
+
+
+def compress(W: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stack cols^T W[l] cols, shape (n, k, k) for W of shape
+    (n, m, m) and cols of shape (m, k): entry (l, i, j) is component l
+    of the gradient v_ij for the basis cols."""
+    return np.einsum("lab,ai,bj->lij", W, cols, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +322,8 @@ def exact_verdict(pd: PointData, condition: str) -> Optional[CqVerdict]:
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
-    E, Heq, n = pd.kernel, pd.Heq, pd.P.n
-    k = E.nullity
+    E, Heq, n = pd.E, pd.Heq, pd.P.n
+    k = E.shape[1]
     log = [f"rank {pd.rank}, kernel dimension {k}"]
     eq = li_test(Heq) if Heq.shape[0] else None
     if eq is not None and not eq.independent:
@@ -353,7 +364,7 @@ def exact_verdict(pd: PointData, condition: str) -> Optional[CqVerdict]:
             return CqVerdict(
                 CqStatus.HOLDS_CERTIFIED,
                 reason="diagonal constraint, LICQ holds",
-                witness={"basis": E.cols, "provenance": "diagonal",
+                witness={"basis": E, "provenance": "diagonal",
                          "pattern": pairs, "cardinality": k,
                          "sigma_min": li.sigma_min}, log=log)
         return CqVerdict(CqStatus.FAILS,
@@ -368,23 +379,23 @@ def exact_verdict(pd: PointData, condition: str) -> Optional[CqVerdict]:
                          reason="diagonal constraint, MFCQ holds",
                          witness={"margin": pli.margin}, log=log)
     return CqVerdict(CqStatus.FAILS, reason="diagonal constraint, MFCQ fails",
-                     witness={"basis": E.cols, "alpha": pli.alpha,
+                     witness={"basis": E, "alpha": pli.alpha,
                               "free_coeffs": pli.free_coeffs}, log=log)
 
 
 def _gradient_family(pd: PointData, full: bool):
     """Kernel pairs (i, j) with their gradients v_ij, over the upper
     triangle when full, else the diagonal, then the equality gradients."""
-    k = pd.kernel.nullity
+    k = pd.E.shape[1]
     iu, ju = np.triu_indices(k) if full else (np.arange(k), np.arange(k))
     pairs = list(zip(iu.tolist(), ju.tolist()))
     return pairs, list(pd.Wc[:, iu, ju].T) + list(pd.Heq)
 
 
-def _family_witness(E: KernelBasis, pairs, vectors, coeffs) -> dict:
+def _family_witness(E: np.ndarray, pairs, vectors, coeffs) -> dict:
     return {
-        "basis": E.cols,
-        "provenance": E.provenance.describe(),
+        "basis": E,
+        "provenance": "fixed",
         "pairs": list(pairs),
         "vectors": np.array(vectors) if len(vectors) else np.zeros((0,)),
         "coeffs": np.asarray(coeffs, dtype=float),
@@ -407,8 +418,8 @@ def check_nondegeneracy(pd: PointData) -> CqVerdict:
     exact = exact_verdict(pd, "nondegeneracy")
     if exact is not None:
         return exact
-    E = pd.kernel
-    log = [f"rank {pd.rank}, kernel dimension {E.nullity}"]
+    E = pd.E
+    log = [f"rank {pd.rank}, kernel dimension {E.shape[1]}"]
     pairs, vectors = _gradient_family(pd, full=True)
     li = li_test(vectors)
     if li.independent:
@@ -636,8 +647,8 @@ def check_robinson(pd: PointData) -> CqVerdict:
     exact = exact_verdict(pd, "robinson")
     if exact is not None:
         return exact
-    P, E, Heq, Wc = pd.P, pd.kernel, pd.Heq, pd.Wc
-    k = E.nullity
+    P, E, Heq, Wc = pd.P, pd.E, pd.Heq, pd.Wc
+    k = E.shape[1]
     log = [f"rank {pd.rank}, kernel dimension {k}"]
     Qn = _null_projector(Heq, P.n)
     if k == 1:
@@ -645,11 +656,11 @@ def check_robinson(pd: PointData) -> CqVerdict:
         v = Wc[:, 0, 0]
         resid = float(np.linalg.norm(Qn @ v))
         if resid <= LI_TOL * (1.0 + float(np.linalg.norm(v))):
-            Y = np.outer(E.cols[:, 0], E.cols[:, 0])
+            Y = np.outer(E[:, 0], E[:, 0])
             return CqVerdict(
                 CqStatus.FAILS,
                 reason="one-dimensional kernel, v_11 in the equality-gradient span",
-                witness={"basis": E.cols, "alpha": np.array([1.0]),
+                witness={"basis": E, "alpha": np.array([1.0]),
                          "multiplier": Y}, log=log)
         log.append(f"one-dimensional kernel, margin {resid:.3e}")
         # fall through to the solve for an explicit direction
@@ -672,8 +683,8 @@ def check_robinson(pd: PointData) -> CqVerdict:
         spec = eigh(SymMat.from_symmetric(res.S))
         alpha = np.clip(spec.values, 0.0, None)
         alpha = alpha / float(np.sum(alpha))
-        Y = E.cols @ res.S @ E.cols.T
-        witness = {"basis": E.cols @ spec.vectors,
+        Y = E @ res.S @ E.T
+        witness = {"basis": E @ spec.vectors,
                    "alpha": alpha, "multiplier": Y, "residual": res.dual}
         if Heq.shape[0]:
             witness["free_coeffs"] = -np.linalg.lstsq(
@@ -752,8 +763,8 @@ def find_multiplier(pd: PointData, iters: int = 400) -> KktCertificate:
     kernel basis; S is then fit by least squares and pushed onto the PSD
     cone by projected gradient on the stationarity residual.
     """
-    P, x, E, Heq = pd.P, pd.x, pd.kernel, pd.Heq
-    k = E.nullity
+    P, x, E, Heq = pd.P, pd.x, pd.E, pd.Heq
+    k = E.shape[1]
     ne = Heq.shape[0]
     g0 = P.objective_gradient(x)
     if k == 0:
@@ -774,7 +785,7 @@ def find_multiplier(pd: PointData, iters: int = 400) -> KktCertificate:
             mu, *_ = np.linalg.lstsq(Ah, g0 - As @ S.ravel(), rcond=None)
         resid = As @ S.ravel() + (Ah @ mu if ne else 0.0) - g0
         S = _project_psd_mat(S - (As.T @ resid).reshape(k, k) / lip)
-    Y = SymMat.from_symmetric(E.cols @ S @ E.cols.T)
+    Y = SymMat.from_symmetric(E @ S @ E.T)
     return kkt_residual(P, x, Y, mu if ne else None)
 
 

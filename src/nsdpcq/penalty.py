@@ -43,6 +43,7 @@ from .cqcheck import (
     CqVerdict,
     PliResult,
     PointData,
+    compress,
     exact_verdict,
     feasibility_data,
     li_test,
@@ -52,11 +53,10 @@ from .errors import NumericalFailure
 from .model import NsdpProblem
 from .symmat import (
     TAU_RANK,
-    KernelBasis,
-    Provenance,
     SymMat,
     eigh,
     frobenius,
+    orthonormalize,
     random_rotation,
 )
 
@@ -158,17 +158,18 @@ class InnerResult:
 class SequenceProbeResult:
     """Per-trace evidence for one weak condition.
 
-    limit_basis is the kernel basis obtained from the eigenvector
-    sequence, snapped onto Ker G(x_bar), and clusters are the persistent
-    eigenvalue clusters that leave it rotation freedom.  sigma_min is the
-    test's score: the smallest singular value of the nondegeneracy
-    family, or the phase-one margin of the cluster sums.  exhaustive
-    means the test decided the sequence, so a failing one refutes the
-    condition; cone holds the weak-Robinson test with its multipliers.
+    limit_basis is the kernel basis (an m x k array) obtained from the
+    eigenvector sequence, snapped onto Ker G(x_bar), and clusters are the
+    persistent eigenvalue clusters that leave it rotation freedom.
+    sigma_min is the test's score: the smallest singular value of the
+    nondegeneracy family, or the phase-one margin of the cluster sums.
+    exhaustive means the test decided the sequence, so a failing one
+    refutes the condition; cone holds the weak-Robinson test with its
+    multipliers.
     """
 
     trace_id: str
-    limit_basis: KernelBasis
+    limit_basis: np.ndarray
     clusters: List[List[int]]
     sigma_min: float
     passed: bool
@@ -558,17 +559,8 @@ def _usable_records(trace: PenaltyTrace, rank: int,
 
 def _snap_to_kernel(E: np.ndarray, K: np.ndarray) -> Optional[np.ndarray]:
     """Project columns onto span(K) and re-orthonormalize; None on defect."""
-    B = K @ (K.T @ E)
-    cols = []
-    for j in range(B.shape[1]):
-        v = B[:, j].copy()
-        for c in cols:
-            v -= float(c @ v) * c
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-8:
-            return None
-        cols.append(v / nrm)
-    return np.column_stack(cols)
+    out = orthonormalize(K @ (K.T @ E), 1e-8)
+    return out if out.shape[1] == E.shape[1] else None
 
 
 def _persistent_clusters(records: Sequence[PenaltyIterate],
@@ -635,11 +627,11 @@ def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
     Its Gram determinant is a polynomial in C, nonzero for almost every
     rotation or for none, but a failing draw still refutes nothing.
     """
-    x_bar, K, rank, tol_rank = pd.x, pd.kernel.cols, pd.rank, pd.tol_rank
+    x_bar, K, rank, tol_rank = pd.x, pd.E, pd.rank, pd.tol_rank
     eq_rows = list(pd.Heq)
 
     def diagonal(cols: np.ndarray) -> np.ndarray:
-        return np.einsum("lab,ai,bi->il", pd.W, cols, cols)
+        return np.diagonal(compress(pd.W, cols), axis1=1, axis2=2).T
 
     results: List[SequenceProbeResult] = []
     certified_fail: Optional[SequenceProbeResult] = None
@@ -673,11 +665,7 @@ def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
             score, ok, exhaustive = li.sigma_min, li.independent, not free
         res = SequenceProbeResult(
             trace_id=trace.trace_id,
-            limit_basis=KernelBasis(
-                cols=E, rank=rank,
-                provenance=Provenance("sequence_limit",
-                                      trace_id=trace.trace_id)),
-            clusters=clusters, sigma_min=score, passed=ok,
+            limit_basis=E, clusters=clusters, sigma_min=score, passed=ok,
             exhaustive=exhaustive, cone=cone, log=log)
         results.append(res)
         if not ok and exhaustive and certified_fail is None:
@@ -712,7 +700,7 @@ def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
             reason=f"trace {bad.trace_id} leaves no basis freedom and its "
                    "diagonal gradient family is dependent",
             witness={"trace": bad.trace_id,
-                     "basis": bad.limit_basis.cols,
+                     "basis": bad.limit_basis,
                      "sigma_min": bad.sigma_min})
     if all(r.passed for r in results):
         return results, CqVerdict(CqStatus.HOLDS_SAMPLED,
@@ -752,7 +740,7 @@ def probe_weak_robinson(pd: PointData,
                    "family are positively dependent, so no basis the "
                    "sequence allows is positively independent",
             witness={"trace": bad.trace_id,
-                     "basis": bad.limit_basis.cols,
+                     "basis": bad.limit_basis,
                      "clusters": bad.clusters,
                      "alpha": bad.cone.alpha,
                      "free_coeffs": bad.cone.free_coeffs})

@@ -37,7 +37,7 @@ return Undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .cqcheck import (
     CqVerdict,
     PointData,
     check_robinson,
+    compress,
     cone_saddle,
     exact_verdict,
     feasibility_data,
@@ -55,10 +56,10 @@ from .errors import NumericalFailure
 from .model import MatrixPoly, NsdpProblem, Poly, structural_zero
 from .symmat import (
     TAU_RANK,
-    KernelBasis,
     SymMat,
     eigh,
     orthonormal_completion,
+    orthonormalize,
 )
 
 PATTERN_COEF_TOL = 1e-12     # coefficient threshold for congruence patterns
@@ -141,7 +142,7 @@ def _entry_poly(P: NsdpProblem, Bs: np.ndarray, i: int, j: int) -> Poly:
                       if abs(c) > PATTERN_COEF_TOL])
 
 
-def hat_map(P: NsdpProblem, x, E: KernelBasis) -> SparsityPattern:
+def hat_map(P: NsdpProblem, x, E: np.ndarray) -> SparsityPattern:
     """Exact pattern of the kernel compression E^T G(.) E.
 
     The gradient of entry (i, j) at the anchor equals the family vector
@@ -149,16 +150,16 @@ def hat_map(P: NsdpProblem, x, E: KernelBasis) -> SparsityPattern:
     independence tests downstream.
     """
     x = np.asarray(x, dtype=float)
-    if E.dim != P.m:
-        raise ValueError(f"basis has {E.dim} rows, constraint has {P.m}")
+    if E.shape[0] != P.m:
+        raise ValueError(f"basis has {E.shape[0]} rows, constraint has {P.m}")
     Gx = P.constraint_value(x)
-    resid = float(np.max(np.abs(Gx.a @ E.cols), initial=0.0))
+    resid = float(np.max(np.abs(Gx.a @ E), initial=0.0))
     if resid > 1e-6 * (1.0 + Gx.norm_inf()):
         raise ValueError(
             f"basis does not span the kernel at this point (residual {resid:.3e})")
     return SparsityPattern(
-        dim=E.nullity, source="exact",
-        index_set=frozenset(_pattern_pairs(_stack(P, E.cols, E.cols))))
+        dim=E.shape[1], source="exact",
+        index_set=frozenset(_pattern_pairs(_stack(P, E, E))))
 
 
 def _schur_value(pd: PointData, x: np.ndarray) -> np.ndarray:
@@ -230,7 +231,7 @@ def _score(pd: PointData, cols: np.ndarray):
     k = cols.shape[1]
     pairs = _pattern_pairs(_stack(pd.P, cols, cols))
     hits = sum(1 for i in range(k) if (i, i) in pairs)
-    comp = np.einsum("lab,ai,bj->lij", pd.W, cols, cols)
+    comp = compress(pd.W, cols)
     li = li_test([comp[:, i, j] for (i, j) in sorted(pairs)] + list(pd.Heq))
     return hits, hits == k and li.independent, pairs, li
 
@@ -287,7 +288,7 @@ def _joint_diagonalize(Bs: np.ndarray) -> Tuple[np.ndarray, int]:
     return C, sweeps
 
 
-def _basis_search(pd: PointData, E0: KernelBasis, log: List[str]):
+def _basis_search(pd: PointData, E0: np.ndarray, log: List[str]):
     """Score the fixed kernel basis, else its joint diagonalization.
 
     The fixed basis is kept when it succeeds.  Otherwise the compressed
@@ -295,13 +296,13 @@ def _basis_search(pd: PointData, E0: KernelBasis, log: List[str]):
     scored.  Returns (basis, provenance, hits, success, pairs, li) of
     the basis scored last.
     """
-    k = E0.nullity
-    hits, success, pairs, li = _score(pd, E0.cols)
+    k = E0.shape[1]
+    hits, success, pairs, li = _score(pd, E0)
     log.append(f"fixed basis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
     if success:
-        return E0.cols, E0.provenance.describe(), hits, success, pairs, li
-    C, sweeps = _joint_diagonalize(_stack(pd.P, E0.cols, E0.cols))
-    cols = E0.cols @ C
+        return E0, "fixed", hits, success, pairs, li
+    C, sweeps = _joint_diagonalize(_stack(pd.P, E0, E0))
+    cols = E0 @ C
     hits, success, pairs, li = _score(pd, cols)
     log.append(f"joint diagonalization ({sweeps} sweeps): hits "
                f"{hits}/{k}, sigma_min {li.sigma_min:.3e}")
@@ -344,8 +345,8 @@ def check_sparse_ndg(pd: PointData,
     if exact is not None:
         return exact
     P, x = pd.P, pd.x
-    E0 = pd.kernel
-    log = [f"rank {pd.rank}, kernel dimension {E0.nullity}"]
+    E0 = pd.E
+    log = [f"rank {pd.rank}, kernel dimension {E0.shape[1]}"]
     for i in range(P.m):
         if structural_zero(P.constraint.entry(i, i)):
             row = pd.G.a[:, i]
@@ -434,10 +435,10 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     kernel_idx = [i for i in range(m) if abs(diag[i]) <= thr]
     k = len(kernel_idx)
     log = [f"rank {m - k}, kernel dimension {k} (per supplied U)"]
-    if k != pd.kernel.nullity:
+    if k != pd.E.shape[1]:
         raise ValueError(
             f"U separates a kernel of dimension {k}, spectral data says "
-            f"{pd.kernel.nullity}")
+            f"{pd.E.shape[1]}")
     exact = exact_verdict(pd, "forsgren")
     if exact is not None:
         return exact
@@ -447,32 +448,30 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     log.append(f"Schur map pattern: {pat.cardinality()} entries "
                f"({pat.source})")
 
-    # span of the compressed pattern subspace
+    # orthonormal basis of the compressed pattern subspace, one flattened
+    # k x k matrix per column, in the Frobenius geometry
     rt = 1.0 / np.sqrt(2.0)
-    raw = []
-    for (a, b) in pat.sorted_pairs():
+    raw = np.zeros((k * k, pat.cardinality()))
+    for q, (a, b) in enumerate(pat.sorted_pairs()):
         S = np.zeros((m, m))
         if a == b:
             S[a, a] = 1.0
         else:
             S[a, b] = rt
             S[b, a] = rt
-        raw.append(E.T @ S @ E)
-    basis_T = _orthonormalize_syms(raw)
-    dim_T = len(basis_T)
+        raw[:, q] = (E.T @ S @ E).ravel()
+    stack = orthonormalize(raw, 1e-10).T.reshape(-1, k, k)
+    dim_T = stack.shape[0]
     log.append(f"compressed pattern subspace dimension {dim_T}")
 
-    Wc = np.einsum("lab,ai,bj->lij", pd.W, E, E)
+    Wc = compress(pd.W, E)
     iu = np.triu_indices(k)
     Wu = Wc[:, iu[0], iu[1]]
 
-    images = [Wu @ Tq[iu] for Tq in basis_T]
+    images = [Wu @ Tq[iu] for Tq in stack]
     li = li_test(images + list(pd.Heq))
     if not li.independent:
-        coeffs = li.coeffs[:dim_T]
-        M = np.zeros((k, k))
-        for c, Tq in zip(coeffs, basis_T):
-            M += c * Tq
+        M = np.tensordot(li.coeffs[:dim_T], stack, axes=1)
         nrm = float(np.sqrt(np.sum(M * M)))
         if nrm > 1e-12:
             M /= nrm
@@ -484,11 +483,10 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
             log=log)
     log.append("injectivity holds on the pattern subspace")
 
-    if dim_T == 0 or any(
-            max((abs(Tq[i, i]) for Tq in basis_T), default=0.0) <= 1e-12
-            for i in range(k)):
-        missing = [i for i in range(k) if
-                   max((abs(Tq[i, i]) for Tq in basis_T), default=0.0) <= 1e-12]
+    peak = np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)), axis=0,
+                  initial=0.0)
+    missing = np.nonzero(peak <= 1e-12)[0].tolist()
+    if missing:
         return CqVerdict(
             CqStatus.FAILS,
             reason="a diagonal entry vanishes identically on the pattern "
@@ -497,7 +495,6 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
                      **pat.provenance()},
             log=log)
 
-    stack = np.array(basis_T)
     res = cone_saddle(stack, np.eye(dim_T))
     log.append(f"positive definite element: {res.describe()}")
     if res.route == "primal":
@@ -516,20 +513,6 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
                f"certified (primal bound {res.primal:.2e}, dual bound "
                f"{res.dual:.2e})",
         log=log)
-
-
-def _orthonormalize_syms(mats: Sequence[np.ndarray],
-                         tol: float = 1e-10) -> List[np.ndarray]:
-    """Gram-Schmidt in the Frobenius geometry, near-zero residues dropped."""
-    out: List[np.ndarray] = []
-    for M in mats:
-        R = np.array(M, dtype=float)
-        for B in out:
-            R = R - float(np.sum(R * B)) * B
-        nrm = float(np.sqrt(np.sum(R * R)))
-        if nrm > tol:
-            out.append(R / nrm)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +581,14 @@ def facial_reduce(P: NsdpProblem, x,
     J_rounds: List[Tuple[int, ...]] = []
 
     for _ in range(P.m):
-        E = feasibility_data(cur, x, tol_rank).kernel
-        if E.nullity == 0:
+        E = feasibility_data(cur, x, tol_rank).E
+        if E.shape[1] == 0:
             break
         J = hat_map(cur, x, E).missing_diagonal()
         if not J:
             break
         J_rounds.append(tuple(J))
-        V2r = E.cols[:, J]
+        V2r = E[:, J]
         V1r = orthonormal_completion(V2r)
         for q in range(V2r.shape[1]):
             V2_cols.append(V1_total @ V2r[:, q])

@@ -13,13 +13,14 @@ Conventions used everywhere:
 * eigenvalues are reported in non-increasing order,
 * each eigenvector's largest-magnitude component is positive,
 * the kernel of a PSD matrix is the span of eigenvectors whose eigenvalues
-  are below ``tol * max(1, lambda_max)``,
+  are below ``tol * max(1, lambda_max)``; a kernel basis E is a plain
+  read-only m x k array with orthonormal columns (:func:`spectral_kernel`),
+* every Gram-Schmidt pass is :func:`orthonormalize`,
 * inner product on symmetric matrices is the Frobenius one, ``tr(M N)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -158,66 +159,17 @@ def numerical_rank(M, tol: float = TAU_RANK) -> int:
     return int(np.sum(np.abs(spec.values) > thr))
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where a kernel basis came from.
-
-    kind is one of "fixed" (deterministic eigensolve), "sampled" (random
-    rotation applied, seed recorded) or "sequence_limit" (limit of
-    eigenvector matrices along a sequence, trace id recorded).
-    """
-
-    kind: str
-    seed: Optional[int] = None
-    trace_id: Optional[str] = None
-
-    def describe(self) -> str:
-        if self.kind == "sampled":
-            return f"sampled(seed={self.seed})"
-        if self.kind == "sequence_limit":
-            return f"sequence_limit({self.trace_id})"
-        return self.kind
-
-
-FIXED = Provenance("fixed")
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Orthonormal basis of Ker M for a PSD matrix M of rank r.
-
-    cols is m x (m - r) with orthonormal columns spanning the kernel.
-    """
-
-    cols: np.ndarray
-    rank: int
-    provenance: Provenance
-
-    @property
-    def dim(self) -> int:
-        return self.cols.shape[0]
-
-    @property
-    def nullity(self) -> int:
-        return self.cols.shape[1]
-
-
-def kernel_basis(M, tol: float = TAU_RANK,
-                 provenance: Provenance = FIXED) -> KernelBasis:
-    """Orthonormal kernel basis of a PSD matrix.
+def spectral_kernel(spec: Spectral, tol: float = TAU_RANK) -> np.ndarray:
+    """Orthonormal kernel basis E of the PSD matrix whose eigendecomposition
+    is spec, as a read-only m x k array; the rank is m - k.
 
     Eigenvectors whose eigenvalues satisfy |lambda| <= tol * max(1, lambda_1)
-    form the kernel cluster.  They are re-orthonormalized by modified
-    Gram-Schmidt in ascending column order so tie handling is deterministic.
-    Raises :class:`NotPsdError` when M has an eigenvalue below the negative
-    tolerance.
+    form the kernel cluster.  They are re-orthonormalized by
+    :func:`orthonormalize` in ascending column order, so tie handling is
+    deterministic.  Raises :class:`NotPsdError` when the matrix has an
+    eigenvalue below the negative tolerance, and :class:`NumericalFailure`
+    when a kernel eigenvector is near-dependent on the ones before it.
     """
-    return spectral_kernel(eigh(M), tol, provenance)
-
-
-def spectral_kernel(spec: Spectral, tol: float = TAU_RANK,
-                    provenance: Provenance = FIXED) -> KernelBasis:
-    """:func:`kernel_basis` of the matrix whose eigendecomposition is spec."""
     m = spec.values.shape[0]
     lam1 = abs(float(spec.values[0])) if m else 0.0
     thr = tol * max(1.0, lam1)
@@ -228,45 +180,31 @@ def spectral_kernel(spec: Spectral, tol: float = TAU_RANK,
             lam_min,
         )
     mask = np.abs(spec.values) <= thr
-    cols = spec.vectors[:, mask].copy()
-    cols = _mgs(cols)
-    cols.setflags(write=False)
-    return KernelBasis(cols=cols, rank=m - cols.shape[1], provenance=provenance)
+    E = orthonormalize(spec.vectors[:, mask], 1e-8)
+    if E.shape[1] < np.count_nonzero(mask):
+        raise NumericalFailure("Gram-Schmidt hit a near-dependent column")
+    E.setflags(write=False)
+    return E
 
 
-def _mgs(cols: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt over columns, ascending index order."""
-    out = np.array(cols, dtype=float)
+def orthonormalize(cols, tol: float) -> np.ndarray:
+    """Modified Gram-Schmidt over the columns, in column order.
+
+    A column whose residual norm is at most tol is dropped, so the result
+    has orthonormal columns spanning those of the input, at most as many.
+    The work runs on a C-ordered copy, which fixes the arithmetic.
+    """
+    out = np.array(cols, dtype=float, order="C")
+    kept = 0
     for j in range(out.shape[1]):
         v = out[:, j]
-        for i in range(j):
+        for i in range(kept):
             v = v - np.dot(out[:, i], v) * out[:, i]
         nrm = float(np.linalg.norm(v))
-        if nrm < 1e-8:
-            raise NumericalFailure("Gram-Schmidt hit a near-dependent column")
-        out[:, j] = v / nrm
-    return out
-
-
-def rotate_basis(E: KernelBasis, C: np.ndarray,
-                 seed: Optional[int] = None) -> KernelBasis:
-    """Replace a kernel basis by E @ C for an orthogonal C.
-
-    The span (and therefore the rank bookkeeping) is unchanged; provenance
-    flips to "sampled" since the result no longer comes straight from the
-    deterministic eigensolve.
-    """
-    C = np.asarray(C, dtype=float)
-    k = E.cols.shape[1]
-    if C.shape != (k, k):
-        raise ValueError(f"rotation must be {k} x {k}, got {C.shape}")
-    defect = float(np.max(np.abs(C.T @ C - np.eye(k)))) if k else 0.0
-    if defect > 1e-10:
-        raise ValueError(f"rotation is not orthogonal (defect {defect:.3e})")
-    cols = E.cols @ C
-    cols.setflags(write=False)
-    return KernelBasis(cols=cols, rank=E.rank,
-                       provenance=Provenance("sampled", seed=seed))
+        if nrm > tol:
+            out[:, kept] = v / nrm
+            kept += 1
+    return out[:, :kept].copy()
 
 
 def random_rotation(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,25 +233,11 @@ def fix_column_signs(q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def orthonormal_completion(V: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns V (m x w) to a full basis; return the
-    m x (m - w) complement block, built deterministically from identity
-    candidates."""
+    """The m x (m - w) block completing orthonormal columns V (m x w) to an
+    orthonormal basis: :func:`orthonormalize` of [V | I], columns after V."""
     V = np.asarray(V, dtype=float)
     m, w = V.shape
-    cols = [V[:, j] for j in range(w)]
-    out = []
-    for i in range(m):
-        if len(cols) == m:
-            break
-        v = np.zeros(m)
-        v[i] = 1.0
-        for c in cols:
-            v = v - np.dot(c, v) * c
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-8:
-            v = v / nrm
-            cols.append(v)
-            out.append(v)
-    if len(cols) != m:
+    Q = orthonormalize(np.hstack([V, np.eye(m)]), 1e-8)
+    if Q.shape[1] != m:
         raise NumericalFailure("failed to complete orthonormal basis")
-    return np.column_stack(out) if out else np.zeros((m, 0))
+    return Q[:, w:]

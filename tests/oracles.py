@@ -16,6 +16,7 @@ from nsdpcq.cqcheck import (
     CqStatus,
     CqVerdict,
     PointData,
+    compress,
     feasibility_data,
     li_test,
 )
@@ -127,7 +128,7 @@ def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
     partition = block_partition(P)
     if len(partition) == 1:
         return check_sparse_ndg(pd)
-    if pd.kernel.nullity == 0:
+    if pd.E.shape[1] == 0:
         return CqVerdict(CqStatus.HOLDS_CERTIFIED, reason="trivial kernel")
 
     union_vecs = []
@@ -137,16 +138,16 @@ def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
     for bi, comp in enumerate(partition):
         sub = component_subproblem(P, comp, f"#block{bi}")
         spd = feasibility_data(sub, x, pd.tol_rank)
-        kb = spd.kernel.nullity
+        kb = spd.E.shape[1]
         if kb == 0:
             log.append(f"block {bi}: trivial kernel")
             continue
         block_log: List[str] = []
-        cols, _, hits, _, prs, _ = _basis_search(spd, spd.kernel, block_log)
+        cols, _, hits, _, prs, _ = _basis_search(spd, spd.E, block_log)
         log += [f"block {bi}: {line}" for line in block_log]
         if hits < kb:
             all_hit = False
-        comp_grads = np.einsum("lab,ai,bj->lij", spd.W, cols, cols)
+        comp_grads = compress(spd.W, cols)
         union_vecs += [comp_grads[:, i, j] for (i, j) in sorted(prs)]
         lifted = np.zeros((P.m, kb))
         for a, g in enumerate(comp):
@@ -181,15 +182,15 @@ def sparse_card_invariance(pd: PointData, trials: int = 50,
     report points at a numerics problem (threshold too loose for the
     sampled rotations), not at the mathematics.
     """
-    E0 = pd.kernel
-    k = E0.nullity
+    E0 = pd.E
+    k = E0.shape[1]
     if k == 0:
         return {"passing": 0, "cardinalities": [], "consistent": True,
                 "violations": []}
     rng = np.random.default_rng(seed)
     records = []
     for t in range(trials + 1):
-        cols = E0.cols if t == 0 else E0.cols @ random_rotation(k, rng)
+        cols = E0 if t == 0 else E0 @ random_rotation(k, rng)
         _, _, pairs, li = _score(pd, cols)
         if li.independent:
             records.append((t, len(pairs)))

@@ -20,6 +20,7 @@ from nsdpcq.cqcheck import (
     CqVerdict,
     check_nondegeneracy,
     check_robinson,
+    compress,
     exact_verdict,
     feasibility_data,
     find_multiplier,
@@ -35,10 +36,11 @@ from nsdpcq.penalty import (
     default_trace_family,
     probe_weak_ndg,
     probe_weak_robinson,
+    run_penalty,
 )
 from nsdpcq.report import analyze_problem, lattice_warnings, report_json_text
-from nsdpcq.sparse import check_sparse_ndg
-from nsdpcq.symmat import eigh, SymMat, random_rotation, rotate_basis
+from nsdpcq.sparse import check_sparse_ndg, facial_reduce
+from nsdpcq.symmat import eigh, SymMat, random_rotation
 from oracles import entry_gradient
 from test_acceptance import shifted_problem, upper_family
 
@@ -303,12 +305,12 @@ class TestEntryGradients:
         P = diag3_problem()
         x = np.zeros(3)
         fd = feasibility_data(P, x)
-        assert fd.rank == 0 and fd.kernel.nullity == 3
+        assert fd.rank == 0 and fd.E.shape == (3, 3)
         C = np.array([[1.0, 0.0, 0.0],
                       [0.0, -RT2, RT2],
                       [0.0, RT2, RT2]])
-        E = rotate_basis(fd.kernel, C).cols
-        Wc = np.einsum("lab,ai,bj->lij", fd.W, E, E)
+        E = fd.E @ C
+        Wc = compress(fd.W, E)
         expect = np.array([0.0, 0.5, 0.5])
         assert np.allclose(Wc[:, 1, 1], expect, atol=1e-10)
         assert np.allclose(Wc[:, 2, 2], expect, atol=1e-10)
@@ -336,10 +338,27 @@ class TestEntryGradients:
         P = fullmat_problem()
         x = np.zeros(3)
         fd = feasibility_data(P, x)
-        E = fd.kernel.cols
+        E = fd.E
         for (i, j) in zip(*np.triu_indices(E.shape[1])):
             direct = entry_gradient(P, x, E[:, i], E[:, j])
             assert np.allclose(fd.Wc[:, i, j], direct, atol=1e-12)
+
+    def test_compress_rotated_basis_matches_entry_gradients(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(2, 5))
+            k = int(rng.integers(1, m + 1))
+            P = shifted_problem(rng, n, m, k)
+            x = np.zeros(n)
+            fd = feasibility_data(P, x)
+            E = fd.E @ random_rotation(fd.E.shape[1], rng)
+            Wc = compress(fd.W, E)
+            assert Wc.shape == (n, k, k)
+            for i in range(k):
+                for j in range(k):
+                    want = entry_gradient(P, x, E[:, i], E[:, j])
+                    assert np.allclose(Wc[:, i, j], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +513,7 @@ class TestNondegeneracy:
             fd = feasibility_data(P, x)
             base = li_test(upper_family(fd)).independent
             for _ in range(20):
-                C = random_rotation(fd.kernel.nullity, rng)
-                cols = rotate_basis(fd.kernel, C).cols
+                cols = fd.E @ random_rotation(fd.E.shape[1], rng)
                 assert li_test(upper_family(fd, cols)).independent == base
 
 
@@ -668,21 +686,35 @@ class TestFeasibility:
     def test_interior_rank(self):
         fd = feasibility_data(interior_problem(), np.zeros(2))
         assert fd.rank == 2
-        assert fd.kernel.nullity == 0
+        assert fd.E.shape == (2, 0)
         assert np.allclose(fd.eigenvalues, [1.0, 1.0], atol=1e-12)
 
     def test_zero_matrix_full_kernel(self):
         fd = feasibility_data(facial_problem(), np.zeros(2))
         assert fd.rank == 0
-        assert fd.kernel.nullity == 2
+        assert fd.E.shape == (2, 2)
 
     def test_tiny_negative_within_tolerance(self):
         fd = feasibility_data(scalar2_problem(), np.array([-1e-10]))
-        assert fd.kernel.nullity == 2
+        assert fd.E.shape[1] == 2
 
     def test_clearly_infeasible(self):
         with pytest.raises(InfeasiblePointError):
             feasibility_data(scalar2_problem(), np.array([-1.0]))
+
+    def test_point_of_the_wrong_length_is_rejected(self):
+        # a 4-vector at a 3-variable problem would read the power table
+        # with the wrong stride; every entry point behind the gate refuses
+        P = diag3_problem()
+        x = [0.5, 0.2, 0.1, 7.0]
+        for call in (lambda: feasibility_data(P, x),
+                     lambda: analyze_problem(P, x),
+                     lambda: facial_reduce(P, x),
+                     lambda: run_penalty(P, PenaltyConfig(anchor=x))):
+            with pytest.raises(ValueError, match=r"length 3.*\(4,\)"):
+                call()
+        with pytest.raises(ValueError, match=r"length 3.*\(1, 3\)"):
+            feasibility_data(P, [[0.5, 0.2, 0.1]])
 
     def test_point_data_is_read_only(self):
         x = np.zeros(3)
@@ -887,7 +919,7 @@ class TestExactRoutes:
             assert v.reason == (f"dimension bound: a family of {size} "
                                 f"gradients cannot be independent in R^2")
             assert len(v.witness["vectors"]) == size
-            assert v.witness["provenance"] == pd.kernel.provenance.describe()
+            assert v.witness["provenance"] == "fixed"
             replay_family_witness(P, x, v.witness)
 
     def test_diagonal_licq_refutes_sparse_ndg(self):

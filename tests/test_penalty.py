@@ -442,7 +442,7 @@ class TestEigbasisSequence:
         (res,), _ = _probe_traces(pd, [trace], 0, positive=True)
         assert res.clusters == [[0, 1], [2], [3]]
         last = trace.iterates[-1].eigenvectors[:, pd.rank:]
-        assert np.max(np.abs(res.limit_basis.cols - last)) <= 1e-8
+        assert np.max(np.abs(res.limit_basis - last)) <= 1e-8
 
     def test_short_tail_rejected(self):
         trace = make_path_trace(diag3_problem(), [0.0] * 3, [1.0, 0.0, 0.0],
@@ -504,9 +504,7 @@ class TestWeakNdgProbe:
         G0 = P.constraint_value([0.0] * 3)
         for res in results:
             assert res.passed
-            E = res.limit_basis.cols
-            assert res.limit_basis.provenance.kind == "sequence_limit"
-            assert res.limit_basis.provenance.trace_id == res.trace_id
+            E = res.limit_basis
             assert np.allclose(E.T @ E, np.eye(E.shape[1]), atol=1e-10)
             assert np.max(np.abs(G0.a @ E)) <= 1e-8
 
@@ -540,7 +538,7 @@ class TestWeakNdgProbe:
         mixing = 0
         for res in results:
             assert res.passed
-            E = res.limit_basis.cols
+            E = res.limit_basis
             fam = [entry_gradient(P, np.zeros(2), E[:, i])
                    for i in range(E.shape[1])]
             assert li_test(fam).independent

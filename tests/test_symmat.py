@@ -13,12 +13,12 @@ from nsdpcq.errors import NotPsdError, NumericalFailure
 from nsdpcq.symmat import (
     SymMat,
     eigh,
-    kernel_basis,
     numerical_rank,
     orthonormal_completion,
+    orthonormalize,
     proj_psd,
     random_rotation,
-    rotate_basis,
+    spectral_kernel,
 )
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -186,14 +186,16 @@ def test_numerical_rank_scales_with_leading_eigenvalue():
     assert numerical_rank(SymMat.zero(4), 1e-8) == 0
 
 
+def kernel_of(M):
+    return spectral_kernel(eigh(M), 1e-8)
+
+
 def test_kernel_basis_picks_zero_cluster():
-    kb = kernel_basis(SymMat.diag([2.0, 0.0, 0.0]), 1e-8)
-    assert kb.rank == 1
-    assert kb.nullity == 2
-    assert kb.provenance.kind == "fixed"
+    E = kernel_of(SymMat.diag([2.0, 0.0, 0.0]))
+    assert E.shape == (3, 2)
     # columns orthonormal and in span{e2, e3}
-    assert np.allclose(kb.cols.T @ kb.cols, np.eye(2), atol=1e-12)
-    assert np.allclose(kb.cols[0, :], 0.0, atol=1e-12)
+    assert np.allclose(E.T @ E, np.eye(2), atol=1e-12)
+    assert np.allclose(E[0, :], 0.0, atol=1e-12)
 
 
 def test_kernel_basis_repeated_zero_eigenvalue_off_axis():
@@ -203,55 +205,60 @@ def test_kernel_basis_repeated_zero_eigenvalue_off_axis():
     q = random_rotation(4, rng)
     M = SymMat.from_symmetric((q * np.array([3.0, 1.0, 0.0, 0.0])) @ q.T)
     assert np.max(np.abs(M.a - np.diag(np.diag(M.a)))) > 0.1
-    kb = kernel_basis(M, 1e-8)
-    assert kb.rank == 2
-    assert kb.nullity == 2
-    assert np.allclose(kb.cols.T @ kb.cols, np.eye(2), atol=1e-12)
+    E = kernel_of(M)
+    assert E.shape == (4, 2)
+    assert np.allclose(E.T @ E, np.eye(2), atol=1e-12)
     true_kernel = q[:, 2:]
-    assert np.allclose(kb.cols @ kb.cols.T, true_kernel @ true_kernel.T,
-                       atol=1e-10)
+    assert np.allclose(E @ E.T, true_kernel @ true_kernel.T, atol=1e-10)
 
 
 def test_kernel_basis_rejects_indefinite():
     with pytest.raises(NotPsdError):
-        kernel_basis(SymMat.diag([1.0, -1e-3]), 1e-8)
+        kernel_of(SymMat.diag([1.0, -1e-3]))
 
 
 def test_kernel_basis_full_kernel_at_zero():
-    kb = kernel_basis(SymMat.zero(2), 1e-8)
-    assert kb.rank == 0
-    assert np.allclose(kb.cols, np.eye(2))
+    E = kernel_of(SymMat.zero(2))
+    assert np.allclose(E, np.eye(2))
 
 
-def test_rotate_basis_45_degrees():
-    kb = kernel_basis(SymMat.zero(2), 1e-8)
-    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
-    rot = rotate_basis(kb, np.array([[c, -s], [s, c]]))
-    assert rot.provenance.kind == "sampled"
-    assert np.allclose(np.abs(rot.cols), RT2, atol=1e-14)
-
-
-def test_rotate_basis_rejects_non_orthogonal():
-    kb = kernel_basis(SymMat.zero(2), 1e-8)
-    with pytest.raises(ValueError):
-        rotate_basis(kb, np.array([[1.0, 0.0], [0.1, 1.0]]))
-
-
-def test_rotate_basis_preserves_kernel_membership():
+def test_spectral_kernel_of_random_psd_matrices():
     for seed in range(50):
         rng = np.random.default_rng(20_000 + seed)
         m = int(rng.integers(2, 7))
-        r = int(rng.integers(0, m))
-        # PSD matrix with an exact kernel of dimension m - r
+        r = int(rng.integers(0, m - 1))
+        # PSD matrix with an exact kernel of dimension m - r >= 2, so the
+        # zero eigenvalue is repeated
         q = random_rotation(m, rng)
         lam = np.concatenate([np.sort(rng.uniform(0.5, 3.0, r))[::-1],
                               np.zeros(m - r)])
         M = SymMat.from_symmetric((q * lam) @ q.T)
-        kb = kernel_basis(M, 1e-8)
-        assert kb.rank == r
-        C = random_rotation(kb.nullity, rng)
-        rot = rotate_basis(kb, C)
-        assert np.max(np.abs(M.a @ rot.cols)) <= 1e-8 * (1.0 + M.norm_inf())
+        E = kernel_of(M)
+        assert E.shape == (m, m - r)
+        assert np.max(np.abs(E.T @ E - np.eye(m - r))) <= 1e-12
+        assert np.max(np.abs(M.a @ E)) <= 1e-8 * (1.0 + M.norm_inf())
+        assert not E.flags.writeable
+        with pytest.raises(ValueError):
+            E[0, 0] = 1.0
+
+
+def test_orthonormalize_keeps_order_and_drops_dependent_columns():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((5, 3))
+    # column 2 is a combination of columns 0 and 1, column 4 repeats 3
+    cols = np.column_stack([A[:, 0], A[:, 1], A[:, 0] - 2.0 * A[:, 1],
+                            A[:, 2], A[:, 2]])
+    Q = orthonormalize(cols, 1e-10)
+    assert Q.shape == (5, 3)
+    assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-12
+    # column order: the first kept column is the first input column
+    # normalized, and each prefix of Q spans the same prefix of the input
+    assert np.allclose(Q[:, 0], A[:, 0] / np.linalg.norm(A[:, 0]),
+                       atol=1e-14)
+    for j, want in ((1, A[:, :2]), (2, A)):
+        proj = Q[:, :j + 1] @ (Q[:, :j + 1].T @ want)
+        assert np.allclose(proj, want, atol=1e-12)
+    assert orthonormalize(np.zeros((3, 2)), 1e-10).shape == (3, 0)
 
 
 def test_random_rotation_is_orthogonal_and_sign_fixed():
@@ -269,3 +276,10 @@ def test_orthonormal_completion():
     w = orthonormal_completion(v)
     full = np.hstack([v, w])
     assert np.allclose(full.T @ full, np.eye(3), atol=1e-12)
+    rng = np.random.default_rng(13)
+    for m, w in ((4, 2), (5, 1), (3, 3), (6, 0)):
+        V = random_rotation(m, rng)[:, :w]
+        Q = orthonormal_completion(V)
+        assert Q.shape == (m, m - w)
+        full = np.hstack([V, Q])
+        assert np.max(np.abs(full.T @ full - np.eye(m))) <= 1e-12
