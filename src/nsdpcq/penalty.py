@@ -28,7 +28,12 @@ probe left open.
 Each level is solved to a gradient tolerance that grows with rho up to a
 cap, but never below the gradient's own rounding error at the level's
 warm start, eps * rho * max|lambda(G)| * ||DG||_F: at rho >= 1e11 that
-error exceeds the cap, and a level asked for less cannot converge.
+error exceeds the cap, and a level asked for less cannot converge.  The
+line search takes a few trials per iteration at every rho: each level
+starts from a steepest-descent step scaled by 1 / (1 + rho ||DG||_F^2),
+the penalty's curvature scale, and a rejected trial interpolates rather
+than halves.  Multiplier growth counts as divergence only above the
+rounding floor rho * eps * max|lambda(G)| * sqrt(m) of ||Y||_F.
 """
 from __future__ import annotations
 
@@ -53,6 +58,7 @@ from .errors import NumericalFailure
 from .model import NsdpProblem
 from .symmat import (
     TAU_RANK,
+    Spectral,
     SymMat,
     eigh,
     frobenius,
@@ -148,10 +154,16 @@ class PenaltyTrace:
 
 @dataclass(frozen=True)
 class InnerResult:
+    """An inner solve's last point with its gradient, multiplier
+    Y = rho * proj_psd(-G(x)) and eigh(G(x))."""
+
     x: np.ndarray
     grad_norm: float
     converged: bool
     iterations: int
+    grad: np.ndarray
+    multiplier: SymMat
+    spec: Spectral
 
 
 @dataclass
@@ -183,13 +195,14 @@ class SequenceProbeResult:
 
 
 def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
-                   x: np.ndarray, need_grad: bool, spec=None):
+                   x: np.ndarray, need_grad: bool, pieces=None):
     """Value of phi and, when asked, its gradient, the multiplier and
     the value's noise floor.
 
-    The constraint spectrum is the expensive piece; a caller that
-    already holds eigh(G(x)) passes it back in so a line-search trial is
-    not decomposed twice.  The spectrum used is always returned.
+    The value needs three pieces at x: f(x), h(x) and the constraint
+    spectrum, the expensive one.  A caller that already holds them from
+    a value trial at x passes them back in, so an accepted line-search
+    point is not evaluated twice.  The pieces used are always returned.
 
     The noise floor bounds the rounding error of phi near x: VALUE_NOISE
     times the sizes of its terms, which can cancel, plus the eigenvalue
@@ -199,17 +212,17 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
     resolves to about 1e-22, and an absolute floor there would switch
     the Armijo test off.
     """
-    fx = P.objective_value(x)
+    if pieces is None:
+        pieces = (P.objective_value(x), P.equality_values(x),
+                  eigh(P.constraint_value(x)))
+    fx, hvals, spec = pieces
     dx = x - anchor
-    if spec is None:
-        spec = eigh(P.constraint_value(x))
     neg = np.clip(-spec.values, 0.0, None)      # eigenvalues of proj(-G)
-    hvals = P.equality_values(x)
     reg = 0.5 * float(dx @ dx)
     pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
     val = fx + reg + pen
     if not need_grad:
-        return val, None, None, spec, None
+        return val, None, None, pieces, None
     act = neg > 0.0
     if np.any(act):
         V = spec.vectors[:, act]
@@ -220,10 +233,9 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
     grad = P.objective_gradient(x) + dx - P.adjoint(x, Y.a)
     if hvals.shape[0]:
         grad = grad + rho * (P.equality_gradients(x).T @ hvals)
-    lam_abs = max(abs(float(spec.values[0])), abs(float(spec.values[-1])))
     noise = VALUE_NOISE * (abs(fx) + reg + pen
-                           + rho * lam_abs * float(np.sum(neg)))
-    return val, grad, Y, spec, noise
+                           + rho * _lam_abs(spec.values) * float(np.sum(neg)))
+    return val, grad, Y, pieces, noise
 
 
 def penalty_value(P: NsdpProblem, anchor, rho: float, x) -> float:
@@ -256,9 +268,18 @@ def gradient_noise_floor(P: NsdpProblem, rho: float, x, spec=None) -> float:
     x = np.asarray(x, dtype=float)
     if spec is None:
         spec = eigh(P.constraint_value(x))
-    lam_abs = max(abs(float(spec.values[0])), abs(float(spec.values[-1])))
-    return (float(np.finfo(float).eps) * rho * lam_abs
-            * float(np.linalg.norm(P.constraint_partials(x))))
+    return _gradient_floor(rho, spec,
+                           float(np.linalg.norm(P.constraint_partials(x))))
+
+
+def _gradient_floor(rho: float, spec, dg_norm: float) -> float:
+    """gradient_noise_floor from the spectrum and ||DG||_F at the point."""
+    return float(np.finfo(float).eps) * rho * _lam_abs(spec.values) * dg_norm
+
+
+def _lam_abs(values: np.ndarray) -> float:
+    """max|lambda| of a non-increasing spectrum."""
+    return max(abs(float(values[0])), abs(float(values[-1])))
 
 
 def multiplier_estimate(P: NsdpProblem, rho: float, x) -> SymMat:
@@ -269,8 +290,6 @@ def multiplier_estimate(P: NsdpProblem, rho: float, x) -> SymMat:
 
 
 def _two_loop(g: np.ndarray, mem: List[Tuple[np.ndarray, np.ndarray, float]]):
-    if not mem:
-        return -g
     q = g.copy()
     alphas = []
     for s, y, r in reversed(mem):
@@ -302,36 +321,48 @@ def inner_stop(converged: bool, iterations: int, cfg: PenaltyConfig) -> str:
 
 def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
                    x_start) -> InnerResult:
-    """L-BFGS with Armijo backtracking on the regularized penalty.
+    """L-BFGS with interpolating Armijo backtracking on the regularized
+    penalty.
 
     phi is C^1 but not C^2 (the squared projection has eigenvalue kinks),
     so quasi-Newton with a descent safeguard is used instead of Newton.
+    A rejected Armijo trial sets the next one at the minimizer of the
+    quadratic through phi(0), phi'(0) and phi(t), kept within
+    [0.1 t, 0.5 t] (Nocedal & Wright, Numerical Optimization, 3.5).
+    Until the level stores its first curvature pair the step is
+    -grad / (1 + rho ||DG||_F^2), with ||DG||_F taken at the warm start:
+    rho ||DG||_F^2 bounds the Gauss-Newton curvature of the penalty
+    term, so a unit step along -grad can overshoot by that factor, which
+    halving would take log2(rho) trials to undo.  After a failed search
+    has dropped the memory, the retry steps along plain -grad.
     At very stiff levels the Armijo decrease drops below the float
     resolution of phi; such steps are accepted on strict gradient
-    decrease, since the value comparison is pure rounding noise there.
-    That resolution is the noise floor of the accepted point, computed
-    once per iteration.
+    decrease, since the value comparison is pure rounding noise there,
+    and that branch halves t.  The resolution is the noise floor of the
+    accepted point, computed once per iteration.
     The gradient threshold is inner_tolerance(cfg, rho), raised to the
     gradient's own float resolution at the warm start
     (gradient_noise_floor, once per level): at rho >= 1e11 the rounding
     error of rho * proj(-G) alone exceeds the capped schedule, and a
     level asked for less than that can only spend its budget.
-    Returns the best point flagged not-converged when the iteration
-    budget runs out or the line search finds no step; iterations tells
-    the two apart.
+    Returns the best point, with its gradient, multiplier and spectrum,
+    flagged not-converged when the iteration budget runs out or the line
+    search finds no step; iterations tells the two apart.
     """
     anchor = cfg.anchor
     x = np.asarray(x_start, dtype=float).copy()
-    val, grad, _, spec, noise = _penalty_parts(P, anchor, rho, x,
-                                               need_grad=True)
+    val, grad, Y, pieces, noise = _penalty_parts(P, anchor, rho, x,
+                                                 need_grad=True)
+    dg_norm = float(np.linalg.norm(P.constraint_partials(x)))
     tol = max(inner_tolerance(cfg, rho),
-              gradient_noise_floor(P, rho, x, spec))
+              _gradient_floor(rho, pieces[2], dg_norm))
+    gamma = 1.0 / (1.0 + rho * dg_norm * dg_norm)
     mem: List[Tuple[np.ndarray, np.ndarray, float]] = []
     for it in range(cfg.inner_max_iters):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
-            return InnerResult(x, gnorm, True, it)
-        d = _two_loop(grad, mem)
+            return InnerResult(x, gnorm, True, it, grad, Y, pieces[2])
+        d = _two_loop(grad, mem) if mem else -gamma * grad
         gd = float(grad @ d)
         if gd > -1e-14 * max(1.0, gnorm) * float(np.linalg.norm(d)):
             d = -grad
@@ -341,22 +372,25 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
         grad_n = None
         for _ in range(60):
             cand = x + t * d
-            fc, _, _, spec_c, _ = _penalty_parts(P, anchor, rho, cand,
-                                                 need_grad=False)
+            fc, _, _, pieces_c, _ = _penalty_parts(P, anchor, rho, cand,
+                                                   need_grad=False)
             if abs(t * gd) > noise:
                 if fc <= val + ARMIJO_C * t * gd:
-                    xn, val_n, spec_n = cand, fc, spec_c
+                    xn, pieces_n = cand, pieces_c
                     break
-            elif fc <= val + noise:
+                curv = fc - val - gd * t
+                t = max(0.1 * t, min(0.5 * t, -gd * (t * t) / (2.0 * curv)))
+                continue
+            if fc <= val + noise:
                 # the requested Armijo decrease is below the float
                 # resolution of phi (stiff levels push it under eps times
                 # the value), so the value test carries no information;
                 # accept on strict gradient decrease instead
-                _, gc, _, _, noise_c = _penalty_parts(
-                    P, anchor, rho, cand, need_grad=True, spec=spec_c)
+                _, gc, Yc, _, noise_c = _penalty_parts(
+                    P, anchor, rho, cand, need_grad=True, pieces=pieces_c)
                 if float(np.linalg.norm(gc)) < gnorm:
-                    xn, val_n, spec_n = cand, fc, spec_c
-                    grad_n, noise_n = gc, noise_c
+                    xn, pieces_n = cand, pieces_c
+                    grad_n, Y_n, noise_n = gc, Yc, noise_c
                     break
             t *= 0.5
         if xn is None:
@@ -365,11 +399,12 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
                 # step; drop it and retry the iteration from steepest
                 # descent before giving up
                 mem.clear()
+                gamma = 1.0
                 continue
-            return InnerResult(x, gnorm, False, it)
+            return InnerResult(x, gnorm, False, it, grad, Y, pieces[2])
         if grad_n is None:
-            _, grad_n, _, _, noise_n = _penalty_parts(
-                P, anchor, rho, xn, need_grad=True, spec=spec_n)
+            _, grad_n, Y_n, _, noise_n = _penalty_parts(
+                P, anchor, rho, xn, need_grad=True, pieces=pieces_n)
         s = xn - x
         yv = grad_n - grad
         sy = float(s @ yv)
@@ -377,9 +412,11 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
             mem.append((s, yv, 1.0 / sy))
             if len(mem) > LBFGS_MEMORY:
                 mem.pop(0)
-        x, val, grad, noise = xn, val_n, grad_n, noise_n
+        x, val, grad, Y, pieces, noise = (xn, fc, grad_n, Y_n, pieces_n,
+                                          noise_n)
     gnorm = float(np.linalg.norm(grad))
-    return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters)
+    return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters, grad, Y,
+                       pieces[2])
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +428,11 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
 
     The anchor must be feasible.  Divergence of the multiplier estimates
     (factor >= 2 growth over the last three outer iterations at a
-    stationary inner solution) is flagged on the trace; by the
-    boundedness argument under Robinson's condition, sustained growth
-    signals that no KKT multiplier exists at the limit.
+    stationary inner solution, to a norm above the rounding floor
+    rho * eps * max|lambda(G)| * sqrt(m) of the last iterate) is flagged
+    on the trace; by the boundedness argument under Robinson's
+    condition, sustained growth signals that no KKT multiplier exists at
+    the limit.
     """
     feasibility_data(P, cfg.anchor)
     x = cfg.anchor.copy()
@@ -403,13 +442,12 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
     for k in range(cfg.outer_iters):
         res = inner_minimize(P, cfg, rho, x)
         x = res.x
-        _, grad, Y, spec, _ = _penalty_parts(P, cfg.anchor, rho, x,
-                                             need_grad=True)
+        Y = res.multiplier
         iterates.append(PenaltyIterate(
             k=k, rho=rho, x=x.copy(), multiplier=Y,
-            eigenvalues=spec.values.copy(),
-            eigenvectors=spec.vectors.copy(),
-            stationarity_residual=float(np.linalg.norm(grad)),
+            eigenvalues=res.spec.values.copy(),
+            eigenvectors=res.spec.vectors.copy(),
+            stationarity_residual=res.grad_norm,
             multiplier_norm=float(np.sqrt(frobenius(Y.a, Y.a))),
             inner_converged=res.converged,
             inner_iterations=res.iterations))
@@ -426,8 +464,14 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
     if len(iterates) >= 4:
         last = iterates[-1]
         ref = iterates[-4]
+        # rho * proj(-G) carries each eigenvalue's roundoff, about
+        # eps * max|lambda(G)|, amplified by rho; a norm within that
+        # floor is rounding growing with rho, not a multiplier
+        floor = (last.rho * float(np.finfo(float).eps)
+                 * _lam_abs(last.eigenvalues) * np.sqrt(P.m))
         if (last.inner_converged and ref.multiplier_norm > 0.0
-                and last.multiplier_norm >= 2.0 * ref.multiplier_norm):
+                and last.multiplier_norm >= 2.0 * ref.multiplier_norm
+                and last.multiplier_norm > floor):
             divergent = True
             notes.append("multiplier divergence suspected: ||Y|| grew by "
                          f"{last.multiplier_norm / ref.multiplier_norm:.1f}x "

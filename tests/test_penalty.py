@@ -37,6 +37,7 @@ from nsdpcq.cqcheck import (
     li_test,
 )
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
+from nsdpcq import penalty
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.penalty import (
     PenaltyConfig,
@@ -142,6 +143,50 @@ CLUSTERED_FAIL_PROBLEM = """{"name": "draw185", "n": 2, "m": 4,
   {"i": 2, "j": 2, "poly": [{"c": 0.3246699003364652, "e": [0, 2]}]},
   {"i": 2, "j": 3, "poly": [{"c": -0.4385468737763723, "e": [1, 0]}]},
   {"i": 3, "j": 3, "poly": [{"c": 1.3811472638447277, "e": [1, 1]}]}]}"""
+
+
+# draw 26 of the same survey: G(0) has a zero eigenvalue computed as
+# -8.2e-17, so at a stationary anchor ||Y|| = rho * 8.2e-17 grows 10x per
+# level from rounding alone
+DRAW26_PROBLEM = """{"name": "draw026", "n": 4, "m": 3,
+ "objective": [{"c": 1.0, "e": [1, 0, 0, 0]}],
+ "constraint": [
+  {"i": 0, "j": 0, "poly": [{"c": 0.4706127583278859, "e": [0, 0, 0, 0]},
+                            {"c": -0.3373777124849492, "e": [0, 0, 0, 2]}]},
+  {"i": 0, "j": 1, "poly": [{"c": 0.3762469760324286, "e": [0, 0, 0, 0]},
+                            {"c": 1.1822168380402336, "e": [0, 0, 1, 0]}]},
+  {"i": 0, "j": 2, "poly": [{"c": 0.47778498326390634, "e": [0, 0, 0, 0]},
+                            {"c": 1.361921431780073, "e": [0, 0, 1, 0]}]},
+  {"i": 1, "j": 1, "poly": [{"c": 0.3008031220329089, "e": [0, 0, 0, 0]},
+                            {"c": -0.13096422951361827, "e": [0, 0, 1, 0]}]},
+  {"i": 1, "j": 2, "poly": [{"c": 0.3819810491017396, "e": [0, 0, 0, 0]},
+                            {"c": -0.36021397218550477, "e": [0, 1, 0, 1]}]},
+  {"i": 2, "j": 2, "poly": [{"c": 0.485066514226214, "e": [0, 0, 0, 0]},
+                            {"c": 0.6660043098063377, "e": [0, 0, 1, 0]}]}]}"""
+
+# draw 53: the same rounding, -3.8e-17, and the line search leaves the
+# anchor stationary at every level, so only the rounding floor of the
+# divergence test keeps rho * 3.8e-17 from counting as growth
+DRAW53_PROBLEM = """{"name": "draw053", "n": 5, "m": 3,
+ "objective": [{"c": 1.0, "e": [1, 0, 0, 0, 0]}],
+ "constraint": [
+  {"i": 0, "j": 0, "poly": [{"c": 0.18159947995028647, "e": [0, 0, 0, 0, 0]},
+                            {"c": 0.7487575590045316, "e": [1, 0, 1, 0, 0]}]},
+  {"i": 0, "j": 1, "poly": [{"c": 0.11860296480961792, "e": [0, 0, 0, 0, 0]},
+                            {"c": 0.9507395791368844, "e": [0, 1, 0, 0, 0]}]},
+  {"i": 0, "j": 2, "poly": [{"c": 0.21159593113903638, "e": [0, 0, 0, 0, 0]},
+                            {"c": 0.4633957599504301, "e": [0, 0, 1, 0, 0]},
+                            {"c": -0.49788550133597076,
+                             "e": [0, 1, 0, 0, 0]}]},
+  {"i": 1, "j": 1, "poly": [{"c": 0.07745982128077826, "e": [0, 0, 0, 0, 0]},
+                            {"c": 0.6059514183291346, "e": [0, 0, 0, 1, 0]},
+                            {"c": -0.584716845467998, "e": [0, 0, 1, 0, 0]}]},
+  {"i": 1, "j": 2, "poly": [{"c": 0.13819370397763014, "e": [0, 0, 0, 0, 0]},
+                            {"c": 0.15970534307367285,
+                             "e": [0, 0, 0, 0, 1]}]},
+  {"i": 2, "j": 2, "poly": [{"c": 0.2465471712080484, "e": [0, 0, 0, 0, 0]},
+                            {"c": 1.1841470672070513,
+                             "e": [0, 0, 1, 0, 0]}]}]}"""
 
 
 def line_problem():
@@ -379,6 +424,37 @@ class TestRunPenalty:
         assert norms[-1] >= 2.0 * norms[-4]
         assert trace.divergence_suspected
         assert any("divergence" in note for note in trace.notes)
+
+    def test_rounding_growth_not_flagged(self):
+        for text in (DRAW26_PROBLEM, DRAW53_PROBLEM):
+            P = NsdpProblem.from_json(json.loads(text))
+            trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                                 outer_iters=13))
+            last = trace.iterates[-1]
+            assert last.inner_converged
+            assert last.multiplier_norm <= (
+                last.rho * np.finfo(float).eps
+                * np.max(np.abs(last.eigenvalues)) * np.sqrt(P.m))
+            assert not trace.divergence_suspected, P.name
+            assert trace.notes == []
+
+    def test_diag3_solve_makes_few_value_evaluations(self, monkeypatch):
+        # each level's first step is scaled to the penalty curvature and
+        # a rejected trial interpolates, so the 13 levels take about one
+        # value trial per iteration, not log2(rho) halvings
+        value_calls = []
+        parts = penalty._penalty_parts
+
+        def counted(P, anchor, rho, x, need_grad, pieces=None):
+            if not need_grad:
+                value_calls.append(rho)
+            return parts(P, anchor, rho, x, need_grad, pieces)
+
+        monkeypatch.setattr(penalty, "_penalty_parts", counted)
+        trace = run_penalty(diag3_problem(),
+                            PenaltyConfig(anchor=np.zeros(3), outer_iters=13))
+        assert all(rec.inner_converged for rec in trace.iterates)
+        assert len(value_calls) <= 60
 
     def test_bounded_multipliers_not_flagged(self):
         trace = run_penalty(diag3_problem(), PenaltyConfig(anchor=np.zeros(3)))
