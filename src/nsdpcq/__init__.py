@@ -36,7 +36,6 @@ from .cqcheck import (
     check_nondegeneracy,
     check_robinson,
     feasibility_data,
-    find_multiplier,
     kkt_residual,
     li_test,
     pli_test,
@@ -91,7 +90,6 @@ __all__ = [
     "eigh",
     "facial_reduce",
     "feasibility_data",
-    "find_multiplier",
     "hat_map",
     "kkt_residual",
     "li_test",

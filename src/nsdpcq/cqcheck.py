@@ -641,31 +641,16 @@ def check_robinson(pd: PointData) -> CqVerdict:
     Without either certificate (the budget ran out, or the bounds met
     too close to zero) the verdict is Undetermined and the log carries
     both bounds.  The shared routes of :func:`exact_verdict` (dependent
-    equality gradients, trivial kernel, diagonal constraint) and a
-    one-dimensional kernel are decided exactly before the solve.
+    equality gradients, trivial kernel, diagonal constraint) come first.
+    At k = 1 the spectraplex is the point S = [1], so the solve ends at
+    iteration 0 (dual) or 1 (primal).
     """
     exact = exact_verdict(pd, "robinson")
     if exact is not None:
         return exact
-    P, E, Heq, Wc = pd.P, pd.E, pd.Heq, pd.Wc
-    k = E.shape[1]
-    log = [f"rank {pd.rank}, kernel dimension {k}"]
-    Qn = _null_projector(Heq, P.n)
-    if k == 1:
-        # the kernel basis is unique up to sign and v_11 is sign-invariant
-        v = Wc[:, 0, 0]
-        resid = float(np.linalg.norm(Qn @ v))
-        if resid <= LI_TOL * (1.0 + float(np.linalg.norm(v))):
-            Y = np.outer(E[:, 0], E[:, 0])
-            return CqVerdict(
-                CqStatus.FAILS,
-                reason="one-dimensional kernel, v_11 in the equality-gradient span",
-                witness={"basis": E, "alpha": np.array([1.0]),
-                         "multiplier": Y}, log=log)
-        log.append(f"one-dimensional kernel, margin {resid:.3e}")
-        # fall through to the solve for an explicit direction
-
-    res = cone_saddle(Wc, Qn)
+    P, E, Heq = pd.P, pd.E, pd.Heq
+    log = [f"rank {pd.rank}, kernel dimension {E.shape[1]}"]
+    res = cone_saddle(pd.Wc, _null_projector(Heq, P.n))
     log.append(f"saddle solve: {res.describe()}")
     if res.route == "primal":
         realized = _realize_primal(pd.W, res.d, pd.G.a)
@@ -754,42 +739,3 @@ def kkt_residual(P: NsdpProblem, x, Y, mu=None) -> KktCertificate:
         complementarity_residual=comp,
         psd_defect=max(0.0, -lam_min),
     )
-
-
-def find_multiplier(pd: PointData, iters: int = 400) -> KktCertificate:
-    """Best-effort KKT multiplier at the point.
-
-    Complementarity is built in by parametrizing Y = E S E^T over the
-    kernel basis; S is then fit by least squares and pushed onto the PSD
-    cone by projected gradient on the stationarity residual.
-    """
-    P, x, E, Heq = pd.P, pd.x, pd.E, pd.Heq
-    k = E.shape[1]
-    ne = Heq.shape[0]
-    g0 = P.objective_gradient(x)
-    if k == 0:
-        if ne:
-            mu = np.linalg.lstsq(Heq.T, g0, rcond=None)[0]
-            return kkt_residual(P, x, SymMat.zero(P.m), mu)
-        return kkt_residual(P, x, SymMat.zero(P.m))
-    # A_s vec(S) = DG(x)*[E S E^T], in matrix form over the kernel block
-    As = pd.Wc.reshape(P.n, k * k)
-    Ah = Heq.T
-    z, *_ = np.linalg.lstsq(np.hstack([As, Ah]), g0, rcond=None)
-    mu = z[k * k:]
-    S = _project_psd_mat(z[:k * k].reshape(k, k))
-    # polish: projected gradient on || A_s vec(S) + Heq^T mu - g0 ||^2
-    lip = max(float(np.linalg.norm(As, 2)) ** 2, 1e-12)
-    for _ in range(iters):
-        if ne:
-            mu, *_ = np.linalg.lstsq(Ah, g0 - As @ S.ravel(), rcond=None)
-        resid = As @ S.ravel() + (Ah @ mu if ne else 0.0) - g0
-        S = _project_psd_mat(S - (As.T @ resid).reshape(k, k) / lip)
-    Y = SymMat.from_symmetric(E @ S @ E.T)
-    return kkt_residual(P, x, Y, mu if ne else None)
-
-
-def _project_psd_mat(S: np.ndarray) -> np.ndarray:
-    spec = eigh(SymMat.from_symmetric(S))
-    lam = np.clip(spec.values, 0.0, None)
-    return (spec.vectors * lam) @ spec.vectors.T

@@ -33,7 +33,9 @@ line search takes a few trials per iteration at every rho: each level
 starts from a steepest-descent step scaled by 1 / (1 + rho ||DG||_F^2),
 the penalty's curvature scale, and a rejected trial interpolates rather
 than halves.  Multiplier growth counts as divergence only above the
-rounding floor rho * eps * max|lambda(G)| * sqrt(m) of ||Y||_F.
+rounding floor rho * eps * max|lambda(G)| * sqrt(m) of ||Y||_F, and
+above tol / ||DG||_F, the smallest Y whose adjoint the last level's
+gradient tolerance tol resolves.
 """
 from __future__ import annotations
 
@@ -57,7 +59,6 @@ from .cqcheck import (
 from .errors import NumericalFailure
 from .model import NsdpProblem
 from .symmat import (
-    TAU_RANK,
     Spectral,
     SymMat,
     eigh,
@@ -428,8 +429,9 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
 
     The anchor must be feasible.  Divergence of the multiplier estimates
     (factor >= 2 growth over the last three outer iterations at a
-    stationary inner solution, to a norm above the rounding floor
-    rho * eps * max|lambda(G)| * sqrt(m) of the last iterate) is flagged
+    stationary inner solution, to a norm above both the rounding floor
+    rho * eps * max|lambda(G)| * sqrt(m) and inner_tolerance / ||DG||_F
+    of the last iterate) is flagged
     on the trace; by the boundedness argument under Robinson's
     condition, sustained growth signals that no KKT multiplier exists at
     the limit.
@@ -466,12 +468,17 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
         ref = iterates[-4]
         # rho * proj(-G) carries each eigenvalue's roundoff, about
         # eps * max|lambda(G)|, amplified by rho; a norm within that
-        # floor is rounding growing with rho, not a multiplier
+        # floor is rounding growing with rho, not a multiplier.  Nor is
+        # a Y whose adjoint, at most ||DG||_F ||Y||_F, stays below the
+        # level's gradient tolerance: the inner solve cannot resolve it
         floor = (last.rho * float(np.finfo(float).eps)
                  * _lam_abs(last.eigenvalues) * np.sqrt(P.m))
+        dg_norm = float(np.linalg.norm(P.constraint_partials(last.x)))
         if (last.inner_converged and ref.multiplier_norm > 0.0
                 and last.multiplier_norm >= 2.0 * ref.multiplier_norm
-                and last.multiplier_norm > floor):
+                and last.multiplier_norm > floor
+                and last.multiplier_norm * dg_norm
+                > inner_tolerance(cfg, last.rho)):
             divergent = True
             notes.append("multiplier divergence suspected: ||Y|| grew by "
                          f"{last.multiplier_norm / ref.multiplier_norm:.1f}x "
@@ -551,33 +558,7 @@ def default_trace_family(P: NsdpProblem, cfg: PenaltyConfig,
 
 
 # ---------------------------------------------------------------------------
-# eigenvector sequences
-
-
-def extract_eigbasis_sequence(trace: PenaltyTrace,
-                              rank: Optional[int] = None,
-                              tol_rank: float = TAU_RANK) -> List[np.ndarray]:
-    """Kernel eigenvector blocks E^k along the trace tail.
-
-    E^k collects the eigenvectors of the m - r smallest eigenvalues of
-    G(x^k), in the record's own non-increasing eigenvalue order, so the
-    column positions are the ones the eigenvalue clusters of
-    _persistent_clusters count.  An iterate is usable when the r-th
-    eigenvalue stays above twice the kernel threshold, so the
-    range/kernel split is unambiguous.  When rank is not given it is
-    read off the eigenvalues of the final iterate.
-    """
-    if not trace.iterates:
-        raise NumericalFailure("empty trace")
-    m = trace.iterates[-1].eigenvalues.shape[0]
-    if rank is None:
-        vals = trace.iterates[-1].eigenvalues
-        thr = tol_rank * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-        rank = int(np.sum(np.abs(vals) > thr))
-    if m - rank == 0:
-        return []
-    return [rec.eigenvectors[:, rank:].copy()
-            for rec in _usable_records(trace, rank, tol_rank)]
+# weak-condition probes
 
 
 def _usable_records(trace: PenaltyTrace, rank: int,
@@ -595,10 +576,6 @@ def _usable_records(trace: PenaltyTrace, rank: int,
         raise NumericalFailure(
             f"only {len(out)} usable iterates in the trace tail, need 3")
     return out
-
-
-# ---------------------------------------------------------------------------
-# weak-condition probes
 
 
 def _snap_to_kernel(E: np.ndarray, K: np.ndarray) -> Optional[np.ndarray]:

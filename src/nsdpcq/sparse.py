@@ -31,8 +31,8 @@ defines the subspace of symmetric matrices supported on the pattern.
   block, and the rewrite is performed explicitly, its rows V2^T G and
   its block V1^T G V1 read off the same stack.
 
-A Fails verdict is only produced with a certificate; failed searches
-return Undetermined.
+A Fails verdict is only produced with a certificate, exact or a dual
+one of the saddle solve; failed searches return Undetermined.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ from .cqcheck import (
     li_test,
 )
 from .errors import NumericalFailure
-from .model import MatrixPoly, NsdpProblem, Poly, structural_zero
+from .model import MatrixPoly, NsdpProblem, Poly
 from .symmat import (
     TAU_RANK,
     SymMat,
@@ -333,37 +333,19 @@ def check_sparse_ndg(pd: PointData,
     stack E^T A_t E by cyclic Jacobi sweeps.  The second is exact for any
     commuting stack, as for a diagonal constraint under an orthogonal
     congruence G -> Q^T G Q.  A found witness certifies Holds.  Fails is
-    certified through exact routes only: the shared routes of
-    :func:`exact_verdict` (dependent equality gradients, the dimension
-    bound, the diagonal reduction to LICQ), an identically zero
-    diagonal entry of the constraint (which refutes Robinson's condition
-    directly), or a certified Robinson failure; anything else is
-    Undetermined.  robinson is Robinson's verdict on the same point data
-    when the caller has it; without it :func:`check_robinson` runs.
+    certified two ways only: the shared routes of :func:`exact_verdict`
+    (dependent equality gradients, the dimension bound, the diagonal
+    reduction to LICQ), or a certified Robinson failure, whose witness
+    it carries; an identically zero diagonal entry G_ii gives one, the
+    multiplier e_i e_i^T.  Anything else is Undetermined.  robinson is
+    Robinson's verdict on the same point data when the caller has it;
+    without it :func:`check_robinson` runs.
     """
     exact = exact_verdict(pd, "sparse_ndg")
     if exact is not None:
         return exact
-    P, x = pd.P, pd.x
     E0 = pd.E
     log = [f"rank {pd.rank}, kernel dimension {E0.shape[1]}"]
-    for i in range(P.m):
-        if structural_zero(P.constraint.entry(i, i)):
-            row = pd.G.a[:, i]
-            log.append(f"diagonal entry ({i}, {i}) identically zero, "
-                       f"row norm {float(np.linalg.norm(row)):.1e}")
-            Y = np.zeros((P.m, P.m))
-            Y[i, i] = 1.0
-            return CqVerdict(
-                CqStatus.FAILS,
-                reason="a diagonal entry of the constraint is identically "
-                       "zero, so a rank-one multiplier annihilates the "
-                       "adjoint and Robinson's condition fails, which "
-                       "sparse nondegeneracy would imply",
-                witness={"index": i, "multiplier": Y,
-                         "adjoint_norm": float(np.linalg.norm(P.adjoint(x, Y)))},
-                log=log)
-
     cols, provenance, _, success, pairs, li = _basis_search(pd, E0, log)
     if success:
         return _holds_verdict(cols, provenance, pairs, li, log)
@@ -405,8 +387,9 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     * second condition: a positive definite element of the subspace is
       sought by the saddle-point solve of :func:`cone_saddle` over an
       orthonormal basis of it; a primal readout with lambda_min > 0
-      certifies Holds, a diagonal entry vanishing identically on the
-      subspace certifies Fails, and otherwise the verdict is Undetermined.
+      certifies Holds, a dual certificate S certifies Fails with the
+      multiplier Y = E S E^T, which replays as Y >= 0, tr Y = 1 and
+      Y_ab = 0 on every pattern pair, and otherwise it is Undetermined.
 
     Equality-constraint gradients join the injectivity test as rows that
     must stay independent from the family image.  Once U is validated,
@@ -483,18 +466,6 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
             log=log)
     log.append("injectivity holds on the pattern subspace")
 
-    peak = np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)), axis=0,
-                  initial=0.0)
-    missing = np.nonzero(peak <= 1e-12)[0].tolist()
-    if missing:
-        return CqVerdict(
-            CqStatus.FAILS,
-            reason="a diagonal entry vanishes identically on the pattern "
-                   "subspace, so it contains no positive definite element",
-            witness={"vanishing_diagonal": missing, "subspace_dim": dim_T,
-                     **pat.provenance()},
-            log=log)
-
     res = cone_saddle(stack, np.eye(dim_T))
     log.append(f"positive definite element: {res.describe()}")
     if res.route == "primal":
@@ -507,6 +478,16 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
                 witness={"matrix": M, "lambda_min": lam_min,
                          "subspace_dim": dim_T, **pat.provenance()},
                 log=log)
+    if res.route == "dual":
+        # <Y, S_ab> = <S, E^T S_ab E>, zero on every pattern pair
+        return CqVerdict(
+            CqStatus.FAILS,
+            reason="a unit-trace PSD multiplier is orthogonal to the pattern "
+                   "subspace, so it contains no positive definite element",
+            witness={"multiplier": E @ res.S @ E.T, "residual": res.dual,
+                     "pattern": pat.sorted_pairs(), "subspace_dim": dim_T,
+                     **pat.provenance()},
+            log=log)
     return CqVerdict(
         CqStatus.UNDETERMINED,
         reason=f"injectivity holds but no positive definite element was "

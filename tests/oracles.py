@@ -4,9 +4,9 @@ against.
 Besides the adjoint formula for single entry gradients and the
 congruence B^T G B as polynomials (to rotate a constraint), this holds the
 block machinery (block detection, per-block subproblems), the multifold
-sparse-nondegeneracy check built on it, and the pattern-cardinality
-invariance survey.  Only tests call them; they recompute what the
-library decides by an independent route.
+sparse-nondegeneracy check built on it, the pattern-cardinality
+invariance survey and a best-effort KKT multiplier fit.  Only tests call
+them; they recompute what the library decides by an independent route.
 """
 from typing import Dict, List, Sequence
 
@@ -15,9 +15,11 @@ import numpy as np
 from nsdpcq.cqcheck import (
     CqStatus,
     CqVerdict,
+    KktCertificate,
     PointData,
     compress,
     feasibility_data,
+    kkt_residual,
     li_test,
 )
 from nsdpcq.errors import ProblemFormatError
@@ -29,7 +31,7 @@ from nsdpcq.sparse import (
     _stack,
     check_sparse_ndg,
 )
-from nsdpcq.symmat import random_rotation
+from nsdpcq.symmat import SymMat, eigh, random_rotation
 
 
 def entry_gradient(P, x, u, w=None):
@@ -204,3 +206,42 @@ def sparse_card_invariance(pd: PointData, trials: int = 50,
         "consistent": len(cards) <= 1,
         "violations": violations,
     }
+
+
+def find_multiplier(pd: PointData, iters: int = 400) -> KktCertificate:
+    """Best-effort KKT multiplier at the point.
+
+    Complementarity is built in by parametrizing Y = E S E^T over the
+    kernel basis; S is then fit by least squares and pushed onto the PSD
+    cone by projected gradient on the stationarity residual.
+    """
+    P, x, E, Heq = pd.P, pd.x, pd.E, pd.Heq
+    k = E.shape[1]
+    ne = Heq.shape[0]
+    g0 = P.objective_gradient(x)
+    if k == 0:
+        if ne:
+            mu = np.linalg.lstsq(Heq.T, g0, rcond=None)[0]
+            return kkt_residual(P, x, SymMat.zero(P.m), mu)
+        return kkt_residual(P, x, SymMat.zero(P.m))
+    # A_s vec(S) = DG(x)*[E S E^T], in matrix form over the kernel block
+    As = pd.Wc.reshape(P.n, k * k)
+    Ah = Heq.T
+    z, *_ = np.linalg.lstsq(np.hstack([As, Ah]), g0, rcond=None)
+    mu = z[k * k:]
+    S = _project_psd_mat(z[:k * k].reshape(k, k))
+    # polish: projected gradient on || A_s vec(S) + Heq^T mu - g0 ||^2
+    lip = max(float(np.linalg.norm(As, 2)) ** 2, 1e-12)
+    for _ in range(iters):
+        if ne:
+            mu, *_ = np.linalg.lstsq(Ah, g0 - As @ S.ravel(), rcond=None)
+        resid = As @ S.ravel() + (Ah @ mu if ne else 0.0) - g0
+        S = _project_psd_mat(S - (As.T @ resid).reshape(k, k) / lip)
+    Y = SymMat.from_symmetric(E @ S @ E.T)
+    return kkt_residual(P, x, Y, mu if ne else None)
+
+
+def _project_psd_mat(S: np.ndarray) -> np.ndarray:
+    spec = eigh(SymMat.from_symmetric(S))
+    lam = np.clip(spec.values, 0.0, None)
+    return (spec.vectors * lam) @ spec.vectors.T

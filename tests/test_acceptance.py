@@ -17,7 +17,6 @@ from nsdpcq.cqcheck import (
     check_robinson,
     compress,
     feasibility_data,
-    find_multiplier,
     kkt_residual,
     li_test,
     pli_test,
@@ -54,6 +53,7 @@ from oracles import (
     check_sparse_ndg_multifold,
     congruence_entries,
     entry_gradient,
+    find_multiplier,
     sparse_card_invariance,
 )
 
@@ -170,12 +170,19 @@ class TestCorpusReproduction:
                gap <= 1e-10, f"gap {gap:.2e}")
 
     def test_facial_zero_diagonal_refutes_sparse(self):
+        # the zero diagonal entry G_22 makes e2 e2^T annihilate the
+        # adjoint, Robinson's dual certificate, and sparse nondegeneracy
+        # fails with it
         ent = get_entry("facial")
-        v = check_sparse_ndg(feasibility_data(ent.problem, ent.point))
-        ok = (v.status is F and v.witness is not None
-              and "diagonal" in v.reason)
-        report("facial sparse nondegeneracy fails on the zero diagonal", ok,
-               v.reason[:60])
+        x = np.asarray(ent.point, dtype=float)
+        v = check_sparse_ndg(feasibility_data(ent.problem, x))
+        Y = np.asarray(v.witness["multiplier"])
+        adj = float(np.linalg.norm(ent.problem.adjoint(x, Y)))
+        ok = (v.status is F and "Robinson" in v.reason and adj <= 1e-12
+              and np.allclose(Y, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+              and v.witness.get("residual", np.inf) <= 1e-12)
+        report("facial sparse nondegeneracy fails by Robinson's multiplier",
+               ok, f"{v.reason[:60]}, adjoint {adj:.1e}")
 
     def test_facial_multiplier_divergence_flagged(self):
         ent = get_entry("facial")

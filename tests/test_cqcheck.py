@@ -23,7 +23,6 @@ from nsdpcq.cqcheck import (
     compress,
     exact_verdict,
     feasibility_data,
-    find_multiplier,
     kkt_residual,
     li_test,
     pli_test,
@@ -41,7 +40,7 @@ from nsdpcq.penalty import (
 from nsdpcq.report import analyze_problem, lattice_warnings, report_json_text
 from nsdpcq.sparse import check_sparse_ndg, facial_reduce
 from nsdpcq.symmat import eigh, SymMat, random_rotation
-from oracles import entry_gradient
+from oracles import entry_gradient, find_multiplier
 from test_acceptance import shifted_problem, upper_family
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -613,6 +612,38 @@ class TestRobinson:
         P = NsdpProblem(2, xv(2, 0), G)
         v = check_robinson(feasibility_data(P, np.zeros(2)))
         assert v.status == CqStatus.HOLDS_CERTIFIED
+
+    def test_one_dim_kernel_fails_by_dual_certificate(self):
+        # facial at (1, 0): the kernel is span(e2) and G_22 = 0, so the
+        # spectraplex point S = [1] annihilates the adjoint at iteration 0
+        P = facial_problem()
+        x = np.array([1.0, 0.0])
+        v = check_robinson(feasibility_data(P, x))
+        assert v.status == CqStatus.FAILS
+        assert "dual iterate at iteration 0" in v.log[-1]
+        Y = np.asarray(v.witness["multiplier"])
+        assert np.allclose(Y, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+        assert float(np.linalg.norm(P.adjoint(x, Y))) <= 1e-12
+        assert v.witness["residual"] <= 1e-12
+        replay_cone_witness(P, x, v.witness)
+
+    def test_one_dim_kernel_both_ways(self):
+        # G = [[1 + x1, x2], [x2, x1]] at 0 has kernel span(e2) and
+        # v_11 = (1, 0): the primal readout certifies Holds at iteration
+        # 1, and h = x1 removes that direction, so the dual certificate
+        # fails it with equality coefficients that replay
+        one = Poly.const(2, 1.0)
+        G = MatrixPoly(2, 2, {(0, 0): one + xv(2, 0), (0, 1): xv(2, 1),
+                              (1, 1): xv(2, 0)})
+        x = np.zeros(2)
+        v = check_robinson(feasibility_data(NsdpProblem(2, xv(2, 1), G), x))
+        assert v.status == CqStatus.HOLDS_CERTIFIED
+        assert "primal readout at iteration 1" in v.log[-2]
+        P = NsdpProblem(2, xv(2, 1), G, equalities=[xv(2, 0)])
+        v = check_robinson(feasibility_data(P, x))
+        assert v.status == CqStatus.FAILS
+        assert v.witness["free_coeffs"] == pytest.approx([-1.0], abs=1e-12)
+        replay_cone_witness(P, x, v.witness)
 
     def test_one_dim_kernel_killed_by_equality(self):
         G = MatrixPoly(1, 1, {(0, 0): xv(1, 0)})

@@ -43,7 +43,6 @@ from nsdpcq.penalty import (
     PenaltyConfig,
     _probe_traces,
     default_trace_family,
-    extract_eigbasis_sequence,
     gradient_noise_floor,
     inner_minimize,
     inner_stop,
@@ -438,6 +437,17 @@ class TestRunPenalty:
             assert not trace.divergence_suspected, P.name
             assert trace.notes == []
 
+    def test_unresolvable_multiplier_not_flagged(self):
+        # on draw 26 ||Y||_F = rho * 3.3e-15 at every level, above the
+        # rounding floor at 4 to 10 levels, but DG*[Y] stays below the
+        # level's gradient tolerance, so the growth is not a multiplier
+        P = NsdpProblem.from_json(json.loads(DRAW26_PROBLEM))
+        for levels in range(4, 11):
+            trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                                 outer_iters=levels))
+            assert not trace.divergence_suspected, levels
+            assert trace.notes == []
+
     def test_diag3_solve_makes_few_value_evaluations(self, monkeypatch):
         # each level's first step is scaled to the penalty curvature and
         # a rejected trial interpolates, so the 13 levels take about one
@@ -487,55 +497,6 @@ class TestRunPenalty:
             M = np.array(rec["multiplier"])
             assert np.allclose(M, M.T)
             assert np.allclose(M, trace.iterates[k].multiplier.a)
-
-
-class TestEigbasisSequence:
-    def test_diag3_axis_trace(self):
-        P = diag3_problem()
-        trace = make_path_trace(P, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        seq = extract_eigbasis_sequence(trace)
-        target = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        for E in seq:
-            assert np.allclose(np.abs(E), target, atol=1e-10)
-
-    def test_offdiag_rank_one_column(self):
-        P = offdiag_problem()
-        trace = make_path_trace(P, [1.0, 1.0], [0.3, -0.9])
-        seq = extract_eigbasis_sequence(trace)
-        for E in seq:
-            assert E.shape == (2, 1)
-            assert np.allclose(np.abs(E[:, 0]), [RT2, RT2], atol=1e-8)
-
-    def test_limit_basis_keeps_eigenvalue_order(self):
-        # the clusters count positions in each record's eigenvalue order,
-        # so the limit basis is the last record's kernel eigenvectors in
-        # that order; matching columns to the previous record instead
-        # moved eigenvector 0 out of the cluster [0, 1] on this path
-        P = NsdpProblem.from_json(DRAW57_PROBLEM)
-        x = np.zeros(P.n)
-        pd = feasibility_data(P, x)
-        trace = make_path_trace(P, x, [0.0, 0.0, 1.0, 0.0], trace_id="axis4")
-        (res,), _ = _probe_traces(pd, [trace], 0, positive=True)
-        assert res.clusters == [[0, 1], [2], [3]]
-        last = trace.iterates[-1].eigenvectors[:, pd.rank:]
-        assert np.max(np.abs(res.limit_basis - last)) <= 1e-8
-
-    def test_short_tail_rejected(self):
-        trace = make_path_trace(diag3_problem(), [0.0] * 3, [1.0, 0.0, 0.0],
-                                steps=2)
-        with pytest.raises(NumericalFailure):
-            extract_eigbasis_sequence(trace)
-
-    def test_trivial_kernel_gives_empty_sequence(self):
-        trace = make_path_trace(interior_problem(), [0.0, 0.0], [1.0, 0.0])
-        assert extract_eigbasis_sequence(trace) == []
-
-    def test_rank_override(self):
-        P = facial_problem()
-        trace = make_path_trace(P, [1.0, 0.0], [1.0, 0.0])
-        seq = extract_eigbasis_sequence(trace, rank=1)
-        assert seq[-1].shape == (2, 1)
-        assert np.allclose(np.abs(seq[-1][:, 0]), [0.0, 1.0], atol=1e-10)
 
 
 class TestTraceFamily:
@@ -653,6 +614,47 @@ class TestWeakNdgProbe:
         trace = make_path_trace(P, [0.5, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError):
             probe_weak_ndg(feasibility_data(P, [0.0, 0.0]), [trace])
+
+    def test_short_tail_rejected(self):
+        # two records end within 1e-6 of the point, but a sequence needs
+        # three usable ones
+        P = diag3_problem()
+        trace = make_path_trace(P, [0.0] * 3, [1.0, 0.0, 0.0], steps=2,
+                                scale=1e-8)
+        with pytest.raises(NumericalFailure):
+            probe_weak_ndg(feasibility_data(P, [0.0] * 3), [trace])
+
+    def test_diag3_axis_limit_basis(self):
+        # along (1 + t, 0, 0) the kernel is span(e2, e3) at every record
+        P = diag3_problem()
+        trace = make_path_trace(P, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        (res,), verdict = probe_weak_ndg(
+            feasibility_data(P, [1.0, 0.0, 0.0]), [trace])
+        target = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(np.abs(res.limit_basis), target, atol=1e-10)
+        assert verdict.status == CqStatus.HOLDS_SAMPLED
+
+    def test_offdiag_rank_one_limit_basis(self):
+        P = offdiag_problem()
+        trace = make_path_trace(P, [1.0, 1.0], [0.3, -0.9])
+        (res,), _ = probe_weak_ndg(feasibility_data(P, [1.0, 1.0]), [trace])
+        assert res.limit_basis.shape == (2, 1)
+        assert np.allclose(np.abs(res.limit_basis[:, 0]), [RT2, RT2],
+                           atol=1e-8)
+
+    def test_limit_basis_keeps_eigenvalue_order(self):
+        # the clusters count positions in each record's eigenvalue order,
+        # so the limit basis is the last record's kernel eigenvectors in
+        # that order; matching columns to the previous record instead
+        # moved eigenvector 0 out of the cluster [0, 1] on this path
+        P = NsdpProblem.from_json(DRAW57_PROBLEM)
+        x = np.zeros(P.n)
+        pd = feasibility_data(P, x)
+        trace = make_path_trace(P, x, [0.0, 0.0, 1.0, 0.0], trace_id="axis4")
+        (res,), _ = probe_weak_ndg(pd, [trace])
+        assert res.clusters == [[0, 1], [2], [3]]
+        last = trace.iterates[-1].eigenvectors[:, pd.rank:]
+        assert np.max(np.abs(res.limit_basis - last)) <= 1e-8
 
 
 class TestWeakRobinsonProbe:

@@ -12,7 +12,6 @@ import pytest
 from nsdpcq.cqcheck import (
     CqStatus,
     feasibility_data,
-    find_multiplier,
     li_test,
 )
 from nsdpcq.errors import InfeasiblePointError
@@ -40,11 +39,13 @@ from oracles import (
     check_sparse_ndg_multifold,
     congruence_entries,
     entry_gradient,
+    find_multiplier,
     sparse_card_invariance,
 )
 from test_cqcheck import (
     RANK0_PROBLEM,
     RT2,
+    replay_cone_witness,
     block2_problem,
     diag3_problem,
     facial_problem,
@@ -252,6 +253,21 @@ class TestTildeMap:
             assert agree >= 85
 
 
+def replay_forsgren_dual(witness, tol=1e-7):
+    """Replay a Forsgren dual witness from its multiplier and pattern.
+
+    Y = E S E^T must be PSD with unit trace and vanish on every pattern
+    pair, so no element of the pattern subspace is positive definite.
+    """
+    Y = np.asarray(witness["multiplier"], dtype=float)
+    assert np.max(np.abs(Y - Y.T)) <= 1e-12
+    assert float(np.linalg.eigvalsh(Y)[0]) >= -1e-12
+    assert abs(float(np.trace(Y)) - 1.0) <= 1e-12
+    assert witness["residual"] <= tol
+    for a, b in witness["pattern"]:
+        assert abs(Y[a, b]) <= tol
+
+
 def replay_sparse_witness(P, x, witness):
     """Rebuild the certified family from a Holds witness and re-test it.
 
@@ -332,15 +348,21 @@ class TestSparseNdg:
         assert np.linalg.norm(c @ V) < 1e-7
 
     def test_facial_fails_null_diagonal_route(self):
+        # G_22 is identically zero, so e2 e2^T annihilates the adjoint:
+        # Robinson's dual certificate, which sparse nondegeneracy excludes
         P = facial_problem()
-        v = check_sparse_ndg(feasibility_data(P, [1.0, 0.0]))
+        x = np.array([1.0, 0.0])
+        v = check_sparse_ndg(feasibility_data(P, x))
         assert v.status == CqStatus.FAILS
+        assert v.reason.startswith("Robinson's condition fails")
         Y = np.asarray(v.witness["multiplier"])
-        # the witness multiplier annihilates the adjoint identically and
-        # is complementary to G at the point
-        assert v.witness["index"] == 1
-        assert float(np.linalg.norm(P.adjoint(np.array([1.0, 0.0]), Y))) == 0.0
-        assert abs(float(np.sum(P.constraint_value(np.array([1.0, 0.0])).a * Y))) == 0.0
+        # the witness multiplier annihilates the adjoint and is
+        # complementary to G at the point
+        assert np.allclose(Y, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+        assert v.witness["residual"] <= 1e-12
+        assert float(np.linalg.norm(P.adjoint(x, Y))) <= 1e-12
+        assert abs(float(np.sum(P.constraint_value(x).a * Y))) <= 1e-12
+        replay_cone_witness(P, x, v.witness)
 
     def test_dimension_bound_fails(self):
         # one variable cannot carry two independent diagonal gradients
@@ -531,13 +553,30 @@ class TestForsgren:
     def test_structural_refutation_of_definiteness(self):
         # the Schur map keeps only an off-diagonal entry on the kernel, so
         # the pattern subspace has identically zero diagonal: injectivity
-        # holds but no positive definite element can exist
+        # holds, and the identity on the kernel is orthogonal to the
+        # subspace, a dual certificate that no positive definite element
+        # exists
         G = MatrixPoly(3, 2, {(0, 0): xv(2, 0), (1, 2): xv(2, 1)})
         P = NsdpProblem(n=2, objective=xv(2, 0), constraint=G, name="offker")
         v = check_forsgren(feasibility_data(P, [1.0, 0.0]))
         assert v.status == CqStatus.FAILS
         assert "positive definite" in v.reason
-        assert v.witness["vanishing_diagonal"] == [0, 1]
+        assert v.witness["pattern"] == [(1, 2)]
+        replay_forsgren_dual(v.witness)
+        Y = np.asarray(v.witness["multiplier"])
+        assert np.allclose(Y, np.diag([0.0, 0.5, 0.5]), atol=1e-12)
+
+    def test_swap_refuted_by_dual_certificate(self):
+        # G = [[0, x1], [x1, 0]] at 0 under the 45 degree diagonalizer:
+        # the pattern subspace is spanned by diag(1, -1) / sqrt(2), whose
+        # diagonal does not vanish, and S = I / 2 is orthogonal to it
+        G = MatrixPoly(2, 1, {(0, 1): xv(1, 0)})
+        P = NsdpProblem(n=1, objective=xv(1, 0), constraint=G, name="swap")
+        U = np.array([[RT2, -RT2], [RT2, RT2]])
+        v = check_forsgren(feasibility_data(P, [0.0]), U=U)
+        assert v.status == CqStatus.FAILS, v.log
+        assert v.witness["pattern"] == [(0, 1)]
+        replay_forsgren_dual(v.witness)
 
     def test_supplied_diagonalizer_is_validated(self):
         P = diag2_problem()
