@@ -18,14 +18,17 @@ coefficients carry numeric congruence noise.
 Numbers come from one compiled evaluator, `Compiled`: the map
 x -> sum_t mon_t(x) C_t over the distinct monomials of a family of
 polynomials, with its value, Jacobian and adjoint each one matrix
-product against the coefficient stack C.  An `NsdpProblem` compiles f,
-G and h into three of them when it is built, and its seven evaluation
-methods read only those.  `NsdpProblem.constraint_stack` exposes G's
-stack read-only as (T, m, m) matrices A_t, whose congruences give the
-exact coefficients of a compressed constraint, and
-`NsdpProblem.constraint_exponents` the monomial x^e_t each A_t
-multiplies.  `Poly.eval` and `Poly.grad` stay as the term-by-term
-reference.
+product against the coefficient stack C, and every monomial read off a
+power table x^0 .. x^d that the caller passes in.  An `NsdpProblem`
+compiles f, G and h into three of them when it is built.
+`NsdpProblem.at` builds the one power table of a point, or of a stack of
+points, that all three share, and returns an `Evaluation` holding it;
+the problem's seven evaluation methods are thin calls on that.
+`NsdpProblem.constraint_stack` exposes G's stack read-only as (T, m, m)
+matrices A_t, whose congruences give the exact coefficients of a
+compressed constraint, and `NsdpProblem.constraint_exponents` the
+monomial x^e_t each A_t multiplies.  `Poly.eval` and `Poly.grad` stay as
+the term-by-term reference.
 """
 from __future__ import annotations
 
@@ -286,12 +289,14 @@ class Compiled:
     """Numeric form of polynomials stacked in one array shape.
 
     The map is x -> sum_t mon_t(x) * C_t over the T distinct monomials of
-    all entries, with C of shape (T, prod(shape)).  One power table
-    x^0 .. x^maxdeg gives the monomial values mons, and every (monomial,
-    variable) pair with a positive exponent is one entry of the
-    derivative stack D (n, T), so the value is mons @ C, the partials
-    are D @ C and the adjoint against M is D @ (C @ M).  numpy's power
-    gives 0.0 ** 0 = 1, so a zero coordinate needs no special case.
+    all entries, with C of shape (T, prod(shape)).  Every method reads x
+    off its power table x^0 .. x^d for any d at least degree, flattened
+    to length (d + 1) * n, which gives the monomial values mons; every
+    (monomial, variable) pair with a positive exponent is one entry of
+    the derivative stack D (n, T), so the value is mons @ C, the partials
+    are D @ C and the adjoint against M is D @ (C @ M).  The value also
+    takes a stack of tables (..., (d + 1) * n) and multiplies each
+    point's mons by C on its own, the product a single point gets.
     exponents holds the monomials' exponent rows, shape (T, n).
 
     entries pairs each polynomial with the flat positions it fills: one
@@ -299,7 +304,7 @@ class Compiled:
     entry and its mirror.
     """
 
-    __slots__ = ("n", "shape", "C", "exponents", "_exps", "_idx", "_didx",
+    __slots__ = ("n", "shape", "C", "exponents", "degree", "_idx", "_didx",
                  "_dmult", "_dpos")
 
     def __init__(self, n: int, shape: Tuple[int, ...],
@@ -318,8 +323,8 @@ class Compiled:
         C.setflags(write=False)
         E.setflags(write=False)
         # d mon_t / d x_l = E[t, l] * x^(E[t] - unit_l) for each positive
-        # exponent; _idx and _didx index the flattened (maxdeg + 1, n)
-        # power table, _dpos the flattened D
+        # exponent; _idx and _didx index the flattened (d + 1, n) power
+        # table, _dpos the flattened D
         t_of, l_of = np.nonzero(E)
         Ered = E[t_of]
         Ered[np.arange(t_of.size), l_of] -= 1
@@ -328,7 +333,7 @@ class Compiled:
         self.shape = tuple(shape)
         self.C = C
         self.exponents = E
-        self._exps = np.arange(int(E.max(initial=0)) + 1, dtype=float)[:, None]
+        self.degree = int(E.max(initial=0))
         self._idx = E * n + cols
         self._didx = Ered * n + cols
         self._dmult = E[t_of, l_of].astype(float)
@@ -341,25 +346,28 @@ class Compiled:
         return cls(G.n, (m, m), (({i * m + j, j * m + i}, p)
                                  for (i, j), p in G.entries.items()))
 
-    def _monomials(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        if not idx.shape[0]:            # the zero map, e.g. no equalities
-            return np.zeros(0)
-        return np.multiply.reduce(np.power(x, self._exps).take(idx), axis=1)
+    @staticmethod
+    def _monomials(powers: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return np.multiply.reduce(powers.take(idx, axis=-1), axis=-1)
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return (self._monomials(x, self._idx) @ self.C).reshape(self.shape)
+    def value(self, powers: np.ndarray) -> np.ndarray:
+        shape = powers.shape[:-1] + self.shape
+        if not self.C.shape[0]:         # the zero map, e.g. no equalities
+            return np.zeros(shape)
+        mons = self._monomials(powers, self._idx)
+        return (mons[..., None, :] @ self.C).reshape(shape)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, powers: np.ndarray) -> np.ndarray:
         """D @ C, shape (n, prod(shape))."""
-        return self._derivatives(x) @ self.C
+        return self._derivatives(powers) @ self.C
 
-    def adjoint(self, x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    def adjoint(self, powers: np.ndarray, M: np.ndarray) -> np.ndarray:
         """D @ (C @ M): the gradient of x -> <value(x), M>."""
-        return self._derivatives(x) @ (self.C @ M.ravel())
+        return self._derivatives(powers) @ (self.C @ M.ravel())
 
-    def _derivatives(self, x: np.ndarray) -> np.ndarray:
+    def _derivatives(self, powers: np.ndarray) -> np.ndarray:
         D = np.zeros((self.n, self.C.shape[0]))
-        D.flat[self._dpos] = self._dmult * self._monomials(x, self._didx)
+        D.flat[self._dpos] = self._dmult * self._monomials(powers, self._didx)
         return D
 
 
@@ -367,7 +375,7 @@ class NsdpProblem:
     """A nonlinear SDP instance: objective, PSD constraint, equalities."""
 
     __slots__ = ("name", "n", "m", "objective", "constraint", "equalities",
-                 "_f", "_G", "_h")
+                 "_f", "_G", "_h", "_exps")
 
     def __init__(self, n: int, objective: Poly, constraint: MatrixPoly,
                  equalities: Sequence[Poly] = (), name: str = "unnamed"):
@@ -377,16 +385,21 @@ class NsdpProblem:
             if h.n != n:
                 raise ProblemFormatError("equality arity mismatch")
         equalities = tuple(equalities)
+        compiled = (Compiled(n, (), [((0,), objective)]),
+                    Compiled.matrix(constraint),
+                    Compiled(n, (len(equalities),),
+                             (((k,), h) for k, h in enumerate(equalities))))
+        degree = max(c.degree for c in compiled)
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", constraint.dim)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraint", constraint)
         object.__setattr__(self, "equalities", equalities)
-        object.__setattr__(self, "_f", Compiled(n, (), [((0,), objective)]))
-        object.__setattr__(self, "_G", Compiled.matrix(constraint))
-        object.__setattr__(self, "_h", Compiled(
-            n, (len(equalities),), (((k,), h) for k, h in enumerate(equalities))))
+        for slot, c in zip(("_f", "_G", "_h"), compiled):
+            object.__setattr__(self, slot, c)
+        object.__setattr__(self, "_exps",
+                           np.arange(degree + 1, dtype=float)[:, None])
 
     def __setattr__(self, *_):
         raise AttributeError("NsdpProblem is immutable")
@@ -408,31 +421,34 @@ class NsdpProblem:
 
     # ---- numeric evaluation ------------------------------------------
 
+    def at(self, x) -> "Evaluation":
+        """The evaluation of f, G and h at x, a point of shape (n,), or of
+        G at each row of a stack of points, shape (..., n)."""
+        return Evaluation(self, x)
+
     def constraint_value(self, x) -> SymMat:
-        return SymMat.from_symmetric(self._G.value(np.asarray(x, dtype=float)))
+        return self.at(x).constraint_value()
 
     def constraint_partials(self, x) -> np.ndarray:
         """Stacked partial derivative matrices, shape (n, m, m)."""
-        return self._G.jacobian(np.asarray(x, dtype=float)).reshape(
-            self.n, self.m, self.m)
+        return self.at(x).constraint_partials()
 
     def adjoint(self, x, M) -> np.ndarray:
         """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>)."""
-        M = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
-        return self._G.adjoint(np.asarray(x, dtype=float), M)
+        return self.at(x).adjoint(M)
 
     def objective_value(self, x) -> float:
-        return float(self._f.value(np.asarray(x, dtype=float)))
+        return self.at(x).objective_value()
 
     def objective_gradient(self, x) -> np.ndarray:
-        return self._f.jacobian(np.asarray(x, dtype=float)).ravel()
+        return self.at(x).objective_gradient()
 
     def equality_values(self, x) -> np.ndarray:
-        return self._h.value(np.asarray(x, dtype=float))
+        return self.at(x).equality_values()
 
     def equality_gradients(self, x) -> np.ndarray:
         """Rows are the gradients of the h_i, shape (k, n)."""
-        return self._h.jacobian(np.asarray(x, dtype=float)).T
+        return self.at(x).equality_gradients()
 
     # ---- wire format --------------------------------------------------
 
@@ -513,6 +529,54 @@ class NsdpProblem:
                 equalities.append(Poly.from_json(n, eq, f"equalities[{k}]"))
         return cls(n=n, objective=objective, constraint=constraint,
                    equalities=equalities, name=name)
+
+
+class Evaluation:
+    """f, G and h of one problem at one point, read off one power table.
+
+    powers holds x^0 .. x^d for the problem's largest exponent d,
+    flattened from shape (d + 1, n), built once and shared by every value
+    and derivative below.  numpy's power gives 0.0 ** 0 = 1, so a zero
+    coordinate needs no special case.  For a stack of points x (..., n)
+    the table is (..., (d + 1) * n), and constraint_value is a SymMat
+    stack (..., m, m) whose slices are exactly the single-point values;
+    the other methods take one point.
+    """
+
+    __slots__ = ("problem", "powers")
+
+    def __init__(self, problem: NsdpProblem, x):
+        x = np.asarray(x, dtype=float)
+        self.problem = problem
+        table = np.power(x[..., None, :], problem._exps)
+        self.powers = table.reshape(
+            table.shape[:-2] + (table.shape[-2] * table.shape[-1],))
+
+    def constraint_value(self) -> SymMat:
+        return SymMat.from_symmetric(self.problem._G.value(self.powers))
+
+    def constraint_partials(self) -> np.ndarray:
+        """Stacked partial derivative matrices, shape (n, m, m)."""
+        P = self.problem
+        return P._G.jacobian(self.powers).reshape(P.n, P.m, P.m)
+
+    def adjoint(self, M) -> np.ndarray:
+        """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>)."""
+        M = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
+        return self.problem._G.adjoint(self.powers, M)
+
+    def objective_value(self) -> float:
+        return float(self.problem._f.value(self.powers))
+
+    def objective_gradient(self) -> np.ndarray:
+        return self.problem._f.jacobian(self.powers).ravel()
+
+    def equality_values(self) -> np.ndarray:
+        return self.problem._h.value(self.powers)
+
+    def equality_gradients(self) -> np.ndarray:
+        """Rows are the gradients of the h_i, shape (k, n)."""
+        return self.problem._h.jacobian(self.powers).T
 
 
 def parse_problem_text(text: str) -> NsdpProblem:

@@ -36,10 +36,16 @@ than halves.  Multiplier growth counts as divergence only above the
 rounding floor rho * eps * max|lambda(G)| * sqrt(m) of ||Y||_F, and
 above tol / ||DG||_F, the smallest Y whose adjoint the last level's
 gradient tolerance tol resolves.
+
+Each point is evaluated once: the value and the gradient at a point
+read f, G, h and their derivatives off one power table
+(NsdpProblem.at), and a path trace evaluates G at all its points from
+one stacked table and decomposes them with one stacked eigh.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -201,9 +207,11 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
     the value's noise floor.
 
     The value needs three pieces at x: f(x), h(x) and the constraint
-    spectrum, the expensive one.  A caller that already holds them from
-    a value trial at x passes them back in, so an accepted line-search
-    point is not evaluated twice.  The pieces used are always returned.
+    spectrum, the expensive one, all read off one evaluation of the
+    model at x, the fourth piece, whose power table the gradient reuses.
+    A caller that already holds them from a value trial at x passes them
+    back in, so an accepted line-search point is not evaluated twice.
+    The pieces used are always returned.
 
     The noise floor bounds the rounding error of phi near x: VALUE_NOISE
     times the sizes of its terms, which can cancel, plus the eigenvalue
@@ -214,28 +222,29 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
     the Armijo test off.
     """
     if pieces is None:
-        pieces = (P.objective_value(x), P.equality_values(x),
-                  eigh(P.constraint_value(x)))
-    fx, hvals, spec = pieces
+        ev = P.at(x)
+        pieces = (ev.objective_value(), ev.equality_values(),
+                  eigh(ev.constraint_value()), ev)
+    fx, hvals, spec, ev = pieces
     dx = x - anchor
-    neg = np.clip(-spec.values, 0.0, None)      # eigenvalues of proj(-G)
+    neg = np.maximum(-spec.values, 0.0)        # eigenvalues of proj(-G)
     reg = 0.5 * float(dx @ dx)
     pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
     val = fx + reg + pen
     if not need_grad:
         return val, None, None, pieces, None
     act = neg > 0.0
-    if np.any(act):
+    if act.any():
         V = spec.vectors[:, act]
         Ymat = rho * (V * neg[act]) @ V.T
     else:
         Ymat = np.zeros((P.m, P.m))
     Y = SymMat.from_symmetric(Ymat)
-    grad = P.objective_gradient(x) + dx - P.adjoint(x, Y.a)
+    grad = ev.objective_gradient() + dx - ev.adjoint(Y.a)
     if hvals.shape[0]:
-        grad = grad + rho * (P.equality_gradients(x).T @ hvals)
+        grad = grad + rho * (ev.equality_gradients().T @ hvals)
     noise = VALUE_NOISE * (abs(fx) + reg + pen
-                           + rho * _lam_abs(spec.values) * float(np.sum(neg)))
+                           + rho * _lam_abs(spec.values) * float(neg.sum()))
     return val, grad, Y, pieces, noise
 
 
@@ -266,16 +275,22 @@ def gradient_noise_floor(P: NsdpProblem, rho: float, x, spec=None) -> float:
     gradient with gain at most ||DG||_F, the Frobenius norm of the stack
     of partials.  A caller that holds eigh(G(x)) passes it in.
     """
-    x = np.asarray(x, dtype=float)
+    ev = P.at(x)
     if spec is None:
-        spec = eigh(P.constraint_value(x))
+        spec = eigh(ev.constraint_value())
     return _gradient_floor(rho, spec,
-                           float(np.linalg.norm(P.constraint_partials(x))))
+                           float(np.linalg.norm(ev.constraint_partials())))
 
 
 def _gradient_floor(rho: float, spec, dg_norm: float) -> float:
     """gradient_noise_floor from the spectrum and ||DG||_F at the point."""
     return float(np.finfo(float).eps) * rho * _lam_abs(spec.values) * dg_norm
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array, numpy's own formula for one without
+    the dispatch of np.linalg.norm."""
+    return math.sqrt(float(v @ v))
 
 
 def _lam_abs(values: np.ndarray) -> float:
@@ -354,18 +369,18 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     x = np.asarray(x_start, dtype=float).copy()
     val, grad, Y, pieces, noise = _penalty_parts(P, anchor, rho, x,
                                                  need_grad=True)
-    dg_norm = float(np.linalg.norm(P.constraint_partials(x)))
+    dg_norm = float(np.linalg.norm(pieces[3].constraint_partials()))
     tol = max(inner_tolerance(cfg, rho),
               _gradient_floor(rho, pieces[2], dg_norm))
     gamma = 1.0 / (1.0 + rho * dg_norm * dg_norm)
     mem: List[Tuple[np.ndarray, np.ndarray, float]] = []
     for it in range(cfg.inner_max_iters):
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = _norm(grad)
         if gnorm <= tol:
             return InnerResult(x, gnorm, True, it, grad, Y, pieces[2])
         d = _two_loop(grad, mem) if mem else -gamma * grad
         gd = float(grad @ d)
-        if gd > -1e-14 * max(1.0, gnorm) * float(np.linalg.norm(d)):
+        if gd > -1e-14 * max(1.0, gnorm) * _norm(d):
             d = -grad
             gd = -gnorm * gnorm
         t = 1.0
@@ -389,7 +404,7 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
                 # accept on strict gradient decrease instead
                 _, gc, Yc, _, noise_c = _penalty_parts(
                     P, anchor, rho, cand, need_grad=True, pieces=pieces_c)
-                if float(np.linalg.norm(gc)) < gnorm:
+                if _norm(gc) < gnorm:
                     xn, pieces_n = cand, pieces_c
                     grad_n, Y_n, noise_n = gc, Yc, noise_c
                     break
@@ -409,13 +424,13 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
         s = xn - x
         yv = grad_n - grad
         sy = float(s @ yv)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+        if sy > 1e-12 * _norm(s) * _norm(yv):
             mem.append((s, yv, 1.0 / sy))
             if len(mem) > LBFGS_MEMORY:
                 mem.pop(0)
         x, val, grad, Y, pieces, noise = (xn, fc, grad_n, Y_n, pieces_n,
                                           noise_n)
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = _norm(grad)
     return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters, grad, Y,
                        pieces[2])
 
@@ -495,6 +510,8 @@ def make_path_trace(P: NsdpProblem, x_bar, direction,
 
     The weak conditions quantify over arbitrary sequences, feasible or
     not, so the path records carry zero penalty level and multiplier.
+    G is evaluated at all the points from one stacked power table and
+    decomposed by one stacked eigh.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     d = np.asarray(direction, dtype=float)
@@ -502,16 +519,15 @@ def make_path_trace(P: NsdpProblem, x_bar, direction,
     if nrm < 1e-12:
         raise ValueError("path direction must be nonzero")
     d = d / nrm
-    iterates = []
+    t = np.array([scale * (decay ** j) for j in range(steps)])
+    X = x_bar + t[:, None] * d
+    spec = eigh(P.at(X).constraint_value())
+    values, vectors = spec.values.copy(), spec.vectors.copy()
     zero = SymMat.zero(P.m)
-    for j in range(steps):
-        xj = x_bar + scale * (decay ** j) * d
-        spec = eigh(P.constraint_value(xj))
-        iterates.append(PenaltyIterate(
-            k=j, rho=0.0, x=xj, multiplier=zero,
-            eigenvalues=spec.values.copy(),
-            eigenvectors=spec.vectors.copy(),
-            stationarity_residual=0.0, multiplier_norm=0.0))
+    iterates = [PenaltyIterate(
+        k=j, rho=0.0, x=X[j], multiplier=zero, eigenvalues=values[j],
+        eigenvectors=vectors[j], stationarity_residual=0.0,
+        multiplier_norm=0.0) for j in range(steps)]
     return PenaltyTrace(problem=P.name, iterates=iterates, kind="path",
                         trace_id=trace_id)
 

@@ -2,7 +2,10 @@
 
 All spectral work in this package runs through :func:`eigh`, a thin
 wrapper around LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)
-that fixes the ordering and sign conventions below.  LAPACK's error in
+that fixes the ordering and sign conventions below.  A :class:`SymMat`
+holds one matrix or a stack of them along leading axes, and
+:func:`eigh` decomposes a stack in one LAPACK call, each slice exactly
+as it would decompose that matrix alone.  LAPACK's error in
 an eigenvalue is a small multiple of eps * ||M||; the cyclic Jacobi
 method only does better on small eigenvalues when it stops on a
 relative off-diagonal test (Demmel & Veselic 1992), so it buys nothing
@@ -36,13 +39,13 @@ def frobenius(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _checked_square(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValueError("SymMat needs a square array of dimension >= 1")
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
+        raise ValueError("SymMat needs square arrays of dimension >= 1")
     return arr
 
 
 class SymMat:
-    """Immutable dense symmetric matrix.
+    """Immutable dense symmetric matrix, or a stack of them, shape (..., m, m).
 
     The upper triangle of the input is authoritative; the lower triangle is
     overwritten by its mirror on construction, so ``M.a`` is exactly
@@ -57,8 +60,8 @@ class SymMat:
             raise ValueError("SymMat entries must be finite")
         # row-wise mirror: for the small m used here this is several
         # times faster than a masked np.where, and it runs per evaluation
-        for i in range(1, arr.shape[0]):
-            arr[i, :i] = arr[:i, i]
+        for i in range(1, arr.shape[-1]):
+            arr[..., i, :i] = arr[..., :i, i]
         arr.setflags(write=False)
         self.a = arr
 
@@ -72,8 +75,8 @@ class SymMat:
         have become NaN.
         """
         arr = _checked_square(np.asarray(arr, dtype=float))
-        sym = (arr + arr.T) / 2.0
-        if not np.all(np.isfinite(sym)):
+        sym = (arr + arr.swapaxes(-1, -2)) / 2.0
+        if not np.isfinite(sym).all():
             raise ValueError("SymMat entries must be finite")
         sym.setflags(write=False)
         out = cls.__new__(cls)
@@ -90,7 +93,7 @@ class SymMat:
 
     @property
     def dim(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.a))) if self.a.size else 0.0
@@ -101,42 +104,55 @@ class SymMat:
 
 @dataclass(frozen=True)
 class Spectral:
-    """Eigendecomposition M = U diag(values) U^T, values non-increasing."""
+    """Eigendecomposition M = U diag(values) U^T, values non-increasing;
+    for a stack, values is (..., m) and vectors (..., m, m)."""
 
     values: np.ndarray
-    vectors: np.ndarray  # column i belongs to values[i]
+    vectors: np.ndarray  # column i belongs to values[..., i]
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
+        return (self.vectors * self.values[..., None, :]) \
+            @ self.vectors.swapaxes(-1, -2)
 
 
 def eigh(M) -> Spectral:
-    """Eigendecomposition of a symmetric matrix through LAPACK.
+    """Eigendecomposition of a symmetric matrix, or of a stack of them
+    along leading axes, through LAPACK.
 
     A SymMat is used as is; any other input is symmetrized by averaging.
     Eigenvalues come out non-increasing; the reordering is a stable sort,
     so ties keep LAPACK's order.  Each eigenvector is sign-fixed so that
     its largest-magnitude component is positive.  Both arrays are
-    read-only.  A LAPACK failure is raised as :class:`NumericalFailure`.
+    read-only.  A LAPACK failure, in any matrix of a stack, is raised as
+    :class:`NumericalFailure`.
     """
     if isinstance(M, SymMat):
         a = M.a
     else:
         a = np.asarray(M, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise ValueError("eigh needs a square symmetric matrix")
-        a = (a + a.T) / 2.0
+        a = (a + a.swapaxes(-1, -2)) / 2.0
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    values = w[order]
-    vectors = u[:, order]
-    # deterministic sign: make the largest-magnitude component positive
-    if values.size:
-        k = np.argmax(np.abs(vectors), axis=0)
-        vectors *= np.where(vectors[k, np.arange(k.size)] < 0.0, -1.0, 1.0)
+    values, vectors = w, u
+    if w.size:
+        m = w.shape[-1]
+        # every eigenvector of the stack as a row, in LAPACK's order
+        rows = u.swapaxes(-1, -2).reshape(w.size, m)
+        # deterministic sign: make the largest-magnitude component positive
+        peak = rows.take(np.abs(rows).argmax(axis=1)
+                         + np.arange(0, rows.size, m))
+        np.negative(rows, out=rows, where=peak[:, None] < 0.0)
+        # per matrix, offset by its first row, so one gather orders all;
+        # the rows gathered and swapped back leave each matrix
+        # column-major, the layout u[:, order] gives one matrix, which
+        # later BLAS products of the vectors round by
+        order = np.argsort(-w, axis=-1, kind="stable")
+        order += np.arange(0, w.size, m).reshape(w.shape[:-1] + (1,))
+        values, vectors = w.take(order), rows[order].swapaxes(-1, -2)
     values.setflags(write=False)
     vectors.setflags(write=False)
     return Spectral(values=values, vectors=vectors)

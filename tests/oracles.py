@@ -5,8 +5,11 @@ Besides the adjoint formula for single entry gradients and the
 congruence B^T G B as polynomials (to rotate a constraint), this holds the
 block machinery (block detection, per-block subproblems), the multifold
 sparse-nondegeneracy check built on it, the pattern-cardinality
-invariance survey and a best-effort KKT multiplier fit.  Only tests call
-them; they recompute what the library decides by an independent route.
+invariance survey, a best-effort KKT multiplier fit, and the per-point
+references of the penalty layer: the penalty pieces from one public
+model call per piece, and the path trace that evaluates and decomposes
+its points one at a time.  Only tests call them; they recompute what the
+library decides by an independent route.
 """
 from typing import Dict, List, Sequence
 
@@ -24,6 +27,15 @@ from nsdpcq.cqcheck import (
 )
 from nsdpcq.errors import ProblemFormatError
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
+from nsdpcq.penalty import (
+    PATH_DECAY,
+    PATH_SCALE,
+    PATH_STEPS,
+    VALUE_NOISE,
+    PenaltyIterate,
+    PenaltyTrace,
+    _lam_abs,
+)
 from nsdpcq.sparse import (
     _basis_search,
     _entry_poly,
@@ -245,3 +257,57 @@ def _project_psd_mat(S: np.ndarray) -> np.ndarray:
     spec = eigh(SymMat.from_symmetric(S))
     lam = np.clip(spec.values, 0.0, None)
     return (spec.vectors * lam) @ spec.vectors.T
+
+
+def penalty_parts_reference(P: NsdpProblem, anchor, rho: float, x):
+    """Value, gradient, multiplier and noise floor of the regularized
+    penalty at x, each model piece from its own public method call, in
+    the library's order of operations (grad f + dx - DG*[Y] + rho Dh^T h),
+    so the library must match it bit for bit."""
+    anchor = np.asarray(anchor, dtype=float)
+    x = np.asarray(x, dtype=float)
+    fx, hvals = P.objective_value(x), P.equality_values(x)
+    spec = eigh(P.constraint_value(x))
+    dx = x - anchor
+    neg = np.clip(-spec.values, 0.0, None)
+    reg = 0.5 * float(dx @ dx)
+    pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
+    val = fx + reg + pen
+    act = neg > 0.0
+    if np.any(act):
+        V = spec.vectors[:, act]
+        Ymat = rho * (V * neg[act]) @ V.T
+    else:
+        Ymat = np.zeros((P.m, P.m))
+    Y = SymMat.from_symmetric(Ymat)
+    grad = P.objective_gradient(x) + dx - P.adjoint(x, Y.a)
+    if hvals.shape[0]:
+        grad = grad + rho * (P.equality_gradients(x).T @ hvals)
+    noise = VALUE_NOISE * (abs(fx) + reg + pen
+                           + rho * _lam_abs(spec.values) * float(np.sum(neg)))
+    return val, grad, Y, noise
+
+
+def path_trace_per_point(P: NsdpProblem, x_bar, direction,
+                         steps: int = PATH_STEPS, scale: float = PATH_SCALE,
+                         decay: float = PATH_DECAY,
+                         trace_id: str = "path") -> PenaltyTrace:
+    """make_path_trace one point at a time: G and its eigh per point."""
+    x_bar = np.asarray(x_bar, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    nrm = float(np.linalg.norm(d))
+    if nrm < 1e-12:
+        raise ValueError("path direction must be nonzero")
+    d = d / nrm
+    iterates = []
+    zero = SymMat.zero(P.m)
+    for j in range(steps):
+        xj = x_bar + scale * (decay ** j) * d
+        spec = eigh(P.constraint_value(xj))
+        iterates.append(PenaltyIterate(
+            k=j, rho=0.0, x=xj, multiplier=zero,
+            eigenvalues=spec.values.copy(),
+            eigenvectors=spec.vectors.copy(),
+            stationarity_residual=0.0, multiplier_norm=0.0))
+    return PenaltyTrace(problem=P.name, iterates=iterates, kind="path",
+                        trace_id=trace_id)

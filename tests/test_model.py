@@ -241,6 +241,20 @@ def test_compiled_gradients_match_finite_differences():
                     (P.name, value, l)
 
 
+def test_stacked_constraint_value_slices_equal_single_points():
+    # one power table for a stack of points gives each point's G exactly
+    # as a single-point evaluation does, including zero coordinates and
+    # problems whose pieces differ in degree
+    rng = np.random.default_rng(13)
+    for P, x in evaluation_cases():
+        X = x + rng.uniform(-1.0, 1.0, (5, P.n)) * (rng.random((5, P.n)) < 0.7)
+        X = np.vstack([X, x])
+        G = P.at(X).constraint_value().a
+        assert G.shape == (6, P.m, P.m) and not G.flags.writeable
+        for j in range(6):
+            assert G[j].tobytes() == P.constraint_value(X[j]).a.tobytes()
+
+
 def test_constraint_stack_is_read_only():
     P = hinge_problem()
     A = P.constraint_stack()

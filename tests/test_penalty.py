@@ -15,7 +15,12 @@ import json
 import numpy as np
 import pytest
 
-from oracles import entry_gradient
+from oracles import (
+    entry_gradient,
+    path_trace_per_point,
+    penalty_parts_reference,
+)
+from test_acceptance import shifted_problem
 from test_cqcheck import (
     LADDER_PROBLEM,
     RANK0_PROBLEM,
@@ -36,6 +41,7 @@ from nsdpcq.cqcheck import (
     feasibility_data,
     li_test,
 )
+from nsdpcq.corpus import entries as corpus_entries
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
 from nsdpcq import penalty
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
@@ -48,7 +54,6 @@ from nsdpcq.penalty import (
     inner_stop,
     inner_tolerance,
     make_path_trace,
-    multiplier_estimate,
     penalty_gradient,
     penalty_noise_floor,
     penalty_value,
@@ -337,6 +342,88 @@ class TestPenaltyGradient:
                 fd[i] = (penalty_value(P, np.zeros(2), rho, x + e)
                          - penalty_value(P, np.zeros(2), rho, x - e)) / 2e-6
             assert np.linalg.norm(g - fd) <= 1e-4 * (1 + np.linalg.norm(g))
+
+
+def with_equalities(P, rng, k):
+    """P with k random linear-plus-square equalities added."""
+    eqs = []
+    for _ in range(k):
+        terms = [(float(rng.standard_normal()), tuple(row))
+                 for row in np.eye(P.n, dtype=int)]
+        e = [0] * P.n
+        e[int(rng.integers(0, P.n))] = 2
+        terms.append((float(rng.standard_normal()), tuple(e)))
+        eqs.append(Poly(P.n, terms))
+    return NsdpProblem(P.n, P.objective, P.constraint, equalities=eqs,
+                       name=P.name + f"_eq{k}")
+
+
+def oracle_problems():
+    """The corpus at its pinned points and shifted draws at 0, rank-0 and
+    rank-deficient, some with equalities."""
+    for e in corpus_entries():
+        yield e.problem, np.asarray(e.point, dtype=float)
+    rng = np.random.default_rng(23)
+    for case in range(12):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        k = m if case % 3 == 0 else int(rng.integers(1, m))
+        P = shifted_problem(rng, n, m, k)
+        if case % 2:
+            P = with_equalities(P, rng, int(rng.integers(1, 3)))
+        yield P, np.zeros(n)
+
+
+class TestOnePassPerPoint:
+    """The penalty layer evaluates each point once, from one power table,
+    and each path trace with one stacked eigh; the results are bit for
+    bit those of one public model call per piece and one eigh per point.
+    """
+
+    def test_penalty_pieces_match_public_method_oracle(self):
+        rng = np.random.default_rng(17)
+        for P, x_bar in oracle_problems():
+            for _ in range(4):
+                x = x_bar + rng.standard_normal(P.n) * float(
+                    rng.choice([1e-6, 1e-2, 0.5]))
+                anchor = x_bar + rng.standard_normal(P.n) * 1e-3
+                rho = float(rng.choice([1.0, 1e3, 1e9]))
+                val, grad, Y, noise = penalty_parts_reference(
+                    P, anchor, rho, x)
+                assert penalty.penalty_value(P, anchor, rho, x) == val
+                assert penalty.penalty_gradient(
+                    P, anchor, rho, x).tobytes() == grad.tobytes()
+                assert penalty.penalty_noise_floor(P, anchor, rho, x) == noise
+                # the multiplier does not depend on the anchor
+                _, _, Y0, _ = penalty_parts_reference(P, np.zeros(P.n), rho, x)
+                assert penalty.multiplier_estimate(
+                    P, rho, x).a.tobytes() == Y0.a.tobytes() == Y.a.tobytes()
+
+    def test_path_trace_matches_per_point_oracle(self):
+        rng = np.random.default_rng(29)
+        for P, x_bar in oracle_problems():
+            dirs = [np.eye(P.n)[0], -np.eye(P.n)[P.n - 1],
+                    rng.standard_normal(P.n)]
+            for d in dirs:
+                got = make_path_trace(P, x_bar, d, trace_id="t")
+                want = path_trace_per_point(P, x_bar, d, trace_id="t")
+                assert got.to_jsonl() == want.to_jsonl()
+                assert len(got.iterates) == len(want.iterates)
+                for a, b in zip(got.iterates, want.iterates):
+                    for field in ("x", "eigenvalues", "eigenvectors"):
+                        u, v = getattr(a, field), getattr(b, field)
+                        assert u.tobytes() == v.tobytes(), (P.name, field)
+                        assert u.strides == v.strides, (P.name, field)
+
+    def test_path_trace_is_one_eigh(self, monkeypatch):
+        calls = []
+
+        def counted(M):
+            calls.append(np.shape(M.a))
+            return eigh(M)
+        monkeypatch.setattr(penalty, "eigh", counted)
+        P = diag3_problem()
+        make_path_trace(P, np.zeros(3), np.ones(3))
+        assert calls == [(penalty.PATH_STEPS, 3, 3)]
 
 
 class TestRunPenalty:

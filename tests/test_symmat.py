@@ -125,6 +125,63 @@ def test_eigh_order_and_sign_conventions():
             assert col[int(np.argmax(np.abs(col)))] > 0.0
         assert not spec.values.flags.writeable
         assert not spec.vectors.flags.writeable
+        # column-major, as a column gather of LAPACK's vectors leaves
+        # them: products of the vectors round by their layout
+        assert spec.vectors.flags.f_contiguous
+
+
+def test_eigh_stack_slices_equal_single_calls():
+    # each slice of a stacked eigh, values and vectors, is bit for bit the
+    # single-matrix call, on random stacks, repeated eigenvalues and the
+    # all-zero matrix, where ties decide the column order
+    def draw(rng, m, kind):
+        if kind == 0:
+            g = rng.standard_normal((m, m))
+            return g + g.T
+        if kind == 1:
+            lam = rng.standard_normal(m)
+            lam[: (m + 1) // 2] = lam[0]
+            q = random_rotation(m, rng)
+            return (q * lam) @ q.T
+        return np.zeros((m, m))
+
+    for seed in range(100):
+        rng = np.random.default_rng(40_000 + seed)
+        m = int(rng.integers(1, 9))
+        lead = ((int(rng.integers(1, 6)),), (2, 3))[seed % 2]
+        stack = np.array([draw(rng, m, int(rng.integers(0, 3)))
+                          for _ in range(int(np.prod(lead)))])
+        stack = stack.reshape(lead + (m, m))
+        for M in (SymMat.from_symmetric(stack), stack):
+            spec = eigh(M)
+            assert spec.values.shape == lead + (m,)
+            assert spec.vectors.shape == lead + (m, m)
+            assert not spec.values.flags.writeable
+            assert not spec.vectors.flags.writeable
+            for idx in np.ndindex(*lead):
+                one = eigh(SymMat.from_symmetric(stack[idx]))
+                assert spec.values[idx].tobytes() == one.values.tobytes()
+                assert spec.vectors[idx].tobytes() == one.vectors.tobytes()
+                assert spec.vectors[idx].strides == one.vectors.strides
+    zero = eigh(SymMat.from_symmetric(np.zeros((3, 4, 4))))
+    for idx in range(3):
+        assert np.array_equal(zero.vectors[idx], np.eye(4))
+    spec = eigh(SymMat.from_symmetric(stack))
+    assert np.allclose(spec.reconstruct(), stack, atol=1e-12)
+
+
+def test_eigh_stack_failure_anywhere_is_numerical_failure():
+    # a NaN matrix makes LAPACK itself fail, wherever it sits in a stack
+    bad = np.full((3, 3), np.nan)
+    for pos in range(3):
+        stack = [np.eye(3)] * 3
+        stack[pos] = bad
+        with pytest.raises(NumericalFailure) as info:
+            eigh(np.array(stack))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    # a SymMat stack is checked for finiteness when it is built
+    with pytest.raises(ValueError):
+        SymMat.from_symmetric(np.array([np.eye(3), bad]))
 
 
 def test_eigh_lapack_failure_is_numerical_failure(monkeypatch):
