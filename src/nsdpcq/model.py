@@ -23,7 +23,9 @@ power table x^0 .. x^d that the caller passes in.  An `NsdpProblem`
 compiles f, G and h into three of them when it is built.
 `NsdpProblem.at` builds the one power table of a point, or of a stack of
 points, that all three share, and returns an `Evaluation` holding it;
-the problem's seven evaluation methods are thin calls on that.
+the problem's seven evaluation methods are thin calls on that, and
+`Evaluation.lagrangian_hessian` reads the second derivatives of f, G
+and h off the same table.
 `NsdpProblem.constraint_stack` exposes G's stack read-only as (T, m, m)
 matrices A_t, whose congruences give the exact coefficients of a
 compressed constraint, and `NsdpProblem.constraint_exponents` the
@@ -294,7 +296,10 @@ class Compiled:
     to length (d + 1) * n, which gives the monomial values mons; every
     (monomial, variable) pair with a positive exponent is one entry of
     the derivative stack D (n, T), so the value is mons @ C, the partials
-    are D @ C and the adjoint against M is D @ (C @ M).  The value also
+    are D @ C and the adjoint against M is D @ (C @ M).  Applying the
+    same construction to D's reduced exponents indexes the second
+    derivatives, and the Hessian of <value, M> is one weighted bincount
+    of their monomials against C @ M.  The value also
     takes a stack of tables (..., (d + 1) * n) and multiplies each
     point's mons by C on its own, the product a single point gets.
     exponents holds the monomials' exponent rows, shape (T, n).
@@ -305,7 +310,7 @@ class Compiled:
     """
 
     __slots__ = ("n", "shape", "C", "exponents", "degree", "_idx", "_didx",
-                 "_dmult", "_dpos")
+                 "_dmult", "_dpos", "_hidx", "_hmult", "_hpos", "_hmon")
 
     def __init__(self, n: int, shape: Tuple[int, ...],
                  entries: Iterable[Tuple[Sequence[int], Poly]]):
@@ -338,6 +343,16 @@ class Compiled:
         self._didx = Ered * n + cols
         self._dmult = E[t_of, l_of].astype(float)
         self._dpos = l_of * T + t_of
+        # d2 mon_t / dx_l dx_k: the same step on row j of Ered, whose
+        # monomial is t_of[j] and first variable l_of[j]; _hpos indexes
+        # the flattened (n, n) Hessian
+        j_of, k_of = np.nonzero(Ered)
+        Ered2 = Ered[j_of]
+        Ered2[np.arange(j_of.size), k_of] -= 1
+        self._hidx = Ered2 * n + cols
+        self._hmult = self._dmult[j_of] * Ered[j_of, k_of]
+        self._hpos = l_of[j_of] * n + k_of
+        self._hmon = t_of[j_of]
 
     @classmethod
     def matrix(cls, G: MatrixPoly) -> "Compiled":
@@ -364,6 +379,16 @@ class Compiled:
     def adjoint(self, powers: np.ndarray, M: np.ndarray) -> np.ndarray:
         """D @ (C @ M): the gradient of x -> <value(x), M>."""
         return self._derivatives(powers) @ (self.C @ M.ravel())
+
+    def hessian(self, powers: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """The Hessian of x -> <value(x), M>, shape (n, n)."""
+        n = self.n
+        if not self._hpos.size:     # numpy counts an empty input as int
+            return np.zeros((n, n))
+        w = (self.C @ np.ravel(M))[self._hmon]
+        terms = self._hmult * self._monomials(powers, self._hidx) * w
+        return np.bincount(self._hpos, weights=terms,
+                           minlength=n * n).reshape(n, n)
 
     def _derivatives(self, powers: np.ndarray) -> np.ndarray:
         D = np.zeros((self.n, self.C.shape[0]))
@@ -577,6 +602,15 @@ class Evaluation:
     def equality_gradients(self) -> np.ndarray:
         """Rows are the gradients of the h_i, shape (k, n)."""
         return self.problem._h.jacobian(self.powers).T
+
+    def lagrangian_hessian(self, Y, w) -> np.ndarray:
+        """Hessian of f - <G, Y> + <h, w> in x, Y and w held fixed,
+        shape (n, n)."""
+        P = self.problem
+        Y = Y.a if isinstance(Y, SymMat) else Y
+        return (P._f.hessian(self.powers, np.ones(1))
+                - P._G.hessian(self.powers, Y)
+                + P._h.hessian(self.powers, w))
 
 
 def parse_problem_text(text: str) -> NsdpProblem:

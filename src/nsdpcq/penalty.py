@@ -28,14 +28,18 @@ probe left open.
 Each level is solved to a gradient tolerance that grows with rho up to a
 cap, but never below the gradient's own rounding error at the level's
 warm start, eps * rho * max|lambda(G)| * ||DG||_F: at rho >= 1e11 that
-error exceeds the cap, and a level asked for less cannot converge.  The
-line search takes a few trials per iteration at every rho: each level
-starts from a steepest-descent step scaled by 1 / (1 + rho ||DG||_F^2),
-the penalty's curvature scale, and a rejected trial interpolates rather
-than halves.  Multiplier growth counts as divergence only above the
-rounding floor rho * eps * max|lambda(G)| * sqrt(m) of ||Y||_F, and
-above tol / ||DG||_F, the smallest Y whose adjoint the last level's
-gradient tolerance tol resolves.
+error exceeds the cap, and a level asked for less cannot converge.  A
+level is solved by semismooth Newton on phi, which is SC^1: its
+generalized Hessian comes from the second derivatives of f, G and h at
+the point and the generalized Jacobian of the PSD projection, read off
+the eigendecomposition of G the value already holds.  Each step starts
+at t = 1, and a rejected trial interpolates rather than halves; a
+step that fails falls back once to steepest descent scaled by
+1 / (1 + rho ||DG||_F^2), the penalty's curvature scale.  Multiplier
+growth counts as divergence only above the rounding floor
+rho * eps * max|lambda(G)| * sqrt(m) of ||Y||_F, and above
+tol / ||DG||_F, the smallest Y whose adjoint the last level's gradient
+tolerance tol resolves.
 
 Each point is evaluated once: the value and the gradient at a point
 read f, G, h and their derivatives off one power table
@@ -74,7 +78,6 @@ from .symmat import (
 )
 
 ARMIJO_C = 1e-4
-LBFGS_MEMORY = 10
 INNER_TOL_CAP = 1e-5         # upper cap of the per-level tolerance schedule
 # relative float resolution of the penalty value, applied to the sizes of
 # its terms (see _penalty_parts), not to the value itself
@@ -305,22 +308,6 @@ def multiplier_estimate(P: NsdpProblem, rho: float, x) -> SymMat:
     return Y
 
 
-def _two_loop(g: np.ndarray, mem: List[Tuple[np.ndarray, np.ndarray, float]]):
-    q = g.copy()
-    alphas = []
-    for s, y, r in reversed(mem):
-        a = r * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    s_last, y_last, _ = mem[-1]
-    gamma = float(s_last @ y_last) / float(y_last @ y_last)
-    r_vec = gamma * q
-    for (s, y, r), a in zip(mem, reversed(alphas)):
-        b = r * float(y @ r_vec)
-        r_vec += (a - b) * s
-    return -r_vec
-
-
 def inner_tolerance(cfg: PenaltyConfig, rho: float) -> float:
     """Gradient threshold at level rho: scales with rho, capped above."""
     return min(cfg.inner_tol * (1.0 + rho), INNER_TOL_CAP)
@@ -335,35 +322,123 @@ def inner_stop(converged: bool, iterations: int, cfg: PenaltyConfig) -> str:
     return "budget" if iterations >= cfg.inner_max_iters else "stalled"
 
 
+def _penalty_hessian(rho: float, pieces, Y: SymMat) -> np.ndarray:
+    """Generalized Hessian of phi at the point of pieces, Y its multiplier.
+
+    It is Hess f + I - Hess <G, Y> + rho (Dh^T Dh + sum_k h_k Hess h_k)
+    + rho DG* dPi DG, where dPi is the generalized Jacobian of the PSD
+    projection at -G = Q diag(mu) Q^T, dPi(H) = Q (Omega o Q^T H Q) Q^T
+    with Omega_ij = (mu_i^+ - mu_j^+) / (mu_i - mu_j) (Sun & Sun 2002):
+    1 at an exact tie of positive eigenvalues, 0 at one of non-positive
+    ones.  With B_l = Q^T D_l G Q the projection term is
+    rho B (Omega o B)^T over the flattened B_l.
+    """
+    _, hvals, spec, ev = pieces
+    H = ev.lagrangian_hessian(Y, rho * hvals)
+    H[np.diag_indices_from(H)] += 1.0
+    if spec.values[-1] < 0.0:
+        Q = spec.vectors
+        B = (Q.T @ ev.constraint_partials() @ Q).reshape(H.shape[0], -1)
+        H += rho * (B * _projection_weights(-spec.values).ravel()) @ B.T
+    if hvals.shape[0]:
+        Dh = ev.equality_gradients()
+        H += rho * (Dh.T @ Dh)
+    return H
+
+
+def _projection_weights(mu: np.ndarray) -> np.ndarray:
+    """Omega of the generalized Jacobian of the PSD projection at
+    Q diag(mu) Q^T (see _penalty_hessian)."""
+    pos = np.maximum(mu, 0.0)
+    den = mu[:, None] - mu[None, :]
+    tie = den == 0.0
+    return np.where(tie, (pos > 0.0)[:, None] * 1.0,
+                    (pos[:, None] - pos[None, :]) / np.where(tie, 1.0, den))
+
+
+def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """-(H + tau I)^-1 grad for the smallest tau of the doubling sequence
+    that makes H + tau I positive definite: Cholesky with added multiple
+    of the identity (Nocedal & Wright, Numerical Optimization, Alg. 3.3,
+    beta = 1e-3).  Zero, which the caller rejects as no descent
+    direction, when 200 doublings do not suffice; a non-finite H gives a
+    non-finite direction, which the caller rejects too."""
+    beta = 1e-3
+    diag = float(np.min(np.diag(H)))
+    tau = 0.0 if diag > 0.0 else beta - diag
+    eye = np.eye(H.shape[0])
+    for _ in range(200):
+        try:
+            L = np.linalg.cholesky(H + tau * eye)
+        except np.linalg.LinAlgError:
+            tau = max(2.0 * tau, beta)
+            continue
+        return -np.linalg.solve(L.T, np.linalg.solve(L, grad))
+    return np.zeros_like(grad)
+
+
+def _line_search(P: NsdpProblem, anchor: np.ndarray, rho: float,
+                 x: np.ndarray, val: float, gnorm: float, noise: float,
+                 d: np.ndarray, gd: float):
+    """Armijo backtracking from t = 1 along d, gd = grad . d < 0.
+
+    A rejected trial moves t to the minimizer of the quadratic through
+    phi(0), phi'(0) and phi(t), kept within [0.1 t, 0.5 t] (Nocedal &
+    Wright 3.5).  Where the requested decrease is below noise, the float
+    resolution of phi, the value test carries no information: such a
+    trial is accepted on strict gradient decrease, and otherwise t is
+    halved.  Returns the accepted point with its value, gradient,
+    multiplier, pieces and noise floor, or None after 60 trials.
+    """
+    t = 1.0
+    for _ in range(60):
+        cand = x + t * d
+        fc, _, _, pieces_c, _ = _penalty_parts(P, anchor, rho, cand,
+                                               need_grad=False)
+        if abs(t * gd) > noise:
+            if fc <= val + ARMIJO_C * t * gd:
+                _, gc, Yc, _, noise_c = _penalty_parts(
+                    P, anchor, rho, cand, need_grad=True, pieces=pieces_c)
+                return cand, fc, gc, Yc, pieces_c, noise_c
+            curv = fc - val - gd * t
+            t = max(0.1 * t, min(0.5 * t, -gd * (t * t) / (2.0 * curv)))
+            continue
+        if fc <= val + noise:
+            _, gc, Yc, _, noise_c = _penalty_parts(
+                P, anchor, rho, cand, need_grad=True, pieces=pieces_c)
+            if _norm(gc) < gnorm:
+                return cand, fc, gc, Yc, pieces_c, noise_c
+        t *= 0.5
+    return None
+
+
 def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
                    x_start) -> InnerResult:
-    """L-BFGS with interpolating Armijo backtracking on the regularized
+    """Semismooth Newton with Armijo backtracking on the regularized
     penalty.
 
-    phi is C^1 but not C^2 (the squared projection has eigenvalue kinks),
-    so quasi-Newton with a descent safeguard is used instead of Newton.
-    A rejected Armijo trial sets the next one at the minimizer of the
-    quadratic through phi(0), phi'(0) and phi(t), kept within
-    [0.1 t, 0.5 t] (Nocedal & Wright, Numerical Optimization, 3.5).
-    Until the level stores its first curvature pair the step is
+    phi is SC^1: its gradient is semismooth, and the projection onto the
+    PSD cone has an explicit generalized Jacobian, so each iteration
+    steps along the Newton direction of the generalized Hessian
+    (_penalty_hessian), made positive definite by a diagonal shift,
+    from t = 1 (Qi & Sun 2006 use the same Jacobian in their Newton
+    method for the nearest correlation matrix).  When the line search
+    finds no step along it, the iteration retries once along
     -grad / (1 + rho ||DG||_F^2), with ||DG||_F taken at the warm start:
     rho ||DG||_F^2 bounds the Gauss-Newton curvature of the penalty
-    term, so a unit step along -grad can overshoot by that factor, which
-    halving would take log2(rho) trials to undo.  After a failed search
-    has dropped the memory, the retry steps along plain -grad.
+    term, so that step does not overshoot by that factor.
     At very stiff levels the Armijo decrease drops below the float
     resolution of phi; such steps are accepted on strict gradient
-    decrease, since the value comparison is pure rounding noise there,
-    and that branch halves t.  The resolution is the noise floor of the
-    accepted point, computed once per iteration.
+    decrease (see _line_search).  The resolution is the noise floor of
+    the accepted point.
     The gradient threshold is inner_tolerance(cfg, rho), raised to the
     gradient's own float resolution at the warm start
     (gradient_noise_floor, once per level): at rho >= 1e11 the rounding
     error of rho * proj(-G) alone exceeds the capped schedule, and a
     level asked for less than that can only spend its budget.
     Returns the best point, with its gradient, multiplier and spectrum,
-    flagged not-converged when the iteration budget runs out or the line
-    search finds no step; iterations tells the two apart.
+    flagged not-converged when the iteration budget runs out or neither
+    direction gives a step; iterations tells the two apart.
     """
     anchor = cfg.anchor
     x = np.asarray(x_start, dtype=float).copy()
@@ -373,63 +448,21 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     tol = max(inner_tolerance(cfg, rho),
               _gradient_floor(rho, pieces[2], dg_norm))
     gamma = 1.0 / (1.0 + rho * dg_norm * dg_norm)
-    mem: List[Tuple[np.ndarray, np.ndarray, float]] = []
     for it in range(cfg.inner_max_iters):
         gnorm = _norm(grad)
         if gnorm <= tol:
             return InnerResult(x, gnorm, True, it, grad, Y, pieces[2])
-        d = _two_loop(grad, mem) if mem else -gamma * grad
+        d = _newton_direction(_penalty_hessian(rho, pieces, Y), grad)
         gd = float(grad @ d)
-        if gd > -1e-14 * max(1.0, gnorm) * _norm(d):
-            d = -grad
-            gd = -gnorm * gnorm
-        t = 1.0
-        xn = None
-        grad_n = None
-        for _ in range(60):
-            cand = x + t * d
-            fc, _, _, pieces_c, _ = _penalty_parts(P, anchor, rho, cand,
-                                                   need_grad=False)
-            if abs(t * gd) > noise:
-                if fc <= val + ARMIJO_C * t * gd:
-                    xn, pieces_n = cand, pieces_c
-                    break
-                curv = fc - val - gd * t
-                t = max(0.1 * t, min(0.5 * t, -gd * (t * t) / (2.0 * curv)))
-                continue
-            if fc <= val + noise:
-                # the requested Armijo decrease is below the float
-                # resolution of phi (stiff levels push it under eps times
-                # the value), so the value test carries no information;
-                # accept on strict gradient decrease instead
-                _, gc, Yc, _, noise_c = _penalty_parts(
-                    P, anchor, rho, cand, need_grad=True, pieces=pieces_c)
-                if _norm(gc) < gnorm:
-                    xn, pieces_n = cand, pieces_c
-                    grad_n, Y_n, noise_n = gc, Yc, noise_c
-                    break
-            t *= 0.5
-        if xn is None:
-            if mem:
-                # a stale inverse-Hessian estimate can leave no acceptable
-                # step; drop it and retry the iteration from steepest
-                # descent before giving up
-                mem.clear()
-                gamma = 1.0
-                continue
+        step = None
+        if gd < -1e-14 * max(1.0, gnorm) * _norm(d):
+            step = _line_search(P, anchor, rho, x, val, gnorm, noise, d, gd)
+        if step is None:
+            step = _line_search(P, anchor, rho, x, val, gnorm, noise,
+                                -gamma * grad, -gamma * gnorm * gnorm)
+        if step is None:
             return InnerResult(x, gnorm, False, it, grad, Y, pieces[2])
-        if grad_n is None:
-            _, grad_n, Y_n, _, noise_n = _penalty_parts(
-                P, anchor, rho, xn, need_grad=True, pieces=pieces_n)
-        s = xn - x
-        yv = grad_n - grad
-        sy = float(s @ yv)
-        if sy > 1e-12 * _norm(s) * _norm(yv):
-            mem.append((s, yv, 1.0 / sy))
-            if len(mem) > LBFGS_MEMORY:
-                mem.pop(0)
-        x, val, grad, Y, pieces, noise = (xn, fc, grad_n, Y_n, pieces_n,
-                                          noise_n)
+        x, val, grad, Y, pieces, noise = step
     gnorm = _norm(grad)
     return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters, grad, Y,
                        pieces[2])

@@ -241,6 +241,48 @@ def test_compiled_gradients_match_finite_differences():
                     (P.name, value, l)
 
 
+def reference_hessian(P, x, Y, w):
+    """Hessian of f - <G, Y> + <h, w> term by term from Poly.grad."""
+    H = np.zeros((P.n, P.n))
+
+    def add(p, c):
+        for l, q in enumerate(p.grad()):
+            for k, r in enumerate(q.grad()):
+                H[l, k] += c * r.eval(x)
+    add(P.objective, 1.0)
+    for (i, j), p in P.constraint.entries.items():
+        add(p, -Y[i, j] if i == j else -2.0 * Y[i, j])
+    for h, c in zip(P.equalities, w):
+        add(h, c)
+    return H
+
+
+def test_lagrangian_hessian_matches_reference_and_differences():
+    rng = np.random.default_rng(19)
+    h = 1e-6
+    for P, x in evaluation_cases():
+        Y = rng.standard_normal((P.m, P.m))
+        Y = Y + Y.T
+        w = rng.standard_normal(len(P.equalities))
+        H = P.at(x).lagrangian_hessian(Y, w)
+        assert H.shape == (P.n, P.n) and H.dtype == float
+        assert np.array_equal(H, H.T), P.name
+        want = reference_hessian(P, x, Y, w)
+        assert np.allclose(H, want, rtol=1e-12, atol=1e-10), P.name
+
+        def grad(z):
+            ev = P.at(z)
+            return (ev.objective_gradient() - ev.adjoint(Y)
+                    + ev.equality_gradients().T @ w)
+        for l in range(P.n):
+            xp, xm = x.copy(), x.copy()
+            xp[l] += h
+            xm[l] -= h
+            fd = (grad(xp) - grad(xm)) / (2.0 * h)
+            assert np.all(np.abs(H[:, l] - fd) <= 1e-5 * (1.0 + np.abs(fd))), \
+                (P.name, l)
+
+
 def test_stacked_constraint_value_slices_equal_single_points():
     # one power table for a stack of points gives each point's G exactly
     # as a single-point evaluation does, including zero coordinates and

@@ -38,6 +38,7 @@ from test_cqcheck import (
 from nsdpcq.cqcheck import (
     LI_TOL,
     CqStatus,
+    check_robinson,
     feasibility_data,
     li_test,
 )
@@ -191,6 +192,63 @@ DRAW53_PROBLEM = """{"name": "draw053", "n": 5, "m": 3,
   {"i": 2, "j": 2, "poly": [{"c": 0.2465471712080484, "e": [0, 0, 0, 0, 0]},
                             {"c": 1.1841470672070513,
                              "e": [0, 0, 1, 0, 0]}]}]}"""
+
+
+# draw 227: the earlier L-BFGS inner solve stalled in its noise-floor
+# branch at rho = 1e10, 1e11 and 1e12; every Newton level converges
+DRAW227_PROBLEM = """{"name": "draw227", "n": 5, "m": 4,
+ "objective": [{"c": 1.0, "e": [1, 0, 0, 0, 0]}],
+ "constraint": [
+  {"i": 0, "j": 0, "poly": [{"c": 0.022370138662987094,
+                             "e": [0, 0, 0, 0, 1]}]},
+  {"i": 0, "j": 1, "poly": [{"c": -0.4259951083270174, "e": [0, 0, 1, 0, 0]},
+                            {"c": 0.17082569286254065, "e": [0, 2, 0, 0, 0]}]},
+  {"i": 0, "j": 2, "poly": [{"c": -0.22629844016398706,
+                             "e": [0, 0, 0, 1, 1]}]},
+  {"i": 0, "j": 3, "poly": [{"c": -0.6571166345471079, "e": [0, 0, 0, 0, 1]},
+                            {"c": -0.2643398816020574, "e": [0, 0, 1, 0, 0]}]},
+  {"i": 1, "j": 1, "poly": [{"c": -0.3961596271779092, "e": [0, 0, 0, 1, 0]},
+                            {"c": 0.1881737143854595, "e": [0, 0, 1, 0, 0]}]},
+  {"i": 1, "j": 2, "poly": [{"c": 0.8280671966298345, "e": [0, 0, 1, 0, 0]},
+                            {"c": 1.273039043910517, "e": [1, 0, 0, 0, 0]}]},
+  {"i": 1, "j": 3, "poly": [{"c": 0.16454803498473844, "e": [0, 0, 0, 1, 0]}]},
+  {"i": 2, "j": 2, "poly": [{"c": 2.2893472407534277, "e": [0, 0, 1, 0, 0]}]},
+  {"i": 2, "j": 3, "poly": [{"c": 0.5662226204438456, "e": [0, 0, 0, 0, 1]},
+                            {"c": 0.8083629815041277, "e": [0, 1, 0, 0, 0]}]},
+  {"i": 3, "j": 3, "poly": [{"c": -0.5874669686808439,
+                             "e": [0, 0, 0, 1, 0]}]}]}"""
+
+# draw 237: Robinson holds, certified, so the penalty multipliers stay
+# bounded; the earlier L-BFGS inner solve's last level moved ||Y|| from
+# 1.5 to 3.8 and flagged divergence
+DRAW237_PROBLEM = """{"name": "draw237", "n": 4, "m": 4,
+ "objective": [{"c": 1.0, "e": [1, 0, 0, 0]}],
+ "constraint": [
+  {"i": 0, "j": 0, "poly": [{"c": 0.7009600667833714, "e": [0, 0, 0, 0]},
+                            {"c": 1.1345533644437216, "e": [0, 0, 1, 1]},
+                            {"c": 0.018541047808133614, "e": [0, 1, 0, 0]}]},
+  {"i": 0, "j": 1, "poly": [{"c": 0.8325724731768432, "e": [0, 0, 0, 0]},
+                            {"c": -0.7060277881099468, "e": [0, 1, 0, 0]},
+                            {"c": 1.349915874434614, "e": [1, 0, 0, 0]}]},
+  {"i": 0, "j": 2, "poly": [{"c": 0.06253714707988799, "e": [0, 0, 0, 0]},
+                            {"c": -1.5694344418032673, "e": [1, 0, 0, 0]}]},
+  {"i": 0, "j": 3, "poly": [{"c": -0.25474987265845644, "e": [0, 0, 0, 0]},
+                            {"c": 0.9934736893940372, "e": [1, 0, 1, 0]}]},
+  {"i": 1, "j": 1, "poly": [{"c": 0.9888964520799567, "e": [0, 0, 0, 0]},
+                            {"c": 0.17017367083491763, "e": [0, 0, 0, 1]},
+                            {"c": 0.3651443576607661, "e": [0, 0, 1, 0]}]},
+  {"i": 1, "j": 2, "poly": [{"c": 0.07427913468545323, "e": [0, 0, 0, 0]},
+                            {"c": -1.2584943460208136, "e": [0, 0, 1, 0]},
+                            {"c": -0.8142197326432581, "e": [0, 1, 0, 1]}]},
+  {"i": 1, "j": 3, "poly": [{"c": -0.30258176117511243, "e": [0, 0, 0, 0]},
+                            {"c": -2.051600774483963, "e": [0, 0, 1, 0]}]},
+  {"i": 2, "j": 2, "poly": [{"c": 0.005579340322250036, "e": [0, 0, 0, 0]},
+                            {"c": 0.2426525002488894, "e": [0, 0, 1, 0]}]},
+  {"i": 2, "j": 3, "poly": [{"c": -0.022727871400908393, "e": [0, 0, 0, 0]},
+                            {"c": 1.168403599314848, "e": [0, 0, 1, 0]},
+                            {"c": 0.6294706965704844, "e": [1, 0, 0, 0]}]},
+  {"i": 3, "j": 3, "poly": [{"c": 0.09258373007938561, "e": [0, 0, 0, 0]},
+                            {"c": 0.7298106216841612, "e": [1, 0, 0, 0]}]}]}"""
 
 
 def line_problem():
@@ -426,6 +484,72 @@ class TestOnePassPerPoint:
         assert calls == [(penalty.PATH_STEPS, 3, 3)]
 
 
+def simple_spectrum_points(rng, P, x_bar, count):
+    """Points near x_bar where G has simple eigenvalues, none near 0, and
+    at least one negative, so the projection is differentiable there."""
+    found = 0
+    for _ in range(50 * count):
+        x = x_bar + 0.5 * rng.standard_normal(P.n)
+        lam = eigh(P.constraint_value(x)).values
+        if (lam[-1] < -1e-2 and np.min(np.abs(lam)) > 1e-2
+                and np.min(-np.diff(lam), initial=1.0) > 1e-2):
+            yield x
+            found += 1
+            if found == count:
+                return
+
+
+class TestNewtonDerivatives:
+    """The generalized derivatives the Newton solve uses, against
+    central differences at points where they are classical."""
+
+    def test_multiplier_directional_derivative(self):
+        # Y(x) = rho * proj(-G(x)); with -G = Q diag(mu) Q^T,
+        # DY[d] = rho * Q (Omega o Q^T (-DG[d]) Q) Q^T
+        rng = np.random.default_rng(41)
+        h = 1e-6
+        checked = 0
+        for P, x_bar in oracle_problems():
+            for x in simple_spectrum_points(rng, P, x_bar, 3):
+                rho = float(rng.choice([1.0, 30.0]))
+                d = rng.standard_normal(P.n)
+                spec = eigh(P.constraint_value(x))
+                Q = spec.vectors
+                DGd = np.tensordot(d, P.constraint_partials(x), 1)
+                omega = penalty._projection_weights(-spec.values)
+                got = rho * Q @ (omega * (Q.T @ -DGd @ Q)) @ Q.T
+                fd = (penalty.multiplier_estimate(P, rho, x + h * d).a
+                      - penalty.multiplier_estimate(P, rho, x - h * d).a
+                      ) / (2.0 * h)
+                assert np.max(np.abs(got - fd)) <= 1e-5 * (
+                    1.0 + np.max(np.abs(fd))), P.name
+                checked += 1
+        assert checked >= 20
+
+    def test_penalty_hessian_matches_gradient_differences(self):
+        rng = np.random.default_rng(43)
+        h = 1e-6
+        checked = 0
+        for P, x_bar in oracle_problems():
+            for x in simple_spectrum_points(rng, P, x_bar, 2):
+                rho = float(rng.choice([1.0, 100.0]))
+                anchor = x_bar + 0.1 * rng.standard_normal(P.n)
+                _, _, Y, pieces, _ = penalty._penalty_parts(
+                    P, anchor, rho, x, need_grad=True)
+                H = penalty._penalty_hessian(rho, pieces, Y)
+                fd = np.empty((P.n, P.n))
+                for l in range(P.n):
+                    e = np.zeros(P.n)
+                    e[l] = h
+                    fd[:, l] = (penalty_gradient(P, anchor, rho, x + e)
+                                - penalty_gradient(P, anchor, rho, x - e)
+                                ) / (2.0 * h)
+                assert np.max(np.abs(H - fd)) <= 1e-5 * (
+                    1.0 + np.max(np.abs(fd))), P.name
+                checked += 1
+        assert checked >= 15
+
+
 class TestRunPenalty:
     def test_diag3_closed_form(self):
         P = diag3_problem()
@@ -480,9 +604,35 @@ class TestRunPenalty:
         assert all(rec.inner_converged for rec in trace.iterates)
         assert trace.notes == []
 
+    def test_ladder_solve_takes_few_newton_iterations(self):
+        # 13 levels, rho 1 .. 1e12; the earlier L-BFGS solve took 411
+        P = NsdpProblem.from_json(LADDER_PROBLEM)
+        trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                             outer_iters=13))
+        assert all(rec.inner_converged for rec in trace.iterates)
+        assert sum(rec.inner_iterations for rec in trace.iterates) <= 150
+
+    def test_stiff_levels_converge_on_draw227(self):
+        P = NsdpProblem.from_json(json.loads(DRAW227_PROBLEM))
+        trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                             outer_iters=13))
+        assert [rec.inner_converged for rec in trace.iterates] == [True] * 13
+        assert trace.notes == []
+
+    def test_certified_robinson_not_flagged_on_draw237(self):
+        P = NsdpProblem.from_json(json.loads(DRAW237_PROBLEM))
+        x = np.zeros(P.n)
+        assert check_robinson(feasibility_data(P, x)).status \
+            is CqStatus.HOLDS_CERTIFIED
+        trace = run_penalty(P, PenaltyConfig(anchor=x, outer_iters=13))
+        assert all(rec.inner_converged for rec in trace.iterates)
+        assert not trace.divergence_suspected
+        assert trace.notes == []
+
     def test_unconverged_levels_say_how_they_stopped(self):
-        P = diag3_problem()
-        budget = run_penalty(P, PenaltyConfig(anchor=np.zeros(3), rho0=10.0,
+        # one Newton step solves a diag3 level; on facial it does not
+        P = facial_problem()
+        budget = run_penalty(P, PenaltyConfig(anchor=np.zeros(2), rho0=10.0,
                                               outer_iters=2,
                                               inner_max_iters=1))
         assert [rec.inner_iterations for rec in budget.iterates] == [1, 1]
