@@ -25,7 +25,11 @@ compiles f, G and h into three of them when it is built.
 points, that all three share, and returns an `Evaluation` holding it;
 the problem's seven evaluation methods are thin calls on that, and
 `Evaluation.lagrangian_hessian` reads the second derivatives of f, G
-and h off the same table.
+and h off the same table.  An `Evaluation` keeps, read-only, each
+first-derivative array it builds (G's derivative stack, which its
+adjoints and partials share, the partials, grad f and Dh), so a caller
+that holds one evaluation per point, as the penalty solve does, builds
+each of them once.
 `NsdpProblem.constraint_stack` exposes G's stack read-only as (T, m, m)
 matrices A_t, whose congruences give the exact coefficients of a
 compressed constraint, and `NsdpProblem.constraint_exponents` the
@@ -296,7 +300,9 @@ class Compiled:
     to length (d + 1) * n, which gives the monomial values mons; every
     (monomial, variable) pair with a positive exponent is one entry of
     the derivative stack D (n, T), so the value is mons @ C, the partials
-    are D @ C and the adjoint against M is D @ (C @ M).  Applying the
+    are D @ C and the adjoint against M is D @ (C @ M); derivatives
+    builds D, and jacobian and adjoint take it built, so a point's
+    partials and its adjoints can share one.  Applying the
     same construction to D's reduced exponents indexes the second
     derivatives, and the Hessian of <value, M> is one weighted bincount
     of their monomials against C @ M.  The value also
@@ -372,13 +378,14 @@ class Compiled:
         mons = self._monomials(powers, self._idx)
         return (mons[..., None, :] @ self.C).reshape(shape)
 
-    def jacobian(self, powers: np.ndarray) -> np.ndarray:
-        """D @ C, shape (n, prod(shape))."""
-        return self._derivatives(powers) @ self.C
+    def jacobian(self, D: np.ndarray) -> np.ndarray:
+        """D @ C, shape (n, prod(shape)), for D = derivatives(powers)."""
+        return D @ self.C
 
-    def adjoint(self, powers: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """D @ (C @ M): the gradient of x -> <value(x), M>."""
-        return self._derivatives(powers) @ (self.C @ M.ravel())
+    def adjoint(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """D @ (C @ M), for D = derivatives(powers): the gradient of
+        x -> <value(x), M>."""
+        return D @ (self.C @ M.ravel())
 
     def hessian(self, powers: np.ndarray, M: np.ndarray) -> np.ndarray:
         """The Hessian of x -> <value(x), M>, shape (n, n)."""
@@ -390,7 +397,8 @@ class Compiled:
         return np.bincount(self._hpos, weights=terms,
                            minlength=n * n).reshape(n, n)
 
-    def _derivatives(self, powers: np.ndarray) -> np.ndarray:
+    def derivatives(self, powers: np.ndarray) -> np.ndarray:
+        """The derivative stack D at one point, shape (n, T)."""
         D = np.zeros((self.n, self.C.shape[0]))
         D.flat[self._dpos] = self._dmult * self._monomials(powers, self._didx)
         return D
@@ -565,10 +573,12 @@ class Evaluation:
     coordinate needs no special case.  For a stack of points x (..., n)
     the table is (..., (d + 1) * n), and constraint_value is a SymMat
     stack (..., m, m) whose slices are exactly the single-point values;
-    the other methods take one point.
+    the other methods take one point.  G's derivative stack, the
+    partials, grad f and Dh are built on first use, kept and returned
+    read-only.
     """
 
-    __slots__ = ("problem", "powers")
+    __slots__ = ("problem", "powers", "_memo")
 
     def __init__(self, problem: NsdpProblem, x):
         x = np.asarray(x, dtype=float)
@@ -576,6 +586,19 @@ class Evaluation:
         table = np.power(x[..., None, :], problem._exps)
         self.powers = table.reshape(
             table.shape[:-2] + (table.shape[-2] * table.shape[-1],))
+        self._memo: Dict[str, np.ndarray] = {}
+
+    def _kept(self, key: str, build) -> np.ndarray:
+        """build(), read-only, built on the first call for key."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = build()
+            out.setflags(write=False)
+        return out
+
+    def _constraint_derivatives(self) -> np.ndarray:
+        return self._kept("DG", lambda: self.problem._G.derivatives(
+            self.powers))
 
     def constraint_value(self) -> SymMat:
         return SymMat.from_symmetric(self.problem._G.value(self.powers))
@@ -583,25 +606,30 @@ class Evaluation:
     def constraint_partials(self) -> np.ndarray:
         """Stacked partial derivative matrices, shape (n, m, m)."""
         P = self.problem
-        return P._G.jacobian(self.powers).reshape(P.n, P.m, P.m)
+        return self._kept("partials", lambda: P._G.jacobian(
+            self._constraint_derivatives()).reshape(P.n, P.m, P.m))
 
     def adjoint(self, M) -> np.ndarray:
         """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>)."""
         M = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
-        return self.problem._G.adjoint(self.powers, M)
+        return self.problem._G.adjoint(self._constraint_derivatives(), M)
 
     def objective_value(self) -> float:
         return float(self.problem._f.value(self.powers))
 
     def objective_gradient(self) -> np.ndarray:
-        return self.problem._f.jacobian(self.powers).ravel()
+        f = self.problem._f
+        return self._kept("df", lambda: f.jacobian(
+            f.derivatives(self.powers)).ravel())
 
     def equality_values(self) -> np.ndarray:
         return self.problem._h.value(self.powers)
 
     def equality_gradients(self) -> np.ndarray:
         """Rows are the gradients of the h_i, shape (k, n)."""
-        return self.problem._h.jacobian(self.powers).T
+        h = self.problem._h
+        return self._kept("dh", lambda: h.jacobian(
+            h.derivatives(self.powers)).T)
 
     def lagrangian_hessian(self, Y, w) -> np.ndarray:
         """Hessian of f - <G, Y> + <h, w> in x, Y and w held fixed,

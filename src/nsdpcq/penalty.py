@@ -44,14 +44,20 @@ tolerance tol resolves.
 Each point is evaluated once: the value and the gradient at a point
 read f, G, h and their derivatives off one power table
 (NsdpProblem.at), and a path trace evaluates G at all its points from
-one stacked table and decomposes them with one stacked eigh.
+one stacked table and decomposes them with one stacked eigh.  A point's
+pieces (f, h, eigh(G) and its Evaluation, which keeps the derivative
+stacks, none of it depending on rho) go from the line-search trial that
+accepted it through its gradient and Hessian to the next level, which
+recomputes only the rho-dependent value, gradient, multiplier and noise
+floor there.  The first level starts from the feasibility gate's eigh,
+and the divergence test reads ||DG||_F off the last level's evaluation.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +73,7 @@ from .cqcheck import (
     pli_test,
 )
 from .errors import NumericalFailure
-from .model import NsdpProblem
+from .model import Evaluation, NsdpProblem
 from .symmat import (
     Spectral,
     SymMat,
@@ -162,10 +168,22 @@ class PenaltyTrace:
                          for rec in self.iterates)
 
 
+class Pieces(NamedTuple):
+    """What the penalty needs at a point x, none of it depending on
+    rho: f(x), h(x), eigh(G(x)) and the model Evaluation at x, whose
+    power table and derivative stacks the gradient and Hessian reuse."""
+
+    f: float
+    h: np.ndarray
+    spec: Spectral
+    ev: Evaluation
+
+
 @dataclass(frozen=True)
 class InnerResult:
     """An inner solve's last point with its gradient, multiplier
-    Y = rho * proj_psd(-G(x)) and eigh(G(x))."""
+    Y = rho * proj_psd(-G(x)) and the point's pieces, from which the
+    next level starts."""
 
     x: np.ndarray
     grad_norm: float
@@ -173,7 +191,7 @@ class InnerResult:
     iterations: int
     grad: np.ndarray
     multiplier: SymMat
-    spec: Spectral
+    pieces: Pieces
 
 
 @dataclass
@@ -204,6 +222,14 @@ class SequenceProbeResult:
 # penalty function and inner solver
 
 
+def _point_pieces(P: NsdpProblem, x: np.ndarray, spec=None) -> Pieces:
+    """The pieces of x; spec, when given, is eigh(G(x))."""
+    ev = P.at(x)
+    if spec is None:
+        spec = eigh(ev.constraint_value())
+    return Pieces(ev.objective_value(), ev.equality_values(), spec, ev)
+
+
 def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
                    x: np.ndarray, need_grad: bool, pieces=None):
     """Value of phi and, when asked, its gradient, the multiplier and
@@ -212,9 +238,10 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
     The value needs three pieces at x: f(x), h(x) and the constraint
     spectrum, the expensive one, all read off one evaluation of the
     model at x, the fourth piece, whose power table the gradient reuses.
-    A caller that already holds them from a value trial at x passes them
-    back in, so an accepted line-search point is not evaluated twice.
-    The pieces used are always returned.
+    None of them depends on rho.  A caller that already holds them, from
+    a value trial at x or from the level that ended at x, passes them
+    back in, so no point is evaluated twice.  The pieces used are always
+    returned.
 
     The noise floor bounds the rounding error of phi near x: VALUE_NOISE
     times the sizes of its terms, which can cancel, plus the eigenvalue
@@ -225,9 +252,7 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
     the Armijo test off.
     """
     if pieces is None:
-        ev = P.at(x)
-        pieces = (ev.objective_value(), ev.equality_values(),
-                  eigh(ev.constraint_value()), ev)
+        pieces = _point_pieces(P, x)
     fx, hvals, spec, ev = pieces
     dx = x - anchor
     neg = np.maximum(-spec.values, 0.0)        # eigenvalues of proj(-G)
@@ -282,7 +307,7 @@ def gradient_noise_floor(P: NsdpProblem, rho: float, x, spec=None) -> float:
     if spec is None:
         spec = eigh(ev.constraint_value())
     return _gradient_floor(rho, spec,
-                           float(np.linalg.norm(ev.constraint_partials())))
+                           _norm(ev.constraint_partials().ravel()))
 
 
 def _gradient_floor(rho: float, spec, dg_norm: float) -> float:
@@ -335,11 +360,14 @@ def _penalty_hessian(rho: float, pieces, Y: SymMat) -> np.ndarray:
     """
     _, hvals, spec, ev = pieces
     H = ev.lagrangian_hessian(Y, rho * hvals)
-    H[np.diag_indices_from(H)] += 1.0
+    n = H.shape[0]
+    H.flat[::n + 1] += 1.0
     if spec.values[-1] < 0.0:
         Q = spec.vectors
-        B = (Q.T @ ev.constraint_partials() @ Q).reshape(H.shape[0], -1)
-        H += rho * (B * _projection_weights(-spec.values).ravel()) @ B.T
+        B = (Q.T @ ev.constraint_partials() @ Q).reshape(n, -1)
+        BW = B * _projection_weights(-spec.values).ravel()
+        BW *= rho
+        H += BW @ B.T
     if hvals.shape[0]:
         Dh = ev.equality_gradients()
         H += rho * (Dh.T @ Dh)
@@ -413,7 +441,7 @@ def _line_search(P: NsdpProblem, anchor: np.ndarray, rho: float,
 
 
 def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
-                   x_start) -> InnerResult:
+                   x_start, pieces=None) -> InnerResult:
     """Semismooth Newton with Armijo backtracking on the regularized
     penalty.
 
@@ -436,22 +464,24 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     (gradient_noise_floor, once per level): at rho >= 1e11 the rounding
     error of rho * proj(-G) alone exceeds the capped schedule, and a
     level asked for less than that can only spend its budget.
-    Returns the best point, with its gradient, multiplier and spectrum,
+    pieces, when given, are the pieces of x_start (InnerResult.pieces of
+    the level before), so the warm start is not evaluated again.
+    Returns the best point, with its gradient, multiplier and pieces,
     flagged not-converged when the iteration budget runs out or neither
     direction gives a step; iterations tells the two apart.
     """
     anchor = cfg.anchor
     x = np.asarray(x_start, dtype=float).copy()
     val, grad, Y, pieces, noise = _penalty_parts(P, anchor, rho, x,
-                                                 need_grad=True)
-    dg_norm = float(np.linalg.norm(pieces[3].constraint_partials()))
+                                                 need_grad=True, pieces=pieces)
+    dg_norm = _norm(pieces.ev.constraint_partials().ravel())
     tol = max(inner_tolerance(cfg, rho),
-              _gradient_floor(rho, pieces[2], dg_norm))
+              _gradient_floor(rho, pieces.spec, dg_norm))
     gamma = 1.0 / (1.0 + rho * dg_norm * dg_norm)
     for it in range(cfg.inner_max_iters):
         gnorm = _norm(grad)
         if gnorm <= tol:
-            return InnerResult(x, gnorm, True, it, grad, Y, pieces[2])
+            return InnerResult(x, gnorm, True, it, grad, Y, pieces)
         d = _newton_direction(_penalty_hessian(rho, pieces, Y), grad)
         gd = float(grad @ d)
         step = None
@@ -461,11 +491,11 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
             step = _line_search(P, anchor, rho, x, val, gnorm, noise,
                                 -gamma * grad, -gamma * gnorm * gnorm)
         if step is None:
-            return InnerResult(x, gnorm, False, it, grad, Y, pieces[2])
+            return InnerResult(x, gnorm, False, it, grad, Y, pieces)
         x, val, grad, Y, pieces, noise = step
     gnorm = _norm(grad)
     return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters, grad, Y,
-                       pieces[2])
+                       pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +512,22 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
     of the last iterate) is flagged
     on the trace; by the boundedness argument under Robinson's
     condition, sustained growth signals that no KKT multiplier exists at
-    the limit.
+    the limit.  No point of the run is evaluated twice (see the module
+    docstring).
     """
-    feasibility_data(P, cfg.anchor)
     x = cfg.anchor.copy()
+    pieces = _point_pieces(P, x, feasibility_data(P, x).spec)
     rho = cfg.rho0
     iterates: List[PenaltyIterate] = []
     notes: List[str] = []
     for k in range(cfg.outer_iters):
-        res = inner_minimize(P, cfg, rho, x)
-        x = res.x
+        res = inner_minimize(P, cfg, rho, x, pieces)
+        x, pieces = res.x, res.pieces
         Y = res.multiplier
         iterates.append(PenaltyIterate(
             k=k, rho=rho, x=x.copy(), multiplier=Y,
-            eigenvalues=res.spec.values.copy(),
-            eigenvectors=res.spec.vectors.copy(),
+            eigenvalues=res.pieces.spec.values.copy(),
+            eigenvectors=res.pieces.spec.vectors.copy(),
             stationarity_residual=res.grad_norm,
             multiplier_norm=float(np.sqrt(frobenius(Y.a, Y.a))),
             inner_converged=res.converged,
@@ -521,7 +552,7 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
         # level's gradient tolerance: the inner solve cannot resolve it
         floor = (last.rho * float(np.finfo(float).eps)
                  * _lam_abs(last.eigenvalues) * np.sqrt(P.m))
-        dg_norm = float(np.linalg.norm(P.constraint_partials(last.x)))
+        dg_norm = _norm(pieces.ev.constraint_partials().ravel())
         if (last.inner_converged and ref.multiplier_norm > 0.0
                 and last.multiplier_norm >= 2.0 * ref.multiplier_norm
                 and last.multiplier_norm > floor
@@ -610,20 +641,19 @@ def default_trace_family(P: NsdpProblem, cfg: PenaltyConfig,
 # weak-condition probes
 
 
-def _usable_records(trace: PenaltyTrace, rank: int,
-                    tol_rank: float) -> List[PenaltyIterate]:
-    """The iterates whose range/kernel split at rank is unambiguous;
-    NumericalFailure when fewer than 3 are left."""
-    out = []
-    for rec in trace.iterates:
-        vals = rec.eigenvalues
-        scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-        if rank > 0 and vals[rank - 1] <= 2.0 * tol_rank * scale:
-            continue
-        out.append(rec)
-    if len(out) < 3:
+def _usable_records(values: np.ndarray, rank: int,
+                    tol_rank: float) -> np.ndarray:
+    """Indices of the iterates, rows of their stacked spectra values,
+    whose range/kernel split at rank is unambiguous; NumericalFailure
+    when fewer than 3 are left."""
+    if rank > 0:
+        scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
+        out = np.flatnonzero(~(values[:, rank - 1] <= 2.0 * tol_rank * scale))
+    else:
+        out = np.arange(values.shape[0])
+    if out.size < 3:
         raise NumericalFailure(
-            f"only {len(out)} usable iterates in the trace tail, need 3")
+            f"only {out.size} usable iterates in the trace tail, need 3")
     return out
 
 
@@ -633,9 +663,9 @@ def _snap_to_kernel(E: np.ndarray, K: np.ndarray) -> Optional[np.ndarray]:
     return out if out.shape[1] == E.shape[1] else None
 
 
-def _persistent_clusters(records: Sequence[PenaltyIterate],
-                         rank: int) -> List[List[int]]:
-    """Kernel eigenvalue clusters that persist along the whole tail.
+def _persistent_clusters(values: np.ndarray, rank: int) -> List[List[int]]:
+    """Kernel eigenvalue clusters that persist along the whole tail, the
+    rows of values being the usable iterates' spectra.
 
     Two consecutive kernel eigenvalues are merged only when they stay
     within the cluster tolerance at every usable iterate.  Eigenvalues
@@ -643,15 +673,10 @@ def _persistent_clusters(records: Sequence[PenaltyIterate],
     so the limit basis has no rotation freedom between them; treating
     them as degenerate would invent freedom the sequence does not have.
     """
-    k = records[0].eigenvalues.shape[0] - rank
-    merged = [True] * max(k - 1, 0)
-    for rec in records:
-        vals = rec.eigenvalues[rank:]
-        tau = TAU_CLUSTER * (1.0 + float(np.max(np.abs(rec.eigenvalues),
-                                                initial=0.0)))
-        for i in range(k - 1):
-            if abs(vals[i] - vals[i + 1]) >= tau:
-                merged[i] = False
+    k = values.shape[1] - rank
+    tau = TAU_CLUSTER * (1.0 + np.max(np.abs(values), axis=1, initial=0.0))
+    gaps = np.abs(values[:, rank:-1] - values[:, rank + 1:])
+    merged = ~np.any(gaps >= tau[:, None], axis=0)
     clusters: List[List[int]] = [[0]] if k else []
     for i in range(1, k):
         if merged[i - 1]:
@@ -711,13 +736,15 @@ def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
             raise ValueError(
                 f"trace {trace.trace_id} converges {dist:.2e} away from the "
                 "queried point")
-        usable = _usable_records(trace, rank, tol_rank)
-        E = _snap_to_kernel(usable[-1].eigenvectors[:, rank:], K)
+        values = np.stack([rec.eigenvalues for rec in trace.iterates])
+        usable = _usable_records(values, rank, tol_rank)
+        E = _snap_to_kernel(
+            trace.iterates[usable[-1]].eigenvectors[:, rank:], K)
         log = []
         if E is None:
             E = K.copy()
             log.append("sequence limit defective, kernel basis substituted")
-        clusters = _persistent_clusters(usable, rank)
+        clusters = _persistent_clusters(values[usable], rank)
         free = any(len(cl) > 1 for cl in clusters)
         cone = None
         if positive:

@@ -7,9 +7,10 @@ block machinery (block detection, per-block subproblems), the multifold
 sparse-nondegeneracy check built on it, the pattern-cardinality
 invariance survey, a best-effort KKT multiplier fit, and the per-point
 references of the penalty layer: the penalty pieces from one public
-model call per piece, and the path trace that evaluates and decomposes
-its points one at a time.  Only tests call them; they recompute what the
-library decides by an independent route.
+model call per piece, the path trace that evaluates and decomposes its
+points one at a time, and the probes' usable-record and persistent-
+cluster scans one record at a time.  Only tests call them; they
+recompute what the library decides by an independent route.
 """
 from typing import Dict, List, Sequence
 
@@ -31,6 +32,7 @@ from nsdpcq.penalty import (
     PATH_DECAY,
     PATH_SCALE,
     PATH_STEPS,
+    TAU_CLUSTER,
     VALUE_NOISE,
     PenaltyIterate,
     PenaltyTrace,
@@ -311,3 +313,39 @@ def path_trace_per_point(P: NsdpProblem, x_bar, direction,
             stationarity_residual=0.0, multiplier_norm=0.0))
     return PenaltyTrace(problem=P.name, iterates=iterates, kind="path",
                         trace_id=trace_id)
+
+
+def usable_records_per_record(trace: PenaltyTrace, rank: int,
+                              tol_rank: float) -> List[int]:
+    """Indices of the iterates whose range/kernel split at rank is
+    unambiguous, one record at a time."""
+    out = []
+    for j, rec in enumerate(trace.iterates):
+        vals = rec.eigenvalues
+        scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+        if rank > 0 and vals[rank - 1] <= 2.0 * tol_rank * scale:
+            continue
+        out.append(j)
+    return out
+
+
+def persistent_clusters_per_record(records: Sequence[PenaltyIterate],
+                                   rank: int) -> List[List[int]]:
+    """Kernel eigenvalue clusters that persist along every record, one
+    record and one neighbouring pair at a time."""
+    k = records[0].eigenvalues.shape[0] - rank
+    merged = [True] * max(k - 1, 0)
+    for rec in records:
+        vals = rec.eigenvalues[rank:]
+        tau = TAU_CLUSTER * (1.0 + float(np.max(np.abs(rec.eigenvalues),
+                                                initial=0.0)))
+        for i in range(k - 1):
+            if abs(vals[i] - vals[i + 1]) >= tau:
+                merged[i] = False
+    clusters: List[List[int]] = [[0]] if k else []
+    for i in range(1, k):
+        if merged[i - 1]:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters

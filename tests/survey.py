@@ -14,13 +14,20 @@ defects included.
 
     python tests/survey.py --write    # regenerate tests/data/survey.json
     python tests/survey.py --check    # print every moved cell, exit 1 on any
+    python tests/survey.py --digest   # print one sha256 of every output
 
-Both print one summary line: instance count, separation notes, lattice
-warnings, unconverged levels, divergence flags and inner iterations.
+The first two print one summary line: instance count, separation notes,
+lattice warnings, unconverged levels, divergence flags and inner
+iterations.  --digest prints only a sha256 over every instance's name,
+the JSONL of its 13-level solve, that solve's notes and its
+timestamp-free analysis report, so two checkouts that print the same
+digest produced bit-identical iterates, multipliers, spectra, verdicts
+and witnesses.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -38,7 +45,11 @@ from inputs import (  # noqa: E402
 )
 from nsdpcq.model import NsdpProblem  # noqa: E402
 from nsdpcq.penalty import PenaltyConfig, run_penalty  # noqa: E402
-from nsdpcq.report import AnalysisOptions, analyze_problem  # noqa: E402
+from nsdpcq.report import (  # noqa: E402
+    AnalysisOptions,
+    analyze_problem,
+    report_json_text,
+)
 
 TABLE = ROOT / "tests" / "data" / "survey.json"
 DRAWS = 300
@@ -61,14 +72,19 @@ def instances():
 
 
 def survey():
-    """The table rows and the total inner iterations of the solves."""
+    """The table rows, the total inner iterations of the solves and the
+    sha256 of every solve and report."""
     rows, iters = {}, 0
+    digest = hashlib.sha256()
     for name, obj, point in instances():
         P = NsdpProblem.from_json(obj)
         rep = analyze_problem(P, point, AnalysisOptions(timestamp=False))
         trace = run_penalty(P, PenaltyConfig(anchor=point,
                                              outer_iters=LEVELS))
         iters += sum(rec.inner_iterations for rec in trace.iterates)
+        for text in (name, trace.to_jsonl(), json.dumps(trace.notes),
+                     report_json_text(rep)):
+            digest.update(text.encode() + b"\0")
         rows[name] = {
             "verdicts": {k: v.status.value
                          for k, v in rep.verdicts.items()},
@@ -77,7 +93,7 @@ def survey():
                             if not rec.inner_converged],
             "divergence": trace.divergence_suspected,
         }
-    return rows, iters
+    return rows, iters, digest.hexdigest()
 
 
 def summary(rows, iters) -> str:
@@ -114,8 +130,12 @@ def main(argv=None) -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true")
     mode.add_argument("--check", action="store_true")
+    mode.add_argument("--digest", action="store_true")
     args = ap.parse_args(argv)
-    rows, iters = survey()
+    rows, iters, digest = survey()
+    if args.digest:
+        print(digest)
+        return 0
     print(summary(rows, iters))
     if args.write:
         TABLE.parent.mkdir(exist_ok=True)

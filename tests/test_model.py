@@ -306,6 +306,31 @@ def test_constraint_stack_is_read_only():
     assert np.array_equal(A[1], [[0.0, 1.0], [1.0, 0.0]])
 
 
+def test_evaluation_keeps_read_only_derivatives():
+    for P, x in evaluation_cases():
+        ev = P.at(x)
+        kept = {"DG": ev.constraint_partials(),
+                "df": ev.objective_gradient(),
+                "dh": ev.equality_gradients()}
+        # built once: a second call returns the same array
+        assert ev.constraint_partials() is kept["DG"]
+        assert ev.objective_gradient() is kept["df"]
+        assert ev.equality_gradients() is kept["dh"]
+        for key, arr in kept.items():
+            assert not arr.flags.writeable, (P.name, key)
+            if arr.size:
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 1.0
+        # bit for bit the arrays of an evaluation that built them alone
+        want = compiled_evaluation(P, x)
+        for key, arr in kept.items():
+            assert arr.tobytes() == want[key].tobytes(), (P.name, key)
+        M = np.arange(P.m * P.m, dtype=float).reshape(P.m, P.m)
+        M = M + M.T
+        alone = P._G.adjoint(P._G.derivatives(ev.powers), M)
+        assert ev.adjoint(M).tobytes() == alone.tobytes(), P.name
+
+
 def test_adjoint_linearity():
     P = hinge_problem()
     rng = np.random.default_rng(5)

@@ -19,6 +19,8 @@ from oracles import (
     entry_gradient,
     path_trace_per_point,
     penalty_parts_reference,
+    persistent_clusters_per_record,
+    usable_records_per_record,
 )
 from test_acceptance import shifted_problem
 from test_cqcheck import (
@@ -249,6 +251,22 @@ DRAW237_PROBLEM = """{"name": "draw237", "n": 4, "m": 4,
                             {"c": 0.6294706965704844, "e": [1, 0, 0, 0]}]},
   {"i": 3, "j": 3, "poly": [{"c": 0.09258373007938561, "e": [0, 0, 0, 0]},
                             {"c": 0.7298106216841612, "e": [1, 0, 0, 0]}]}]}"""
+
+# the benchmark's degenerate00 (perfbench/inputs.degenerate_base()[0]):
+# G(0) = 0, and its 13-level solve takes 116 Newton iterations
+DEGENERATE00_PROBLEM = """{"name": "degenerate00_n4_m3_k3", "n": 4, "m": 3,
+ "objective": [{"c": 1.0, "e": [1, 0, 0, 0]}],
+ "constraint": [
+  {"i": 0, "j": 0, "poly": [{"c": -0.6734731116783189, "e": [0, 0, 0, 1]}]},
+  {"i": 0, "j": 1, "poly": [{"c": 1.523289847933569, "e": [1, 0, 0, 0]}]},
+  {"i": 0, "j": 2, "poly": [{"c": -0.056325849804638325, "e": [0, 0, 1, 0]},
+                            {"c": 1.4751406174506718, "e": [0, 1, 0, 0]}]},
+  {"i": 1, "j": 1, "poly": [{"c": 1.1679728131087033, "e": [0, 2, 0, 0]},
+                            {"c": 0.7799175266708605, "e": [1, 0, 0, 1]}]},
+  {"i": 1, "j": 2, "poly": [{"c": -0.7763100440354325, "e": [0, 0, 0, 2]},
+                            {"c": 0.9865155026328277, "e": [0, 0, 1, 0]}]},
+  {"i": 2, "j": 2, "poly": [{"c": 0.11036679944811631,
+                             "e": [1, 0, 0, 0]}]}]}"""
 
 
 def line_problem():
@@ -703,6 +721,32 @@ class TestRunPenalty:
         assert all(rec.inner_converged for rec in trace.iterates)
         assert len(value_calls) <= 60
 
+    def test_diag3_solve_decomposes_only_its_trials(self, monkeypatch):
+        # every eigh of a run is one line-search trial: the first level
+        # starts from the feasibility gate's eigh of the anchor and each
+        # later level from the pieces of the point it starts at, where
+        # evaluating each warm start again would cost 13 more
+        calls, trials = [], []
+        parts = penalty._penalty_parts
+
+        def counted_eigh(M):
+            calls.append(np.shape(M.a))
+            return eigh(M)
+
+        def counted_parts(P, anchor, rho, x, need_grad, pieces=None):
+            if not need_grad:
+                trials.append(rho)
+            return parts(P, anchor, rho, x, need_grad, pieces)
+
+        monkeypatch.setattr(penalty, "eigh", counted_eigh)
+        monkeypatch.setattr(penalty, "_penalty_parts", counted_parts)
+        trace = run_penalty(diag3_problem(),
+                            PenaltyConfig(anchor=np.zeros(3), outer_iters=13))
+        assert all(rec.inner_converged for rec in trace.iterates)
+        assert sum(rec.inner_iterations for rec in trace.iterates) == 13
+        assert calls == [(3, 3)] * 14
+        assert len(trials) == 14
+
     def test_bounded_multipliers_not_flagged(self):
         trace = run_penalty(diag3_problem(), PenaltyConfig(anchor=np.zeros(3)))
         assert not trace.divergence_suspected
@@ -734,6 +778,53 @@ class TestRunPenalty:
             M = np.array(rec["multiplier"])
             assert np.allclose(M, M.T)
             assert np.allclose(M, trace.iterates[k].multiplier.a)
+
+
+def levels_one_at_a_time(P, cfg):
+    """run_penalty's levels, each solved by inner_minimize from its warm
+    start alone, with no pieces carried in."""
+    x, rho, out = cfg.anchor.copy(), cfg.rho0, []
+    for _ in range(cfg.outer_iters):
+        res = inner_minimize(P, cfg, rho, x)
+        out.append(res)
+        x, rho = res.x, rho * cfg.rho_mult
+    return out
+
+
+class TestLevelCarry:
+    """Carrying a point's pieces into the next level, and the anchor's
+    eigh into the first, changes no bit of the run."""
+
+    @pytest.mark.parametrize("P, anchor", [
+        (diag3_problem(), [0.0, 0.0, 0.0]),
+        (facial_problem(), [1.0, 0.0]),
+        (NsdpProblem.from_json(json.loads(DEGENERATE00_PROBLEM)), [0.0] * 4),
+    ], ids=["diag3", "facial", "degenerate00"])
+    def test_carried_levels_equal_fresh_levels(self, P, anchor):
+        cfg = PenaltyConfig(anchor=anchor, outer_iters=13)
+        trace = run_penalty(P, cfg)
+        fresh = levels_one_at_a_time(P, cfg)
+        assert len(trace.iterates) == len(fresh) == 13
+        for rec, res in zip(trace.iterates, fresh):
+            assert np.array_equal(rec.x, res.x)
+            assert np.array_equal(rec.multiplier.a, res.multiplier.a)
+            assert np.array_equal(rec.eigenvalues, res.pieces.spec.values)
+            assert np.array_equal(rec.eigenvectors, res.pieces.spec.vectors)
+            assert rec.stationarity_residual == res.grad_norm
+            assert (rec.inner_converged, rec.inner_iterations) \
+                == (res.converged, res.iterations)
+
+    def test_carried_pieces_belong_to_the_result_point(self):
+        P = NsdpProblem.from_json(json.loads(DEGENERATE00_PROBLEM))
+        cfg = PenaltyConfig(anchor=np.zeros(4))
+        res = inner_minimize(P, cfg, 1e3, np.zeros(4))
+        fx, hvals, spec, ev = res.pieces
+        assert np.array_equal(ev.powers, P.at(res.x).powers)
+        assert fx == P.objective_value(res.x)
+        assert np.array_equal(hvals, P.equality_values(res.x))
+        again = eigh(P.constraint_value(res.x))
+        assert np.array_equal(spec.values, again.values)
+        assert np.array_equal(spec.vectors, again.vectors)
 
 
 class TestTraceFamily:
@@ -892,6 +983,32 @@ class TestWeakNdgProbe:
         assert res.clusters == [[0, 1], [2], [3]]
         last = trace.iterates[-1].eigenvectors[:, pd.rank:]
         assert np.max(np.abs(res.limit_basis - last)) <= 1e-8
+
+
+class TestLimitData:
+    """The probes' scans over a trace's stacked spectra decide exactly
+    as the per-record loops do."""
+
+    def test_scans_match_per_record_loops(self):
+        for P, x_bar in oracle_problems():
+            traces = family_for(P, x_bar)
+            traces.append(make_path_trace(P, x_bar, np.ones(P.n),
+                                          steps=4, scale=1e-9))
+            for trace in traces:
+                values = np.stack([r.eigenvalues for r in trace.iterates])
+                for rank in range(P.m + 1):
+                    for tol in (1e-9, 1e-3):
+                        want = usable_records_per_record(trace, rank, tol)
+                        if len(want) < 3:
+                            with pytest.raises(NumericalFailure):
+                                penalty._usable_records(values, rank, tol)
+                            continue
+                        got = penalty._usable_records(values, rank, tol)
+                        assert got.tolist() == want
+                        records = [trace.iterates[j] for j in want]
+                        assert penalty._persistent_clusters(
+                            values[got], rank) \
+                            == persistent_clusters_per_record(records, rank)
 
 
 class TestWeakRobinsonProbe:
