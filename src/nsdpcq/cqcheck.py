@@ -148,7 +148,8 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
     if x.shape != (P.n,):
         raise ValueError(f"point must have length {P.n}, one entry per "
                          f"variable, got shape {x.shape}")
-    G = P.constraint_value(x)
+    ev = P.at(x)
+    G = ev.constraint_value()
     spec = eigh(G)
     tau = tol_rank * (1.0 + G.norm_inf())
     lam_min = float(spec.values[-1])
@@ -164,9 +165,9 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
         # gate and kernel threshold use slightly different scales; a point
         # in the sliver between them is still infeasible for our purposes
         raise InfeasiblePointError(str(exc), eigenvalues=spec.values.tolist())
-    W = P.constraint_partials(x)
+    W = ev.constraint_partials()
     Wc = compress(W, E)
-    Heq = P.equality_gradients(x)
+    Heq = ev.equality_gradients()
     for arr in (x, W, Wc, Heq):
         arr.setflags(write=False)
     return PointData(P=P, x=x, tol_rank=tol_rank, G=G, spec=spec, E=E,
@@ -500,12 +501,15 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
     dual min ||A vec S|| over the spectraplex {S psd, tr S = 1}.  Each
     iteration takes one accelerated projected-gradient step on
     1/2 ||A vec S||^2 and reads a primal direction d = A vec S / ||A vec S||
-    off the iterate, so both bounds tighten together; every POLISH_EVERY
-    iterations the best iterate is polished on a low-rank face.  The solve
-    stops at the first certificate, both measured against the one
-    tolerance tol = DUAL_CERT_TOL * (1 + max|A|): primal value above tol,
-    or dual residual at most tol.  Both sides scale with A, so the
-    verdict does not change when G is multiplied by a positive constant.
+    off the iterate, so both bounds tighten together.  The best iterate
+    is polished on a low-rank face at every iteration that is a power of
+    two and at every POLISH_EVERY-th: the early polishes catch a dual
+    certificate that the first gradient steps already point at, the
+    periodic ones a face the iterates approach slowly.  The solve stops
+    at the first certificate, both measured against the one tolerance
+    tol = DUAL_CERT_TOL * (1 + max|A|): primal value above tol, or dual
+    residual at most tol.  Both sides scale with A, so the verdict does
+    not change when G is multiplied by a positive constant.
     """
     n, k = Wc.shape[0], Wc.shape[1]
     A = np.tensordot(Qn, Wc, axes=1).reshape(n, k * k)
@@ -544,7 +548,7 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
                 return done("primal", it)
         if best["dual"] - best["primal"] <= tol:
             break   # the bounds have met on a value too close to zero to certify
-        if it % POLISH_EVERY == 0:
+        if it & (it - 1) == 0 or it % POLISH_EVERY == 0:
             polished = _polish_face(A, best["S"], tol)
             if polished is not None:
                 best.update(S=polished[0], dual=polished[1])

@@ -601,7 +601,9 @@ class Evaluation:
             self.powers))
 
     def constraint_value(self) -> SymMat:
-        return SymMat.from_symmetric(self.problem._G.value(self.powers))
+        # Compiled.matrix fills an entry and its mirror from one
+        # coefficient column, so G(x) comes out exactly symmetric
+        return SymMat.exact(self.problem._G.value(self.powers))
 
     def constraint_partials(self) -> np.ndarray:
         """Stacked partial derivative matrices, shape (n, m, m)."""

@@ -162,19 +162,30 @@ def hat_map(P: NsdpProblem, x, E: np.ndarray) -> SparsityPattern:
         index_set=frozenset(_pattern_pairs(_stack(P, E, E))))
 
 
-def _schur_value(pd: PointData, x: np.ndarray) -> np.ndarray:
-    """Gtil(x) = G(x) - G(x) P (P^T G(x) P)^{-1} P^T G(x), P the range
-    basis of G at pd's point (rank >= 1); NumericalFailure when the
-    range block P^T G(x) P is singular."""
+def _schur_value(pd: PointData, xs) -> np.ndarray:
+    """Gtil(x) = G(x) - G(x) P (P^T G(x) P)^{-1} P^T G(x) at a point x
+    of shape (n,), or at each point of a stack (N, n), P the range basis
+    of G at pd's point (rank >= 1).
+
+    The stack is evaluated, its range blocks decomposed and its systems
+    solved in one call each.  A point whose range block P^T G(x) P is
+    singular is left out, so a stack gives the values at its regular
+    points, shape (N_regular, m, m), and a point its value (m, m);
+    NumericalFailure when no point is regular.
+    """
+    xs = np.asarray(xs, dtype=float)
     Pbar = pd.spec.vectors[:, :pd.rank]
-    Gq = pd.P.constraint_value(x).a
+    Gq = pd.P.at(xs.reshape(-1, pd.P.n)).constraint_value().a
     B = Pbar.T @ Gq @ Pbar
-    bspec = eigh(SymMat.from_symmetric(B))
-    lam1 = abs(float(bspec.values[0]))
-    if float(bspec.values[-1]) <= 1e-12 * max(1.0, lam1):
-        raise NumericalFailure("range block singular at sample point")
-    half = np.linalg.solve(B, Pbar.T @ Gq)
-    return Gq - (Gq @ Pbar) @ half
+    lam = eigh(B).values
+    regular = lam[:, -1] > 1e-12 * np.maximum(1.0, np.abs(lam[:, 0]))
+    if not regular.any():
+        raise NumericalFailure("range block of the Schur map singular at "
+                               "every sample point")
+    Gq = Gq[regular]
+    half = np.linalg.solve(B[regular], Pbar.T @ Gq)
+    Gt = Gq - (Gq @ Pbar) @ half
+    return Gt if xs.ndim > 1 else Gt[0]
 
 
 def tilde_map(pd: PointData) -> SparsityPattern:
@@ -184,7 +195,12 @@ def tilde_map(pd: PointData) -> SparsityPattern:
     polynomial pattern is returned.  Otherwise the map is rational; its
     pattern is decided by sampling on a small sphere around x, so entries
     flagged nonzero are certain while entries flagged zero are presumed
-    structural.
+    structural.  TILDE_SAMPLES directions are drawn from a generator
+    seeded with TILDE_SEED, a draw of norm below 1e-12 skipped, and the
+    map is taken at all of them in one stacked :func:`_schur_value`;
+    samples with a singular range block are left out of the pattern and
+    of ``sample_points``, and NumericalFailure is raised when every
+    sample has one.
     """
     P, x = pd.P, pd.x
     m = P.m
@@ -193,28 +209,16 @@ def tilde_map(pd: PointData) -> SparsityPattern:
                                source="exact")
 
     rng = np.random.default_rng(TILDE_SEED)
-    hits: Set[Tuple[int, int]] = set()
-    used = 0
-    for _ in range(TILDE_SAMPLES):
-        g = rng.standard_normal(P.n)
-        nrm = float(np.linalg.norm(g))
-        if nrm < 1e-12:
-            continue
-        xs = x + TILDE_RADIUS * g / nrm
-        try:
-            Gt = _schur_value(pd, xs)
-        except NumericalFailure:
-            continue
-        used += 1
-        for i in range(m):
-            for j in range(i, m):
-                if abs(Gt[i, j]) > TILDE_TOL:
-                    hits.add((i, j))
-    if used == 0:
-        raise NumericalFailure(
-            "range block of the Schur map singular at every sample point")
-    return SparsityPattern(dim=m, index_set=frozenset(hits),
-                           source="sampled", sample_points=used,
+    g = rng.standard_normal((TILDE_SAMPLES, P.n))
+    # each row's norm as np.linalg.norm takes one row, by a dot product
+    nrm = np.sqrt(g[:, None, :] @ g[:, :, None]).ravel()
+    keep = nrm >= 1e-12
+    Gt = _schur_value(pd, x + TILDE_RADIUS * g[keep] / nrm[keep, None])
+    iu, ju = np.triu_indices(m)
+    hit = np.any(np.abs(Gt[:, iu, ju]) > TILDE_TOL, axis=0)
+    return SparsityPattern(dim=m, index_set=frozenset(zip(iu[hit].tolist(),
+                                                          ju[hit].tolist())),
+                           source="sampled", sample_points=len(Gt),
                            sample_tol=TILDE_TOL)
 
 
@@ -328,28 +332,27 @@ def check_sparse_ndg(pd: PointData,
                      robinson: Optional[CqVerdict] = None) -> CqVerdict:
     """Deterministic search for a basis certifying sparse nondegeneracy.
 
-    Two candidates are scored: the fixed kernel basis, and, when it
-    fails, the basis that jointly diagonalizes the compressed coefficient
-    stack E^T A_t E by cyclic Jacobi sweeps.  The second is exact for any
-    commuting stack, as for a diagonal constraint under an orthogonal
-    congruence G -> Q^T G Q.  A found witness certifies Holds.  Fails is
-    certified two ways only: the shared routes of :func:`exact_verdict`
-    (dependent equality gradients, the dimension bound, the diagonal
-    reduction to LICQ), or a certified Robinson failure, whose witness
-    it carries; an identically zero diagonal entry G_ii gives one, the
-    multiplier e_i e_i^T.  Anything else is Undetermined.  robinson is
-    Robinson's verdict on the same point data when the caller has it;
-    without it :func:`check_robinson` runs.
+    The shared routes of :func:`exact_verdict` come first (dependent
+    equality gradients, the dimension bound, the diagonal reduction to
+    LICQ).  Robinson's verdict comes next: sparse nondegeneracy implies
+    Robinson's condition, so a certified Robinson ``Fails`` refutes it
+    whatever basis a search would find, and the verdict carries
+    Robinson's witness; an identically zero diagonal entry G_ii gives
+    one, the multiplier e_i e_i^T.  Otherwise two candidates are scored:
+    the fixed kernel basis, and, when it fails, the basis that jointly
+    diagonalizes the compressed coefficient stack E^T A_t E by cyclic
+    Jacobi sweeps.  The second is exact for any commuting stack, as for
+    a diagonal constraint under an orthogonal congruence G -> Q^T G Q.
+    A found witness certifies Holds; anything else is Undetermined.
+    robinson is Robinson's verdict on the same point data when the
+    caller has it; without it :func:`check_robinson` runs, so the
+    verdict is the same either way.
     """
     exact = exact_verdict(pd, "sparse_ndg")
     if exact is not None:
         return exact
     E0 = pd.E
     log = [f"rank {pd.rank}, kernel dimension {E0.shape[1]}"]
-    cols, provenance, _, success, pairs, li = _basis_search(pd, E0, log)
-    if success:
-        return _holds_verdict(cols, provenance, pairs, li, log)
-
     rob = check_robinson(pd) if robinson is None else robinson
     if rob.status == CqStatus.FAILS:
         log.append("Robinson refutation: " + (rob.reason or ""))
@@ -358,7 +361,9 @@ def check_sparse_ndg(pd: PointData,
             reason="Robinson's condition fails, which sparse nondegeneracy "
                    "would imply",
             witness=rob.witness, log=log)
-
+    cols, provenance, _, success, pairs, li = _basis_search(pd, E0, log)
+    if success:
+        return _holds_verdict(cols, provenance, pairs, li, log)
     return CqVerdict(
         CqStatus.UNDETERMINED,
         reason="neither the fixed kernel basis nor its joint "

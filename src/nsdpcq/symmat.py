@@ -75,12 +75,23 @@ class SymMat:
         have become NaN.
         """
         arr = _checked_square(np.asarray(arr, dtype=float))
-        sym = (arr + arr.swapaxes(-1, -2)) / 2.0
-        if not np.isfinite(sym).all():
+        return cls.exact((arr + arr.swapaxes(-1, -2)) / 2.0)
+
+    @classmethod
+    def exact(cls, arr) -> "SymMat":
+        """Freeze an array that is entrywise symmetric as it is.
+
+        The caller vouches for the symmetry, as an evaluation that fills
+        an entry and its mirror from one computation can; only the shape
+        and finiteness are checked, and the array is frozen in place,
+        with no copy.
+        """
+        arr = _checked_square(np.asarray(arr, dtype=float))
+        if not np.isfinite(arr).all():
             raise ValueError("SymMat entries must be finite")
-        sym.setflags(write=False)
+        arr.setflags(write=False)
         out = cls.__new__(cls)
-        out.a = sym
+        out.a = arr
         return out
 
     @classmethod

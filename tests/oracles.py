@@ -9,8 +9,9 @@ invariance survey, a best-effort KKT multiplier fit, and the per-point
 references of the penalty layer: the penalty pieces from one public
 model call per piece, the path trace that evaluates and decomposes its
 points one at a time, and the probes' usable-record and persistent-
-cluster scans one record at a time.  Only tests call them; they
-recompute what the library decides by an independent route.
+cluster scans one record at a time, and the Schur-map pattern sampled
+and solved one point at a time.  Only tests call them; they recompute
+what the library decides by an independent route.
 """
 from typing import Dict, List, Sequence
 
@@ -26,7 +27,7 @@ from nsdpcq.cqcheck import (
     kkt_residual,
     li_test,
 )
-from nsdpcq.errors import ProblemFormatError
+from nsdpcq.errors import NumericalFailure, ProblemFormatError
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.penalty import (
     PATH_DECAY,
@@ -39,6 +40,11 @@ from nsdpcq.penalty import (
     _lam_abs,
 )
 from nsdpcq.sparse import (
+    TILDE_RADIUS,
+    TILDE_SAMPLES,
+    TILDE_SEED,
+    TILDE_TOL,
+    SparsityPattern,
     _basis_search,
     _entry_poly,
     _score,
@@ -349,3 +355,50 @@ def persistent_clusters_per_record(records: Sequence[PenaltyIterate],
         else:
             clusters.append([i])
     return clusters
+
+
+def schur_value_per_point(pd: PointData, x) -> np.ndarray:
+    """The Schur map Gtil at one point, evaluated, decomposed and solved
+    on its own; NumericalFailure when its range block is singular."""
+    Pbar = pd.spec.vectors[:, :pd.rank]
+    Gq = pd.P.constraint_value(x).a
+    B = Pbar.T @ Gq @ Pbar
+    bspec = eigh(SymMat.from_symmetric(B))
+    lam1 = abs(float(bspec.values[0]))
+    if float(bspec.values[-1]) <= 1e-12 * max(1.0, lam1):
+        raise NumericalFailure("range block singular at sample point")
+    half = np.linalg.solve(B, Pbar.T @ Gq)
+    return Gq - (Gq @ Pbar) @ half
+
+
+def tilde_map_per_sample(pd: PointData) -> SparsityPattern:
+    """The sampled Schur-map pattern of tilde_map, one sample at a time:
+    the same draws, the same skip of tiny draws and singular range
+    blocks, and an entry-by-entry threshold test."""
+    P, x, m = pd.P, pd.x, pd.P.m
+    if pd.rank == 0:
+        return SparsityPattern(dim=m, index_set=frozenset(P.constraint.entries),
+                               source="exact")
+    rng = np.random.default_rng(TILDE_SEED)
+    hits = set()
+    used = 0
+    for _ in range(TILDE_SAMPLES):
+        g = rng.standard_normal(P.n)
+        nrm = float(np.linalg.norm(g))
+        if nrm < 1e-12:
+            continue
+        try:
+            Gt = schur_value_per_point(pd, x + TILDE_RADIUS * g / nrm)
+        except NumericalFailure:
+            continue
+        used += 1
+        for i in range(m):
+            for j in range(i, m):
+                if abs(Gt[i, j]) > TILDE_TOL:
+                    hits.add((i, j))
+    if used == 0:
+        raise NumericalFailure(
+            "range block of the Schur map singular at every sample point")
+    return SparsityPattern(dim=m, index_set=frozenset(hits),
+                           source="sampled", sample_points=used,
+                           sample_tol=TILDE_TOL)

@@ -18,9 +18,11 @@ from nsdpcq.cqcheck import (
     CONDITIONS,
     CqStatus,
     CqVerdict,
+    DUAL_CERT_TOL,
     check_nondegeneracy,
     check_robinson,
     compress,
+    cone_saddle,
     exact_verdict,
     feasibility_data,
     kkt_residual,
@@ -678,6 +680,28 @@ class TestRobinson:
         assert v.status == CqStatus.FAILS
         replay_cone_witness(P, x, v.witness)
 
+    @pytest.mark.parametrize("spec", [RANK0_PROBLEM, DEGENERATE08_PROBLEM],
+                             ids=["degenerate00", "degenerate08"])
+    def test_rank_zero_trap_certified_at_the_first_polish(self, spec):
+        # the first gradient step already points at the rank-one face, so
+        # the polish at iteration 1 certifies (the next periodic polish
+        # would come at 25), and its S replays: PSD, unit trace and
+        # ||A vec S|| within the solve's tolerance
+        P = NsdpProblem.from_json(spec)
+        pd = feasibility_data(P, np.zeros(P.n))
+        res = cone_saddle(pd.Wc, np.eye(P.n))
+        assert (res.route, res.iterations) == ("dual", 1)
+        assert res.rank is not None
+        k = pd.E.shape[1]
+        A = pd.Wc.reshape(P.n, k * k)
+        tol = DUAL_CERT_TOL * (1.0 + float(np.max(np.abs(A))))
+        assert float(eigh(res.S).values[-1]) >= -1e-15
+        assert abs(float(np.trace(res.S)) - 1.0) <= 1e-12
+        assert float(np.linalg.norm(A @ res.S.ravel())) <= tol
+        v = check_robinson(pd)
+        assert f"rank {res.rank} at iteration 1," in v.log[-1]
+        assert np.array_equal(v.witness["multiplier"], pd.E @ res.S @ pd.E.T)
+
     def test_rank_zero_trap_leaves_the_lattice_intact(self):
         P = NsdpProblem.from_json(RANK0_PROBLEM)
         report = analyze_problem(P, np.zeros(P.n))
@@ -746,6 +770,21 @@ class TestFeasibility:
                 call()
         with pytest.raises(ValueError, match=r"length 3.*\(1, 3\)"):
             feasibility_data(P, [[0.5, 0.2, 0.1]])
+
+    def test_point_data_reads_one_evaluation(self, monkeypatch):
+        # G, the partials and the equality gradients come off one power
+        # table, bit for bit what three separate evaluations give
+        P = NsdpProblem(3, diag3_problem().objective,
+                        fullmat_problem().constraint,
+                        equalities=[xv(3, 0) * xv(3, 1) - xv(3, 2)])
+        x = np.zeros(3)
+        want = (P.constraint_value(x).a, P.constraint_partials(x),
+                P.equality_gradients(x))
+        calls = count_calls(monkeypatch, NsdpProblem, "at")
+        pd = feasibility_data(P, x)
+        assert len(calls) == 1
+        for got, ref in zip((pd.G.a, pd.W, pd.Heq), want):
+            assert got.tobytes() == ref.tobytes()
 
     def test_point_data_is_read_only(self):
         x = np.zeros(3)

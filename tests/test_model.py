@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nsdpcq.errors import ProblemFormatError
+from nsdpcq.symmat import SymMat
 from nsdpcq.model import (
     MAX_DEGREE,
     MatrixPoly,
@@ -295,6 +296,24 @@ def test_stacked_constraint_value_slices_equal_single_points():
         assert G.shape == (6, P.m, P.m) and not G.flags.writeable
         for j in range(6):
             assert G[j].tobytes() == P.constraint_value(X[j]).a.tobytes()
+
+
+def test_constraint_value_is_exactly_symmetric():
+    # an entry and its mirror come from one coefficient column, so G(x)
+    # is frozen as computed; it must equal the symmetrizing average bit
+    # for bit, at single points and in stacks, up to the dimension cap
+    rng = np.random.default_rng(17)
+    cases = list(evaluation_cases())
+    for m in (5, 8, 13, 27, 50):
+        P = random_problem(rng, 4, m, 0, f"wide{m}")
+        cases.append((P, rng.uniform(-1.0, 1.0, 4)))
+    for P, x in cases:
+        X = x + rng.uniform(-1.0, 1.0, (7, P.n))
+        for pt in (x, X):
+            G = P.at(pt).constraint_value().a
+            assert not G.flags.writeable
+            assert G.tobytes() == SymMat.from_symmetric(G).a.tobytes(), \
+                P.name
 
 
 def test_constraint_stack_is_read_only():

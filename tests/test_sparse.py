@@ -11,10 +11,11 @@ import pytest
 
 from nsdpcq.cqcheck import (
     CqStatus,
+    check_robinson,
     feasibility_data,
     li_test,
 )
-from nsdpcq.errors import InfeasiblePointError
+from nsdpcq.errors import InfeasiblePointError, NumericalFailure
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly, structural_zero
 from nsdpcq.corpus import entries
 from nsdpcq.report import AnalysisOptions, analyze_problem
@@ -40,8 +41,11 @@ from oracles import (
     congruence_entries,
     entry_gradient,
     find_multiplier,
+    schur_value_per_point,
     sparse_card_invariance,
+    tilde_map_per_sample,
 )
+from survey import instances as survey_instances
 from test_cqcheck import (
     RANK0_PROBLEM,
     RT2,
@@ -229,6 +233,50 @@ class TestTildeMap:
         assert tm.source == "exact"
         assert tm.sorted_pairs() == [(0, 0), (0, 1), (1, 1)]
 
+    def test_stacked_map_matches_per_sample_oracle(self):
+        # the corpus at its pinned points, the benchmark instances and the
+        # seeded survey draws: the stacked pass gives the pattern of the
+        # one-sample-at-a-time loop, with the same sample count
+        draws = 0
+        for name, obj, point in survey_instances():
+            pd = feasibility_data(NsdpProblem.from_json(obj), point)
+            got, want = tilde_map(pd), tilde_map_per_sample(pd)
+            assert (got.index_set, got.source, got.sample_points) == \
+                (want.index_set, want.source, want.sample_points), name
+            draws += name.startswith("draw") and pd.rank >= 1
+        assert draws >= 50
+
+    def test_singular_samples_are_left_out(self):
+        # G = diag(1e-7 - x1^2, x2) at 0 has rank 1, and its range block
+        # turns negative wherever |x1| > 3.2e-4 on the sampled sphere of
+        # radius 1e-3, so some samples are dropped and the rest decide
+        P = NsdpProblem(2, xv(2, 0), MatrixPoly.diagonal(
+            [Poly.const(2, 1e-7) - xv(2, 0) * xv(2, 0), xv(2, 1)]))
+        pd = feasibility_data(P, [0.0, 0.0])
+        assert pd.rank == 1
+        tm = tilde_map(pd)
+        assert 0 < tm.sample_points < TILDE_SAMPLES
+        assert tm.sorted_pairs() == [(1, 1)]
+        assert tm == tilde_map_per_sample(pd)
+        # a stack keeps only its regular points, in order
+        X = np.array([[1e-4, 0.0], [1e-3, 0.0], [0.0, 1e-3]])
+        Gt = _schur_value(pd, X)
+        assert Gt.shape == (2, 2, 2)
+        for got, x in zip(Gt, X[[0, 2]]):
+            assert got.tobytes() == schur_value_per_point(pd, x).tobytes()
+
+    def test_every_sample_singular_raises(self):
+        # G = diag(1e-7 - x1^2 - x2^2, x2): the range block is
+        # 1e-7 - 1e-6 < 0 at every point of the sampled sphere
+        P = NsdpProblem(2, xv(2, 0), MatrixPoly.diagonal(
+            [Poly.const(2, 1e-7) - xv(2, 0) * xv(2, 0)
+             - xv(2, 1) * xv(2, 1), xv(2, 1)]))
+        pd = feasibility_data(P, [0.0, 0.0])
+        assert pd.rank == 1
+        for pattern in (tilde_map, tilde_map_per_sample):
+            with pytest.raises(NumericalFailure, match="every sample"):
+                pattern(pd)
+
     def test_feasibility_equivalence_near_anchor(self):
         # with the range block positive definite, G(x) is positive
         # semidefinite exactly when the Schur map is; the Schur map keeps
@@ -410,6 +458,37 @@ class TestSparseNdg:
         alone = check_sparse_ndg(feasibility_data(P, np.zeros(P.n)))
         assert len(calls) == 2
         assert alone.to_json() == rep.verdicts["sparse_ndg"].to_json()
+
+    def test_given_robinson_failure_skips_the_search(self, monkeypatch):
+        # degenerate00's fixed basis fails, so a search would go on to the
+        # Jacobi sweeps; a given Robinson Fails refutes sparse
+        # nondegeneracy first and hands over its witness
+        import nsdpcq.sparse
+        P = NsdpProblem.from_json(RANK0_PROBLEM)
+        pd = feasibility_data(P, np.zeros(P.n))
+        rob = check_robinson(pd)
+        assert rob.status == CqStatus.FAILS
+        sweeps = []
+        real = nsdpcq.sparse._joint_diagonalize
+        monkeypatch.setattr(nsdpcq.sparse, "_joint_diagonalize",
+                            lambda Bs: sweeps.append(Bs) or real(Bs))
+        v = check_sparse_ndg(pd, rob)
+        assert v.status == CqStatus.FAILS
+        assert v.witness is rob.witness
+        assert sweeps == []
+        replay_cone_witness(P, np.zeros(P.n), v.witness)
+        # a certified Robinson hold refutes nothing: the search runs on
+        # to the joint diagonalization of a rotated diag3
+        R = NsdpProblem(3, diag3_problem().objective, MatrixPoly(
+            3, 3, congruence_entries(diag3_problem(), random_rotation(
+                3, np.random.default_rng(0)))))
+        pd = feasibility_data(R, np.zeros(3))
+        rob = check_robinson(pd)
+        assert rob.status == CqStatus.HOLDS_CERTIFIED
+        v = check_sparse_ndg(pd, rob)
+        assert len(sweeps) == 1
+        assert v.status == CqStatus.HOLDS_CERTIFIED
+        assert v.witness["provenance"] == "jacobi"
 
     def test_undetermined_when_no_route_applies(self):
         # sparse nondegeneracy genuinely fails (every basis has a full
