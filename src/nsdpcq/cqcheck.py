@@ -36,7 +36,7 @@ import numpy as np
 from . import symmat
 from .errors import InfeasiblePointError, NotPsdError
 from .lp import phase_one
-from .model import NsdpProblem, structurally_diagonal
+from .model import Evaluation, NsdpProblem, structurally_diagonal
 from .symmat import Spectral, SymMat, eigh, spectral_kernel
 
 TAU_RANK = symmat.TAU_RANK
@@ -109,13 +109,15 @@ class PointData:
     columns, so rank = m - k), the constraint partials W[l] = D_l G(x)
     (shape (n, m, m)), their compression Wc = compress(W, E) (shape
     (n, k, k), so Wc[:, i, j] is the gradient v_ij) and the equality
-    gradients Heq, one row per equality.  Built by
-    :func:`feasibility_data`; every array is read-only.
+    gradients Heq, one row per equality.  ev is the model evaluation at
+    x that G, spec, W and Heq come from, for whatever else a caller reads
+    at x.  Built by :func:`feasibility_data`; every array is read-only.
     """
 
     P: NsdpProblem
     x: np.ndarray
     tol_rank: float
+    ev: Evaluation
     G: SymMat
     spec: Spectral
     E: np.ndarray
@@ -150,7 +152,7 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
                          f"variable, got shape {x.shape}")
     ev = P.at(x)
     G = ev.constraint_value()
-    spec = eigh(G)
+    spec = ev.spectrum()
     tau = tol_rank * (1.0 + G.norm_inf())
     lam_min = float(spec.values[-1])
     if lam_min < -tau:
@@ -168,10 +170,10 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
     W = ev.constraint_partials()
     Wc = compress(W, E)
     Heq = ev.equality_gradients()
-    for arr in (x, W, Wc, Heq):
+    for arr in (x, Wc):
         arr.setflags(write=False)
-    return PointData(P=P, x=x, tol_rank=tol_rank, G=G, spec=spec, E=E,
-                     W=W, Wc=Wc, Heq=Heq)
+    return PointData(P=P, x=x, tol_rank=tol_rank, ev=ev, G=G, spec=spec,
+                     E=E, W=W, Wc=Wc, Heq=Heq)
 
 
 def compress(W: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -677,7 +679,7 @@ def check_robinson(pd: PointData) -> CqVerdict:
                    "alpha": alpha, "multiplier": Y, "residual": res.dual}
         if Heq.shape[0]:
             witness["free_coeffs"] = -np.linalg.lstsq(
-                Heq.T, P.adjoint(pd.x, Y), rcond=None)[0]
+                Heq.T, pd.ev.adjoint(Y), rcond=None)[0]
         return CqVerdict(
             CqStatus.FAILS,
             reason="nonzero complementary PSD multiplier annihilates the adjoint",
@@ -729,11 +731,12 @@ def kkt_residual(P: NsdpProblem, x, Y, mu=None) -> KktCertificate:
     x = np.asarray(x, dtype=float)
     Ym = Y if isinstance(Y, SymMat) else SymMat.from_symmetric(np.asarray(Y, dtype=float))
     mu = np.zeros(len(P.equalities)) if mu is None else np.asarray(mu, dtype=float)
-    grad = P.objective_gradient(x) - P.adjoint(x, Ym)
-    Heq = P.equality_gradients(x)
+    ev = P.at(x)
+    grad = ev.objective_gradient() - ev.adjoint(Ym)
+    Heq = ev.equality_gradients()
     if Heq.shape[0]:
         grad = grad - Heq.T @ mu
-    G = P.constraint_value(x)
+    G = ev.constraint_value()
     comp = abs(symmat.frobenius(G.a, Ym.a))
     lam_min = float(eigh(Ym).values[-1])
     return KktCertificate(

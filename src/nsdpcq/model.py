@@ -25,11 +25,10 @@ compiles f, G and h into three of them when it is built.
 points, that all three share, and returns an `Evaluation` holding it;
 the problem's seven evaluation methods are thin calls on that, and
 `Evaluation.lagrangian_hessian` reads the second derivatives of f, G
-and h off the same table.  An `Evaluation` keeps, read-only, each
-first-derivative array it builds (G's derivative stack, which its
-adjoints and partials share, the partials, grad f and Dh), so a caller
-that holds one evaluation per point, as the penalty solve does, builds
-each of them once.
+and h off the same table.  An `Evaluation` is the one record of its
+point: it keeps, read-only, f, h, G, eigh(G) and each derivative array
+it builds, so a caller that holds one evaluation per point, as the
+checkers' `PointData` and the penalty solve do, builds each once.
 `NsdpProblem.constraint_stack` exposes G's stack read-only as (T, m, m)
 matrices A_t, whose congruences give the exact coefficients of a
 compressed constraint, and `NsdpProblem.constraint_exponents` the
@@ -39,12 +38,13 @@ the term-by-term reference.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ProblemFormatError
-from .symmat import SymMat
+from .symmat import Spectral, SymMat, eigh
 
 COEF_DROP = 1e-14
 MAX_VARS = 64
@@ -210,11 +210,6 @@ class Poly:
                     f"{where}[{k}]: 'e' must be a list of integers")
             terms.append((float(c), tuple(e)))
         return cls(n, terms)
-
-
-def structural_zero(p: Poly) -> bool:
-    """True iff p's canonical term list is empty."""
-    return p.is_zero()
 
 
 class MatrixPoly:
@@ -571,14 +566,15 @@ class Evaluation:
     flattened from shape (d + 1, n), built once and shared by every value
     and derivative below.  numpy's power gives 0.0 ** 0 = 1, so a zero
     coordinate needs no special case.  For a stack of points x (..., n)
-    the table is (..., (d + 1) * n), and constraint_value is a SymMat
-    stack (..., m, m) whose slices are exactly the single-point values;
-    the other methods take one point.  G's derivative stack, the
-    partials, grad f and Dh are built on first use, kept and returned
-    read-only.
+    the table is (..., (d + 1) * n), and constraint_value and spectrum
+    are a SymMat stack (..., m, m) and its stacked eigh, whose slices are
+    exactly the single-point ones; the other methods take one point.
+    f(x), h(x), G(x), eigh(G(x)), G's derivative stack, the partials,
+    grad f and Dh are built on first use, kept and returned read-only.
     """
 
-    __slots__ = ("problem", "powers", "_memo")
+    __slots__ = ("problem", "powers", "_fx", "_hx", "_gx", "_spec", "_dg",
+                 "_partials", "_df", "_dh")
 
     def __init__(self, problem: NsdpProblem, x):
         x = np.asarray(x, dtype=float)
@@ -586,30 +582,43 @@ class Evaluation:
         table = np.power(x[..., None, :], problem._exps)
         self.powers = table.reshape(
             table.shape[:-2] + (table.shape[-2] * table.shape[-1],))
-        self._memo: Dict[str, np.ndarray] = {}
+        self._fx = self._hx = self._gx = self._spec = None
+        self._dg = self._partials = self._df = self._dh = None
 
-    def _kept(self, key: str, build) -> np.ndarray:
-        """build(), read-only, built on the first call for key."""
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = build()
-            out.setflags(write=False)
-        return out
-
-    def _constraint_derivatives(self) -> np.ndarray:
-        return self._kept("DG", lambda: self.problem._G.derivatives(
-            self.powers))
+    def finite(self) -> bool:
+        """Whether f(x), h(x) and G(x) are finite."""
+        try:
+            self.constraint_value()
+        except ValueError:          # SymMat refuses a non-finite G(x)
+            return False
+        return (math.isfinite(self.objective_value())
+                and bool(np.isfinite(self.equality_values()).all()))
 
     def constraint_value(self) -> SymMat:
         # Compiled.matrix fills an entry and its mirror from one
         # coefficient column, so G(x) comes out exactly symmetric
-        return SymMat.exact(self.problem._G.value(self.powers))
+        if self._gx is None:
+            self._gx = SymMat.exact(self.problem._G.value(self.powers))
+        return self._gx
+
+    def spectrum(self) -> Spectral:
+        """eigh(G(x)), stacked for a stack of points."""
+        if self._spec is None:
+            self._spec = eigh(self.constraint_value())
+        return self._spec
+
+    def _constraint_derivatives(self) -> np.ndarray:
+        if self._dg is None:
+            self._dg = _frozen(self.problem._G.derivatives(self.powers))
+        return self._dg
 
     def constraint_partials(self) -> np.ndarray:
         """Stacked partial derivative matrices, shape (n, m, m)."""
-        P = self.problem
-        return self._kept("partials", lambda: P._G.jacobian(
-            self._constraint_derivatives()).reshape(P.n, P.m, P.m))
+        if self._partials is None:
+            P = self.problem
+            self._partials = _frozen(P._G.jacobian(
+                self._constraint_derivatives()).reshape(P.n, P.m, P.m))
+        return self._partials
 
     def adjoint(self, M) -> np.ndarray:
         """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>)."""
@@ -617,21 +626,27 @@ class Evaluation:
         return self.problem._G.adjoint(self._constraint_derivatives(), M)
 
     def objective_value(self) -> float:
-        return float(self.problem._f.value(self.powers))
+        if self._fx is None:
+            self._fx = float(self.problem._f.value(self.powers))
+        return self._fx
 
     def objective_gradient(self) -> np.ndarray:
-        f = self.problem._f
-        return self._kept("df", lambda: f.jacobian(
-            f.derivatives(self.powers)).ravel())
+        if self._df is None:
+            f = self.problem._f
+            self._df = _frozen(f.jacobian(f.derivatives(self.powers)).ravel())
+        return self._df
 
     def equality_values(self) -> np.ndarray:
-        return self.problem._h.value(self.powers)
+        if self._hx is None:
+            self._hx = _frozen(self.problem._h.value(self.powers))
+        return self._hx
 
     def equality_gradients(self) -> np.ndarray:
         """Rows are the gradients of the h_i, shape (k, n)."""
-        h = self.problem._h
-        return self._kept("dh", lambda: h.jacobian(
-            h.derivatives(self.powers)).T)
+        if self._dh is None:
+            h = self.problem._h
+            self._dh = _frozen(h.jacobian(h.derivatives(self.powers)).T)
+        return self._dh
 
     def lagrangian_hessian(self, Y, w) -> np.ndarray:
         """Hessian of f - <G, Y> + <h, w> in x, Y and w held fixed,
@@ -641,6 +656,11 @@ class Evaluation:
         return (P._f.hessian(self.powers, np.ones(1))
                 - P._G.hessian(self.powers, Y)
                 + P._h.hessian(self.powers, w))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def parse_problem_text(text: str) -> NsdpProblem:

@@ -41,23 +41,23 @@ rho * eps * max|lambda(G)| * sqrt(m) of ||Y||_F, and above
 tol / ||DG||_F, the smallest Y whose adjoint the last level's gradient
 tolerance tol resolves.
 
-Each point is evaluated once: the value and the gradient at a point
-read f, G, h and their derivatives off one power table
-(NsdpProblem.at), and a path trace evaluates G at all its points from
-one stacked table and decomposes them with one stacked eigh.  A point's
-pieces (f, h, eigh(G) and its Evaluation, which keeps the derivative
-stacks, none of it depending on rho) go from the line-search trial that
-accepted it through its gradient and Hessian to the next level, which
-recomputes only the rho-dependent value, gradient, multiplier and noise
-floor there.  The first level starts from the feasibility gate's eigh,
-and the divergence test reads ||DG||_F off the last level's evaluation.
+Each point is evaluated once, by one model Evaluation (NsdpProblem.at)
+that keeps f, h, eigh(G) and the derivative stacks, none of it
+depending on rho; a path trace evaluates G at all its points from one
+stacked table and decomposes them with one stacked eigh.  A point's
+Evaluation goes from the line-search trial that accepted it through its
+gradient and Hessian to the next level, which recomputes only the
+rho-dependent value, gradient, multiplier and noise floor.  The first
+level starts from the feasibility gate's Evaluation of the anchor.  A
+level whose line search finds no finite step, as on a penalty unbounded
+below, ends stalled.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +75,6 @@ from .cqcheck import (
 from .errors import NumericalFailure
 from .model import Evaluation, NsdpProblem
 from .symmat import (
-    Spectral,
     SymMat,
     eigh,
     frobenius,
@@ -168,30 +167,18 @@ class PenaltyTrace:
                          for rec in self.iterates)
 
 
-class Pieces(NamedTuple):
-    """What the penalty needs at a point x, none of it depending on
-    rho: f(x), h(x), eigh(G(x)) and the model Evaluation at x, whose
-    power table and derivative stacks the gradient and Hessian reuse."""
-
-    f: float
-    h: np.ndarray
-    spec: Spectral
-    ev: Evaluation
-
-
 @dataclass(frozen=True)
 class InnerResult:
-    """An inner solve's last point with its gradient, multiplier
-    Y = rho * proj_psd(-G(x)) and the point's pieces, from which the
+    """An inner solve's last point with its gradient norm, multiplier
+    Y = rho * proj_psd(-G(x)) and the point's Evaluation, from which the
     next level starts."""
 
     x: np.ndarray
     grad_norm: float
     converged: bool
     iterations: int
-    grad: np.ndarray
     multiplier: SymMat
-    pieces: Pieces
+    ev: Evaluation
 
 
 @dataclass
@@ -222,26 +209,15 @@ class SequenceProbeResult:
 # penalty function and inner solver
 
 
-def _point_pieces(P: NsdpProblem, x: np.ndarray, spec=None) -> Pieces:
-    """The pieces of x; spec, when given, is eigh(G(x))."""
-    ev = P.at(x)
-    if spec is None:
-        spec = eigh(ev.constraint_value())
-    return Pieces(ev.objective_value(), ev.equality_values(), spec, ev)
+def _penalty_parts(anchor: np.ndarray, rho: float, x: np.ndarray,
+                   ev: Evaluation, need_grad: bool):
+    """Value of phi at x and, when asked, its gradient, the multiplier
+    and the value's noise floor, from ev, the model evaluation at x.
 
-
-def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
-                   x: np.ndarray, need_grad: bool, pieces=None):
-    """Value of phi and, when asked, its gradient, the multiplier and
-    the value's noise floor.
-
-    The value needs three pieces at x: f(x), h(x) and the constraint
-    spectrum, the expensive one, all read off one evaluation of the
-    model at x, the fourth piece, whose power table the gradient reuses.
-    None of them depends on rho.  A caller that already holds them, from
-    a value trial at x or from the level that ended at x, passes them
-    back in, so no point is evaluated twice.  The pieces used are always
-    returned.
+    The value reads f(x), h(x) and the constraint spectrum off ev, and
+    the gradient its derivative stacks, none of them depending on rho,
+    so a caller that holds ev, from a value trial at x or from the level
+    that ended at x, evaluates no point twice.
 
     The noise floor bounds the rounding error of phi near x: VALUE_NOISE
     times the sizes of its terms, which can cancel, plus the eigenvalue
@@ -251,67 +227,39 @@ def _penalty_parts(P: NsdpProblem, anchor: np.ndarray, rho: float,
     resolves to about 1e-22, and an absolute floor there would switch
     the Armijo test off.
     """
-    if pieces is None:
-        pieces = _point_pieces(P, x)
-    fx, hvals, spec, ev = pieces
+    fx, hvals = ev.objective_value(), ev.equality_values()
+    spec = ev.spectrum()
     dx = x - anchor
     neg = np.maximum(-spec.values, 0.0)        # eigenvalues of proj(-G)
     reg = 0.5 * float(dx @ dx)
     pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
     val = fx + reg + pen
     if not need_grad:
-        return val, None, None, pieces, None
+        return val, None, None, None
     act = neg > 0.0
     if act.any():
         V = spec.vectors[:, act]
         Ymat = rho * (V * neg[act]) @ V.T
     else:
-        Ymat = np.zeros((P.m, P.m))
+        Ymat = np.zeros((ev.problem.m, ev.problem.m))
     Y = SymMat.from_symmetric(Ymat)
     grad = ev.objective_gradient() + dx - ev.adjoint(Y.a)
     if hvals.shape[0]:
         grad = grad + rho * (ev.equality_gradients().T @ hvals)
     noise = VALUE_NOISE * (abs(fx) + reg + pen
                            + rho * _lam_abs(spec.values) * float(neg.sum()))
-    return val, grad, Y, pieces, noise
+    return val, grad, Y, noise
 
 
-def penalty_value(P: NsdpProblem, anchor, rho: float, x) -> float:
-    val, _, _, _, _ = _penalty_parts(P, np.asarray(anchor, float), rho,
-                                     np.asarray(x, float), need_grad=False)
-    return val
-
-
-def penalty_gradient(P: NsdpProblem, anchor, rho: float, x) -> np.ndarray:
-    _, grad, _, _, _ = _penalty_parts(P, np.asarray(anchor, float), rho,
-                                      np.asarray(x, float), need_grad=True)
-    return grad
-
-
-def penalty_noise_floor(P: NsdpProblem, anchor, rho: float, x) -> float:
-    """Float resolution of the penalty value at x, used by the line search."""
-    _, _, _, _, noise = _penalty_parts(P, np.asarray(anchor, float), rho,
-                                       np.asarray(x, float), need_grad=True)
-    return noise
-
-
-def gradient_noise_floor(P: NsdpProblem, rho: float, x, spec=None) -> float:
-    """Float resolution of the penalty gradient at x.
+def _gradient_floor(rho: float, spec, dg_norm: float) -> float:
+    """Float resolution of the penalty gradient at a point, from the
+    spectrum of G and ||DG||_F there.
 
     Y = rho * proj(-G) carries the eigenvalues' absolute roundoff, about
     eps * max|lambda(G)|, amplified by rho, and DG* maps it into the
     gradient with gain at most ||DG||_F, the Frobenius norm of the stack
-    of partials.  A caller that holds eigh(G(x)) passes it in.
+    of partials.
     """
-    ev = P.at(x)
-    if spec is None:
-        spec = eigh(ev.constraint_value())
-    return _gradient_floor(rho, spec,
-                           _norm(ev.constraint_partials().ravel()))
-
-
-def _gradient_floor(rho: float, spec, dg_norm: float) -> float:
-    """gradient_noise_floor from the spectrum and ||DG||_F at the point."""
     return float(np.finfo(float).eps) * rho * _lam_abs(spec.values) * dg_norm
 
 
@@ -324,13 +272,6 @@ def _norm(v: np.ndarray) -> float:
 def _lam_abs(values: np.ndarray) -> float:
     """max|lambda| of a non-increasing spectrum."""
     return max(abs(float(values[0])), abs(float(values[-1])))
-
-
-def multiplier_estimate(P: NsdpProblem, rho: float, x) -> SymMat:
-    """Y = rho * proj_psd(-G(x)), the running multiplier estimate."""
-    _, _, Y, _, _ = _penalty_parts(P, np.zeros(P.n), rho,
-                                   np.asarray(x, float), need_grad=True)
-    return Y
 
 
 def inner_tolerance(cfg: PenaltyConfig, rho: float) -> float:
@@ -347,8 +288,8 @@ def inner_stop(converged: bool, iterations: int, cfg: PenaltyConfig) -> str:
     return "budget" if iterations >= cfg.inner_max_iters else "stalled"
 
 
-def _penalty_hessian(rho: float, pieces, Y: SymMat) -> np.ndarray:
-    """Generalized Hessian of phi at the point of pieces, Y its multiplier.
+def _penalty_hessian(rho: float, ev: Evaluation, Y: SymMat) -> np.ndarray:
+    """Generalized Hessian of phi at the point of ev, Y its multiplier.
 
     It is Hess f + I - Hess <G, Y> + rho (Dh^T Dh + sum_k h_k Hess h_k)
     + rho DG* dPi DG, where dPi is the generalized Jacobian of the PSD
@@ -358,7 +299,7 @@ def _penalty_hessian(rho: float, pieces, Y: SymMat) -> np.ndarray:
     ones.  With B_l = Q^T D_l G Q the projection term is
     rho B (Omega o B)^T over the flattened B_l.
     """
-    _, hvals, spec, ev = pieces
+    hvals, spec = ev.equality_values(), ev.spectrum()
     H = ev.lagrangian_hessian(Y, rho * hvals)
     n = H.shape[0]
     H.flat[::n + 1] += 1.0
@@ -415,33 +356,35 @@ def _line_search(P: NsdpProblem, anchor: np.ndarray, rho: float,
     Wright 3.5).  Where the requested decrease is below noise, the float
     resolution of phi, the value test carries no information: such a
     trial is accepted on strict gradient decrease, and otherwise t is
-    halved.  Returns the accepted point with its value, gradient,
-    multiplier, pieces and noise floor, or None after 60 trials.
+    halved.  A trial whose f, h or G overflows has the value inf, and one
+    whose gradient norm overflows is rejected like any other.  Returns
+    the accepted point with its value, gradient, multiplier, Evaluation
+    and noise floor, or None after 60 trials.
     """
     t = 1.0
     for _ in range(60):
         cand = x + t * d
-        fc, _, _, pieces_c, _ = _penalty_parts(P, anchor, rho, cand,
-                                               need_grad=False)
-        if abs(t * gd) > noise:
-            if fc <= val + ARMIJO_C * t * gd:
-                _, gc, Yc, _, noise_c = _penalty_parts(
-                    P, anchor, rho, cand, need_grad=True, pieces=pieces_c)
-                return cand, fc, gc, Yc, pieces_c, noise_c
+        ev = P.at(cand)
+        fc = (_penalty_parts(anchor, rho, cand, ev, need_grad=False)[0]
+              if ev.finite() else math.inf)
+        armijo = abs(t * gd) > noise
+        if fc <= val + (ARMIJO_C * t * gd if armijo else noise):
+            _, gc, Yc, noise_c = _penalty_parts(anchor, rho, cand, ev,
+                                                need_grad=True)
+            gnorm_c = _norm(gc)
+            if math.isfinite(gnorm_c) and (armijo or gnorm_c < gnorm):
+                return cand, fc, gc, Yc, ev, noise_c
+        if armijo:
             curv = fc - val - gd * t
             t = max(0.1 * t, min(0.5 * t, -gd * (t * t) / (2.0 * curv)))
-            continue
-        if fc <= val + noise:
-            _, gc, Yc, _, noise_c = _penalty_parts(
-                P, anchor, rho, cand, need_grad=True, pieces=pieces_c)
-            if _norm(gc) < gnorm:
-                return cand, fc, gc, Yc, pieces_c, noise_c
-        t *= 0.5
+        else:
+            t *= 0.5
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
-                   x_start, pieces=None) -> InnerResult:
+                   x_start, ev: Optional[Evaluation] = None) -> InnerResult:
     """Semismooth Newton with Armijo backtracking on the regularized
     penalty.
 
@@ -461,28 +404,30 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     the accepted point.
     The gradient threshold is inner_tolerance(cfg, rho), raised to the
     gradient's own float resolution at the warm start
-    (gradient_noise_floor, once per level): at rho >= 1e11 the rounding
+    (_gradient_floor, once per level): at rho >= 1e11 the rounding
     error of rho * proj(-G) alone exceeds the capped schedule, and a
     level asked for less than that can only spend its budget.
-    pieces, when given, are the pieces of x_start (InnerResult.pieces of
-    the level before), so the warm start is not evaluated again.
-    Returns the best point, with its gradient, multiplier and pieces,
-    flagged not-converged when the iteration budget runs out or neither
-    direction gives a step; iterations tells the two apart.
+    ev, when given, is the Evaluation of x_start (InnerResult.ev of the
+    level before), so the warm start is not evaluated again.  Iterates
+    sent far out by a penalty unbounded below overflow silently, and
+    every non-finite direction and trial is rejected.  Returns the best point, with its gradient, multiplier and
+    Evaluation, flagged not-converged when the iteration budget runs out
+    or neither direction gives a step; iterations tells the two apart.
     """
     anchor = cfg.anchor
     x = np.asarray(x_start, dtype=float).copy()
-    val, grad, Y, pieces, noise = _penalty_parts(P, anchor, rho, x,
-                                                 need_grad=True, pieces=pieces)
-    dg_norm = _norm(pieces.ev.constraint_partials().ravel())
+    if ev is None:
+        ev = P.at(x)
+    val, grad, Y, noise = _penalty_parts(anchor, rho, x, ev, need_grad=True)
+    dg_norm = _norm(ev.constraint_partials().ravel())
     tol = max(inner_tolerance(cfg, rho),
-              _gradient_floor(rho, pieces.spec, dg_norm))
+              _gradient_floor(rho, ev.spectrum(), dg_norm))
     gamma = 1.0 / (1.0 + rho * dg_norm * dg_norm)
     for it in range(cfg.inner_max_iters):
         gnorm = _norm(grad)
         if gnorm <= tol:
-            return InnerResult(x, gnorm, True, it, grad, Y, pieces)
-        d = _newton_direction(_penalty_hessian(rho, pieces, Y), grad)
+            return InnerResult(x, gnorm, True, it, Y, ev)
+        d = _newton_direction(_penalty_hessian(rho, ev, Y), grad)
         gd = float(grad @ d)
         step = None
         if gd < -1e-14 * max(1.0, gnorm) * _norm(d):
@@ -491,11 +436,10 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
             step = _line_search(P, anchor, rho, x, val, gnorm, noise,
                                 -gamma * grad, -gamma * gnorm * gnorm)
         if step is None:
-            return InnerResult(x, gnorm, False, it, grad, Y, pieces)
-        x, val, grad, Y, pieces, noise = step
+            return InnerResult(x, gnorm, False, it, Y, ev)
+        x, val, grad, Y, ev, noise = step
     gnorm = _norm(grad)
-    return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters, grad, Y,
-                       pieces)
+    return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters, Y, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +460,18 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
     docstring).
     """
     x = cfg.anchor.copy()
-    pieces = _point_pieces(P, x, feasibility_data(P, x).spec)
+    ev = feasibility_data(P, x).ev
     rho = cfg.rho0
     iterates: List[PenaltyIterate] = []
     notes: List[str] = []
     for k in range(cfg.outer_iters):
-        res = inner_minimize(P, cfg, rho, x, pieces)
-        x, pieces = res.x, res.pieces
+        res = inner_minimize(P, cfg, rho, x, ev)
+        x, ev = res.x, res.ev
         Y = res.multiplier
         iterates.append(PenaltyIterate(
             k=k, rho=rho, x=x.copy(), multiplier=Y,
-            eigenvalues=res.pieces.spec.values.copy(),
-            eigenvectors=res.pieces.spec.vectors.copy(),
+            eigenvalues=ev.spectrum().values.copy(),
+            eigenvectors=ev.spectrum().vectors.copy(),
             stationarity_residual=res.grad_norm,
             multiplier_norm=float(np.sqrt(frobenius(Y.a, Y.a))),
             inner_converged=res.converged,
@@ -552,7 +496,7 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
         # level's gradient tolerance: the inner solve cannot resolve it
         floor = (last.rho * float(np.finfo(float).eps)
                  * _lam_abs(last.eigenvalues) * np.sqrt(P.m))
-        dg_norm = _norm(pieces.ev.constraint_partials().ravel())
+        dg_norm = _norm(ev.constraint_partials().ravel())
         if (last.inner_converged and ref.multiplier_norm > 0.0
                 and last.multiplier_norm >= 2.0 * ref.multiplier_norm
                 and last.multiplier_norm > floor

@@ -59,7 +59,7 @@ class SymMat:
         if not np.all(np.isfinite(arr)):
             raise ValueError("SymMat entries must be finite")
         # row-wise mirror: for the small m used here this is several
-        # times faster than a masked np.where, and it runs per evaluation
+        # times faster than a masked np.where
         for i in range(1, arr.shape[-1]):
             arr[..., i, :i] = arr[..., :i, i]
         arr.setflags(write=False)

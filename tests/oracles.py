@@ -6,12 +6,13 @@ congruence B^T G B as polynomials (to rotate a constraint), this holds the
 block machinery (block detection, per-block subproblems), the multifold
 sparse-nondegeneracy check built on it, the pattern-cardinality
 invariance survey, a best-effort KKT multiplier fit, and the per-point
-references of the penalty layer: the penalty pieces from one public
-model call per piece, the path trace that evaluates and decomposes its
-points one at a time, and the probes' usable-record and persistent-
-cluster scans one record at a time, and the Schur-map pattern sampled
-and solved one point at a time.  Only tests call them; they recompute
-what the library decides by an independent route.
+references of the penalty layer: the penalty value, gradient,
+multiplier and noise floor from one public model call per quantity, the
+path trace that evaluates and decomposes its points one at a time, and
+the probes' usable-record and persistent-cluster scans one record at a
+time, and the Schur-map pattern sampled and solved one point at a
+time.  Only tests call them; they recompute what the library decides by
+an independent route.
 """
 from typing import Dict, List, Sequence
 

@@ -14,15 +14,13 @@ defects included.
 
     python tests/survey.py --write    # regenerate tests/data/survey.json
     python tests/survey.py --check    # print every moved cell, exit 1 on any
-    python tests/survey.py --digest   # print one sha256 of every output
 
-The first two print one summary line: instance count, separation notes,
-lattice warnings, unconverged levels, divergence flags and inner
-iterations.  --digest prints only a sha256 over every instance's name,
-the JSONL of its 13-level solve, that solve's notes and its
-timestamp-free analysis report, so two checkouts that print the same
-digest produced bit-identical iterates, multipliers, spectra, verdicts
-and witnesses.
+Both print one summary line: instance count, separation notes, lattice
+warnings, unconverged levels, divergence flags, inner iterations and a
+sha256 digest over every instance's name, the JSONL of its 13-level
+solve, that solve's notes and its timestamp-free analysis report, so
+two checkouts that print the same digest produced bit-identical
+iterates, multipliers, spectra, verdicts and witnesses.
 """
 from __future__ import annotations
 
@@ -96,7 +94,7 @@ def survey():
     return rows, iters, digest.hexdigest()
 
 
-def summary(rows, iters) -> str:
+def summary(rows, iters, digest) -> str:
     notes = [n for r in rows.values() for n in r["notes"]]
     sep = sum("weak Robinson holds" in n for n in notes)
     return (f"{len(rows)} instances, {sep} separation notes, "
@@ -104,7 +102,7 @@ def summary(rows, iters) -> str:
             f"{sum(len(r['unconverged']) for r in rows.values())} "
             "unconverged levels, "
             f"{sum(r['divergence'] for r in rows.values())} divergence "
-            f"flags, {iters} inner iterations")
+            f"flags, {iters} inner iterations, digest {digest}")
 
 
 def moves(old, new):
@@ -130,13 +128,9 @@ def main(argv=None) -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true")
     mode.add_argument("--check", action="store_true")
-    mode.add_argument("--digest", action="store_true")
     args = ap.parse_args(argv)
     rows, iters, digest = survey()
-    if args.digest:
-        print(digest)
-        return 0
-    print(summary(rows, iters))
+    print(summary(rows, iters, digest))
     if args.write:
         TABLE.parent.mkdir(exist_ok=True)
         # one instance per line, so a moved cell is a one-line diff

@@ -240,6 +240,60 @@ class TestSolve:
                          "--anchor=-1,0,0"]) == 3
 
 
+# penalties unbounded below: f -> -inf along a ray inside the PSD cone,
+# so the inner solve's iterates run out until f, G or the gradient
+# overflows
+UNBOUNDED_PROBLEMS = {
+    # n 1, m 1: f = -x^5 - x, G = [[x^4]]
+    "quintic": {"name": "quintic", "n": 1, "m": 1,
+                "objective": [{"c": -1.0, "e": [5]}, {"c": -1.0, "e": [1]}],
+                "constraint": [{"i": 0, "j": 0,
+                                "poly": [{"c": 1.0, "e": [4]}]}]},
+    # n 3, m 2: f = -2 x2 - 2 x1^2, G = [[-x1, x2], [x2, 0]]
+    "hinge3": {"name": "hinge3", "n": 3, "m": 2,
+               "objective": [{"c": -2.0, "e": [0, 1, 0]},
+                             {"c": -2.0, "e": [2, 0, 0]}],
+               "constraint": [
+                   {"i": 0, "j": 0, "poly": [{"c": -1.0, "e": [1, 0, 0]}]},
+                   {"i": 0, "j": 1, "poly": [{"c": 1.0, "e": [0, 1, 0]}]}]},
+}
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"non-finite number {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestUnboundedPenalty:
+    """An overflowing line-search trial is rejected like any other: the
+    level stalls at its last finite point, and analyze and solve exit 0
+    with finite numbers and no RuntimeWarning (an error in this suite)."""
+
+    @pytest.mark.parametrize("name", sorted(UNBOUNDED_PROBLEMS))
+    def test_analyze_and_solve_stay_finite(self, name, tmp_path, capsys):
+        obj = UNBOUNDED_PROBLEMS[name]
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(obj))
+        point = ",".join(["0"] * obj["n"])
+        report, trace = tmp_path / "report.json", tmp_path / "trace.jsonl"
+        assert cli.main(["analyze", str(problem), "--point", point,
+                         "--json", str(report), "--no-timestamp"]) == 0
+        strict_json(report.read_text())
+        assert cli.main(["solve", str(problem), "--anchor", point,
+                         "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        rows = [ln.split() for ln in out.splitlines()
+                if ln.split() and ln.split()[0].isdigit()]
+        assert len(rows) == 12
+        assert rows[0][-1] == "stalled"
+        assert all(np.isfinite(float(row[3])) for row in rows)
+        records = [strict_json(ln) for ln in trace.read_text().splitlines()]
+        assert len(records) == 12
+        assert all(np.all(np.isfinite(rec["x"])) for rec in records)
+
+
 class TestReduce:
     def test_facial_reduction_summary(self, tmp_path, capsys):
         out_file = tmp_path / "reduced.json"

@@ -749,6 +749,17 @@ class TestFeasibility:
         assert fd.rank == 0
         assert fd.E.shape == (2, 2)
 
+    def test_point_data_reads_one_evaluation(self):
+        # G, its spectrum, the partials and the equality gradients are
+        # the kept values of the evaluation PointData carries
+        for P in (diag3_problem(), block2_problem(), offdiag_problem()):
+            pd = feasibility_data(P, np.zeros(P.n))
+            assert pd.ev.constraint_value() is pd.G
+            assert pd.ev.spectrum() is pd.spec
+            assert pd.ev.constraint_partials() is pd.W
+            assert pd.ev.equality_gradients() is pd.Heq
+            assert pd.ev.powers.tobytes() == P.at(pd.x).powers.tobytes()
+
     def test_tiny_negative_within_tolerance(self):
         fd = feasibility_data(scalar2_problem(), np.array([-1e-10]))
         assert fd.E.shape[1] == 2
@@ -1086,6 +1097,19 @@ class TestKkt:
         assert cert.stationarity_residual <= 1e-12
         assert cert.psd_defect == pytest.approx(0.5, abs=1e-10)
         assert not cert.is_valid()
+
+    def test_residuals_match_public_method_calls(self):
+        # one evaluation gives the bits of one public model call per value
+        rng = np.random.default_rng(19)
+        for case in range(10):
+            P = rand_problem(rng, 3, 3)
+            x = rng.standard_normal(3)
+            Y = SymMat.from_symmetric(rng.standard_normal((3, 3)))
+            cert = kkt_residual(P, x, Y)
+            grad = P.objective_gradient(x) - P.adjoint(x, Y)
+            assert cert.stationarity_residual == float(np.linalg.norm(grad))
+            assert cert.complementarity_residual == abs(
+                float(np.sum(P.constraint_value(x).a * Y.a)))
 
     def test_diag3_identity_multiplier(self):
         cert = kkt_residual(diag3_problem(), np.zeros(3), np.eye(3))

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from nsdpcq.errors import ProblemFormatError
-from nsdpcq.symmat import SymMat
+from nsdpcq.symmat import SymMat, eigh
 from nsdpcq.model import (
     MAX_DEGREE,
     MatrixPoly,
     NsdpProblem,
     Poly,
     parse_problem_text,
-    structural_zero,
     structurally_diagonal,
 )
 
@@ -52,7 +51,6 @@ def test_poly_canonicalization_merges_and_drops():
     assert p.terms == ((3.0, (1, 0)),)
     q = p_of(2, (1.0, (1, 0)), (-1.0, (1, 0)))
     assert q.is_zero()
-    assert structural_zero(q)
 
 
 def test_poly_arithmetic():
@@ -348,6 +346,43 @@ def test_evaluation_keeps_read_only_derivatives():
         M = M + M.T
         alone = P._G.adjoint(P._G.derivatives(ev.powers), M)
         assert ev.adjoint(M).tobytes() == alone.tobytes(), P.name
+
+
+def test_evaluation_keeps_values_and_spectrum():
+    for P, x in evaluation_cases():
+        ev = P.at(x)
+        G, spec, h = ev.constraint_value(), ev.spectrum(), ev.equality_values()
+        # built once: a second call returns the same object
+        assert ev.constraint_value() is G
+        assert ev.spectrum() is spec
+        assert ev.equality_values() is h
+        assert ev.objective_value() == ev.objective_value()
+        assert ev.finite() and ev.constraint_value() is G
+        for arr in (G.a, spec.values, spec.vectors, h):
+            assert not arr.flags.writeable, P.name
+        # bit for bit the values of the public per-call methods
+        want = compiled_evaluation(P, x)
+        assert ev.objective_value() == want["f"]
+        assert h.tobytes() == want["h"].tobytes()
+        assert G.a.tobytes() == want["G"].tobytes()
+        again = eigh(P.constraint_value(x))
+        assert spec.values.tobytes() == again.values.tobytes()
+        assert spec.vectors.tobytes() == again.vectors.tobytes()
+
+
+def test_finite_flags_overflowing_values():
+    # G = [[x^4]], f = -x^5 - x: G and f overflow at x = 2^300, and
+    # only f at x = 2^250, where x^5 exceeds the float range but x^4 not
+    P = NsdpProblem(1, p_of(1, (-1.0, (5,)), (-1.0, (1,))),
+                    MatrixPoly(1, 1, {(0, 0): p_of(1, (1.0, (4,)))}))
+    assert P.at([2.0]).finite()
+    with np.errstate(over="ignore"):
+        far, half = P.at([2.0 ** 300]), P.at([2.0 ** 250])
+        assert not far.finite()
+        assert not half.finite()
+    with pytest.raises(ValueError):
+        far.constraint_value()
+    assert half.constraint_value().a[0, 0] == 2.0 ** 1000
 
 
 def test_adjoint_linearity():

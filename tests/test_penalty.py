@@ -46,20 +46,18 @@ from nsdpcq.cqcheck import (
 )
 from nsdpcq.corpus import entries as corpus_entries
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
-from nsdpcq import penalty
+from nsdpcq import model, penalty
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.penalty import (
     PenaltyConfig,
+    _gradient_floor,
+    _penalty_parts,
     _probe_traces,
     default_trace_family,
-    gradient_noise_floor,
     inner_minimize,
     inner_stop,
     inner_tolerance,
     make_path_trace,
-    penalty_gradient,
-    penalty_noise_floor,
-    penalty_value,
     probe_weak_ndg,
     probe_weak_robinson,
     run_penalty,
@@ -281,6 +279,14 @@ def facial_origin_problem():
     return NsdpProblem(2, xv(2, 1), G, name="facial0")
 
 
+def parts(P, anchor, rho, x):
+    """Value, gradient, multiplier and noise floor of the penalty at x,
+    read off a fresh evaluation of x."""
+    x = np.asarray(x, dtype=float)
+    return _penalty_parts(np.asarray(anchor, dtype=float), rho, x, P.at(x),
+                          need_grad=True)
+
+
 def diag2_problem():
     G = MatrixPoly.diagonal([xv(2, 0), xv(2, 1)])
     return NsdpProblem(2, xv(2, 0) + xv(2, 1), G, name="diag2")
@@ -329,8 +335,8 @@ class TestInnerMinimize:
         assert res.converged
         assert res.x[1] < 0.0
         assert res.grad_norm <= inner_tolerance(cfg, 10.0)
-        assert penalty_value(P, cfg.anchor, 10.0, res.x) \
-            < penalty_value(P, cfg.anchor, 10.0, np.zeros(2))
+        assert parts(P, cfg.anchor, 10.0, res.x)[0] \
+            < parts(P, cfg.anchor, 10.0, np.zeros(2))[0]
 
     def test_noise_floor_scales_with_the_data(self):
         # f = 0, G = diag(x1, x2), anchor at the point: phi is the penalty
@@ -342,8 +348,7 @@ class TestInnerMinimize:
         floors = []
         for rho, delta in [(1.0, 1e-6), (1.0, 1e-4), (1e4, 1e-4)]:
             x = np.array([1.0, -delta])
-            phi = penalty_value(P, x, rho, x)
-            floor = penalty_noise_floor(P, x, rho, x)
+            phi, _, _, floor = parts(P, x, rho, x)
             assert phi == pytest.approx(0.5 * rho * delta ** 2, rel=1e-12)
             # max|lambda| = 1 and sum(neg) = delta
             want = 1e-14 * (phi + rho * 1.0 * delta)
@@ -369,16 +374,19 @@ class TestInnerMinimize:
         eps = np.finfo(float).eps
         x = np.array([0.5, -3.0])
         floors = []
+        spec = eigh(P.constraint_value(x))
+        dg_norm = np.linalg.norm(P.constraint_partials(x))
         for rho in (1.0, 1e6, 1e11):
-            floor = gradient_noise_floor(P, rho, x)
+            floor = _gradient_floor(rho, spec, dg_norm)
             assert floor == pytest.approx(eps * rho * 3.0 * np.sqrt(2.0),
                                           rel=1e-12)
             floors.append(floor)
         assert floors[1] == pytest.approx(1e6 * floors[0], rel=1e-12)
         assert floors[2] == pytest.approx(1e11 * floors[0], rel=1e-12)
-        # the spectrum a caller already holds gives the same floor
-        spec = eigh(P.constraint_value(x))
-        assert gradient_noise_floor(P, 1e11, x, spec) == floors[2]
+        # the inner solve takes the floor from the warm start's evaluation
+        ev = P.at(x)
+        assert _gradient_floor(1e11, ev.spectrum(), np.linalg.norm(
+            ev.constraint_partials())) == floors[2]
 
 
 class TestPenaltyGradient:
@@ -392,13 +400,13 @@ class TestPenaltyGradient:
             x = rng.uniform(-1.0, 1.0, P.n)
             anchor = rng.uniform(-1.0, 1.0, P.n)
             rho = float(rng.uniform(0.5, 100.0))
-            g = penalty_gradient(P, anchor, rho, x)
+            g = parts(P, anchor, rho, x)[1]
             fd = np.zeros(P.n)
             for i in range(P.n):
                 e = np.zeros(P.n)
                 e[i] = h
-                fd[i] = (penalty_value(P, anchor, rho, x + e)
-                         - penalty_value(P, anchor, rho, x - e)) / (2 * h)
+                fd[i] = (parts(P, anchor, rho, x + e)[0]
+                         - parts(P, anchor, rho, x - e)[0]) / (2 * h)
             rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             assert rel <= 1e-4, f"case {case} on {P.name}: {rel:.2e}"
 
@@ -410,13 +418,13 @@ class TestPenaltyGradient:
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, 2)
             rho = float(rng.uniform(0.5, 50.0))
-            g = penalty_gradient(P, np.zeros(2), rho, x)
+            g = parts(P, np.zeros(2), rho, x)[1]
             fd = np.zeros(2)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = 1e-6
-                fd[i] = (penalty_value(P, np.zeros(2), rho, x + e)
-                         - penalty_value(P, np.zeros(2), rho, x - e)) / 2e-6
+                fd[i] = (parts(P, np.zeros(2), rho, x + e)[0]
+                         - parts(P, np.zeros(2), rho, x - e)[0]) / 2e-6
             assert np.linalg.norm(g - fd) <= 1e-4 * (1 + np.linalg.norm(g))
 
 
@@ -465,14 +473,17 @@ class TestOnePassPerPoint:
                 rho = float(rng.choice([1.0, 1e3, 1e9]))
                 val, grad, Y, noise = penalty_parts_reference(
                     P, anchor, rho, x)
-                assert penalty.penalty_value(P, anchor, rho, x) == val
-                assert penalty.penalty_gradient(
-                    P, anchor, rho, x).tobytes() == grad.tobytes()
-                assert penalty.penalty_noise_floor(P, anchor, rho, x) == noise
-                # the multiplier does not depend on the anchor
+                got = parts(P, anchor, rho, x)
+                assert got[0] == val
+                assert got[1].tobytes() == grad.tobytes()
+                assert got[3] == noise
+                # the value alone is the same, and the multiplier does
+                # not depend on the anchor
+                assert _penalty_parts(anchor, rho, x, P.at(x),
+                                      need_grad=False)[0] == val
                 _, _, Y0, _ = penalty_parts_reference(P, np.zeros(P.n), rho, x)
-                assert penalty.multiplier_estimate(
-                    P, rho, x).a.tobytes() == Y0.a.tobytes() == Y.a.tobytes()
+                assert parts(P, np.zeros(P.n), rho, x)[2].a.tobytes() \
+                    == Y0.a.tobytes() == Y.a.tobytes() == got[2].a.tobytes()
 
     def test_path_trace_matches_per_point_oracle(self):
         rng = np.random.default_rng(29)
@@ -536,9 +547,9 @@ class TestNewtonDerivatives:
                 DGd = np.tensordot(d, P.constraint_partials(x), 1)
                 omega = penalty._projection_weights(-spec.values)
                 got = rho * Q @ (omega * (Q.T @ -DGd @ Q)) @ Q.T
-                fd = (penalty.multiplier_estimate(P, rho, x + h * d).a
-                      - penalty.multiplier_estimate(P, rho, x - h * d).a
-                      ) / (2.0 * h)
+                zero = np.zeros(P.n)
+                fd = (parts(P, zero, rho, x + h * d)[2].a
+                      - parts(P, zero, rho, x - h * d)[2].a) / (2.0 * h)
                 assert np.max(np.abs(got - fd)) <= 1e-5 * (
                     1.0 + np.max(np.abs(fd))), P.name
                 checked += 1
@@ -552,15 +563,16 @@ class TestNewtonDerivatives:
             for x in simple_spectrum_points(rng, P, x_bar, 2):
                 rho = float(rng.choice([1.0, 100.0]))
                 anchor = x_bar + 0.1 * rng.standard_normal(P.n)
-                _, _, Y, pieces, _ = penalty._penalty_parts(
-                    P, anchor, rho, x, need_grad=True)
-                H = penalty._penalty_hessian(rho, pieces, Y)
+                ev = P.at(x)
+                _, _, Y, _ = _penalty_parts(anchor, rho, x, ev,
+                                            need_grad=True)
+                H = penalty._penalty_hessian(rho, ev, Y)
                 fd = np.empty((P.n, P.n))
                 for l in range(P.n):
                     e = np.zeros(P.n)
                     e[l] = h
-                    fd[:, l] = (penalty_gradient(P, anchor, rho, x + e)
-                                - penalty_gradient(P, anchor, rho, x - e)
+                    fd[:, l] = (parts(P, anchor, rho, x + e)[1]
+                                - parts(P, anchor, rho, x - e)[1]
                                 ) / (2.0 * h)
                 assert np.max(np.abs(H - fd)) <= 1e-5 * (
                     1.0 + np.max(np.abs(fd))), P.name
@@ -708,12 +720,11 @@ class TestRunPenalty:
         # a rejected trial interpolates, so the 13 levels take about one
         # value trial per iteration, not log2(rho) halvings
         value_calls = []
-        parts = penalty._penalty_parts
 
-        def counted(P, anchor, rho, x, need_grad, pieces=None):
+        def counted(anchor, rho, x, ev, need_grad):
             if not need_grad:
                 value_calls.append(rho)
-            return parts(P, anchor, rho, x, need_grad, pieces)
+            return _penalty_parts(anchor, rho, x, ev, need_grad)
 
         monkeypatch.setattr(penalty, "_penalty_parts", counted)
         trace = run_penalty(diag3_problem(),
@@ -722,30 +733,49 @@ class TestRunPenalty:
         assert len(value_calls) <= 60
 
     def test_diag3_solve_decomposes_only_its_trials(self, monkeypatch):
-        # every eigh of a run is one line-search trial: the first level
-        # starts from the feasibility gate's eigh of the anchor and each
-        # later level from the pieces of the point it starts at, where
-        # evaluating each warm start again would cost 13 more
+        # every eigh of a run but the feasibility gate's is one
+        # line-search trial: the first level starts from the gate's
+        # evaluation of the anchor and each later level from the
+        # evaluation of the point it starts at, where evaluating each
+        # warm start again would cost 13 more
         calls, trials = [], []
-        parts = penalty._penalty_parts
 
         def counted_eigh(M):
             calls.append(np.shape(M.a))
             return eigh(M)
 
-        def counted_parts(P, anchor, rho, x, need_grad, pieces=None):
+        def counted_parts(anchor, rho, x, ev, need_grad):
             if not need_grad:
                 trials.append(rho)
-            return parts(P, anchor, rho, x, need_grad, pieces)
+            return _penalty_parts(anchor, rho, x, ev, need_grad)
 
-        monkeypatch.setattr(penalty, "eigh", counted_eigh)
+        monkeypatch.setattr(model, "eigh", counted_eigh)
         monkeypatch.setattr(penalty, "_penalty_parts", counted_parts)
         trace = run_penalty(diag3_problem(),
                             PenaltyConfig(anchor=np.zeros(3), outer_iters=13))
         assert all(rec.inner_converged for rec in trace.iterates)
         assert sum(rec.inner_iterations for rec in trace.iterates) == 13
-        assert calls == [(3, 3)] * 14
+        assert calls == [(3, 3)] * 15
         assert len(trials) == 14
+
+    def test_anchor_is_evaluated_once(self, monkeypatch):
+        # the feasibility gate's evaluation of the anchor is the first
+        # level's warm start; evaluating the anchor again for the first
+        # level would build a second one
+        anchor = np.zeros(3)
+        points = []
+        init = model.Evaluation.__init__
+
+        def counted_init(self, problem, x):
+            points.append(np.array(x, dtype=float))
+            init(self, problem, x)
+
+        monkeypatch.setattr(model.Evaluation, "__init__", counted_init)
+        trace = run_penalty(diag3_problem(),
+                            PenaltyConfig(anchor=anchor, outer_iters=13))
+        assert all(rec.inner_converged for rec in trace.iterates)
+        assert sum(np.array_equal(x, anchor) for x in points) == 1
+        assert not any(np.array_equal(x, anchor) for x in points[1:])
 
     def test_bounded_multipliers_not_flagged(self):
         trace = run_penalty(diag3_problem(), PenaltyConfig(anchor=np.zeros(3)))
@@ -782,7 +812,7 @@ class TestRunPenalty:
 
 def levels_one_at_a_time(P, cfg):
     """run_penalty's levels, each solved by inner_minimize from its warm
-    start alone, with no pieces carried in."""
+    start alone, with no evaluation carried in."""
     x, rho, out = cfg.anchor.copy(), cfg.rho0, []
     for _ in range(cfg.outer_iters):
         res = inner_minimize(P, cfg, rho, x)
@@ -792,8 +822,9 @@ def levels_one_at_a_time(P, cfg):
 
 
 class TestLevelCarry:
-    """Carrying a point's pieces into the next level, and the anchor's
-    eigh into the first, changes no bit of the run."""
+    """Carrying a point's evaluation into the next level, and the
+    feasibility gate's evaluation of the anchor into the first, changes
+    no bit of the run."""
 
     @pytest.mark.parametrize("P, anchor", [
         (diag3_problem(), [0.0, 0.0, 0.0]),
@@ -808,20 +839,23 @@ class TestLevelCarry:
         for rec, res in zip(trace.iterates, fresh):
             assert np.array_equal(rec.x, res.x)
             assert np.array_equal(rec.multiplier.a, res.multiplier.a)
-            assert np.array_equal(rec.eigenvalues, res.pieces.spec.values)
-            assert np.array_equal(rec.eigenvectors, res.pieces.spec.vectors)
+            assert np.array_equal(rec.eigenvalues, res.ev.spectrum().values)
+            assert np.array_equal(rec.eigenvectors,
+                                  res.ev.spectrum().vectors)
             assert rec.stationarity_residual == res.grad_norm
             assert (rec.inner_converged, rec.inner_iterations) \
                 == (res.converged, res.iterations)
 
-    def test_carried_pieces_belong_to_the_result_point(self):
+    def test_carried_evaluation_belongs_to_the_result_point(self):
         P = NsdpProblem.from_json(json.loads(DEGENERATE00_PROBLEM))
         cfg = PenaltyConfig(anchor=np.zeros(4))
         res = inner_minimize(P, cfg, 1e3, np.zeros(4))
-        fx, hvals, spec, ev = res.pieces
+        ev = res.ev
+        spec = ev.spectrum()
         assert np.array_equal(ev.powers, P.at(res.x).powers)
-        assert fx == P.objective_value(res.x)
-        assert np.array_equal(hvals, P.equality_values(res.x))
+        assert ev.objective_value() == P.objective_value(res.x)
+        assert np.array_equal(ev.equality_values(),
+                              P.equality_values(res.x))
         again = eigh(P.constraint_value(res.x))
         assert np.array_equal(spec.values, again.values)
         assert np.array_equal(spec.vectors, again.vectors)

@@ -16,7 +16,7 @@ from nsdpcq.cqcheck import (
     li_test,
 )
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
-from nsdpcq.model import MatrixPoly, NsdpProblem, Poly, structural_zero
+from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.corpus import entries
 from nsdpcq.report import AnalysisOptions, analyze_problem
 from nsdpcq.sparse import (
@@ -124,7 +124,7 @@ class TestHatMap:
         hat = hat_map(P, [1.0, 0.0], E)
         assert hat.dim == 1
         assert hat.cardinality() == 0
-        assert structural_zero(hat_entry(P, E, 0, 0))
+        assert hat_entry(P, E, 0, 0).is_zero()
 
     def test_offdiag_rotated_basis_diagonalizes(self):
         # the 45 degree basis cancels the off-diagonal entry below the
@@ -135,7 +135,7 @@ class TestHatMap:
         Er = E @ C
         hat = hat_map(P, [0.0, 0.0], Er)
         assert hat.sorted_pairs() == [(0, 0), (1, 1)]
-        assert structural_zero(hat_entry(P, Er, 0, 1))
+        assert hat_entry(P, Er, 0, 1).is_zero()
         p00 = hat_entry(P, Er, 0, 0)
         assert abs(p00.eval(np.array([0.3, 0.4])) - (0.3 + 0.4)) < 1e-12
         p11 = hat_entry(P, Er, 1, 1)
