@@ -5,9 +5,9 @@ a multiplier table), reduce (facial reduction to a smaller constraint),
 corpus (list or re-verify the built-in examples).  Problems come from
 JSON files or from `corpus:NAME`.  Each subcommand takes only the
 flags it reads.  Exit codes: 0 success, 1 corpus mismatch, 2 malformed
-problem file or argument (a numeric flag out of range included), 3
-infeasible point, 4 numerical failure, 141 (128 + SIGPIPE) stdout
-closed by its reader.
+problem file or argument (a numeric flag out of range, and a point at
+which f, G or h is not finite, included), 3 infeasible point, 4
+numerical failure, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 from __future__ import annotations
 
@@ -76,7 +76,12 @@ def _point_arg(args, P: NsdpProblem, default, what: str = "point"
             raise ProblemFormatError(
                 f"--{what} is required for file-based problems")
         return np.asarray(default, dtype=float)
-    return _parse_vector(raw, P.n, what)
+    x = _parse_vector(raw, P.n, what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = P.at(x).finite()
+    if not finite:
+        raise ProblemFormatError(f"f, G or h is not finite at {what} {raw!r}")
+    return x
 
 
 # valid ranges of the numeric flags, keyed by argparse dest; NaN fails

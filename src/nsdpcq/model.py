@@ -653,9 +653,13 @@ class Evaluation:
         shape (n, n)."""
         P = self.problem
         Y = Y.a if isinstance(Y, SymMat) else Y
-        return (P._f.hessian(self.powers, np.ones(1))
-                - P._G.hessian(self.powers, Y)
-                + P._h.hessian(self.powers, w))
+        H = (P._f.hessian(self.powers, np.ones(1))
+             - P._G.hessian(self.powers, Y))
+        # an equality map without second derivatives adds zeros, which
+        # only turn a -0.0 into 0.0, as + 0.0 does
+        if P._h._hpos.size:
+            return H + P._h.hessian(self.powers, w)
+        return H + 0.0
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

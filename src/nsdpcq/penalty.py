@@ -51,6 +51,15 @@ rho-dependent value, gradient, multiplier and noise floor.  The first
 level starts from the feasibility gate's Evaluation of the anchor.  A
 level whose line search finds no finite step, as on a penalty unbounded
 below, ends stalled.
+
+On these problems (n and m of a few units) a Newton step costs more in
+numpy's per-call overhead than in LAPACK, so each step keeps its fixed
+cost down without changing a bit of its result: an accepted trial hands
+its value's pieces (_penalty_value) to the gradient instead of
+recomputing them, the projection weights are filled block by block off
+the sorted spectrum, the Cholesky factor is taken of H itself unless H
+needs a diagonal shift, and the eigendecomposition of one matrix takes
+symmat.eigh's single-matrix path.
 """
 from __future__ import annotations
 
@@ -209,15 +218,31 @@ class SequenceProbeResult:
 # penalty function and inner solver
 
 
-def _penalty_parts(anchor: np.ndarray, rho: float, x: np.ndarray,
-                   ev: Evaluation, need_grad: bool):
-    """Value of phi at x and, when asked, its gradient, the multiplier
-    and the value's noise floor, from ev, the model evaluation at x.
+def _penalty_value(anchor: np.ndarray, rho: float, x: np.ndarray,
+                   ev: Evaluation):
+    """Value of phi at x, from ev, the model evaluation at x, with the
+    pieces its gradient reuses: (val, dx, neg, reg, pen), neg the
+    eigenvalues of proj(-G(x)) and reg and pen the regularization and
+    penalty terms."""
+    hvals = ev.equality_values()
+    dx = x - anchor
+    neg = np.maximum(-ev.spectrum().values, 0.0)
+    reg = 0.5 * float(dx @ dx)
+    pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
+    return ev.objective_value() + reg + pen, dx, neg, reg, pen
 
-    The value reads f(x), h(x) and the constraint spectrum off ev, and
-    the gradient its derivative stacks, none of them depending on rho,
-    so a caller that holds ev, from a value trial at x or from the level
-    that ended at x, evaluates no point twice.
+
+def _penalty_parts(anchor: np.ndarray, rho: float, x: np.ndarray,
+                   ev: Evaluation, value=None):
+    """Value of phi at x, its gradient, the multiplier and the value's
+    noise floor, from ev, the model evaluation at x.
+
+    value is _penalty_value's result at x, which a line-search trial
+    hands on when it is accepted; it is computed when not given.  The
+    value reads f(x), h(x) and the constraint spectrum off ev, and the
+    gradient its derivative stacks, none of them depending on rho, so a
+    caller that holds ev, from a value trial at x or from the level that
+    ended at x, evaluates no point twice.
 
     The noise floor bounds the rounding error of phi near x: VALUE_NOISE
     times the sizes of its terms, which can cancel, plus the eigenvalue
@@ -227,15 +252,8 @@ def _penalty_parts(anchor: np.ndarray, rho: float, x: np.ndarray,
     resolves to about 1e-22, and an absolute floor there would switch
     the Armijo test off.
     """
-    fx, hvals = ev.objective_value(), ev.equality_values()
-    spec = ev.spectrum()
-    dx = x - anchor
-    neg = np.maximum(-spec.values, 0.0)        # eigenvalues of proj(-G)
-    reg = 0.5 * float(dx @ dx)
-    pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
-    val = fx + reg + pen
-    if not need_grad:
-        return val, None, None, None
+    val, dx, neg, reg, pen = value or _penalty_value(anchor, rho, x, ev)
+    fx, hvals, spec = ev.objective_value(), ev.equality_values(), ev.spectrum()
     act = neg > 0.0
     if act.any():
         V = spec.vectors[:, act]
@@ -317,12 +335,21 @@ def _penalty_hessian(rho: float, ev: Evaluation, Y: SymMat) -> np.ndarray:
 
 def _projection_weights(mu: np.ndarray) -> np.ndarray:
     """Omega of the generalized Jacobian of the PSD projection at
-    Q diag(mu) Q^T (see _penalty_hessian)."""
-    pos = np.maximum(mu, 0.0)
-    den = mu[:, None] - mu[None, :]
-    tie = den == 0.0
-    return np.where(tie, (pos > 0.0)[:, None] * 1.0,
-                    (pos[:, None] - pos[None, :]) / np.where(tie, 1.0, den))
+    Q diag(mu) Q^T (see _penalty_hessian), for mu non-decreasing.
+
+    The first k entries of mu are non-positive and the rest positive, so
+    Omega is 0 on the leading k x k block, 1 on the trailing one, and
+    mu_i / (mu_i - mu_j) on the cross blocks, which are each other's
+    transpose bit for bit.  Only the sign of a zero can differ from the
+    entrywise formula, and no sum in the Hessian keeps it.
+    """
+    k = int(mu.searchsorted(0.0, side="right"))
+    W = np.ones((mu.size, mu.size))
+    W[:k, :k] = 0.0
+    pos = mu[k:, None]
+    W[k:, :k] = pos / (pos - mu[:k])
+    W[:k, k:] = W[k:, :k].T
+    return W
 
 
 def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -333,12 +360,12 @@ def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     direction, when 200 doublings do not suffice; a non-finite H gives a
     non-finite direction, which the caller rejects too."""
     beta = 1e-3
-    diag = float(np.min(np.diag(H)))
+    diag = float(H.diagonal().min())
     tau = 0.0 if diag > 0.0 else beta - diag
-    eye = np.eye(H.shape[0])
     for _ in range(200):
         try:
-            L = np.linalg.cholesky(H + tau * eye)
+            L = np.linalg.cholesky(H + tau * np.eye(len(H)) if tau > 0.0
+                                   else H)
         except np.linalg.LinAlgError:
             tau = max(2.0 * tau, beta)
             continue
@@ -357,7 +384,8 @@ def _line_search(P: NsdpProblem, anchor: np.ndarray, rho: float,
     resolution of phi, the value test carries no information: such a
     trial is accepted on strict gradient decrease, and otherwise t is
     halved.  A trial whose f, h or G overflows has the value inf, and one
-    whose gradient norm overflows is rejected like any other.  Returns
+    whose gradient norm overflows is rejected like any other.  An
+    accepted trial hands its value's pieces on to the gradient.  Returns
     the accepted point with its value, gradient, multiplier, Evaluation
     and noise floor, or None after 60 trials.
     """
@@ -365,12 +393,11 @@ def _line_search(P: NsdpProblem, anchor: np.ndarray, rho: float,
     for _ in range(60):
         cand = x + t * d
         ev = P.at(cand)
-        fc = (_penalty_parts(anchor, rho, cand, ev, need_grad=False)[0]
-              if ev.finite() else math.inf)
+        value = _penalty_value(anchor, rho, cand, ev) if ev.finite() else None
+        fc = value[0] if value else math.inf
         armijo = abs(t * gd) > noise
         if fc <= val + (ARMIJO_C * t * gd if armijo else noise):
-            _, gc, Yc, noise_c = _penalty_parts(anchor, rho, cand, ev,
-                                                need_grad=True)
+            _, gc, Yc, noise_c = _penalty_parts(anchor, rho, cand, ev, value)
             gnorm_c = _norm(gc)
             if math.isfinite(gnorm_c) and (armijo or gnorm_c < gnorm):
                 return cand, fc, gc, Yc, ev, noise_c
@@ -418,7 +445,7 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     x = np.asarray(x_start, dtype=float).copy()
     if ev is None:
         ev = P.at(x)
-    val, grad, Y, noise = _penalty_parts(anchor, rho, x, ev, need_grad=True)
+    val, grad, Y, noise = _penalty_parts(anchor, rho, x, ev)
     dg_norm = _norm(ev.constraint_partials().ravel())
     tol = max(inner_tolerance(cfg, rho),
               _gradient_floor(rho, ev.spectrum(), dg_norm))

@@ -5,11 +5,15 @@ wrapper around LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)
 that fixes the ordering and sign conventions below.  A :class:`SymMat`
 holds one matrix or a stack of them along leading axes, and
 :func:`eigh` decomposes a stack in one LAPACK call, each slice exactly
-as it would decompose that matrix alone.  LAPACK's error in
-an eigenvalue is a small multiple of eps * ||M||; the cyclic Jacobi
-method only does better on small eigenvalues when it stops on a
-relative off-diagonal test (Demmel & Veselic 1992), so it buys nothing
-over LAPACK for the absolute rank and kernel tolerances used here.
+as it would decompose that matrix alone.  A single matrix, the case
+of every penalty step, takes a shorter path to the same bytes, layout
+and flags: its ordering and sign fix need no offsets into a stack, and
+on a 4 x 4 matrix they cost about 1.4 times LAPACK's own call instead
+of 3 times.  LAPACK's error in an eigenvalue is a small multiple of
+eps * ||M||; the cyclic Jacobi method only does better on small
+eigenvalues when it stops on a relative off-diagonal test (Demmel &
+Veselic 1992), so it buys nothing over LAPACK for the absolute rank and
+kernel tolerances used here.
 
 Conventions used everywhere:
 
@@ -75,7 +79,7 @@ class SymMat:
         have become NaN.
         """
         arr = _checked_square(np.asarray(arr, dtype=float))
-        return cls.exact((arr + arr.swapaxes(-1, -2)) / 2.0)
+        return cls._frozen((arr + arr.swapaxes(-1, -2)) / 2.0)
 
     @classmethod
     def exact(cls, arr) -> "SymMat":
@@ -86,7 +90,12 @@ class SymMat:
         and finiteness are checked, and the array is frozen in place,
         with no copy.
         """
-        arr = _checked_square(np.asarray(arr, dtype=float))
+        return cls._frozen(_checked_square(np.asarray(arr, dtype=float)))
+
+    @classmethod
+    def _frozen(cls, arr: np.ndarray) -> "SymMat":
+        """Freeze a square, exactly symmetric array after checking that
+        it is finite."""
         if not np.isfinite(arr).all():
             raise ValueError("SymMat entries must be finite")
         arr.setflags(write=False)
@@ -134,8 +143,14 @@ def eigh(M) -> Spectral:
     Eigenvalues come out non-increasing; the reordering is a stable sort,
     so ties keep LAPACK's order.  Each eigenvector is sign-fixed so that
     its largest-magnitude component is positive.  Both arrays are
-    read-only.  A LAPACK failure, in any matrix of a stack, is raised as
-    :class:`NumericalFailure`.
+    read-only, and the vectors column-major.  A LAPACK failure, in any
+    matrix of a stack, is raised as :class:`NumericalFailure`.
+
+    A stack orders all its matrices by one gather of the eigenvectors as
+    rows, each matrix's order offset by its first row.  A single matrix
+    needs no offsets: one stable argsort of -w, one gather of the rows of
+    U^T, one sign fix at each row's argmax and a transpose back give the
+    bytes, strides and flags the stack path gives its slices.
     """
     if isinstance(M, SymMat):
         a = M.a
@@ -149,7 +164,15 @@ def eigh(M) -> Spectral:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     values, vectors = w, u
-    if w.size:
+    if w.ndim == 1 and w.size:
+        # the gathered rows are C-ordered, so rows.T is column-major,
+        # the layout of the stack's slices
+        order = (-w).argsort(kind="stable")
+        rows = u.T.take(order, axis=0)
+        peak = rows[np.arange(w.size), np.abs(rows).argmax(axis=1)]
+        np.negative(rows, out=rows, where=peak[:, None] < 0.0)
+        values, vectors = w.take(order), rows.T
+    elif w.size:
         m = w.shape[-1]
         # every eigenvector of the stack as a row, in LAPACK's order
         rows = u.swapaxes(-1, -2).reshape(w.size, m)

@@ -5,7 +5,10 @@ Besides the adjoint formula for single entry gradients and the
 congruence B^T G B as polynomials (to rotate a constraint), this holds the
 block machinery (block detection, per-block subproblems), the multifold
 sparse-nondegeneracy check built on it, the pattern-cardinality
-invariance survey, a best-effort KKT multiplier fit, and the per-point
+invariance survey, a best-effort KKT multiplier fit, the stack form of
+eigh's ordering and sign fix applied to a single matrix, the Lagrangian
+Hessian summed over all three maps, the entrywise weights of the
+projection Jacobian, and the per-point
 references of the penalty layer: the penalty value, gradient,
 multiplier and noise floor from one public model call per quantity, the
 path trace that evaluates and decomposes its points one at a time, and
@@ -52,7 +55,7 @@ from nsdpcq.sparse import (
     _stack,
     check_sparse_ndg,
 )
-from nsdpcq.symmat import SymMat, eigh, random_rotation
+from nsdpcq.symmat import Spectral, SymMat, eigh, random_rotation
 
 
 def entry_gradient(P, x, u, w=None):
@@ -266,6 +269,47 @@ def _project_psd_mat(S: np.ndarray) -> np.ndarray:
     spec = eigh(SymMat.from_symmetric(S))
     lam = np.clip(spec.values, 0.0, None)
     return (spec.vectors * lam) @ spec.vectors.T
+
+
+def eigh_stack_form(a: np.ndarray) -> Spectral:
+    """symmat.eigh of one matrix by the steps its stack path takes: each
+    eigenvector of LAPACK's output as a row, its sign fixed at its
+    largest-magnitude component, and one offset gather ordering the
+    values and rows, swapped back to columns."""
+    w, u = np.linalg.eigh(a)
+    m = w.shape[-1]
+    rows = u.swapaxes(-1, -2).reshape(w.size, m)
+    peak = rows.take(np.abs(rows).argmax(axis=1)
+                     + np.arange(0, rows.size, m))
+    np.negative(rows, out=rows, where=peak[:, None] < 0.0)
+    order = np.argsort(-w, axis=-1, kind="stable")
+    order += np.arange(0, w.size, m).reshape(w.shape[:-1] + (1,))
+    values, vectors = w.take(order), rows[order].swapaxes(-1, -2)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return Spectral(values=values, vectors=vectors)
+
+
+def lagrangian_hessian_three_maps(ev, Y: np.ndarray,
+                                  w: np.ndarray) -> np.ndarray:
+    """The Hessian of f - <G, Y> + <h, w> at ev's point as the sum of
+    the three compiled maps' Hessians, the equality map's included when
+    it has no second derivatives."""
+    P = ev.problem
+    return (P._f.hessian(ev.powers, np.ones(1))
+            - P._G.hessian(ev.powers, Y)
+            + P._h.hessian(ev.powers, w))
+
+
+def projection_weights_entrywise(mu: np.ndarray) -> np.ndarray:
+    """Omega_ij = (mu_i^+ - mu_j^+) / (mu_i - mu_j), 1 at a tie of
+    positive entries and 0 at one of non-positive entries, computed
+    entry by entry over all pairs."""
+    pos = np.maximum(mu, 0.0)
+    den = mu[:, None] - mu[None, :]
+    tie = den == 0.0
+    return np.where(tie, (pos > 0.0)[:, None] * 1.0,
+                    (pos[:, None] - pos[None, :]) / np.where(tie, 1.0, den))
 
 
 def penalty_parts_reference(P: NsdpProblem, anchor, rho: float, x):

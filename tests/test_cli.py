@@ -294,6 +294,23 @@ class TestUnboundedPenalty:
         assert all(np.all(np.isfinite(rec["x"])) for rec in records)
 
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--point", "1e80"],
+        ["solve", "--anchor", "1e80"],
+        ["reduce", "--point", "1e80"],
+    ])
+    def test_overflowing_point_exit_two(self, argv, tmp_path, capsys):
+        # x^4 and x^5 overflow at 1e80: SymMat refused G(x) and the
+        # command exited 1 with a traceback
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(UNBOUNDED_PROBLEMS["quintic"]))
+        assert cli.main([argv[0], str(problem)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: f, G or h is not finite at {argv[1][2:]} '1e80'"]
+
+
 class TestReduce:
     def test_facial_reduction_summary(self, tmp_path, capsys):
         out_file = tmp_path / "reduced.json"

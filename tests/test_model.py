@@ -15,7 +15,11 @@ from nsdpcq.model import (
     structurally_diagonal,
 )
 
-from oracles import component_subproblem, detect_blocks
+from oracles import (
+    component_subproblem,
+    detect_blocks,
+    lagrangian_hessian_three_maps,
+)
 
 
 def p_of(n, *terms):
@@ -280,6 +284,34 @@ def test_lagrangian_hessian_matches_reference_and_differences():
             fd = (grad(xp) - grad(xm)) / (2.0 * h)
             assert np.all(np.abs(H[:, l] - fd) <= 1e-5 * (1.0 + np.abs(fd))), \
                 (P.name, l)
+
+
+def test_lagrangian_hessian_equals_three_map_sum_bitwise():
+    # skipping the equality map when it has no second derivatives must
+    # leave every bit, the sign of a zero included: random problems with
+    # and without equalities, and linear and quadratic objectives with
+    # no, linear and quadratic equalities, at zero and random multipliers
+    rng = np.random.default_rng(23)
+    n = 3
+    x1, x2 = Poly.var(n, 0), Poly.var(n, 1)
+    G = MatrixPoly(2, n, {(0, 0): x1 * x2, (0, 1): x2, (1, 1): x1 * x1})
+    cases = list(evaluation_cases())
+    for obj in (x1 * 2.0 - x2, x1 * x2 + x2 * x2 * 0.5):
+        for eqs in ([], [x1 + x2], [x1 * x2 - Poly.const(n, 1.0)]):
+            cases.append((NsdpProblem(n=n, objective=obj, constraint=G,
+                                      equalities=eqs, name="small"),
+                          np.array([0.0, -0.5, 1.5])))
+    for P, x in cases:
+        ev = P.at(x)
+        Ys = [np.zeros((P.m, P.m)), rng.standard_normal((P.m, P.m))]
+        Ys[1] = Ys[1] + Ys[1].T
+        k = len(P.equalities)
+        for Y in Ys:
+            for w in (np.zeros(k), rng.standard_normal(k)):
+                H = ev.lagrangian_hessian(SymMat(Y), w)
+                want = lagrangian_hessian_three_maps(ev, Y, w)
+                assert H.tobytes() == want.tobytes(), P.name
+                assert np.array_equal(np.signbit(H), np.signbit(want))
 
 
 def test_stacked_constraint_value_slices_equal_single_points():

@@ -20,6 +20,7 @@ from oracles import (
     path_trace_per_point,
     penalty_parts_reference,
     persistent_clusters_per_record,
+    projection_weights_entrywise,
     usable_records_per_record,
 )
 from test_acceptance import shifted_problem
@@ -52,6 +53,7 @@ from nsdpcq.penalty import (
     PenaltyConfig,
     _gradient_floor,
     _penalty_parts,
+    _penalty_value,
     _probe_traces,
     default_trace_family,
     inner_minimize,
@@ -283,8 +285,7 @@ def parts(P, anchor, rho, x):
     """Value, gradient, multiplier and noise floor of the penalty at x,
     read off a fresh evaluation of x."""
     x = np.asarray(x, dtype=float)
-    return _penalty_parts(np.asarray(anchor, dtype=float), rho, x, P.at(x),
-                          need_grad=True)
+    return _penalty_parts(np.asarray(anchor, dtype=float), rho, x, P.at(x))
 
 
 def diag2_problem():
@@ -479,8 +480,7 @@ class TestOnePassPerPoint:
                 assert got[3] == noise
                 # the value alone is the same, and the multiplier does
                 # not depend on the anchor
-                assert _penalty_parts(anchor, rho, x, P.at(x),
-                                      need_grad=False)[0] == val
+                assert _penalty_value(anchor, rho, x, P.at(x))[0] == val
                 _, _, Y0, _ = penalty_parts_reference(P, np.zeros(P.n), rho, x)
                 assert parts(P, np.zeros(P.n), rho, x)[2].a.tobytes() \
                     == Y0.a.tobytes() == Y.a.tobytes() == got[2].a.tobytes()
@@ -555,6 +555,47 @@ class TestNewtonDerivatives:
                 checked += 1
         assert checked >= 20
 
+    def test_projection_weights_match_entrywise_formula(self):
+        # sorted spectra with ties, zeros and mixed signs: the block form
+        # is the entrywise formula, except that a zero in the non-positive
+        # block may carry the other sign
+        rng = np.random.default_rng(47)
+        for _ in range(600):
+            m = int(rng.integers(1, 9))
+            mu = rng.integers(-2, 3, m) * float(rng.choice([1.0, 1e-9]))
+            mu = np.where(rng.random(m) < 0.5, mu, rng.standard_normal(m))
+            mu = np.sort(mu)
+            got = penalty._projection_weights(mu)
+            want = projection_weights_entrywise(mu)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), mu
+
+    def test_penalty_hessian_is_the_entrywise_weights_one(self, monkeypatch):
+        # bit for bit, so the sign of a zero weight never reaches the
+        # Hessian: random points, and points of diag3 where G has tied,
+        # zero and mixed-sign eigenvalues
+        rng = np.random.default_rng(53)
+        cases = [(diag3_problem(), np.array(x)) for x in (
+            [-1.0, -1.0, 0.5], [0.0, -1.0, 2.0], [-2.0, 0.0, 0.0],
+            [-1.0, -1.0, -1.0], [3.0, -1.0, 3.0])]
+        for P, x_bar in oracle_problems():
+            cases += [(P, x_bar + rng.standard_normal(P.n)
+                       * float(rng.choice([1e-3, 0.5]))) for _ in range(3)]
+        rhos = rng.choice([1.0, 1e3, 1e9], len(cases))
+
+        def hessians():
+            out = []
+            for (P, x), rho in zip(cases, rhos):
+                ev = P.at(x)
+                Y = _penalty_parts(np.zeros(P.n), rho, x, ev)[2]
+                out.append(penalty._penalty_hessian(rho, ev, Y).tobytes())
+            return out
+
+        blocks = hessians()
+        monkeypatch.setattr(penalty, "_projection_weights",
+                            projection_weights_entrywise)
+        assert hessians() == blocks
+
     def test_penalty_hessian_matches_gradient_differences(self):
         rng = np.random.default_rng(43)
         h = 1e-6
@@ -564,8 +605,7 @@ class TestNewtonDerivatives:
                 rho = float(rng.choice([1.0, 100.0]))
                 anchor = x_bar + 0.1 * rng.standard_normal(P.n)
                 ev = P.at(x)
-                _, _, Y, _ = _penalty_parts(anchor, rho, x, ev,
-                                            need_grad=True)
+                _, _, Y, _ = _penalty_parts(anchor, rho, x, ev)
                 H = penalty._penalty_hessian(rho, ev, Y)
                 fd = np.empty((P.n, P.n))
                 for l in range(P.n):
@@ -718,15 +758,15 @@ class TestRunPenalty:
     def test_diag3_solve_makes_few_value_evaluations(self, monkeypatch):
         # each level's first step is scaled to the penalty curvature and
         # a rejected trial interpolates, so the 13 levels take about one
-        # value trial per iteration, not log2(rho) halvings
+        # value trial per iteration, not log2(rho) halvings; the count
+        # also holds each level's value at its warm start
         value_calls = []
 
-        def counted(anchor, rho, x, ev, need_grad):
-            if not need_grad:
-                value_calls.append(rho)
-            return _penalty_parts(anchor, rho, x, ev, need_grad)
+        def counted(anchor, rho, x, ev):
+            value_calls.append(rho)
+            return _penalty_value(anchor, rho, x, ev)
 
-        monkeypatch.setattr(penalty, "_penalty_parts", counted)
+        monkeypatch.setattr(penalty, "_penalty_value", counted)
         trace = run_penalty(diag3_problem(),
                             PenaltyConfig(anchor=np.zeros(3), outer_iters=13))
         assert all(rec.inner_converged for rec in trace.iterates)
@@ -737,26 +777,27 @@ class TestRunPenalty:
         # line-search trial: the first level starts from the gate's
         # evaluation of the anchor and each later level from the
         # evaluation of the point it starts at, where evaluating each
-        # warm start again would cost 13 more
-        calls, trials = [], []
+        # warm start again would cost 13 more.  Every value but the 13
+        # levels' values at their warm starts is a trial, and an
+        # accepted trial's gradient reuses its value
+        calls, values = [], []
 
         def counted_eigh(M):
             calls.append(np.shape(M.a))
             return eigh(M)
 
-        def counted_parts(anchor, rho, x, ev, need_grad):
-            if not need_grad:
-                trials.append(rho)
-            return _penalty_parts(anchor, rho, x, ev, need_grad)
+        def counted_value(anchor, rho, x, ev):
+            values.append(rho)
+            return _penalty_value(anchor, rho, x, ev)
 
         monkeypatch.setattr(model, "eigh", counted_eigh)
-        monkeypatch.setattr(penalty, "_penalty_parts", counted_parts)
+        monkeypatch.setattr(penalty, "_penalty_value", counted_value)
         trace = run_penalty(diag3_problem(),
                             PenaltyConfig(anchor=np.zeros(3), outer_iters=13))
         assert all(rec.inner_converged for rec in trace.iterates)
         assert sum(rec.inner_iterations for rec in trace.iterates) == 13
         assert calls == [(3, 3)] * 15
-        assert len(trials) == 14
+        assert len(values) == 14 + 13
 
     def test_anchor_is_evaluated_once(self, monkeypatch):
         # the feasibility gate's evaluation of the anchor is the first

@@ -8,6 +8,8 @@ wrapper adds.
 import numpy as np
 import pytest
 
+from oracles import eigh_stack_form
+
 from nsdpcq import symmat
 from nsdpcq.errors import NotPsdError, NumericalFailure
 from nsdpcq.symmat import (
@@ -168,6 +170,37 @@ def test_eigh_stack_slices_equal_single_calls():
         assert np.array_equal(zero.vectors[idx], np.eye(4))
     spec = eigh(SymMat.from_symmetric(stack))
     assert np.allclose(spec.reconstruct(), stack, atol=1e-12)
+
+
+def test_eigh_single_matrix_matches_stack_form():
+    # the single-matrix path gives the stack path's output bit for bit:
+    # values and vectors as bytes, with the same strides and flags, on
+    # random matrices, exactly repeated eigenvalues (a permuted diagonal
+    # and a multiple of a permutation-invariant matrix, where LAPACK
+    # returns ties) and the zero matrix
+    def draw(rng, m, kind):
+        if kind == 0:
+            g = rng.standard_normal((m, m))
+            return g + g.T
+        if kind == 1:
+            lam = rng.integers(-2, 3, m).astype(float)
+            return np.diag(lam[rng.permutation(m)])
+        if kind == 2:
+            return float(rng.integers(-3, 4)) * (np.ones((m, m))
+                                                 + np.eye(m))
+        return np.zeros((m, m))
+
+    for seed in range(400):
+        rng = np.random.default_rng(50_000 + seed)
+        m = int(rng.integers(1, 9))
+        a = draw(rng, m, seed % 4)
+        for M in (SymMat(a), a):
+            got, want = eigh(M), eigh_stack_form(SymMat(a).a)
+            for u, v in ((got.values, want.values),
+                         (got.vectors, want.vectors)):
+                assert u.tobytes() == v.tobytes(), (seed, m)
+                assert u.shape == v.shape and u.strides == v.strides
+                assert u.flags == v.flags, (seed, m)
 
 
 def test_eigh_stack_failure_anywhere_is_numerical_failure():
