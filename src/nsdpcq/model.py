@@ -13,7 +13,13 @@ Polynomials are kept in a canonical form (terms sorted by exponent tuple,
 like terms merged, coefficients below 1e-14 dropped) so that structural
 zero tests are exact term-list checks.  The tiny-coefficient drop exists
 because facial-reduction output re-enters the model as polynomials whose
-coefficients carry numeric congruence noise.
+coefficients carry numeric congruence noise.  Exponents must be
+integral: any value int() keeps, such as 2, 2.0 or a numpy integer, is
+accepted, and any it would change, such as 1.5, is refused.  Each term
+is validated and canonicalized by C-level builtins (map, min, sum,
+math.isfinite, one tuple comparison; in the JSON reader one set of
+element types), so a problem at the model caps parses without a Python
+loop per exponent entry.
 
 Numbers come from one compiled evaluator, `Compiled`: the map
 x -> sum_t mon_t(x) C_t over the distinct monomials of a family of
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,7 +63,14 @@ Term = Tuple[float, Exponents]
 
 
 class Poly:
-    """Immutable polynomial in n variables, canonical term list."""
+    """Immutable polynomial in n variables, canonical term list.
+
+    terms is an iterable of (coefficient, exponents) pairs, the exponents
+    any sequence of n integral values.  A term is refused, with
+    ProblemFormatError, for a wrong length, a negative exponent, a
+    degree above MAX_DEGREE, a non-finite coefficient or, checked last,
+    an exponent that int() would change.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -64,23 +78,27 @@ class Poly:
         if not (1 <= n <= MAX_VARS):
             raise ProblemFormatError(f"variable count {n} outside [1, {MAX_VARS}]")
         acc: Dict[Exponents, float] = {}
-        for coef, exps in terms:
-            exps = tuple(int(e) for e in exps)
+        for coef, given in terms:
+            exps = tuple(map(int, given))
             if len(exps) != n:
                 raise ProblemFormatError(
                     f"exponent tuple {exps} does not have {n} entries")
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ProblemFormatError(f"negative exponent in {exps}")
-            if sum(exps) > MAX_DEGREE:
+            degree = sum(exps)
+            if degree > MAX_DEGREE:
                 raise ProblemFormatError(
-                    f"term degree {sum(exps)} exceeds cap {MAX_DEGREE}")
+                    f"term degree {degree} exceeds cap {MAX_DEGREE}")
             c = float(coef)
-            if not np.isfinite(c):
+            if not math.isfinite(c):
                 raise ProblemFormatError("non-finite coefficient")
+            if exps != tuple(given):
+                raise ProblemFormatError(
+                    f"non-integer exponent in {tuple(map(float, given))}")
             acc[exps] = acc.get(exps, 0.0) + c
         clean = tuple(sorted(
             ((c, e) for e, c in acc.items() if abs(c) >= COEF_DROP),
-            key=lambda t: t[1]))
+            key=itemgetter(1)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
@@ -204,8 +222,7 @@ class Poly:
             e = item["e"]
             if not isinstance(c, (int, float)) or isinstance(c, bool):
                 raise ProblemFormatError(f"{where}[{k}]: 'c' must be a number")
-            if not isinstance(e, list) or not all(
-                    isinstance(v, int) and not isinstance(v, bool) for v in e):
+            if type(e) is not list or not set(map(type, e)) <= {int}:
                 raise ProblemFormatError(
                     f"{where}[{k}]: 'e' must be a list of integers")
             terms.append((float(c), tuple(e)))

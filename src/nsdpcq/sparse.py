@@ -385,7 +385,8 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     of the condition.
 
     The pattern subspace of the Schur-complement map, compressed to the
-    kernel columns of U, is spanned and orthonormalized; then
+    kernel columns of U, is spanned and orthonormalized, the Gram-Schmidt
+    pass capped at dim Sym(k) = k(k + 1) / 2 kept columns; then
 
     * first condition: the pairing M -> sum_{i<=j} M_ij v_ij must be
       injective on that subspace (rank test, certified either way),
@@ -437,7 +438,8 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
                f"({pat.source})")
 
     # orthonormal basis of the compressed pattern subspace, one flattened
-    # k x k matrix per column, in the Frobenius geometry
+    # k x k matrix per column, in the Frobenius geometry; every column
+    # lies in Sym(k), so no more than k(k + 1) / 2 can be kept
     rt = 1.0 / np.sqrt(2.0)
     raw = np.zeros((k * k, pat.cardinality()))
     for q, (a, b) in enumerate(pat.sorted_pairs()):
@@ -448,7 +450,8 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
             S[a, b] = rt
             S[b, a] = rt
         raw[:, q] = (E.T @ S @ E).ravel()
-    stack = orthonormalize(raw, 1e-10).T.reshape(-1, k, k)
+    stack = orthonormalize(raw, 1e-10, limit=k * (k + 1) // 2
+                           ).T.reshape(-1, k, k)
     dim_T = stack.shape[0]
     log.append(f"compressed pattern subspace dimension {dim_T}")
 

@@ -14,8 +14,9 @@ multiplier and noise floor from one public model call per quantity, the
 path trace that evaluates and decomposes its points one at a time, and
 the probes' usable-record and persistent-cluster scans one record at a
 time, and the Schur-map pattern sampled and solved one point at a
-time.  Only tests call them; they recompute what the library decides by
-an independent route.
+time, and the term-by-term polynomial parse that builtins now replace.
+Only tests call them; they recompute what the library decides by an
+independent route.
 """
 from typing import Dict, List, Sequence
 
@@ -32,7 +33,14 @@ from nsdpcq.cqcheck import (
     li_test,
 )
 from nsdpcq.errors import NumericalFailure, ProblemFormatError
-from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
+from nsdpcq.model import (
+    COEF_DROP,
+    MAX_DEGREE,
+    MAX_VARS,
+    MatrixPoly,
+    NsdpProblem,
+    Poly,
+)
 from nsdpcq.penalty import (
     PATH_DECAY,
     PATH_SCALE,
@@ -447,3 +455,75 @@ def tilde_map_per_sample(pd: PointData) -> SparsityPattern:
     return SparsityPattern(dim=m, index_set=frozenset(hits),
                            source="sampled", sample_points=used,
                            sample_tol=TILDE_TOL)
+
+
+def poly_terms_per_term(n: int, terms) -> tuple:
+    """Poly's canonical term tuple with each exponent converted and
+    checked one element at a time in Python generators.  An exponent
+    that int() changes, such as 1.5, is truncated, not refused: the
+    library refuses it, after every check this one makes."""
+    if not (1 <= n <= MAX_VARS):
+        raise ProblemFormatError(f"variable count {n} outside [1, {MAX_VARS}]")
+    acc = {}
+    for coef, exps in terms:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != n:
+            raise ProblemFormatError(
+                f"exponent tuple {exps} does not have {n} entries")
+        if any(e < 0 for e in exps):
+            raise ProblemFormatError(f"negative exponent in {exps}")
+        if sum(exps) > MAX_DEGREE:
+            raise ProblemFormatError(
+                f"term degree {sum(exps)} exceeds cap {MAX_DEGREE}")
+        c = float(coef)
+        if not np.isfinite(c):
+            raise ProblemFormatError("non-finite coefficient")
+        acc[exps] = acc.get(exps, 0.0) + c
+    return tuple(sorted(
+        ((c, e) for e, c in acc.items() if abs(c) >= COEF_DROP),
+        key=lambda t: t[1]))
+
+
+def poly_from_json_per_term(n: int, data, where: str = "poly") -> tuple:
+    """Poly.from_json's term checks, every exponent list tested element by
+    element, then poly_terms_per_term; the canonical term tuple."""
+    if not isinstance(data, list):
+        raise ProblemFormatError(f"{where}: expected a list of terms")
+    terms = []
+    for k, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise ProblemFormatError(f"{where}[{k}]: expected an object")
+        extra = set(item) - {"c", "e"}
+        if extra:
+            raise ProblemFormatError(
+                f"{where}[{k}]: unknown keys {sorted(extra)}")
+        if "c" not in item or "e" not in item:
+            raise ProblemFormatError(f"{where}[{k}]: needs 'c' and 'e'")
+        c = item["c"]
+        e = item["e"]
+        if not isinstance(c, (int, float)) or isinstance(c, bool):
+            raise ProblemFormatError(f"{where}[{k}]: 'c' must be a number")
+        if not isinstance(e, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in e):
+            raise ProblemFormatError(
+                f"{where}[{k}]: 'e' must be a list of integers")
+        terms.append((float(c), tuple(e)))
+    return poly_terms_per_term(n, terms)
+
+
+def problem_from_json_per_term(obj: dict) -> NsdpProblem:
+    """The problem of a well-formed JSON object with every polynomial's
+    terms from poly_from_json_per_term, set on the Poly as they come."""
+    n = obj["n"]
+
+    def poly(data):
+        p = object.__new__(Poly)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "terms", poly_from_json_per_term(n, data))
+        return p
+
+    entries = {(e["i"], e["j"]): poly(e["poly"]) for e in obj["constraint"]}
+    return NsdpProblem(n, poly(obj["objective"]),
+                       MatrixPoly(obj["m"], n, entries, obj.get("blocks")),
+                       [poly(h) for h in obj.get("equalities", ())],
+                       name=obj["name"])

@@ -7,7 +7,9 @@ import pytest
 from nsdpcq.errors import ProblemFormatError
 from nsdpcq.symmat import SymMat, eigh
 from nsdpcq.model import (
+    COEF_DROP,
     MAX_DEGREE,
+    MAX_VARS,
     MatrixPoly,
     NsdpProblem,
     Poly,
@@ -19,6 +21,9 @@ from oracles import (
     component_subproblem,
     detect_blocks,
     lagrangian_hessian_three_maps,
+    poly_from_json_per_term,
+    poly_terms_per_term,
+    problem_from_json_per_term,
 )
 
 
@@ -69,6 +74,153 @@ def test_poly_arithmetic():
 def test_poly_degree_cap():
     with pytest.raises(ProblemFormatError):
         p_of(1, (1.0, (9,)))
+
+
+def test_fractional_exponent_is_refused():
+    # int() would truncate these to x1 and x1^2
+    with pytest.raises(ProblemFormatError, match="non-integer exponent"):
+        Poly(2, [(1.0, (1.5, 0))])
+    with pytest.raises(ProblemFormatError, match="non-integer exponent"):
+        Poly(2, [(1.0, np.array([2.7, 0.0]))])
+    # integral values of any type stay accepted, as the rows of an
+    # exponent array are
+    want = Poly(2, [(1.0, (2, 0))])
+    for e in ((2.0, 0.0), np.array([2, 0], dtype=np.int64),
+              np.array([2.0, 0.0])):
+        assert Poly(2, [(1.0, e)]) == want
+
+
+def _term_bits(terms):
+    return [(float(c).hex(), e, tuple(map(type, e))) for c, e in terms]
+
+
+def _random_poly_json(rng, n):
+    """A term list with repeated exponents, coefficients below COEF_DROP,
+    pairs that cancel, integer coefficients and signed zeros."""
+    terms = []
+    for _ in range(int(rng.integers(0, 6))):
+        e = [0] * n
+        for _ in range(int(rng.integers(0, MAX_DEGREE + 1))):
+            e[int(rng.integers(0, n))] += 1
+        c = float(rng.standard_normal())
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            terms.append({"c": c, "e": list(e)})
+            terms.append({"c": -c, "e": list(e)})
+        elif kind == 1:
+            terms.append({"c": c, "e": list(e)})
+            terms.append({"c": 1e-3 * COEF_DROP * c, "e": list(e)})
+        elif kind == 2:
+            terms.append({"c": 0.5 * COEF_DROP * c, "e": e})
+        elif kind == 3:
+            terms.append({"c": int(rng.integers(-3, 4)), "e": e})
+        elif kind == 4:
+            terms.append({"c": -0.0, "e": e})
+        else:
+            terms.append({"c": c, "e": e})
+    return terms
+
+
+def _random_problem_json(rng):
+    n = int(rng.integers(1, MAX_VARS + 1))
+    m = int(rng.integers(1, 6))
+    constraint = [{"i": i, "j": j, "poly": _random_poly_json(rng, n)}
+                  for i in range(m) for j in range(i, m)
+                  if rng.random() < 0.7]
+    obj = {"name": "draw", "n": n, "m": m,
+           "objective": _random_poly_json(rng, n), "constraint": constraint}
+    if rng.random() < 0.5:
+        obj["equalities"] = [_random_poly_json(rng, n)
+                             for _ in range(int(rng.integers(1, 4)))]
+    return obj
+
+
+def test_parse_matches_per_term_reference_bitwise():
+    rng = np.random.default_rng(2101)
+    slots = ("C", "exponents", "_idx", "_didx", "_dmult", "_dpos", "_hidx",
+             "_hmult", "_hpos", "_hmon")
+    sizes = set()
+    for _ in range(200):
+        obj = json.loads(json.dumps(_random_problem_json(rng)))
+        n = obj["n"]
+        sizes.add(n)
+        for data in [obj["objective"]] + [e["poly"] for e in obj["constraint"]]:
+            assert _term_bits(Poly.from_json(n, data).terms) == \
+                _term_bits(poly_from_json_per_term(n, data))
+        P = NsdpProblem.from_json(obj)
+        Q = problem_from_json_per_term(obj)
+        for name in ("_f", "_G", "_h"):
+            a, b = getattr(P, name), getattr(Q, name)
+            assert a.shape == b.shape and a.degree == b.degree
+            for slot in slots:
+                x, y = getattr(a, slot), getattr(b, slot)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes(), (name, slot)
+    assert min(sizes) == 1 and max(sizes) == MAX_VARS
+
+
+# term lists the JSON reader refuses, by the reader's message
+MALFORMED_TERMS = [
+    ("not a list", {"c": 1.0, "e": [1, 0]}),
+    ("item not an object", [[1.0, [1, 0]]]),
+    ("unknown key", [{"c": 1.0, "e": [1, 0], "tag": 1}]),
+    ("missing e", [{"c": 1.0}]),
+    ("missing c", [{"e": [1, 0]}]),
+    ("string coefficient", [{"c": "1", "e": [1, 0]}]),
+    ("bool coefficient", [{"c": True, "e": [1, 0]}]),
+    ("None coefficient", [{"c": None, "e": [1, 0]}]),
+    ("NaN coefficient", [{"c": float("nan"), "e": [1, 0]}]),
+    ("inf coefficient", [{"c": float("inf"), "e": [1, 0]}]),
+    ("-inf coefficient", [{"c": -float("inf"), "e": [0, 0]}]),
+    ("float exponent", [{"c": 1.0, "e": [1.5, 0]}]),
+    ("integral float exponent", [{"c": 1.0, "e": [2.0, 0]}]),
+    ("bool exponent", [{"c": 1.0, "e": [True, 0]}]),
+    ("string exponent", [{"c": 1.0, "e": ["1", 0]}]),
+    ("exponent not a list", [{"c": 1.0, "e": 1}]),
+    ("exponent tuple", [{"c": 1.0, "e": (1, 0)}]),
+    ("negative exponent", [{"c": 1.0, "e": [-1, 2]}]),
+    ("short exponent", [{"c": 1.0, "e": [1]}]),
+    ("long exponent", [{"c": 1.0, "e": [1, 0, 0]}]),
+    ("empty exponent", [{"c": 1.0, "e": []}]),
+    ("degree above the cap", [{"c": 1.0, "e": [5, 4]}]),
+    ("second term bad", [{"c": 1.0, "e": [1, 0]}, {"c": 1.0, "e": [0.5, 0]}]),
+    ("bad coefficient after bad degree", [{"c": float("nan"), "e": [9, 0]}]),
+]
+
+# term lists the constructor refuses, some of them after int()
+MALFORMED_DIRECT = [
+    ("negative", [(1.0, (-1, 0))]),
+    ("wrong length", [(1.0, (1,))]),
+    ("wrong length after int", [(1.0, (1.7,))]),
+    ("degree above the cap", [(1.0, (8, 1))]),
+    ("degree above the cap in floats", [(1.0, (8.5, 1.0))]),
+    ("NaN coefficient", [(float("nan"), (1, 0))]),
+    ("inf coefficient", [(float("inf"), (1, 0))]),
+    ("negative and fractional", [(1.0, (-1.5, 0))]),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", _term_bits(fn(*args)))
+    except ProblemFormatError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("data", [d for _, d in MALFORMED_TERMS],
+                         ids=[i for i, _ in MALFORMED_TERMS])
+def test_json_term_errors_match_per_term_reference(data):
+    got = _outcome(lambda: Poly.from_json(2, data, "objective").terms)
+    assert got[0] is ProblemFormatError
+    assert got == _outcome(poly_from_json_per_term, 2, data, "objective")
+
+
+@pytest.mark.parametrize("terms", [t for _, t in MALFORMED_DIRECT],
+                         ids=[i for i, _ in MALFORMED_DIRECT])
+def test_constructor_errors_match_per_term_reference(terms):
+    got = _outcome(lambda: Poly(2, terms).terms)
+    assert got[0] is ProblemFormatError
+    assert got == _outcome(poly_terms_per_term, 2, terms)
 
 
 def test_constraint_eval_diag():

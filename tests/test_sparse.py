@@ -19,6 +19,7 @@ from nsdpcq.errors import InfeasiblePointError, NumericalFailure
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.corpus import entries
 from nsdpcq.report import AnalysisOptions, analyze_problem
+from nsdpcq import sparse
 from nsdpcq.sparse import (
     PATTERN_COEF_TOL,
     TILDE_SAMPLES,
@@ -34,7 +35,7 @@ from nsdpcq.sparse import (
     _schur_value,
     _stack,
 )
-from nsdpcq.symmat import SymMat, eigh, random_rotation
+from nsdpcq.symmat import SymMat, eigh, orthonormalize, random_rotation
 
 from oracles import (
     check_sparse_ndg_multifold,
@@ -46,6 +47,7 @@ from oracles import (
     tilde_map_per_sample,
 )
 from survey import instances as survey_instances
+from inputs import shifted_problem  # on the path survey sets
 from test_cqcheck import (
     RANK0_PROBLEM,
     RT2,
@@ -676,6 +678,44 @@ class TestForsgren:
         R = np.array([[c, -s], [s, c]])
         v = check_forsgren(feasibility_data(P, [0.0, 0.0]), U=R)
         assert v.status == CqStatus.FAILS
+
+    def test_gram_schmidt_cap_at_sym_k_matches_full_pass(self, monkeypatch):
+        # capping Forsgren's Gram-Schmidt at dim Sym(k) gives the stack a
+        # pass over every pattern column gives, bit for bit, on the
+        # survey's instances (the corpus, the 14 benchmark instances and
+        # the seeded draws) and on larger ones: the (24, 12, 4) and
+        # (40, 20, 5) rungs, drawn by continuing the ladder's generator,
+        # and an instance at the model caps
+        calls = []
+
+        def recording(cols, tol, limit=None):
+            out = orthonormalize(cols, tol, limit)
+            calls.append((cols, tol, limit, out))
+            return out
+
+        monkeypatch.setattr(sparse, "orthonormalize", recording)
+        rng = np.random.default_rng([0, 1])
+        rungs = [shifted_problem(rng, n, m, k, f"ladder_n{n}")
+                 for n, m, k in ((6, 4, 2), (12, 8, 3), (24, 12, 4),
+                                 (40, 20, 5))][2:]
+        rungs.append(shifted_problem(np.random.default_rng([0, 3]),
+                                     64, 50, 6, "cap"))
+        cases = list(survey_instances()) + [
+            (o["name"], o, [0.0] * o["n"]) for o in rungs]
+        cut = set()
+        for name, obj, point in cases:
+            del calls[:]
+            check_forsgren(feasibility_data(NsdpProblem.from_json(obj),
+                                            point))
+            for cols, tol, limit, got in calls:
+                want = orthonormalize(cols, tol)
+                assert got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+                if got.shape[1] == limit < cols.shape[1]:
+                    cut.add(name)
+        # the cap ends many passes early, the larger instances' among them
+        assert len(cut) >= 100
+        assert {o["name"] for o in rungs} <= cut
 
 
 class TestFacialReduce:
