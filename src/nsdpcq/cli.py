@@ -93,6 +93,7 @@ _RANGES = {
     "rho0": (lambda v: 0.0 < v < math.inf, "positive and finite"),
     "rho_mult": (lambda v: 1.0 < v < math.inf, "finite and above 1"),
     "inner_tol": (lambda v: v > 0.0, "positive"),
+    "seed": (lambda v: v >= 0, "non-negative"),
 }
 
 

@@ -67,9 +67,10 @@ class Poly:
 
     terms is an iterable of (coefficient, exponents) pairs, the exponents
     any sequence of n integral values.  A term is refused, with
-    ProblemFormatError, for a wrong length, a negative exponent, a
-    degree above MAX_DEGREE, a non-finite coefficient or, checked last,
-    an exponent that int() would change.
+    ProblemFormatError, for an exponent that int() does not take (NaN,
+    an infinity, None), a wrong length, a negative exponent, a degree
+    above MAX_DEGREE, a non-finite coefficient or, checked last, an
+    exponent that int() would change.
     """
 
     __slots__ = ("n", "terms")
@@ -79,7 +80,12 @@ class Poly:
             raise ProblemFormatError(f"variable count {n} outside [1, {MAX_VARS}]")
         acc: Dict[Exponents, float] = {}
         for coef, given in terms:
-            exps = tuple(map(int, given))
+            try:
+                exps = tuple(map(int, given))
+            except (TypeError, ValueError, OverflowError):
+                # NaN, an infinity, None: int() takes no such exponent
+                raise ProblemFormatError(
+                    f"non-integer exponent in {given!r}") from None
             if len(exps) != n:
                 raise ProblemFormatError(
                     f"exponent tuple {exps} does not have {n} entries")

@@ -18,12 +18,17 @@ scores the limit basis and, with cluster freedom left, one Haar rotation
 within the clusters.  The universal quantifier over sequences is
 approximated by a finite family of traces, and the verdict semantics say
 so: a passing probe reports HoldsSampled, never a certificate, while
-Fails comes from one sequence the test decided.  Both probes first try
-the routes that need no sequence, cqcheck.exact_verdict; an analysis
-tries those, and a certified upstream condition, before it builds any
-trace: report.py certifies a probe whose nondegeneracy or Robinson
-counterpart is certified and calls default_trace_family only for a
-probe left open.
+Fails comes from one sequence the test decided.  One such sequence
+refutes the condition, so a probe tests the traces in order and stops
+at the first that fails with no basis freedom left.  Both probes first
+try the routes that need no sequence, cqcheck.exact_verdict; an
+analysis tries those, and a certified upstream condition, before it
+builds any trace: report.py certifies a probe whose nondegeneracy or
+Robinson counterpart is certified and calls default_trace_family only
+for a probe left open.  The family runs the penalty solve at once but
+builds each path trace the first time a probe reaches it, so a path
+trace after a refuting one is never built, and a numerical failure it
+would raise never surfaces.
 
 Each level is solved to a gradient tolerance that grows with rho up to a
 cap, but never below the gradient's own rounding error at the level's
@@ -65,8 +70,10 @@ from __future__ import annotations
 
 import json
 import math
+import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -567,12 +574,45 @@ def make_path_trace(P: NsdpProblem, x_bar, direction,
                         trace_id=trace_id)
 
 
+class TraceFamily(Sequence):
+    """The traces of default_trace_family, in order; a path trace is
+    built the first time it is accessed, and kept.
+
+    slots hold a built trace or the (trace_id, direction) of a path
+    trace still to build.  seconds is the time spent building traces,
+    the penalty run and the path traces built on access included.
+    """
+
+    def __init__(self, P: NsdpProblem, x_bar: np.ndarray, slots: list,
+                 seconds: float):
+        self._P, self._x_bar, self._slots = P, x_bar, slots
+        self.seconds = seconds
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        slot = self._slots[i]
+        if isinstance(slot, PenaltyTrace):
+            return slot
+        t0 = time.perf_counter()
+        trace_id, d = slot
+        trace = self._slots[i] = make_path_trace(self._P, self._x_bar, d,
+                                                 trace_id=trace_id)
+        self.seconds += time.perf_counter() - t0
+        return trace
+
+
 def default_trace_family(P: NsdpProblem, cfg: PenaltyConfig,
-                         count: int = 8, seed: int = 0) -> List[PenaltyTrace]:
+                         count: int = 8, seed: int = 0) -> TraceFamily:
     """One penalty trace plus axis and random-direction paths to x_bar.
 
-    seed draws the random directions, which are used once the axis
-    paths are spent.
+    seed, a non-negative integer, draws the random directions, which
+    are used once the axis paths are spent.  The penalty run happens
+    here; each path trace is built on first access (see TraceFamily), so
+    a probe that stops early never builds the paths after its stop.
 
     The penalty trace is dropped when its final iterate stays further
     than 1e-6 from the anchor; on degenerate problems the outer loop
@@ -581,31 +621,33 @@ def default_trace_family(P: NsdpProblem, cfg: PenaltyConfig,
     """
     if count < 1:
         raise ValueError("at least one trace is required")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    t0 = time.perf_counter()
     x_bar = cfg.anchor
-    traces = []
+    slots: list = []
     pen = run_penalty(P, cfg)
     if float(np.linalg.norm(pen.converged_point - x_bar)) <= 1e-6:
-        traces.append(pen)
+        slots.append(pen)
     axis_dirs = []
     for i in range(P.n):
         e = np.zeros(P.n)
         e[i] = 1.0
         axis_dirs += [e.copy(), -e]
     for idx, d in enumerate(axis_dirs):
-        if len(traces) >= count:
+        if len(slots) >= count:
             break
-        traces.append(make_path_trace(P, x_bar, d, trace_id=f"axis{idx}"))
+        slots.append((f"axis{idx}", d))
     rng = np.random.default_rng(seed)
     ray = 0
-    while len(traces) < count:
+    while len(slots) < count:
         g = rng.standard_normal(P.n)
         nrm = float(np.linalg.norm(g))
         if nrm < 1e-12:
             continue
-        traces.append(make_path_trace(P, x_bar, g / nrm,
-                                      trace_id=f"ray{ray}"))
+        slots.append((f"ray{ray}", g / nrm))
         ray += 1
-    return traces
+    return TraceFamily(P, x_bar, slots, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +712,25 @@ def _block_rotation(clusters: List[List[int]], k: int,
 
 def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
                   seed: int, positive: bool):
-    """Shared trace loop for both weak probes.
+    """Shared trace loop for both weak probes: _probe_trace on each trace
+    in order, up to the first that refutes the condition, a failure that
+    leaves no basis freedom.  Returns the results, which end at that
+    trace, and that trace's result, None when no trace refutes.  The
+    traces after it are never accessed, so a TraceFamily never builds
+    them."""
+    results: List[SequenceProbeResult] = []
+    for t_idx, trace in enumerate(traces):
+        res = _probe_trace(pd, trace, seed, t_idx, positive)
+        results.append(res)
+        if not res.passed and res.exhaustive:
+            return results, res
+    return results, None
+
+
+def _probe_trace(pd: PointData, trace: PenaltyTrace, seed: int, t_idx: int,
+                 positive: bool) -> SequenceProbeResult:
+    """One trace tested for either weak probe, t_idx its place in the
+    family.
 
     A trace gives a limit basis E and its persistent clusters; the bases
     the sequence allows are E C with C orthogonal within each cluster.
@@ -693,52 +753,44 @@ def _probe_traces(pd: PointData, traces: Sequence[PenaltyTrace],
     Its Gram determinant is a polynomial in C, nonzero for almost every
     rotation or for none, but a failing draw still refutes nothing.
     """
-    x_bar, K, rank, tol_rank = pd.x, pd.E, pd.rank, pd.tol_rank
+    rank = pd.rank
     eq_rows = list(pd.Heq)
 
     def diagonal(cols: np.ndarray) -> np.ndarray:
         return np.diagonal(compress(pd.W, cols), axis1=1, axis2=2).T
 
-    results: List[SequenceProbeResult] = []
-    certified_fail: Optional[SequenceProbeResult] = None
-    for t_idx, trace in enumerate(traces):
-        dist = float(np.linalg.norm(trace.converged_point - x_bar))
-        if dist > 1e-6:
-            raise ValueError(
-                f"trace {trace.trace_id} converges {dist:.2e} away from the "
-                "queried point")
-        values = np.stack([rec.eigenvalues for rec in trace.iterates])
-        usable = _usable_records(values, rank, tol_rank)
-        E = _snap_to_kernel(
-            trace.iterates[usable[-1]].eigenvectors[:, rank:], K)
-        log = []
-        if E is None:
-            E = K.copy()
-            log.append("sequence limit defective, kernel basis substituted")
-        clusters = _persistent_clusters(values[usable], rank)
-        free = any(len(cl) > 1 for cl in clusters)
-        cone = None
-        if positive:
-            vmat = diagonal(E)
-            cone = pli_test([vmat[cl].sum(axis=0) for cl in clusters],
-                            free_vectors=eq_rows)
-            score, ok, exhaustive = cone.margin, cone.pos_independent, True
-        else:
+    dist = float(np.linalg.norm(trace.converged_point - pd.x))
+    if dist > 1e-6:
+        raise ValueError(
+            f"trace {trace.trace_id} converges {dist:.2e} away from the "
+            "queried point")
+    values = np.stack([rec.eigenvalues for rec in trace.iterates])
+    usable = _usable_records(values, rank, pd.tol_rank)
+    E = _snap_to_kernel(
+        trace.iterates[usable[-1]].eigenvectors[:, rank:], pd.E)
+    log = []
+    if E is None:
+        E = pd.E.copy()
+        log.append("sequence limit defective, kernel basis substituted")
+    clusters = _persistent_clusters(values[usable], rank)
+    free = any(len(cl) > 1 for cl in clusters)
+    cone = None
+    if positive:
+        vmat = diagonal(E)
+        cone = pli_test([vmat[cl].sum(axis=0) for cl in clusters],
+                        free_vectors=eq_rows)
+        score, ok, exhaustive = cone.margin, cone.pos_independent, True
+    else:
+        li = li_test(list(diagonal(E)) + eq_rows)
+        if not li.independent and free:
+            E = E @ _block_rotation(clusters, E.shape[1],
+                                    np.random.default_rng([seed, t_idx]))
             li = li_test(list(diagonal(E)) + eq_rows)
-            if not li.independent and free:
-                E = E @ _block_rotation(
-                    clusters, E.shape[1],
-                    np.random.default_rng([seed, t_idx]))
-                li = li_test(list(diagonal(E)) + eq_rows)
-            score, ok, exhaustive = li.sigma_min, li.independent, not free
-        res = SequenceProbeResult(
-            trace_id=trace.trace_id,
-            limit_basis=E, clusters=clusters, sigma_min=score, passed=ok,
-            exhaustive=exhaustive, cone=cone, log=log)
-        results.append(res)
-        if not ok and exhaustive and certified_fail is None:
-            certified_fail = res
-    return results, certified_fail
+        score, ok, exhaustive = li.sigma_min, li.independent, not free
+    return SequenceProbeResult(
+        trace_id=trace.trace_id,
+        limit_basis=E, clusters=clusters, sigma_min=score, passed=ok,
+        exhaustive=exhaustive, cone=cone, log=log)
 
 
 def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
@@ -750,9 +802,10 @@ def probe_weak_ndg(pd: PointData, traces: Sequence[PenaltyTrace],
     tail and rotated within eigenvalue clusters, whose diagonal gradient
     family is independent.  Each trace scores its limit basis and, when
     that fails with cluster freedom left, one Haar rotation within the
-    clusters drawn from seed.  All traces passing gives HoldsSampled; a
-    failing trace with no cluster freedom is a genuine witness and gives
-    Fails.  The shared routes of :func:`exact_verdict` come first: among
+    clusters drawn from seed.  All traces passing gives HoldsSampled; the
+    first failing trace with no cluster freedom is a genuine witness and
+    gives Fails, and the probe stops there, so the results end at that
+    trace.  The shared routes of :func:`exact_verdict` come first: among
     them the dimension bound.
     """
     exact = exact_verdict(pd, "weak_ndg_probe")
@@ -786,13 +839,13 @@ def probe_weak_robinson(pd: PointData,
     """Weak Robinson condition probed along sequences.
 
     Each trace is decided exactly by one positive-independence test of
-    its cluster sums (see _probe_traces): a trace that fails refutes the
-    condition whatever rotation freedom its clusters leave, and its
-    witness carries the limit basis, the clusters and the cone
-    multipliers, so it replays from the report.  All traces passing
-    gives HoldsSampled.  The shared routes of :func:`exact_verdict` come
-    first: among them the diagonal reduction to MFCQ, positive
-    independence of the active diagonal gradients.
+    its cluster sums (see _probe_trace): a trace that fails refutes the
+    condition whatever rotation freedom its clusters leave, so the probe
+    stops at the first, and its witness carries the limit basis, the
+    clusters and the cone multipliers, so it replays from the report.
+    All traces passing gives HoldsSampled.  The shared routes of
+    :func:`exact_verdict` come first: among them the diagonal reduction
+    to MFCQ, positive independence of the active diagonal gradients.
     """
     exact = exact_verdict(pd, "weak_robinson_probe")
     if exact is not None:

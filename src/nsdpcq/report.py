@@ -16,8 +16,11 @@ the same way with positive independence.  Such an implied verdict is
 HoldsCertified and its witness names the upstream checker and carries
 that checker's witness, so it replays from the report alone.  Only
 certified holds propagate, and only along these two edges.  The
-sequence family is built once, and only when a probe is still open
-after that.  Two self-audit passes run on the merged verdicts: the
+sequence family is made once, and only when a probe is still open
+after that.  It builds each path trace the first time a probe reaches
+it, and a probe stops at its first refuting sequence, so a path trace
+after that one is never built, and a numerical failure it would raise
+never surfaces.  Two self-audit passes run on the merged verdicts: the
 implication structure between the conditions (a holds-verdict upstream
 of a failure downstream indicates a numerics problem) and the open
 relation between the Robinson condition and its sequence-based variant,
@@ -169,23 +172,26 @@ def analyze_problem(P: NsdpProblem, point,
     The checkers run in CONDITIONS order, so nondegeneracy and Robinson are
     decided before the probes.  A probe left open by the shared exact
     routes is HoldsCertified when its upstream condition is certified;
-    otherwise it runs on the trace family, which is built on first use
-    and at most once.  ``timing["traces"]`` is that build's time, 0.0 without one,
-    and no checker's timing includes it.
+    otherwise it runs on the trace family, which is made on first use
+    and at most once, and whose path traces are built as a probe reaches
+    them.  ``timing["traces"]`` is the family's whole build time, its
+    path traces included, 0.0 without one, and no checker's timing
+    includes it.
     """
     x = np.asarray(point, dtype=float)
     pd = feasibility_data(P, x, opts.tol_rank)
     verdicts: Dict[str, CqVerdict] = {}
-    timing = {"traces": 0.0}
+    timing = {}
     family = []
 
     def traces():
         if not family:
-            t0 = time.perf_counter()
             family.append(default_trace_family(
                 P, PenaltyConfig(anchor=x), opts.traces, opts.seed))
-            timing["traces"] = time.perf_counter() - t0
         return family[0]
+
+    def built() -> float:
+        return family[0].seconds if family else 0.0
 
     def run(name: str) -> CqVerdict:
         if name == "nondegeneracy":
@@ -206,11 +212,11 @@ def analyze_problem(P: NsdpProblem, point,
                 or probe_weak_robinson(pd, traces()))
 
     for name in CONDITIONS:
-        start, built = time.perf_counter(), timing["traces"]
+        start, before = time.perf_counter(), built()
         verdicts[name] = run(name)
         timing[name] = round(time.perf_counter() - start
-                             - (timing["traces"] - built), 6)
-    timing["traces"] = round(timing.pop("traces"), 6)
+                             - (built() - before), 6)
+    timing["traces"] = round(built(), 6)
     notes = lattice_warnings(verdicts) + separation_notes(verdicts)
     stamp = _dt.datetime.now(_dt.timezone.utc).isoformat() \
         if opts.timestamp else None

@@ -13,12 +13,13 @@ references of the penalty layer: the penalty value, gradient,
 multiplier and noise floor from one public model call per quantity, the
 path trace that evaluates and decomposes its points one at a time, and
 the probes' usable-record and persistent-cluster scans one record at a
-time, and the Schur-map pattern sampled and solved one point at a
+time, the trace family built all at once with the probes' trace loop
+testing every trace, and the Schur-map pattern sampled and solved one point at a
 time, and the term-by-term polynomial parse that builtins now replace.
 Only tests call them; they recompute what the library decides by an
 independent route.
 """
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from nsdpcq.cqcheck import (
     feasibility_data,
     kkt_residual,
     li_test,
+    pli_test,
 )
 from nsdpcq.errors import NumericalFailure, ProblemFormatError
 from nsdpcq.model import (
@@ -47,9 +49,17 @@ from nsdpcq.penalty import (
     PATH_STEPS,
     TAU_CLUSTER,
     VALUE_NOISE,
+    PenaltyConfig,
     PenaltyIterate,
     PenaltyTrace,
+    SequenceProbeResult,
+    _block_rotation,
     _lam_abs,
+    _persistent_clusters,
+    _snap_to_kernel,
+    _usable_records,
+    make_path_trace,
+    run_penalty,
 )
 from nsdpcq.sparse import (
     TILDE_RADIUS,
@@ -408,6 +418,124 @@ def persistent_clusters_per_record(records: Sequence[PenaltyIterate],
         else:
             clusters.append([i])
     return clusters
+
+
+# default_trace_family with every trace built at once, and the probes'
+# trace loop testing every trace, also after one that refutes
+
+
+def trace_family_eager(P: NsdpProblem, cfg: PenaltyConfig,
+                       count: int = 8, seed: int = 0) -> List[PenaltyTrace]:
+    """One penalty trace plus axis and random-direction paths to x_bar.
+
+    seed draws the random directions, which are used once the axis
+    paths are spent.
+
+    The penalty trace is dropped when its final iterate stays further
+    than 1e-6 from the anchor; on degenerate problems the outer loop
+    converges like a fractional power of 1/rho and the truncated run
+    would violate the probes' proximity requirement.
+    """
+    if count < 1:
+        raise ValueError("at least one trace is required")
+    x_bar = cfg.anchor
+    traces = []
+    pen = run_penalty(P, cfg)
+    if float(np.linalg.norm(pen.converged_point - x_bar)) <= 1e-6:
+        traces.append(pen)
+    axis_dirs = []
+    for i in range(P.n):
+        e = np.zeros(P.n)
+        e[i] = 1.0
+        axis_dirs += [e.copy(), -e]
+    for idx, d in enumerate(axis_dirs):
+        if len(traces) >= count:
+            break
+        traces.append(make_path_trace(P, x_bar, d, trace_id=f"axis{idx}"))
+    rng = np.random.default_rng(seed)
+    ray = 0
+    while len(traces) < count:
+        g = rng.standard_normal(P.n)
+        nrm = float(np.linalg.norm(g))
+        if nrm < 1e-12:
+            continue
+        traces.append(make_path_trace(P, x_bar, g / nrm,
+                                      trace_id=f"ray{ray}"))
+        ray += 1
+    return traces
+
+
+def probe_traces_full_scan(pd: PointData, traces: Sequence[PenaltyTrace],
+                           seed: int, positive: bool):
+    """Shared trace loop for both weak probes.
+
+    A trace gives a limit basis E and its persistent clusters; the bases
+    the sequence allows are E C with C orthogonal within each cluster.
+    positive selects the test.
+
+    Weak Robinson tests the cluster sums w_c = sum_{i in c} v_ii(E) for
+    positive independence, equality gradients free, and so decides
+    every E C at once.  A rotation within the clusters keeps the trace
+    of each cluster block of E^T DG[d] E, which is w_c^T d.  By
+    Gordan-Motzkin a family is positively independent iff some d
+    orthogonal to the equality gradients is positive on every member.
+    Such a d for the family at any E C is positive on every w_c, the
+    sum of a block's diagonal.  Conversely, a d positive on every w_c
+    gives each block a positive trace, and Schur-Horn rotates the block
+    to a constant, hence positive, diagonal.
+
+    Weak nondegeneracy tests linear independence of the diagonal family
+    plus the equality gradients at E and, when that fails with cluster
+    freedom left, at one Haar draw E C from default_rng([seed, t_idx]).
+    Its Gram determinant is a polynomial in C, nonzero for almost every
+    rotation or for none, but a failing draw still refutes nothing.
+    """
+    x_bar, K, rank, tol_rank = pd.x, pd.E, pd.rank, pd.tol_rank
+    eq_rows = list(pd.Heq)
+
+    def diagonal(cols: np.ndarray) -> np.ndarray:
+        return np.diagonal(compress(pd.W, cols), axis1=1, axis2=2).T
+
+    results: List[SequenceProbeResult] = []
+    certified_fail: Optional[SequenceProbeResult] = None
+    for t_idx, trace in enumerate(traces):
+        dist = float(np.linalg.norm(trace.converged_point - x_bar))
+        if dist > 1e-6:
+            raise ValueError(
+                f"trace {trace.trace_id} converges {dist:.2e} away from the "
+                "queried point")
+        values = np.stack([rec.eigenvalues for rec in trace.iterates])
+        usable = _usable_records(values, rank, tol_rank)
+        E = _snap_to_kernel(
+            trace.iterates[usable[-1]].eigenvectors[:, rank:], K)
+        log = []
+        if E is None:
+            E = K.copy()
+            log.append("sequence limit defective, kernel basis substituted")
+        clusters = _persistent_clusters(values[usable], rank)
+        free = any(len(cl) > 1 for cl in clusters)
+        cone = None
+        if positive:
+            vmat = diagonal(E)
+            cone = pli_test([vmat[cl].sum(axis=0) for cl in clusters],
+                            free_vectors=eq_rows)
+            score, ok, exhaustive = cone.margin, cone.pos_independent, True
+        else:
+            li = li_test(list(diagonal(E)) + eq_rows)
+            if not li.independent and free:
+                E = E @ _block_rotation(
+                    clusters, E.shape[1],
+                    np.random.default_rng([seed, t_idx]))
+                li = li_test(list(diagonal(E)) + eq_rows)
+            score, ok, exhaustive = li.sigma_min, li.independent, not free
+        res = SequenceProbeResult(
+            trace_id=trace.trace_id,
+            limit_basis=E, clusters=clusters, sigma_min=score, passed=ok,
+            exhaustive=exhaustive, cone=cone, log=log)
+        results.append(res)
+        if not ok and exhaustive and certified_fail is None:
+            certified_fail = res
+    return results, certified_fail
 
 
 def schur_value_per_point(pd: PointData, x) -> np.ndarray:

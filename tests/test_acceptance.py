@@ -27,7 +27,7 @@ from nsdpcq.penalty import (
     _block_rotation,
     _penalty_parts,
     _penalty_value,
-    _probe_traces,
+    _probe_trace,
     default_trace_family,
     make_path_trace,
     probe_weak_ndg,
@@ -605,8 +605,11 @@ class TestPropertySuites:
                       for j, d in enumerate(np.vstack(
                           [np.eye(n), -np.eye(n),
                            rng.standard_normal((2, n))]))]
-            lp, _ = _probe_traces(pd, traces, case, positive=True)
-            li, _ = _probe_traces(pd, traces, case, positive=False)
+            # every trace, also those after one that refutes
+            lp = [_probe_trace(pd, t, case, j, positive=True)
+                  for j, t in enumerate(traces)]
+            li = [_probe_trace(pd, t, case, j, positive=False)
+                  for j, t in enumerate(traces)]
             for res, lin in zip(lp, li):
                 oracle = rotation_search(pd, res.limit_basis,
                                          res.clusters,

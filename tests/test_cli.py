@@ -135,6 +135,9 @@ class TestArgumentRanges:
         (["solve", "corpus:diag3", "--outer", "0"], "--outer"),
         (["solve", "corpus:diag3", "--rho0", "0"], "--rho0"),
         (["solve", "corpus:diag3", "--rho-mult", "1"], "--rho-mult"),
+        # -1 reached default_rng and exited 1 with a traceback
+        (["analyze", "corpus:facial", "--seed", "-1"], "--seed"),
+        (["corpus", "run", "--seed", "-1"], "--seed"),
     ])
     def test_out_of_range_exit_two(self, argv, flag, capsys):
         assert cli.main(argv) == 2

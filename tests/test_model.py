@@ -90,6 +90,14 @@ def test_fractional_exponent_is_refused():
         assert Poly(2, [(1.0, e)]) == want
 
 
+@pytest.mark.parametrize("e", [float("nan"), float("inf"), None],
+                         ids=["nan", "inf", "None"])
+def test_exponent_int_cannot_convert_is_format_error(e):
+    # int() raised ValueError, OverflowError and TypeError through here
+    with pytest.raises(ProblemFormatError, match="non-integer exponent"):
+        Poly(2, [(1.0, (e, 0))])
+
+
 def _term_bits(terms):
     return [(float(c).hex(), e, tuple(map(type, e))) for c, e in terms]
 

@@ -11,6 +11,7 @@ Closed forms used as oracles:
   levels; no KKT multiplier exists at the limit.
 """
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from oracles import (
     path_trace_per_point,
     penalty_parts_reference,
     persistent_clusters_per_record,
+    probe_traces_full_scan,
     projection_weights_entrywise,
+    trace_family_eager,
     usable_records_per_record,
 )
+from survey import instances as survey_instances
 from test_acceptance import shifted_problem
 from test_cqcheck import (
     LADDER_PROBLEM,
@@ -47,10 +51,11 @@ from nsdpcq.cqcheck import (
 )
 from nsdpcq.corpus import entries as corpus_entries
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
-from nsdpcq import model, penalty
+from nsdpcq import model, penalty, report
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.penalty import (
     PenaltyConfig,
+    TraceFamily,
     _gradient_floor,
     _penalty_parts,
     _penalty_value,
@@ -64,7 +69,7 @@ from nsdpcq.penalty import (
     probe_weak_robinson,
     run_penalty,
 )
-from nsdpcq.report import AnalysisOptions, analyze_problem
+from nsdpcq.report import AnalysisOptions, analyze_problem, report_json_text
 from nsdpcq.symmat import eigh, proj_psd
 
 # a shifted_problem draw (n 4, m 5, nullity 4) whose kernel eigenvalues
@@ -267,6 +272,21 @@ DEGENERATE00_PROBLEM = """{"name": "degenerate00_n4_m3_k3", "n": 4, "m": 3,
                             {"c": 0.9865155026328277, "e": [0, 0, 1, 0]}]},
   {"i": 2, "j": 2, "poly": [{"c": 0.11036679944811631,
                              "e": [1, 0, 0, 0]}]}]}"""
+
+
+# the benchmark's degenerate06 (perfbench/inputs.degenerate_base()[6]):
+# G(0) = 0, and the penalty trace refutes both weak conditions
+DEGENERATE06_PROBLEM = """{"name": "degenerate06_n3_m3_k3", "n": 3, "m": 3,
+ "objective": [{"c": 1.0, "e": [1, 0, 0]}],
+ "constraint": [
+  {"i": 0, "j": 0, "poly": [{"c": -0.5154541772797692, "e": [0, 2, 0]},
+                            {"c": 0.15674142053545745, "e": [1, 0, 0]}]},
+  {"i": 0, "j": 1, "poly": [{"c": -0.2944340668533167, "e": [0, 1, 1]}]},
+  {"i": 0, "j": 2, "poly": [{"c": 2.4934788292727506, "e": [1, 0, 0]}]},
+  {"i": 1, "j": 1, "poly": [{"c": -0.5729384096117638, "e": [0, 0, 1]}]},
+  {"i": 1, "j": 2, "poly": [{"c": -0.29918160784817344, "e": [0, 0, 1]}]},
+  {"i": 2, "j": 2, "poly": [{"c": -0.45573238370231156,
+                             "e": [0, 2, 0]}]}]}"""
 
 
 def line_problem():
@@ -902,6 +922,20 @@ class TestLevelCarry:
         assert np.array_equal(spec.vectors, again.vectors)
 
 
+def penalty_calls(monkeypatch, name):
+    """Replace penalty.name by a wrapper that records each call's
+    keyword arguments."""
+    calls = []
+    orig = getattr(penalty, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(penalty, name, recorded)
+    return calls
+
+
 class TestTraceFamily:
     def test_count_and_composition(self):
         P = diag3_problem()
@@ -926,6 +960,90 @@ class TestTraceFamily:
         with pytest.raises(ValueError):
             default_trace_family(diag3_problem(),
                                  PenaltyConfig(anchor=np.zeros(3)), 0)
+
+    def test_negative_seed_refused_before_any_build(self, monkeypatch):
+        # refused before the penalty solve, not where the random
+        # directions are drawn
+        runs = penalty_calls(monkeypatch, "run_penalty")
+        with pytest.raises(ValueError, match="seed"):
+            default_trace_family(facial_problem(),
+                                 PenaltyConfig(anchor=np.zeros(2)), seed=-1)
+        assert runs == []
+
+    @pytest.mark.parametrize("name", ["diag3", "facial", "degenerate00"])
+    def test_paths_built_on_access_equal_eager_family(self, monkeypatch,
+                                                      name):
+        P, x = {"diag3": (diag3_problem(), [0.0] * 3),
+                "facial": (facial_problem(), [1.0, 0.0]),
+                "degenerate00": (NsdpProblem.from_json(
+                    json.loads(DEGENERATE00_PROBLEM)), [0.0] * 4)}[name]
+        cfg = PenaltyConfig(anchor=np.asarray(x))
+        want = trace_family_eager(P, cfg, 10, seed=3)
+        paths = penalty_calls(monkeypatch, "make_path_trace")
+        family = default_trace_family(P, cfg, 10, seed=3)
+        assert paths == [] and len(family) == 10
+        last = family[-1]
+        assert family[9] is last and len(paths) == 1
+        got = list(family)
+        assert len(paths) == sum(t.kind == "path" for t in want)
+        assert family[2:4] == got[2:4]
+        assert [(t.trace_id, t.kind, t.to_jsonl()) for t in got] \
+            == [(t.trace_id, t.kind, t.to_jsonl()) for t in want]
+        with pytest.raises(IndexError):
+            family[10]
+
+
+class TestProbesStopAtFirstRefutation:
+    """A probe stops at its first refuting trace, and the family builds
+    only the path traces a probe reaches; every report stays what the
+    eager family with the full scan gives."""
+
+    @pytest.mark.parametrize("name, paths_built, refuting", [
+        # the penalty trace is dropped, and axis0 refutes both
+        ("facial", ["axis0"], "axis0"),
+        # the kept penalty trace refutes both
+        ("degenerate06", [], "penalty"),
+    ])
+    def test_analysis_builds_only_the_paths_probes_reach(
+            self, monkeypatch, name, paths_built, refuting):
+        P, x = {"facial": (facial_problem(), [0.0, 0.0]),
+                "degenerate06": (NsdpProblem.from_json(
+                    json.loads(DEGENERATE06_PROBLEM)), [0.0] * 3)}[name]
+        paths = penalty_calls(monkeypatch, "make_path_trace")
+        lps = penalty_calls(monkeypatch, "pli_test")
+        rep = analyze_problem(P, x)
+        assert [kw["trace_id"] for kw in paths] == paths_built
+        assert len(lps) == 1
+        for probe in ("weak_ndg_probe", "weak_robinson_probe"):
+            v = rep.verdicts[probe]
+            assert v.status is CqStatus.FAILS
+            assert v.witness["trace"] == refuting
+        pd = feasibility_data(P, x)
+        results, _ = probe_weak_ndg(pd, family_for(P, x))
+        assert [r.trace_id for r in results] == [refuting]
+
+    def test_reports_equal_eager_full_scan_analysis(self, monkeypatch):
+        # the corpus, the 14 bench instances and the first 100 survey
+        # draws, byte for byte; some analyses skip paths
+        opts = AnalysisOptions(timestamp=False)
+        paths = penalty_calls(monkeypatch, "make_path_trace")
+        eager = []
+
+        def family(P, cfg, *args):
+            # every trace built, in the family type the report reads
+            traces = trace_family_eager(P, cfg, *args)
+            eager.extend(t for t in traces if t.kind == "path")
+            return TraceFamily(P, cfg.anchor, traces, 0.0)
+
+        for name, obj, point in islice(survey_instances(), 121):
+            P = NsdpProblem.from_json(obj)
+            got = report_json_text(analyze_problem(P, point, opts))
+            with monkeypatch.context() as mp:
+                mp.setattr(report, "default_trace_family", family)
+                mp.setattr(penalty, "_probe_traces", probe_traces_full_scan)
+                want = report_json_text(analyze_problem(P, point, opts))
+            assert got == want, name
+        assert len(paths) < len(eager)
 
 
 def family_for(P, anchor, count=8):
@@ -1066,7 +1184,7 @@ class TestLimitData:
 
     def test_scans_match_per_record_loops(self):
         for P, x_bar in oracle_problems():
-            traces = family_for(P, x_bar)
+            traces = list(family_for(P, x_bar))
             traces.append(make_path_trace(P, x_bar, np.ones(P.n),
                                           steps=4, scale=1e-9))
             for trace in traces:
