@@ -55,7 +55,7 @@ gradient and Hessian to the next level, which recomputes only the
 rho-dependent value, gradient, multiplier and noise floor.  The first
 level starts from the feasibility gate's Evaluation of the anchor.  A
 level whose line search finds no finite step, as on a penalty unbounded
-below, ends stalled.
+below, ends stalled, and so does every level after it.
 
 On these problems (n and m of a few units) a Newton step costs more in
 numpy's per-call overhead than in LAPACK, so each step keeps its fixed
@@ -307,7 +307,7 @@ def inner_tolerance(cfg: PenaltyConfig, rho: float) -> float:
 def inner_stop(converged: bool, iterations: int, cfg: PenaltyConfig) -> str:
     """How an inner solve ended: "ok", "budget" when it spent
     cfg.inner_max_iters, "stalled" when the line search found no step
-    before that."""
+    before that, or, in a run, when an earlier level stalled."""
     if converged:
         return "ok"
     return "budget" if iterations >= cfg.inner_max_iters else "stalled"
@@ -490,14 +490,18 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
     of the last iterate) is flagged
     on the trace; by the boundedness argument under Robinson's
     condition, sustained growth signals that no KKT multiplier exists at
-    the limit.  No point of the run is evaluated twice (see the module
-    docstring).
+    the limit.  Once a level stalls, no later level counts as converged,
+    and only the stall is noted: a later level starts where the stall
+    left the iterate, and on a penalty unbounded below its gradient
+    floor there exceeds the gradient, so it stops at once.  No point of
+    the run is evaluated twice (see the module docstring).
     """
     x = cfg.anchor.copy()
     ev = feasibility_data(P, x).ev
     rho = cfg.rho0
     iterates: List[PenaltyIterate] = []
     notes: List[str] = []
+    stalled = False
     for k in range(cfg.outer_iters):
         res = inner_minimize(P, cfg, rho, x, ev)
         x, ev = res.x, res.ev
@@ -508,12 +512,13 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
             eigenvectors=ev.spectrum().vectors.copy(),
             stationarity_residual=res.grad_norm,
             multiplier_norm=float(np.sqrt(frobenius(Y.a, Y.a))),
-            inner_converged=res.converged,
+            inner_converged=res.converged and not stalled,
             inner_iterations=res.iterations))
         if not res.converged:
             if inner_stop(res.converged, res.iterations, cfg) == "budget":
                 how = f"spent its {res.iterations}-iteration budget"
             else:
+                stalled = True
                 how = (f"stalled after {res.iterations} iterations "
                        "(line search found no step)")
             notes.append(f"inner solve at rho={rho:.1e} {how} at gradient "

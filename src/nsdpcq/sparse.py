@@ -21,8 +21,9 @@ defines the subspace of symmetric matrices supported on the pattern.
 * sparse nondegeneracy: a kernel basis whose pattern-restricted
   gradient family is independent while every diagonal entry of the
   compressed map stays structurally nonzero; one deterministic search
-  tries the fixed kernel basis, then the basis that jointly
-  diagonalizes the compressed coefficient stack by Jacobi sweeps,
+  tries the fixed kernel basis, then the eigenbasis of a seeded random
+  combination of the compressed coefficient stack, which diagonalizes
+  a commuting stack and splits one with a common block structure,
 * Forsgren's condition (per diagonalizing matrix U): injectivity of the
   gradient pairing on the pattern subspace of Gtil compressed to the
   kernel, plus existence of a positive definite element there,
@@ -59,7 +60,6 @@ from .symmat import (
     SymMat,
     eigh,
     orthonormal_completion,
-    orthonormalize,
 )
 
 PATTERN_COEF_TOL = 1e-12     # coefficient threshold for congruence patterns
@@ -67,8 +67,7 @@ TILDE_SAMPLES = 32
 TILDE_RADIUS = 1e-3
 TILDE_TOL = 1e-9
 TILDE_SEED = 20              # generator seed of the Schur-map pattern samples
-JACOBI_SWEEPS = 50           # cap on the joint diagonalization's sweeps
-JACOBI_ANGLE_TOL = 1e-13     # a sweep turning no pair by more has converged
+EIGENBASIS_SEED = 21         # generator seed of the eigenbasis's weights
 
 
 # ---------------------------------------------------------------------------
@@ -226,91 +225,43 @@ def tilde_map(pd: PointData) -> SparsityPattern:
 # sparse nondegeneracy: candidate scoring and basis search
 
 
-def _score(pd: PointData, cols: np.ndarray):
-    """(diagonal hits, success flag, pattern, family li_test) of a basis.
+def _score(S: np.ndarray, Wc: np.ndarray, Heq: np.ndarray):
+    """(diagonal hits, success flag, pattern, family li_test) of a basis
+    from its coefficient stack S = cols^T A_t cols and its compressed
+    partials Wc = compress(W, cols).
 
-    The pattern is read off the compressed stack cols^T A_t cols, so it
-    is decided on exact coefficients, not on sampled values.
+    The pattern is read off S, so it is decided on exact coefficients,
+    not on sampled values.
     """
-    k = cols.shape[1]
-    pairs = _pattern_pairs(_stack(pd.P, cols, cols))
+    k = S.shape[1]
+    pairs = _pattern_pairs(S)
     hits = sum(1 for i in range(k) if (i, i) in pairs)
-    comp = compress(pd.W, cols)
-    li = li_test([comp[:, i, j] for (i, j) in sorted(pairs)] + list(pd.Heq))
+    li = li_test([Wc[:, i, j] for (i, j) in sorted(pairs)] + list(Heq))
     return hits, hits == k and li.independent, pairs, li
 
 
-def _cs_angle(Bs: np.ndarray, p: int, q: int) -> float:
-    """Closed-form Givens angle concentrating stack energy on the diagonal.
+def _basis_search(pd: PointData, log: List[str]):
+    """Score the fixed kernel basis E = pd.E, else its eigenbasis.
 
-    Maximizes sum_t (B_pp - B_qq)^2 over the rotated pair, the classical
-    joint-diagonalization update; for commuting stacks this zeroes the
-    (p, q) coefficients to rounding level, which the pattern threshold
-    then absorbs into an exact structural zero.
+    The fixed basis is scored on its stack S0 = E^T A_t E and on pd.Wc,
+    and kept when it succeeds.  Otherwise V, the eigenvectors of
+    sum_t w_t S0_t with weights w drawn from a generator seeded with
+    EIGENBASIS_SEED, rotates it: the basis E V is scored on V^T S0_t V
+    and V^T Wc V, with no m x m work.  Returns (basis, provenance, hits,
+    success, pairs, li) of the basis scored last.
     """
-    h1 = Bs[:, p, p] - Bs[:, q, q]
-    h2 = 2.0 * Bs[:, p, q]
-    gxx = float(np.dot(h1, h1))
-    gxy = float(np.dot(h1, h2))
-    gyy = float(np.dot(h2, h2))
-    to = gxx - gyy
-    x = to + np.hypot(to, 2.0 * gxy)
-    y = 2.0 * gxy
-    nrm = np.hypot(x, y)
-    if nrm <= 1e-300:
-        return 0.25 * np.pi if gyy > gxx else 0.0
-    return 0.5 * np.arctan2(y / nrm, x / nrm)
-
-
-def _joint_diagonalize(Bs: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Cyclic Jacobi sweeps jointly diagonalizing a symmetric stack.
-
-    Every column pair is rotated by its closed-form angle (Cardoso &
-    Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).  Sweeps stop
-    when none turns a pair by more than JACOBI_ANGLE_TOL, or after
-    JACOBI_SWEEPS.  Returns the accumulated rotation C, so that C^T B_t C
-    is the diagonalized stack, and the number of sweeps run; a commuting
-    stack comes out diagonal to rounding level.
-    """
-    Bs = np.array(Bs, dtype=float)
-    k = Bs.shape[1]
-    C = np.eye(k)
-    for sweeps in range(1, JACOBI_SWEEPS + 1):
-        turned = 0.0
-        for p in range(k):
-            for q in range(p + 1, k):
-                theta = _cs_angle(Bs, p, q)
-                turned = max(turned, abs(theta))
-                c, s = np.cos(theta), np.sin(theta)
-                R = np.array([[c, -s], [s, c]])
-                pq = [p, q]
-                C[:, pq] = C[:, pq] @ R
-                Bs[:, :, pq] = Bs[:, :, pq] @ R
-                Bs[:, pq, :] = R.T @ Bs[:, pq, :]
-        if turned <= JACOBI_ANGLE_TOL:
-            break
-    return C, sweeps
-
-
-def _basis_search(pd: PointData, E0: np.ndarray, log: List[str]):
-    """Score the fixed kernel basis, else its joint diagonalization.
-
-    The fixed basis is kept when it succeeds.  Otherwise the compressed
-    stack E0^T A_t E0 is jointly diagonalized and that one basis is
-    scored.  Returns (basis, provenance, hits, success, pairs, li) of
-    the basis scored last.
-    """
-    k = E0.shape[1]
-    hits, success, pairs, li = _score(pd, E0)
+    E = pd.E
+    k = E.shape[1]
+    S0 = _stack(pd.P, E, E)
+    hits, success, pairs, li = _score(S0, pd.Wc, pd.Heq)
     log.append(f"fixed basis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
     if success:
-        return E0, "fixed", hits, success, pairs, li
-    C, sweeps = _joint_diagonalize(_stack(pd.P, E0, E0))
-    cols = E0 @ C
-    hits, success, pairs, li = _score(pd, cols)
-    log.append(f"joint diagonalization ({sweeps} sweeps): hits "
-               f"{hits}/{k}, sigma_min {li.sigma_min:.3e}")
-    return cols, "jacobi", hits, success, pairs, li
+        return E, "fixed", hits, success, pairs, li
+    w = np.random.default_rng(EIGENBASIS_SEED).standard_normal(len(S0))
+    V = eigh(np.tensordot(w, S0, axes=1)).vectors
+    hits, success, pairs, li = _score(V.T @ S0 @ V, V.T @ pd.Wc @ V, pd.Heq)
+    log.append(f"eigenbasis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
+    return E @ V, "eigenbasis", hits, success, pairs, li
 
 
 def _holds_verdict(E_cols, provenance: str, pairs, li, log) -> CqVerdict:
@@ -339,11 +290,17 @@ def check_sparse_ndg(pd: PointData,
     whatever basis a search would find, and the verdict carries
     Robinson's witness; an identically zero diagonal entry G_ii gives
     one, the multiplier e_i e_i^T.  Otherwise two candidates are scored:
-    the fixed kernel basis, and, when it fails, the basis that jointly
-    diagonalizes the compressed coefficient stack E^T A_t E by cyclic
-    Jacobi sweeps.  The second is exact for any commuting stack, as for
+    the fixed kernel basis, and, when it fails, its eigenbasis, the
+    eigenvectors of a random combination of the compressed coefficient
+    stack E^T A_t E (:func:`_basis_search`).  Commuting symmetric
+    matrices share an orthonormal eigenbasis (Horn & Johnson, *Matrix
+    Analysis*, Thm 2.5.5), which a generic combination's eigenvectors
+    are, so the eigenbasis diagonalizes any commuting stack, as that of
     a diagonal constraint under an orthogonal congruence G -> Q^T G Q.
-    A found witness certifies Holds; anything else is Undetermined.
+    A stack with a common block structure, commuting or not, has the
+    combination block diagonal too, and each eigenvector stays inside
+    one block.  A found witness certifies Holds; anything else is
+    Undetermined.
     robinson is Robinson's verdict on the same point data when the
     caller has it; without it :func:`check_robinson` runs, so the
     verdict is the same either way.
@@ -351,8 +308,7 @@ def check_sparse_ndg(pd: PointData,
     exact = exact_verdict(pd, "sparse_ndg")
     if exact is not None:
         return exact
-    E0 = pd.E
-    log = [f"rank {pd.rank}, kernel dimension {E0.shape[1]}"]
+    log = [f"rank {pd.rank}, kernel dimension {pd.E.shape[1]}"]
     rob = check_robinson(pd) if robinson is None else robinson
     if rob.status == CqStatus.FAILS:
         log.append("Robinson refutation: " + (rob.reason or ""))
@@ -361,7 +317,7 @@ def check_sparse_ndg(pd: PointData,
             reason="Robinson's condition fails, which sparse nondegeneracy "
                    "would imply",
             witness=rob.witness, log=log)
-    cols, provenance, _, success, pairs, li = _basis_search(pd, E0, log)
+    cols, provenance, _, success, pairs, li = _basis_search(pd, log)
     if success:
         return _holds_verdict(cols, provenance, pairs, li, log)
     return CqVerdict(
@@ -376,6 +332,28 @@ def check_sparse_ndg(pd: PointData,
 # Forsgren's condition
 
 
+def _pattern_basis(pat: SparsityPattern, E: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, in the Frobenius geometry, of the subspace that
+    the pattern's unit matrices span once compressed to the columns of E;
+    a stack of shape (dim_T, k, k).
+
+    The unit matrix of pair (a, b) is e_a e_a^T, or (e_a e_b^T +
+    e_b e_a^T) / sqrt(2) off the diagonal, so its compression is the
+    outer product of rows a and b of E, symmetrized and scaled.  The
+    basis is the left singular vectors of the flattened compressions
+    whose singular value is above 1e-10.  Every compression lies in
+    Sym(k), so dim_T is at most k(k + 1) / 2.
+    """
+    k = E.shape[1]
+    a, b = np.array(pat.sorted_pairs(), dtype=int).reshape(-1, 2).T
+    scale = np.where(a == b, 0.5, np.sqrt(0.5))[:, None, None]
+    raw = E[a, :, None] * E[b, None, :]
+    raw = scale * (raw + raw.swapaxes(1, 2))
+    left, sv, _ = np.linalg.svd(raw.reshape(-1, k * k).T,
+                                full_matrices=False)
+    return left[:, sv > 1e-10].T.reshape(-1, k, k)
+
+
 def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     """Forsgren's condition for a given diagonalizing matrix U.
 
@@ -385,8 +363,9 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     of the condition.
 
     The pattern subspace of the Schur-complement map, compressed to the
-    kernel columns of U, is spanned and orthonormalized, the Gram-Schmidt
-    pass capped at dim Sym(k) = k(k + 1) / 2 kept columns; then
+    kernel columns of U, gets an orthonormal basis from one SVD
+    (:func:`_pattern_basis`), at most dim Sym(k) = k(k + 1) / 2
+    matrices; then
 
     * first condition: the pairing M -> sum_{i<=j} M_ij v_ij must be
       injective on that subspace (rank test, certified either way),
@@ -437,21 +416,7 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     log.append(f"Schur map pattern: {pat.cardinality()} entries "
                f"({pat.source})")
 
-    # orthonormal basis of the compressed pattern subspace, one flattened
-    # k x k matrix per column, in the Frobenius geometry; every column
-    # lies in Sym(k), so no more than k(k + 1) / 2 can be kept
-    rt = 1.0 / np.sqrt(2.0)
-    raw = np.zeros((k * k, pat.cardinality()))
-    for q, (a, b) in enumerate(pat.sorted_pairs()):
-        S = np.zeros((m, m))
-        if a == b:
-            S[a, a] = 1.0
-        else:
-            S[a, b] = rt
-            S[b, a] = rt
-        raw[:, q] = (E.T @ S @ E).ravel()
-    stack = orthonormalize(raw, 1e-10, limit=k * (k + 1) // 2
-                           ).T.reshape(-1, k, k)
+    stack = _pattern_basis(pat, E)
     dim_T = stack.shape[0]
     log.append(f"compressed pattern subspace dimension {dim_T}")
 

@@ -22,15 +22,12 @@ Conventions used everywhere:
 * the kernel of a PSD matrix is the span of eigenvectors whose eigenvalues
   are below ``tol * max(1, lambda_max)``; a kernel basis E is a plain
   read-only m x k array with orthonormal columns (:func:`spectral_kernel`),
-* every Gram-Schmidt pass is :func:`orthonormalize`, which can be told
-  to stop once it has kept as many columns as a space known to hold
-  them has dimensions,
+* every Gram-Schmidt pass is :func:`orthonormalize`,
 * inner product on symmetric matrices is the Frobenius one, ``tr(M N)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -240,30 +237,16 @@ def spectral_kernel(spec: Spectral, tol: float = TAU_RANK) -> np.ndarray:
     return E
 
 
-def orthonormalize(cols, tol: float, limit: Optional[int] = None
-                   ) -> np.ndarray:
+def orthonormalize(cols, tol: float) -> np.ndarray:
     """Modified Gram-Schmidt over the columns, in column order.
 
     A column whose residual norm is at most tol is dropped, so the result
     has orthonormal columns spanning those of the input, at most as many.
     The work runs on a C-ordered copy, which fixes the arithmetic.
-
-    limit is the dimension of a space known to hold every column, such
-    as k(k + 1) / 2 for flattened symmetric k x k matrices, which lie in
-    Sym(k); the pass stops once it has kept that many, so the result
-    never has more columns than the space has dimensions.  While the
-    kept columns stay orthogonal to working precision, a later column's
-    residual is rounding error below tol and the full pass drops it too,
-    so the stop changes nothing.  Modified Gram-Schmidt loses
-    orthogonality in proportion to eps times the condition of the kept
-    columns, though, and past that point the full pass can keep a
-    spurious extra column that the stop refuses.
     """
     out = np.array(cols, dtype=float, order="C")
     kept = 0
     for j in range(out.shape[1]):
-        if kept == limit:
-            break
         v = out[:, j]
         for i in range(kept):
             v = v - np.dot(out[:, i], v) * out[:, i]

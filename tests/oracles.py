@@ -162,7 +162,7 @@ def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
     """Sparse nondegeneracy through the multifold block decomposition.
 
     Each diagonal block runs the search of :func:`check_sparse_ndg` (its
-    fixed kernel basis, else that basis jointly diagonalized) for its
+    fixed kernel basis, else that basis's eigenbasis) for its
     own basis; the union of the per-block pattern-restricted families,
     together with equality gradients, must be independent.  Equivalent
     to the assembled check by the block invariance of the condition;
@@ -187,7 +187,7 @@ def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
             log.append(f"block {bi}: trivial kernel")
             continue
         block_log: List[str] = []
-        cols, _, hits, _, prs, _ = _basis_search(spd, spd.E, block_log)
+        cols, _, hits, _, prs, _ = _basis_search(spd, block_log)
         log += [f"block {bi}: {line}" for line in block_log]
         if hits < kb:
             all_hit = False
@@ -235,7 +235,8 @@ def sparse_card_invariance(pd: PointData, trials: int = 50,
     records = []
     for t in range(trials + 1):
         cols = E0 if t == 0 else E0 @ random_rotation(k, rng)
-        _, _, pairs, li = _score(pd, cols)
+        _, _, pairs, li = _score(_stack(pd.P, cols, cols),
+                                 compress(pd.W, cols), pd.Heq)
         if li.independent:
             records.append((t, len(pairs)))
     cards = sorted({c for _, c in records})

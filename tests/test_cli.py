@@ -289,8 +289,10 @@ class TestUnboundedPenalty:
         out = capsys.readouterr().out
         rows = [ln.split() for ln in out.splitlines()
                 if ln.split() and ln.split()[0].isdigit()]
-        assert len(rows) == 12
-        assert rows[0][-1] == "stalled"
+        # once a level stalls, no later level reads ok: each stops where
+        # the stall left the iterate, whose gradient floor there exceeds
+        # the gradient
+        assert [row[-1] for row in rows] == ["stalled"] * 12
         assert all(np.isfinite(float(row[3])) for row in rows)
         records = [strict_json(ln) for ln in trace.read_text().splitlines()]
         assert len(records) == 12

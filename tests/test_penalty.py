@@ -743,6 +743,31 @@ class TestRunPenalty:
             f"{rec.inner_iterations} iterations (line search found no step) "
             f"at gradient norm {rec.stationarity_residual:.2e}"]
 
+    def test_no_level_converges_after_a_stall(self):
+        # f = -x^5 - x, G = [[x^4]] at 0 is unbounded below: level 0
+        # stalls at gradient norm 1.3e154, where every later level's
+        # gradient floor exceeds the gradient, so each stops after 0
+        # iterations at the same point.  None of them counts as converged
+        P = NsdpProblem(1, Poly(1, [(-1.0, (5,)), (-1.0, (1,))]),
+                        MatrixPoly(1, 1, {(0, 0): Poly(1, [(1.0, (4,))])}),
+                        name="quintic")
+        trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(1)))
+        first, *later = trace.iterates
+        assert len(later) == 11
+        assert inner_stop(first.inner_converged, first.inner_iterations,
+                          PenaltyConfig(anchor=np.zeros(1))) == "stalled"
+        assert first.stationarity_residual > 1e150
+        assert not any(rec.inner_converged for rec in trace.iterates)
+        for rec in later:
+            assert rec.inner_iterations == 0
+            assert np.array_equal(rec.x, first.x)
+        # only the stall itself is noted, and no divergence is flagged
+        assert trace.notes == [
+            f"inner solve at rho=1.0e+00 stalled after "
+            f"{first.inner_iterations} iterations (line search found no "
+            f"step) at gradient norm {first.stationarity_residual:.2e}"]
+        assert not trace.divergence_suspected
+
     def test_facial_divergence_flag(self):
         P = facial_problem()
         trace = run_penalty(P, PenaltyConfig(anchor=np.array([1.0, 0.0])))

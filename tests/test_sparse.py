@@ -35,7 +35,7 @@ from nsdpcq.sparse import (
     _schur_value,
     _stack,
 )
-from nsdpcq.symmat import SymMat, eigh, orthonormalize, random_rotation
+from nsdpcq.symmat import SymMat, eigh, random_rotation
 
 from oracles import (
     check_sparse_ndg_multifold,
@@ -381,7 +381,7 @@ class TestSparseNdg:
         P = block2_problem()
         v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0, 0.0]))
         assert v.status == CqStatus.HOLDS_CERTIFIED
-        assert v.witness["provenance"] == "jacobi"
+        assert v.witness["provenance"] == "eigenbasis"
         assert v.witness["pattern"] == [(0, 0), (1, 1), (2, 2)]
         replay_sparse_witness(P, [0.0, 0.0, 0.0], v.witness)
 
@@ -463,34 +463,66 @@ class TestSparseNdg:
 
     def test_given_robinson_failure_skips_the_search(self, monkeypatch):
         # degenerate00's fixed basis fails, so a search would go on to the
-        # Jacobi sweeps; a given Robinson Fails refutes sparse
+        # eigenbasis; a given Robinson Fails refutes sparse
         # nondegeneracy first and hands over its witness
         import nsdpcq.sparse
         P = NsdpProblem.from_json(RANK0_PROBLEM)
         pd = feasibility_data(P, np.zeros(P.n))
         rob = check_robinson(pd)
         assert rob.status == CqStatus.FAILS
-        sweeps = []
-        real = nsdpcq.sparse._joint_diagonalize
-        monkeypatch.setattr(nsdpcq.sparse, "_joint_diagonalize",
-                            lambda Bs: sweeps.append(Bs) or real(Bs))
+        combos = []
+        real = nsdpcq.sparse.eigh
+        monkeypatch.setattr(nsdpcq.sparse, "eigh",
+                            lambda M: combos.append(M) or real(M))
         v = check_sparse_ndg(pd, rob)
         assert v.status == CqStatus.FAILS
         assert v.witness is rob.witness
-        assert sweeps == []
+        assert combos == []
         replay_cone_witness(P, np.zeros(P.n), v.witness)
         # a certified Robinson hold refutes nothing: the search runs on
-        # to the joint diagonalization of a rotated diag3
-        R = NsdpProblem(3, diag3_problem().objective, MatrixPoly(
-            3, 3, congruence_entries(diag3_problem(), random_rotation(
-                3, np.random.default_rng(0)))))
-        pd = feasibility_data(R, np.zeros(3))
-        rob = check_robinson(pd)
-        assert rob.status == CqStatus.HOLDS_CERTIFIED
-        v = check_sparse_ndg(pd, rob)
-        assert len(sweeps) == 1
-        assert v.status == CqStatus.HOLDS_CERTIFIED
-        assert v.witness["provenance"] == "jacobi"
+        # to the eigenbasis of a rotated diag3, whatever the rotation and
+        # the scale of G (at rank 0 nothing else in the check decomposes
+        # a matrix, so each search is one eigh)
+        for seed in range(3):
+            Q = random_rotation(3, np.random.default_rng(seed))
+            for s in (1e-3, 1.0, 1e3):
+                R = NsdpProblem(3, diag3_problem().objective, MatrixPoly(
+                    3, 3, {ij: p.scale(s) for ij, p in congruence_entries(
+                        diag3_problem(), Q).items()}))
+                pd = feasibility_data(R, np.zeros(3))
+                rob = check_robinson(pd)
+                assert rob.status == CqStatus.HOLDS_CERTIFIED, (seed, s)
+                del combos[:]
+                v = check_sparse_ndg(pd, rob)
+                assert len(combos) == 1, (seed, s)
+                assert v.status == CqStatus.HOLDS_CERTIFIED, (seed, s)
+                assert v.witness["provenance"] == "eigenbasis"
+                assert v.witness["pattern"] == [(0, 0), (1, 1), (2, 2)]
+                replay_sparse_witness(R, np.zeros(3), v.witness)
+                assert v.to_json() == check_sparse_ndg(pd).to_json()
+
+    def test_noncommuting_block_stack_split_by_eigenbasis(self):
+        # G = Q^T diag([[x1, x2], [x2, x3]], x4) Q: the coefficient stack
+        # does not commute, but the 2 x 2 and 1 x 1 blocks are common to
+        # it, and the eigenbasis recovers them: a 4-entry pattern whose
+        # gradients span the four coordinates
+        G = MatrixPoly.block_diag([
+            MatrixPoly(2, 4, {(0, 0): xv(4, 0), (0, 1): xv(4, 1),
+                              (1, 1): xv(4, 2)}),
+            MatrixPoly(1, 4, {(0, 0): xv(4, 3)})])
+        P = NsdpProblem(4, xv(4, 0), G, name="block21")
+        for seed in range(4):
+            Q = random_rotation(3, np.random.default_rng([5, seed]))
+            R = NsdpProblem(4, P.objective,
+                            MatrixPoly(3, 4, congruence_entries(P, Q)),
+                            name="block21-rotated")
+            A = R.constraint_stack()
+            assert max(np.abs(a @ b - b @ a).max() for a in A for b in A) > 0.1
+            v = check_sparse_ndg(feasibility_data(R, np.zeros(4)))
+            assert v.status == CqStatus.HOLDS_CERTIFIED, (seed, v.log)
+            assert v.witness["provenance"] == "eigenbasis"
+            assert v.witness["cardinality"] == 4
+            replay_sparse_witness(R, np.zeros(4), v.witness)
 
     def test_undetermined_when_no_route_applies(self):
         # sparse nondegeneracy genuinely fails (every basis has a full
@@ -679,21 +711,23 @@ class TestForsgren:
         v = check_forsgren(feasibility_data(P, [0.0, 0.0]), U=R)
         assert v.status == CqStatus.FAILS
 
-    def test_gram_schmidt_cap_at_sym_k_matches_full_pass(self, monkeypatch):
-        # capping Forsgren's Gram-Schmidt at dim Sym(k) gives the stack a
-        # pass over every pattern column gives, bit for bit, on the
-        # survey's instances (the corpus, the 14 benchmark instances and
-        # the seeded draws) and on larger ones: the (24, 12, 4) and
-        # (40, 20, 5) rungs, drawn by continuing the ladder's generator,
-        # and an instance at the model caps
+    def test_pattern_basis_orthonormal_in_sym_k(self, monkeypatch):
+        # Forsgren's pattern-subspace basis is orthonormal, lies in Sym(k),
+        # spans every compressed pattern matrix and has at most
+        # k(k + 1) / 2 elements, on the survey's instances (the corpus,
+        # the 14 benchmark instances and the seeded draws) and on larger
+        # ones: the (24, 12, 4) and (40, 20, 5) rungs, drawn by
+        # continuing the ladder's generator, and an instance at the
+        # model caps
         calls = []
+        real = sparse._pattern_basis
 
-        def recording(cols, tol, limit=None):
-            out = orthonormalize(cols, tol, limit)
-            calls.append((cols, tol, limit, out))
+        def recording(pat, E):
+            out = real(pat, E)
+            calls.append((pat, E, out))
             return out
 
-        monkeypatch.setattr(sparse, "orthonormalize", recording)
+        monkeypatch.setattr(sparse, "_pattern_basis", recording)
         rng = np.random.default_rng([0, 1])
         rungs = [shifted_problem(rng, n, m, k, f"ladder_n{n}")
                  for n, m, k in ((6, 4, 2), (12, 8, 3), (24, 12, 4),
@@ -702,20 +736,51 @@ class TestForsgren:
                                      64, 50, 6, "cap"))
         cases = list(survey_instances()) + [
             (o["name"], o, [0.0] * o["n"]) for o in rungs]
-        cut = set()
+        full = set()
         for name, obj, point in cases:
             del calls[:]
-            check_forsgren(feasibility_data(NsdpProblem.from_json(obj),
-                                            point))
-            for cols, tol, limit, got in calls:
-                want = orthonormalize(cols, tol)
-                assert got.shape == want.shape, name
-                assert got.tobytes() == want.tobytes(), name
-                if got.shape[1] == limit < cols.shape[1]:
-                    cut.add(name)
-        # the cap ends many passes early, the larger instances' among them
-        assert len(cut) >= 100
-        assert {o["name"] for o in rungs} <= cut
+            v = check_forsgren(feasibility_data(NsdpProblem.from_json(obj),
+                                                point))
+            for pat, E, T in calls:
+                k = E.shape[1]
+                dim_T = T.shape[0]
+                assert T.shape[1:] == (k, k), name
+                assert dim_T <= k * (k + 1) // 2, name
+                assert v.witness is None \
+                    or v.witness["subspace_dim"] == dim_T, name
+                flat = T.reshape(dim_T, -1)
+                assert np.abs(flat @ flat.T - np.eye(dim_T)).max() < 1e-12
+                assert np.abs(T - T.transpose(0, 2, 1)).max() < 1e-12, name
+                # each pattern pair's unit matrix, compressed, lies in
+                # the span
+                for (a, b) in pat.sorted_pairs():
+                    S = np.zeros((E.shape[0],) * 2)
+                    S[a, b] = S[b, a] = 1.0 if a == b else np.sqrt(0.5)
+                    c = (E.T @ S @ E).ravel()
+                    assert np.abs(c - flat.T @ (flat @ c)).max() < 1e-9, \
+                        (name, a, b)
+                if dim_T == k * (k + 1) // 2 < pat.cardinality():
+                    full.add(name)
+        # many patterns span all of Sym(k) with more pairs than its
+        # dimension, the larger instances' among them
+        assert len(full) >= 100
+        assert {o["name"] for o in rungs} <= full
+
+    def test_empty_schur_pattern_refuted_by_dual_certificate(self):
+        # G = diag(1 + x, 0) at 0: the Schur map over the range e1 is
+        # identically zero, so the pattern subspace is {0}, its basis an
+        # empty stack, and every unit-trace multiplier on the kernel e2
+        # is orthogonal to it
+        G = MatrixPoly(2, 1, {(0, 0): Poly.const(1, 1.0) + xv(1, 0)})
+        P = NsdpProblem(n=1, objective=xv(1, 0), constraint=G, name="dead")
+        v = check_forsgren(feasibility_data(P, [0.0]))
+        assert v.status == CqStatus.FAILS, v.log
+        assert "positive definite" in v.reason
+        assert v.witness["pattern"] == []
+        assert v.witness["subspace_dim"] == 0
+        replay_forsgren_dual(v.witness)
+        assert np.allclose(v.witness["multiplier"], np.diag([0.0, 1.0]),
+                           atol=1e-12)
 
 
 class TestFacialReduce:
