@@ -19,7 +19,6 @@ from .symmat import (
     Spectral,
     SymMat,
     eigh,
-    numerical_rank,
     proj_psd,
 )
 from .model import (
@@ -94,7 +93,6 @@ __all__ = [
     "kkt_residual",
     "li_test",
     "make_path_trace",
-    "numerical_rank",
     "parse_problem_text",
     "pli_test",
     "probe_weak_ndg",

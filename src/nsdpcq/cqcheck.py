@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import symmat
-from .errors import InfeasiblePointError, NotPsdError
+from .errors import InfeasiblePointError
 from .lp import phase_one
 from .model import Evaluation, NsdpProblem, structurally_diagonal
 from .symmat import Spectral, SymMat, eigh, spectral_kernel
@@ -43,7 +43,6 @@ TAU_RANK = symmat.TAU_RANK
 LI_TOL = 1e-8
 DUAL_CERT_TOL = 1e-12    # relative size of a certifying bound of the saddle solve
 SADDLE_ITERS = 1000      # iteration budget of the saddle-point solve
-POLISH_EVERY = 25        # iterations between low-rank polishes of the dual
 POLISH_STEPS = 60        # Gauss-Newton steps per polish rank
 POLISH_STALL = 0.9       # a polish step must cut the residual by this factor
 
@@ -105,13 +104,15 @@ class PointData:
     """Everything the checkers read at one feasible point x of P.
 
     G = G(x) with its one eigendecomposition ``spec``, the kernel basis E
-    of G(x) at threshold tol_rank (an m x k array with orthonormal
-    columns, so rank = m - k), the constraint partials W[l] = D_l G(x)
-    (shape (n, m, m)), their compression Wc = compress(W, E) (shape
-    (n, k, k), so Wc[:, i, j] is the gradient v_ij) and the equality
-    gradients Heq, one row per equality.  ev is the model evaluation at
-    x that G, spec, W and Heq come from, for whatever else a caller reads
-    at x.  Built by :func:`feasibility_data`; every array is read-only.
+    of G(x), the eigenvectors in ``spec`` whose eigenvalues lie within
+    tol_rank * max(1, |lambda_1|) of zero (an m x k array with
+    orthonormal columns, so rank = m - k), the constraint partials
+    W[l] = D_l G(x) (shape (n, m, m)), their compression
+    Wc = compress(W, E) (shape (n, k, k), so Wc[:, i, j] is the gradient
+    v_ij) and the equality gradients Heq, one row per equality.  ev is
+    the model evaluation at x that G, spec, W and Heq come from, for
+    whatever else a caller reads at x.  Built by :func:`feasibility_data`;
+    every array is read-only.
     """
 
     P: NsdpProblem
@@ -137,11 +138,14 @@ class PointData:
 def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData:
     """Point data of P at x, behind a feasibility gate.
 
-    Raises :class:`InfeasiblePointError` when G(x) has an eigenvalue
-    below -tau, with tau = tol_rank * (1 + max eigenvalue magnitude),
-    and ValueError unless x is a vector of length P.n and
-    0 < tol_rank < 1: a threshold outside that range misreads the rank
-    of G(x) or the feasibility of x.
+    One threshold tau = tol_rank * max(1, |lambda_1|), lambda_1 the
+    largest eigenvalue of G(x), decides both feasibility and the kernel:
+    x is refused with :class:`InfeasiblePointError` when G(x) has an
+    eigenvalue below -tau or some |h_i(x)| exceeds tau, and otherwise
+    the kernel basis E is the eigenvectors of G(x) whose eigenvalues lie
+    within tau of zero.  ValueError is raised unless x is a vector of
+    length P.n and 0 < tol_rank < 1: a threshold outside that range
+    misreads the rank of G(x) or the feasibility of x.
     """
     if not 0.0 < tol_rank < 1.0:
         raise ValueError(f"tol_rank must lie strictly between 0 and 1, "
@@ -153,7 +157,7 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
     ev = P.at(x)
     G = ev.constraint_value()
     spec = ev.spectrum()
-    tau = tol_rank * (1.0 + G.norm_inf())
+    tau = tol_rank * max(1.0, abs(float(spec.values[0])))
     lam_min = float(spec.values[-1])
     if lam_min < -tau:
         raise InfeasiblePointError(
@@ -161,12 +165,12 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
             f"(tolerance {-tau:.1e})",
             eigenvalues=spec.values.tolist(),
         )
-    try:
-        E = spectral_kernel(spec, tol_rank)
-    except NotPsdError as exc:
-        # gate and kernel threshold use slightly different scales; a point
-        # in the sliver between them is still infeasible for our purposes
-        raise InfeasiblePointError(str(exc), eigenvalues=spec.values.tolist())
+    h_max = float(np.max(np.abs(ev.equality_values()), initial=0.0))
+    if h_max > tau:
+        raise InfeasiblePointError(
+            f"point infeasible: max |h_i(x)| is {h_max:.6e} "
+            f"(tolerance {tau:.1e})")
+    E = spectral_kernel(spec, tau)
     W = ev.constraint_partials()
     Wc = compress(W, E)
     Heq = ev.equality_gradients()
@@ -195,10 +199,10 @@ class LiResult:
     coeffs: Optional[np.ndarray]     # unit null combination when dependent
 
 
-def li_test(vectors: Sequence[np.ndarray], tol: float = LI_TOL) -> LiResult:
+def li_test(vectors: Sequence[np.ndarray]) -> LiResult:
     """Linear independence via eigenvalues of the Gram matrix.
 
-    Rank counts Gram eigenvalues above tol * max(1, lambda_1); when the
+    Rank counts Gram eigenvalues above LI_TOL * max(1, lambda_1); when the
     family is dependent, the returned coefficients are the unit-norm
     eigenvector of the smallest Gram eigenvalue, which reproduces
     ||sum c_i v_i|| = sqrt(lambda_min) when checked.
@@ -210,7 +214,7 @@ def li_test(vectors: Sequence[np.ndarray], tol: float = LI_TOL) -> LiResult:
     gram = SymMat.from_symmetric(V @ V.T)
     spec = eigh(gram)
     lam1 = float(spec.values[0])
-    thr = tol * max(1.0, abs(lam1))
+    thr = LI_TOL * max(1.0, abs(lam1))
     rank = int(np.sum(np.abs(spec.values) > thr))
     sigma_min = float(np.sqrt(max(spec.values[-1], 0.0)))
     if rank == k:
@@ -227,7 +231,7 @@ class PliResult:
     free_coeffs: Optional[np.ndarray]
 
 
-def pli_test(vectors: Sequence[np.ndarray], tol: float = LI_TOL,
+def pli_test(vectors: Sequence[np.ndarray],
              free_vectors: Sequence[np.ndarray] = ()) -> PliResult:
     """Positive linear independence via a phase-one simplex.
 
@@ -243,7 +247,9 @@ def pli_test(vectors: Sequence[np.ndarray], tol: float = LI_TOL,
     k, n = V.shape
     # positive dependence is invariant under positive rescaling of each
     # vector, so normalize for simplex conditioning (zero vectors stay zero
-    # and remain detectable); coefficients are mapped back before returning
+    # and remain detectable), which leaves every entry of the simplex's
+    # equality rows within rounding of [-1, 1], so no row needs scaling;
+    # coefficients are mapped back before returning
     vscale = np.ones(k)
     for i in range(k):
         s = float(np.linalg.norm(V[i]))
@@ -268,12 +274,7 @@ def pli_test(vectors: Sequence[np.ndarray], tol: float = LI_TOL,
     A_eq[n, :k] = 1.0
     b = np.zeros(n + 1)
     b[n] = 1.0
-    # scale equality rows for simplex stability
-    for i in range(n):
-        s = float(np.max(np.abs(A_eq[i, :]), initial=0.0))
-        if s > 1.0:
-            A_eq[i, :] /= s
-    res = phase_one(A_eq, b, tol=tol)
+    res = phase_one(A_eq, b, tol=LI_TOL)
     if res.feasible:
         alpha = np.clip(res.z[:k], 0.0, None) / vscale
         total = float(np.sum(alpha))
@@ -505,10 +506,10 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
     1/2 ||A vec S||^2 and reads a primal direction d = A vec S / ||A vec S||
     off the iterate, so both bounds tighten together.  The best iterate
     is polished on a low-rank face at every iteration that is a power of
-    two and at every POLISH_EVERY-th: the early polishes catch a dual
-    certificate that the first gradient steps already point at, the
-    periodic ones a face the iterates approach slowly.  The solve stops
-    at the first certificate, both measured against the one tolerance
+    two: the early polishes catch a dual certificate that the first
+    gradient steps already point at, the later, sparser ones a face the
+    iterates approach slowly.  The solve stops at the first
+    certificate, both measured against the one tolerance
     tol = DUAL_CERT_TOL * (1 + max|A|): primal value above tol, or dual
     residual at most tol.  Both sides scale with A, so the verdict does
     not change when G is multiplied by a positive constant.
@@ -550,7 +551,7 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
                 return done("primal", it)
         if best["dual"] - best["primal"] <= tol:
             break   # the bounds have met on a value too close to zero to certify
-        if it & (it - 1) == 0 or it % POLISH_EVERY == 0:
+        if it & (it - 1) == 0:
             polished = _polish_face(A, best["S"], tol)
             if polished is not None:
                 best.update(S=polished[0], dual=polished[1])

@@ -17,9 +17,11 @@ class ProblemFormatError(NsdpcqError):
 
 
 class InfeasiblePointError(NsdpcqError):
-    """The supplied base point is not feasible for the constraint.
+    """The supplied base point violates G(x) PSD or an equality h_i(x) = 0
+    beyond the one threshold of :func:`nsdpcq.cqcheck.feasibility_data`.
 
-    Carries the offending eigenvalues so callers can print diagnostics.
+    A violated PSD constraint carries the eigenvalues of G(x) so callers
+    can print diagnostics; a violated equality carries none.
     """
 
     def __init__(self, message, eigenvalues=None):
@@ -29,14 +31,6 @@ class InfeasiblePointError(NsdpcqError):
 
 class NumericalFailure(NsdpcqError):
     """An internal numeric routine failed to converge or went singular."""
-
-
-class NotPsdError(NumericalFailure):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-    def __init__(self, message, min_eigenvalue):
-        super().__init__(message)
-        self.min_eigenvalue = float(min_eigenvalue)
 
 
 class SimplexCycleError(NumericalFailure):

@@ -19,9 +19,10 @@ Conventions used everywhere:
 
 * eigenvalues are reported in non-increasing order,
 * each eigenvector's largest-magnitude component is positive,
-* the kernel of a PSD matrix is the span of eigenvectors whose eigenvalues
-  are below ``tol * max(1, lambda_max)``; a kernel basis E is a plain
-  read-only m x k array with orthonormal columns (:func:`spectral_kernel`),
+* the kernel of a PSD matrix at threshold tau is the span of the
+  eigenvectors whose eigenvalues satisfy ``|lambda| <= tau``; a kernel
+  basis E is a plain read-only m x k array, those eigenvectors as eigh
+  returns them, so its columns are orthonormal (:func:`spectral_kernel`),
 * every Gram-Schmidt pass is :func:`orthonormalize`,
 * inner product on symmetric matrices is the Frobenius one, ``tr(M N)``.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPsdError, NumericalFailure
+from .errors import NumericalFailure
 
 TAU_EIG = 1e-10
 TAU_RANK = 1e-8
@@ -200,39 +201,15 @@ def proj_psd(M) -> SymMat:
     return SymMat.from_symmetric(r)
 
 
-def numerical_rank(M, tol: float = TAU_RANK) -> int:
-    """Count of eigenvalues with |lambda_i| > tol * max(1, |lambda_1|)."""
-    spec = eigh(M)
-    if spec.values.size == 0:
-        return 0
-    thr = tol * max(1.0, abs(float(spec.values[0])))
-    return int(np.sum(np.abs(spec.values) > thr))
-
-
-def spectral_kernel(spec: Spectral, tol: float = TAU_RANK) -> np.ndarray:
-    """Orthonormal kernel basis E of the PSD matrix whose eigendecomposition
-    is spec, as a read-only m x k array; the rank is m - k.
-
-    Eigenvectors whose eigenvalues satisfy |lambda| <= tol * max(1, lambda_1)
-    form the kernel cluster.  They are re-orthonormalized by
-    :func:`orthonormalize` in ascending column order, so tie handling is
-    deterministic.  Raises :class:`NotPsdError` when the matrix has an
-    eigenvalue below the negative tolerance, and :class:`NumericalFailure`
-    when a kernel eigenvector is near-dependent on the ones before it.
+def spectral_kernel(spec: Spectral, tau: float) -> np.ndarray:
+    """Kernel basis E of the matrix whose eigendecomposition is spec, as
+    a read-only m x k array: the eigenvectors whose eigenvalues satisfy
+    |lambda| <= tau, in eigh's order and signs.  LAPACK's eigenvectors
+    are orthonormal, so E needs no second pass; the paper's conditions
+    read any orthonormal basis of the kernel.  The threshold is absolute,
+    and the caller decides whether the matrix is PSD within it.
     """
-    m = spec.values.shape[0]
-    lam1 = abs(float(spec.values[0])) if m else 0.0
-    thr = tol * max(1.0, lam1)
-    lam_min = float(spec.values[-1])
-    if lam_min < -thr:
-        raise NotPsdError(
-            f"matrix is not PSD within tolerance (min eigenvalue {lam_min:.3e})",
-            lam_min,
-        )
-    mask = np.abs(spec.values) <= thr
-    E = orthonormalize(spec.vectors[:, mask], 1e-8)
-    if E.shape[1] < np.count_nonzero(mask):
-        raise NumericalFailure("Gram-Schmidt hit a near-dependent column")
+    E = spec.vectors[:, np.abs(spec.values) <= tau]
     E.setflags(write=False)
     return E
 

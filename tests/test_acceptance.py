@@ -42,11 +42,9 @@ from nsdpcq.sparse import (
 )
 from nsdpcq.symmat import (
     SymMat,
-    eigh,
     frobenius,
     proj_psd,
     random_rotation,
-    spectral_kernel,
 )
 
 from oracles import (
@@ -248,7 +246,7 @@ class TestCorpusReproduction:
     def test_offdiag_rotated_pattern_is_diagonal(self):
         ent = get_entry("offdiag")
         P = ent.problem
-        E0 = spectral_kernel(eigh(P.constraint_value(np.zeros(2))))
+        E0 = feasibility_data(P, np.zeros(2)).E
         C = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
         rm = congruence_entries(P, E0 @ C)
         want = {(0, 0): {(1, 0): 1.0, (0, 1): -1.0},

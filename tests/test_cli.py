@@ -112,6 +112,34 @@ class TestAnalyze:
         assert "eigenvalues" in err
         assert "-1" in err
 
+    def test_violated_equality_exit_three(self, tmp_path, capsys):
+        # f = x1, G = [x1], h = x2 - 1: (0, 0) has G PSD but h = -1, so
+        # neither analyze nor solve may start there
+        f = tmp_path / "eq.json"
+        f.write_text(json.dumps({
+            "name": "eqgap", "n": 2, "m": 1,
+            "objective": [{"c": 1.0, "e": [1, 0]}],
+            "constraint": [{"i": 0, "j": 0, "poly": [{"c": 1.0, "e": [1, 0]}]}],
+            "equalities": [[{"c": 1.0, "e": [0, 1]}, {"c": -1.0, "e": [0, 0]}]],
+        }))
+        for argv in (["analyze", str(f), "--point", "0,0"],
+                     ["solve", str(f), "--anchor", "0,0"]):
+            assert cli.main(argv) == 3
+            err = capsys.readouterr().err
+            assert "max |h_i(x)| is 1.000000e+00" in err
+        assert cli.main(["analyze", str(f), "--point", "0,1"]) == 0
+
+    def test_schema_violation_exit_two(self, tmp_path, capsys):
+        # blocks that do not add up to m are a usage error
+        f = tmp_path / "blocks.json"
+        f.write_text(json.dumps({
+            "name": "badblocks", "n": 1, "m": 2, "blocks": [1, 2],
+            "objective": [{"c": 1.0, "e": [1]}],
+            "constraint": [{"i": 0, "j": 0, "poly": [{"c": 1.0, "e": [1]}]}],
+        }))
+        assert cli.main(["analyze", str(f), "--point", "0"]) == 2
+        assert "do not partition dimension 2" in capsys.readouterr().err
+
     def test_numeric_failure_exit_four(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise NumericalFailure("forced failure")

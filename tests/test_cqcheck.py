@@ -768,6 +768,41 @@ class TestFeasibility:
         with pytest.raises(InfeasiblePointError):
             feasibility_data(scalar2_problem(), np.array([-1.0]))
 
+    @staticmethod
+    def ones_minus_dent(c):
+        # G(x) = ones(4, 4) - c v v^T + x I with v = (1, -1, 0, 0) / sqrt 2:
+        # at x = 0 the spectrum is 4, 0, 0, -c, and max |G_ij| is 1 + c / 2
+        dent = np.outer([1.0, -1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]) / 2.0
+        entries = {(i, j): Poly.const(1, 1.0 - c * dent[i, j])
+                   + (xv(1, 0) if i == j else Poly.zero(1))
+                   for i in range(4) for j in range(i, 4)}
+        return NsdpProblem(1, xv(1, 0), MatrixPoly(4, 1, entries))
+
+    def test_gate_and_kernel_read_one_threshold(self):
+        # tau = 1e-8 * max(1, lambda_1) = 4e-8 both admits the eigenvalue
+        # -3e-8 and puts it in the kernel; a gate on 1e-8 * (1 + max|G_ij|)
+        # = 2e-8 refused the point that the kernel split would accept
+        pd = feasibility_data(self.ones_minus_dent(3e-8), np.zeros(1), 1e-8)
+        assert pd.rank == 1 and pd.E.shape == (4, 3)
+        assert np.max(np.abs(pd.G.a @ pd.E)) <= 4e-8
+        with pytest.raises(InfeasiblePointError) as exc:
+            feasibility_data(self.ones_minus_dent(5e-8), np.zeros(1), 1e-8)
+        assert min(exc.value.eigenvalues) < -4e-8
+
+    def test_violated_equality_is_infeasible(self):
+        # G(0, 0) = [0] is PSD, but h = x2 - 1 is -1 there: every
+        # condition used to be certified at a point outside the feasible set
+        P = NsdpProblem(2, xv(2, 0), MatrixPoly(1, 2, {(0, 0): xv(2, 0)}),
+                        equalities=[xv(2, 1) - Poly.const(2, 1.0)])
+        for call in (lambda: feasibility_data(P, np.zeros(2)),
+                     lambda: analyze_problem(P, np.zeros(2)),
+                     lambda: run_penalty(P, PenaltyConfig(anchor=[0.0, 0.0]))):
+            with pytest.raises(InfeasiblePointError, match=r"max \|h_i"):
+                call()
+        # within tau = 1e-8 of h = 0 the point is feasible
+        pd = feasibility_data(P, [0.0, 1.0 + 5e-9])
+        assert pd.rank == 0 and pd.E.shape == (1, 1)
+
     def test_point_of_the_wrong_length_is_rejected(self):
         # a 4-vector at a 3-variable problem would read the power table
         # with the wrong stride; every entry point behind the gate refuses

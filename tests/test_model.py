@@ -670,6 +670,77 @@ def test_json_index_and_duplicate_errors():
         NsdpProblem.from_json(dup)
 
 
+def _json_case(**change):
+    # a valid 2-variable, 2 x 2 problem with the given keys replaced;
+    # a key mapped to None is removed
+    obj = {"name": "base", "n": 2, "m": 2,
+           "objective": [{"c": 1.0, "e": [1, 0]}],
+           "constraint": [{"i": 0, "j": 0, "poly": [{"c": 1.0, "e": [1, 0]}]}]}
+    obj.update(change)
+    return lambda: NsdpProblem.from_json(
+        {k: v for k, v in obj.items() if v is not None})
+
+
+def _x(n, i=0):
+    return Poly.var(n, i)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: NsdpProblem.from_json([]),
+                 "problem must be a JSON object", id="not-an-object"),
+    pytest.param(_json_case(m=None), "missing required key 'm'",
+                 id="missing-key"),
+    pytest.param(_json_case(name=3), "'name' must be a string",
+                 id="name-not-string"),
+    pytest.param(_json_case(n=65), "'n' must be an integer in [1, 64]",
+                 id="n-out-of-range"),
+    pytest.param(_json_case(m=51), "'m' must be an integer in [1, 50]",
+                 id="m-out-of-range"),
+    pytest.param(_json_case(constraint={}),
+                 "'constraint' must be a list of entries",
+                 id="constraint-not-list"),
+    pytest.param(_json_case(equalities={}), "'equalities' must be a list",
+                 id="equalities-not-list"),
+    pytest.param(_json_case(constraint=[5]),
+                 "constraint[0]: expected an object", id="entry-not-object"),
+    pytest.param(_json_case(constraint=[{"j": 0, "poly": []}]),
+                 "constraint[0]: needs 'i', 'j', 'poly'", id="entry-lacks-i"),
+    pytest.param(_json_case(constraint=[{"i": 0, "j": 0}]),
+                 "constraint[0]: needs 'i', 'j', 'poly'",
+                 id="entry-lacks-poly"),
+    pytest.param(_json_case(constraint=[{"i": 0.0, "j": 0, "poly": []}]),
+                 "constraint[0]: indices must be integers",
+                 id="index-not-integer"),
+    pytest.param(_json_case(blocks=[1.0, 1]),
+                 "'blocks' must be a list of integers",
+                 id="blocks-not-integers"),
+    pytest.param(_json_case(blocks=[1, 2]),
+                 "blocks [1, 2] do not partition dimension 2",
+                 id="blocks-not-partition"),
+    pytest.param(lambda: Poly(0), "variable count 0 outside [1, 64]",
+                 id="poly-arity-range"),
+    pytest.param(lambda: _x(2) + _x(3), "polynomial arity mismatch",
+                 id="poly-arity-mismatch"),
+    pytest.param(lambda: MatrixPoly(0, 1, {}),
+                 "matrix dimension 0 outside [1, 50]",
+                 id="matrix-dimension-range"),
+    pytest.param(lambda: MatrixPoly(2, 1, {(1, 0): _x(1)}),
+                 "entry index (1, 0) out of range", id="matrix-index-range"),
+    pytest.param(lambda: MatrixPoly(1, 2, {(0, 0): _x(1)}),
+                 "entry arity mismatch", id="matrix-entry-arity"),
+    pytest.param(lambda: NsdpProblem(2, _x(1), MatrixPoly(1, 2, {})),
+                 "objective/constraint arity mismatch",
+                 id="problem-objective-arity"),
+    pytest.param(lambda: NsdpProblem(2, _x(2), MatrixPoly(1, 2, {}),
+                                     equalities=[_x(1)]),
+                 "equality arity mismatch", id="problem-equality-arity"),
+])
+def test_schema_violation_messages(build, message):
+    with pytest.raises(ProblemFormatError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_json_malformed_reports_offset():
     with pytest.raises(ProblemFormatError) as err:
         parse_problem_text('{"name": "x", ')

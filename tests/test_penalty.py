@@ -1188,6 +1188,24 @@ class TestWeakNdgProbe:
         assert np.allclose(np.abs(res.limit_basis[:, 0]), [RT2, RT2],
                            atol=1e-8)
 
+    def test_defective_limit_takes_the_kernel_basis(self):
+        # diag3 along (1 + t, 0, 0): rank 1 and kernel span(e2, e3) at
+        # x_bar = (1, 0, 0).  With every record's eigenvectors reordered
+        # to (e3, e1, e2), the last usable kernel columns are e1 and e2,
+        # and e1 lies in the range of G(x_bar): snapped onto the kernel
+        # it vanishes, so the limit is defective and pd.E stands in
+        P = diag3_problem()
+        x_bar = [1.0, 0.0, 0.0]
+        pd = feasibility_data(P, x_bar)
+        trace = make_path_trace(P, x_bar, [1.0, 0.0, 0.0])
+        for rec in trace.iterates:
+            rec.eigenvectors = np.eye(3)[:, [2, 0, 1]]
+        res = penalty._probe_trace(pd, trace, 0, 0, positive=False)
+        assert np.array_equal(res.limit_basis, pd.E)
+        assert res.log == ["sequence limit defective, kernel basis "
+                           "substituted"]
+        assert res.passed
+
     def test_limit_basis_keeps_eigenvalue_order(self):
         # the clusters count positions in each record's eigenvalue order,
         # so the limit basis is the last record's kernel eigenvectors in

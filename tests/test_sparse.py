@@ -385,6 +385,38 @@ class TestSparseNdg:
         assert v.witness["pattern"] == [(0, 0), (1, 1), (2, 2)]
         replay_sparse_witness(P, [0.0, 0.0, 0.0], v.witness)
 
+    def test_tridiagonal_holds_in_the_fixed_basis(self, monkeypatch):
+        # G = [[x1, x4, 0], [x4, x2, x5], [0, x5, x3]] at 0: in the fixed
+        # basis, the axes, the pattern is the five structural entries,
+        # whose gradients are the five unit vectors of R^5; a generic
+        # rotation fills the (0, 2) entry too, and six gradients in R^5
+        # are dependent, so only the fixed candidate certifies
+        x = [xv(5, i) for i in range(5)]
+        G = MatrixPoly(3, 5, {(0, 0): x[0], (1, 1): x[1], (2, 2): x[2],
+                              (0, 1): x[3], (1, 2): x[4]})
+        P = NsdpProblem(n=5, objective=x[0], constraint=G, name="tridiag")
+        pd = feasibility_data(P, np.zeros(5))
+        v = check_sparse_ndg(pd)
+        assert v.status == CqStatus.HOLDS_CERTIFIED
+        assert v.witness["provenance"] == "fixed"
+        assert v.witness["sigma_min"] == pytest.approx(1.0, abs=1e-12)
+        assert "fixed basis: hits 3/3, sigma_min 1.000e+00" in v.log
+        replay_sparse_witness(P, np.zeros(5), v.witness)
+        # with the fixed candidate scored as failing, the eigenbasis is
+        # all that is left, and it decides nothing
+        score = sparse._score
+        calls = []
+
+        def fixed_fails(*args):
+            calls.append(args)
+            hits, success, pairs, li = score(*args)
+            return hits, success and len(calls) > 1, pairs, li
+
+        monkeypatch.setattr(sparse, "_score", fixed_fails)
+        v = check_sparse_ndg(pd)
+        assert v.status == CqStatus.UNDETERMINED
+        assert len(calls) == 2 and v.log[-1].startswith("eigenbasis:")
+
     def test_scalar2_fails_diagonal_route(self):
         # two diagonal gradients in R^1: the dimension bound decides it
         # before the diagonal reduction is reached

@@ -11,11 +11,10 @@ import pytest
 from oracles import eigh_stack_form
 
 from nsdpcq import symmat
-from nsdpcq.errors import NotPsdError, NumericalFailure
+from nsdpcq.errors import NumericalFailure
 from nsdpcq.symmat import (
     SymMat,
     eigh,
-    numerical_rank,
     orthonormal_completion,
     orthonormalize,
     proj_psd,
@@ -263,19 +262,6 @@ def test_proj_psd_moreau_and_idempotence_many_seeds():
         assert np.max(np.abs(again.a - plus.a)) <= 1e-8 * scale
 
 
-def test_numerical_rank_gram_of_repeated_vector():
-    # Gram matrix of {(0,.5,.5), (0,.5,.5)} has rank 1
-    v = np.array([0.0, 0.5, 0.5])
-    gram = SymMat(np.outer([1.0, 1.0], [1.0, 1.0]) * np.dot(v, v))
-    assert numerical_rank(gram, 1e-8) == 1
-
-
-def test_numerical_rank_scales_with_leading_eigenvalue():
-    assert numerical_rank(SymMat.diag([1e6, 1.0, 0.0]), 1e-8) == 2
-    assert numerical_rank(SymMat.diag([1.0, 1e-12, 0.0]), 1e-8) == 1
-    assert numerical_rank(SymMat.zero(4), 1e-8) == 0
-
-
 def kernel_of(M):
     return spectral_kernel(eigh(M), 1e-8)
 
@@ -300,11 +286,6 @@ def test_kernel_basis_repeated_zero_eigenvalue_off_axis():
     assert np.allclose(E.T @ E, np.eye(2), atol=1e-12)
     true_kernel = q[:, 2:]
     assert np.allclose(E @ E.T, true_kernel @ true_kernel.T, atol=1e-10)
-
-
-def test_kernel_basis_rejects_indefinite():
-    with pytest.raises(NotPsdError):
-        kernel_of(SymMat.diag([1.0, -1e-3]))
 
 
 def test_kernel_basis_full_kernel_at_zero():
