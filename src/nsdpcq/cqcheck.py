@@ -18,12 +18,15 @@ positive-linear independence of such families:
   (free-signed in the positive-independence tests).
 
 Every checker reads the :class:`PointData` that :func:`feasibility_data`
-builds once per point: G(x), its spectrum, E (a read-only m x k array),
-the partials and their compression onto E.  Every compression onto a
-basis, E or any other, goes through :func:`compress`.  Verdicts
-distinguish certified outcomes from sampled evidence, and a Fails always
-carries a witness that reproduces the violation when plugged back into
-the defining condition.
+builds once per point: G(x), its spectrum, the kernel threshold, E (a
+read-only m x k array), the partials and their compression onto E.
+Every congruence L^T S L in the package goes through :func:`compress`:
+of the partials, G's coefficient stack or G(x) onto E, a rotation of
+it, the range basis or a diagonalizer, and the lift E S E^T of a k x k
+multiplier, with L = E^T.
+Verdicts distinguish certified outcomes from sampled evidence, and a
+Fails always carries a witness that reproduces the violation when
+plugged back into the defining condition.
 """
 from __future__ import annotations
 
@@ -103,21 +106,22 @@ def _jsonify(obj):
 class PointData:
     """Everything the checkers read at one feasible point x of P.
 
-    G = G(x) with its one eigendecomposition ``spec``, the kernel basis E
-    of G(x), the eigenvectors in ``spec`` whose eigenvalues lie within
-    tol_rank * max(1, |lambda_1|) of zero (an m x k array with
-    orthonormal columns, so rank = m - k), the constraint partials
-    W[l] = D_l G(x) (shape (n, m, m)), their compression
-    Wc = compress(W, E) (shape (n, k, k), so Wc[:, i, j] is the gradient
-    v_ij) and the equality gradients Heq, one row per equality.  ev is
-    the model evaluation at x that G, spec, W and Heq come from, for
-    whatever else a caller reads at x.  Built by :func:`feasibility_data`;
-    every array is read-only.
+    G = G(x) with its one eigendecomposition ``spec``, the kernel
+    threshold tau = tol_rank * max(1, |lambda_1|), the kernel basis E of
+    G(x), the eigenvectors in ``spec`` whose eigenvalues lie within tau
+    of zero (an m x k array with orthonormal columns, so rank = m - k),
+    the constraint partials W[l] = D_l G(x) (shape (n, m, m)), their
+    compression Wc = compress(W, E) (shape (n, k, k), so Wc[:, i, j] is
+    the gradient v_ij) and the equality gradients Heq, one row per
+    equality.  ev is the model evaluation at x that G, spec, W and Heq
+    come from, for whatever else a caller reads at x.  Built by
+    :func:`feasibility_data`; every array is read-only.
     """
 
     P: NsdpProblem
     x: np.ndarray
     tol_rank: float
+    tau: float
     ev: Evaluation
     G: SymMat
     spec: Spectral
@@ -176,15 +180,17 @@ def feasibility_data(P: NsdpProblem, x, tol_rank: float = TAU_RANK) -> PointData
     Heq = ev.equality_gradients()
     for arr in (x, Wc):
         arr.setflags(write=False)
-    return PointData(P=P, x=x, tol_rank=tol_rank, ev=ev, G=G, spec=spec,
-                     E=E, W=W, Wc=Wc, Heq=Heq)
+    return PointData(P=P, x=x, tol_rank=tol_rank, tau=tau, ev=ev, G=G,
+                     spec=spec, E=E, W=W, Wc=Wc, Heq=Heq)
 
 
-def compress(W: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stack cols^T W[l] cols, shape (n, k, k) for W of shape
-    (n, m, m) and cols of shape (m, k): entry (l, i, j) is component l
-    of the gradient v_ij for the basis cols."""
-    return np.einsum("lab,ai,bj->lij", W, cols, cols)
+def compress(S: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The congruence cols^T S cols of a matrix S (m, m), or of each
+    matrix of a stack S (T, m, m), cols of shape (m, k): for the
+    partials W, entry (l, i, j) is component l of the gradient v_ij for
+    the basis cols.  Two matrix products, which BLAS takes in
+    O(T m k (m + k)) work."""
+    return cols.T @ S @ cols
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +211,8 @@ def li_test(vectors: Sequence[np.ndarray]) -> LiResult:
     Rank counts Gram eigenvalues above LI_TOL * max(1, lambda_1); when the
     family is dependent, the returned coefficients are the unit-norm
     eigenvector of the smallest Gram eigenvalue, which reproduces
-    ||sum c_i v_i|| = sqrt(lambda_min) when checked.
+    ||sum c_i v_i|| = sqrt(lambda_min) when checked, signed as eigh
+    signs every eigenvector.
     """
     V = np.array([np.asarray(v, dtype=float) for v in vectors])
     k = V.shape[0]
@@ -219,8 +226,7 @@ def li_test(vectors: Sequence[np.ndarray]) -> LiResult:
     sigma_min = float(np.sqrt(max(spec.values[-1], 0.0)))
     if rank == k:
         return LiResult(True, rank, sigma_min, None)
-    coeffs = symmat.fix_column_signs(spec.vectors[:, -1:])[:, 0]
-    return LiResult(False, rank, sigma_min, coeffs)
+    return LiResult(False, rank, sigma_min, spec.vectors[:, -1])
 
 
 @dataclass(frozen=True)
@@ -589,7 +595,7 @@ def _polish_face(A: np.ndarray, S: np.ndarray, tol: float
                 return R @ R.T, val, r
             F = np.append(A @ (R @ R.T).ravel(), 0.0)
             J = 2.0 * np.vstack([
-                np.einsum("lab,br->lar", Wq, R).reshape(n, k * r),
+                (Wq @ R).reshape(n, k * r),
                 R.reshape(1, k * r)])
             step = np.linalg.lstsq(J, F, rcond=None)[0].reshape(k, r)
             t = 1.0
@@ -675,7 +681,7 @@ def check_robinson(pd: PointData) -> CqVerdict:
         spec = eigh(SymMat.from_symmetric(res.S))
         alpha = np.clip(spec.values, 0.0, None)
         alpha = alpha / float(np.sum(alpha))
-        Y = E @ res.S @ E.T
+        Y = compress(res.S, E.T)
         witness = {"basis": E @ spec.vectors,
                    "alpha": alpha, "multiplier": Y, "residual": res.dual}
         if Heq.shape[0]:

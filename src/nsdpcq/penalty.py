@@ -330,7 +330,7 @@ def _penalty_hessian(rho: float, ev: Evaluation, Y: SymMat) -> np.ndarray:
     H.flat[::n + 1] += 1.0
     if spec.values[-1] < 0.0:
         Q = spec.vectors
-        B = (Q.T @ ev.constraint_partials() @ Q).reshape(n, -1)
+        B = compress(ev.constraint_partials(), Q).reshape(n, -1)
         BW = B * _projection_weights(-spec.values).ravel()
         BW *= rho
         H += BW @ B.T
@@ -550,10 +550,9 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
 
 
 def make_path_trace(P: NsdpProblem, x_bar, direction,
-                    steps: int = PATH_STEPS, scale: float = PATH_SCALE,
-                    decay: float = PATH_DECAY,
                     trace_id: str = "path") -> PenaltyTrace:
-    """Synthetic sequence x_bar + scale * decay^j * d packaged as a trace.
+    """Synthetic sequence x_bar + PATH_SCALE * PATH_DECAY^j * d,
+    j < PATH_STEPS, packaged as a trace.
 
     The weak conditions quantify over arbitrary sequences, feasible or
     not, so the path records carry zero penalty level and multiplier.
@@ -566,7 +565,7 @@ def make_path_trace(P: NsdpProblem, x_bar, direction,
     if nrm < 1e-12:
         raise ValueError("path direction must be nonzero")
     d = d / nrm
-    t = np.array([scale * (decay ** j) for j in range(steps)])
+    t = np.array([PATH_SCALE * (PATH_DECAY ** j) for j in range(PATH_STEPS)])
     X = x_bar + t[:, None] * d
     spec = eigh(P.at(X).constraint_value())
     values, vectors = spec.values.copy(), spec.vectors.copy()
@@ -574,7 +573,7 @@ def make_path_trace(P: NsdpProblem, x_bar, direction,
     iterates = [PenaltyIterate(
         k=j, rho=0.0, x=X[j], multiplier=zero, eigenvalues=values[j],
         eigenvectors=vectors[j], stationarity_residual=0.0,
-        multiplier_norm=0.0) for j in range(steps)]
+        multiplier_norm=0.0) for j in range(PATH_STEPS)]
     return PenaltyTrace(problem=P.name, iterates=iterates, kind="path",
                         trace_id=trace_id)
 
@@ -677,7 +676,7 @@ def _usable_records(values: np.ndarray, rank: int,
 
 def _snap_to_kernel(E: np.ndarray, K: np.ndarray) -> Optional[np.ndarray]:
     """Project columns onto span(K) and re-orthonormalize; None on defect."""
-    out = orthonormalize(K @ (K.T @ E), 1e-8)
+    out = orthonormalize(K @ (K.T @ E))
     return out if out.shape[1] == E.shape[1] else None
 
 

@@ -9,13 +9,15 @@ everything here:
   P^T G(x) over the range basis P, which is rational and therefore only
   evaluated numerically with a sampled sparsity pattern.
 
-Every congruence L^T G(x) R is read one way: as the stack L^T A_t R over
-G's coefficient stack (``NsdpProblem.constraint_stack``), whose entries
-are the exact coefficients of the monomials of
-``NsdpProblem.constraint_exponents``.  A sparsity pattern of a reduced
-map is the set of upper-triangle entries that are not identically zero
-near the point (for Ghat, a coefficient above PATTERN_COEF_TOL); it
-defines the subspace of symmetric matrices supported on the pattern.
+Every reduction of G is read off G's coefficient stack A_t
+(``NsdpProblem.constraint_stack``): the congruence L^T G(x) L as the
+stack compress(A, L) = L^T A_t L, and the rows L^T G(x) as the
+one-sided product L^T A_t, whose entries are the exact coefficients of
+the monomials of ``NsdpProblem.constraint_exponents``.  A sparsity
+pattern of a reduced map is the set of upper-triangle entries that are
+not identically zero near the point (for Ghat, a coefficient above
+PATTERN_COEF_TOL); it defines the subspace of symmetric matrices
+supported on the pattern.
 ``hat_map`` and ``tilde_map`` return these patterns.  The checks:
 
 * sparse nondegeneracy: a kernel basis whose pattern-restricted
@@ -116,15 +118,6 @@ class SparsityPattern:
                 "sample_tol": self.sample_tol}
 
 
-def _stack(P: NsdpProblem, L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Coefficient stack of L^T G(x) R, shape (T, L cols, R cols).
-
-    Entry (t, i, j) is the exact coefficient of the monomial
-    x^e_t, e_t row t of ``P.constraint_exponents()``, in entry (i, j).
-    """
-    return np.einsum("tab,ai,bj->tij", P.constraint_stack(), L, R)
-
-
 def _pattern_pairs(Bs: np.ndarray) -> Set[Tuple[int, int]]:
     """Upper-triangle pairs of a square stack with a coefficient above
     PATTERN_COEF_TOL."""
@@ -156,9 +149,9 @@ def hat_map(P: NsdpProblem, x, E: np.ndarray) -> SparsityPattern:
     if resid > 1e-6 * (1.0 + Gx.norm_inf()):
         raise ValueError(
             f"basis does not span the kernel at this point (residual {resid:.3e})")
-    return SparsityPattern(
-        dim=E.shape[1], source="exact",
-        index_set=frozenset(_pattern_pairs(_stack(P, E, E))))
+    S = compress(P.constraint_stack(), E)
+    return SparsityPattern(dim=E.shape[1], source="exact",
+                           index_set=frozenset(_pattern_pairs(S)))
 
 
 def _schur_value(pd: PointData, xs) -> np.ndarray:
@@ -175,7 +168,7 @@ def _schur_value(pd: PointData, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     Pbar = pd.spec.vectors[:, :pd.rank]
     Gq = pd.P.at(xs.reshape(-1, pd.P.n)).constraint_value().a
-    B = Pbar.T @ Gq @ Pbar
+    B = compress(Gq, Pbar)
     lam = eigh(B).values
     regular = lam[:, -1] > 1e-12 * np.maximum(1.0, np.abs(lam[:, 0]))
     if not regular.any():
@@ -252,14 +245,15 @@ def _basis_search(pd: PointData, log: List[str]):
     """
     E = pd.E
     k = E.shape[1]
-    S0 = _stack(pd.P, E, E)
+    S0 = compress(pd.P.constraint_stack(), E)
     hits, success, pairs, li = _score(S0, pd.Wc, pd.Heq)
     log.append(f"fixed basis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
     if success:
         return E, "fixed", hits, success, pairs, li
     w = np.random.default_rng(EIGENBASIS_SEED).standard_normal(len(S0))
     V = eigh(np.tensordot(w, S0, axes=1)).vectors
-    hits, success, pairs, li = _score(V.T @ S0 @ V, V.T @ pd.Wc @ V, pd.Heq)
+    hits, success, pairs, li = _score(compress(S0, V), compress(pd.Wc, V),
+                                      pd.Heq)
     log.append(f"eigenbasis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
     return E @ V, "eigenbasis", hits, success, pairs, li
 
@@ -357,10 +351,13 @@ def _pattern_basis(pat: SparsityPattern, E: np.ndarray) -> np.ndarray:
 def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     """Forsgren's condition for a given diagonalizing matrix U.
 
-    U must be orthogonal with U^T G(x) U diagonal within 1e-8; by default
-    the eigenvector matrix of G(x) is used.  The verdict is specific to
-    the supplied U, since different diagonalizers give different variants
-    of the condition.
+    U must be orthogonal with U^T G(x) U diagonal within 1e-8, and its
+    kernel columns are those with |u_i^T G(x) u_i| <= pd.tau, the
+    threshold that split the point's kernel.  By default U is the
+    eigenvector matrix of G(x), whose kernel columns are pd.E and whose
+    compressed partials are pd.Wc, so nothing is recomputed.  The
+    verdict is specific to the supplied U, since different
+    diagonalizers give different variants of the condition.
 
     The pattern subspace of the Schur-complement map, compressed to the
     kernel columns of U, gets an orthonormal basis from one SVD
@@ -384,33 +381,30 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     (``pattern_source``, plus ``sample_points`` and ``sample_tol`` when
     the pattern was sampled), so a verdict resting on sampling says so.
     """
-    G = pd.G
-    m = pd.P.m
-    scale = 1.0 + G.norm_inf()
-    U = pd.spec.vectors if U is None else np.asarray(U, dtype=float)
-    if U.shape != (m, m):
-        raise ValueError(f"U must be {m} x {m}, got {U.shape}")
-    if float(np.max(np.abs(U.T @ U - np.eye(m)))) > 1e-8:
-        raise ValueError("U is not orthogonal within 1e-8")
-    D = U.T @ G.a @ U
-    off = float(np.max(np.abs(D - np.diag(np.diag(D))), initial=0.0))
-    if off > 1e-8 * scale:
-        raise ValueError(
-            f"U does not diagonalize G(x) within 1e-8 (off-diagonal {off:.3e})")
-
-    diag = np.diag(D)
-    thr = pd.tol_rank * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
-    kernel_idx = [i for i in range(m) if abs(diag[i]) <= thr]
-    k = len(kernel_idx)
+    m, k = pd.P.m, pd.E.shape[1]
+    if U is None:
+        E, Wc = pd.E, pd.Wc
+    else:
+        U = np.asarray(U, dtype=float)
+        if U.shape != (m, m):
+            raise ValueError(f"U must be {m} x {m}, got {U.shape}")
+        if float(np.max(np.abs(U.T @ U - np.eye(m)))) > 1e-8:
+            raise ValueError("U is not orthogonal within 1e-8")
+        D = compress(pd.G.a, U)
+        off = float(np.max(np.abs(D - np.diag(np.diag(D))), initial=0.0))
+        if off > 1e-8 * (1.0 + pd.G.norm_inf()):
+            raise ValueError(f"U does not diagonalize G(x) within 1e-8 "
+                             f"(off-diagonal {off:.3e})")
+        E = U[:, np.abs(np.diag(D)) <= pd.tau]
+        if E.shape[1] != k:
+            raise ValueError(
+                f"U separates a kernel of dimension {E.shape[1]}, spectral "
+                f"data says {k}")
+        Wc = compress(pd.W, E)
     log = [f"rank {m - k}, kernel dimension {k} (per supplied U)"]
-    if k != pd.E.shape[1]:
-        raise ValueError(
-            f"U separates a kernel of dimension {k}, spectral data says "
-            f"{pd.E.shape[1]}")
     exact = exact_verdict(pd, "forsgren")
     if exact is not None:
         return exact
-    E = U[:, kernel_idx]
 
     pat = tilde_map(pd)
     log.append(f"Schur map pattern: {pat.cardinality()} entries "
@@ -420,7 +414,6 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     dim_T = stack.shape[0]
     log.append(f"compressed pattern subspace dimension {dim_T}")
 
-    Wc = compress(pd.W, E)
     iu = np.triu_indices(k)
     Wu = Wc[:, iu[0], iu[1]]
 
@@ -457,7 +450,7 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
             CqStatus.FAILS,
             reason="a unit-trace PSD multiplier is orthogonal to the pattern "
                    "subspace, so it contains no positive definite element",
-            witness={"multiplier": E @ res.S @ E.T, "residual": res.dual,
+            witness={"multiplier": compress(res.S, E.T), "residual": res.dual,
                      "pattern": pat.sorted_pairs(), "subspace_dim": dim_T,
                      **pat.provenance()},
             log=log)
@@ -548,7 +541,7 @@ def facial_reduce(P: NsdpProblem, x,
             V2_cols.append(V1_total @ V2r[:, q])
         V1_total = V1_total @ V1r
         # equality rows: entries of V2^T G(x), deduplicated up to sign
-        rows = _stack(cur, V2r, np.eye(cur.m))
+        rows = V2r.T @ cur.constraint_stack()
         for q in range(V2r.shape[1]):
             for j in range(cur.m):
                 h = _entry_poly(cur, rows, q, j)
@@ -559,7 +552,7 @@ def facial_reduce(P: NsdpProblem, x,
                 new_eqs.append(h)
         # a full collapse leaves a 1 x 1 zero block as a placeholder
         mred = V1r.shape[1]
-        Bs = _stack(cur, V1r, V1r)
+        Bs = compress(cur.constraint_stack(), V1r)
         red = MatrixPoly(max(mred, 1), P.n, {
             (i, j): _entry_poly(cur, Bs, i, j)
             for i in range(mred) for j in range(i, mred)})

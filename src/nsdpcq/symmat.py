@@ -18,12 +18,15 @@ kernel tolerances used here.
 Conventions used everywhere:
 
 * eigenvalues are reported in non-increasing order,
-* each eigenvector's largest-magnitude component is positive,
+* each eigenvector's largest-magnitude component is positive, the one
+  sign rule of the package,
 * the kernel of a PSD matrix at threshold tau is the span of the
   eigenvectors whose eigenvalues satisfy ``|lambda| <= tau``; a kernel
   basis E is a plain read-only m x k array, those eigenvectors as eigh
   returns them, so its columns are orthonormal (:func:`spectral_kernel`),
-* every Gram-Schmidt pass is :func:`orthonormalize`,
+* every Gram-Schmidt pass is :func:`orthonormalize`, at ORTHO_TOL,
+* random rotations are Haar draws (:func:`random_rotation`), with no
+  sign fix that would bias them,
 * inner product on symmetric matrices is the Frobenius one, ``tr(M N)``.
 """
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import NumericalFailure
 
 TAU_EIG = 1e-10
 TAU_RANK = 1e-8
+ORTHO_TOL = 1e-8     # residual norm at which Gram-Schmidt drops a column
 
 
 def frobenius(a: np.ndarray, b: np.ndarray) -> float:
@@ -214,11 +218,12 @@ def spectral_kernel(spec: Spectral, tau: float) -> np.ndarray:
     return E
 
 
-def orthonormalize(cols, tol: float) -> np.ndarray:
+def orthonormalize(cols) -> np.ndarray:
     """Modified Gram-Schmidt over the columns, in column order.
 
-    A column whose residual norm is at most tol is dropped, so the result
-    has orthonormal columns spanning those of the input, at most as many.
+    A column whose residual norm is at most ORTHO_TOL is dropped, so the
+    result has orthonormal columns spanning those of the input, at most
+    as many.
     The work runs on a C-ordered copy, which fixes the arithmetic.
     """
     out = np.array(cols, dtype=float, order="C")
@@ -228,7 +233,7 @@ def orthonormalize(cols, tol: float) -> np.ndarray:
         for i in range(kept):
             v = v - np.dot(out[:, i], v) * out[:, i]
         nrm = float(np.linalg.norm(v))
-        if nrm > tol:
+        if nrm > ORTHO_TOL:
             out[:, kept] = v / nrm
             kept += 1
     return out[:, :kept].copy()
@@ -237,26 +242,17 @@ def orthonormalize(cols, tol: float) -> np.ndarray:
 def random_rotation(k: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal k x k matrix.
 
-    Orthogonalized Gaussian draw; afterwards each column is sign-fixed so
-    its first component above 1e-12 in magnitude is positive, which keeps
-    sampled bases reproducible across platforms.
+    The Q factor of a Gaussian draw, each column multiplied by the sign
+    of R's diagonal entry: that makes the factorization unique, so the
+    draw is the same on any LAPACK, and Q Haar distributed (Mezzadri,
+    *How to generate random matrices from the classical compact groups*,
+    Notices AMS 54, 2007).
     """
     if k == 0:
         return np.zeros((0, 0))
     g = rng.standard_normal((k, k))
     q, r = np.linalg.qr(g)
-    q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
-    return fix_column_signs(q)
-
-
-def fix_column_signs(q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    q = np.array(q, dtype=float)
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        nz = np.nonzero(np.abs(col) > tol)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            q[:, j] = -col
-    return q
+    return q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
 
 
 def orthonormal_completion(V: np.ndarray) -> np.ndarray:
@@ -264,7 +260,7 @@ def orthonormal_completion(V: np.ndarray) -> np.ndarray:
     orthonormal basis: :func:`orthonormalize` of [V | I], columns after V."""
     V = np.asarray(V, dtype=float)
     m, w = V.shape
-    Q = orthonormalize(np.hstack([V, np.eye(m)]), 1e-8)
+    Q = orthonormalize(np.hstack([V, np.eye(m)]))
     if Q.shape[1] != m:
         raise NumericalFailure("failed to complete orthonormal basis")
     return Q[:, w:]

@@ -1,7 +1,8 @@
 """Reference formulas and cross-check oracles the tests check the library
 against.
 
-Besides the adjoint formula for single entry gradients and the
+Besides the adjoint formula for single entry gradients, the
+congruence L^T S R of a stack as one 3-operand einsum, and the
 congruence B^T G B as polynomials (to rotate a constraint), this holds the
 block machinery (block detection, per-block subproblems), the multifold
 sparse-nondegeneracy check built on it, the pattern-cardinality
@@ -70,7 +71,6 @@ from nsdpcq.sparse import (
     _basis_search,
     _entry_poly,
     _score,
-    _stack,
     check_sparse_ndg,
 )
 from nsdpcq.symmat import Spectral, SymMat, eigh, random_rotation
@@ -89,10 +89,17 @@ def entry_gradient(P, x, u, w=None):
     return P.adjoint(x, M)
 
 
+def congruence_einsum(S: np.ndarray, L: np.ndarray,
+                      R: Optional[np.ndarray] = None) -> np.ndarray:
+    """The stack L^T S_t R (R = L when omitted) as one einsum over all
+    five indices, the form compress's two matrix products replaced."""
+    return np.einsum("tab,ai,bj->tij", S, L, L if R is None else R)
+
+
 def congruence_entries(P: NsdpProblem, B: np.ndarray) -> Dict:
     """Upper entries of B^T G(x) B as polynomials, read off G's
     coefficient stack; a zero entry comes back as the zero polynomial."""
-    Bs = _stack(P, B, B)
+    Bs = compress(P.constraint_stack(), B)
     w = B.shape[1]
     return {(i, j): _entry_poly(P, Bs, i, j)
             for i in range(w) for j in range(i, w)}
@@ -235,7 +242,7 @@ def sparse_card_invariance(pd: PointData, trials: int = 50,
     records = []
     for t in range(trials + 1):
         cols = E0 if t == 0 else E0 @ random_rotation(k, rng)
-        _, _, pairs, li = _score(_stack(pd.P, cols, cols),
+        _, _, pairs, li = _score(compress(pd.P.constraint_stack(), cols),
                                  compress(pd.W, cols), pd.Heq)
         if li.independent:
             records.append((t, len(pairs)))

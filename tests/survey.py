@@ -16,11 +16,13 @@ defects included.
     python tests/survey.py --check    # print every moved cell, exit 1 on any
 
 Both print one summary line: instance count, separation notes, lattice
-warnings, unconverged levels, divergence flags, inner iterations and a
+warnings, unconverged levels, divergence flags, inner iterations, a
 sha256 digest over every instance's name, the JSONL of its 13-level
-solve, that solve's notes and its timestamp-free analysis report, so
-two checkouts that print the same digest produced bit-identical
-iterates, multipliers, spectra, verdicts and witnesses.
+solve, that solve's notes and its timestamp-free analysis report, and a
+solve digest over the names, solves and notes alone.  Two checkouts
+that print the same digest produced bit-identical iterates,
+multipliers, spectra, verdicts and witnesses; the same solve digest
+says the same of the penalty runs when only reports moved.
 """
 from __future__ import annotations
 
@@ -70,19 +72,21 @@ def instances():
 
 
 def survey():
-    """The table rows, the total inner iterations of the solves and the
-    sha256 of every solve and report."""
+    """The table rows, the total inner iterations of the solves, the
+    sha256 of every solve and report, and that of the solves alone."""
     rows, iters = {}, 0
-    digest = hashlib.sha256()
+    digest, solves = hashlib.sha256(), hashlib.sha256()
     for name, obj, point in instances():
         P = NsdpProblem.from_json(obj)
         rep = analyze_problem(P, point, AnalysisOptions(timestamp=False))
         trace = run_penalty(P, PenaltyConfig(anchor=point,
                                              outer_iters=LEVELS))
         iters += sum(rec.inner_iterations for rec in trace.iterates)
-        for text in (name, trace.to_jsonl(), json.dumps(trace.notes),
-                     report_json_text(rep)):
+        solve = (name, trace.to_jsonl(), json.dumps(trace.notes))
+        for text in solve + (report_json_text(rep),):
             digest.update(text.encode() + b"\0")
+        for text in solve:
+            solves.update(text.encode() + b"\0")
         rows[name] = {
             "verdicts": {k: v.status.value
                          for k, v in rep.verdicts.items()},
@@ -91,10 +95,10 @@ def survey():
                             if not rec.inner_converged],
             "divergence": trace.divergence_suspected,
         }
-    return rows, iters, digest.hexdigest()
+    return rows, iters, digest.hexdigest(), solves.hexdigest()
 
 
-def summary(rows, iters, digest) -> str:
+def summary(rows, iters, digest, solves) -> str:
     notes = [n for r in rows.values() for n in r["notes"]]
     sep = sum("weak Robinson holds" in n for n in notes)
     return (f"{len(rows)} instances, {sep} separation notes, "
@@ -102,7 +106,8 @@ def summary(rows, iters, digest) -> str:
             f"{sum(len(r['unconverged']) for r in rows.values())} "
             "unconverged levels, "
             f"{sum(r['divergence'] for r in rows.values())} divergence "
-            f"flags, {iters} inner iterations, digest {digest}")
+            f"flags, {iters} inner iterations, digest {digest}, "
+            f"solve digest {solves}")
 
 
 def moves(old, new):
@@ -129,8 +134,8 @@ def main(argv=None) -> int:
     mode.add_argument("--write", action="store_true")
     mode.add_argument("--check", action="store_true")
     args = ap.parse_args(argv)
-    rows, iters, digest = survey()
-    print(summary(rows, iters, digest))
+    rows, iters, digest, solves = survey()
+    print(summary(rows, iters, digest, solves))
     if args.write:
         TABLE.parent.mkdir(exist_ok=True)
         # one instance per line, so a moved cell is a one-line diff

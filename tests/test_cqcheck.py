@@ -42,7 +42,7 @@ from nsdpcq.penalty import (
 from nsdpcq.report import analyze_problem, lattice_warnings, report_json_text
 from nsdpcq.sparse import check_sparse_ndg, facial_reduce
 from nsdpcq.symmat import eigh, SymMat, random_rotation
-from oracles import entry_gradient, find_multiplier
+from oracles import congruence_einsum, entry_gradient, find_multiplier
 from test_acceptance import shifted_problem, upper_family
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -360,6 +360,23 @@ class TestEntryGradients:
                 for j in range(k):
                     want = entry_gradient(P, x, E[:, i], E[:, j])
                     assert np.allclose(Wc[:, i, j], want, atol=1e-12)
+
+
+    def test_compress_matches_the_einsum(self):
+        # compress's two matrix products and the one-sided rows L^T S
+        # against the 5-index einsum, on random symmetric stacks of the
+        # shapes (T, m, k) of a small instance, the (78, 8, 3) survey
+        # size and the cap instance
+        rng = np.random.default_rng(29)
+        for T, m, k in ((4, 5, 3), (78, 8, 3), (64, 50, 6)):
+            g = rng.standard_normal((T, m, m))
+            S = g + g.swapaxes(1, 2)
+            L = rng.standard_normal((m, k))
+            for got, want in ((compress(S, L), congruence_einsum(S, L)),
+                              (L.T @ S, congruence_einsum(S, L, np.eye(m)))):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

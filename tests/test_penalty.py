@@ -1161,12 +1161,13 @@ class TestWeakNdgProbe:
         with pytest.raises(ValueError):
             probe_weak_ndg(feasibility_data(P, [0.0, 0.0]), [trace])
 
-    def test_short_tail_rejected(self):
+    def test_short_tail_rejected(self, monkeypatch):
         # two records end within 1e-6 of the point, but a sequence needs
         # three usable ones
         P = diag3_problem()
-        trace = make_path_trace(P, [0.0] * 3, [1.0, 0.0, 0.0], steps=2,
-                                scale=1e-8)
+        monkeypatch.setattr(penalty, "PATH_STEPS", 2)
+        monkeypatch.setattr(penalty, "PATH_SCALE", 1e-8)
+        trace = make_path_trace(P, [0.0] * 3, [1.0, 0.0, 0.0])
         with pytest.raises(NumericalFailure):
             probe_weak_ndg(feasibility_data(P, [0.0] * 3), [trace])
 
@@ -1225,11 +1226,13 @@ class TestLimitData:
     """The probes' scans over a trace's stacked spectra decide exactly
     as the per-record loops do."""
 
-    def test_scans_match_per_record_loops(self):
+    def test_scans_match_per_record_loops(self, monkeypatch):
         for P, x_bar in oracle_problems():
             traces = list(family_for(P, x_bar))
-            traces.append(make_path_trace(P, x_bar, np.ones(P.n),
-                                          steps=4, scale=1e-9))
+            with monkeypatch.context() as mp:
+                mp.setattr(penalty, "PATH_STEPS", 4)
+                mp.setattr(penalty, "PATH_SCALE", 1e-9)
+                traces.append(make_path_trace(P, x_bar, np.ones(P.n)))
             for trace in traces:
                 values = np.stack([r.eigenvalues for r in trace.iterates])
                 for rank in range(P.m + 1):

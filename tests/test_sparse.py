@@ -6,12 +6,16 @@ the property loops check the structural identities (hat-map gradients,
 Schur-map feasibility equivalence, reduction soundness, pattern
 cardinality invariance) on seeded random instances.
 """
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 from nsdpcq.cqcheck import (
     CqStatus,
     check_robinson,
+    compress,
     feasibility_data,
     li_test,
 )
@@ -33,7 +37,6 @@ from nsdpcq.sparse import (
     tilde_map,
     _entry_poly,
     _schur_value,
-    _stack,
 )
 from nsdpcq.symmat import SymMat, eigh, random_rotation
 
@@ -75,7 +78,7 @@ def lifted_kernel(P, x):
 
 def hat_entry(P, E, i, j):
     """Entry (i, j) of E^T G(.) E as a polynomial off the stack."""
-    return _entry_poly(P, _stack(P, E, E), i, j)
+    return _entry_poly(P, compress(P.constraint_stack(), E), i, j)
 
 
 def coefficient_matrices(P):
@@ -157,18 +160,19 @@ class TestHatMap:
             assert np.max(np.abs(got - direct)) < 1e-10
 
     def test_stack_entries_match_term_by_term_congruence(self):
-        # random rectangular congruences L^T G R: every stack entry is the
-        # polynomial sum_e (L^T A_e R)_ij x^e, and evaluates to L^T G(x) R
+        # random congruences L^T G L and one-sided rows L^T G, the two
+        # reductions read off the stack: every stack entry is the
+        # polynomial sum_e (L^T A_e R)_ij x^e, R = L or I, and evaluates
+        # to L^T G(x) R
         rng = np.random.default_rng(5)
         for P in (fullmat_problem(), block2_problem(), offdiag_problem()):
             A = coefficient_matrices(P)
             for _ in range(5):
                 L = rng.standard_normal((P.m, int(rng.integers(1, P.m + 1))))
-                R = rng.standard_normal((P.m, int(rng.integers(1, P.m + 1))))
-                Bs = _stack(P, L, R)
                 x = rng.uniform(-1.0, 1.0, size=P.n)
-                for i in range(L.shape[1]):
-                    for j in range(R.shape[1]):
+                for R, Bs in ((L, compress(P.constraint_stack(), L)),
+                              (np.eye(P.m), L.T @ P.constraint_stack())):
+                    for i, j in np.ndindex(L.shape[1], R.shape[1]):
                         p = _entry_poly(P, Bs, i, j)
                         terms = {e: c for c, e in p.terms}
                         for e, Ae in A.items():
@@ -797,6 +801,17 @@ class TestForsgren:
         # dimension, the larger instances' among them
         assert len(full) >= 100
         assert {o["name"] for o in rungs} <= full
+
+    def test_default_diagonalizer_reads_the_point_kernel(self):
+        # with U omitted, Forsgren reads pd.E and pd.Wc; passing the same
+        # eigenvectors as U takes the kernel columns off U's diagonal at
+        # pd.tau and compresses the partials again, and the verdict is
+        # the same to the byte on the corpus and the 14 bench instances
+        for name, obj, point in itertools.islice(survey_instances(), 21):
+            pd = feasibility_data(NsdpProblem.from_json(obj), point)
+            default = check_forsgren(pd).to_json()
+            explicit = check_forsgren(pd, U=pd.spec.vectors).to_json()
+            assert json.dumps(default) == json.dumps(explicit), name
 
     def test_empty_schur_pattern_refuted_by_dual_certificate(self):
         # G = diag(1 + x, 0) at 0: the Schur map over the range e1 is
