@@ -393,6 +393,25 @@ def exact_verdict(pd: PointData, condition: str) -> Optional[CqVerdict]:
                               "free_coeffs": pli.free_coeffs}, log=log)
 
 
+# how a verdict's reason names each condition
+_NAMES = {"nondegeneracy": "nondegeneracy",
+          "robinson": "Robinson's condition",
+          "sparse_ndg": "sparse nondegeneracy",
+          "forsgren": "Forsgren's condition",
+          "weak_ndg_probe": "weak nondegeneracy",
+          "weak_robinson_probe": "the weak Robinson condition"}
+
+
+def refuted_verdict(condition: str, down: str, v: CqVerdict) -> CqVerdict:
+    """Fails for ``condition`` from the Fails verdict ``v`` of ``down``, a
+    condition that ``condition`` implies; it carries v's witness, which
+    replays against the definition of ``down``."""
+    return CqVerdict(
+        CqStatus.FAILS,
+        reason=f"{_NAMES[down]} fails, which {_NAMES[condition]} would imply",
+        witness=v.witness, log=[f"refuted by {down}: {v.reason}"])
+
+
 def _gradient_family(pd: PointData, full: bool):
     """Kernel pairs (i, j) with their gradients v_ij, over the upper
     triangle when full, else the diagonal, then the equality gradients."""
@@ -507,8 +526,16 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
     """Solve max_{|d| <= 1, d in range Qn} lambda_min(sum_l d_l Wc[l]).
 
     With A = Qn Wc flattened to n x k^2, Sion's minimax theorem gives the
-    dual min ||A vec S|| over the spectraplex {S psd, tr S = 1}.  Each
-    iteration takes one accelerated projected-gradient step on
+    dual min ||A vec S|| over the spectraplex {S psd, tr S = 1}.
+    Iteration 0 reads the dual at S = I / k, then the primal at the
+    unit direction d = Qn d0 / |Qn d0|, d0 the least-squares solution of
+    A^T d0 = vec I: where the map d -> sum_l d_l Wc[l] is onto Sym(k),
+    that combination is a positive multiple of I and certifies at once.
+    It cannot contradict a dual certificate, since for a unit d and a
+    unit-trace S >= 0, lambda_min(sum_l d_l Wc[l]) <= <sum_l d_l Wc[l], S>
+    <= ||A vec S||; a start that does not certify is dropped, so the
+    bounds the iterations record are the same as without it.  Each
+    later iteration takes one accelerated projected-gradient step on
     1/2 ||A vec S||^2 and reads a primal direction d = A vec S / ||A vec S||
     off the iterate, so both bounds tighten together.  The best iterate
     is polished on a low-rank face at every iteration that is a power of
@@ -523,7 +550,6 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
     n, k = Wc.shape[0], Wc.shape[1]
     A = np.tensordot(Qn, Wc, axes=1).reshape(n, k * k)
     tol = DUAL_CERT_TOL * (1.0 + float(np.max(np.abs(A), initial=0.0)))
-    lip = float(np.linalg.norm(A, 2)) ** 2
     S = np.eye(k) / k
     best = {"d": np.zeros(n), "primal": -np.inf, "S": S,
             "dual": float(np.linalg.norm(A @ S.ravel()))}
@@ -534,6 +560,17 @@ def cone_saddle(Wc: np.ndarray, Qn: np.ndarray) -> SaddleResult:
 
     if best["dual"] <= tol:
         return done("dual", 0)
+    # iteration 0: the direction whose combination comes closest to I
+    d = Qn @ np.linalg.lstsq(A.T, np.eye(k).ravel(), rcond=None)[0]
+    size = float(np.linalg.norm(d))
+    if size > 0.0:
+        d = d / size
+        lam = float(eigh(SymMat.from_symmetric(
+            np.tensordot(d, Wc, axes=1))).values[-1])
+        if lam > tol:
+            best.update(d=d, primal=lam)
+            return done("primal", 0)
+    lip = float(np.linalg.norm(A, 2)) ** 2
     Y, t = S, 1.0
     for it in range(1, SADDLE_ITERS + 1):
         step = Y - (A.T @ (A @ Y.ravel())).reshape(k, k) / lip
@@ -656,7 +693,7 @@ def check_robinson(pd: PointData) -> CqVerdict:
     both bounds.  The shared routes of :func:`exact_verdict` (dependent
     equality gradients, trivial kernel, diagonal constraint) come first.
     At k = 1 the spectraplex is the point S = [1], so the solve ends at
-    iteration 0 (dual) or 1 (primal).
+    iteration 0, by the dual or by the least-squares primal start.
     """
     exact = exact_verdict(pd, "robinson")
     if exact is not None:

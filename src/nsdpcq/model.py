@@ -76,16 +76,26 @@ class Poly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Iterable[Term] = ()):
+        self._canonicalize(n, terms, cleared=False)
+
+    def _canonicalize(self, n: int, terms, cleared: bool) -> None:
+        """Check the terms and set the canonical form.  A ``cleared`` term
+        list holds tuples of int exponents only, as Poly.from_json builds
+        them, so its exponents skip the int() conversion and the
+        integral comparison."""
         if not (1 <= n <= MAX_VARS):
             raise ProblemFormatError(f"variable count {n} outside [1, {MAX_VARS}]")
         acc: Dict[Exponents, float] = {}
         for coef, given in terms:
-            try:
-                exps = tuple(map(int, given))
-            except (TypeError, ValueError, OverflowError):
-                # NaN, an infinity, None: int() takes no such exponent
-                raise ProblemFormatError(
-                    f"non-integer exponent in {given!r}") from None
+            if cleared:
+                exps = given
+            else:
+                try:
+                    exps = tuple(map(int, given))
+                except (TypeError, ValueError, OverflowError):
+                    # NaN, an infinity, None: int() takes no such exponent
+                    raise ProblemFormatError(
+                        f"non-integer exponent in {given!r}") from None
             if len(exps) != n:
                 raise ProblemFormatError(
                     f"exponent tuple {exps} does not have {n} entries")
@@ -98,7 +108,7 @@ class Poly:
             c = float(coef)
             if not math.isfinite(c):
                 raise ProblemFormatError("non-finite coefficient")
-            if exps != tuple(given):
+            if not cleared and exps != tuple(given):
                 raise ProblemFormatError(
                     f"non-integer exponent in {tuple(map(float, given))}")
             acc[exps] = acc.get(exps, 0.0) + c
@@ -232,7 +242,9 @@ class Poly:
                 raise ProblemFormatError(
                     f"{where}[{k}]: 'e' must be a list of integers")
             terms.append((float(c), tuple(e)))
-        return cls(n, terms)
+        p = cls.__new__(cls)
+        p._canonicalize(n, terms, cleared=True)
+        return p
 
 
 class MatrixPoly:

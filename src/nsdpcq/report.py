@@ -4,27 +4,33 @@ The report carries one verdict per condition plus the witnesses, the
 spectral data of G at the point, per-checker timing and the notes of the
 two self-audit passes below; its JSON form always has ``notes``.
 
-Nondegeneracy and Robinson are decided first; sparse nondegeneracy
-reuses the Robinson verdict for its refutation route.  Each weak probe then
-tries the exact routes every condition shares (cqcheck.exact_verdict:
-dependent equality gradients, trivial kernel, dimension bound, diagonal
-constraint); where none applies, a certified upstream condition decides
-it: nondegeneracy holds iff the diagonal gradient family is independent
-for every kernel basis, weak nondegeneracy asks it only for the bases
-that arise as sequence limits, and Robinson relates to weak Robinson in
-the same way with positive independence.  Such an implied verdict is
-HoldsCertified and its witness names the upstream checker and carries
-that checker's witness, so it replays from the report alone.  Only
-certified holds propagate, and only along these two edges.  The
-sequence family is made once, and only when a probe is still open
-after that.  It builds each path trace the first time a probe reaches
-it, and a probe stops at its first refuting sequence, so a path trace
-after that one is never built, and a numerical failure it would raise
-never surfaces.  Two self-audit passes run on the merged verdicts: the
-implication structure between the conditions (a holds-verdict upstream
-of a failure downstream indicates a numerics problem) and the open
-relation between the Robinson condition and its sequence-based variant,
-where any observed separation is worth reporting loudly.
+Nondegeneracy and Robinson are decided first, each by its own checker.
+Every later condition first tries the exact routes every condition
+shares (cqcheck.exact_verdict: dependent equality gradients, trivial
+kernel, dimension bound, diagonal constraint); where none applies, the
+implication lattice IMPLICATIONS decides it when it can, before any
+search or solve.  A certified hold flows down every edge: a condition
+directly downstream of a HoldsCertified one is HoldsCertified, its
+reason names the upstream checker and its witness
+``{"implied_by", "upstream"}`` carries that checker's witness, so it
+replays from the report alone.  Nondegeneracy so settles sparse
+nondegeneracy, Forsgren's condition and weak nondegeneracy, and Robinson
+weak Robinson.  A certified Fails flows up: a condition directly upstream
+of a Fails one fails and carries that witness, which is how a Robinson
+Fails settles sparse nondegeneracy and Forsgren's condition.  When both
+apply, the hold wins and the lattice audit below reports the conflict.
+Sampled evidence propagates nothing.  Only what the lattice leaves open
+reaches its checker.  The sequence family is made once, and only when a
+probe is still open after that.  It builds each path trace the first
+time a probe reaches it, and a probe stops at its first refuting
+sequence, so a path trace after that one is never built, and a
+numerical failure it would raise never surfaces.  Two self-audit passes
+run on the merged verdicts: the implication structure between the
+conditions (a holds-verdict upstream of a failure downstream indicates a
+numerics problem; it cannot fire along an edge whose downstream verdict
+was propagated from its upstream one) and the open relation between the
+Robinson condition and its sequence-based variant, where any observed
+separation is worth reporting loudly.
 """
 from __future__ import annotations
 
@@ -44,6 +50,7 @@ from .cqcheck import (
     check_robinson,
     exact_verdict,
     feasibility_data,
+    refuted_verdict,
 )
 from .model import NsdpProblem
 from .penalty import (
@@ -154,14 +161,28 @@ def separation_notes(verdicts: Dict[str, CqVerdict]) -> List[str]:
     return out
 
 
-def implied_verdict(upstream: str, v: CqVerdict) -> Optional[CqVerdict]:
-    """HoldsCertified for the weak form of a certified upstream condition,
-    None when the upstream verdict certifies nothing."""
-    if v.status is not CqStatus.HOLDS_CERTIFIED:
-        return None
-    return CqVerdict(CqStatus.HOLDS_CERTIFIED,
-                     reason=f"implied by {upstream}: {v.reason}",
-                     witness={"implied_by": upstream, "upstream": v.witness})
+def lattice_verdict(name: str, verdicts: Dict[str, CqVerdict]
+                    ) -> Optional[CqVerdict]:
+    """The verdict IMPLICATIONS fixes for condition ``name`` from the
+    verdicts already decided, None when it fixes none.
+
+    HoldsCertified when a condition directly upstream of ``name`` is
+    HoldsCertified (the first such edge in IMPLICATIONS names it);
+    otherwise Fails, with that verdict's witness, when a condition
+    directly downstream of ``name`` fails.
+    """
+    for up, down in IMPLICATIONS:
+        v = verdicts.get(up)
+        if down == name and v is not None \
+                and v.status is CqStatus.HOLDS_CERTIFIED:
+            return CqVerdict(CqStatus.HOLDS_CERTIFIED,
+                             reason=f"implied by {up}: {v.reason}",
+                             witness={"implied_by": up, "upstream": v.witness})
+    for up, down in IMPLICATIONS:
+        v = verdicts.get(down)
+        if up == name and v is not None and v.status is CqStatus.FAILS:
+            return refuted_verdict(name, down, v)
+    return None
 
 
 def analyze_problem(P: NsdpProblem, point,
@@ -169,14 +190,15 @@ def analyze_problem(P: NsdpProblem, point,
                     ) -> AnalysisReport:
     """Run every checker on one shared point data, with a shared seed.
 
-    The checkers run in CONDITIONS order, so nondegeneracy and Robinson are
-    decided before the probes.  A probe left open by the shared exact
-    routes is HoldsCertified when its upstream condition is certified;
-    otherwise it runs on the trace family, which is made on first use
-    and at most once, and whose path traces are built as a probe reaches
-    them.  ``timing["traces"]`` is the family's whole build time, its
-    path traces included, 0.0 without one, and no checker's timing
-    includes it.
+    The conditions are decided in CONDITIONS order, so nondegeneracy and
+    Robinson come before the conditions the lattice relates them to.
+    Each later condition takes the shared exact routes, then
+    :func:`lattice_verdict`, and only then its checker; a probe left
+    open runs on the trace family, which is made on first use and at
+    most once, and whose path traces are built as a probe reaches them.
+    ``timing["traces"]`` is the family's whole build time, its path
+    traces included, 0.0 without one, and no checker's timing includes
+    it.
     """
     x = np.asarray(point, dtype=float)
     pd = feasibility_data(P, x, opts.tol_rank)
@@ -198,18 +220,16 @@ def analyze_problem(P: NsdpProblem, point,
             return check_nondegeneracy(pd)
         if name == "robinson":
             return check_robinson(pd)
+        decided = exact_verdict(pd, name) or lattice_verdict(name, verdicts)
+        if decided is not None:
+            return decided
         if name == "sparse_ndg":
             return check_sparse_ndg(pd, verdicts["robinson"])
         if name == "forsgren":
             return check_forsgren(pd)
         if name == "weak_ndg_probe":
-            return (exact_verdict(pd, name)
-                    or implied_verdict("nondegeneracy",
-                                       verdicts["nondegeneracy"])
-                    or probe_weak_ndg(pd, traces(), seed=opts.seed)[1])
-        return (exact_verdict(pd, name)
-                or implied_verdict("robinson", verdicts["robinson"])
-                or probe_weak_robinson(pd, traces()))
+            return probe_weak_ndg(pd, traces(), seed=opts.seed)[1]
+        return probe_weak_robinson(pd, traces())
 
     for name in CONDITIONS:
         start, before = time.perf_counter(), built()

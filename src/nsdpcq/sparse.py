@@ -54,6 +54,7 @@ from .cqcheck import (
     exact_verdict,
     feasibility_data,
     li_test,
+    refuted_verdict,
 )
 from .errors import NumericalFailure
 from .model import MatrixPoly, NsdpProblem, Poly
@@ -282,7 +283,8 @@ def check_sparse_ndg(pd: PointData,
     LICQ).  Robinson's verdict comes next: sparse nondegeneracy implies
     Robinson's condition, so a certified Robinson ``Fails`` refutes it
     whatever basis a search would find, and the verdict carries
-    Robinson's witness; an identically zero diagonal entry G_ii gives
+    Robinson's witness (:func:`refuted_verdict`, as the analysis
+    lattice gives it); an identically zero diagonal entry G_ii gives
     one, the multiplier e_i e_i^T.  Otherwise two candidates are scored:
     the fixed kernel basis, and, when it fails, its eigenbasis, the
     eigenvectors of a random combination of the compressed coefficient
@@ -302,15 +304,10 @@ def check_sparse_ndg(pd: PointData,
     exact = exact_verdict(pd, "sparse_ndg")
     if exact is not None:
         return exact
-    log = [f"rank {pd.rank}, kernel dimension {pd.E.shape[1]}"]
     rob = check_robinson(pd) if robinson is None else robinson
     if rob.status == CqStatus.FAILS:
-        log.append("Robinson refutation: " + (rob.reason or ""))
-        return CqVerdict(
-            CqStatus.FAILS,
-            reason="Robinson's condition fails, which sparse nondegeneracy "
-                   "would imply",
-            witness=rob.witness, log=log)
+        return refuted_verdict("sparse_ndg", "robinson", rob)
+    log = [f"rank {pd.rank}, kernel dimension {pd.E.shape[1]}"]
     cols, provenance, _, success, pairs, li = _basis_search(pd, log)
     if success:
         return _holds_verdict(cols, provenance, pairs, li, log)
@@ -365,7 +362,12 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     matrices; then
 
     * first condition: the pairing M -> sum_{i<=j} M_ij v_ij must be
-      injective on that subspace (rank test, certified either way),
+      injective on that subspace (rank test, certified either way); when
+      dim_T plus the equality count ne exceeds n it is not, by count,
+      and the test takes only the first n + 1 - ne images with the
+      equality gradients, whose unit null combination is the witness
+      ``matrix`` (with ``free_coeffs`` on the equality gradients, and
+      ``image_norm`` the norm of the whole combination),
     * second condition: a positive definite element of the subspace is
       sought by the saddle-point solve of :func:`cone_saddle` over an
       orthonormal basis of it; a primal readout with lambda_min > 0
@@ -417,19 +419,32 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     iu = np.triu_indices(k)
     Wu = Wc[:, iu[0], iu[1]]
 
-    images = [Wu @ Tq[iu] for Tq in stack]
-    li = li_test(images + list(pd.Heq))
+    # n + 1 - ne images and the ne equality rows are n + 1 vectors in R^n
+    Heq, n = pd.Heq, pd.P.n
+    used = stack
+    if dim_T + len(Heq) > n:
+        used = stack[:n + 1 - len(Heq)]
+        log.append(f"dimension bound: {dim_T} images and {len(Heq)} "
+                   f"equality gradients in R^{n}")
+    images = [Wu @ Tq[iu] for Tq in used]
+    li = li_test(images + list(Heq))
     if not li.independent:
-        M = np.tensordot(li.coeffs[:dim_T], stack, axes=1)
+        # the null combination, scaled to a unit matrix M: the image of M
+        # plus sum_i beta_i grad h_i vanishes
+        M = np.tensordot(li.coeffs[:len(used)], used, axes=1)
         nrm = float(np.sqrt(np.sum(M * M)))
+        beta = li.coeffs[len(used):]
         if nrm > 1e-12:
-            M /= nrm
+            M, beta = M / nrm, beta / nrm
+        witness = {"matrix": M,
+                   "image_norm": float(np.linalg.norm(Wu @ M[iu] + beta @ Heq)),
+                   "subspace_dim": dim_T, **pat.provenance()}
+        if len(Heq):
+            witness["free_coeffs"] = beta
         return CqVerdict(
             CqStatus.FAILS,
             reason="pattern-restricted gradient pairing is not injective",
-            witness={"matrix": M, "image_norm": float(np.linalg.norm(Wu @ M[iu])),
-                     "subspace_dim": dim_T, **pat.provenance()},
-            log=log)
+            witness=witness, log=log)
     log.append("injectivity holds on the pattern subspace")
 
     res = cone_saddle(stack, np.eye(dim_T))

@@ -648,16 +648,16 @@ class TestRobinson:
 
     def test_one_dim_kernel_both_ways(self):
         # G = [[1 + x1, x2], [x2, x1]] at 0 has kernel span(e2) and
-        # v_11 = (1, 0): the primal readout certifies Holds at iteration
-        # 1, and h = x1 removes that direction, so the dual certificate
-        # fails it with equality coefficients that replay
+        # v_11 = (1, 0): the least-squares start certifies Holds at
+        # iteration 0, and h = x1 removes that direction, so the dual
+        # certificate fails it with equality coefficients that replay
         one = Poly.const(2, 1.0)
         G = MatrixPoly(2, 2, {(0, 0): one + xv(2, 0), (0, 1): xv(2, 1),
                               (1, 1): xv(2, 0)})
         x = np.zeros(2)
         v = check_robinson(feasibility_data(NsdpProblem(2, xv(2, 1), G), x))
         assert v.status == CqStatus.HOLDS_CERTIFIED
-        assert "primal readout at iteration 1" in v.log[-2]
+        assert "primal readout at iteration 0" in v.log[-2]
         P = NsdpProblem(2, xv(2, 1), G, equalities=[xv(2, 0)])
         v = check_robinson(feasibility_data(P, x))
         assert v.status == CqStatus.FAILS
@@ -748,6 +748,36 @@ class TestRobinson:
             primal, dual = (float(b) for b in
                             next(f for f in found if f).groups())
             assert primal <= dual + 1e-12, (case, v.log)
+
+    def test_least_squares_start_never_certifies_a_planted_dual(self):
+        # each stack is made orthogonal to a planted unit-trace S >= 0, so
+        # for a unit d, lambda_min(sum_l d_l Wc_l) <= <sum_l d_l Wc_l, S>
+        # = 0 and no primal certificate exists, iteration 0's least-squares
+        # start included, with or without equality directions projected
+        # out; the same stacks before planting are onto Sym(k) when the
+        # projected space has k(k + 1) / 2 dimensions, and the start
+        # certifies them at iteration 0
+        rng = np.random.default_rng(53)
+        onto = 0
+        for case in range(80):
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 13))
+            ne = int(rng.integers(0, 3)) if n > 2 else 0
+            H = rng.standard_normal((ne, n))
+            Qn = np.eye(n) - (H.T @ np.linalg.pinv(H.T) if ne else 0.0)
+            R = rng.standard_normal((k, int(rng.integers(1, k + 1))))
+            S = R @ R.T / float(np.sum(R * R))
+            Wc = rng.standard_normal((n, k, k))
+            Wc = Wc + Wc.transpose(0, 2, 1)
+            res = cone_saddle(Wc, Qn)
+            if n - ne >= k * (k + 1) // 2:
+                assert (res.route, res.iterations) == ("primal", 0), case
+                onto += 1
+            inner = np.tensordot(Wc, S, axes=2) / float(np.sum(S * S))
+            res = cone_saddle(Wc - inner[:, None, None] * S, Qn)
+            assert res.route != "primal", (case, res.describe())
+            assert res.primal <= 1e-12, (case, res.describe())
+        assert onto >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -1090,17 +1120,30 @@ class TestExactRoutes:
 
 class TestReportNotes:
     def test_json_report_carries_notes(self, monkeypatch):
-        # a planted sparse_ndg failure under a certified nondegeneracy is
-        # a lattice violation, and the JSON report must record it
+        # a planted Robinson failure under a certified nondegeneracy:
+        # Robinson is decided before the conditions that imply it, the
+        # certified hold still flows to sparse_ndg and forsgren, and the
+        # lattice violations it leaves must reach the JSON report, with
+        # the separation from weak Robinson, which weak nondegeneracy
+        # implies
         planted = CqVerdict(CqStatus.FAILS, reason="planted")
-        monkeypatch.setattr(nsdpcq.report, "check_sparse_ndg",
-                            lambda pd, robinson: planted)
+        monkeypatch.setattr(nsdpcq.report, "check_robinson",
+                            lambda pd: planted)
         rep = analyze_problem(fullmat_problem(), np.zeros(3))
         obj = json.loads(report_json_text(rep))
         assert obj["notes"] == rep.notes
         assert obj["notes"] == [
-            "nondegeneracy holds but sparse_ndg fails; the implication "
-            "between them is violated, check the tolerances"]
+            f"{up} holds but robinson fails; the implication between them "
+            "is violated, check the tolerances"
+            for up in ("sparse_ndg", "forsgren")] + [
+            "weak Robinson holds while Robinson fails: no such separation "
+            "is currently known, inspect this instance"]
+        assert {name: v["witness"]["implied_by"]
+                for name, v in obj["verdicts"].items()
+                if "implied_by" in v.get("witness", {})} == {
+            "sparse_ndg": "nondegeneracy", "forsgren": "nondegeneracy",
+            "weak_ndg_probe": "nondegeneracy",
+            "weak_robinson_probe": "weak_ndg_probe"}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from nsdpcq.cqcheck import (
     CqStatus,
+    CqVerdict,
     check_robinson,
     compress,
     feasibility_data,
@@ -22,7 +23,13 @@ from nsdpcq.cqcheck import (
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.corpus import entries
-from nsdpcq.report import AnalysisOptions, analyze_problem
+from nsdpcq.penalty import (
+    PenaltyConfig,
+    default_trace_family,
+    probe_weak_ndg,
+    probe_weak_robinson,
+)
+from nsdpcq.report import AnalysisOptions, analyze_problem, report_json_text
 from nsdpcq import sparse
 from nsdpcq.sparse import (
     PATTERN_COEF_TOL,
@@ -813,6 +820,41 @@ class TestForsgren:
             explicit = check_forsgren(pd, U=pd.spec.vectors).to_json()
             assert json.dumps(default) == json.dumps(explicit), name
 
+    @pytest.mark.parametrize("ne", [0, 1, 2])
+    def test_dependent_by_count_tests_n_plus_one_vectors(self, monkeypatch,
+                                                         ne):
+        # G = [[x1, x2], [x2, x3]] at 0 with ne of the equalities
+        # x1 + x2 + x3 = 0 and x1 - x3 = 0: the pattern subspace is all of
+        # Sym(2), three images, and with the equality gradients they
+        # outnumber n = 3, so only n + 1 vectors reach li_test and the
+        # unit null combination, equality gradients included, vanishes
+        G = MatrixPoly(2, 3, {(0, 0): xv(3, 0), (0, 1): xv(3, 1),
+                              (1, 1): xv(3, 2)})
+        eqs = (xv(3, 0) + xv(3, 1) + xv(3, 2), xv(3, 0) - xv(3, 2))[:ne]
+        P = NsdpProblem(3, xv(3, 0), G, eqs, name="sym2")
+        pd = feasibility_data(P, np.zeros(3))
+        sizes = []
+        real = sparse.li_test
+        monkeypatch.setattr(sparse, "li_test",
+                            lambda vs: sizes.append(len(vs)) or real(vs))
+        v = check_forsgren(pd)
+        if ne == 0:
+            # three images in R^3: no count route, and the pairing of a
+            # nondegenerate point is injective
+            assert v.status == CqStatus.HOLDS_CERTIFIED
+            assert sizes == [3]
+            return
+        assert v.status == CqStatus.FAILS
+        assert "injective" in v.reason and sizes == [4]
+        w = v.witness
+        assert w["subspace_dim"] == 3 and w["image_norm"] < 1e-12
+        M = np.asarray(w["matrix"])
+        beta = np.asarray(w["free_coeffs"])
+        assert abs(float(np.sum(M * M)) - 1.0) < 1e-12
+        iu = np.triu_indices(2)
+        image = pd.Wc[:, iu[0], iu[1]] @ M[iu] + beta @ pd.Heq
+        assert float(np.linalg.norm(image)) < 1e-12
+
     def test_empty_schur_pattern_refuted_by_dual_certificate(self):
         # G = diag(1 + x, 0) at 0: the Schur map over the range e1 is
         # identically zero, so the pattern subspace is {0}, its basis an
@@ -828,6 +870,102 @@ class TestForsgren:
         replay_forsgren_dual(v.witness)
         assert np.allclose(v.witness["multiplier"], np.diag([0.0, 1.0]),
                            atol=1e-12)
+
+
+class TestLatticeDecides:
+    """Verdicts the implication lattice fixes before any search or solve."""
+
+    @pytest.mark.parametrize("name", ["fullmat", "ladder_n6_m4_k2",
+                                      "ladder_n12_m8_k3", "cap"])
+    def test_certified_nondegeneracy_runs_no_search(self, monkeypatch, name):
+        # nondegeneracy holds at all four, so it settles sparse_ndg and
+        # forsgren, and neither the Schur-map sampling, Forsgren's checker
+        # nor the basis search runs
+        import nsdpcq.report
+        if name == "fullmat":
+            P, x = fullmat_problem(), np.zeros(3)
+        elif name == "cap":
+            P = NsdpProblem.from_json(shifted_problem(
+                np.random.default_rng([0, 3]), 64, 50, 6, "cap"))
+            x = np.zeros(P.n)
+        else:
+            obj = next(o for i, o, _ in survey_instances() if i == name)
+            P, x = NsdpProblem.from_json(obj), np.zeros(obj["n"])
+        calls = []
+        for mod, fn in ((nsdpcq.report, "check_forsgren"),
+                        (sparse, "tilde_map"), (sparse, "_basis_search")):
+            monkeypatch.setattr(mod, fn, lambda *a, _fn=fn, **kw:
+                                calls.append(_fn))
+        rep = analyze_problem(P, x, AnalysisOptions(timestamp=False))
+        assert calls == []
+        assert rep.verdicts["nondegeneracy"].status == \
+            CqStatus.HOLDS_CERTIFIED
+        for cond in ("sparse_ndg", "forsgren"):
+            v = rep.verdicts[cond]
+            assert v.status == CqStatus.HOLDS_CERTIFIED
+            assert v.witness == {
+                "implied_by": "nondegeneracy",
+                "upstream": rep.verdicts["nondegeneracy"].witness}
+
+    def test_facial_forsgren_carries_robinson_witness(self, monkeypatch):
+        # facial at 0: Robinson fails with a dual certificate, and
+        # Forsgren's condition implies Robinson's, so forsgren fails with
+        # that witness, without its checker, and replays from the JSON
+        # report as a positive dependence of the diagonal gradients
+        import nsdpcq.report
+        calls = []
+        monkeypatch.setattr(nsdpcq.report, "check_forsgren",
+                            lambda *a, **kw: calls.append(a))
+        P, x = facial_problem(), np.zeros(2)
+        obj = json.loads(report_json_text(analyze_problem(P, x)))
+        v = obj["verdicts"]["forsgren"]
+        assert calls == []
+        assert obj["verdicts"]["robinson"]["status"] == "Fails"
+        assert v["status"] == "Fails"
+        assert v["reason"] == ("Robinson's condition fails, which Forsgren's "
+                               "condition would imply")
+        assert v["witness"] == obj["witnesses"]["robinson"]
+        replay_cone_witness(P, x, v["witness"])
+
+    def test_lattice_cells_agree_with_the_direct_checkers(self):
+        # on the corpus, the 14 bench instances and the first 100 survey
+        # draws, no cell the lattice decides gets the opposite certified
+        # status from its own checker on the same point data: an implied
+        # hold is never a direct Fails, a refutation never a direct
+        # HoldsCertified (sparse_ndg searches its bases, the Robinson
+        # route withheld)
+        open_rob = CqVerdict(CqStatus.UNDETERMINED)
+        seen = {"implied": 0, "refuted": 0}
+        for name, obj, point in itertools.islice(survey_instances(), 121):
+            P = NsdpProblem.from_json(obj)
+            x = np.asarray(point, dtype=float)
+            pd = feasibility_data(P, x)
+            rep = analyze_problem(P, x, AnalysisOptions(timestamp=False))
+            family = []
+
+            def traces():
+                if not family:
+                    family.append(default_trace_family(
+                        P, PenaltyConfig(anchor=x)))
+                return family[0]
+
+            direct = {
+                "sparse_ndg": lambda: check_sparse_ndg(pd, open_rob),
+                "forsgren": lambda: check_forsgren(pd),
+                "weak_ndg_probe": lambda: probe_weak_ndg(pd, traces())[1],
+                "weak_robinson_probe":
+                    lambda: probe_weak_robinson(pd, traces())}
+            for cond, v in rep.verdicts.items():
+                implied = "implied_by" in (v.witness or {})
+                refuted = v.log[:1] and v.log[0].startswith("refuted by ")
+                if not (implied or refuted):
+                    continue
+                seen["implied" if implied else "refuted"] += 1
+                got = direct[cond]().status
+                opposite = CqStatus.FAILS if implied \
+                    else CqStatus.HOLDS_CERTIFIED
+                assert got is not opposite, (name, cond, v.reason)
+        assert seen["implied"] >= 140 and seen["refuted"] >= 80, seen
 
 
 class TestFacialReduce:
