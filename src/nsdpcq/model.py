@@ -34,7 +34,10 @@ the problem's seven evaluation methods are thin calls on that, and
 and h off the same table.  An `Evaluation` is the one record of its
 point: it keeps, read-only, f, h, G, eigh(G) and each derivative array
 it builds, so a caller that holds one evaluation per point, as the
-checkers' `PointData` and the penalty solve do, builds each once.
+checkers' `PointData` and the penalty solve do, builds each once.  The
+derivatives of an affine map, such as a linear objective, and the
+values and derivatives of a problem without equalities are built once
+per problem and shared by all its evaluations.
 `NsdpProblem.constraint_stack` exposes G's stack read-only as (T, m, m)
 matrices A_t, whose congruences give the exact coefficients of a
 compressed constraint, and `NsdpProblem.constraint_exponents` the
@@ -338,15 +341,28 @@ class Compiled:
     of their monomials against C @ M.  The value also
     takes a stack of tables (..., (d + 1) * n) and multiplies each
     point's mons by C on its own, the product a single point gets.
-    exponents holds the monomials' exponent rows, shape (T, n).
+    exponents holds the monomials' exponent rows, shape (T, n), and
+    degree their largest single exponent, the depth d of the power table
+    the map needs, not the total degree.
+
+    A map whose monomials all have total degree at most 1, which is a
+    map with an empty second-derivative table, is affine: its D holds
+    ones (exponent 1 times x^0) and is the same at every point, so
+    derivatives builds it at the first point and returns it, read-only,
+    at every later one, and jacobian keeps D @ C the same way.  The test
+    is on the total degree: x1 * x2 has degree 1 in the sense above, but
+    its gradient moves with x.  A map with no terms, such as the
+    equalities of a problem without any, gives one shared read-only zero
+    value at a single point.
 
     entries pairs each polynomial with the flat positions it fills: one
     for an objective or an equality, two for an off-diagonal matrix
     entry and its mirror.
     """
 
-    __slots__ = ("n", "shape", "C", "exponents", "degree", "_idx", "_didx",
-                 "_dmult", "_dpos", "_hidx", "_hmult", "_hpos", "_hmon")
+    __slots__ = ("n", "shape", "C", "exponents", "degree", "affine",
+                 "_idx", "_didx", "_dmult", "_dpos", "_hidx", "_hmult",
+                 "_hpos", "_hmon", "_D", "_J", "_zero")
 
     def __init__(self, n: int, shape: Tuple[int, ...],
                  entries: Iterable[Tuple[Sequence[int], Poly]]):
@@ -375,6 +391,8 @@ class Compiled:
         self.C = C
         self.exponents = E
         self.degree = int(E.max(initial=0))
+        self._D = self._J = None
+        self._zero = None if T else _frozen(np.zeros(self.shape))
         self._idx = E * n + cols
         self._didx = Ered * n + cols
         self._dmult = E[t_of, l_of].astype(float)
@@ -389,6 +407,8 @@ class Compiled:
         self._hmult = self._dmult[j_of] * Ered[j_of, k_of]
         self._hpos = l_of[j_of] * n + k_of
         self._hmon = t_of[j_of]
+        # no second derivative is a total degree of at most 1
+        self.affine = not j_of.size
 
     @classmethod
     def matrix(cls, G: MatrixPoly) -> "Compiled":
@@ -403,14 +423,20 @@ class Compiled:
 
     def value(self, powers: np.ndarray) -> np.ndarray:
         shape = powers.shape[:-1] + self.shape
-        if not self.C.shape[0]:         # the zero map, e.g. no equalities
-            return np.zeros(shape)
+        if self._zero is not None:      # the zero map, e.g. no equalities
+            return self._zero if powers.ndim == 1 else np.zeros(shape)
         mons = self._monomials(powers, self._idx)
         return (mons[..., None, :] @ self.C).reshape(shape)
 
     def jacobian(self, D: np.ndarray) -> np.ndarray:
-        """D @ C, shape (n, prod(shape)), for D = derivatives(powers)."""
-        return D @ self.C
+        """D @ C, shape (n, prod(shape)), for D = derivatives(powers);
+        kept read-only for an affine map."""
+        if self._J is not None:
+            return self._J
+        J = D @ self.C
+        if self.affine:
+            self._J = _frozen(J)
+        return J
 
     def adjoint(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
         """D @ (C @ M), for D = derivatives(powers): the gradient of
@@ -428,9 +454,14 @@ class Compiled:
                            minlength=n * n).reshape(n, n)
 
     def derivatives(self, powers: np.ndarray) -> np.ndarray:
-        """The derivative stack D at one point, shape (n, T)."""
+        """The derivative stack D at one point, shape (n, T); kept
+        read-only for an affine map."""
+        if self._D is not None:
+            return self._D
         D = np.zeros((self.n, self.C.shape[0]))
         D.flat[self._dpos] = self._dmult * self._monomials(powers, self._didx)
+        if self.affine:
+            self._D = _frozen(D)
         return D
 
 
@@ -605,7 +636,9 @@ class Evaluation:
     are a SymMat stack (..., m, m) and its stacked eigh, whose slices are
     exactly the single-point ones; the other methods take one point.
     f(x), h(x), G(x), eigh(G(x)), G's derivative stack, the partials,
-    grad f and Dh are built on first use, kept and returned read-only.
+    grad f and Dh are built on first use, kept and returned read-only;
+    those of an affine map are its Compiled's kept arrays, or views of
+    them, shared by every point (see Compiled).
     """
 
     __slots__ = ("problem", "powers", "_fx", "_hx", "_gx", "_spec", "_dg",
@@ -692,7 +725,7 @@ class Evaluation:
              - P._G.hessian(self.powers, Y))
         # an equality map without second derivatives adds zeros, which
         # only turn a -0.0 into 0.0, as + 0.0 does
-        if P._h._hpos.size:
+        if not P._h.affine:
             return H + P._h.hessian(self.powers, w)
         return H + 0.0
 

@@ -63,7 +63,12 @@ cost down without changing a bit of its result: an accepted trial hands
 its value's pieces (_penalty_value) to the gradient instead of
 recomputing them, the projection weights are filled block by block off
 the sorted spectrum, the Cholesky factor is taken of H itself unless H
-needs a diagonal shift, and the eigendecomposition of one matrix takes
+needs a diagonal shift, the factorization and both triangular solves
+call the LAPACK gufuncs behind numpy.linalg directly, so that a failed
+factorization costs one LAPACK call and no raised LinAlgError, the
+derivatives of an affine f, G or h (a linear objective, say) and the
+empty values of absent equalities are built once per problem (see
+model.Compiled), and the eigendecomposition of one matrix takes
 symmat.eigh's single-matrix path.
 """
 from __future__ import annotations
@@ -76,6 +81,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cqcheck import (
     CqStatus,
@@ -109,6 +115,11 @@ TAU_CLUSTER = 1e-6
 PATH_STEPS = 26
 PATH_SCALE = 1e-2
 PATH_DECAY = 0.5
+# the gufuncs behind np.linalg.cholesky and np.linalg.solve with a 1-D
+# right-hand side: on n of a few units their dispatch costs several times
+# the LAPACK call (see _newton_direction)
+_cholesky_lo = _umath_linalg.cholesky_lo
+_solve1 = _umath_linalg.solve1
 
 
 @dataclass(frozen=True)
@@ -359,24 +370,38 @@ def _projection_weights(mu: np.ndarray) -> np.ndarray:
     return W
 
 
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """-(H + tau I)^-1 grad for the smallest tau of the doubling sequence
     that makes H + tau I positive definite: Cholesky with added multiple
     of the identity (Nocedal & Wright, Numerical Optimization, Alg. 3.3,
     beta = 1e-3).  Zero, which the caller rejects as no descent
     direction, when 200 doublings do not suffice; a non-finite H gives a
-    non-finite direction, which the caller rejects too."""
+    non-finite or zero direction, which the caller rejects too.
+
+    The factor and the two solves come from the LAPACK gufuncs that
+    np.linalg.cholesky and np.linalg.solve dispatch to, called on the
+    same arrays (the identity built once, at the first shift), so every
+    tau, every factorization attempt and every byte of the direction are
+    those of the numpy.linalg route.  The gufunc reports a failed
+    factorization by an all-NaN factor, where a factor it returns has
+    zeros above the diagonal, so the top right entry tells them apart
+    without a LinAlgError (for n = 1 a NaN H also counts as failed).
+    The errstate is the one numpy.linalg sets, less the LinAlgError it
+    raises on the invalid flag; a triangular solve that numpy.linalg
+    would refuse as singular gives a NaN direction instead.
+    """
     beta = 1e-3
     diag = float(H.diagonal().min())
     tau = 0.0 if diag > 0.0 else beta - diag
+    eye = np.eye(len(H)) if tau > 0.0 else None
     for _ in range(200):
-        try:
-            L = np.linalg.cholesky(H + tau * np.eye(len(H)) if tau > 0.0
-                                   else H)
-        except np.linalg.LinAlgError:
-            tau = max(2.0 * tau, beta)
-            continue
-        return -np.linalg.solve(L.T, np.linalg.solve(L, grad))
+        L = _cholesky_lo(H + tau * eye if tau > 0.0 else H)
+        if L[0, -1] == L[0, -1]:        # not NaN: the factorization held
+            return -_solve1(L.T, _solve1(L, grad))
+        if eye is None:
+            eye = np.eye(len(H))
+        tau = max(2.0 * tau, beta)
     return np.zeros_like(grad)
 
 

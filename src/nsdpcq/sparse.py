@@ -40,6 +40,7 @@ one of the saddle solve; failed searches return Undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
@@ -528,11 +529,15 @@ def facial_reduce(P: NsdpProblem, x,
     Rounds repeat while some diagonal entry of the kernel-compressed map
     is identically zero: those kernel directions span a face of the cone,
     the corresponding rows become equality constraints, and the
-    semidefinite block shrinks.  Both the rows V2^T G and the reduced
-    block V1^T G V1 are read off G's coefficient stack, coefficients at
-    or below the pattern threshold dropped; emitted equality polynomials
-    are deduplicated up to sign.  Every round removes a direction, so
-    there are at most m rounds.
+    semidefinite block shrinks.  The rows V2^T G are emitted as the
+    entries of V2^T G V1 and the strict upper triangle of V2^T G V2,
+    whose diagonal is the identically zero J block: with [V1 V2]
+    orthogonal these span the same polynomials, at most
+    |J| (m - |J|) + |J| (|J| - 1) / 2 of them rather than |J| m.  They
+    and the reduced block V1^T G V1 are read off G's coefficient stack,
+    coefficients at or below the pattern threshold dropped; emitted
+    equality polynomials are deduplicated up to sign.  Every round
+    removes a direction, so there are at most m rounds.
     """
     x = np.asarray(x, dtype=float)
     cur = P
@@ -555,10 +560,14 @@ def facial_reduce(P: NsdpProblem, x,
         for q in range(V2r.shape[1]):
             V2_cols.append(V1_total @ V2r[:, q])
         V1_total = V1_total @ V1r
-        # equality rows: entries of V2^T G(x), deduplicated up to sign
-        rows = V2r.T @ cur.constraint_stack()
-        for q in range(V2r.shape[1]):
-            for j in range(cur.m):
+        # equality rows: V2^T G(x) [V1 V2] spans V2^T G(x), whose V2
+        # block has the identically zero diagonal J and is symmetric, so
+        # the V1 block and the V2 block's strict upper triangle suffice;
+        # deduplicated up to sign
+        mred, w = V1r.shape[1], V2r.shape[1]
+        rows = V2r.T @ cur.constraint_stack() @ np.hstack([V1r, V2r])
+        for q in range(w):
+            for j in chain(range(mred), range(mred + q + 1, mred + w)):
                 h = _entry_poly(cur, rows, q, j)
                 sig = _poly_signature(h)
                 if h.is_zero() or sig in seen:
@@ -566,7 +575,6 @@ def facial_reduce(P: NsdpProblem, x,
                 seen.add(sig)
                 new_eqs.append(h)
         # a full collapse leaves a 1 x 1 zero block as a placeholder
-        mred = V1r.shape[1]
         Bs = compress(cur.constraint_stack(), V1r)
         red = MatrixPoly(max(mred, 1), P.n, {
             (i, j): _entry_poly(cur, Bs, i, j)

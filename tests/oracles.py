@@ -8,7 +8,8 @@ block machinery (block detection, per-block subproblems), the multifold
 sparse-nondegeneracy check built on it, the pattern-cardinality
 invariance survey, a best-effort KKT multiplier fit, the stack form of
 eigh's ordering and sign fix applied to a single matrix, the Lagrangian
-Hessian summed over all three maps, the entrywise weights of the
+Hessian summed over all three maps, the Newton direction's shift search
+through numpy.linalg, the entrywise weights of the
 projection Jacobian, and the per-point
 references of the penalty layer: the penalty value, gradient,
 multiplier and noise floor from one public model call per quantity, the
@@ -325,6 +326,25 @@ def lagrangian_hessian_three_maps(ev, Y: np.ndarray,
     return (P._f.hessian(ev.powers, np.ones(1))
             - P._G.hessian(ev.powers, Y)
             + P._h.hessian(ev.powers, w))
+
+
+def newton_direction_linalg(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """-(H + tau I)^-1 grad through np.linalg.cholesky and np.linalg.solve,
+    a failed factorization caught as LinAlgError: the shift search of
+    penalty._newton_direction, with the same tau sequence, 200 attempts
+    and zero direction when they run out."""
+    beta = 1e-3
+    diag = float(H.diagonal().min())
+    tau = 0.0 if diag > 0.0 else beta - diag
+    for _ in range(200):
+        try:
+            L = np.linalg.cholesky(H + tau * np.eye(len(H)) if tau > 0.0
+                                   else H)
+        except np.linalg.LinAlgError:
+            tau = max(2.0 * tau, beta)
+            continue
+        return -np.linalg.solve(L.T, np.linalg.solve(L, grad))
+    return np.zeros_like(grad)
 
 
 def projection_weights_entrywise(mu: np.ndarray) -> np.ndarray:

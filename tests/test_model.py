@@ -540,6 +540,72 @@ def test_evaluation_keeps_read_only_derivatives():
         assert ev.adjoint(M).tobytes() == alone.tobytes(), P.name
 
 
+def test_affine_maps_keep_one_derivative_stack():
+    # f, G and h of total degree <= 1 keep the stack and Jacobian of the
+    # first point: a fresh compile builds the same bytes at points with
+    # zero, large and non-finite coordinates, and every evaluation shares
+    # the kept gradients, which are the term-by-term ones
+    rng = np.random.default_rng(29)
+    n = 3
+    x1, x2, x3 = (Poly.var(n, i) for i in range(n))
+    one = Poly.const(n, 1.0)
+    f = x1 * 2.0 - x3 + one
+    G = MatrixPoly(2, n, {(0, 0): x1 + one, (0, 1): x2 * 0.5 - x3,
+                          (1, 1): one})
+    eqs = [x1 + x2, x3 - one * 2.0]
+    P = NsdpProblem(n, f, G, eqs, name="affine")
+    maps = {"f": P._f, "G": P._G, "h": P._h}
+    first = P.at(rng.standard_normal(n))
+    kept = {k: c.derivatives(first.powers) for k, c in maps.items()}
+    for k, c in maps.items():
+        assert c.affine and not kept[k].flags.writeable, k
+    points = list(rng.standard_normal((4, n)) * [[1e-3], [1.0], [1e3], [1e8]])
+    points += [np.zeros(n), np.array([np.nan, np.inf, -np.inf])]
+    for x in points:
+        ev = P.at(x)
+        fresh = NsdpProblem(n, f, G, eqs)
+        for k, c in maps.items():
+            assert c.derivatives(ev.powers) is kept[k], k
+            built = getattr(fresh, "_" + k).derivatives(ev.powers)
+            assert built.tobytes() == kept[k].tobytes(), (k, x)
+        if not np.isfinite(x).all():
+            continue
+        for arr, ref in ((ev.objective_gradient(), first.objective_gradient()),
+                         (ev.constraint_partials(), first.constraint_partials()),
+                         (ev.equality_gradients(), first.equality_gradients())):
+            assert np.shares_memory(arr, ref) and not arr.flags.writeable
+        assert np.array_equal(ev.objective_gradient(),
+                              [g.eval(x) for g in f.grad()])
+        assert np.array_equal(ev.equality_gradients(),
+                              [[g.eval(x) for g in h.grad()] for h in eqs])
+        for l in range(n):
+            want = [[G.entry(i, j).partial(l).eval(x) for j in range(2)]
+                    for i in range(2)]
+            assert np.array_equal(ev.constraint_partials()[l], want), l
+
+
+def test_total_degree_decides_the_affine_rule():
+    # x1 * x2 has no exponent above 1, but its gradient (x2, x1) moves
+    x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+    P = NsdpProblem(2, x1 * x2, MatrixPoly.diagonal([x1, x2]), name="bilin")
+    assert P._f.degree == 1 and not P._f.affine and P._G.affine
+    for x in ([1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]):
+        ev = P.at(x)
+        assert ev.objective_gradient().tolist() == [x[1], x[0]]
+
+
+def test_no_equalities_share_empty_arrays():
+    P = diag_problem(objective=Poly.var(3, 0))
+    evs = [P.at(x) for x in ([0.0, 1.0, 2.0], [3.0, -1.0, 0.5])]
+    for ev in evs:
+        h, Dh = ev.equality_values(), ev.equality_gradients()
+        assert h.shape == (0,) and Dh.shape == (0, 3)
+        assert not h.flags.writeable and not Dh.flags.writeable
+    assert evs[0].equality_values() is evs[1].equality_values()
+    # a stack of points gets its own zero block
+    assert P._h.value(evs[0].powers[None, :]).shape == (1, 0)
+
+
 def test_evaluation_keeps_values_and_spectrum():
     for P, x in evaluation_cases():
         ev = P.at(x)

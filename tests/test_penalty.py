@@ -18,6 +18,7 @@ import pytest
 
 from oracles import (
     entry_gradient,
+    newton_direction_linalg,
     path_trace_per_point,
     penalty_parts_reference,
     persistent_clusters_per_record,
@@ -638,6 +639,82 @@ class TestNewtonDerivatives:
                     1.0 + np.max(np.abs(fd))), P.name
                 checked += 1
         assert checked >= 15
+
+
+def newton_cases():
+    """Seeded Hessians for n from 1 to 12 and 64: positive definite,
+    indefinite at scales from 1e-3 to 1e5 with the diagonal as drawn and
+    made positive (so the first attempt is unshifted), positive
+    semidefinite and singular, and zero."""
+    rng = np.random.default_rng(61)
+    for n in list(range(1, 13)) + [64]:
+        B = rng.standard_normal((n, n))
+        yield B @ B.T + 0.1 * np.eye(n)
+        A = rng.standard_normal((n, n))
+        S = A + A.T
+        T = S - np.diag(np.diag(S)) + np.diag(np.abs(np.diag(S)) + 1e-3)
+        for scale in 10.0 ** np.arange(-3, 6):
+            yield scale * S
+            yield scale * T
+        B = rng.standard_normal((n, n // 2))
+        yield B @ B.T
+        yield np.zeros((n, n))
+
+
+def direction_rejected(grad, d) -> bool:
+    """Whether inner_minimize rejects d as a descent direction."""
+    gd = float(grad @ d)
+    return not gd < -1e-14 * max(1.0, float(np.linalg.norm(grad))) * float(
+        np.linalg.norm(d))
+
+
+class TestNewtonDirection:
+    """The shift search through the LAPACK gufuncs against the same
+    search through numpy.linalg."""
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        counts = {"gufunc": 0, "linalg": 0}
+        gufunc, linalg = penalty._cholesky_lo, np.linalg.cholesky
+
+        def gufunc_counted(a):
+            counts["gufunc"] += 1
+            return gufunc(a)
+
+        def linalg_counted(a):
+            counts["linalg"] += 1
+            return linalg(a)
+
+        monkeypatch.setattr(penalty, "_cholesky_lo", gufunc_counted)
+        monkeypatch.setattr(np.linalg, "cholesky", linalg_counted)
+        return counts
+
+    def test_same_bytes_and_attempts_as_numpy_linalg(self, attempts):
+        rng = np.random.default_rng(67)
+        failed = []
+        for H in newton_cases():
+            grad = rng.standard_normal(len(H))
+            attempts.update(gufunc=0, linalg=0)
+            got = penalty._newton_direction(H, grad)
+            want = newton_direction_linalg(H, grad)
+            assert got.tobytes() == want.tobytes(), H
+            assert attempts["gufunc"] == attempts["linalg"], H
+            failed.append(attempts["gufunc"] - 1)
+        # unshifted successes, and shifts after from 1 to over 20 doublings
+        assert 0 in failed and 1 in failed and max(failed) > 20
+        assert len(set(failed)) >= 15
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_nan_hessian_gives_a_rejected_direction(self, n):
+        rng = np.random.default_rng(71)
+        B = rng.standard_normal((n, n))
+        grad = rng.standard_normal(n)
+        for spots in ([(0, 0)], [(n - 1, 0), (0, n - 1)], [(n - 1, n - 1)]):
+            H = B @ B.T + np.eye(n)
+            for i, j in spots:
+                H[i, j] = np.nan
+            for newton in (penalty._newton_direction, newton_direction_linalg):
+                assert direction_rejected(grad, newton(H, grad)), (spots, newton)
 
 
 class TestRunPenalty:

@@ -1092,14 +1092,19 @@ class TestFacialReduce:
 
     def test_congruence_identities_on_random_dead_rows(self):
         # the reduced block is V1^T G V1 and each emitted equality is
-        # +- an entry of V2^T G, checked at random points away from the
-        # anchor, with [V1 V2] orthonormal
+        # +- an entry of V2^T G [V1 V2], checked at random points away
+        # from the anchor, with [V1 V2] orthonormal; the V2 block's zero
+        # diagonal and lower triangle are not emitted, so there are at
+        # most w (m - w) + w (w - 1) / 2 equalities for w = |J|
         rng = np.random.default_rng(31)
         for trial in range(40):
             P = self.dead_rows_problem(rng, trial)
             x0 = np.zeros(P.n)
             fr = facial_reduce(P, x0)
             assert fr.rounds == 1, P.name
+            w = fr.omega
+            assert len(fr.added_equalities) <= (
+                w * (P.m - w) + w * (w - 1) // 2), P.name
             V = np.column_stack([fr.V1, fr.V2])
             assert np.max(np.abs(V.T @ V - np.eye(P.m))) < 1e-12
             red = fr.reduced_problem
@@ -1113,7 +1118,7 @@ class TestFacialReduce:
                     want = fr.V1.T @ Gx @ fr.V1
                     got = red.constraint_value(x).a
                     assert np.max(np.abs(got - want)) < 1e-10 * scale
-                rows = (fr.V2.T @ Gx).ravel()
+                rows = (fr.V2.T @ Gx @ V).ravel()
                 for h in fr.added_equalities:
                     v = h.eval(x)
                     gap = min(np.min(np.abs(rows - v)), np.min(np.abs(rows + v)))
