@@ -40,10 +40,10 @@ from . import symmat
 from .errors import InfeasiblePointError
 from .lp import phase_one
 from .model import Evaluation, NsdpProblem, structurally_diagonal
-from .symmat import Spectral, SymMat, eigh, spectral_kernel
+from .symmat import (LI_TOL, Spectral, SymMat, eigh, ranked_svd,
+                     spectral_kernel)
 
 TAU_RANK = symmat.TAU_RANK
-LI_TOL = 1e-8
 DUAL_CERT_TOL = 1e-12    # relative size of a certifying bound of the saddle solve
 SADDLE_ITERS = 1000      # iteration budget of the saddle-point solve
 POLISH_STEPS = 60        # Gauss-Newton steps per polish rank
@@ -206,27 +206,29 @@ class LiResult:
 
 
 def li_test(vectors: Sequence[np.ndarray]) -> LiResult:
-    """Linear independence via eigenvalues of the Gram matrix.
+    """Linear independence of k vectors in R^n by the singular values of
+    the family, ranked by :func:`symmat.ranked_svd`.
 
-    Rank counts Gram eigenvalues above LI_TOL * max(1, lambda_1); when the
-    family is dependent, the returned coefficients are the unit-norm
-    eigenvector of the smallest Gram eigenvalue, which reproduces
-    ||sum c_i v_i|| = sqrt(lambda_min) when checked, signed as eigh
-    signs every eigenvector.
+    A family of more than n vectors is dependent by count: only its first
+    n + 1 are factored, sigma_min is 0, and the null combination of those
+    n + 1, padded with zeros, is the witness.  Otherwise the rank counts
+    singular values above LI_TOL * max(1, sigma_1), and a dependent
+    family returns the unit left singular vector of its smallest singular
+    value, which reproduces ||sum c_i v_i|| = sigma_min when checked.
+    The coefficients are signed as eigh signs an eigenvector, their
+    largest-magnitude entry positive.
     """
-    V = np.array([np.asarray(v, dtype=float) for v in vectors])
+    V = np.array(vectors, dtype=float)
     k = V.shape[0]
     if k == 0:
         return LiResult(True, 0, 0.0, None)
-    gram = SymMat.from_symmetric(V @ V.T)
-    spec = eigh(gram)
-    lam1 = float(spec.values[0])
-    thr = LI_TOL * max(1.0, abs(lam1))
-    rank = int(np.sum(np.abs(spec.values) > thr))
-    sigma_min = float(np.sqrt(max(spec.values[-1], 0.0)))
+    n = V.shape[1]
+    u, sv, rank = ranked_svd(V[:n + 1], full=True)
+    sigma_min = float(sv[-1]) if k <= n else 0.0
     if rank == k:
         return LiResult(True, rank, sigma_min, None)
-    return LiResult(False, rank, sigma_min, spec.vectors[:, -1])
+    c = u[:, -1] * np.sign(u[np.abs(u[:, -1]).argmax(), -1])
+    return LiResult(False, rank, sigma_min, np.pad(c, (0, k - len(c))))
 
 
 @dataclass(frozen=True)
@@ -351,17 +353,14 @@ def exact_verdict(pd: PointData, condition: str) -> Optional[CqVerdict]:
     independence = full or condition in ("sparse_ndg", "weak_ndg_probe")
     size = (k * (k + 1) // 2 if full else k) + Heq.shape[0]
     if independence and size > n:
-        # n + 1 of the vectors are already dependent, and their null
-        # combination, padded with zeros, is the witness
         pairs, vectors = _gradient_family(pd, full)
-        coeffs = np.zeros(size)
-        coeffs[:n + 1] = li_test(vectors[:n + 1]).coeffs
         log.append(f"dimension bound: family size {size} exceeds n = {n}")
         return CqVerdict(
             CqStatus.FAILS,
             reason=f"dimension bound: a family of {size} gradients cannot "
                    f"be independent in R^{n}",
-            witness=_family_witness(E, pairs, vectors, coeffs), log=log)
+            witness=_family_witness(E, pairs, vectors,
+                                    li_test(vectors).coeffs), log=log)
 
     if condition in ("nondegeneracy", "forsgren", "weak_ndg_probe") \
             or not structurally_diagonal(pd.P):
@@ -470,10 +469,10 @@ def check_nondegeneracy(pd: PointData) -> CqVerdict:
 
 
 def _null_projector(Heq: np.ndarray, n: int) -> np.ndarray:
-    """Orthogonal projector onto the complement of the equality-gradient span."""
-    if Heq.shape[0] == 0:
-        return np.eye(n)
-    return np.eye(n) - Heq.T @ np.linalg.pinv(Heq.T)
+    """Orthogonal projector onto the complement of the equality-gradient
+    span, that span as :func:`symmat.ranked_svd` ranks it."""
+    u, _, rank = ranked_svd(Heq.T)
+    return np.eye(n) - u[:, :rank] @ u[:, :rank].T
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

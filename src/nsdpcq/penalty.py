@@ -700,9 +700,9 @@ def _usable_records(values: np.ndarray, rank: int,
 
 
 def _snap_to_kernel(E: np.ndarray, K: np.ndarray) -> Optional[np.ndarray]:
-    """Project columns onto span(K) and re-orthonormalize; None on defect."""
-    out = orthonormalize(K @ (K.T @ E))
-    return out if out.shape[1] == E.shape[1] else None
+    """Project columns onto span(K) and orthonormalize them in order;
+    None when the projections are dependent."""
+    return orthonormalize(K @ (K.T @ E))
 
 
 def _persistent_clusters(values: np.ndarray, rank: int) -> List[List[int]]:

@@ -49,6 +49,7 @@ from .cqcheck import (
     CqStatus,
     CqVerdict,
     PointData,
+    check_nondegeneracy,
     check_robinson,
     compress,
     cone_saddle,
@@ -64,6 +65,7 @@ from .symmat import (
     SymMat,
     eigh,
     orthonormal_completion,
+    ranked_svd,
 )
 
 PATTERN_COEF_TOL = 1e-12     # coefficient threshold for congruence patterns
@@ -286,7 +288,15 @@ def check_sparse_ndg(pd: PointData,
     whatever basis a search would find, and the verdict carries
     Robinson's witness (:func:`refuted_verdict`, as the analysis
     lattice gives it); an identically zero diagonal entry G_ii gives
-    one, the multiplier e_i e_i^T.  Otherwise two candidates are scored:
+    one, the multiplier e_i e_i^T.  Then the span route: a basis can
+    only thin the compressed pattern through a symmetric k x k matrix
+    orthogonal to every E^T A_t E, so when those span all of Sym(k), by
+    :func:`symmat.ranked_svd` over the stack flattened to T x k^2,
+    every basis sees the full pattern, and sparse nondegeneracy holds
+    exactly when nondegeneracy does.  A nondegeneracy ``Fails`` then
+    refutes it with nondegeneracy's family witness plus
+    ``span_sigma_min``, the k(k + 1) / 2-th singular value of the
+    flattened stack.  Otherwise two candidates are scored:
     the fixed kernel basis, and, when it fails, its eigenbasis, the
     eigenvectors of a random combination of the compressed coefficient
     stack E^T A_t E (:func:`_basis_search`).  Commuting symmetric
@@ -308,7 +318,18 @@ def check_sparse_ndg(pd: PointData,
     rob = check_robinson(pd) if robinson is None else robinson
     if rob.status == CqStatus.FAILS:
         return refuted_verdict("sparse_ndg", "robinson", rob)
-    log = [f"rank {pd.rank}, kernel dimension {pd.E.shape[1]}"]
+    k = pd.E.shape[1]
+    S0 = compress(pd.P.constraint_stack(), pd.E)
+    _, sv, dim = ranked_svd(S0.reshape(len(S0), k * k))
+    log = [f"rank {pd.rank}, kernel dimension {k}, compressed coefficient "
+           f"span dimension {dim} of {k * (k + 1) // 2}"]
+    ndg = check_nondegeneracy(pd) if dim == k * (k + 1) // 2 else None
+    if ndg is not None and ndg.status == CqStatus.FAILS:
+        return CqVerdict(
+            CqStatus.FAILS, reason="the compressed coefficients span Sym(k), "
+            "so every kernel basis sees the full pattern, and nondegeneracy "
+            "fails", log=log + [f"nondegeneracy: {ndg.reason}"],
+            witness={**ndg.witness, "span_sigma_min": float(sv[dim - 1])})
     cols, provenance, _, success, pairs, li = _basis_search(pd, log)
     if success:
         return _holds_verdict(cols, provenance, pairs, li, log)
@@ -332,8 +353,8 @@ def _pattern_basis(pat: SparsityPattern, E: np.ndarray) -> np.ndarray:
     The unit matrix of pair (a, b) is e_a e_a^T, or (e_a e_b^T +
     e_b e_a^T) / sqrt(2) off the diagonal, so its compression is the
     outer product of rows a and b of E, symmetrized and scaled.  The
-    basis is the left singular vectors of the flattened compressions
-    whose singular value is above 1e-10.  Every compression lies in
+    basis is the span of the flattened compressions as
+    :func:`symmat.ranked_svd` ranks it.  Every compression lies in
     Sym(k), so dim_T is at most k(k + 1) / 2.
     """
     k = E.shape[1]
@@ -341,9 +362,8 @@ def _pattern_basis(pat: SparsityPattern, E: np.ndarray) -> np.ndarray:
     scale = np.where(a == b, 0.5, np.sqrt(0.5))[:, None, None]
     raw = E[a, :, None] * E[b, None, :]
     raw = scale * (raw + raw.swapaxes(1, 2))
-    left, sv, _ = np.linalg.svd(raw.reshape(-1, k * k).T,
-                                full_matrices=False)
-    return left[:, sv > 1e-10].T.reshape(-1, k, k)
+    left, _, rank = ranked_svd(raw.reshape(-1, k * k).T)
+    return left[:, :rank].T.reshape(-1, k, k)
 
 
 def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
@@ -358,17 +378,19 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     diagonalizers give different variants of the condition.
 
     The pattern subspace of the Schur-complement map, compressed to the
-    kernel columns of U, gets an orthonormal basis from one SVD
+    kernel columns of U, gets an orthonormal basis from one ranked SVD
     (:func:`_pattern_basis`), at most dim Sym(k) = k(k + 1) / 2
     matrices; then
 
     * first condition: the pairing M -> sum_{i<=j} M_ij v_ij must be
-      injective on that subspace (rank test, certified either way); when
-      dim_T plus the equality count ne exceeds n it is not, by count,
-      and the test takes only the first n + 1 - ne images with the
-      equality gradients, whose unit null combination is the witness
-      ``matrix`` (with ``free_coeffs`` on the equality gradients, and
-      ``image_norm`` the norm of the whole combination),
+      injective on that subspace: :func:`li_test` of the dim_T images,
+      one matrix product, followed by the equality gradients, certified
+      either way.  When dim_T plus the equality count ne exceeds n it is
+      not, by count, and li_test factors only the first n + 1 of these
+      vectors.  The unit null combination is the witness ``matrix``
+      (with ``free_coeffs`` on the equality gradients, zero past the
+      factored ones, and ``image_norm`` the norm of the whole
+      combination),
     * second condition: a positive definite element of the subspace is
       sought by the saddle-point solve of :func:`cone_saddle` over an
       orthonormal basis of it; a primal readout with lambda_min > 0
@@ -419,22 +441,14 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
 
     iu = np.triu_indices(k)
     Wu = Wc[:, iu[0], iu[1]]
-
-    # n + 1 - ne images and the ne equality rows are n + 1 vectors in R^n
-    Heq, n = pd.Heq, pd.P.n
-    used = stack
-    if dim_T + len(Heq) > n:
-        used = stack[:n + 1 - len(Heq)]
-        log.append(f"dimension bound: {dim_T} images and {len(Heq)} "
-                   f"equality gradients in R^{n}")
-    images = [Wu @ Tq[iu] for Tq in used]
-    li = li_test(images + list(Heq))
+    Heq = pd.Heq
+    li = li_test(np.vstack([stack[:, iu[0], iu[1]] @ Wu.T, Heq]))
     if not li.independent:
         # the null combination, scaled to a unit matrix M: the image of M
         # plus sum_i beta_i grad h_i vanishes
-        M = np.tensordot(li.coeffs[:len(used)], used, axes=1)
+        M = np.tensordot(li.coeffs[:dim_T], stack, axes=1)
         nrm = float(np.sqrt(np.sum(M * M)))
-        beta = li.coeffs[len(used):]
+        beta = li.coeffs[dim_T:]
         if nrm > 1e-12:
             M, beta = M / nrm, beta / nrm
         witness = {"matrix": M,

@@ -24,7 +24,12 @@ Conventions used everywhere:
   eigenvectors whose eigenvalues satisfy ``|lambda| <= tau``; a kernel
   basis E is a plain read-only m x k array, those eigenvectors as eigh
   returns them, so its columns are orthonormal (:func:`spectral_kernel`),
-* every Gram-Schmidt pass is :func:`orthonormalize`, at ORTHO_TOL,
+* every rank is :func:`ranked_svd`'s count of singular values above
+  LI_TOL * max(1, sigma_1), and every span its leading left singular
+  vectors,
+* every orthonormalization that keeps column order is
+  :func:`orthonormalize`, LAPACK's QR with R's diagonal made positive,
+  refused under the same rank rule,
 * random rotations are Haar draws (:func:`random_rotation`), with no
   sign fix that would bias them,
 * inner product on symmetric matrices is the Frobenius one, ``tr(M N)``.
@@ -32,6 +37,7 @@ Conventions used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from .errors import NumericalFailure
 
 TAU_EIG = 1e-10
 TAU_RANK = 1e-8
-ORTHO_TOL = 1e-8     # residual norm at which Gram-Schmidt drops a column
+LI_TOL = 1e-8        # relative singular-value threshold of every rank
 
 
 def frobenius(a: np.ndarray, b: np.ndarray) -> float:
@@ -218,49 +224,64 @@ def spectral_kernel(spec: Spectral, tau: float) -> np.ndarray:
     return E
 
 
-def orthonormalize(cols) -> np.ndarray:
-    """Modified Gram-Schmidt over the columns, in column order.
-
-    A column whose residual norm is at most ORTHO_TOL is dropped, so the
-    result has orthonormal columns spanning those of the input, at most
-    as many.
-    The work runs on a C-ordered copy, which fixes the arithmetic.
+def ranked_svd(A, full: bool = False) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(U, s, rank) of a matrix A (r x c) through LAPACK's SVD: the left
+    singular vectors U, r x min(r, c) or r x r when full, the singular
+    values s in non-increasing order, and the rank, the number of them
+    above LI_TOL * max(1, s[0]).  The leading rank columns of U are an
+    orthonormal basis of the span of A's columns.  Ranking singular
+    values, not the eigenvalues of the Gram matrix A^T A, keeps the
+    condition number from being squared (Golub & Van Loan, *Matrix
+    Computations*, 5.3).
     """
-    out = np.array(cols, dtype=float, order="C")
-    kept = 0
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        for i in range(kept):
-            v = v - np.dot(out[:, i], v) * out[:, i]
-        nrm = float(np.linalg.norm(v))
-        if nrm > ORTHO_TOL:
-            out[:, kept] = v / nrm
-            kept += 1
-    return out[:, :kept].copy()
+    u, s, _ = np.linalg.svd(A, full_matrices=full)
+    rank = int(np.count_nonzero(s > LI_TOL * max(1.0, s[0]))) if s.size else 0
+    return u, s, rank
+
+
+def orthonormalize(cols, complete: bool = False) -> Optional[np.ndarray]:
+    """Orthonormal columns Q spanning the leading columns of cols in
+    order, so Q[:, :j] spans cols[:, :j] for every j; None when the
+    columns are dependent.
+
+    Q is LAPACK's QR with each column multiplied by the sign of R's
+    diagonal entry (+ for a zero), which makes R's diagonal nonnegative
+    and so the factorization unique: the first column is the first input
+    column normalized.  The columns are dependent when R, whose singular
+    values are those of cols, has rank below their count under
+    :func:`ranked_svd`'s rule.  complete appends the m - w columns of
+    LAPACK's complete QR that finish Q to an orthonormal basis of R^m.
+    """
+    q, r = np.linalg.qr(cols, mode="complete" if complete else "reduced")
+    if ranked_svd(r)[2] < r.shape[1]:
+        return None
+    d = np.diag(r)
+    q[:, :d.size] *= np.sign(np.where(d == 0.0, 1.0, d))
+    return q
 
 
 def random_rotation(k: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal k x k matrix.
 
-    The Q factor of a Gaussian draw, each column multiplied by the sign
-    of R's diagonal entry: that makes the factorization unique, so the
-    draw is the same on any LAPACK, and Q Haar distributed (Mezzadri,
-    *How to generate random matrices from the classical compact groups*,
-    Notices AMS 54, 2007).
+    :func:`orthonormalize` of a Gaussian draw: the Q factor with each
+    column multiplied by the sign of R's diagonal entry, which makes the
+    factorization unique, so the draw is the same on any LAPACK, and Q
+    Haar distributed (Mezzadri, *How to generate random matrices from
+    the classical compact groups*, Notices AMS 54, 2007).  A Gaussian
+    draw has sigma_min <= 1e-8 sigma_1, where it would be refused, with
+    probability of order 1e-8 k (Edelman 1988).
     """
-    if k == 0:
-        return np.zeros((0, 0))
-    g = rng.standard_normal((k, k))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
+    return orthonormalize(rng.standard_normal((k, k)))
 
 
 def orthonormal_completion(V: np.ndarray) -> np.ndarray:
-    """The m x (m - w) block completing orthonormal columns V (m x w) to an
-    orthonormal basis: :func:`orthonormalize` of [V | I], columns after V."""
-    V = np.asarray(V, dtype=float)
-    m, w = V.shape
-    Q = orthonormalize(np.hstack([V, np.eye(m)]))
-    if Q.shape[1] != m:
+    """The m x (m - w) block completing orthonormal columns V (m x w) to
+    an orthonormal basis: the trailing columns of the complete QR of V
+    (:func:`orthonormalize`), each signed as :func:`eigh` signs an
+    eigenvector, largest-magnitude component positive."""
+    Q = orthonormalize(V, complete=True)
+    if Q is None:
         raise NumericalFailure("failed to complete orthonormal basis")
-    return Q[:, w:]
+    C = Q[:, V.shape[1]:]
+    peak = C[np.abs(C).argmax(axis=0), np.arange(C.shape[1])]
+    return np.where(peak < 0.0, -C, C)

@@ -14,6 +14,7 @@ defects included.
 
     python tests/survey.py --write    # regenerate tests/data/survey.json
     python tests/survey.py --check    # print every moved cell, exit 1 on any
+    python tests/survey.py --scale S  # analyze with G -> S G, see below
 
 Both print one summary line: instance count, separation notes, lattice
 warnings, unconverged levels, divergence flags, inner iterations, a
@@ -23,6 +24,13 @@ solve digest over the names, solves and notes alone.  Two checkouts
 that print the same digest produced bit-identical iterates,
 multipliers, spectra, verdicts and witnesses; the same solve digest
 says the same of the penalty runs when only reports moved.
+
+No condition changes when G is multiplied by a constant S > 0.  --scale
+analyzes every instance with each coefficient of G times S, with no
+solve, prints a summary line (instances and cells whose status moved
+against the pinned table, and how many of those moved between
+HoldsCertified and Fails) and every moved cell, and exits 1 on any
+HoldsCertified <-> Fails flip, a certified verdict the scale reversed.
 """
 from __future__ import annotations
 
@@ -43,7 +51,7 @@ from inputs import (  # noqa: E402
     ladder_base,
     shifted_problem,
 )
-from nsdpcq.model import NsdpProblem  # noqa: E402
+from nsdpcq.model import MatrixPoly, NsdpProblem  # noqa: E402
 from nsdpcq.penalty import PenaltyConfig, run_penalty  # noqa: E402
 from nsdpcq.report import (  # noqa: E402
     AnalysisOptions,
@@ -128,12 +136,54 @@ def moves(old, new):
     return out
 
 
+def scaled(P: NsdpProblem, s: float) -> NsdpProblem:
+    """P with every coefficient of its constraint G multiplied by s."""
+    G = P.constraint
+    return NsdpProblem(P.n, P.objective, MatrixPoly(
+        G.dim, G.n, {ij: p.scale(s) for ij, p in G.entries.items()},
+        blocks=G.blocks), P.equalities, P.name)
+
+
+def scale_check(s: float) -> int:
+    """Print the statuses that G -> s G moves against the pinned table;
+    1 when one of them moved between HoldsCertified and Fails."""
+    table = json.loads(TABLE.read_text())
+    moved, flips = [], 0
+    for name, obj, point in instances():
+        rep = analyze_problem(scaled(NsdpProblem.from_json(obj), s), point,
+                              AnalysisOptions(timestamp=False))
+        for cond, v in rep.verdicts.items():
+            old, new = table[name]["verdicts"][cond], v.status.value
+            if old != new:
+                flip = {old, new} == {"HoldsCertified", "Fails"}
+                flips += flip
+                moved.append((name, f"{name} {cond}: {old} -> {new}"
+                              + (" (flip)" if flip else "")))
+    print(f"scale {s:g}: {len({name for name, _ in moved})} instances and "
+          f"{len(moved)} cells moved, {flips} HoldsCertified <-> Fails "
+          "flips")
+    for _, line in moved:
+        print(line)
+    return 1 if flips else 0
+
+
+def positive(text: str) -> float:
+    s = float(text)
+    if not 0.0 < s < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"scale must be positive and finite, got {text}")
+    return s
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true")
     mode.add_argument("--check", action="store_true")
+    mode.add_argument("--scale", type=positive, metavar="S")
     args = ap.parse_args(argv)
+    if args.scale is not None:
+        return scale_check(args.scale)
     rows, iters, digest, solves = survey()
     print(summary(rows, iters, digest, solves))
     if args.write:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nsdpcq
+from nsdpcq import cqcheck
 from nsdpcq.corpus import entries as corpus_entries
 from nsdpcq.cqcheck import (
     CONDITIONS,
@@ -43,6 +44,7 @@ from nsdpcq.report import analyze_problem, lattice_warnings, report_json_text
 from nsdpcq.sparse import check_sparse_ndg, facial_reduce
 from nsdpcq.symmat import eigh, SymMat, random_rotation
 from oracles import congruence_einsum, entry_gradient, find_multiplier
+from survey import instances as survey_instances, scaled
 from test_acceptance import shifted_problem, upper_family
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -407,6 +409,36 @@ class TestLiTest:
         v = np.array([0.0, 0.5, 0.5])
         res = li_test([v, v])
         assert res.rank == 1
+
+    def test_singular_values_rank_a_1e6_ratio_independent(self):
+        # sigma = (1, 1e-6): the Gram eigenvalues are 1 and 1e-12, below
+        # LI_TOL, but the singular values are ranked, so the family is
+        # independent and sigma_min is the second singular value
+        res = li_test([np.array([1.0, 0.0, 0.0]),
+                       np.array([0.0, 1e-6, 0.0])])
+        assert res.independent and res.rank == 2
+        assert res.sigma_min == pytest.approx(1e-6, rel=1e-12)
+
+    def test_more_than_n_vectors_factor_only_n_plus_one(self, monkeypatch):
+        # n + 2 = 5 vectors in R^3: dependent by count, only the first
+        # four reach the SVD, and their null combination, padded with a
+        # zero, replays against the whole family
+        rng = np.random.default_rng(29)
+        V = rng.standard_normal((5, 3))
+        shapes = []
+        real = cqcheck.ranked_svd
+        monkeypatch.setattr(
+            cqcheck, "ranked_svd",
+            lambda A, full=False: shapes.append(A.shape) or real(A, full))
+        res = li_test(list(V))
+        assert shapes == [(4, 3)]
+        assert not res.independent and res.sigma_min == 0.0
+        c = res.coeffs
+        assert c.shape == (5,) and c[4] == 0.0
+        assert abs(float(np.linalg.norm(c)) - 1.0) < 1e-12
+        assert float(np.linalg.norm(c @ V)) < 1e-12
+        # the package's sign rule: the largest-magnitude entry is positive
+        assert c[np.abs(c).argmax()] > 0.0
 
     def test_independent_implies_positively_independent(self):
         rng = np.random.default_rng(23)
@@ -1116,6 +1148,46 @@ class TestExactRoutes:
         pd = feasibility_data(diag3_problem(), np.zeros(3))
         with pytest.raises(ValueError):
             exact_verdict(pd, "licq")
+
+
+class TestScaleInvariance:
+    """No condition changes when G is multiplied by a constant s > 0, and
+    an exactly independent family stays independent however unequal its
+    vectors' sizes; the rank rule ranks singular values against
+    LI_TOL * max(1, sigma_1), where the Gram matrix squared them."""
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5])
+    def test_epsilon_entry_family_holds_everywhere(self, eps):
+        # G = [[x1, x2], [x2, eps x3]] at 0: the family e1, e2, eps e3 is
+        # exactly independent
+        G = MatrixPoly(2, 3, {(0, 0): xv(3, 0), (0, 1): xv(3, 1),
+                              (1, 1): xv(3, 2, eps)})
+        P = NsdpProblem(3, xv(3, 0) + xv(3, 2), G, name="eps_entry")
+        rep = analyze_problem(P, np.zeros(3))
+        assert {k: v.status for k, v in rep.verdicts.items()} == \
+            {k: CqStatus.HOLDS_CERTIFIED for k in CONDITIONS}
+        assert rep.verdicts["nondegeneracy"].witness["sigma_min"] == \
+            pytest.approx(eps, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-5])
+    def test_scaled_constraint_keeps_every_certified_verdict(self, s):
+        # fullmat, diag3, both ladder rungs and degenerate05: no verdict
+        # moves between HoldsCertified and Fails under G -> s G
+        names = ("fullmat", "diag3", "ladder_n6_m4_k2", "ladder_n12_m8_k3",
+                 "degenerate05_n3_m3_k2")
+        seen = []
+        certified = {CqStatus.HOLDS_CERTIFIED, CqStatus.FAILS}
+        for name, obj, point in survey_instances():
+            if name not in names:
+                continue
+            seen.append(name)
+            P = NsdpProblem.from_json(obj)
+            base = analyze_problem(P, point).verdicts
+            got = analyze_problem(scaled(P, s), point).verdicts
+            for k, v in base.items():
+                if {v.status, got[k].status} <= certified:
+                    assert got[k].status == v.status, (name, k)
+        assert sorted(seen) == sorted(names)
 
 
 class TestReportNotes:

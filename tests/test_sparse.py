@@ -30,7 +30,7 @@ from nsdpcq.penalty import (
     probe_weak_robinson,
 )
 from nsdpcq.report import AnalysisOptions, analyze_problem, report_json_text
-from nsdpcq import sparse
+from nsdpcq import cqcheck, sparse
 from nsdpcq.sparse import (
     PATTERN_COEF_TOL,
     TILDE_SAMPLES,
@@ -62,6 +62,7 @@ from test_cqcheck import (
     RANK0_PROBLEM,
     RT2,
     replay_cone_witness,
+    replay_family_witness,
     block2_problem,
     diag3_problem,
     facial_problem,
@@ -577,6 +578,43 @@ class TestSparseNdg:
         v = check_sparse_ndg(feasibility_data(P, [0.0, 0.0]))
         assert v.status == CqStatus.UNDETERMINED
 
+    def test_full_coefficient_span_refutes_with_nondegeneracy(self):
+        # survey draw194 at 0: kernel dimension 2, and E^T A_t E over the
+        # monomials x1, x2 and x1 x2 span all of Sym(2), so every kernel
+        # basis sees the full pattern and sparse nondegeneracy fails with
+        # nondegeneracy (the x1 x2 entry's gradient vanishes at 0); no
+        # basis search could certify that, and Robinson holds
+        obj = {"name": "draw194", "n": 2, "m": 2,
+               "objective": [{"c": 1.0, "e": [1, 0]}],
+               "constraint": [
+                   {"i": 0, "j": 0, "poly": [
+                       {"c": -1.9547741908423308, "e": [1, 0]}]},
+                   {"i": 0, "j": 1, "poly": [
+                       {"c": 1.443597344787052, "e": [1, 1]}]},
+                   {"i": 1, "j": 1, "poly": [
+                       {"c": -1.626074601029064, "e": [0, 1]},
+                       {"c": 0.7387617719816764, "e": [1, 0]}]}]}
+        P = NsdpProblem.from_json(obj)
+        x = np.zeros(2)
+        pd = feasibility_data(P, x)
+        assert check_robinson(pd).status == CqStatus.HOLDS_CERTIFIED
+        v = check_sparse_ndg(pd)
+        assert v.status == CqStatus.FAILS
+        assert "every kernel basis sees the full pattern" in v.reason
+        w = v.witness
+        replay_family_witness(P, x, w)
+        # span_sigma_min replays from the problem and the basis: the
+        # third singular value of the compressed coefficients, flattened
+        E = np.asarray(w["basis"])
+        flat = np.array([(E.T @ A @ E).ravel()
+                         for A in coefficient_matrices(P).values()])
+        sv = np.linalg.svd(flat, compute_uv=False)
+        assert len(sv) >= 3
+        assert w["span_sigma_min"] == pytest.approx(sv[2], rel=1e-12)
+        assert w["span_sigma_min"] > 1e-8 * max(1.0, sv[0])
+        assert analyze_problem(P, x).verdicts["sparse_ndg"].status == \
+            CqStatus.FAILS
+
     def test_infeasible_point_raises(self):
         with pytest.raises(InfeasiblePointError):
             check_sparse_ndg(
@@ -826,30 +864,40 @@ class TestForsgren:
         # G = [[x1, x2], [x2, x3]] at 0 with ne of the equalities
         # x1 + x2 + x3 = 0 and x1 - x3 = 0: the pattern subspace is all of
         # Sym(2), three images, and with the equality gradients they
-        # outnumber n = 3, so only n + 1 vectors reach li_test and the
-        # unit null combination, equality gradients included, vanishes
+        # outnumber n = 3.  li_test gets the whole family, factors only
+        # its first n + 1 vectors, and pads their unit null combination
+        # with zeros, so the second equality's coefficient is 0 at ne = 2
         G = MatrixPoly(2, 3, {(0, 0): xv(3, 0), (0, 1): xv(3, 1),
                               (1, 1): xv(3, 2)})
         eqs = (xv(3, 0) + xv(3, 1) + xv(3, 2), xv(3, 0) - xv(3, 2))[:ne]
         P = NsdpProblem(3, xv(3, 0), G, eqs, name="sym2")
         pd = feasibility_data(P, np.zeros(3))
-        sizes = []
-        real = sparse.li_test
+        sizes, factored = [], []
+        real_li, real_svd = sparse.li_test, cqcheck.ranked_svd
         monkeypatch.setattr(sparse, "li_test",
-                            lambda vs: sizes.append(len(vs)) or real(vs))
+                            lambda vs: sizes.append(len(vs)) or real_li(vs))
+        monkeypatch.setattr(
+            cqcheck, "ranked_svd",
+            lambda A, full=False: factored.append(A.shape)
+            or real_svd(A, full))
         v = check_forsgren(pd)
+        # the equality gradients' own test comes first, then injectivity
+        assert sizes == [3 + ne]
+        assert factored == [(ne, 3)] * (ne > 0) + [(min(3 + ne, 4), 3)]
         if ne == 0:
             # three images in R^3: no count route, and the pairing of a
             # nondegenerate point is injective
             assert v.status == CqStatus.HOLDS_CERTIFIED
-            assert sizes == [3]
             return
         assert v.status == CqStatus.FAILS
-        assert "injective" in v.reason and sizes == [4]
+        assert "injective" in v.reason
         w = v.witness
         assert w["subspace_dim"] == 3 and w["image_norm"] < 1e-12
         M = np.asarray(w["matrix"])
         beta = np.asarray(w["free_coeffs"])
+        assert beta.shape == (ne,)
+        if ne == 2:
+            assert beta[1] == 0.0
         assert abs(float(np.sum(M * M)) - 1.0) < 1e-12
         iu = np.triu_indices(2)
         image = pd.Wc[:, iu[0], iu[1]] @ M[iu] + beta @ pd.Heq

@@ -313,24 +313,56 @@ def test_spectral_kernel_of_random_psd_matrices():
             E[0, 0] = 1.0
 
 
-def test_orthonormalize_keeps_order_and_drops_dependent_columns(monkeypatch):
-    monkeypatch.setattr(symmat, "ORTHO_TOL", 1e-10)
+def test_orthonormalize_keeps_order_and_refuses_dependent_columns():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((5, 3))
-    # column 2 is a combination of columns 0 and 1, column 4 repeats 3
-    cols = np.column_stack([A[:, 0], A[:, 1], A[:, 0] - 2.0 * A[:, 1],
-                            A[:, 2], A[:, 2]])
-    Q = orthonormalize(cols)
+    Q = orthonormalize(A)
     assert Q.shape == (5, 3)
     assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-12
-    # column order: the first kept column is the first input column
-    # normalized, and each prefix of Q spans the same prefix of the input
+    # column order and signs: Q^T A is upper triangular with a positive
+    # diagonal, so the first column is the first input column normalized
+    # and each prefix of Q spans the same prefix of the input
+    R = Q.T @ A
+    assert np.max(np.abs(np.tril(R, -1))) <= 1e-12
+    assert np.all(np.diag(R) > 0.0)
     assert np.allclose(Q[:, 0], A[:, 0] / np.linalg.norm(A[:, 0]),
                        atol=1e-14)
-    for j, want in ((1, A[:, :2]), (2, A)):
-        proj = Q[:, :j + 1] @ (Q[:, :j + 1].T @ want)
-        assert np.allclose(proj, want, atol=1e-12)
-    assert orthonormalize(np.zeros((3, 2))).shape == (3, 0)
+    # the draw is LAPACK's Q with each column times the sign of R's
+    # diagonal entry, byte for byte, and so is random_rotation's
+    q, r = np.linalg.qr(A)
+    assert np.array_equal(Q, q * np.sign(np.diag(r)))
+    G = np.random.default_rng([3, 7]).standard_normal((4, 4))
+    q, r = np.linalg.qr(G)
+    assert np.array_equal(random_rotation(4, np.random.default_rng([3, 7])),
+                          q * np.sign(np.diag(r)))
+    # a column in the span of those before it, a repeated column and a
+    # zero column each make the family dependent: no basis is returned
+    for dep in (A[:, 0] - 2.0 * A[:, 1], A[:, 1], np.zeros(5)):
+        assert orthonormalize(np.column_stack([A, dep])) is None
+    assert orthonormalize(np.zeros((3, 2))) is None
+    # the rank rule is ranked_svd's: a residual 1e-6 of the column's
+    # size is independent, one of 1e-10 is not
+    e = np.eye(5)
+    assert orthonormalize(np.column_stack([e[:, 0], e[:, 0] + 1e-6 * e[:, 1]])
+                          ).shape == (5, 2)
+    assert orthonormalize(np.column_stack(
+        [e[:, 0], e[:, 0] + 1e-10 * e[:, 1]])) is None
+
+
+def test_ranked_svd_counts_singular_values_above_the_relative_floor():
+    # singular values (3, 1e-6) keep rank 2 at every scale whose largest
+    # singular value is at least 1, where LI_TOL * sigma_1 decides, and
+    # the Gram matrix's 1e-12 ratio would have read rank 1
+    A = np.diag([3.0, 1e-6, 0.0])[:, :2]
+    for s in (1.0, 1e3, 1e6):
+        U, sv, rank = symmat.ranked_svd(s * A)
+        assert rank == 2 and sv.shape == (2,) and U.shape == (3, 2)
+    assert symmat.ranked_svd(np.diag([3.0, 1e-9]))[2] == 1
+    # full gives the complete left basis; the rank's columns span A
+    U, _, rank = symmat.ranked_svd(A, full=True)
+    assert U.shape == (3, 3)
+    assert np.allclose(U[:, :rank] @ (U[:, :rank].T @ A), A, atol=1e-15)
+    assert symmat.ranked_svd(np.zeros((3, 0)))[2] == 0
 
 
 def test_random_rotation_is_orthogonal_and_sign_fixed():
@@ -348,6 +380,16 @@ def test_random_rotation_is_orthogonal_and_sign_fixed():
         3, np.random.default_rng([3, 7])))
     negative = np.mean(draws[:, 0, :] < 0.0, axis=0)
     assert np.all(np.abs(negative - 0.5) < 0.05), negative
+
+
+def test_orthonormal_completion_signs_like_eigh_and_refuses_dependence():
+    rng = np.random.default_rng(17)
+    V = random_rotation(5, rng)[:, :2]
+    C = orthonormal_completion(V)
+    peak = C[np.abs(C).argmax(axis=0), np.arange(3)]
+    assert np.all(peak > 0.0)
+    with pytest.raises(NumericalFailure):
+        orthonormal_completion(np.column_stack([V[:, 0], V[:, 0]]))
 
 
 def test_orthonormal_completion():
