@@ -92,7 +92,7 @@ _RANGES = {
     "outer": (lambda v: v >= 1, "at least 1"),
     "rho0": (lambda v: 0.0 < v < math.inf, "positive and finite"),
     "rho_mult": (lambda v: 1.0 < v < math.inf, "finite and above 1"),
-    "inner_tol": (lambda v: v > 0.0, "positive"),
+    "inner_tol": (lambda v: 0.0 < v < math.inf, "positive and finite"),
     "seed": (lambda v: v >= 0, "non-negative"),
 }
 

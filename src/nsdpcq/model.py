@@ -37,7 +37,10 @@ it builds, so a caller that holds one evaluation per point, as the
 checkers' `PointData` and the penalty solve do, builds each once.  The
 derivatives of an affine map, such as a linear objective, and the
 values and derivatives of a problem without equalities are built once
-per problem and shared by all its evaluations.
+per problem and shared by all its evaluations.  The second-derivative
+tables of a map are built the first time its Hessian is taken, and the
+product C @ vec(Y) of G's coefficient stack with a read-only
+multiplier Y once, for the adjoint and the Hessian of a point alike.
 `NsdpProblem.constraint_stack` exposes G's stack read-only as (T, m, m)
 matrices A_t, whose congruences give the exact coefficients of a
 compressed constraint, and `NsdpProblem.constraint_exponents` the
@@ -338,7 +341,13 @@ class Compiled:
     partials and its adjoints can share one.  Applying the
     same construction to D's reduced exponents indexes the second
     derivatives, and the Hessian of <value, M> is one weighted bincount
-    of their monomials against C @ M.  The value also
+    of their monomials against C @ M.  Those second-derivative tables
+    are built the first time a Hessian is taken (hessian_tables), which
+    an analysis without a penalty trace never does.  C @ vec(M) is
+    kept for the last read-only M that owns its data, such as a SymMat's
+    array, so the adjoint and the Hessian of one multiplier compute it
+    once; a writable M, or a view of memory its owner may change between
+    calls, is multiplied afresh at every call.  The value also
     takes a stack of tables (..., (d + 1) * n) and multiplies each
     point's mons by C on its own, the product a single point gets.
     exponents holds the monomials' exponent rows, shape (T, n), and
@@ -349,11 +358,11 @@ class Compiled:
     map with an empty second-derivative table, is affine: its D holds
     ones (exponent 1 times x^0) and is the same at every point, so
     derivatives builds it at the first point and returns it, read-only,
-    at every later one, and jacobian keeps D @ C the same way.  The test
-    is on the total degree: x1 * x2 has degree 1 in the sense above, but
-    its gradient moves with x.  A map with no terms, such as the
-    equalities of a problem without any, gives one shared read-only zero
-    value at a single point.
+    at every later one, and jacobian and gradient keep D @ C the same
+    way.  Its Hessian is zero.  The test is on the total degree: x1 * x2
+    has degree 1 in the sense above, but its gradient moves with x.  A
+    map with no terms, such as the equalities of a problem without any,
+    gives one shared read-only zero value at a single point.
 
     entries pairs each polynomial with the flat positions it fills: one
     for an objective or an equality, two for an off-diagonal matrix
@@ -361,8 +370,8 @@ class Compiled:
     """
 
     __slots__ = ("n", "shape", "C", "exponents", "degree", "affine",
-                 "_idx", "_didx", "_dmult", "_dpos", "_hidx", "_hmult",
-                 "_hpos", "_hmon", "_D", "_J", "_zero")
+                 "_idx", "_didx", "_dmult", "_dpos", "_htables", "_D", "_J",
+                 "_grad", "_zero", "_weighted")
 
     def __init__(self, n: int, shape: Tuple[int, ...],
                  entries: Iterable[Tuple[Sequence[int], Poly]]):
@@ -382,33 +391,21 @@ class Compiled:
         # d mon_t / d x_l = E[t, l] * x^(E[t] - unit_l) for each positive
         # exponent; _idx and _didx index the flattened (d + 1, n) power
         # table, _dpos the flattened D
-        t_of, l_of = np.nonzero(E)
-        Ered = E[t_of]
-        Ered[np.arange(t_of.size), l_of] -= 1
+        t_of, l_of, Ered = _lowered(E)
         cols = np.arange(n)
         self.n = n
         self.shape = tuple(shape)
         self.C = C
         self.exponents = E
         self.degree = int(E.max(initial=0))
-        self._D = self._J = None
+        # no second derivative is a total degree of at most 1
+        self.affine = int(E.sum(axis=1).max(initial=0)) <= 1
+        self._D = self._J = self._grad = self._htables = self._weighted = None
         self._zero = None if T else _frozen(np.zeros(self.shape))
         self._idx = E * n + cols
         self._didx = Ered * n + cols
         self._dmult = E[t_of, l_of].astype(float)
         self._dpos = l_of * T + t_of
-        # d2 mon_t / dx_l dx_k: the same step on row j of Ered, whose
-        # monomial is t_of[j] and first variable l_of[j]; _hpos indexes
-        # the flattened (n, n) Hessian
-        j_of, k_of = np.nonzero(Ered)
-        Ered2 = Ered[j_of]
-        Ered2[np.arange(j_of.size), k_of] -= 1
-        self._hidx = Ered2 * n + cols
-        self._hmult = self._dmult[j_of] * Ered[j_of, k_of]
-        self._hpos = l_of[j_of] * n + k_of
-        self._hmon = t_of[j_of]
-        # no second derivative is a total degree of at most 1
-        self.affine = not j_of.size
 
     @classmethod
     def matrix(cls, G: MatrixPoly) -> "Compiled":
@@ -417,9 +414,34 @@ class Compiled:
         return cls(G.n, (m, m), (({i * m + j, j * m + i}, p)
                                  for (i, j), p in G.entries.items()))
 
+    def hessian_tables(self) -> Tuple[np.ndarray, ...]:
+        """(hidx, hmult, hpos, hmon): d2 mon_t / dx_l dx_k by the step
+        that gives D, taken on row j of D's reduced exponents, whose
+        monomial is hmon[j]; hidx indexes the power table and hpos the
+        flattened (n, n) Hessian.  Built on first use and kept."""
+        if self._htables is None:
+            n = self.n
+            t_of, l_of, Ered = _lowered(self.exponents)
+            j_of, k_of, Ered2 = _lowered(Ered)
+            self._htables = (Ered2 * n + np.arange(n),
+                             self._dmult[j_of] * Ered[j_of, k_of],
+                             l_of[j_of] * n + k_of, t_of[j_of])
+        return self._htables
+
     @staticmethod
     def _monomials(powers: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.multiply.reduce(powers.take(idx, axis=-1), axis=-1)
+
+    def _weights(self, M) -> np.ndarray:
+        """C @ vec(M), kept for the last read-only M that owns its data."""
+        kept = self._weighted
+        if kept is not None and kept[0] is M:
+            return kept[1]
+        w = self.C @ np.ravel(M)
+        if isinstance(M, np.ndarray) and M.base is None \
+                and not M.flags.writeable:
+            self._weighted = (M, w)
+        return w
 
     def value(self, powers: np.ndarray) -> np.ndarray:
         shape = powers.shape[:-1] + self.shape
@@ -438,19 +460,29 @@ class Compiled:
             self._J = _frozen(J)
         return J
 
+    def gradient(self, powers: np.ndarray) -> np.ndarray:
+        """The gradient of a scalar map at one point, shape (n,),
+        read-only; kept for an affine map."""
+        if self._grad is not None:
+            return self._grad
+        g = _frozen(self.jacobian(self.derivatives(powers)).ravel())
+        if self.affine:
+            self._grad = g
+        return g
+
     def adjoint(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
         """D @ (C @ M), for D = derivatives(powers): the gradient of
         x -> <value(x), M>."""
-        return D @ (self.C @ M.ravel())
+        return D @ self._weights(M)
 
     def hessian(self, powers: np.ndarray, M: np.ndarray) -> np.ndarray:
         """The Hessian of x -> <value(x), M>, shape (n, n)."""
         n = self.n
-        if not self._hpos.size:     # numpy counts an empty input as int
+        if self.affine:     # a zero Hessian, with no tables to build
             return np.zeros((n, n))
-        w = (self.C @ np.ravel(M))[self._hmon]
-        terms = self._hmult * self._monomials(powers, self._hidx) * w
-        return np.bincount(self._hpos, weights=terms,
+        hidx, hmult, hpos, hmon = self.hessian_tables()
+        terms = hmult * self._monomials(powers, hidx) * self._weights(M)[hmon]
+        return np.bincount(hpos, weights=terms,
                            minlength=n * n).reshape(n, n)
 
     def derivatives(self, powers: np.ndarray) -> np.ndarray:
@@ -463,6 +495,15 @@ class Compiled:
         if self.affine:
             self._D = _frozen(D)
         return D
+
+
+def _lowered(E: np.ndarray):
+    """(t, l, R) for exponent rows E: t and l the row and column of each
+    positive entry, and R the rows E[t] with entry l lowered by one."""
+    t_of, l_of = np.nonzero(E)
+    R = E[t_of]
+    R[np.arange(t_of.size), l_of] -= 1
+    return t_of, l_of, R
 
 
 class NsdpProblem:
@@ -660,13 +701,15 @@ class Evaluation:
         except ValueError:          # SymMat refuses a non-finite G(x)
             return False
         return (math.isfinite(self.objective_value())
-                and bool(np.isfinite(self.equality_values()).all()))
+                and (not self.problem.equalities
+                     or bool(np.isfinite(self.equality_values()).all())))
 
     def constraint_value(self) -> SymMat:
         # Compiled.matrix fills an entry and its mirror from one
-        # coefficient column, so G(x) comes out exactly symmetric
+        # coefficient column, so G(x) comes out exactly symmetric, a
+        # fresh square array that only the finiteness check is left for
         if self._gx is None:
-            self._gx = SymMat.exact(self.problem._G.value(self.powers))
+            self._gx = SymMat._frozen(self.problem._G.value(self.powers))
         return self._gx
 
     def spectrum(self) -> Spectral:
@@ -689,7 +732,8 @@ class Evaluation:
         return self._partials
 
     def adjoint(self, M) -> np.ndarray:
-        """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>)."""
+        """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>); C @ vec(M)
+        is shared with the Hessian of a read-only M (see Compiled)."""
         M = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
         return self.problem._G.adjoint(self._constraint_derivatives(), M)
 
@@ -700,8 +744,7 @@ class Evaluation:
 
     def objective_gradient(self) -> np.ndarray:
         if self._df is None:
-            f = self.problem._f
-            self._df = _frozen(f.jacobian(f.derivatives(self.powers)).ravel())
+            self._df = self.problem._f.gradient(self.powers)
         return self._df
 
     def equality_values(self) -> np.ndarray:
@@ -721,13 +764,15 @@ class Evaluation:
         shape (n, n)."""
         P = self.problem
         Y = Y.a if isinstance(Y, SymMat) else Y
-        H = (P._f.hessian(self.powers, np.ones(1))
-             - P._G.hessian(self.powers, Y))
+        # an affine f's zero Hessian minus Hess <G, Y> is 0.0 minus it
+        # entrywise, signed zeros included, and holds no -0.0
+        Hf = 0.0 if P._f.affine else P._f.hessian(self.powers, np.ones(1))
+        H = Hf - P._G.hessian(self.powers, Y)
         # an equality map without second derivatives adds zeros, which
         # only turn a -0.0 into 0.0, as + 0.0 does
         if not P._h.affine:
             return H + P._h.hessian(self.powers, w)
-        return H + 0.0
+        return H if P._f.affine else H + 0.0
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

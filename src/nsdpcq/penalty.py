@@ -65,11 +65,17 @@ recomputing them, the projection weights are filled block by block off
 the sorted spectrum, the Cholesky factor is taken of H itself unless H
 needs a diagonal shift, the factorization and both triangular solves
 call the LAPACK gufuncs behind numpy.linalg directly, so that a failed
-factorization costs one LAPACK call and no raised LinAlgError, the
-derivatives of an affine f, G or h (a linear objective, say) and the
-empty values of absent equalities are built once per problem (see
-model.Compiled), and the eigendecomposition of one matrix takes
-symmat.eigh's single-matrix path.
+factorization costs one LAPACK call and no raised LinAlgError, under
+one errstate that inner_minimize enters per level, the derivatives of
+an affine f, G or h (a linear objective, say), the gradient of an
+affine f and the empty values of absent equalities are built once per
+problem (see model.Compiled), an affine f adds no Hessian term, a
+problem without equalities skips their terms, and the
+eigendecomposition of one matrix takes symmat.eigh's single-matrix
+path, the LAPACK gufunc behind numpy.linalg.eigh.  The multiplier is
+symmetrized in place and frozen with no copy, a point where G(x) is
+PSD gets its zero multiplier with no product, and the gradient's
+adjoint and the Hessian share one C @ vec(Y) (model.Compiled).
 """
 from __future__ import annotations
 
@@ -138,8 +144,8 @@ class PenaltyConfig:
             raise ValueError("rho0 must be positive")
         if not self.rho_mult > 1.0:
             raise ValueError("rho_mult must exceed 1")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
+        if not 0.0 < self.inner_tol < math.inf:
+            raise ValueError("inner_tol must be positive and finite")
         if self.outer_iters < 1 or self.inner_max_iters < 1:
             raise ValueError("iteration counts must be positive")
 
@@ -242,11 +248,16 @@ def _penalty_value(anchor: np.ndarray, rho: float, x: np.ndarray,
     pieces its gradient reuses: (val, dx, neg, reg, pen), neg the
     eigenvalues of proj(-G(x)) and reg and pen the regularization and
     penalty terms."""
-    hvals = ev.equality_values()
     dx = x - anchor
     neg = np.maximum(-ev.spectrum().values, 0.0)
     reg = 0.5 * float(dx @ dx)
-    pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
+    # without equalities the sum of squares is 0.0, and adding it keeps
+    # every bit of neg @ neg, which is never -0.0
+    sq = float(neg @ neg)
+    if ev.problem.equalities:
+        hvals = ev.equality_values()
+        sq += float(hvals @ hvals)
+    pen = 0.5 * rho * sq
     return ev.objective_value() + reg + pen, dx, neg, reg, pen
 
 
@@ -271,16 +282,21 @@ def _penalty_parts(anchor: np.ndarray, rho: float, x: np.ndarray,
     the Armijo test off.
     """
     val, dx, neg, reg, pen = value or _penalty_value(anchor, rho, x, ev)
-    fx, hvals, spec = ev.objective_value(), ev.equality_values(), ev.spectrum()
-    act = neg > 0.0
-    if act.any():
+    fx, spec = ev.objective_value(), ev.spectrum()
+    if spec.values[-1] < 0.0:
+        act = neg > 0.0
         V = spec.vectors[:, act]
         Ymat = rho * (V * neg[act]) @ V.T
-    else:
+        # (Y + Y^T) / 2 in place, entrywise the average from_symmetric
+        # takes, and exactly symmetric
+        Ymat += Ymat.T
+        Ymat /= 2.0
+    else:                   # G(x) PSD: a zero multiplier, with no product
         Ymat = np.zeros((ev.problem.m, ev.problem.m))
-    Y = SymMat.from_symmetric(Ymat)
+    Y = SymMat._frozen(Ymat)
     grad = ev.objective_gradient() + dx - ev.adjoint(Y.a)
-    if hvals.shape[0]:
+    if ev.problem.equalities:
+        hvals = ev.equality_values()
         grad = grad + rho * (ev.equality_gradients().T @ hvals)
     noise = VALUE_NOISE * (abs(fx) + reg + pen
                            + rho * _lam_abs(spec.values) * float(neg.sum()))
@@ -370,7 +386,6 @@ def _projection_weights(mu: np.ndarray) -> np.ndarray:
     return W
 
 
-@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """-(H + tau I)^-1 grad for the smallest tau of the doubling sequence
     that makes H + tau I positive definite: Cholesky with added multiple
@@ -387,9 +402,10 @@ def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     factorization by an all-NaN factor, where a factor it returns has
     zeros above the diagonal, so the top right entry tells them apart
     without a LinAlgError (for n = 1 a NaN H also counts as failed).
-    The errstate is the one numpy.linalg sets, less the LinAlgError it
-    raises on the invalid flag; a triangular solve that numpy.linalg
-    would refuse as singular gives a NaN direction instead.
+    The caller sets the errstate numpy.linalg sets, less the LinAlgError
+    it raises on the invalid flag, as inner_minimize does once for its
+    whole solve; a triangular solve that numpy.linalg would refuse as
+    singular gives a NaN direction instead.
     """
     beta = 1e-3
     diag = float(H.diagonal().min())
@@ -441,7 +457,7 @@ def _line_search(P: NsdpProblem, anchor: np.ndarray, rho: float,
     return None
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
                    x_start, ev: Optional[Evaluation] = None) -> InnerResult:
     """Semismooth Newton with Armijo backtracking on the regularized

@@ -14,6 +14,7 @@ defects included.
 
     python tests/survey.py --write    # regenerate tests/data/survey.json
     python tests/survey.py --check    # print every moved cell, exit 1 on any
+    python tests/survey.py --check --expect-digests DIGEST SOLVE_DIGEST
     python tests/survey.py --scale S  # analyze with G -> S G, see below
 
 Both print one summary line: instance count, separation notes, lattice
@@ -23,7 +24,13 @@ solve, that solve's notes and its timestamp-free analysis report, and a
 solve digest over the names, solves and notes alone.  Two checkouts
 that print the same digest produced bit-identical iterates,
 multipliers, spectra, verdicts and witnesses; the same solve digest
-says the same of the penalty runs when only reports moved.
+says the same of the penalty runs when only reports moved.  A change
+meant to keep every bit, such as a performance change, is gated by
+--expect-digests with the two digests the parent commit prints: the
+check then also exits 1 when either digest differs, naming it.  The
+digests depend on the numpy and BLAS build, so they are compared
+between two checkouts on one machine and are not pinned in CI, which
+also runs numpy 1.24.
 
 No condition changes when G is multiplied by a constant S > 0.  --scale
 analyzes every instance with each coefficient of G times S, with no
@@ -181,7 +188,13 @@ def main(argv=None) -> int:
     mode.add_argument("--write", action="store_true")
     mode.add_argument("--check", action="store_true")
     mode.add_argument("--scale", type=positive, metavar="S")
+    ap.add_argument("--expect-digests", nargs=2,
+                    metavar=("DIGEST", "SOLVE_DIGEST"),
+                    help="with --check, also exit 1 unless the run prints "
+                    "these two digests")
     args = ap.parse_args(argv)
+    if args.expect_digests and not args.check:
+        ap.error("--expect-digests needs --check")
     if args.scale is not None:
         return scale_check(args.scale)
     rows, iters, digest, solves = survey()
@@ -194,6 +207,12 @@ def main(argv=None) -> int:
             for k, v in sorted(rows.items())) + "\n}\n")
         return 0
     moved = moves(json.loads(TABLE.read_text()), rows)
+    if args.expect_digests:
+        for label, want, got in zip(("digest", "solve digest"),
+                                    args.expect_digests, (digest, solves)):
+            if got != want:
+                moved.append(f"{label} {got} differs from the expected "
+                             f"{want}")
     for line in moved:
         print(line)
     return 1 if moved else 0

@@ -166,6 +166,9 @@ class TestArgumentRanges:
         # -1 reached default_rng and exited 1 with a traceback
         (["analyze", "corpus:facial", "--seed", "-1"], "--seed"),
         (["corpus", "run", "--seed", "-1"], "--seed"),
+        # inf solved every level to the capped tolerance and exited 0
+        (["solve", "corpus:diag3", "--inner-tol", "inf"], "--inner-tol"),
+        (["solve", "corpus:diag3", "--inner-tol", "nan"], "--inner-tol"),
     ])
     def test_out_of_range_exit_two(self, argv, flag, capsys):
         assert cli.main(argv) == 2

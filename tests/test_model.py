@@ -145,8 +145,7 @@ def _random_problem_json(rng):
 
 def test_parse_matches_per_term_reference_bitwise():
     rng = np.random.default_rng(2101)
-    slots = ("C", "exponents", "_idx", "_didx", "_dmult", "_dpos", "_hidx",
-             "_hmult", "_hpos", "_hmon")
+    slots = ("C", "exponents", "_idx", "_didx", "_dmult", "_dpos")
     sizes = set()
     for _ in range(200):
         obj = json.loads(json.dumps(_random_problem_json(rng)))
@@ -160,8 +159,10 @@ def test_parse_matches_per_term_reference_bitwise():
         for name in ("_f", "_G", "_h"):
             a, b = getattr(P, name), getattr(Q, name)
             assert a.shape == b.shape and a.degree == b.degree
-            for slot in slots:
-                x, y = getattr(a, slot), getattr(b, slot)
+            tables = zip(("hidx", "hmult", "hpos", "hmon"),
+                         a.hessian_tables(), b.hessian_tables())
+            for slot, x, y in [(slot, getattr(a, slot), getattr(b, slot))
+                               for slot in slots] + list(tables):
                 assert x.dtype == y.dtype and x.shape == y.shape
                 assert x.tobytes() == y.tobytes(), (name, slot)
     assert min(sizes) == 1 and max(sizes) == MAX_VARS
@@ -538,6 +539,45 @@ def test_evaluation_keeps_read_only_derivatives():
         M = M + M.T
         alone = P._G.adjoint(P._G.derivatives(ev.powers), M)
         assert ev.adjoint(M).tobytes() == alone.tobytes(), P.name
+
+
+def test_weighted_product_is_shared_only_for_read_only_multipliers():
+    # C @ vec(Y) for a SymMat's read-only array is taken once and shared
+    # by the adjoint and the Hessian, whose bytes are those of a fresh
+    # product; a writable M, or a read-only view of one, is multiplied
+    # afresh, so a change between two calls gives the new answer
+    rng = np.random.default_rng(31)
+    for P, x in evaluation_cases():
+        ev = P.at(x)
+        D, C = P._G.derivatives(ev.powers), P._G.C
+        fresh = NsdpProblem(P.n, P.objective, P.constraint, P.equalities)
+        g = rng.standard_normal((P.m, P.m))
+        Y = SymMat.from_symmetric(g)
+        w = rng.standard_normal(len(P.equalities))
+        adj = ev.adjoint(Y)
+        kept = P._G._weights(Y.a)
+        assert kept is P._G._weights(Y.a)
+        assert kept.tobytes() == (C @ Y.a.ravel()).tobytes()
+        assert adj.tobytes() == (D @ (C @ Y.a.ravel())).tobytes()
+        H = ev.lagrangian_hessian(Y, w)
+        assert H.tobytes() == fresh.at(x).lagrangian_hessian(
+            Y.a.copy(), w).tobytes(), P.name
+        assert ev.adjoint(Y).tobytes() == adj.tobytes()
+        M = g + g.T
+        view = M.view()
+        view.flags.writeable = False
+        for arg in (M, view):
+            first = ev.adjoint(arg)
+            ev.lagrangian_hessian(arg, w)
+            step = rng.standard_normal((P.m, P.m))
+            M += step + step.T
+            second = ev.adjoint(arg)
+            assert second.tobytes() == (D @ (C @ M.ravel())).tobytes()
+            assert ev.lagrangian_hessian(arg, w).tobytes() == \
+                fresh.at(x).lagrangian_hessian(M.copy(), w).tobytes()
+            if np.any(D @ (C @ (step + step.T).ravel())):
+                assert not np.array_equal(first, second), P.name
+        assert P._G._weighted[0] is Y.a
 
 
 def test_affine_maps_keep_one_derivative_stack():

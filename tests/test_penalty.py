@@ -52,7 +52,7 @@ from nsdpcq.cqcheck import (
 )
 from nsdpcq.corpus import entries as corpus_entries
 from nsdpcq.errors import InfeasiblePointError, NumericalFailure
-from nsdpcq import model, penalty, report
+from nsdpcq import model, penalty, report, symmat
 from nsdpcq.model import MatrixPoly, NsdpProblem, Poly
 from nsdpcq.penalty import (
     PenaltyConfig,
@@ -325,6 +325,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             PenaltyConfig(anchor=np.zeros(1), outer_iters=0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-8])
+    def test_inner_tol_must_be_positive_and_finite(self, tol):
+        # an infinite tolerance solved every level to INNER_TOL_CAP
+        with pytest.raises(ValueError, match="positive and finite"):
+            PenaltyConfig(anchor=np.zeros(1), inner_tol=tol)
+
     def test_anchor_coercion(self):
         cfg = PenaltyConfig(anchor=[1, 2])
         assert cfg.anchor.dtype == float
@@ -506,6 +512,28 @@ class TestOnePassPerPoint:
                 assert parts(P, np.zeros(P.n), rho, x)[2].a.tobytes() \
                     == Y0.a.tobytes() == Y.a.tobytes() == got[2].a.tobytes()
 
+    def test_penalty_parts_at_the_points_match_oracle_bytes(self):
+        # at x_bar G is PSD on most of these problems, where the
+        # multiplier is zero and takes no product, and slightly indefinite
+        # on the rest; the value, gradient, multiplier and noise floor are
+        # the reference's bytes, the multiplier read-only and laid out alike
+        def bits(v):
+            return np.float64(v).tobytes()
+
+        zero = set()
+        for P, x_bar in oracle_problems():
+            for rho in (1.0, 1e6):
+                want = penalty_parts_reference(P, np.ones(P.n), rho, x_bar)
+                got = parts(P, np.ones(P.n), rho, x_bar)
+                assert bits(got[0]) == bits(want[0]), P.name
+                assert bits(got[3]) == bits(want[3]), P.name
+                assert got[1].tobytes() == want[1].tobytes(), P.name
+                Y, Yref = got[2].a, want[2].a
+                assert Y.tobytes() == Yref.tobytes(), P.name
+                assert Y.strides == Yref.strides and Y.flags == Yref.flags
+                zero.add(not Y.any())
+        assert zero == {True, False}
+
     def test_path_trace_matches_per_point_oracle(self):
         rng = np.random.default_rng(29)
         for P, x_bar in oracle_problems():
@@ -672,6 +700,12 @@ class TestNewtonDirection:
     """The shift search through the LAPACK gufuncs against the same
     search through numpy.linalg."""
 
+    @pytest.fixture(autouse=True)
+    def solve_errstate(self):
+        # the errstate inner_minimize sets for every direction it takes
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+
     @pytest.fixture
     def attempts(self, monkeypatch):
         counts = {"gufunc": 0, "linalg": 0}
@@ -718,6 +752,30 @@ class TestNewtonDirection:
 
 
 class TestRunPenalty:
+    def test_bench_solves_match_the_numpy_linalg_eigh_route(self,
+                                                            monkeypatch):
+        # 13-level solves of the 21 benchmark instances (7 corpus entries,
+        # 2 ladder and 12 degenerate ones) write the same JSONL and notes
+        # when symmat's single-matrix eigensolve goes through
+        # numpy.linalg.eigh instead of the gufunc behind it
+        def linalg(a, signature):
+            assert signature == "d->dd"
+            return np.linalg.eigh(a)
+
+        runs = []
+        for name, obj, point in islice(survey_instances(), 21):
+            P = NsdpProblem.from_json(obj)
+            cfg = PenaltyConfig(anchor=point, outer_iters=13)
+            got = run_penalty(P, cfg)
+            with monkeypatch.context() as mp:
+                mp.setattr(symmat, "_eigh_lo", linalg)
+                want = run_penalty(P, cfg)
+            assert got.to_jsonl() == want.to_jsonl(), name
+            assert got.notes == want.notes, name
+            runs.append(name)
+        assert runs[7].startswith("ladder") and len(runs) == 21
+        assert runs[-1].startswith("degenerate11")
+
     def test_diag3_closed_form(self):
         P = diag3_problem()
         cfg = PenaltyConfig(anchor=np.zeros(3))

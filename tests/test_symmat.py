@@ -176,7 +176,9 @@ def test_eigh_single_matrix_matches_stack_form():
     # values and vectors as bytes, with the same strides and flags, on
     # random matrices, exactly repeated eigenvalues (a permuted diagonal
     # and a multiple of a permutation-invariant matrix, where LAPACK
-    # returns ties) and the zero matrix
+    # returns ties) and the zero matrix.  Its gufunc returns what
+    # numpy.linalg.eigh returns on the same array, and so does the
+    # 0 x 0 case, which has nothing to order
     def draw(rng, m, kind):
         if kind == 0:
             g = rng.standard_normal((m, m))
@@ -189,17 +191,31 @@ def test_eigh_single_matrix_matches_stack_form():
                                                  + np.eye(m))
         return np.zeros((m, m))
 
+    def same(got, want, *where):
+        for u, v in zip(got, want):
+            assert u.tobytes() == v.tobytes(), where
+            assert u.shape == v.shape and u.strides == v.strides, where
+            assert u.flags == v.flags, where
+
+    sizes = set()
     for seed in range(400):
         rng = np.random.default_rng(50_000 + seed)
         m = int(rng.integers(1, 9))
+        sizes.add(m)
         a = draw(rng, m, seed % 4)
+        A = SymMat(a).a
+        same(symmat._eigh_lo(A, signature="d->dd"), np.linalg.eigh(A),
+             seed, m)
         for M in (SymMat(a), a):
-            got, want = eigh(M), eigh_stack_form(SymMat(a).a)
-            for u, v in ((got.values, want.values),
-                         (got.vectors, want.vectors)):
-                assert u.tobytes() == v.tobytes(), (seed, m)
-                assert u.shape == v.shape and u.strides == v.strides
-                assert u.flags == v.flags, (seed, m)
+            got, want = eigh(M), eigh_stack_form(A)
+            same((got.values, got.vectors), (want.values, want.vectors),
+                 seed, m)
+    assert sizes == set(range(1, 9))
+    empty = np.zeros((0, 0))
+    got, want = eigh(empty), np.linalg.eigh(empty)
+    for v in want:
+        v.setflags(write=False)
+    same((got.values, got.vectors), want)
 
 
 def test_eigh_stack_failure_anywhere_is_numerical_failure():
@@ -217,11 +233,27 @@ def test_eigh_stack_failure_anywhere_is_numerical_failure():
 
 
 def test_eigh_lapack_failure_is_numerical_failure(monkeypatch):
+    # the single-matrix gufunc reports a failure by NaN outputs and the
+    # invalid flag, and the stack path's numpy.linalg.eigh by LinAlgError;
+    # both are raised as the same NumericalFailure
+    def nans(a, signature):
+        m = a.shape[-1]
+        np.sqrt(-1.0)              # sets the invalid flag, as LAPACK does
+        return np.full(m, np.nan), np.full((m, m), np.nan)
+
     def boom(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    message = "eigensolver failed: Eigenvalues did not converge"
+    monkeypatch.setattr(symmat, "_eigh_lo", nans)
+    for M in (SymMat.diag([1.0, 2.0]), np.eye(3), [[4.0]]):
+        with pytest.raises(NumericalFailure) as info:
+            eigh(M)
+        assert str(info.value) == message
     monkeypatch.setattr(symmat.np.linalg, "eigh", boom)
     with pytest.raises(NumericalFailure) as info:
-        eigh(SymMat.diag([1.0, 2.0]))
+        eigh(SymMat.from_symmetric(np.array([np.eye(2), np.eye(2)])))
+    assert str(info.value) == message
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
