@@ -19,7 +19,6 @@ from .symmat import (
     Spectral,
     SymMat,
     eigh,
-    proj_psd,
 )
 from .model import (
     MatrixPoly,
@@ -35,7 +34,6 @@ from .cqcheck import (
     check_nondegeneracy,
     check_robinson,
     feasibility_data,
-    kkt_residual,
     li_test,
     pli_test,
 )
@@ -90,14 +88,12 @@ __all__ = [
     "facial_reduce",
     "feasibility_data",
     "hat_map",
-    "kkt_residual",
     "li_test",
     "make_path_trace",
     "parse_problem_text",
     "pli_test",
     "probe_weak_ndg",
     "probe_weak_robinson",
-    "proj_psd",
     "run_penalty",
     "structurally_diagonal",
     "tilde_map",

@@ -125,16 +125,21 @@ def cmd_analyze(args) -> int:
 def cmd_solve(args) -> int:
     P, default_point = _load_problem(args.problem)
     anchor = _point_arg(args, P, default_point, "anchor")
-    cfg = PenaltyConfig(anchor=anchor, rho0=args.rho0,
-                        rho_mult=args.rho_mult, outer_iters=args.outer,
-                        inner_tol=args.inner_tol)
+    try:
+        cfg = PenaltyConfig(anchor=anchor, rho0=args.rho0,
+                            rho_mult=args.rho_mult, outer_iters=args.outer,
+                            inner_tol=args.inner_tol)
+    except ValueError as exc:
+        # each flag is in range (_check_ranges), so the schedule overflows
+        raise ProblemFormatError(
+            f"--rho0, --rho-mult and --outer: {exc}") from None
     trace = run_penalty(P, cfg)
     print(f"penalty run on {P.name}, anchor "
           f"({', '.join(f'{v:g}' for v in anchor)})")
     print(f"  {'k':>3s} {'rho':>10s} {'||Y||_F':>12s} "
           f"{'residual':>12s} {'iters':>5s}  inner")
     for rec in trace.iterates:
-        flag = inner_stop(rec.inner_converged, rec.inner_iterations, cfg)
+        flag = inner_stop(rec.inner_converged, rec.inner_iterations)
         print(f"  {rec.k:>3d} {rec.rho:>10.1e} {rec.multiplier_norm:>12.4e} "
               f"{rec.stationarity_residual:>12.4e} {rec.inner_iterations:>5d}"
               f"  {flag}")

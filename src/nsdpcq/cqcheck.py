@@ -36,14 +36,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import symmat
 from .errors import InfeasiblePointError
 from .lp import phase_one
 from .model import Evaluation, NsdpProblem, structurally_diagonal
-from .symmat import (LI_TOL, Spectral, SymMat, eigh, ranked_svd,
+from .symmat import (TAU_RANK, Spectral, SymMat, eigh, ranked_svd,
                      spectral_kernel)
-
-TAU_RANK = symmat.TAU_RANK
 DUAL_CERT_TOL = 1e-12    # relative size of a certifying bound of the saddle solve
 SADDLE_ITERS = 1000      # iteration budget of the saddle-point solve
 POLISH_STEPS = 60        # Gauss-Newton steps per polish rank
@@ -282,7 +279,7 @@ def pli_test(vectors: Sequence[np.ndarray],
     A_eq[n, :k] = 1.0
     b = np.zeros(n + 1)
     b[n] = 1.0
-    res = phase_one(A_eq, b, tol=LI_TOL)
+    res = phase_one(A_eq, b)
     if res.feasible:
         alpha = np.clip(res.z[:k], 0.0, None) / vscale
         total = float(np.sum(alpha))
@@ -733,59 +730,3 @@ def check_robinson(pd: PointData) -> CqVerdict:
                f"the primal bound {res.primal:.2e} and the dual bound "
                f"{res.dual:.2e}",
         log=log)
-
-
-# ---------------------------------------------------------------------------
-# KKT residuals
-
-
-@dataclass
-class KktCertificate:
-    """Residuals of the KKT system at (x, Y, mu).
-
-    stationarity is ||grad f(x) - DG(x)*[Y] - sum mu_i grad h_i(x)||_2,
-    complementarity is |<G(x), Y>|, and psd_defect is the magnitude of the
-    most negative eigenvalue of Y (zero for a valid multiplier).
-    """
-
-    multiplier: SymMat
-    equality_multipliers: np.ndarray
-    stationarity_residual: float
-    complementarity_residual: float
-    psd_defect: float
-
-    def is_valid(self, tol: float = 1e-6) -> bool:
-        return (self.stationarity_residual <= tol
-                and self.complementarity_residual <= tol
-                and self.psd_defect <= symmat.TAU_EIG * (
-                    1.0 + self.multiplier.norm_inf()))
-
-    def to_json(self) -> dict:
-        return {
-            "stationarity_residual": self.stationarity_residual,
-            "complementarity_residual": self.complementarity_residual,
-            "psd_defect": self.psd_defect,
-            "multiplier": self.multiplier.a.tolist(),
-            "equality_multipliers": self.equality_multipliers.tolist(),
-        }
-
-
-def kkt_residual(P: NsdpProblem, x, Y, mu=None) -> KktCertificate:
-    x = np.asarray(x, dtype=float)
-    Ym = Y if isinstance(Y, SymMat) else SymMat.from_symmetric(np.asarray(Y, dtype=float))
-    mu = np.zeros(len(P.equalities)) if mu is None else np.asarray(mu, dtype=float)
-    ev = P.at(x)
-    grad = ev.objective_gradient() - ev.adjoint(Ym)
-    Heq = ev.equality_gradients()
-    if Heq.shape[0]:
-        grad = grad - Heq.T @ mu
-    G = ev.constraint_value()
-    comp = abs(symmat.frobenius(G.a, Ym.a))
-    lam_min = float(eigh(Ym).values[-1])
-    return KktCertificate(
-        multiplier=Ym,
-        equality_multipliers=mu,
-        stationarity_residual=float(np.linalg.norm(grad)),
-        complementarity_residual=comp,
-        psd_defect=max(0.0, -lam_min),
-    )

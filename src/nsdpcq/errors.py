@@ -30,12 +30,5 @@ class InfeasiblePointError(NsdpcqError):
 
 
 class NumericalFailure(NsdpcqError):
-    """An internal numeric routine failed to converge or went singular."""
-
-
-class SimplexCycleError(NumericalFailure):
-    """Phase-one simplex exceeded its pivot budget.
-
-    Bland's rule should make this unreachable; the guard is kept so a bug
-    surfaces as a clean error instead of a hang.
-    """
+    """An internal numeric routine failed to converge, went singular or,
+    in the phase-one simplex, ran past its pivot cap."""

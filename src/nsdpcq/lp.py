@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimplexCycleError
+from .errors import NumericalFailure
+from .symmat import LI_TOL
 
 _PIVOT_TOL = 1e-11
 _MAX_PIVOTS = 20_000
@@ -26,9 +27,9 @@ class PhaseOneResult:
     z: np.ndarray           # a feasible point when feasible, else zeros
 
 
-def phase_one(A: np.ndarray, b: np.ndarray,
-              tol: float = 1e-9) -> PhaseOneResult:
-    """Feasibility of A z = b, z >= 0 via a phase-one tableau."""
+def phase_one(A: np.ndarray, b: np.ndarray) -> PhaseOneResult:
+    """Feasibility of A z = b, z >= 0 via a phase-one tableau: feasible
+    when the minimal artificial mass is at most LI_TOL * (1 + max|b|)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     mrows, ncols = A.shape
@@ -81,7 +82,9 @@ def phase_one(A: np.ndarray, b: np.ndarray,
                 T[i, :] -= T[i, enter] * T[leave, :]
         basis[leave] = enter
     else:
-        raise SimplexCycleError("phase-one simplex exceeded its pivot budget")
+        # Bland's rule makes the cap unreachable; it turns a bug into a
+        # clean error instead of a hang
+        raise NumericalFailure("phase-one simplex exceeded its pivot budget")
 
     optimum = -float(T[mrows, -1])
     if optimum < 0.0:
@@ -90,6 +93,6 @@ def phase_one(A: np.ndarray, b: np.ndarray,
     for i, var in enumerate(basis):
         if var < ncols:
             z[var] = max(T[i, -1], 0.0)
-    feasible = optimum <= tol * (1.0 + float(np.max(np.abs(b), initial=0.0)))
+    feasible = optimum <= LI_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
     return PhaseOneResult(feasible=feasible, optimum=optimum,
                           z=z if feasible else np.zeros(ncols))

@@ -44,8 +44,8 @@ multiplier Y once, for the adjoint and the Hessian of a point alike.
 `NsdpProblem.constraint_stack` exposes G's stack read-only as (T, m, m)
 matrices A_t, whose congruences give the exact coefficients of a
 compressed constraint, and `NsdpProblem.constraint_exponents` the
-monomial x^e_t each A_t multiplies.  `Poly.eval` and `Poly.grad` stay as
-the term-by-term reference.
+monomial x^e_t each A_t multiplies.  The term-by-term reference that
+`Compiled` is tested against lives with the tests.
 """
 from __future__ import annotations
 
@@ -147,29 +147,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def eval(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for c, e in self.terms:
-            v = c
-            for xi, ei in zip(x, e):
-                if ei:
-                    v *= xi ** ei
-            total += v
-        return total
-
-    def partial(self, i: int) -> "Poly":
-        terms = []
-        for c, e in self.terms:
-            if e[i] > 0:
-                d = list(e)
-                d[i] -= 1
-                terms.append((c * e[i], tuple(d)))
-        return Poly(self.n, terms)
-
-    def grad(self) -> Tuple["Poly", ...]:
-        return tuple(self.partial(i) for i in range(self.n))
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -313,11 +290,6 @@ class MatrixPoly:
                 entries[(off + i, off + j)] = poly
             off += part.dim
         return cls(dim, n, entries, blocks=[p.dim for p in parts])
-
-    def entry(self, i: int, j: int) -> Poly:
-        if i > j:
-            i, j = j, i
-        return self.entries.get((i, j), Poly.zero(self.n))
 
     def __eq__(self, other):
         return isinstance(other, MatrixPoly) and self.dim == other.dim \

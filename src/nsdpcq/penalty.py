@@ -112,6 +112,7 @@ from .symmat import (
 
 ARMIJO_C = 1e-4
 INNER_TOL_CAP = 1e-5         # upper cap of the per-level tolerance schedule
+INNER_MAX_ITERS = 400        # Newton iterations allowed per penalty level
 # relative float resolution of the penalty value, applied to the sizes of
 # its terms (see _penalty_parts), not to the value itself
 VALUE_NOISE = 1e-14
@@ -130,24 +131,38 @@ _solve1 = _umath_linalg.solve1
 
 @dataclass(frozen=True)
 class PenaltyConfig:
+    """Schedule of a penalty run: outer_iters levels rho0 * rho_mult^k
+    from the anchor, each solved to inner_tolerance within
+    INNER_MAX_ITERS Newton iterations.
+
+    rho0 and rho_mult must be finite, and so must the last level, which
+    is formed by the run's own repeated products: a level that overflows
+    would give a non-finite multiplier.
+    """
+
     anchor: np.ndarray
     rho0: float = 1.0
     rho_mult: float = 10.0
     outer_iters: int = 12
     inner_tol: float = 1e-8
-    inner_max_iters: int = 400
 
     def __post_init__(self):
         object.__setattr__(self, "anchor",
                            np.asarray(self.anchor, dtype=float))
-        if not self.rho0 > 0.0:
-            raise ValueError("rho0 must be positive")
-        if not self.rho_mult > 1.0:
-            raise ValueError("rho_mult must exceed 1")
+        if not 0.0 < self.rho0 < math.inf:
+            raise ValueError("rho0 must be positive and finite")
+        if not 1.0 < self.rho_mult < math.inf:
+            raise ValueError("rho_mult must be finite and exceed 1")
         if not 0.0 < self.inner_tol < math.inf:
             raise ValueError("inner_tol must be positive and finite")
-        if self.outer_iters < 1 or self.inner_max_iters < 1:
-            raise ValueError("iteration counts must be positive")
+        if self.outer_iters < 1:
+            raise ValueError("outer_iters must be positive")
+        rho = self.rho0
+        for _ in range(self.outer_iters - 1):
+            rho *= self.rho_mult
+            if rho == math.inf:
+                raise ValueError("the last penalty level rho0 * rho_mult^"
+                                 f"{self.outer_iters - 1} overflows")
 
 
 @dataclass
@@ -331,13 +346,13 @@ def inner_tolerance(cfg: PenaltyConfig, rho: float) -> float:
     return min(cfg.inner_tol * (1.0 + rho), INNER_TOL_CAP)
 
 
-def inner_stop(converged: bool, iterations: int, cfg: PenaltyConfig) -> str:
+def inner_stop(converged: bool, iterations: int) -> str:
     """How an inner solve ended: "ok", "budget" when it spent
-    cfg.inner_max_iters, "stalled" when the line search found no step
+    INNER_MAX_ITERS, "stalled" when the line search found no step
     before that, or, in a run, when an earlier level stalled."""
     if converged:
         return "ok"
-    return "budget" if iterations >= cfg.inner_max_iters else "stalled"
+    return "budget" if iterations >= INNER_MAX_ITERS else "stalled"
 
 
 def _penalty_hessian(rho: float, ev: Evaluation, Y: SymMat) -> np.ndarray:
@@ -351,8 +366,9 @@ def _penalty_hessian(rho: float, ev: Evaluation, Y: SymMat) -> np.ndarray:
     ones.  With B_l = Q^T D_l G Q the projection term is
     rho B (Omega o B)^T over the flattened B_l.
     """
-    hvals, spec = ev.equality_values(), ev.spectrum()
-    H = ev.lagrangian_hessian(Y, rho * hvals)
+    eqs, spec = ev.problem.equalities, ev.spectrum()
+    # without equalities the Lagrangian Hessian reads no weights
+    H = ev.lagrangian_hessian(Y, rho * ev.equality_values() if eqs else None)
     n = H.shape[0]
     H.flat[::n + 1] += 1.0
     if spec.values[-1] < 0.0:
@@ -361,7 +377,7 @@ def _penalty_hessian(rho: float, ev: Evaluation, Y: SymMat) -> np.ndarray:
         BW = B * _projection_weights(-spec.values).ravel()
         BW *= rho
         H += BW @ B.T
-    if hvals.shape[0]:
+    if eqs:
         Dh = ev.equality_gradients()
         H += rho * (Dh.T @ Dh)
     return H
@@ -498,7 +514,7 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     tol = max(inner_tolerance(cfg, rho),
               _gradient_floor(rho, ev.spectrum(), dg_norm))
     gamma = 1.0 / (1.0 + rho * dg_norm * dg_norm)
-    for it in range(cfg.inner_max_iters):
+    for it in range(INNER_MAX_ITERS):
         gnorm = _norm(grad)
         if gnorm <= tol:
             return InnerResult(x, gnorm, True, it, Y, ev)
@@ -514,7 +530,7 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
             return InnerResult(x, gnorm, False, it, Y, ev)
         x, val, grad, Y, ev, noise = step
     gnorm = _norm(grad)
-    return InnerResult(x, gnorm, gnorm <= tol, cfg.inner_max_iters, Y, ev)
+    return InnerResult(x, gnorm, gnorm <= tol, INNER_MAX_ITERS, Y, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +572,7 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
             inner_converged=res.converged and not stalled,
             inner_iterations=res.iterations))
         if not res.converged:
-            if inner_stop(res.converged, res.iterations, cfg) == "budget":
+            if inner_stop(res.converged, res.iterations) == "budget":
                 how = f"spent its {res.iterations}-iteration budget"
             else:
                 stalled = True
@@ -636,9 +652,7 @@ class TraceFamily(Sequence):
     def __len__(self) -> int:
         return len(self._slots)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> PenaltyTrace:
         slot = self._slots[i]
         if isinstance(slot, PenaltyTrace):
             return slot

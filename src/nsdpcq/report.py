@@ -77,10 +77,21 @@ IMPLICATIONS = (
 
 @dataclass(frozen=True)
 class AnalysisOptions:
+    """Settings of analyze_problem, checked when built: 0 < tol_rank < 1,
+    at least one trace per weak probe, and a non-negative seed."""
+
     tol_rank: float = TAU_RANK
     traces: int = 8
     seed: int = 0
     timestamp: bool = True
+
+    def __post_init__(self):
+        if not 0.0 < self.tol_rank < 1.0:
+            raise ValueError(f"tol_rank must be in (0, 1), got {self.tol_rank}")
+        if self.traces < 1:
+            raise ValueError(f"traces must be at least 1, got {self.traces}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

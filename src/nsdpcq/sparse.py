@@ -99,11 +99,6 @@ class SparsityPattern:
             if not (0 <= i <= j < self.dim):
                 raise ValueError(f"pattern index ({i}, {j}) out of range")
 
-    def has(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.index_set
-
     def missing_diagonal(self) -> List[int]:
         return [i for i in range(self.dim) if (i, i) not in self.index_set]
 
@@ -516,15 +511,8 @@ class FacialReduction:
     added_equalities: Tuple[Poly, ...]
 
     @property
-    def J(self) -> Tuple[int, ...]:
-        return self.J_rounds[0] if self.J_rounds else ()
-
-    @property
     def omega(self) -> int:
         return self.V2.shape[1]
-
-    def is_identity(self) -> bool:
-        return self.rounds == 0
 
 
 def _poly_signature(p: Poly):

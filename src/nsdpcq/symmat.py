@@ -47,7 +47,6 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NumericalFailure
 
-TAU_EIG = 1e-10
 TAU_RANK = 1e-8
 LI_TOL = 1e-8        # relative singular-value threshold of every rank
 # the gufunc numpy.linalg.eigh calls, for the single-matrix path of eigh
@@ -121,10 +120,6 @@ class SymMat:
         return out
 
     @classmethod
-    def diag(cls, values) -> "SymMat":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
-    @classmethod
     def zero(cls, m: int) -> "SymMat":
         return cls(np.zeros((m, m)))
 
@@ -146,10 +141,6 @@ class Spectral:
 
     values: np.ndarray
     vectors: np.ndarray  # column i belongs to values[..., i]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values[..., None, :]) \
-            @ self.vectors.swapaxes(-1, -2)
 
 
 def eigh(M) -> Spectral:
@@ -219,14 +210,6 @@ def eigh(M) -> Spectral:
     values.setflags(write=False)
     vectors.setflags(write=False)
     return Spectral(values=values, vectors=vectors)
-
-
-def proj_psd(M) -> SymMat:
-    """Projection onto the PSD cone: clamp negative eigenvalues to zero."""
-    spec = eigh(M)
-    lam = np.clip(spec.values, 0.0, None)
-    r = (spec.vectors * lam) @ spec.vectors.T
-    return SymMat.from_symmetric(r)
 
 
 def spectral_kernel(spec: Spectral, tau: float) -> np.ndarray:

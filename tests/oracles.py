@@ -6,9 +6,13 @@ congruence L^T S R of a stack as one 3-operand einsum, and the
 congruence B^T G B as polynomials (to rotate a constraint), this holds the
 block machinery (block detection, per-block subproblems), the multifold
 sparse-nondegeneracy check built on it, the pattern-cardinality
-invariance survey, a best-effort KKT multiplier fit, the stack form of
+invariance survey, the KKT residuals at a candidate multiplier and a
+best-effort multiplier fit, the projection onto the PSD cone, the
+term-by-term evaluation and derivatives of a polynomial that the
+compiled evaluator is compared against, the stack form of
 eigh's ordering and sign fix applied to a single matrix, the Lagrangian
-Hessian summed over all three maps, the Newton direction's shift search
+Hessian summed over all three maps, the penalty Hessian with its
+equality terms formed for every problem, the Newton direction's shift search
 through numpy.linalg, the entrywise weights of the
 projection Jacobian, and the per-point
 references of the penalty layer: the penalty value, gradient,
@@ -21,18 +25,17 @@ time, and the term-by-term polynomial parse that builtins now replace.
 Only tests call them; they recompute what the library decides by an
 independent route.
 """
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from nsdpcq.cqcheck import (
     CqStatus,
     CqVerdict,
-    KktCertificate,
     PointData,
     compress,
     feasibility_data,
-    kkt_residual,
     li_test,
     pli_test,
 )
@@ -58,6 +61,7 @@ from nsdpcq.penalty import (
     _block_rotation,
     _lam_abs,
     _persistent_clusters,
+    _projection_weights,
     _snap_to_kernel,
     _usable_records,
     make_path_trace,
@@ -74,7 +78,10 @@ from nsdpcq.sparse import (
     _score,
     check_sparse_ndg,
 )
-from nsdpcq.symmat import Spectral, SymMat, eigh, random_rotation
+from nsdpcq.symmat import Spectral, SymMat, eigh, frobenius, random_rotation
+
+# largest PSD defect of a valid KKT multiplier Y, relative to 1 + max|Y_ij|
+TAU_EIG = 1e-10
 
 
 def entry_gradient(P, x, u, w=None):
@@ -259,6 +266,84 @@ def sparse_card_invariance(pd: PointData, trials: int = 50,
     }
 
 
+def poly_eval(p: Poly, x) -> float:
+    """p(x), summed term by term."""
+    x = np.asarray(x, dtype=float)
+    total = 0.0
+    for c, e in p.terms:
+        v = c
+        for xi, ei in zip(x, e):
+            if ei:
+                v *= xi ** ei
+        total += v
+    return total
+
+
+def poly_partial(p: Poly, i: int) -> Poly:
+    """The partial derivative of p in x_i, term by term."""
+    terms = []
+    for c, e in p.terms:
+        if e[i] > 0:
+            d = list(e)
+            d[i] -= 1
+            terms.append((c * e[i], tuple(d)))
+    return Poly(p.n, terms)
+
+
+def poly_grad(p: Poly) -> Tuple[Poly, ...]:
+    return tuple(poly_partial(p, i) for i in range(p.n))
+
+
+def proj_psd(M) -> SymMat:
+    """Projection onto the PSD cone: clamp negative eigenvalues to zero."""
+    spec = eigh(M)
+    lam = np.clip(spec.values, 0.0, None)
+    return SymMat.from_symmetric((spec.vectors * lam) @ spec.vectors.T)
+
+
+@dataclass
+class KktCertificate:
+    """Residuals of the KKT system at (x, Y, mu).
+
+    stationarity is ||grad f(x) - DG(x)*[Y] - sum mu_i grad h_i(x)||_2,
+    complementarity is |<G(x), Y>|, and psd_defect is the magnitude of the
+    most negative eigenvalue of Y (zero for a valid multiplier).
+    """
+
+    multiplier: SymMat
+    equality_multipliers: np.ndarray
+    stationarity_residual: float
+    complementarity_residual: float
+    psd_defect: float
+
+    def is_valid(self, tol: float = 1e-6) -> bool:
+        return (self.stationarity_residual <= tol
+                and self.complementarity_residual <= tol
+                and self.psd_defect <= TAU_EIG * (
+                    1.0 + self.multiplier.norm_inf()))
+
+
+def kkt_residual(P: NsdpProblem, x, Y, mu=None) -> KktCertificate:
+    x = np.asarray(x, dtype=float)
+    Ym = Y if isinstance(Y, SymMat) else SymMat.from_symmetric(np.asarray(Y, dtype=float))
+    mu = np.zeros(len(P.equalities)) if mu is None else np.asarray(mu, dtype=float)
+    ev = P.at(x)
+    grad = ev.objective_gradient() - ev.adjoint(Ym)
+    Heq = ev.equality_gradients()
+    if Heq.shape[0]:
+        grad = grad - Heq.T @ mu
+    G = ev.constraint_value()
+    comp = abs(frobenius(G.a, Ym.a))
+    lam_min = float(eigh(Ym).values[-1])
+    return KktCertificate(
+        multiplier=Ym,
+        equality_multipliers=mu,
+        stationarity_residual=float(np.linalg.norm(grad)),
+        complementarity_residual=comp,
+        psd_defect=max(0.0, -lam_min),
+    )
+
+
 def find_multiplier(pd: PointData, iters: int = 400) -> KktCertificate:
     """Best-effort KKT multiplier at the point.
 
@@ -280,22 +365,16 @@ def find_multiplier(pd: PointData, iters: int = 400) -> KktCertificate:
     Ah = Heq.T
     z, *_ = np.linalg.lstsq(np.hstack([As, Ah]), g0, rcond=None)
     mu = z[k * k:]
-    S = _project_psd_mat(z[:k * k].reshape(k, k))
+    S = proj_psd(z[:k * k].reshape(k, k)).a
     # polish: projected gradient on || A_s vec(S) + Heq^T mu - g0 ||^2
     lip = max(float(np.linalg.norm(As, 2)) ** 2, 1e-12)
     for _ in range(iters):
         if ne:
             mu, *_ = np.linalg.lstsq(Ah, g0 - As @ S.ravel(), rcond=None)
         resid = As @ S.ravel() + (Ah @ mu if ne else 0.0) - g0
-        S = _project_psd_mat(S - (As.T @ resid).reshape(k, k) / lip)
+        S = proj_psd(S - (As.T @ resid).reshape(k, k) / lip).a
     Y = SymMat.from_symmetric(E @ S @ E.T)
     return kkt_residual(P, x, Y, mu if ne else None)
-
-
-def _project_psd_mat(S: np.ndarray) -> np.ndarray:
-    spec = eigh(SymMat.from_symmetric(S))
-    lam = np.clip(spec.values, 0.0, None)
-    return (spec.vectors * lam) @ spec.vectors.T
 
 
 def eigh_stack_form(a: np.ndarray) -> Spectral:
@@ -326,6 +405,26 @@ def lagrangian_hessian_three_maps(ev, Y: np.ndarray,
     return (P._f.hessian(ev.powers, np.ones(1))
             - P._G.hessian(ev.powers, Y)
             + P._h.hessian(ev.powers, w))
+
+
+def penalty_hessian_equality_terms(rho: float, ev, Y: SymMat) -> np.ndarray:
+    """penalty._penalty_hessian with its equality terms formed for every
+    problem: the Lagrangian Hessian weighted by rho h(x), an empty array
+    without equalities, and rho Dh^T Dh added whenever Dh has rows."""
+    hvals, spec = ev.equality_values(), ev.spectrum()
+    H = ev.lagrangian_hessian(Y, rho * hvals)
+    n = H.shape[0]
+    H.flat[::n + 1] += 1.0
+    if spec.values[-1] < 0.0:
+        Q = spec.vectors
+        B = compress(ev.constraint_partials(), Q).reshape(n, -1)
+        BW = B * _projection_weights(-spec.values).ravel()
+        BW *= rho
+        H += BW @ B.T
+    if hvals.shape[0]:
+        Dh = ev.equality_gradients()
+        H += rho * (Dh.T @ Dh)
+    return H
 
 
 def newton_direction_linalg(H: np.ndarray, grad: np.ndarray) -> np.ndarray:

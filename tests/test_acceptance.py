@@ -17,7 +17,6 @@ from nsdpcq.cqcheck import (
     check_robinson,
     compress,
     feasibility_data,
-    kkt_residual,
     li_test,
     pli_test,
 )
@@ -43,7 +42,6 @@ from nsdpcq.sparse import (
 from nsdpcq.symmat import (
     SymMat,
     frobenius,
-    proj_psd,
     random_rotation,
 )
 
@@ -52,6 +50,8 @@ from oracles import (
     congruence_entries,
     entry_gradient,
     find_multiplier,
+    kkt_residual,
+    proj_psd,
     sparse_card_invariance,
 )
 

@@ -1,5 +1,4 @@
 """Command-line behavior: exit codes, determinism, file round trips."""
-import functools
 import json
 import os
 import subprocess
@@ -9,9 +8,11 @@ import numpy as np
 import pytest
 
 import nsdpcq.cli as cli
+from nsdpcq import penalty
 from nsdpcq.corpus import entries as corpus_entries
 from nsdpcq.errors import NumericalFailure
 from nsdpcq.model import parse_problem_text
+from nsdpcq.report import AnalysisOptions, analyze_problem
 
 
 class TestCorpusCommands:
@@ -208,6 +209,30 @@ class TestArgumentRanges:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # rho overflowed to inf and exited 1 with a traceback
+        ["solve", "corpus:diag3", "--rho0", "1e300", "--rho-mult", "1e10",
+         "--outer", "4"],
+        ["solve", "corpus:diag3", "--outer", "320"],
+    ])
+    def test_overflowing_schedule_exit_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert all(flag in lines[0] for flag in ("--rho0", "--rho-mult",
+                                                 "--outer"))
+
+    def test_library_rejects_analysis_options_out_of_range(self):
+        # fullmat at its point needs no weak probe, which alone checked
+        # traces and seed, so seed -1 reached the report
+        e = next(e for e in corpus_entries() if e.id == "fullmat")
+        for kw in ({"seed": -1}, {"traces": 0}, {"tol_rank": float("nan")},
+                   {"tol_rank": 1.0}):
+            with pytest.raises(ValueError):
+                analyze_problem(e.problem, e.point, AnalysisOptions(**kw))
+
     def test_library_rejects_tol_rank_out_of_range(self):
         from nsdpcq.cqcheck import feasibility_data
         P = corpus_entries()[0].problem
@@ -258,8 +283,7 @@ class TestSolve:
         assert f"stalled after {iters} iterations" in out
 
     def test_spent_budget_is_labelled_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "PenaltyConfig", functools.partial(
-            cli.PenaltyConfig, inner_max_iters=1))
+        monkeypatch.setattr(penalty, "INNER_MAX_ITERS", 1)
         # one Newton step solves a diag3 level; on facial it does not
         assert cli.main(["solve", "corpus:facial", "--anchor", "0,0",
                          "--rho0", "10", "--outer", "2"]) == 0

@@ -26,7 +26,6 @@ from nsdpcq.cqcheck import (
     cone_saddle,
     exact_verdict,
     feasibility_data,
-    kkt_residual,
     li_test,
     pli_test,
 )
@@ -43,7 +42,12 @@ from nsdpcq.penalty import (
 from nsdpcq.report import analyze_problem, lattice_warnings, report_json_text
 from nsdpcq.sparse import check_sparse_ndg, facial_reduce
 from nsdpcq.symmat import eigh, SymMat, random_rotation
-from oracles import congruence_einsum, entry_gradient, find_multiplier
+from oracles import (
+    congruence_einsum,
+    entry_gradient,
+    find_multiplier,
+    kkt_residual,
+)
 from survey import instances as survey_instances, scaled
 from test_acceptance import shifted_problem, upper_family
 

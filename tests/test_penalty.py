@@ -20,9 +20,11 @@ from oracles import (
     entry_gradient,
     newton_direction_linalg,
     path_trace_per_point,
+    penalty_hessian_equality_terms,
     penalty_parts_reference,
     persistent_clusters_per_record,
     probe_traces_full_scan,
+    proj_psd,
     projection_weights_entrywise,
     trace_family_eager,
     usable_records_per_record,
@@ -44,7 +46,6 @@ from test_cqcheck import (
 )
 
 from nsdpcq.cqcheck import (
-    LI_TOL,
     CqStatus,
     check_robinson,
     feasibility_data,
@@ -71,7 +72,7 @@ from nsdpcq.penalty import (
     run_penalty,
 )
 from nsdpcq.report import AnalysisOptions, analyze_problem, report_json_text
-from nsdpcq.symmat import eigh, proj_psd
+from nsdpcq.symmat import LI_TOL, eigh
 
 # a shifted_problem draw (n 4, m 5, nullity 4) whose kernel eigenvalues
 # along the +x3 path form the clusters [[0, 1], [2], [3]]
@@ -325,6 +326,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             PenaltyConfig(anchor=np.zeros(1), outer_iters=0)
 
+    def test_schedule_must_stay_finite(self):
+        # a level that overflowed to inf made SymMat refuse the multiplier
+        # rho * proj(-G) with a ValueError from inside the run
+        for kw in ({"rho0": np.inf}, {"rho_mult": np.inf},
+                   {"rho0": 1e300, "rho_mult": 1e10, "outer_iters": 4},
+                   {"outer_iters": 320}):
+            with pytest.raises(ValueError, match="finite|overflows"):
+                PenaltyConfig(anchor=np.zeros(1), **kw)
+        # 1e308, the last level of 309, is finite
+        PenaltyConfig(anchor=np.zeros(1), outer_iters=309)
+
     @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-8])
     def test_inner_tol_must_be_positive_and_finite(self, tol):
         # an infinite tolerance solved every level to INNER_TOL_CAP
@@ -388,12 +400,13 @@ class TestInnerMinimize:
         assert floors[0] < floors[1] < floors[2]
         assert floors[2] == pytest.approx(1e4 * floors[1], rel=1e-3)
 
-    def test_budget_exhaustion_is_flagged(self):
+    def test_budget_exhaustion_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(penalty, "INNER_MAX_ITERS", 1)
         P = diag3_problem()
-        cfg = PenaltyConfig(anchor=np.zeros(3), inner_max_iters=1)
+        cfg = PenaltyConfig(anchor=np.zeros(3))
         res = inner_minimize(P, cfg, 100.0, np.array([1.0, 1.0, 1.0]))
         assert not res.converged
-        assert inner_stop(res.converged, res.iterations, cfg) == "budget"
+        assert inner_stop(res.converged, res.iterations) == "budget"
 
     def test_gradient_floor_closed_form(self):
         # G = diag(x1, x2): the partials are diag(1, 0) and diag(0, 1), so
@@ -645,6 +658,43 @@ class TestNewtonDerivatives:
                             projection_weights_entrywise)
         assert hessians() == blocks
 
+    def test_penalty_hessian_reads_equalities_only_when_present(
+            self, monkeypatch):
+        # bit for bit the Hessian with the equality terms formed, on
+        # problems with and without equalities; over the 13-level solve of
+        # degenerate00, which has none, no Hessian reads h(x)
+        rng = np.random.default_rng(59)
+        for P, x_bar in oracle_problems():
+            for _ in range(3):
+                x = x_bar + rng.standard_normal(P.n) * 0.1
+                rho = float(rng.choice([1.0, 1e3, 1e9]))
+                ev = P.at(x)
+                Y = _penalty_parts(np.zeros(P.n), rho, x, ev)[2]
+                assert penalty._penalty_hessian(rho, ev, Y).tobytes() \
+                    == penalty_hessian_equality_terms(rho, ev, Y).tobytes()
+        reads, hessians = [], []
+        values = model.Evaluation.equality_values
+        hessian = penalty._penalty_hessian
+
+        def counted(ev):
+            reads.append(ev)
+            return values(ev)
+
+        def recorded(rho, ev, Y):
+            before = len(reads)
+            H = hessian(rho, ev, Y)
+            hessians.append((len(reads) - before, H.tobytes(), rho, ev, Y))
+            return H
+
+        monkeypatch.setattr(model.Evaluation, "equality_values", counted)
+        monkeypatch.setattr(penalty, "_penalty_hessian", recorded)
+        P = NsdpProblem.from_json(json.loads(DEGENERATE00_PROBLEM))
+        run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n), outer_iters=13))
+        assert len(hessians) >= 100
+        for n_reads, H, rho, ev, Y in hessians:
+            assert n_reads == 0
+            assert H == penalty_hessian_equality_terms(rho, ev, Y).tobytes()
+
     def test_penalty_hessian_matches_gradient_differences(self):
         rng = np.random.default_rng(43)
         h = 1e-6
@@ -854,12 +904,13 @@ class TestRunPenalty:
         assert not trace.divergence_suspected
         assert trace.notes == []
 
-    def test_unconverged_levels_say_how_they_stopped(self):
+    def test_unconverged_levels_say_how_they_stopped(self, monkeypatch):
         # one Newton step solves a diag3 level; on facial it does not
         P = facial_problem()
-        budget = run_penalty(P, PenaltyConfig(anchor=np.zeros(2), rho0=10.0,
-                                              outer_iters=2,
-                                              inner_max_iters=1))
+        with monkeypatch.context() as patch:
+            patch.setattr(penalty, "INNER_MAX_ITERS", 1)
+            budget = run_penalty(P, PenaltyConfig(anchor=np.zeros(2),
+                                                  rho0=10.0, outer_iters=2))
         assert [rec.inner_iterations for rec in budget.iterates] == [1, 1]
         assert not any(rec.inner_converged for rec in budget.iterates)
         assert budget.notes == [
@@ -889,8 +940,8 @@ class TestRunPenalty:
         trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(1)))
         first, *later = trace.iterates
         assert len(later) == 11
-        assert inner_stop(first.inner_converged, first.inner_iterations,
-                          PenaltyConfig(anchor=np.zeros(1))) == "stalled"
+        assert inner_stop(first.inner_converged,
+                          first.inner_iterations) == "stalled"
         assert first.stationarity_residual > 1e150
         assert not any(rec.inner_converged for rec in trace.iterates)
         for rec in later:
@@ -1146,7 +1197,7 @@ class TestTraceFamily:
         assert family[9] is last and len(paths) == 1
         got = list(family)
         assert len(paths) == sum(t.kind == "path" for t in want)
-        assert family[2:4] == got[2:4]
+        assert [family[2], family[3]] == got[2:4]
         assert [(t.trace_id, t.kind, t.to_jsonl()) for t in got] \
             == [(t.trace_id, t.kind, t.to_jsonl()) for t in want]
         with pytest.raises(IndexError):
