@@ -41,7 +41,6 @@ from .sparse import (
     check_forsgren,
     check_sparse_ndg,
     facial_reduce,
-    hat_map,
     tilde_map,
 )
 from .penalty import (
@@ -87,7 +86,6 @@ __all__ = [
     "eigh",
     "facial_reduce",
     "feasibility_data",
-    "hat_map",
     "li_test",
     "make_path_trace",
     "parse_problem_text",

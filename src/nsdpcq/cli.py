@@ -5,9 +5,10 @@ a multiplier table), reduce (facial reduction to a smaller constraint),
 corpus (list or re-verify the built-in examples).  Problems come from
 JSON files or from `corpus:NAME`.  Each subcommand takes only the
 flags it reads.  Exit codes: 0 success, 1 corpus mismatch, 2 malformed
-problem file or argument (a numeric flag out of range, and a point at
-which f, G or h is not finite, included), 3 infeasible point, 4
-numerical failure, 141 (128 + SIGPIPE) stdout closed by its reader.
+problem file or argument (a numeric flag out of range, a point at which
+f, G or h is not finite and an output file that cannot be written
+included), 3 infeasible point, 4 numerical failure, 141 (128 + SIGPIPE)
+stdout closed by its reader.
 """
 from __future__ import annotations
 
@@ -52,6 +53,15 @@ def _load_problem(spec: str) -> Tuple[NsdpProblem, Optional[Tuple[float, ...]]]:
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {spec}: {exc}") from exc
     return parse_problem_text(text), None
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
@@ -117,8 +127,7 @@ def cmd_analyze(args) -> int:
     report = analyze_problem(P, x, _options(args))
     print(report.render_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report_json_text(report))
+        _write_text(args.json, report_json_text(report))
     return 0
 
 
@@ -146,8 +155,7 @@ def cmd_solve(args) -> int:
     for note in trace.notes:
         print(f"  ! {note}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_jsonl() + "\n")
+        _write_text(args.trace, trace.to_jsonl() + "\n")
     return 0
 
 
@@ -166,8 +174,7 @@ def cmd_reduce(args) -> int:
     print(f"  emitted equalities: {len(fr.added_equalities)}")
     text = report_problem_json(fr.reduced_problem)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         print(text, end="")
     return 0

@@ -236,6 +236,18 @@ class PliResult:
     free_coeffs: Optional[np.ndarray]
 
 
+def _normalize_rows(V: np.ndarray) -> np.ndarray:
+    """Divide each row of V of norm above 1e-12 by its norm, in place;
+    returns the divisors, 1 for a row left as it is."""
+    scale = np.ones(len(V))
+    for i in range(len(V)):
+        s = float(np.linalg.norm(V[i]))
+        if s > 1e-12:
+            V[i] = V[i] / s
+            scale[i] = s
+    return scale
+
+
 def pli_test(vectors: Sequence[np.ndarray],
              free_vectors: Sequence[np.ndarray] = ()) -> PliResult:
     """Positive linear independence via a phase-one simplex.
@@ -255,21 +267,11 @@ def pli_test(vectors: Sequence[np.ndarray],
     # and remain detectable), which leaves every entry of the simplex's
     # equality rows within rounding of [-1, 1], so no row needs scaling;
     # coefficients are mapped back before returning
-    vscale = np.ones(k)
-    for i in range(k):
-        s = float(np.linalg.norm(V[i]))
-        if s > 1e-12:
-            V[i] = V[i] / s
-            vscale[i] = s
+    vscale = _normalize_rows(V)
     F = np.array([np.asarray(w, dtype=float) for w in free_vectors]) \
         if len(free_vectors) else np.zeros((0, n))
     f = F.shape[0]
-    fscale = np.ones(f)
-    for i in range(f):
-        s = float(np.linalg.norm(F[i]))
-        if s > 1e-12:
-            F[i] = F[i] / s
-            fscale[i] = s
+    fscale = _normalize_rows(F)
     # columns: alpha (k), beta+ (f), beta- (f)
     A_eq = np.zeros((n + 1, k + 2 * f))
     A_eq[:n, :k] = V.T

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: bad problem data or a bad argument
-is a usage error (exit 2), an infeasible base point is a data error
-(exit 3), and anything that dies inside the numerics is an internal
-failure (exit 4).
+The CLI maps these onto exit codes: bad problem data, a bad argument or
+an output path that cannot be written is a usage error (exit 2), an
+infeasible base point is a data error (exit 3), and anything that dies
+inside the numerics is an internal failure (exit 4).
 """
 
 
@@ -13,7 +13,8 @@ class NsdpcqError(Exception):
 
 class ProblemFormatError(NsdpcqError):
     """Problem file, in-memory problem data or a command-line argument
-    violates its schema or range."""
+    violates its schema or range, or a file named on the command line
+    cannot be read or written."""
 
 
 class InfeasiblePointError(NsdpcqError):

@@ -14,11 +14,13 @@ Every reduction of G is read off G's coefficient stack A_t
 stack compress(A, L) = L^T A_t L, and the rows L^T G(x) as the
 one-sided product L^T A_t, whose entries are the exact coefficients of
 the monomials of ``NsdpProblem.constraint_exponents``.  A sparsity
-pattern of a reduced map is the set of upper-triangle entries that are
-not identically zero near the point (for Ghat, a coefficient above
-PATTERN_COEF_TOL); it defines the subspace of symmetric matrices
-supported on the pattern.
-``hat_map`` and ``tilde_map`` return these patterns.  The checks:
+pattern of a reduced map is the sorted list of upper-triangle pairs
+(i, j) whose entry is not identically zero near the point: for Ghat, a
+coefficient of the compressed stack above PATTERN_COEF_TOL
+(``_pattern_pairs``), for Gtil, a sampled value above TILDE_TOL
+(``tilde_map``, which also returns how the pattern was decided).  It
+defines the subspace of symmetric matrices supported on the pattern.
+The checks:
 
 * sparse nondegeneracy: a kernel basis whose pattern-restricted
   gradient family is independent while every diagonal entry of the
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -80,49 +82,12 @@ EIGENBASIS_SEED = 21         # generator seed of the eigenbasis's weights
 # sparsity patterns, coefficient stacks and reduced maps
 
 
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Index set of structurally nonzero entries of a symmetric map.
-
-    source is "exact" when membership was decided on polynomial
-    coefficients, or "sampled" for numeric maps probed at random points.
-    """
-
-    dim: int
-    index_set: frozenset
-    source: str
-    sample_points: Optional[int] = None
-    sample_tol: Optional[float] = None
-
-    def __post_init__(self):
-        for (i, j) in self.index_set:
-            if not (0 <= i <= j < self.dim):
-                raise ValueError(f"pattern index ({i}, {j}) out of range")
-
-    def missing_diagonal(self) -> List[int]:
-        return [i for i in range(self.dim) if (i, i) not in self.index_set]
-
-    def sorted_pairs(self) -> List[Tuple[int, int]]:
-        return sorted(self.index_set)
-
-    def cardinality(self) -> int:
-        return len(self.index_set)
-
-    def provenance(self) -> dict:
-        """How membership was decided, for the witnesses resting on it."""
-        if self.source != "sampled":
-            return {"pattern_source": self.source}
-        return {"pattern_source": self.source,
-                "sample_points": self.sample_points,
-                "sample_tol": self.sample_tol}
-
-
-def _pattern_pairs(Bs: np.ndarray) -> Set[Tuple[int, int]]:
+def _pattern_pairs(Bs: np.ndarray) -> List[Tuple[int, int]]:
     """Upper-triangle pairs of a square stack with a coefficient above
-    PATTERN_COEF_TOL."""
+    PATTERN_COEF_TOL, sorted: np.nonzero reads the triangle row by row."""
     mx = np.max(np.abs(Bs), axis=0, initial=0.0)
     rows, cols = np.nonzero(np.triu(mx > PATTERN_COEF_TOL))
-    return set(zip(rows.tolist(), cols.tolist()))
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def _entry_poly(P: NsdpProblem, Bs: np.ndarray, i: int, j: int) -> Poly:
@@ -131,26 +96,6 @@ def _entry_poly(P: NsdpProblem, Bs: np.ndarray, i: int, j: int) -> Poly:
     return Poly(P.n, [(c, e) for c, e in zip(Bs[:, i, j],
                                              P.constraint_exponents())
                       if abs(c) > PATTERN_COEF_TOL])
-
-
-def hat_map(P: NsdpProblem, x, E: np.ndarray) -> SparsityPattern:
-    """Exact pattern of the kernel compression E^T G(.) E.
-
-    The gradient of entry (i, j) at the anchor equals the family vector
-    v_ij for the same basis, which is what ties the pattern to the
-    independence tests downstream.
-    """
-    x = np.asarray(x, dtype=float)
-    if E.shape[0] != P.m:
-        raise ValueError(f"basis has {E.shape[0]} rows, constraint has {P.m}")
-    Gx = P.constraint_value(x)
-    resid = float(np.max(np.abs(Gx.a @ E), initial=0.0))
-    if resid > 1e-6 * (1.0 + Gx.norm_inf()):
-        raise ValueError(
-            f"basis does not span the kernel at this point (residual {resid:.3e})")
-    S = compress(P.constraint_stack(), E)
-    return SparsityPattern(dim=E.shape[1], source="exact",
-                           index_set=frozenset(_pattern_pairs(S)))
 
 
 def _schur_value(pd: PointData, xs) -> np.ndarray:
@@ -179,25 +124,27 @@ def _schur_value(pd: PointData, xs) -> np.ndarray:
     return Gt if xs.ndim > 1 else Gt[0]
 
 
-def tilde_map(pd: PointData) -> SparsityPattern:
-    """Pattern of the Schur-complement reduction of G over the range of G(x).
+def tilde_map(pd: PointData) -> Tuple[List[Tuple[int, int]], dict]:
+    """Pattern of the Schur-complement reduction of G over the range of
+    G(x): its sorted upper-triangle pairs, and their provenance, the
+    dict the witnesses resting on the pattern carry.
 
     With r = rank G(x) = 0 the map degenerates to G itself and the exact
-    polynomial pattern is returned.  Otherwise the map is rational; its
-    pattern is decided by sampling on a small sphere around x, so entries
-    flagged nonzero are certain while entries flagged zero are presumed
-    structural.  TILDE_SAMPLES directions are drawn from a generator
-    seeded with TILDE_SEED, a draw of norm below 1e-12 skipped, and the
-    map is taken at all of them in one stacked :func:`_schur_value`;
-    samples with a singular range block are left out of the pattern and
-    of ``sample_points``, and NumericalFailure is raised when every
-    sample has one.
+    polynomial pattern is returned, ``pattern_source`` "exact".
+    Otherwise the map is rational; its pattern is decided by sampling on
+    a small sphere around x, so entries flagged nonzero are certain while
+    entries flagged zero are presumed structural, ``pattern_source``
+    "sampled" with ``sample_points`` and ``sample_tol``.  TILDE_SAMPLES
+    directions are drawn from a generator seeded with TILDE_SEED, a draw
+    of norm below 1e-12 skipped, and the map is taken at all of them in
+    one stacked :func:`_schur_value`; samples with a singular range
+    block are left out of the pattern and of ``sample_points``, and
+    NumericalFailure is raised when every sample has one.
     """
     P, x = pd.P, pd.x
     m = P.m
     if pd.rank == 0:
-        return SparsityPattern(dim=m, index_set=frozenset(P.constraint.entries),
-                               source="exact")
+        return sorted(P.constraint.entries), {"pattern_source": "exact"}
 
     rng = np.random.default_rng(TILDE_SEED)
     g = rng.standard_normal((TILDE_SAMPLES, P.n))
@@ -207,10 +154,9 @@ def tilde_map(pd: PointData) -> SparsityPattern:
     Gt = _schur_value(pd, x + TILDE_RADIUS * g[keep] / nrm[keep, None])
     iu, ju = np.triu_indices(m)
     hit = np.any(np.abs(Gt[:, iu, ju]) > TILDE_TOL, axis=0)
-    return SparsityPattern(dim=m, index_set=frozenset(zip(iu[hit].tolist(),
-                                                          ju[hit].tolist())),
-                           source="sampled", sample_points=len(Gt),
-                           sample_tol=TILDE_TOL)
+    return (list(zip(iu[hit].tolist(), ju[hit].tolist())),
+            {"pattern_source": "sampled", "sample_points": len(Gt),
+             "sample_tol": TILDE_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -225,36 +171,34 @@ def _score(S: np.ndarray, Wc: np.ndarray, Heq: np.ndarray):
     The pattern is read off S, so it is decided on exact coefficients,
     not on sampled values.
     """
-    k = S.shape[1]
     pairs = _pattern_pairs(S)
-    hits = sum(1 for i in range(k) if (i, i) in pairs)
-    li = li_test([Wc[:, i, j] for (i, j) in sorted(pairs)] + list(Heq))
-    return hits, hits == k and li.independent, pairs, li
+    hits = sum(i == j for i, j in pairs)
+    li = li_test([Wc[:, i, j] for (i, j) in pairs] + list(Heq))
+    return hits, hits == S.shape[1] and li.independent, pairs, li
 
 
-def _basis_search(pd: PointData, log: List[str]):
+def _basis_search(pd: PointData, S0: np.ndarray, log: List[str]):
     """Score the fixed kernel basis E = pd.E, else its eigenbasis.
 
     The fixed basis is scored on its stack S0 = E^T A_t E and on pd.Wc,
     and kept when it succeeds.  Otherwise V, the eigenvectors of
     sum_t w_t S0_t with weights w drawn from a generator seeded with
     EIGENBASIS_SEED, rotates it: the basis E V is scored on V^T S0_t V
-    and V^T Wc V, with no m x m work.  Returns (basis, provenance, hits,
+    and V^T Wc V, with no m x m work.  Returns (basis, provenance,
     success, pairs, li) of the basis scored last.
     """
     E = pd.E
     k = E.shape[1]
-    S0 = compress(pd.P.constraint_stack(), E)
     hits, success, pairs, li = _score(S0, pd.Wc, pd.Heq)
     log.append(f"fixed basis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
     if success:
-        return E, "fixed", hits, success, pairs, li
+        return E, "fixed", success, pairs, li
     w = np.random.default_rng(EIGENBASIS_SEED).standard_normal(len(S0))
     V = eigh(np.tensordot(w, S0, axes=1)).vectors
     hits, success, pairs, li = _score(compress(S0, V), compress(pd.Wc, V),
                                       pd.Heq)
     log.append(f"eigenbasis: hits {hits}/{k}, sigma_min {li.sigma_min:.3e}")
-    return E @ V, "eigenbasis", hits, success, pairs, li
+    return E @ V, "eigenbasis", success, pairs, li
 
 
 def _holds_verdict(E_cols, provenance: str, pairs, li, log) -> CqVerdict:
@@ -264,7 +208,7 @@ def _holds_verdict(E_cols, provenance: str, pairs, li, log) -> CqVerdict:
         witness={
             "basis": np.array(E_cols),
             "provenance": provenance,
-            "pattern": sorted(pairs),
+            "pattern": pairs,
             "cardinality": len(pairs),
             "sigma_min": li.sigma_min,
         },
@@ -325,7 +269,7 @@ def check_sparse_ndg(pd: PointData,
             "so every kernel basis sees the full pattern, and nondegeneracy "
             "fails", log=log + [f"nondegeneracy: {ndg.reason}"],
             witness={**ndg.witness, "span_sigma_min": float(sv[dim - 1])})
-    cols, provenance, _, success, pairs, li = _basis_search(pd, log)
+    cols, provenance, success, pairs, li = _basis_search(pd, S0, log)
     if success:
         return _holds_verdict(cols, provenance, pairs, li, log)
     return CqVerdict(
@@ -340,10 +284,11 @@ def check_sparse_ndg(pd: PointData,
 # Forsgren's condition
 
 
-def _pattern_basis(pat: SparsityPattern, E: np.ndarray) -> np.ndarray:
+def _pattern_basis(pairs: List[Tuple[int, int]],
+                   E: np.ndarray) -> np.ndarray:
     """Orthonormal basis, in the Frobenius geometry, of the subspace that
-    the pattern's unit matrices span once compressed to the columns of E;
-    a stack of shape (dim_T, k, k).
+    the unit matrices of the pattern pairs span once compressed to the
+    columns of E; a stack of shape (dim_T, k, k).
 
     The unit matrix of pair (a, b) is e_a e_a^T, or (e_a e_b^T +
     e_b e_a^T) / sqrt(2) off the diagonal, so its compression is the
@@ -353,7 +298,7 @@ def _pattern_basis(pat: SparsityPattern, E: np.ndarray) -> np.ndarray:
     Sym(k), so dim_T is at most k(k + 1) / 2.
     """
     k = E.shape[1]
-    a, b = np.array(pat.sorted_pairs(), dtype=int).reshape(-1, 2).T
+    a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
     scale = np.where(a == b, 0.5, np.sqrt(0.5))[:, None, None]
     raw = E[a, :, None] * E[b, None, :]
     raw = scale * (raw + raw.swapaxes(1, 2))
@@ -426,11 +371,11 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
     if exact is not None:
         return exact
 
-    pat = tilde_map(pd)
-    log.append(f"Schur map pattern: {pat.cardinality()} entries "
-               f"({pat.source})")
+    pairs, provenance = tilde_map(pd)
+    log.append(f"Schur map pattern: {len(pairs)} entries "
+               f"({provenance['pattern_source']})")
 
-    stack = _pattern_basis(pat, E)
+    stack = _pattern_basis(pairs, E)
     dim_T = stack.shape[0]
     log.append(f"compressed pattern subspace dimension {dim_T}")
 
@@ -448,7 +393,7 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
             M, beta = M / nrm, beta / nrm
         witness = {"matrix": M,
                    "image_norm": float(np.linalg.norm(Wu @ M[iu] + beta @ Heq)),
-                   "subspace_dim": dim_T, **pat.provenance()}
+                   "subspace_dim": dim_T, **provenance}
         if len(Heq):
             witness["free_coeffs"] = beta
         return CqVerdict(
@@ -467,7 +412,7 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
                 CqStatus.HOLDS_CERTIFIED,
                 reason="pairing injective and positive definite element found",
                 witness={"matrix": M, "lambda_min": lam_min,
-                         "subspace_dim": dim_T, **pat.provenance()},
+                         "subspace_dim": dim_T, **provenance},
                 log=log)
     if res.route == "dual":
         # <Y, S_ab> = <S, E^T S_ab E>, zero on every pattern pair
@@ -476,8 +421,8 @@ def check_forsgren(pd: PointData, U: Optional[np.ndarray] = None) -> CqVerdict:
             reason="a unit-trace PSD multiplier is orthogonal to the pattern "
                    "subspace, so it contains no positive definite element",
             witness={"multiplier": compress(res.S, E.T), "residual": res.dual,
-                     "pattern": pat.sorted_pairs(), "subspace_dim": dim_T,
-                     **pat.provenance()},
+                     "pattern": pairs, "subspace_dim": dim_T,
+                     **provenance},
             log=log)
     return CqVerdict(
         CqStatus.UNDETERMINED,
@@ -529,7 +474,10 @@ def facial_reduce(P: NsdpProblem, x,
     """Rewrite the constraint so every compressed diagonal entry is active.
 
     Rounds repeat while some diagonal entry of the kernel-compressed map
-    is identically zero: those kernel directions span a face of the cone,
+    is identically zero, a diagonal pair missing from the pattern of
+    E^T A_t E, E the kernel basis of the one :func:`feasibility_data`
+    call, and so the one evaluation, of each round: those kernel
+    directions span a face of the cone,
     the corresponding rows become equality constraints, and the
     semidefinite block shrinks.  The rows V2^T G are emitted as the
     entries of V2^T G V1 and the strict upper triangle of V2^T G V2,
@@ -551,9 +499,9 @@ def facial_reduce(P: NsdpProblem, x,
 
     for _ in range(P.m):
         E = feasibility_data(cur, x, tol_rank).E
-        if E.shape[1] == 0:
-            break
-        J = hat_map(cur, x, E).missing_diagonal()
+        stack = cur.constraint_stack()
+        diag = {i for i, j in _pattern_pairs(compress(stack, E)) if i == j}
+        J = [i for i in range(E.shape[1]) if i not in diag]
         if not J:
             break
         J_rounds.append(tuple(J))
@@ -567,7 +515,7 @@ def facial_reduce(P: NsdpProblem, x,
         # the V1 block and the V2 block's strict upper triangle suffice;
         # deduplicated up to sign
         mred, w = V1r.shape[1], V2r.shape[1]
-        rows = V2r.T @ cur.constraint_stack() @ np.hstack([V1r, V2r])
+        rows = V2r.T @ stack @ np.hstack([V1r, V2r])
         for q in range(w):
             for j in chain(range(mred), range(mred + q + 1, mred + w)):
                 h = _entry_poly(cur, rows, q, j)
@@ -577,7 +525,7 @@ def facial_reduce(P: NsdpProblem, x,
                 seen.add(sig)
                 new_eqs.append(h)
         # a full collapse leaves a 1 x 1 zero block as a placeholder
-        Bs = compress(cur.constraint_stack(), V1r)
+        Bs = compress(stack, V1r)
         red = MatrixPoly(max(mred, 1), P.n, {
             (i, j): _entry_poly(cur, Bs, i, j)
             for i in range(mred) for j in range(i, mred)})

@@ -72,7 +72,6 @@ from nsdpcq.sparse import (
     TILDE_SAMPLES,
     TILDE_SEED,
     TILDE_TOL,
-    SparsityPattern,
     _basis_search,
     _entry_poly,
     _score,
@@ -202,12 +201,13 @@ def check_sparse_ndg_multifold(pd: PointData) -> CqVerdict:
             log.append(f"block {bi}: trivial kernel")
             continue
         block_log: List[str] = []
-        cols, _, hits, _, prs, _ = _basis_search(spd, block_log)
+        cols, _, _, prs, _ = _basis_search(
+            spd, compress(sub.constraint_stack(), spd.E), block_log)
         log += [f"block {bi}: {line}" for line in block_log]
-        if hits < kb:
+        if any((i, i) not in prs for i in range(kb)):
             all_hit = False
         comp_grads = compress(spd.W, cols)
-        union_vecs += [comp_grads[:, i, j] for (i, j) in sorted(prs)]
+        union_vecs += [comp_grads[:, i, j] for (i, j) in prs]
         lifted = np.zeros((P.m, kb))
         for a, g in enumerate(comp):
             lifted[g, :] = cols[a, :]
@@ -679,14 +679,14 @@ def schur_value_per_point(pd: PointData, x) -> np.ndarray:
     return Gq - (Gq @ Pbar) @ half
 
 
-def tilde_map_per_sample(pd: PointData) -> SparsityPattern:
+def tilde_map_per_sample(pd: PointData):
     """The sampled Schur-map pattern of tilde_map, one sample at a time:
     the same draws, the same skip of tiny draws and singular range
-    blocks, and an entry-by-entry threshold test."""
+    blocks, and an entry-by-entry threshold test; (sorted pairs,
+    provenance) as tilde_map returns them."""
     P, x, m = pd.P, pd.x, pd.P.m
     if pd.rank == 0:
-        return SparsityPattern(dim=m, index_set=frozenset(P.constraint.entries),
-                               source="exact")
+        return sorted(P.constraint.entries), {"pattern_source": "exact"}
     rng = np.random.default_rng(TILDE_SEED)
     hits = set()
     used = 0
@@ -707,9 +707,8 @@ def tilde_map_per_sample(pd: PointData) -> SparsityPattern:
     if used == 0:
         raise NumericalFailure(
             "range block of the Schur map singular at every sample point")
-    return SparsityPattern(dim=m, index_set=frozenset(hits),
-                           source="sampled", sample_points=used,
-                           sample_tol=TILDE_TOL)
+    return sorted(hits), {"pattern_source": "sampled",
+                          "sample_points": used, "sample_tol": TILDE_TOL}
 
 
 def poly_terms_per_term(n: int, terms) -> tuple:

@@ -141,6 +141,12 @@ class TestAnalyze:
         assert cli.main(["analyze", str(f), "--point", "0"]) == 2
         assert "do not partition dimension 2" in capsys.readouterr().err
 
+    def test_unwritable_json_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert cli.main(["analyze", "corpus:diag3", "--json", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}")
+
     def test_numeric_failure_exit_four(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise NumericalFailure("forced failure")
@@ -256,6 +262,13 @@ class TestSolve:
                                    "eigenvalues", "eigenvectors",
                                    "stationarity_residual",
                                    "multiplier_norm"}
+
+    def test_unwritable_trace_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.jsonl"
+        assert cli.main(["solve", "corpus:diag3", "--outer", "2",
+                         "--trace", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}")
 
     def test_default_anchor_from_corpus(self, capsys):
         assert cli.main(["solve", "corpus:interior", "--outer", "4"]) == 0
@@ -393,6 +406,13 @@ class TestReduce:
         out = capsys.readouterr().out
         line = next(ln for ln in out.splitlines() if "sparse_ndg" in ln)
         assert "HoldsCertified" in line
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "reduced.json"
+        assert cli.main(["reduce", "corpus:facial", "--output",
+                         str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}")
 
     def test_no_facial_structure_is_identity(self, capsys):
         assert cli.main(["reduce", "corpus:diag3"]) == 0

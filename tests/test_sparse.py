@@ -36,13 +36,12 @@ from nsdpcq.sparse import (
     TILDE_SAMPLES,
     TILDE_TOL,
     FacialReduction,
-    SparsityPattern,
     check_forsgren,
     check_sparse_ndg,
     facial_reduce,
-    hat_map,
     tilde_map,
     _entry_poly,
+    _pattern_pairs,
     _schur_value,
 )
 from nsdpcq.symmat import SymMat, eigh, random_rotation
@@ -86,6 +85,11 @@ def lifted_kernel(P, x):
     return feasibility_data(P, np.asarray(x, dtype=float)).E
 
 
+def hat_pairs(P, E):
+    """Pattern of E^T G(.) E, its sorted pairs read off the stack."""
+    return _pattern_pairs(compress(P.constraint_stack(), E))
+
+
 def hat_entry(P, E, i, j):
     """Entry (i, j) of E^T G(.) E as a polynomial off the stack."""
     return _entry_poly(P, compress(P.constraint_stack(), E), i, j)
@@ -104,41 +108,33 @@ def coefficient_matrices(P):
     return out
 
 
-class TestSparsityPattern:
-    def test_membership_and_missing_diagonal(self):
-        p = SparsityPattern(dim=3, index_set=frozenset({(0, 1), (2, 2)}),
-                            source="exact")
-        assert (0, 1) in p.index_set
-        assert (0, 0) not in p.index_set
-        assert p.missing_diagonal() == [0, 1]
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SparsityPattern(dim=2, index_set=frozenset({(1, 2)}),
-                            source="exact")
-        with pytest.raises(ValueError):
-            SparsityPattern(dim=2, index_set=frozenset({(1, 0)}),
-                            source="exact")
-
-
 class TestHatMap:
+    def test_pattern_pairs_sorted_row_major(self):
+        # upper-triangle pairs with a coefficient above PATTERN_COEF_TOL in
+        # some matrix of the stack, row by row; the lower triangle and the
+        # coefficients at the threshold are not read
+        S = np.zeros((2, 3, 3))
+        S[0, 2, 2] = S[1, 0, 1] = S[0, 1, 2] = 1.0
+        S[1, 2, 0] = 5.0
+        S[0, 0, 0] = PATTERN_COEF_TOL
+        S[1, 1, 1] = -2.0 * PATTERN_COEF_TOL
+        assert _pattern_pairs(S) == [(0, 1), (1, 1), (1, 2), (2, 2)]
+        assert _pattern_pairs(-S) == _pattern_pairs(S)
+        assert _pattern_pairs(np.zeros((0, 2, 2))) == []
+
     def test_facial_full_kernel_pattern(self):
         # at the origin the whole space is the kernel and the compression
         # is G itself: entries (0,0) and (0,1) present, (1,1) missing
         P = facial_problem()
         E = lifted_kernel(P, [0.0, 0.0])
-        hat = hat_map(P, [0.0, 0.0], E)
-        assert hat.dim == 2
-        assert hat.source == "exact"
-        assert hat.sorted_pairs() == [(0, 0), (0, 1)]
-        assert hat.missing_diagonal() == [1]
+        assert E.shape[1] == 2
+        assert hat_pairs(P, E) == [(0, 0), (0, 1)]
 
     def test_facial_active_point_pattern_empty(self):
         P = facial_problem()
         E = lifted_kernel(P, [1.0, 0.0])
-        hat = hat_map(P, [1.0, 0.0], E)
-        assert hat.dim == 1
-        assert hat.cardinality() == 0
+        assert E.shape[1] == 1
+        assert hat_pairs(P, E) == []
         assert hat_entry(P, E, 0, 0).is_zero()
 
     def test_offdiag_rotated_basis_diagonalizes(self):
@@ -148,8 +144,7 @@ class TestHatMap:
         E = lifted_kernel(P, [0.0, 0.0])
         C = np.array([[RT2, -RT2], [RT2, RT2]])
         Er = E @ C
-        hat = hat_map(P, [0.0, 0.0], Er)
-        assert hat.sorted_pairs() == [(0, 0), (1, 1)]
+        assert hat_pairs(P, Er) == [(0, 0), (1, 1)]
         assert hat_entry(P, Er, 0, 1).is_zero()
         p00 = hat_entry(P, Er, 0, 0)
         assert abs(poly_eval(p00, np.array([0.3, 0.4])) - (0.3 + 0.4)) < 1e-12
@@ -223,19 +218,15 @@ class TestHatMap:
                     want = entry_gradient(P, x, Er[:, i], Er[:, j])
                     assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_basis_mismatch_rejected(self):
-        P = diag3_problem()
-        E = lifted_kernel(P, [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            hat_map(P, [1.0, 1.0, 1.0], E)
-
 
 class TestTildeMap:
     def test_partially_active_diagonal_pattern(self):
         P = diag2_problem()
-        tm = tilde_map(feasibility_data(P, [1.0, 0.0]))
-        assert tm.source == "sampled"
-        assert tm.sorted_pairs() == [(1, 1)]
+        pairs, prov = tilde_map(feasibility_data(P, [1.0, 0.0]))
+        assert prov == {"pattern_source": "sampled",
+                        "sample_points": TILDE_SAMPLES,
+                        "sample_tol": TILDE_TOL}
+        assert pairs == [(1, 1)]
 
     def test_vanishes_at_anchor(self):
         for P, x in [(diag2_problem(), [1.0, 0.0]),
@@ -245,20 +236,19 @@ class TestTildeMap:
 
     def test_zero_rank_reduces_to_constraint(self):
         P = offdiag_problem()
-        tm = tilde_map(feasibility_data(P, [0.0, 0.0]))
-        assert tm.source == "exact"
-        assert tm.sorted_pairs() == [(0, 0), (0, 1), (1, 1)]
+        pairs, prov = tilde_map(feasibility_data(P, [0.0, 0.0]))
+        assert prov == {"pattern_source": "exact"}
+        assert pairs == [(0, 0), (0, 1), (1, 1)]
 
     def test_stacked_map_matches_per_sample_oracle(self):
         # the corpus at its pinned points, the benchmark instances and the
         # seeded survey draws: the stacked pass gives the pattern of the
-        # one-sample-at-a-time loop, with the same sample count
+        # one-sample-at-a-time loop, in the same order, with the same
+        # sample count
         draws = 0
         for name, obj, point in survey_instances():
             pd = feasibility_data(NsdpProblem.from_json(obj), point)
-            got, want = tilde_map(pd), tilde_map_per_sample(pd)
-            assert (got.index_set, got.source, got.sample_points) == \
-                (want.index_set, want.source, want.sample_points), name
+            assert tilde_map(pd) == tilde_map_per_sample(pd), name
             draws += name.startswith("draw") and pd.rank >= 1
         assert draws >= 50
 
@@ -270,10 +260,10 @@ class TestTildeMap:
             [Poly.const(2, 1e-7) - xv(2, 0) * xv(2, 0), xv(2, 1)]))
         pd = feasibility_data(P, [0.0, 0.0])
         assert pd.rank == 1
-        tm = tilde_map(pd)
-        assert 0 < tm.sample_points < TILDE_SAMPLES
-        assert tm.sorted_pairs() == [(1, 1)]
-        assert tm == tilde_map_per_sample(pd)
+        pairs, prov = tilde_map(pd)
+        assert 0 < prov["sample_points"] < TILDE_SAMPLES
+        assert pairs == [(1, 1)]
+        assert (pairs, prov) == tilde_map_per_sample(pd)
         # a stack keeps only its regular points, in order
         X = np.array([[1e-4, 0.0], [1e-3, 0.0], [0.0, 1e-3]])
         Gt = _schur_value(pd, X)
@@ -805,9 +795,9 @@ class TestForsgren:
         calls = []
         real = sparse._pattern_basis
 
-        def recording(pat, E):
-            out = real(pat, E)
-            calls.append((pat, E, out))
+        def recording(pairs, E):
+            out = real(pairs, E)
+            calls.append((pairs, E, out))
             return out
 
         monkeypatch.setattr(sparse, "_pattern_basis", recording)
@@ -824,7 +814,7 @@ class TestForsgren:
             del calls[:]
             v = check_forsgren(feasibility_data(NsdpProblem.from_json(obj),
                                                 point))
-            for pat, E, T in calls:
+            for pairs, E, T in calls:
                 k = E.shape[1]
                 dim_T = T.shape[0]
                 assert T.shape[1:] == (k, k), name
@@ -836,13 +826,13 @@ class TestForsgren:
                 assert np.abs(T - T.transpose(0, 2, 1)).max() < 1e-12, name
                 # each pattern pair's unit matrix, compressed, lies in
                 # the span
-                for (a, b) in pat.sorted_pairs():
+                for (a, b) in pairs:
                     S = np.zeros((E.shape[0],) * 2)
                     S[a, b] = S[b, a] = 1.0 if a == b else np.sqrt(0.5)
                     c = (E.T @ S @ E).ravel()
                     assert np.abs(c - flat.T @ (flat @ c)).max() < 1e-9, \
                         (name, a, b)
-                if dim_T == k * (k + 1) // 2 < pat.cardinality():
+                if dim_T == k * (k + 1) // 2 < len(pairs):
                     full.add(name)
         # many patterns span all of Sym(k) with more pairs than its
         # dimension, the larger instances' among them
@@ -1068,6 +1058,35 @@ class TestFacialReduce:
         assert fr.omega == 1
         assert fr.V1.shape == (1, 0)
         assert fr.reduced_problem.constraint.entries == {}
+
+    def test_one_evaluation_per_round(self, monkeypatch):
+        # each round evaluates its problem once, at the anchor, in
+        # feasibility_data, and reads its zero diagonal off the stack:
+        # one call more than the rounds when the last round finds the
+        # diagonal complete, as many when the block collapses entirely
+        real = NsdpProblem.at
+        calls = []
+
+        def counting(self, x):
+            calls.append(self.name)
+            return real(self, x)
+
+        facial = next(e for e in entries() if e.id == "facial")
+        nullcone = NsdpProblem(n=1, objective=xv(1, 0),
+                               constraint=MatrixPoly(1, 1, {}), name="null")
+        rng = np.random.default_rng(31)
+        cases = [(facial.problem, facial.point, 1,
+                  ["facial", "facial#reduced"]),
+                 (nullcone, [0.5], 1, ["null"]),
+                 (diag3_problem(), [0.0, 0.0, 0.0], 0, ["diag3"])]
+        for trial in range(4):
+            P = self.dead_rows_problem(rng, trial)
+            cases.append((P, np.zeros(P.n), 1, [P.name, P.name + "#reduced"]))
+        monkeypatch.setattr(NsdpProblem, "at", counting)
+        for P, x, rounds, want in cases:
+            del calls[:]
+            assert facial_reduce(P, x).rounds == rounds, P.name
+            assert calls == want, P.name
 
     def test_transform_blocks_orthonormal(self):
         fr = facial_reduce(facial_problem(), [1.0, 0.0])
