@@ -23,29 +23,27 @@ loop per exponent entry.
 
 Numbers come from one compiled evaluator, `Compiled`: the map
 x -> sum_t mon_t(x) C_t over the distinct monomials of a family of
-polynomials, with its value, Jacobian and adjoint each one matrix
-product against the coefficient stack C, and every monomial read off a
-power table x^0 .. x^d that the caller passes in.  An `NsdpProblem`
-compiles f, G and h into three of them when it is built.
-`NsdpProblem.at` builds the one power table of a point, or of a stack of
-points, that all three share, and returns an `Evaluation` holding it;
-the problem's seven evaluation methods are thin calls on that, and
-`Evaluation.lagrangian_hessian` reads the second derivatives of f, G
-and h off the same table.  An `Evaluation` is the one record of its
-point: it keeps, read-only, f, h, G, eigh(G) and each derivative array
-it builds, so a caller that holds one evaluation per point, as the
-checkers' `PointData` and the penalty solve do, builds each once.  The
-derivatives of an affine map, such as a linear objective, and the
-values and derivatives of a problem without equalities are built once
-per problem and shared by all its evaluations.  The second-derivative
-tables of a map are built the first time its Hessian is taken, and the
-product C @ vec(Y) of G's coefficient stack with a read-only
-multiplier Y once, for the adjoint and the Hessian of a point alike.
-`NsdpProblem.constraint_stack` exposes G's stack read-only as (T, m, m)
-matrices A_t, whose congruences give the exact coefficients of a
-compressed constraint, and `NsdpProblem.constraint_exponents` the
-monomial x^e_t each A_t multiplies.  The term-by-term reference that
-`Compiled` is tested against lives with the tests.
+polynomials, with its value and Jacobian each one matrix product
+against the coefficient stack C, and every monomial read off a power
+table x^0 .. x^d that the caller passes in.  An `NsdpProblem` compiles
+f, G and h into one such table when it is built, the columns of C
+being [f | vec G | h] and its rows G's monomials first, so that
+`NsdpProblem.constraint_stack` exposes G's own coefficients read-only
+as (T, m, m) matrices A_t, whose congruences give the exact
+coefficients of a compressed constraint, and
+`NsdpProblem.constraint_exponents` the monomial x^e_t each A_t
+multiplies.  `NsdpProblem.at` builds the power table of a point, or of
+a stack of points, and returns an `Evaluation` holding it; the
+problem's seven evaluation methods are thin calls on that.  An
+`Evaluation` is the one record of its point: one monomial product gives
+f, G and h, one finiteness test checks them, one Jacobian J = D @ C
+gives grad f, the partials of G and Dh as slices, one LAPACK call gives
+the eigenpairs of G, and `Evaluation.lagrangian_hessian` is one
+weighted bincount over the table's second derivatives.  It keeps each
+of them, read-only, so a caller that holds one evaluation per point, as
+the checkers' `PointData` and the penalty solve do, builds each once.
+The term-by-term reference that `Compiled` is tested against lives with
+the tests.
 """
 from __future__ import annotations
 
@@ -57,12 +55,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ProblemFormatError
-from .symmat import Spectral, SymMat, eigh
+from .symmat import Spectral, SymMat, eigh, eigh_raw, spectral_order
 
 COEF_DROP = 1e-14
 MAX_VARS = 64
 MAX_DIM = 50
 MAX_DEGREE = 8
+
+# the weight of f in the Lagrangian weights [1, -vec Y, w]
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
 
 Exponents = Tuple[int, ...]
 Term = Tuple[float, Exponents]
@@ -303,38 +305,30 @@ class Compiled:
     """Numeric form of polynomials stacked in one array shape.
 
     The map is x -> sum_t mon_t(x) * C_t over the T distinct monomials of
-    all entries, with C of shape (T, prod(shape)).  Every method reads x
-    off its power table x^0 .. x^d for any d at least degree, flattened
-    to length (d + 1) * n, which gives the monomial values mons; every
+    all entries, in first-appearance order, with C of shape
+    (T, prod(shape)).  Every method reads x off its power table
+    x^0 .. x^d for any d at least degree, flattened to length
+    (d + 1) * n, which gives the monomial values mons; every
     (monomial, variable) pair with a positive exponent is one entry of
-    the derivative stack D (n, T), so the value is mons @ C, the partials
-    are D @ C and the adjoint against M is D @ (C @ M); derivatives
-    builds D, and jacobian and adjoint take it built, so a point's
-    partials and its adjoints can share one.  Applying the
-    same construction to D's reduced exponents indexes the second
-    derivatives, and the Hessian of <value, M> is one weighted bincount
-    of their monomials against C @ M.  Those second-derivative tables
-    are built the first time a Hessian is taken (hessian_tables), which
-    an analysis without a penalty trace never does.  C @ vec(M) is
-    kept for the last read-only M that owns its data, such as a SymMat's
-    array, so the adjoint and the Hessian of one multiplier compute it
-    once; a writable M, or a view of memory its owner may change between
-    calls, is multiplied afresh at every call.  The value also
-    takes a stack of tables (..., (d + 1) * n) and multiplies each
-    point's mons by C on its own, the product a single point gets.
-    exponents holds the monomials' exponent rows, shape (T, n), and
-    degree their largest single exponent, the depth d of the power table
-    the map needs, not the total degree.
+    the derivative stack D (n, T), so the value is mons @ C and the
+    Jacobian D @ C.  Applying the same construction to D's reduced
+    exponents indexes the second derivatives, and the Hessian of
+    <value, c> is one weighted bincount of their monomials against
+    C @ c.  Those second-derivative tables are built the first time a
+    Hessian is taken (hessian_tables), which an analysis without a
+    penalty trace never does.  The value also takes a stack of tables
+    (..., (d + 1) * n) and multiplies each point's mons by C on its own,
+    the product a single point gets.  exponents holds the monomials'
+    exponent rows, shape (T, n), and degree their largest single
+    exponent, the depth d of the power table the map needs, not the
+    total degree.
 
-    A map whose monomials all have total degree at most 1, which is a
-    map with an empty second-derivative table, is affine: its D holds
-    ones (exponent 1 times x^0) and is the same at every point, so
-    derivatives builds it at the first point and returns it, read-only,
-    at every later one, and jacobian and gradient keep D @ C the same
-    way.  Its Hessian is zero.  The test is on the total degree: x1 * x2
-    has degree 1 in the sense above, but its gradient moves with x.  A
-    map with no terms, such as the equalities of a problem without any,
-    gives one shared read-only zero value at a single point.
+    A map whose monomials all have total degree at most 1 is affine: its
+    D holds ones (exponent 1 times x^0) and is the same at every point,
+    so derivatives builds it at the first point and returns it,
+    read-only, at every later one, jacobian keeps D @ C the same way,
+    and its Hessian is zero.  The test is on the total degree: x1 * x2
+    has degree 1 in the sense above, but its gradient moves with x.
 
     entries pairs each polynomial with the flat positions it fills: one
     for an objective or an equality, two for an off-diagonal matrix
@@ -342,8 +336,7 @@ class Compiled:
     """
 
     __slots__ = ("n", "shape", "C", "exponents", "degree", "affine",
-                 "_idx", "_didx", "_dmult", "_dpos", "_htables", "_D", "_J",
-                 "_grad", "_zero", "_weighted")
+                 "_idx", "_didx", "_dmult", "_dpos", "_htables", "_D", "_J")
 
     def __init__(self, n: int, shape: Tuple[int, ...],
                  entries: Iterable[Tuple[Sequence[int], Poly]]):
@@ -372,19 +365,11 @@ class Compiled:
         self.degree = int(E.max(initial=0))
         # no second derivative is a total degree of at most 1
         self.affine = int(E.sum(axis=1).max(initial=0)) <= 1
-        self._D = self._J = self._grad = self._htables = self._weighted = None
-        self._zero = None if T else _frozen(np.zeros(self.shape))
+        self._D = self._J = self._htables = None
         self._idx = E * n + cols
         self._didx = Ered * n + cols
         self._dmult = E[t_of, l_of].astype(float)
         self._dpos = l_of * T + t_of
-
-    @classmethod
-    def matrix(cls, G: MatrixPoly) -> "Compiled":
-        """G as a (dim, dim) map; an off-diagonal entry fills its mirror."""
-        m = G.dim
-        return cls(G.n, (m, m), (({i * m + j, j * m + i}, p)
-                                 for (i, j), p in G.entries.items()))
 
     def hessian_tables(self) -> Tuple[np.ndarray, ...]:
         """(hidx, hmult, hpos, hmon): d2 mon_t / dx_l dx_k by the step
@@ -404,23 +389,14 @@ class Compiled:
     def _monomials(powers: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.multiply.reduce(powers.take(idx, axis=-1), axis=-1)
 
-    def _weights(self, M) -> np.ndarray:
-        """C @ vec(M), kept for the last read-only M that owns its data."""
-        kept = self._weighted
-        if kept is not None and kept[0] is M:
-            return kept[1]
-        w = self.C @ np.ravel(M)
-        if isinstance(M, np.ndarray) and M.base is None \
-                and not M.flags.writeable:
-            self._weighted = (M, w)
-        return w
-
     def value(self, powers: np.ndarray) -> np.ndarray:
-        shape = powers.shape[:-1] + self.shape
-        if self._zero is not None:      # the zero map, e.g. no equalities
-            return self._zero if powers.ndim == 1 else np.zeros(shape)
         mons = self._monomials(powers, self._idx)
-        return (mons[..., None, :] @ self.C).reshape(shape)
+        if mons.ndim > 1:
+            # each point's row on its own: a stack's slices are then the
+            # products of single points, which one matrix product of the
+            # whole stack need not round alike
+            mons = mons[..., None, :]
+        return (mons @ self.C).reshape(powers.shape[:-1] + self.shape)
 
     def jacobian(self, D: np.ndarray) -> np.ndarray:
         """D @ C, shape (n, prod(shape)), for D = derivatives(powers);
@@ -432,28 +408,14 @@ class Compiled:
             self._J = _frozen(J)
         return J
 
-    def gradient(self, powers: np.ndarray) -> np.ndarray:
-        """The gradient of a scalar map at one point, shape (n,),
-        read-only; kept for an affine map."""
-        if self._grad is not None:
-            return self._grad
-        g = _frozen(self.jacobian(self.derivatives(powers)).ravel())
-        if self.affine:
-            self._grad = g
-        return g
-
-    def adjoint(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """D @ (C @ M), for D = derivatives(powers): the gradient of
-        x -> <value(x), M>."""
-        return D @ self._weights(M)
-
-    def hessian(self, powers: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """The Hessian of x -> <value(x), M>, shape (n, n)."""
+    def hessian(self, powers: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The Hessian of x -> <value(x), c>, shape (n, n), for c of
+        length prod(shape)."""
         n = self.n
         if self.affine:     # a zero Hessian, with no tables to build
             return np.zeros((n, n))
         hidx, hmult, hpos, hmon = self.hessian_tables()
-        terms = hmult * self._monomials(powers, hidx) * self._weights(M)[hmon]
+        terms = hmult * self._monomials(powers, hidx) * (self.C @ c)[hmon]
         return np.bincount(hpos, weights=terms,
                            minlength=n * n).reshape(n, n)
 
@@ -463,7 +425,7 @@ class Compiled:
         if self._D is not None:
             return self._D
         D = np.zeros((self.n, self.C.shape[0]))
-        D.flat[self._dpos] = self._dmult * self._monomials(powers, self._didx)
+        D.put(self._dpos, self._dmult * self._monomials(powers, self._didx))
         if self.affine:
             self._D = _frozen(D)
         return D
@@ -482,7 +444,7 @@ class NsdpProblem:
     """A nonlinear SDP instance: objective, PSD constraint, equalities."""
 
     __slots__ = ("name", "n", "m", "objective", "constraint", "equalities",
-                 "_f", "_G", "_h", "_exps")
+                 "_map", "_stack", "_gidx", "_exps")
 
     def __init__(self, n: int, objective: Poly, constraint: MatrixPoly,
                  equalities: Sequence[Poly] = (), name: str = "unnamed"):
@@ -492,21 +454,32 @@ class NsdpProblem:
             if h.n != n:
                 raise ProblemFormatError("equality arity mismatch")
         equalities = tuple(equalities)
-        compiled = (Compiled(n, (), [((0,), objective)]),
-                    Compiled.matrix(constraint),
-                    Compiled(n, (len(equalities),),
-                             (((k,), h) for k, h in enumerate(equalities))))
-        degree = max(c.degree for c in compiled)
+        m = constraint.dim
+        # columns [f | vec G | h]; G's entries come first, so the leading
+        # rows of C are G's monomials in G's own first-appearance order
+        cells = [({1 + i * m + j, 1 + j * m + i}, p)
+                 for (i, j), p in constraint.entries.items()]
+        terms = len({e for _, p in cells for _, e in p.terms})
+        cells.append(((0,), objective))
+        cells += [((1 + m * m + k,), h) for k, h in enumerate(equalities)]
+        table = Compiled(n, (1 + m * m + len(equalities),), cells)
+        stack = table.C[:terms, 1:1 + m * m].copy().reshape(terms, m, m)
+        # the column of each entry of G's upper triangle, for it and its
+        # mirror: two columns that hold the same coefficients need not
+        # round alike in a BLAS product
+        i, j = np.indices((m, m))
+        gidx = 1 + np.minimum(i, j) * m + np.maximum(i, j)
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", constraint.dim)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraint", constraint)
         object.__setattr__(self, "equalities", equalities)
-        for slot, c in zip(("_f", "_G", "_h"), compiled):
-            object.__setattr__(self, slot, c)
+        object.__setattr__(self, "_map", table)
+        object.__setattr__(self, "_stack", _frozen(stack))
+        object.__setattr__(self, "_gidx", _frozen(gidx))
         object.__setattr__(self, "_exps",
-                           np.arange(degree + 1, dtype=float)[:, None])
+                           np.arange(table.degree + 1, dtype=float)[:, None])
 
     def __setattr__(self, *_):
         raise AttributeError("NsdpProblem is immutable")
@@ -519,12 +492,12 @@ class NsdpProblem:
         symmetric and exact, so a congruence B^T A_t B gives the exact
         coefficients of the compressed map's entries.
         """
-        return self._G.C.reshape(-1, self.m, self.m)
+        return self._stack
 
     def constraint_exponents(self) -> np.ndarray:
         """Read-only exponent rows of G's monomials, shape (T, n): A_t of
         :meth:`constraint_stack` multiplies x^e_t."""
-        return self._G.exponents
+        return self._map.exponents[:len(self._stack)]
 
     # ---- numeric evaluation ------------------------------------------
 
@@ -648,14 +621,25 @@ class Evaluation:
     the table is (..., (d + 1) * n), and constraint_value and spectrum
     are a SymMat stack (..., m, m) and its stacked eigh, whose slices are
     exactly the single-point ones; the other methods take one point.
-    f(x), h(x), G(x), eigh(G(x)), G's derivative stack, the partials,
-    grad f and Dh are built on first use, kept and returned read-only;
-    those of an affine map are its Compiled's kept arrays, or views of
-    them, shared by every point (see Compiled).
+
+    Every caller of an evaluation reads its values, so they are taken
+    at once: values, read-only, is [f | vec G | h] from one monomial
+    product of the problem's table, with one finiteness test that
+    constraint_value raises on as ValueError, and G(x) is read off it
+    with each entry and its mirror from one column, so it is exactly
+    symmetric.  The rest is built on first use, kept and returned
+    read-only: the Jacobian J = D @ C, whose columns give grad f, the
+    partials of G (exactly symmetric, as G is) and Dh; and, at one
+    point, LAPACK's ascending eigenpairs of G(x) from one
+    symmat.eigh_raw call (eigenpairs), which spectrum puts in eigh's
+    order and signs, bit for bit symmat.eigh(G(x)).  The adjoint is the
+    partials times vec(M), and lagrangian_hessian one weighted bincount
+    (see Compiled).  An affine table's J is shared by every point (see
+    Compiled).
     """
 
-    __slots__ = ("problem", "powers", "_fx", "_hx", "_gx", "_spec", "_dg",
-                 "_partials", "_df", "_dh")
+    __slots__ = ("problem", "powers", "values", "_finite", "_g", "_h",
+                 "_gx", "_pairs", "_spec", "_d")
 
     def __init__(self, problem: NsdpProblem, x):
         x = np.asarray(x, dtype=float)
@@ -663,88 +647,81 @@ class Evaluation:
         table = np.power(x[..., None, :], problem._exps)
         self.powers = table.reshape(
             table.shape[:-2] + (table.shape[-2] * table.shape[-1],))
-        self._fx = self._hx = self._gx = self._spec = None
-        self._dg = self._partials = self._df = self._dh = None
+        v = self.values = _frozen(problem._map.value(self.powers))
+        self._finite = bool(np.isfinite(v).all())
+        self._g = _frozen(v.take(problem._gidx, axis=-1))
+        self._h = v[..., 1 + problem.m * problem.m:]
+        self._gx = self._pairs = self._spec = self._d = None
 
     def finite(self) -> bool:
         """Whether f(x), h(x) and G(x) are finite."""
-        try:
-            self.constraint_value()
-        except ValueError:          # SymMat refuses a non-finite G(x)
-            return False
-        return (math.isfinite(self.objective_value())
-                and (not self.problem.equalities
-                     or bool(np.isfinite(self.equality_values()).all())))
+        return self._finite
 
     def constraint_value(self) -> SymMat:
-        # Compiled.matrix fills an entry and its mirror from one
-        # coefficient column, so G(x) comes out exactly symmetric, a
-        # fresh square array that only the finiteness check is left for
         if self._gx is None:
-            self._gx = SymMat._frozen(self.problem._G.value(self.powers))
+            self._gx = SymMat._frozen(self._checked_g(), checked=True)
         return self._gx
+
+    def _checked_g(self) -> np.ndarray:
+        if not self._finite:
+            raise ValueError("f, G or h is not finite at the point")
+        return self._g
+
+    def eigenpairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """LAPACK's eigenpairs (w, U) of G(x) at one point: w ascending,
+        U's columns the eigenvectors, both read-only (symmat.eigh_raw)."""
+        if self._pairs is None:
+            self._pairs = eigh_raw(self._checked_g())
+        return self._pairs
 
     def spectrum(self) -> Spectral:
         """eigh(G(x)), stacked for a stack of points."""
         if self._spec is None:
-            self._spec = eigh(self.constraint_value())
+            if self.powers.ndim > 1:
+                self._spec = eigh(self.constraint_value())
+            else:
+                self._spec = spectral_order(*self.eigenpairs())
         return self._spec
 
-    def _constraint_derivatives(self) -> np.ndarray:
-        if self._dg is None:
-            self._dg = _frozen(self.problem._G.derivatives(self.powers))
-        return self._dg
+    def _derivatives(self) -> Tuple[np.ndarray, ...]:
+        """(grad f, the partials (n, m, m), the partials as rows
+        (n, m * m), Dh), read off one J = D @ C, the partials exactly
+        symmetric as G is."""
+        if self._d is None:
+            P, table = self.problem, self.problem._map
+            J = _frozen(table.jacobian(table.derivatives(self.powers)))
+            W = _frozen(J.take(P._gidx, axis=1))
+            self._d = (J[:, 0], W, W.reshape(P.n, -1), J[:, 1 + P.m ** 2:].T)
+        return self._d
 
     def constraint_partials(self) -> np.ndarray:
         """Stacked partial derivative matrices, shape (n, m, m)."""
-        if self._partials is None:
-            P = self.problem
-            self._partials = _frozen(P._G.jacobian(
-                self._constraint_derivatives()).reshape(P.n, P.m, P.m))
-        return self._partials
+        return self._derivatives()[1]
 
     def adjoint(self, M) -> np.ndarray:
-        """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>); C @ vec(M)
-        is shared with the Hessian of a read-only M (see Compiled)."""
+        """DG(x)*[M] = (<D_1 G(x), M>, ..., <D_n G(x), M>)."""
         M = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
-        return self.problem._G.adjoint(self._constraint_derivatives(), M)
+        return self._derivatives()[2] @ M.ravel()
 
     def objective_value(self) -> float:
-        if self._fx is None:
-            self._fx = float(self.problem._f.value(self.powers))
-        return self._fx
+        return float(self.values[0])
 
     def objective_gradient(self) -> np.ndarray:
-        if self._df is None:
-            self._df = self.problem._f.gradient(self.powers)
-        return self._df
+        return self._derivatives()[0]
 
     def equality_values(self) -> np.ndarray:
-        if self._hx is None:
-            self._hx = _frozen(self.problem._h.value(self.powers))
-        return self._hx
+        return self._h
 
     def equality_gradients(self) -> np.ndarray:
         """Rows are the gradients of the h_i, shape (k, n)."""
-        if self._dh is None:
-            h = self.problem._h
-            self._dh = _frozen(h.jacobian(h.derivatives(self.powers)).T)
-        return self._dh
+        return self._derivatives()[3]
 
     def lagrangian_hessian(self, Y, w) -> np.ndarray:
         """Hessian of f - <G, Y> + <h, w> in x, Y and w held fixed,
-        shape (n, n)."""
-        P = self.problem
-        Y = Y.a if isinstance(Y, SymMat) else Y
-        # an affine f's zero Hessian minus Hess <G, Y> is 0.0 minus it
-        # entrywise, signed zeros included, and holds no -0.0
-        Hf = 0.0 if P._f.affine else P._f.hessian(self.powers, np.ones(1))
-        H = Hf - P._G.hessian(self.powers, Y)
-        # an equality map without second derivatives adds zeros, which
-        # only turn a -0.0 into 0.0, as + 0.0 does
-        if not P._h.affine:
-            return H + P._h.hessian(self.powers, w)
-        return H if P._f.affine else H + 0.0
+        shape (n, n): the table's Hessian against [1, -vec Y, w]."""
+        Y = Y.a if isinstance(Y, SymMat) else np.asarray(Y, dtype=float)
+        return self.problem._map.hessian(
+            self.powers, np.concatenate((_ONE, -Y.ravel(), w)))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

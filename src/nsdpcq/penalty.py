@@ -47,7 +47,7 @@ tol / ||DG||_F, the smallest Y whose adjoint the last level's gradient
 tolerance tol resolves.
 
 Each point is evaluated once, by one model Evaluation (NsdpProblem.at)
-that keeps f, h, eigh(G) and the derivative stacks, none of it
+that keeps f, h, the eigenpairs of G and the Jacobian, none of it
 depending on rho; a path trace evaluates G at all its points from one
 stacked table and decomposes them with one stacked eigh.  A point's
 Evaluation goes from the line-search trial that accepted it through its
@@ -59,23 +59,24 @@ below, ends stalled, and so does every level after it.
 
 On these problems (n and m of a few units) a Newton step costs more in
 numpy's per-call overhead than in LAPACK, so each step keeps its fixed
-cost down without changing a bit of its result: an accepted trial hands
-its value's pieces (_penalty_value) to the gradient instead of
-recomputing them, the projection weights are filled block by block off
-the sorted spectrum, the Cholesky factor is taken of H itself unless H
-needs a diagonal shift, the factorization and both triangular solves
-call the LAPACK gufuncs behind numpy.linalg directly, so that a failed
-factorization costs one LAPACK call and no raised LinAlgError, under
-one errstate that inner_minimize enters per level, the derivatives of
-an affine f, G or h (a linear objective, say), the gradient of an
-affine f and the empty values of absent equalities are built once per
-problem (see model.Compiled), an affine f adds no Hessian term, a
-problem without equalities skips their terms, and the
-eigendecomposition of one matrix takes symmat.eigh's single-matrix
-path, the LAPACK gufunc behind numpy.linalg.eigh.  The multiplier is
-symmetrized in place and frozen with no copy, a point where G(x) is
-PSD gets its zero multiplier with no product, and the gradient's
-adjoint and the Hessian share one C @ vec(Y) (model.Compiled).
+cost down.  A point's f, G and h are one monomial product with one
+finiteness test, and its grad f, partials of G and Dh slices of one
+Jacobian (model.Evaluation).  Each point gets one LAPACK eigensolve,
+and the penalty reads its pairs as LAPACK returns them, eigenvalues
+ascending: the value, the multiplier, whose active block, the
+eigenvectors of the negative eigenvalues, is a leading slice, the noise
+and gradient floors, and the projection weights and Hessian, filled
+block by block.  Only a level's record sorts and sign-fixes them
+(Evaluation.spectrum).  An accepted trial hands its value's pieces
+(_penalty_value) to the gradient, and its gradient norm to the next
+iteration, instead of recomputing them.  The Cholesky factor is taken
+of H itself unless H needs a diagonal shift, and the factorization and
+both triangular solves call the LAPACK gufuncs behind numpy.linalg
+directly, so that a failed factorization costs one LAPACK call and no
+raised LinAlgError, under one errstate that inner_minimize enters per
+level.  The multiplier is symmetrized in place and frozen with no copy,
+a point where G(x) is PSD gets its zero multiplier with no product, and
+a problem without equalities skips their terms.
 """
 from __future__ import annotations
 
@@ -116,6 +117,7 @@ INNER_MAX_ITERS = 400        # Newton iterations allowed per penalty level
 # relative float resolution of the penalty value, applied to the sizes of
 # its terms (see _penalty_parts), not to the value itself
 VALUE_NOISE = 1e-14
+EPS = float(np.finfo(float).eps)
 TAU_CLUSTER = 1e-6
 # 26 halvings from 1e-2 end 3e-10 from the limit, close enough for the
 # rank of G at the limit to be read off the final iterate directly
@@ -261,10 +263,11 @@ def _penalty_value(anchor: np.ndarray, rho: float, x: np.ndarray,
                    ev: Evaluation):
     """Value of phi at x, from ev, the model evaluation at x, with the
     pieces its gradient reuses: (val, dx, neg, reg, pen), neg the
-    eigenvalues of proj(-G(x)) and reg and pen the regularization and
+    eigenvalues of proj(-G(x)) in the order of ev.eigenpairs(), the
+    positive ones leading, and reg and pen the regularization and
     penalty terms."""
     dx = x - anchor
-    neg = np.maximum(-ev.spectrum().values, 0.0)
+    neg = np.maximum(-ev.eigenpairs()[0], 0.0)
     reg = 0.5 * float(dx @ dx)
     # without equalities the sum of squares is 0.0, and adding it keeps
     # every bit of neg @ neg, which is never -0.0
@@ -283,10 +286,12 @@ def _penalty_parts(anchor: np.ndarray, rho: float, x: np.ndarray,
 
     value is _penalty_value's result at x, which a line-search trial
     hands on when it is accepted; it is computed when not given.  The
-    value reads f(x), h(x) and the constraint spectrum off ev, and the
-    gradient its derivative stacks, none of them depending on rho, so a
-    caller that holds ev, from a value trial at x or from the level that
-    ended at x, evaluates no point twice.
+    value reads f(x), h(x) and the eigenpairs of G(x) off ev, and the
+    gradient its Jacobian, none of them depending on rho, so a caller
+    that holds ev, from a value trial at x or from the level that ended
+    at x, evaluates no point twice.  The eigenpairs are LAPACK's,
+    ascending, so the active block of the multiplier, the eigenvectors
+    of the negative eigenvalues, is their leading slice.
 
     The noise floor bounds the rounding error of phi near x: VALUE_NOISE
     times the sizes of its terms, which can cancel, plus the eigenvalue
@@ -297,11 +302,11 @@ def _penalty_parts(anchor: np.ndarray, rho: float, x: np.ndarray,
     the Armijo test off.
     """
     val, dx, neg, reg, pen = value or _penalty_value(anchor, rho, x, ev)
-    fx, spec = ev.objective_value(), ev.spectrum()
-    if spec.values[-1] < 0.0:
-        act = neg > 0.0
-        V = spec.vectors[:, act]
-        Ymat = rho * (V * neg[act]) @ V.T
+    w, U = ev.eigenpairs()
+    k = int(w.searchsorted(0.0))        # the eigenvalues below zero
+    if k:
+        V = U[:, :k]
+        Ymat = rho * (V * neg[:k]) @ V.T
         # (Y + Y^T) / 2 in place, entrywise the average from_symmetric
         # takes, and exactly symmetric
         Ymat += Ymat.T
@@ -309,25 +314,25 @@ def _penalty_parts(anchor: np.ndarray, rho: float, x: np.ndarray,
     else:                   # G(x) PSD: a zero multiplier, with no product
         Ymat = np.zeros((ev.problem.m, ev.problem.m))
     Y = SymMat._frozen(Ymat)
-    grad = ev.objective_gradient() + dx - ev.adjoint(Y.a)
+    grad = ev.objective_gradient() + dx - ev.adjoint(Ymat)
     if ev.problem.equalities:
         hvals = ev.equality_values()
         grad = grad + rho * (ev.equality_gradients().T @ hvals)
-    noise = VALUE_NOISE * (abs(fx) + reg + pen
-                           + rho * _lam_abs(spec.values) * float(neg.sum()))
+    noise = VALUE_NOISE * (abs(ev.objective_value()) + reg + pen
+                           + rho * _lam_abs(w) * float(neg.sum()))
     return val, grad, Y, noise
 
 
-def _gradient_floor(rho: float, spec, dg_norm: float) -> float:
+def _gradient_floor(rho: float, values: np.ndarray, dg_norm: float) -> float:
     """Float resolution of the penalty gradient at a point, from the
-    spectrum of G and ||DG||_F there.
+    eigenvalues of G, sorted either way, and ||DG||_F there.
 
     Y = rho * proj(-G) carries the eigenvalues' absolute roundoff, about
     eps * max|lambda(G)|, amplified by rho, and DG* maps it into the
     gradient with gain at most ||DG||_F, the Frobenius norm of the stack
     of partials.
     """
-    return float(np.finfo(float).eps) * rho * _lam_abs(spec.values) * dg_norm
+    return EPS * rho * _lam_abs(values) * dg_norm
 
 
 def _norm(v: np.ndarray) -> float:
@@ -337,7 +342,7 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _lam_abs(values: np.ndarray) -> float:
-    """max|lambda| of a non-increasing spectrum."""
+    """max|lambda| of a sorted spectrum, ascending or descending."""
     return max(abs(float(values[0])), abs(float(values[-1])))
 
 
@@ -364,17 +369,17 @@ def _penalty_hessian(rho: float, ev: Evaluation, Y: SymMat) -> np.ndarray:
     with Omega_ij = (mu_i^+ - mu_j^+) / (mu_i - mu_j) (Sun & Sun 2002):
     1 at an exact tie of positive eigenvalues, 0 at one of non-positive
     ones.  With B_l = Q^T D_l G Q the projection term is
-    rho B (Omega o B)^T over the flattened B_l.
+    rho B (Omega o B)^T over the flattened B_l.  Q and mu = -w are
+    ev.eigenpairs() as LAPACK returns them.
     """
-    eqs, spec = ev.problem.equalities, ev.spectrum()
+    eqs, (w, Q) = ev.problem.equalities, ev.eigenpairs()
     # without equalities the Lagrangian Hessian reads no weights
-    H = ev.lagrangian_hessian(Y, rho * ev.equality_values() if eqs else None)
+    H = ev.lagrangian_hessian(Y, rho * ev.equality_values() if eqs else ())
     n = H.shape[0]
-    H.flat[::n + 1] += 1.0
-    if spec.values[-1] < 0.0:
-        Q = spec.vectors
+    H.ravel()[::n + 1] += 1.0
+    if w[0] < 0.0:
         B = compress(ev.constraint_partials(), Q).reshape(n, -1)
-        BW = B * _projection_weights(-spec.values).ravel()
+        BW = B * _projection_weights(-w).ravel()
         BW *= rho
         H += BW @ B.T
     if eqs:
@@ -385,20 +390,20 @@ def _penalty_hessian(rho: float, ev: Evaluation, Y: SymMat) -> np.ndarray:
 
 def _projection_weights(mu: np.ndarray) -> np.ndarray:
     """Omega of the generalized Jacobian of the PSD projection at
-    Q diag(mu) Q^T (see _penalty_hessian), for mu non-decreasing.
+    Q diag(mu) Q^T (see _penalty_hessian), for mu non-increasing.
 
-    The first k entries of mu are non-positive and the rest positive, so
-    Omega is 0 on the leading k x k block, 1 on the trailing one, and
+    The first k entries of mu are positive and the rest non-positive, so
+    Omega is 1 on the leading k x k block, 0 on the trailing one, and
     mu_i / (mu_i - mu_j) on the cross blocks, which are each other's
     transpose bit for bit.  Only the sign of a zero can differ from the
     entrywise formula, and no sum in the Hessian keeps it.
     """
-    k = int(mu.searchsorted(0.0, side="right"))
-    W = np.ones((mu.size, mu.size))
-    W[:k, :k] = 0.0
-    pos = mu[k:, None]
-    W[k:, :k] = pos / (pos - mu[:k])
-    W[:k, k:] = W[k:, :k].T
+    k = mu.size - int(mu[::-1].searchsorted(0.0, side="right"))
+    W = np.zeros((mu.size, mu.size))
+    W[:k, :k] = 1.0
+    pos = mu[:k, None]
+    W[:k, k:] = cross = pos / (pos - mu[k:])
+    W[k:, :k] = cross.T
     return W
 
 
@@ -450,8 +455,8 @@ def _line_search(P: NsdpProblem, anchor: np.ndarray, rho: float,
     halved.  A trial whose f, h or G overflows has the value inf, and one
     whose gradient norm overflows is rejected like any other.  An
     accepted trial hands its value's pieces on to the gradient.  Returns
-    the accepted point with its value, gradient, multiplier, Evaluation
-    and noise floor, or None after 60 trials.
+    the accepted point with its value, gradient and its norm, multiplier,
+    Evaluation and noise floor, or None after 60 trials.
     """
     t = 1.0
     for _ in range(60):
@@ -464,7 +469,7 @@ def _line_search(P: NsdpProblem, anchor: np.ndarray, rho: float,
             _, gc, Yc, noise_c = _penalty_parts(anchor, rho, cand, ev, value)
             gnorm_c = _norm(gc)
             if math.isfinite(gnorm_c) and (armijo or gnorm_c < gnorm):
-                return cand, fc, gc, Yc, ev, noise_c
+                return cand, fc, gc, gnorm_c, Yc, ev, noise_c
         if armijo:
             curv = fc - val - gd * t
             t = max(0.1 * t, min(0.5 * t, -gd * (t * t) / (2.0 * curv)))
@@ -512,10 +517,10 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
     val, grad, Y, noise = _penalty_parts(anchor, rho, x, ev)
     dg_norm = _norm(ev.constraint_partials().ravel())
     tol = max(inner_tolerance(cfg, rho),
-              _gradient_floor(rho, ev.spectrum(), dg_norm))
+              _gradient_floor(rho, ev.eigenpairs()[0], dg_norm))
     gamma = 1.0 / (1.0 + rho * dg_norm * dg_norm)
+    gnorm = _norm(grad)
     for it in range(INNER_MAX_ITERS):
-        gnorm = _norm(grad)
         if gnorm <= tol:
             return InnerResult(x, gnorm, True, it, Y, ev)
         d = _newton_direction(_penalty_hessian(rho, ev, Y), grad)
@@ -528,8 +533,7 @@ def inner_minimize(P: NsdpProblem, cfg: PenaltyConfig, rho: float,
                                 -gamma * grad, -gamma * gnorm * gnorm)
         if step is None:
             return InnerResult(x, gnorm, False, it, Y, ev)
-        x, val, grad, Y, ev, noise = step
-    gnorm = _norm(grad)
+        x, val, grad, gnorm, Y, ev, noise = step
     return InnerResult(x, gnorm, gnorm <= tol, INNER_MAX_ITERS, Y, ev)
 
 
@@ -590,7 +594,7 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
         # floor is rounding growing with rho, not a multiplier.  Nor is
         # a Y whose adjoint, at most ||DG||_F ||Y||_F, stays below the
         # level's gradient tolerance: the inner solve cannot resolve it
-        floor = (last.rho * float(np.finfo(float).eps)
+        floor = (last.rho * EPS
                  * _lam_abs(last.eigenvalues) * np.sqrt(P.m))
         dg_norm = _norm(ev.constraint_partials().ravel())
         if (last.inner_converged and ref.multiplier_norm > 0.0

@@ -7,10 +7,13 @@ them along leading axes, and :func:`eigh` decomposes a stack in one
 LAPACK call through ``numpy.linalg.eigh``, each slice exactly as it
 would decompose that matrix alone.  A single matrix, the case of every
 penalty step, takes a shorter path to the same bytes, layout and flags:
-it calls the LAPACK gufunc behind ``numpy.linalg.eigh`` directly, and
-its ordering and sign fix need no offsets into a stack.  On a 3 x 3
-matrix the gufunc takes 3.3 us against numpy.linalg.eigh's 7.8 to
-10.7 us on a shared 2-core Xeon, the rest being numpy.linalg's dispatch.
+:func:`eigh_raw` calls the LAPACK gufunc behind ``numpy.linalg.eigh``
+directly, and :func:`spectral_order` fixes the order and signs with no
+offsets into a stack.  The penalty reads the raw ascending pairs
+themselves, and a model evaluation keeps both forms of one call.  On a
+3 x 3 matrix the gufunc takes 3.3 us against numpy.linalg.eigh's 7.8
+to 10.7 us on a shared 2-core Xeon, the rest being numpy.linalg's
+dispatch.
 LAPACK's error in an eigenvalue is a small multiple of eps * ||M||;
 the cyclic Jacobi method only does better on small eigenvalues when it
 stops on a relative off-diagonal test (Demmel & Veselic 1992), so it
@@ -107,12 +110,13 @@ class SymMat:
         return cls._frozen((arr + arr.swapaxes(-1, -2)) / 2.0)
 
     @classmethod
-    def _frozen(cls, arr: np.ndarray) -> "SymMat":
+    def _frozen(cls, arr: np.ndarray, checked: bool = False) -> "SymMat":
         """Freeze a square, exactly symmetric float array in place, with
-        no copy, after checking that it is finite.  The caller vouches
-        for the shape and the symmetry, as an evaluation that fills an
-        entry and its mirror from one computation can."""
-        if not np.isfinite(arr).all():
+        no copy, after checking that it is finite, unless the caller
+        has (checked).  The caller vouches for the shape and the
+        symmetry, as an evaluation that fills an entry and its mirror
+        from one computation can."""
+        if not checked and not np.isfinite(arr).all():
             raise ValueError("SymMat entries must be finite")
         arr.setflags(write=False)
         out = cls.__new__(cls)
@@ -143,6 +147,46 @@ class Spectral:
     vectors: np.ndarray  # column i belongs to values[..., i]
 
 
+def eigh_raw(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """LAPACK's eigenpairs of one symmetric matrix a as it returns them:
+    the values w ascending and the vectors u in columns, both read-only.
+
+    The gufunc behind numpy.linalg.eigh, ``_eigh_lo``, is called on a as
+    is, under numpy.linalg's own errstate less its LinAlgError.  It
+    reports a failure by filling every output with NaN, which is raised
+    as :class:`NumericalFailure`.  :func:`spectral_order` puts the pairs
+    in eigh's order and signs.
+    """
+    with np.errstate(all="ignore"):
+        w, u = _eigh_lo(a, signature="d->dd")
+    if w.size and w[-1] != w[-1]:
+        raise NumericalFailure(
+            "eigensolver failed: Eigenvalues did not converge")
+    w.setflags(write=False)
+    u.setflags(write=False)
+    return w, u
+
+
+def spectral_order(w: np.ndarray, u: np.ndarray) -> Spectral:
+    """The nonempty pairs (w, u) of :func:`eigh_raw` as :func:`eigh`
+    returns them, with new read-only arrays.
+
+    One stable argsort of -w, one gather of the rows of u^T, one sign fix
+    read off each row's argmax by a flat take and a transpose back give
+    the bytes, strides and flags the stack path of eigh gives its slices:
+    the gathered rows are C-ordered, so their transpose is column-major.
+    """
+    order = (-w).argsort(kind="stable")
+    values = w.take(order)
+    rows = u.T.take(order, axis=0)
+    peak = rows.take(np.abs(rows).argmax(axis=1) + _row_offsets(w.size))
+    np.negative(rows, out=rows, where=peak[:, None] < 0.0)
+    vectors = rows.T
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return Spectral(values=values, vectors=vectors)
+
+
 def eigh(M) -> Spectral:
     """Eigendecomposition of a symmetric matrix, or of a stack of them
     along leading axes, through LAPACK.
@@ -156,13 +200,8 @@ def eigh(M) -> Spectral:
 
     A stack goes through numpy.linalg.eigh and orders all its matrices
     by one gather of the eigenvectors as rows, each matrix's order
-    offset by its first row.  A single matrix calls the gufunc behind
-    numpy.linalg.eigh on the same array, under numpy.linalg's own
-    errstate less its LinAlgError: the gufunc reports a failure by NaN
-    outputs, and a NaN eigenvalue, which the sort puts last, is raised.
-    One stable argsort of -w, one gather of the rows of U^T, one sign
-    fix read off each row's argmax by a flat take and a transpose back
-    give the bytes, strides and flags the stack path gives its slices.
+    offset by its first row.  A single matrix is :func:`eigh_raw` of the
+    same array put in order by :func:`spectral_order`.
     """
     if isinstance(M, SymMat):
         a = M.a
@@ -172,27 +211,14 @@ def eigh(M) -> Spectral:
             raise ValueError("eigh needs a square symmetric matrix")
         a = (a + a.swapaxes(-1, -2)) / 2.0
     if a.ndim == 2:
-        with np.errstate(all="ignore"):
-            w, u = _eigh_lo(a, signature="d->dd")
-    else:
-        try:
-            w, u = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+        w, u = eigh_raw(a)
+        return spectral_order(w, u) if w.size else Spectral(w, u)
+    try:
+        w, u = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     values, vectors = w, u
-    if w.ndim == 1 and w.size:
-        # the gathered rows are C-ordered, so rows.T is column-major,
-        # the layout of the stack's slices
-        order = (-w).argsort(kind="stable")
-        values = w.take(order)
-        if values[-1] != values[-1]:    # a NaN, sorted last: LAPACK failed
-            raise NumericalFailure(
-                "eigensolver failed: Eigenvalues did not converge")
-        rows = u.T.take(order, axis=0)
-        peak = rows.take(np.abs(rows).argmax(axis=1) + _row_offsets(w.size))
-        np.negative(rows, out=rows, where=peak[:, None] < 0.0)
-        vectors = rows.T
-    elif w.size:
+    if w.size:
         m = w.shape[-1]
         # every eigenvector of the stack as a row, in LAPACK's order
         rows = u.swapaxes(-1, -2).reshape(w.size, m)

@@ -10,9 +10,9 @@ invariance survey, the KKT residuals at a candidate multiplier and a
 best-effort multiplier fit, the projection onto the PSD cone, the
 term-by-term evaluation and derivatives of a polynomial that the
 compiled evaluator is compared against, the stack form of
-eigh's ordering and sign fix applied to a single matrix, the Lagrangian
-Hessian summed over all three maps, the penalty Hessian with its
-equality terms formed for every problem, the Newton direction's shift search
+eigh's ordering and sign fix applied to a single matrix, the penalty
+Hessian with its equality terms formed for every problem, the Newton
+direction's shift search
 through numpy.linalg, the entrywise weights of the
 projection Jacobian, and the per-point
 references of the penalty layer: the penalty value, gradient,
@@ -77,7 +77,14 @@ from nsdpcq.sparse import (
     _score,
     check_sparse_ndg,
 )
-from nsdpcq.symmat import Spectral, SymMat, eigh, frobenius, random_rotation
+from nsdpcq.symmat import (
+    Spectral,
+    SymMat,
+    eigh,
+    eigh_raw,
+    frobenius,
+    random_rotation,
+)
 
 # largest PSD defect of a valid KKT multiplier Y, relative to 1 + max|Y_ij|
 TAU_EIG = 1e-10
@@ -396,29 +403,17 @@ def eigh_stack_form(a: np.ndarray) -> Spectral:
     return Spectral(values=values, vectors=vectors)
 
 
-def lagrangian_hessian_three_maps(ev, Y: np.ndarray,
-                                  w: np.ndarray) -> np.ndarray:
-    """The Hessian of f - <G, Y> + <h, w> at ev's point as the sum of
-    the three compiled maps' Hessians, the equality map's included when
-    it has no second derivatives."""
-    P = ev.problem
-    return (P._f.hessian(ev.powers, np.ones(1))
-            - P._G.hessian(ev.powers, Y)
-            + P._h.hessian(ev.powers, w))
-
-
 def penalty_hessian_equality_terms(rho: float, ev, Y: SymMat) -> np.ndarray:
     """penalty._penalty_hessian with its equality terms formed for every
     problem: the Lagrangian Hessian weighted by rho h(x), an empty array
     without equalities, and rho Dh^T Dh added whenever Dh has rows."""
-    hvals, spec = ev.equality_values(), ev.spectrum()
+    hvals, (w, Q) = ev.equality_values(), ev.eigenpairs()
     H = ev.lagrangian_hessian(Y, rho * hvals)
     n = H.shape[0]
     H.flat[::n + 1] += 1.0
-    if spec.values[-1] < 0.0:
-        Q = spec.vectors
+    if w[0] < 0.0:
         B = compress(ev.constraint_partials(), Q).reshape(n, -1)
-        BW = B * _projection_weights(-spec.values).ravel()
+        BW = B * _projection_weights(-w).ravel()
         BW *= rho
         H += BW @ B.T
     if hvals.shape[0]:
@@ -459,30 +454,31 @@ def projection_weights_entrywise(mu: np.ndarray) -> np.ndarray:
 
 def penalty_parts_reference(P: NsdpProblem, anchor, rho: float, x):
     """Value, gradient, multiplier and noise floor of the regularized
-    penalty at x, each model piece from its own public method call, in
-    the library's order of operations (grad f + dx - DG*[Y] + rho Dh^T h),
-    so the library must match it bit for bit."""
+    penalty at x, each model piece from its own public method call and
+    the eigenpairs of G(x) from symmat.eigh_raw, in the library's order
+    of operations (grad f + dx - DG*[Y] + rho Dh^T h, the
+    multiplier from the eigenvectors of the negative eigenvalues, picked
+    by a mask), so the library must match it bit for bit."""
     anchor = np.asarray(anchor, dtype=float)
     x = np.asarray(x, dtype=float)
     fx, hvals = P.objective_value(x), P.equality_values(x)
-    spec = eigh(P.constraint_value(x))
+    w, U = eigh_raw(P.constraint_value(x).a)
     dx = x - anchor
-    neg = np.clip(-spec.values, 0.0, None)
+    neg = np.clip(-w, 0.0, None)
     reg = 0.5 * float(dx @ dx)
     pen = 0.5 * rho * (float(neg @ neg) + float(hvals @ hvals))
     val = fx + reg + pen
     act = neg > 0.0
     if np.any(act):
-        V = spec.vectors[:, act]
+        V = U[:, act]
         Ymat = rho * (V * neg[act]) @ V.T
     else:
         Ymat = np.zeros((P.m, P.m))
     Y = SymMat.from_symmetric(Ymat)
-    grad = P.objective_gradient(x) + dx - P.adjoint(x, Y.a)
-    if hvals.shape[0]:
-        grad = grad + rho * (P.equality_gradients(x).T @ hvals)
+    grad = (P.objective_gradient(x) + dx - P.adjoint(x, Y.a)
+            + rho * (P.equality_gradients(x).T @ hvals))
     noise = VALUE_NOISE * (abs(fx) + reg + pen
-                           + rho * _lam_abs(spec.values) * float(np.sum(neg)))
+                           + rho * _lam_abs(w) * float(np.sum(neg)))
     return val, grad, Y, noise
 
 

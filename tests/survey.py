@@ -25,12 +25,14 @@ solve digest over the names, solves and notes alone.  Two checkouts
 that print the same digest produced bit-identical iterates,
 multipliers, spectra, verdicts and witnesses; the same solve digest
 says the same of the penalty runs when only reports moved.  A change
-meant to keep every bit, such as a performance change, is gated by
---expect-digests with the two digests the parent commit prints: the
-check then also exits 1 when either digest differs, naming it.  The
-digests depend on the numpy and BLAS build, so they are compared
-between two checkouts on one machine and are not pinned in CI, which
-also runs numpy 1.24.
+meant to keep every bit is gated by --expect-digests with the two
+digests the parent commit prints: the check then also exits 1 when
+either digest differs, naming it.  A change that moves rounding on
+purpose, such as a new order of floating-point operations, runs --check
+without that option: it must pass with the table unedited, and it
+reports the parent's and its own digest pair.  The digests depend on
+the numpy and BLAS build, so they are compared between two checkouts
+on one machine and are not pinned in CI, which also runs numpy 1.24.
 
 No condition changes when G is multiplied by a constant S > 0.  --scale
 analyzes every instance with each coefficient of G times S, with no

@@ -8,6 +8,7 @@ from nsdpcq.errors import ProblemFormatError
 from nsdpcq.symmat import SymMat, eigh
 from nsdpcq.model import (
     COEF_DROP,
+    Compiled,
     MAX_DEGREE,
     MAX_VARS,
     MatrixPoly,
@@ -20,7 +21,6 @@ from nsdpcq.model import (
 from oracles import (
     component_subproblem,
     detect_blocks,
-    lagrangian_hessian_three_maps,
     poly_eval,
     poly_from_json_per_term,
     poly_grad,
@@ -159,15 +159,14 @@ def test_parse_matches_per_term_reference_bitwise():
                 _term_bits(poly_from_json_per_term(n, data))
         P = NsdpProblem.from_json(obj)
         Q = problem_from_json_per_term(obj)
-        for name in ("_f", "_G", "_h"):
-            a, b = getattr(P, name), getattr(Q, name)
-            assert a.shape == b.shape and a.degree == b.degree
-            tables = zip(("hidx", "hmult", "hpos", "hmon"),
-                         a.hessian_tables(), b.hessian_tables())
-            for slot, x, y in [(slot, getattr(a, slot), getattr(b, slot))
-                               for slot in slots] + list(tables):
-                assert x.dtype == y.dtype and x.shape == y.shape
-                assert x.tobytes() == y.tobytes(), (name, slot)
+        a, b = P._map, Q._map
+        assert a.shape == b.shape and a.degree == b.degree
+        tables = zip(("hidx", "hmult", "hpos", "hmon"),
+                     a.hessian_tables(), b.hessian_tables())
+        for slot, x, y in [(slot, getattr(a, slot), getattr(b, slot))
+                           for slot in slots] + list(tables):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes(), slot
     assert min(sizes) == 1 and max(sizes) == MAX_VARS
 
 
@@ -450,16 +449,26 @@ def test_lagrangian_hessian_matches_reference_and_differences():
                 (P.name, l)
 
 
-def test_lagrangian_hessian_equals_three_map_sum_bitwise():
-    # skipping the equality map when it has no second derivatives must
-    # leave every bit, the sign of a zero included: random problems with
-    # and without equalities, and linear and quadratic objectives with
-    # no, linear and quadratic equalities, at zero and random multipliers
+def test_one_term_table_matches_term_by_term_reference():
+    # f, G, h, grad f, the partials, Dh and the Lagrangian Hessian, all
+    # read off the one [f | vec G | h] table, against poly_eval and
+    # poly_grad term by term: seeded problems whose objective has a
+    # quadratic term, with 0, 1 and 2 equalities, and linear and
+    # quadratic objectives with no, linear and quadratic equalities, at
+    # zero and random multipliers
     rng = np.random.default_rng(23)
     n = 3
     x1, x2 = Poly.var(n, 0), Poly.var(n, 1)
     G = MatrixPoly(2, n, {(0, 0): x1 * x2, (0, 1): x2, (1, 1): x1 * x1})
-    cases = list(evaluation_cases())
+    cases = []
+    for k in (0, 1, 2):
+        for case in range(8):
+            R = random_problem(rng, n, int(rng.integers(1, 4)), k,
+                               f"table{k}_{case}")
+            P = NsdpProblem(n, R.objective + x1 * x2, R.constraint,
+                            R.equalities, R.name)
+            assert not P._map.affine
+            cases.append((P, rng.uniform(-1.0, 1.0, n)))
     for obj in (x1 * 2.0 - x2, x1 * x2 + x2 * x2 * 0.5):
         for eqs in ([], [x1 + x2], [x1 * x2 - Poly.const(n, 1.0)]):
             cases.append((NsdpProblem(n=n, objective=obj, constraint=G,
@@ -467,15 +476,44 @@ def test_lagrangian_hessian_equals_three_map_sum_bitwise():
                           np.array([0.0, -0.5, 1.5])))
     for P, x in cases:
         ev = P.at(x)
+        got = {"f": ev.objective_value(), "df": ev.objective_gradient(),
+               "h": ev.equality_values(), "dh": ev.equality_gradients(),
+               "G": ev.constraint_value().a, "DG": ev.constraint_partials()}
+        for key, val in reference_evaluation(P, x).items():
+            assert np.shape(got[key]) == np.shape(val), (P.name, key)
+            assert np.allclose(got[key], val, rtol=1e-12, atol=1e-12), \
+                (P.name, key)
         Ys = [np.zeros((P.m, P.m)), rng.standard_normal((P.m, P.m))]
         Ys[1] = Ys[1] + Ys[1].T
         k = len(P.equalities)
         for Y in Ys:
             for w in (np.zeros(k), rng.standard_normal(k)):
                 H = ev.lagrangian_hessian(SymMat(Y), w)
-                want = lagrangian_hessian_three_maps(ev, Y, w)
-                assert H.tobytes() == want.tobytes(), P.name
-                assert np.array_equal(np.signbit(H), np.signbit(want))
+                assert np.allclose(H, reference_hessian(P, x, Y, w),
+                                   rtol=1e-12, atol=1e-10), P.name
+
+
+def test_constraint_stack_is_the_g_only_table():
+    # sparse.py reads G's coefficients and exponents off the table's
+    # leading rows: bit for bit those of G compiled alone, with f's and
+    # h's monomials, shared or not, after them
+    rng = np.random.default_rng(37)
+    cases = list(evaluation_cases())
+    cases += [(random_problem(rng, 4, m, 2, f"wide{m}"), None)
+              for m in (5, 13, 50)]
+    cases.append((NsdpProblem(2, Poly.var(2, 0), MatrixPoly(3, 2, {}),
+                              [Poly.var(2, 1)]), None))
+    for P, _ in cases:
+        m = P.m
+        alone = Compiled(P.n, (m, m), [
+            ({i * m + j, j * m + i}, p)
+            for (i, j), p in P.constraint.entries.items()])
+        A, E = P.constraint_stack(), P.constraint_exponents()
+        assert A.shape == (alone.C.shape[0], m, m), P.name
+        assert A.tobytes() == alone.C.tobytes(), P.name
+        assert E.shape == alone.exponents.shape, P.name
+        assert E.tobytes() == alone.exponents.tobytes(), P.name
+        assert not A.flags.writeable and not E.flags.writeable
 
 
 def test_stacked_constraint_value_slices_equal_single_points():
@@ -540,54 +578,47 @@ def test_evaluation_keeps_read_only_derivatives():
             assert arr.tobytes() == want[key].tobytes(), (P.name, key)
         M = np.arange(P.m * P.m, dtype=float).reshape(P.m, P.m)
         M = M + M.T
-        alone = P._G.adjoint(P._G.derivatives(ev.powers), M)
+        alone = ev.constraint_partials().reshape(P.n, -1) @ M.ravel()
         assert ev.adjoint(M).tobytes() == alone.tobytes(), P.name
 
 
-def test_weighted_product_is_shared_only_for_read_only_multipliers():
-    # C @ vec(Y) for a SymMat's read-only array is taken once and shared
-    # by the adjoint and the Hessian, whose bytes are those of a fresh
-    # product; a writable M, or a read-only view of one, is multiplied
-    # afresh, so a change between two calls gives the new answer
+def test_adjoint_and_hessian_read_the_multiplier_at_each_call():
+    # nothing of a multiplier is kept between calls: a SymMat's array, a
+    # writable M and a read-only view of one, changed between two calls,
+    # give the new answer, bit for bit that of a fresh evaluation
     rng = np.random.default_rng(31)
     for P, x in evaluation_cases():
         ev = P.at(x)
-        D, C = P._G.derivatives(ev.powers), P._G.C
         fresh = NsdpProblem(P.n, P.objective, P.constraint, P.equalities)
-        g = rng.standard_normal((P.m, P.m))
-        Y = SymMat.from_symmetric(g)
         w = rng.standard_normal(len(P.equalities))
-        adj = ev.adjoint(Y)
-        kept = P._G._weights(Y.a)
-        assert kept is P._G._weights(Y.a)
-        assert kept.tobytes() == (C @ Y.a.ravel()).tobytes()
-        assert adj.tobytes() == (D @ (C @ Y.a.ravel())).tobytes()
-        H = ev.lagrangian_hessian(Y, w)
-        assert H.tobytes() == fresh.at(x).lagrangian_hessian(
-            Y.a.copy(), w).tobytes(), P.name
-        assert ev.adjoint(Y).tobytes() == adj.tobytes()
+        g = rng.standard_normal((P.m, P.m))
         M = g + g.T
         view = M.view()
         view.flags.writeable = False
-        for arg in (M, view):
+        for arg in (SymMat(M), M, view):
             first = ev.adjoint(arg)
             ev.lagrangian_hessian(arg, w)
             step = rng.standard_normal((P.m, P.m))
-            M += step + step.T
+            step += step.T
+            now = (arg.a if isinstance(arg, SymMat) else M) + step
+            if isinstance(arg, SymMat):
+                arg = SymMat(now)
+            else:
+                M += step
             second = ev.adjoint(arg)
-            assert second.tobytes() == (D @ (C @ M.ravel())).tobytes()
+            assert second.tobytes() == fresh.at(x).adjoint(now).tobytes()
             assert ev.lagrangian_hessian(arg, w).tobytes() == \
-                fresh.at(x).lagrangian_hessian(M.copy(), w).tobytes()
-            if np.any(D @ (C @ (step + step.T).ravel())):
+                fresh.at(x).lagrangian_hessian(now, w).tobytes(), P.name
+            if np.any(fresh.at(x).adjoint(step)):
                 assert not np.array_equal(first, second), P.name
-        assert P._G._weighted[0] is Y.a
 
 
 def test_affine_maps_keep_one_derivative_stack():
-    # f, G and h of total degree <= 1 keep the stack and Jacobian of the
-    # first point: a fresh compile builds the same bytes at points with
-    # zero, large and non-finite coordinates, and every evaluation shares
-    # the kept gradients, which are the term-by-term ones
+    # a table whose f, G and h all have total degree <= 1 keeps the stack
+    # and Jacobian of the first point: a fresh compile builds the same
+    # bytes at points with zero, large and non-finite coordinates, every
+    # evaluation shares the kept gradients, and all of them are the
+    # term-by-term ones
     rng = np.random.default_rng(29)
     n = 3
     x1, x2, x3 = (Poly.var(n, i) for i in range(n))
@@ -597,26 +628,24 @@ def test_affine_maps_keep_one_derivative_stack():
                           (1, 1): one})
     eqs = [x1 + x2, x3 - one * 2.0]
     P = NsdpProblem(n, f, G, eqs, name="affine")
-    maps = {"f": P._f, "G": P._G, "h": P._h}
     first = P.at(rng.standard_normal(n))
-    kept = {k: c.derivatives(first.powers) for k, c in maps.items()}
-    for k, c in maps.items():
-        assert c.affine and not kept[k].flags.writeable, k
+    kept = P._map.derivatives(first.powers)
+    assert P._map.affine and not kept.flags.writeable
     points = list(rng.standard_normal((4, n)) * [[1e-3], [1.0], [1e3], [1e8]])
     points += [np.zeros(n), np.array([np.nan, np.inf, -np.inf])]
     for x in points:
         ev = P.at(x)
-        fresh = NsdpProblem(n, f, G, eqs)
-        for k, c in maps.items():
-            assert c.derivatives(ev.powers) is kept[k], k
-            built = getattr(fresh, "_" + k).derivatives(ev.powers)
-            assert built.tobytes() == kept[k].tobytes(), (k, x)
+        assert P._map.derivatives(ev.powers) is kept
+        built = NsdpProblem(n, f, G, eqs)._map.derivatives(ev.powers)
+        assert built.tobytes() == kept.tobytes(), x
         if not np.isfinite(x).all():
             continue
         for arr, ref in ((ev.objective_gradient(), first.objective_gradient()),
-                         (ev.constraint_partials(), first.constraint_partials()),
                          (ev.equality_gradients(), first.equality_gradients())):
             assert np.shares_memory(arr, ref) and not arr.flags.writeable
+        assert ev.constraint_partials().tobytes() == \
+            first.constraint_partials().tobytes()
+        assert not np.any(ev.lagrangian_hessian(np.ones((2, 2)), [1.0, 1.0]))
         assert np.array_equal(ev.objective_gradient(),
                               [poly_eval(g, x) for g in poly_grad(f)])
         assert np.array_equal(ev.equality_gradients(),
@@ -632,23 +661,26 @@ def test_affine_maps_keep_one_derivative_stack():
 def test_total_degree_decides_the_affine_rule():
     # x1 * x2 has no exponent above 1, but its gradient (x2, x1) moves
     x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+    bilinear = Compiled(2, (1,), [((0,), x1 * x2)])
+    assert bilinear.degree == 1 and not bilinear.affine
+    assert Compiled(2, (2,), [((0,), x1), ((1,), x2)]).affine
     P = NsdpProblem(2, x1 * x2, MatrixPoly.diagonal([x1, x2]), name="bilin")
-    assert P._f.degree == 1 and not P._f.affine and P._G.affine
+    assert P._map.degree == 1 and not P._map.affine
     for x in ([1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]):
         ev = P.at(x)
         assert ev.objective_gradient().tolist() == [x[1], x[0]]
 
 
-def test_no_equalities_share_empty_arrays():
+def test_no_equalities_give_empty_read_only_arrays():
     P = diag_problem(objective=Poly.var(3, 0))
-    evs = [P.at(x) for x in ([0.0, 1.0, 2.0], [3.0, -1.0, 0.5])]
-    for ev in evs:
+    for x in ([0.0, 1.0, 2.0], [3.0, -1.0, 0.5]):
+        ev = P.at(x)
         h, Dh = ev.equality_values(), ev.equality_gradients()
         assert h.shape == (0,) and Dh.shape == (0, 3)
         assert not h.flags.writeable and not Dh.flags.writeable
-    assert evs[0].equality_values() is evs[1].equality_values()
-    # a stack of points gets its own zero block
-    assert P._h.value(evs[0].powers[None, :]).shape == (1, 0)
+        assert not np.any(ev.lagrangian_hessian(np.eye(3), h))
+    # a stack of points gets one empty block per point
+    assert P.at(np.zeros((2, 3))).equality_values().shape == (2, 0)
 
 
 def test_evaluation_keeps_values_and_spectrum():
@@ -673,19 +705,63 @@ def test_evaluation_keeps_values_and_spectrum():
         assert spec.vectors.tobytes() == again.vectors.tobytes()
 
 
+def test_spectrum_is_the_raw_pairs_in_eigh_order_bit_for_bit():
+    # spectrum() sorts and sign-fixes the evaluation's own LAPACK pairs:
+    # values, vectors, layout and read-only flags are those of
+    # symmat.eigh of G(x), on constant G with exactly repeated
+    # eigenvalues, where the stable order of ties decides, on G = 0, and
+    # on the random problems
+    def constant(A):
+        m = A.shape[0]
+        return NsdpProblem(1, Poly.var(1, 0), MatrixPoly(m, 1, {
+            (i, j): Poly.const(1, A[i, j])
+            for i in range(m) for j in range(i, m) if A[i, j]}))
+
+    rng = np.random.default_rng(61)
+    cases = []
+    for seed in range(200):
+        m = int(rng.integers(1, 9))
+        if seed % 2:
+            lam = rng.integers(-2, 3, m).astype(float)
+            A = np.diag(lam[rng.permutation(m)])
+        else:
+            A = float(rng.integers(-3, 4)) * (np.ones((m, m)) + np.eye(m))
+        cases.append((constant(A), np.array([0.3])))
+    for m in (1, 4, 9):
+        cases.append((NsdpProblem(2, Poly.var(2, 0), MatrixPoly(m, 2, {})),
+                      np.array([0.5, -1.0])))
+    cases += list(evaluation_cases())
+    ties = 0
+    for P, x in cases:
+        ev = P.at(x)
+        w, U = ev.eigenpairs()
+        assert ev.eigenpairs()[0] is w and np.all(np.diff(w) >= 0.0)
+        assert not w.flags.writeable and not U.flags.writeable
+        ties += bool(np.any(np.diff(w) == 0.0))
+        got, want = ev.spectrum(), eigh(P.constraint_value(x))
+        for u, v in ((got.values, want.values), (got.vectors, want.vectors)):
+            assert u.tobytes() == v.tobytes(), P.name
+            assert u.strides == v.strides and u.flags == v.flags, P.name
+        assert got.vectors.flags.f_contiguous
+        assert not got.vectors.flags.writeable
+    assert ties >= 100
+
+
 def test_finite_flags_overflowing_values():
     # G = [[x^4]], f = -x^5 - x: G and f overflow at x = 2^300, and
-    # only f at x = 2^250, where x^5 exceeds the float range but x^4 not
+    # only f at x = 2^250, where x^5 exceeds the float range but x^4 not.
+    # f, G and h are one product with one finiteness test, so G is
+    # refused at both points
     P = NsdpProblem(1, p_of(1, (-1.0, (5,)), (-1.0, (1,))),
                     MatrixPoly(1, 1, {(0, 0): p_of(1, (1.0, (4,)))}))
     assert P.at([2.0]).finite()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         far, half = P.at([2.0 ** 300]), P.at([2.0 ** 250])
         assert not far.finite()
         assert not half.finite()
-    with pytest.raises(ValueError):
-        far.constraint_value()
-    assert half.constraint_value().a[0, 0] == 2.0 ** 1000
+    for ev in (far, half):
+        with pytest.raises(ValueError):
+            ev.constraint_value()
 
 
 def test_adjoint_linearity():

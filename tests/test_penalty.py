@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from oracles import (
+    penalty_hessian_equality_terms,
     entry_gradient,
     newton_direction_linalg,
     path_trace_per_point,
-    penalty_hessian_equality_terms,
     penalty_parts_reference,
     persistent_clusters_per_record,
     probe_traces_full_scan,
@@ -418,7 +418,7 @@ class TestInnerMinimize:
         spec = eigh(P.constraint_value(x))
         dg_norm = np.linalg.norm(P.constraint_partials(x))
         for rho in (1.0, 1e6, 1e11):
-            floor = _gradient_floor(rho, spec, dg_norm)
+            floor = _gradient_floor(rho, spec.values, dg_norm)
             assert floor == pytest.approx(eps * rho * 3.0 * np.sqrt(2.0),
                                           rel=1e-12)
             floors.append(floor)
@@ -426,7 +426,7 @@ class TestInnerMinimize:
         assert floors[2] == pytest.approx(1e11 * floors[0], rel=1e-12)
         # the inner solve takes the floor from the warm start's evaluation
         ev = P.at(x)
-        assert _gradient_floor(1e11, ev.spectrum(), np.linalg.norm(
+        assert _gradient_floor(1e11, ev.eigenpairs()[0], np.linalg.norm(
             ev.constraint_partials())) == floors[2]
 
 
@@ -604,10 +604,9 @@ class TestNewtonDerivatives:
             for x in simple_spectrum_points(rng, P, x_bar, 3):
                 rho = float(rng.choice([1.0, 30.0]))
                 d = rng.standard_normal(P.n)
-                spec = eigh(P.constraint_value(x))
-                Q = spec.vectors
+                w, Q = symmat.eigh_raw(P.constraint_value(x).a)
                 DGd = np.tensordot(d, P.constraint_partials(x), 1)
-                omega = penalty._projection_weights(-spec.values)
+                omega = penalty._projection_weights(-w)
                 got = rho * Q @ (omega * (Q.T @ -DGd @ Q)) @ Q.T
                 zero = np.zeros(P.n)
                 fd = (parts(P, zero, rho, x + h * d)[2].a
@@ -618,7 +617,8 @@ class TestNewtonDerivatives:
         assert checked >= 20
 
     def test_projection_weights_match_entrywise_formula(self):
-        # sorted spectra with ties, zeros and mixed signs: the block form
+        # spectra sorted non-increasing, as the negated eigenvalues of
+        # eigh_raw come, with ties, zeros and mixed signs: the block form
         # is the entrywise formula, except that a zero in the non-positive
         # block may carry the other sign
         rng = np.random.default_rng(47)
@@ -626,7 +626,7 @@ class TestNewtonDerivatives:
             m = int(rng.integers(1, 9))
             mu = rng.integers(-2, 3, m) * float(rng.choice([1.0, 1e-9]))
             mu = np.where(rng.random(m) < 0.5, mu, rng.standard_normal(m))
-            mu = np.sort(mu)
+            mu = np.sort(mu)[::-1]
             got = penalty._projection_weights(mu)
             want = projection_weights_entrywise(mu)
             assert got.shape == want.shape and np.array_equal(got, want)
@@ -826,6 +826,56 @@ class TestRunPenalty:
         assert runs[7].startswith("ladder") and len(runs) == 21
         assert runs[-1].startswith("degenerate11")
 
+    def test_bench_solves_make_one_eigensolve_per_evaluation(self,
+                                                             monkeypatch):
+        # every point the 13-level solves of the 21 benchmark instances
+        # evaluate gets one LAPACK eigensolve: the penalty reads its raw
+        # pairs, and the level records their sorted form, with no second
+        # call
+        lapack, at = symmat._eigh_lo, NsdpProblem.at
+        calls = {"eigh": 0, "at": 0}
+
+        def counted_eigh(a, signature):
+            calls["eigh"] += 1
+            return lapack(a, signature=signature)
+
+        def counted_at(P, x):
+            calls["at"] += 1
+            return at(P, x)
+
+        monkeypatch.setattr(symmat, "_eigh_lo", counted_eigh)
+        monkeypatch.setattr(NsdpProblem, "at", counted_at)
+        total = 0
+        for name, obj, point in islice(survey_instances(), 21):
+            P = NsdpProblem.from_json(obj)
+            calls.update(eigh=0, at=0)
+            run_penalty(P, PenaltyConfig(anchor=point, outer_iters=13))
+            assert calls["eigh"] == calls["at"] >= 1, name
+            total += calls["at"]
+        assert total > 700
+
+    @pytest.mark.parametrize("healthy", [0, 1, 40])
+    def test_lapack_failure_ends_the_solve(self, monkeypatch, healthy):
+        # the gufunc reports a failure by NaN outputs and the invalid
+        # flag; at the feasibility gate (no healthy call), at the first
+        # trial or deep in a level, the solve ends with NumericalFailure
+        lapack = symmat._eigh_lo
+        calls = []
+
+        def failing(a, signature):
+            calls.append(a.shape)
+            if len(calls) <= healthy:
+                return lapack(a, signature=signature)
+            np.sqrt(-1.0)              # sets the invalid flag, as LAPACK does
+            return np.full(a.shape[-1], np.nan), np.full(a.shape, np.nan)
+
+        monkeypatch.setattr(symmat, "_eigh_lo", failing)
+        P = NsdpProblem.from_json(json.loads(DEGENERATE00_PROBLEM))
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                         outer_iters=13))
+        assert len(calls) == healthy + 1
+
     def test_diag3_closed_form(self):
         P = diag3_problem()
         cfg = PenaltyConfig(anchor=np.zeros(3))
@@ -1012,16 +1062,17 @@ class TestRunPenalty:
         # levels' values at their warm starts is a trial, and an
         # accepted trial's gradient reuses its value
         calls, values = [], []
+        lapack = symmat._eigh_lo
 
-        def counted_eigh(M):
-            calls.append(np.shape(M.a))
-            return eigh(M)
+        def counted_eigh(a, signature):
+            calls.append(np.shape(a))
+            return lapack(a, signature=signature)
 
         def counted_value(anchor, rho, x, ev):
             values.append(rho)
             return _penalty_value(anchor, rho, x, ev)
 
-        monkeypatch.setattr(model, "eigh", counted_eigh)
+        monkeypatch.setattr(symmat, "_eigh_lo", counted_eigh)
         monkeypatch.setattr(penalty, "_penalty_value", counted_value)
         trace = run_penalty(diag3_problem(),
                             PenaltyConfig(anchor=np.zeros(3), outer_iters=13))
