@@ -66,17 +66,22 @@ and the penalty reads its pairs as LAPACK returns them, eigenvalues
 ascending: the value, the multiplier, whose active block, the
 eigenvectors of the negative eigenvalues, is a leading slice, the noise
 and gradient floors, and the projection weights and Hessian, filled
-block by block.  Only a level's record sorts and sign-fixes them
-(Evaluation.spectrum).  An accepted trial hands its value's pieces
+block by block.  A level's record keeps them too, and sorts and
+sign-fixes them only when its spectrum is first read
+(PenaltyIterate.from_pairs), so a solve whose records nobody reads
+sorts nothing.  An accepted trial hands its value's pieces
 (_penalty_value) to the gradient, and its gradient norm to the next
 iteration, instead of recomputing them.  The Cholesky factor is taken
-of H itself unless H needs a diagonal shift, and the factorization and
-both triangular solves call the LAPACK gufuncs behind numpy.linalg
-directly, so that a failed factorization costs one LAPACK call and no
-raised LinAlgError, under one errstate that inner_minimize enters per
-level.  The multiplier is symmetrized in place and frozen with no copy,
-a point where G(x) is PSD gets its zero multiplier with no product, and
-a problem without equalities skips their terms.
+of H itself unless H needs a diagonal shift, and after a failed
+factorization the shifts at which Cholesky's backward error rules out
+success are passed over unfactored (_newton_direction).  The
+factorization, both triangular solves and that eigvalsh call the
+LAPACK gufuncs behind numpy.linalg directly, so that a failed
+factorization costs one LAPACK call and no raised LinAlgError, under
+one errstate that inner_minimize enters per level.  The multiplier is
+symmetrized in place and frozen with no copy, a point where G(x) is PSD
+gets its zero multiplier with no product, and a problem without
+equalities skips their terms.
 """
 from __future__ import annotations
 
@@ -109,6 +114,7 @@ from .symmat import (
     frobenius,
     orthonormalize,
     random_rotation,
+    spectral_order,
 )
 
 ARMIJO_C = 1e-4
@@ -124,11 +130,12 @@ TAU_CLUSTER = 1e-6
 PATH_STEPS = 26
 PATH_SCALE = 1e-2
 PATH_DECAY = 0.5
-# the gufuncs behind np.linalg.cholesky and np.linalg.solve with a 1-D
-# right-hand side: on n of a few units their dispatch costs several times
-# the LAPACK call (see _newton_direction)
+# the gufuncs behind np.linalg.cholesky, np.linalg.solve with a 1-D
+# right-hand side and np.linalg.eigvalsh: on n of a few units their
+# dispatch costs several times the LAPACK call (see _newton_direction)
 _cholesky_lo = _umath_linalg.cholesky_lo
 _solve1 = _umath_linalg.solve1
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,14 @@ class PenaltyConfig:
 
 @dataclass
 class PenaltyIterate:
-    """One outer iterate; field names match the JSON trace format."""
+    """One outer iterate; field names match the JSON trace format.
+
+    A run_penalty level record is built by from_pairs, which keeps
+    LAPACK's ascending eigenpairs of G(x) and fills eigenvalues and
+    eigenvectors from them on the first read of either, through
+    symmat.spectral_order, so they are read-only and bit for bit
+    symmat.eigh(G(x)); a solve whose records nobody reads sorts nothing.
+    """
 
     k: int
     rho: float
@@ -181,6 +195,27 @@ class PenaltyIterate:
     multiplier_norm: float
     inner_converged: bool = True
     inner_iterations: int = 0
+
+    @classmethod
+    def from_pairs(cls, pairs: Tuple[np.ndarray, np.ndarray],
+                   **fields) -> "PenaltyIterate":
+        """A record whose spectrum is the raw pairs (w, U) of
+        symmat.eigh_raw, put in eigh's order when first read."""
+        rec = cls(eigenvalues=None, eigenvectors=None, **fields)
+        del rec.eigenvalues, rec.eigenvectors
+        rec._pairs = pairs
+        return rec
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks, as the
+        # spectrum of a from_pairs record is before its first read
+        pairs = self.__dict__.get("_pairs")
+        if pairs is None or name not in ("eigenvalues", "eigenvectors"):
+            raise AttributeError(name)
+        spec = spectral_order(*pairs)
+        del self._pairs
+        self.eigenvalues, self.eigenvectors = spec.values, spec.vectors
+        return getattr(self, name)
 
     def to_json(self) -> dict:
         return {
@@ -415,29 +450,54 @@ def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     direction, when 200 doublings do not suffice; a non-finite H gives a
     non-finite or zero direction, which the caller rejects too.
 
+    After the first failed factorization, one LAPACK eigvalsh of H gives
+    lam_min and max|lam|, and every tau of the sequence with
+    lam_min + tau < -n (n + 1) eps (max|lam| + tau) is passed over
+    without a factorization, as Cholesky cannot succeed there.  A
+    factorization that completes on A = fl(H + tau I) gives
+    L L^T = A + dA with |dA_ij| <= gamma_{n+1} sqrt(a_ii a_jj),
+    gamma_{n+1} ~ (n + 1) eps / 2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), so lam_min(A) >= -||dA||_2
+    >= -gamma_{n+1} tr(A), and tr(A) <= n (max|lam| + tau) up to
+    rounding: half the margin.  The other half covers the rounding of
+    A's diagonal and the eigensolver's error, a modest multiple of
+    eps ||H||_2.  From the first tau the test leaves, the search
+    factors at every tau as before, and a non-finite H skips nothing.
+
     The factor and the two solves come from the LAPACK gufuncs that
     np.linalg.cholesky and np.linalg.solve dispatch to, called on the
-    same arrays (the identity built once, at the first shift), so every
-    tau, every factorization attempt and every byte of the direction are
-    those of the numpy.linalg route.  The gufunc reports a failed
-    factorization by an all-NaN factor, where a factor it returns has
-    zeros above the diagonal, so the top right entry tells them apart
-    without a LinAlgError (for n = 1 a NaN H also counts as failed).
-    The caller sets the errstate numpy.linalg sets, less the LinAlgError
-    it raises on the invalid flag, as inner_minimize does once for its
-    whole solve; a triangular solve that numpy.linalg would refuse as
-    singular gives a NaN direction instead.
+    same arrays (the identity built once, at the first shift), so the
+    accepted tau and every byte of the direction are those of the
+    numpy.linalg route that factors at every tau.  The gufunc reports a
+    failed factorization by an all-NaN factor, where a factor it returns
+    has zeros above the diagonal, so the top right entry tells them
+    apart without a LinAlgError (for n = 1 a NaN H also counts as
+    failed).  The caller sets the errstate numpy.linalg sets, less the
+    LinAlgError it raises on the invalid flag, as inner_minimize does
+    once for its whole solve; a triangular solve that numpy.linalg would
+    refuse as singular gives a NaN direction instead.
     """
     beta = 1e-3
+    n = len(H)
     diag = float(H.diagonal().min())
     tau = 0.0 if diag > 0.0 else beta - diag
-    eye = np.eye(len(H)) if tau > 0.0 else None
+    eye = np.eye(n) if tau > 0.0 else None
+    margin = n * (n + 1) * EPS
+    lo = None                       # lam_min(H), read at the first failure
     for _ in range(200):
-        L = _cholesky_lo(H + tau * eye if tau > 0.0 else H)
-        if L[0, -1] == L[0, -1]:        # not NaN: the factorization held
-            return -_solve1(L.T, _solve1(L, grad))
-        if eye is None:
-            eye = np.eye(len(H))
+        # lo is inf for a non-finite H and NaN where eigvalsh failed, and
+        # either fails the test, so nothing is skipped
+        if lo is None or not lo + tau < -margin * (top + tau):
+            L = _cholesky_lo(H + tau * eye if tau > 0.0 else H)
+            if L[0, -1] == L[0, -1]:    # not NaN: the factorization held
+                return -_solve1(L.T, _solve1(L, grad))
+            if lo is None:
+                if eye is None:
+                    eye = np.eye(n)
+                lo, top = math.inf, 0.0
+                if np.isfinite(H).all():
+                    w = _eigvalsh_lo(H, signature="d->d")
+                    lo, top = float(w[0]), _lam_abs(w)
         tau = max(2.0 * tau, beta)
     return np.zeros_like(grad)
 
@@ -567,10 +627,8 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
         res = inner_minimize(P, cfg, rho, x, ev)
         x, ev = res.x, res.ev
         Y = res.multiplier
-        iterates.append(PenaltyIterate(
-            k=k, rho=rho, x=x.copy(), multiplier=Y,
-            eigenvalues=ev.spectrum().values.copy(),
-            eigenvectors=ev.spectrum().vectors.copy(),
+        iterates.append(PenaltyIterate.from_pairs(
+            ev.eigenpairs(), k=k, rho=rho, x=x.copy(), multiplier=Y,
             stationarity_residual=res.grad_norm,
             multiplier_norm=float(np.sqrt(frobenius(Y.a, Y.a))),
             inner_converged=res.converged and not stalled,
@@ -595,7 +653,7 @@ def run_penalty(P: NsdpProblem, cfg: PenaltyConfig) -> PenaltyTrace:
         # a Y whose adjoint, at most ||DG||_F ||Y||_F, stays below the
         # level's gradient tolerance: the inner solve cannot resolve it
         floor = (last.rho * EPS
-                 * _lam_abs(last.eigenvalues) * np.sqrt(P.m))
+                 * _lam_abs(ev.eigenpairs()[0]) * np.sqrt(P.m))
         dg_norm = _norm(ev.constraint_partials().ravel())
         if (last.inner_converged and ref.multiplier_norm > 0.0
                 and last.multiplier_norm >= 2.0 * ref.multiplier_norm

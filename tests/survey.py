@@ -18,11 +18,13 @@ defects included.
     python tests/survey.py --scale S  # analyze with G -> S G, see below
 
 Both print one summary line: instance count, separation notes, lattice
-warnings, unconverged levels, divergence flags, inner iterations, a
-sha256 digest over every instance's name, the JSONL of its 13-level
-solve, that solve's notes and its timestamp-free analysis report, and a
-solve digest over the names, solves and notes alone.  Two checkouts
-that print the same digest produced bit-identical iterates,
+warnings, unconverged levels, divergence flags, inner iterations, the
+Cholesky factorizations the solves' Newton shift searches made and how
+many of them failed (counted by wrapping penalty._cholesky_lo around
+each solve), a sha256 digest over every instance's name, the JSONL of
+its 13-level solve, that solve's notes and its timestamp-free analysis
+report, and a solve digest over the names, solves and notes alone.
+Two checkouts that print the same digest produced bit-identical iterates,
 multipliers, spectra, verdicts and witnesses; the same solve digest
 says the same of the penalty runs when only reports moved.  A change
 meant to keep every bit is gated by --expect-digests with the two
@@ -60,6 +62,7 @@ from inputs import (  # noqa: E402
     ladder_base,
     shifted_problem,
 )
+from nsdpcq import penalty  # noqa: E402
 from nsdpcq.model import MatrixPoly, NsdpProblem  # noqa: E402
 from nsdpcq.penalty import PenaltyConfig, run_penalty  # noqa: E402
 from nsdpcq.report import (  # noqa: E402
@@ -89,15 +92,28 @@ def instances():
 
 
 def survey():
-    """The table rows, the total inner iterations of the solves, the
-    sha256 of every solve and report, and that of the solves alone."""
-    rows, iters = {}, 0
+    """The table rows, the total inner iterations of the solves, their
+    Cholesky factorizations made and failed, the sha256 of every solve
+    and report, and that of the solves alone."""
+    rows, iters, factors = {}, 0, [0, 0]
     digest, solves = hashlib.sha256(), hashlib.sha256()
+    cholesky = penalty._cholesky_lo
+
+    def counted(a):
+        L = cholesky(a)
+        factors[0] += 1
+        factors[1] += L[0, -1] != L[0, -1]      # a NaN factor: it failed
+        return L
+
     for name, obj, point in instances():
         P = NsdpProblem.from_json(obj)
         rep = analyze_problem(P, point, AnalysisOptions(timestamp=False))
-        trace = run_penalty(P, PenaltyConfig(anchor=point,
-                                             outer_iters=LEVELS))
+        penalty._cholesky_lo = counted
+        try:
+            trace = run_penalty(P, PenaltyConfig(anchor=point,
+                                                 outer_iters=LEVELS))
+        finally:
+            penalty._cholesky_lo = cholesky
         iters += sum(rec.inner_iterations for rec in trace.iterates)
         solve = (name, trace.to_jsonl(), json.dumps(trace.notes))
         for text in solve + (report_json_text(rep),):
@@ -112,10 +128,10 @@ def survey():
                             if not rec.inner_converged],
             "divergence": trace.divergence_suspected,
         }
-    return rows, iters, digest.hexdigest(), solves.hexdigest()
+    return rows, iters, factors, digest.hexdigest(), solves.hexdigest()
 
 
-def summary(rows, iters, digest, solves) -> str:
+def summary(rows, iters, factors, digest, solves) -> str:
     notes = [n for r in rows.values() for n in r["notes"]]
     sep = sum("weak Robinson holds" in n for n in notes)
     return (f"{len(rows)} instances, {sep} separation notes, "
@@ -123,7 +139,8 @@ def summary(rows, iters, digest, solves) -> str:
             f"{sum(len(r['unconverged']) for r in rows.values())} "
             "unconverged levels, "
             f"{sum(r['divergence'] for r in rows.values())} divergence "
-            f"flags, {iters} inner iterations, digest {digest}, "
+            f"flags, {iters} inner iterations, {factors[0]} "
+            f"factorizations ({factors[1]} failed), digest {digest}, "
             f"solve digest {solves}")
 
 
@@ -199,8 +216,8 @@ def main(argv=None) -> int:
         ap.error("--expect-digests needs --check")
     if args.scale is not None:
         return scale_check(args.scale)
-    rows, iters, digest, solves = survey()
-    print(summary(rows, iters, digest, solves))
+    rows, iters, factors, digest, solves = survey()
+    print(summary(rows, iters, factors, digest, solves))
     if args.write:
         TABLE.parent.mkdir(exist_ok=True)
         # one instance per line, so a moved cell is a one-line diff

@@ -11,6 +11,8 @@ Closed forms used as oracles:
   levels; no KKT multiplier exists at the limit.
 """
 import json
+import math
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -739,6 +741,37 @@ def newton_cases():
         yield np.zeros((n, n))
 
 
+def shift_boundary_cases():
+    """(H, gap) with gap = lam_min(H) + tau_k exactly, as a
+    Fraction, at 0, a few ulps either side of it, and 1e-15 to 1e-12
+    (times H's scale) below it, where the shift search's skip test
+    decides whether tau_k is factored.
+
+    H = 2^p (c I + D (J - I) D), J all ones and D a diagonal of signs,
+    has the exact eigenvalues 2^p (c - 1) and 2^p (c + n - 1).  Its
+    diagonal 2^p c > 0 makes the shift sequence 0, beta, 2 beta, ..., so
+    tau_k = beta 2^(k - 1), and with tau_k = mant 2^p, mant in [0.5, 1),
+    c = 1 - mant is exact and puts lam_min + tau_k at 0."""
+    rng = np.random.default_rng(73)
+    for n in (2, 3, 5):
+        for k in (1, 6, 12):
+            tau = 1e-3 * 2.0 ** (k - 1)
+            mant, p = math.frexp(tau)
+            c0 = 1.0 - mant
+            offsets = [c0]
+            for towards in (0.0, 1.0):
+                c = c0
+                for _ in range(3):
+                    offsets.append(c := float(np.nextafter(c, towards)))
+            offsets += [c0 - r for r in (1e-15, 1e-14, 1e-13, 1e-12)]
+            d = rng.choice([-1.0, 1.0], size=n)
+            off = np.outer(d, d) - np.eye(n)
+            for c in offsets:
+                H = np.ldexp(c * np.eye(n) + off, p)
+                gap = Fraction(2) ** p * (Fraction(c) - 1) + Fraction(tau)
+                yield H, gap
+
+
 def direction_rejected(grad, d) -> bool:
     """Whether inner_minimize rejects d as a descent direction."""
     gd = float(grad @ d)
@@ -773,7 +806,12 @@ class TestNewtonDirection:
         monkeypatch.setattr(np.linalg, "cholesky", linalg_counted)
         return counts
 
-    def test_same_bytes_and_attempts_as_numpy_linalg(self, attempts):
+    def test_same_bytes_as_numpy_linalg_with_fewer_attempts(self,
+                                                            attempts):
+        # the skip of shifts Cholesky cannot take keeps every byte of the
+        # direction; where the search doubles tau over 20 times, one
+        # failed factorization reads the spectrum, and at most one more
+        # fails before the accepted shift
         rng = np.random.default_rng(67)
         failed = []
         for H in newton_cases():
@@ -782,11 +820,31 @@ class TestNewtonDirection:
             got = penalty._newton_direction(H, grad)
             want = newton_direction_linalg(H, grad)
             assert got.tobytes() == want.tobytes(), H
-            assert attempts["gufunc"] == attempts["linalg"], H
-            failed.append(attempts["gufunc"] - 1)
+            assert attempts["gufunc"] <= attempts["linalg"], H
+            if attempts["linalg"] > 21:
+                assert attempts["gufunc"] <= 3, H
+            failed.append(attempts["linalg"] - 1)
         # unshifted successes, and shifts after from 1 to over 20 doublings
         assert 0 in failed and 1 in failed and max(failed) > 20
         assert len(set(failed)) >= 15
+
+    def test_skip_test_at_its_boundary(self, attempts):
+        # lam_min(H) + tau_k at 0, within ulps of it and just below it:
+        # the direction and its shift are the numpy.linalg route's, and
+        # every tau before tau_k is skipped
+        rng = np.random.default_rng(79)
+        gaps = []
+        for H, gap in shift_boundary_cases():
+            grad = rng.standard_normal(len(H))
+            attempts.update(gufunc=0, linalg=0)
+            got = penalty._newton_direction(H, grad)
+            want = newton_direction_linalg(H, grad)
+            assert got.tobytes() == want.tobytes(), H
+            assert attempts["gufunc"] <= min(attempts["linalg"], 3), H
+            gaps.append(gap / Fraction(float(abs(H).max()) * penalty.EPS))
+        assert 0 in gaps
+        assert any(0 < g <= 4 for g in gaps) and any(-4 <= g < 0 for g in gaps)
+        assert min(gaps) < -1000
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_nan_hessian_gives_a_rejected_direction(self, n):
@@ -853,6 +911,45 @@ class TestRunPenalty:
             assert calls["eigh"] == calls["at"] >= 1, name
             total += calls["at"]
         assert total > 700
+
+    @pytest.mark.parametrize("obj", [
+        LADDER_PROBLEM, json.loads(DEGENERATE00_PROBLEM),
+    ], ids=["ladder_n6_m4_k2", "degenerate00"])
+    def test_level_records_read_the_eigh_of_their_point(self, obj):
+        # a level record sorts LAPACK's pairs when first read, into the
+        # bytes and flags symmat.eigh gives G at the record's point
+        P = NsdpProblem.from_json(obj)
+        trace = run_penalty(P, PenaltyConfig(anchor=np.zeros(P.n),
+                                             outer_iters=13))
+        assert len(trace.iterates) == 13
+        for rec in trace.iterates:
+            want = eigh(P.constraint_value(rec.x))
+            for got, ref in ((rec.eigenvalues, want.values),
+                             (rec.eigenvectors, want.vectors)):
+                assert got.tobytes() == ref.tobytes(), rec.k
+                assert got.strides == ref.strides and not got.flags.writeable
+
+    def test_unread_level_records_sort_nothing(self, monkeypatch):
+        # every spectral_order call is counted: a run makes only its
+        # feasibility gate's, and reading the records makes one each
+        order, calls = symmat.spectral_order, []
+
+        def counted(w, u):
+            calls.append(w.size)
+            return order(w, u)
+
+        for module in (symmat, model, penalty):
+            monkeypatch.setattr(module, "spectral_order", counted)
+        P = NsdpProblem.from_json(LADDER_PROBLEM)
+        cfg = PenaltyConfig(anchor=np.zeros(P.n), outer_iters=13)
+        feasibility_data(P, cfg.anchor)
+        gate = len(calls)           # the anchor's spectrum, sorted once
+        calls.clear()
+        trace = run_penalty(P, cfg)
+        assert len(calls) == gate
+        text = trace.to_jsonl()
+        assert len(calls) == gate + 13
+        assert trace.to_jsonl() == text and len(calls) == gate + 13
 
     @pytest.mark.parametrize("healthy", [0, 1, 40])
     def test_lapack_failure_ends_the_solve(self, monkeypatch, healthy):
